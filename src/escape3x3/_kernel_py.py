@@ -6,6 +6,15 @@ lexicographically first system of pairwise edge-disjoint trails connecting
 every pair, by depth-first search.  Trails may revisit vertices but never
 reuse an edge; a zero-length trail is allowed when start == end.
 
+The search prunes with reachability over the still-free edges.  Instead of
+a graph search per query, reachability is read from a module-level memo
+keyed by the adjacency tuple: for each free-edge mask it holds one row
+giving, per vertex, the bitmask of that vertex's connected component.  A
+row is filled lazily, all vertices in one pass, the first time its mask is
+seen; nothing is built at import.  The memo is bounded: every grid graph
+is an induced subgraph of the 3x3 grid, so it has at most 12 edges and its
+table at most 4,096 rows.
+
 The compiled twin in _kernel_cy.pyx mirrors this enumeration order and the
 node-counting exactly; both backends must return identical results.
 """
@@ -15,6 +24,40 @@ from __future__ import annotations
 FOUND = 1
 NONE = 0
 BUDGET = -1
+
+# adj -> {free-edge mask: per-vertex component bitmask}
+_REACH: dict[tuple, dict[int, tuple[int, ...]]] = {}
+
+
+def reach_table(adj) -> dict[int, tuple[int, ...]]:
+    """The memo of reachability rows for ``adj``, created empty on first use."""
+    table = _REACH.get(adj)
+    if table is None:
+        table = _REACH[adj] = {}
+    return table
+
+
+def fill_row(adj, table: dict, m: int) -> tuple[int, ...]:
+    """Compute, store and return the row of ``table`` for free-edge mask
+    ``m``: for each vertex, the bitmask of the vertices it reaches."""
+    n = len(adj)
+    row = [0] * n
+    for src in range(n):
+        if row[src]:
+            continue
+        seen = 1 << src
+        stack = [src]
+        while stack:
+            u = stack.pop()
+            for w, eid in adj[u]:
+                if (m >> eid) & 1 and not (seen >> w) & 1:
+                    seen |= 1 << w
+                    stack.append(w)
+        for v in range(src, n):
+            if (seen >> v) & 1:
+                row[v] = seen
+    table[m] = out = tuple(row)
+    return out
 
 
 def find_trail_system(adj, pairs, mask, max_nodes=0):
@@ -30,22 +73,12 @@ def find_trail_system(adj, pairs, mask, max_nodes=0):
     k = len(pairs)
     trails: list = [None] * k
     state = [0, False]  # nodes, exhausted
+    table = reach_table(adj)
 
-    def reach(m: int, src: int) -> int:
-        seen = 1 << src
-        stack = [src]
-        while stack:
-            u = stack.pop()
-            for w, eid in adj[u]:
-                if (m >> eid) & 1 and not (seen >> w) & 1:
-                    seen |= 1 << w
-                    stack.append(w)
-        return seen
-
-    def later_pairs_connected(m: int, i: int) -> bool:
+    def later_pairs_connected(row, i: int) -> bool:
         for j in range(i, k):
             a, b = pairs[j]
-            if a != b and not (reach(m, a) >> b) & 1:
+            if a != b and not (row[a] >> b) & 1:
                 return False
         return True
 
@@ -55,18 +88,21 @@ def find_trail_system(adj, pairs, mask, max_nodes=0):
             return False
         state[0] += 1
         b = pairs[i][1]
+        row = table.get(m)
+        if row is None:
+            row = fill_row(adj, table, m)
         if cur == b:
             trails[i] = tuple(path)
             if i + 1 == k:
                 return True
-            if later_pairs_connected(m, i + 1) and extend(
+            if later_pairs_connected(row, i + 1) and extend(
                 i + 1, m, [pairs[i + 1][0]], pairs[i + 1][0]
             ):
                 return True
             trails[i] = None
             if state[1]:
                 return False
-        if not (reach(m, cur) >> b) & 1:
+        if not (row[cur] >> b) & 1:
             return False
         for w, eid in adj[cur]:
             if (m >> eid) & 1:

@@ -8,7 +8,7 @@ Both backends return bit-identical results; the test suite compares them.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import _kernel_py
@@ -39,14 +39,21 @@ BUDGET = _kernel_py.BUDGET
 
 @dataclass(frozen=True)
 class GraphDesc:
-    """Index-level description of a grid graph for the kernel."""
+    """Index-level description of a grid graph for the kernel, with the
+    vertex -> index and edge -> bit tables the wrapper looks up."""
 
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
     adj: tuple[tuple[tuple[int, int], ...], ...]
+    vindex: dict[Vertex, int] = field(compare=False, repr=False)
+    ebit: dict[Edge, int] = field(compare=False, repr=False)
 
-    def vertex_index(self, v: Vertex) -> int:
-        return self.vertices.index(v)
+    def edge_mask(self, edges) -> int:
+        ebit = self.ebit
+        mask = 0
+        for e in edges:
+            mask |= ebit[e]
+        return mask
 
 
 @lru_cache(maxsize=None)
@@ -64,16 +71,9 @@ def desc_for(g: GridGraph) -> GraphDesc:
         vertices=vertices,
         edges=edges,
         adj=tuple(tuple(sorted(entries)) for entries in adj),
+        vindex=vindex,
+        ebit={e: 1 << i for i, e in enumerate(edges)},
     )
-
-
-def edge_mask(g: GridGraph, edges) -> int:
-    desc = desc_for(g)
-    eindex = {e: i for i, e in enumerate(desc.edges)}
-    mask = 0
-    for e in edges:
-        mask |= 1 << eindex[e]
-    return mask
 
 
 def solve_trails(
@@ -88,10 +88,10 @@ def solve_trails(
     lexicographically first trail system under sorted-vertex order.
     """
     desc = desc_for(g)
-    vindex = {v: i for i, v in enumerate(desc.vertices)}
+    vindex = desc.vindex
     pairs_idx = tuple((vindex[a], vindex[b]) for a, b in endpoint_pairs)
     status, trails, nodes = _impl.find_trail_system(
-        desc.adj, pairs_idx, edge_mask(g, free_edges), max_nodes
+        desc.adj, pairs_idx, desc.edge_mask(free_edges), max_nodes
     )
     if status == FOUND:
         paths = [Path(tuple(desc.vertices[i] for i in t)) for t in trails]

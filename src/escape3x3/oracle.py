@@ -28,10 +28,6 @@ class SearchBudget:
     max_nodes: int | None = None
 
     @staticmethod
-    def unlimited() -> "SearchBudget":
-        return SearchBudget(None)
-
-    @staticmethod
     def limited(n: int) -> "SearchBudget":
         if n <= 0:
             raise ValueError("max_nodes must be positive")
@@ -78,6 +74,9 @@ def oracle_solve(
                 endpoint_pairs = [cfg.pairs[i] for i in linked] + list(
                     zip(unlinked, assignment)
                 )
+                if remaining is not None and remaining <= 0:
+                    # spent exactly: a cap of 0 would mean unlimited to the kernel
+                    raise BudgetExhausted(spent)
                 cap = remaining if remaining is not None else 0
                 trails, nodes, exhausted = kernel.solve_trails(
                     g, g.edges, endpoint_pairs, cap

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escape3x3 import _kernel_py, kernel
-from escape3x3.grid import build_corner_grid, full_grid
+from escape3x3.grid import build_corner_grid, full_grid, grid_without_corner
 
 try:
     from escape3x3 import _kernel_cy
@@ -102,3 +102,35 @@ def test_trails_are_edge_disjoint(grid):
         for e in p.edges():
             assert e not in seen
             seen.add(e)
+
+
+def _bfs_reach(adj, m, src):
+    seen = {src}
+    frontier = [src]
+    while frontier:
+        u = frontier.pop()
+        for w, eid in adj[u]:
+            if (m >> eid) & 1 and w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return sum(1 << v for v in seen)
+
+
+@pytest.mark.parametrize("g", [full_grid(), grid_without_corner()], ids=["full", "no-corner"])
+def test_reach_table_matches_bfs(g):
+    desc = _desc(g)
+    table = _kernel_py.reach_table(desc.adj)
+    for m in range(1 << len(desc.edges)):
+        if m not in table:
+            _kernel_py.fill_row(desc.adj, table, m)
+        assert table[m] == tuple(_bfs_reach(desc.adj, m, v) for v in range(len(desc.adj)))
+
+
+def test_reach_table_filled_lazily():
+    g = build_corner_grid(frozenset({(1, 1), (3, 3)}))
+    desc = _desc(g)
+    table = _kernel_py.reach_table(desc.adj)
+    assert not table
+    paths, _, _ = kernel.solve_trails(g, g.edges, [((1, 2), (3, 2))])
+    assert paths is not None
+    assert 0 < len(table) < 1 << len(desc.edges)

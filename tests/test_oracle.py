@@ -1,8 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from escape3x3.grid import build_corner_grid, full_grid
+from escape3x3 import kernel
+from escape3x3.grid import GridGraph, build_corner_grid, full_grid
 from escape3x3.model import EscapeContract, contract_for, validate_plan
 from escape3x3.oracle import (
     BudgetExhausted,
@@ -31,8 +34,6 @@ def test_double_deletion_not_weakly_2_linked():
     assert not ok
     assert witness is not None
     # the two corner-to-corner routes collapse to one: this tuple must fail
-    from escape3x3 import kernel
-
     paths, _, _ = kernel.solve_trails(
         g, g.edges, [((1, 3), (3, 1)), ((3, 1), (1, 3))]
     )
@@ -87,6 +88,25 @@ def test_oracle_prefers_more_linked_pairs(grid):
     assert len(plan.linkages) == 2
 
 
+def test_oracle_budget_spent_exactly_stops_search(grid):
+    """The first kernel call fails after exactly 215 nodes; a budget of 215
+    must stop there rather than let the next call run uncapped (the plan
+    costs 319 nodes)."""
+    cfg = make_config([((1, 1), (2, 1)), ((1, 2), (2, 2)), ((1, 3), (2, 3))], [(3, 1)])
+    contract = contract_for(LemmaId.HEAVY78)
+    first, nodes, _ = kernel.solve_trails(
+        grid, grid.edges, [*cfg.pairs, ((3, 1), (1, 3))]
+    )
+    assert first is None and nodes == 215
+    with pytest.raises(BudgetExhausted) as info:
+        oracle_solve(grid, cfg, contract, SearchBudget.limited(215))
+    assert info.value.nodes == 215
+    plan = oracle_solve(grid, cfg, contract)
+    assert oracle_solve(grid, cfg, contract, SearchBudget.limited(319)) == plan
+    with pytest.raises(BudgetExhausted):
+        oracle_solve(grid, cfg, contract, SearchBudget.limited(318))
+
+
 def test_budget_zero_rejected():
     with pytest.raises(ValueError):
         SearchBudget.limited(0)
@@ -100,14 +120,36 @@ def test_link_two_pairs_witness(grid):
 
 
 def test_euler_cross_check_agrees_with_kernel():
-    from escape3x3 import kernel
-
     g = build_corner_grid(frozenset({(1, 1), (1, 2), (1, 3)}))  # 2x3 grid
     vertices = g.sorted_vertices()
     for u1, v1, u2, v2 in itertools.product(vertices[:4], repeat=4):
         fast, _, _ = kernel.solve_trails(g, g.edges, [(u1, v1), (u2, v2)])
         slow = exists_trail_system_euler(g, [(u1, v1), (u2, v2)])
         assert (fast is not None) == slow
+
+
+_FULL = full_grid()
+_VERTEX = st.sampled_from(_FULL.sorted_vertices())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sets(st.sampled_from(_FULL.sorted_edges()), max_size=10),
+    st.tuples(_VERTEX, _VERTEX, _VERTEX, _VERTEX),
+)
+def test_euler_cross_check_agrees_with_kernel_on_free_edge_subsets(free, ends):
+    """Reachability pruning under a partial free-edge mask: the kernel on the
+    graph with only ``free`` as edges agrees with the subset enumerator, and
+    with the full grid searched under the same free edges."""
+    u1, v1, u2, v2 = ends
+    pairs = [(u1, v1), (u2, v2)]
+    g = GridGraph(
+        rows=_FULL.rows, cols=_FULL.cols, vertices=_FULL.vertices,
+        edges=frozenset(free), deleted=frozenset(),
+    )
+    fast = kernel.solve_trails(g, g.edges, pairs)
+    assert (fast[0] is not None) == exists_trail_system_euler(g, pairs)
+    assert kernel.solve_trails(_FULL, free, pairs) == fast
 
 
 def _euler_plan_exists(g, cfg, contract):
@@ -154,8 +196,6 @@ def test_oracle_none_confirmed_by_euler_enumeration(grid):
 
 
 def test_weak_linkage_witnesses_validate(grid):
-    from escape3x3 import kernel
-
     for u1, v1, u2, v2 in itertools.islice(
         itertools.product(grid.sorted_vertices(), repeat=4), 0, 500, 7
     ):
