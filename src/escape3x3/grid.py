@@ -41,7 +41,8 @@ def is_vertex(v: object) -> bool:
     return (
         isinstance(v, tuple)
         and len(v) == 2
-        and all(isinstance(x, int) and 1 <= x <= GRID_SIZE for x in v)
+        # exact int: bool is an int subclass, and JSON true is no coordinate
+        and all(type(x) is int and 1 <= x <= GRID_SIZE for x in v)
     )
 
 

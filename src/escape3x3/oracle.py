@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import kernel
 from .grid import GridGraph, Vertex
-from .model import EscapeContract, EscapePlan, Path, validate_plan
+from .model import EscapeContract, EscapePlan, validate_plan
 from .terminals import TerminalConfig
 
 
@@ -113,14 +113,6 @@ def check_weakly_2_linked(
         if trails is None:
             return False, (u1, v1, u2, v2)
     return True, None
-
-
-def link_two_pairs(g: GridGraph, u1, v1, u2, v2) -> tuple[Path, Path] | None:
-    """Deterministic witness for the weak 2-linkage of g, or None."""
-    trails, _, _ = kernel.solve_trails(g, g.edges, [(u1, v1), (u2, v2)])
-    if trails is None:
-        return None
-    return trails[0], trails[1]
 
 
 # -- Second, independent existence checker (different traversal order) -----

@@ -45,6 +45,7 @@ from .model import (
     EscapePlan,
     Path,
     contract_for,
+    path_of,
     reflected_plan,
     validate_plan,
 )
@@ -175,10 +176,6 @@ def _pairs_within(cfg: TerminalConfig, region: frozenset[Vertex]) -> list[int]:
     return [i for i, (a, b) in enumerate(cfg.pairs) if a in region and b in region]
 
 
-def _walk(*vertices: Vertex) -> Path:
-    return Path(tuple(vertices))
-
-
 def _row_walk(v: Vertex, col: int) -> tuple[Vertex, ...]:
     r, c = v
     step = 1 if col >= c else -1
@@ -191,16 +188,16 @@ def _col_walk(v: Vertex, row: int) -> tuple[Vertex, ...]:
     return tuple((rr, c) for rr in range(r, row + step, step))
 
 
-def _first_trail(ctx: RoutingContext, start: Vertex, end: Vertex, allowed=None) -> Path | None:
-    region = ctx.free if allowed is None else (set(allowed) & ctx.free)
-    trails, _, _ = kernel.solve_trails(ctx.grid, region, [(start, end)])
-    return trails[0] if trails else None
-
-
 def _joint_trails(ctx: RoutingContext, endpoint_pairs, allowed=None) -> list[Path] | None:
+    """Edge-disjoint trails joining the endpoint pairs, in order, over the
+    free edges (only those in ``allowed`` when given); None if none exist."""
     region = ctx.free if allowed is None else (set(allowed) & ctx.free)
     trails, _, _ = kernel.solve_trails(ctx.grid, region, endpoint_pairs)
     return trails
+
+
+def _pair_ends(ctx: RoutingContext, pair_idxs) -> list[tuple[Vertex, Vertex]]:
+    return [(ctx.positions[("p", i, 0)], ctx.positions[("p", i, 1)]) for i in pair_idxs]
 
 
 def _col_exits_used(ctx: RoutingContext) -> int:
@@ -214,40 +211,46 @@ def _finish(
     allowed=None,
     max_col: int | None = None,
     label: str = "",
+    link=(),
 ) -> None:
-    """Escape the given terminals to free boundary vertices, rest in place.
+    """Link the given pairs and escape the given terminals to free boundary
+    vertices; every other terminal exits in place.
 
-    All pairs must already be linked.  Exit assignments are tried in
-    candidate order (lexicographic by default), respecting the remaining
-    budget of restricted-column exits; the trails are packed jointly.
+    Exit assignments are tried in candidate order (lexicographic by default),
+    respecting the remaining budget of restricted-column exits.  The pair
+    and escape trails are packed in one search, so a linkage never strands
+    an escaper; with nothing to link or escape no search is made.
     """
     escape_tids = sorted(escape_tids)
-    rest = sorted(set(ctx.positions) - set(escape_tids))
+    members = {("p", i, k) for i in link for k in (0, 1)}
+    rest = sorted(set(ctx.positions) - set(escape_tids) - members)
     for tid in rest:
         if ctx.positions[tid] not in BOUNDARY:
             raise CaseGap(f"{label}: terminal {tid} stranded at {ctx.positions[tid]}")
+    if not escape_tids and not link:
+        for tid in rest:
+            ctx.finish_escape(tid)
+        return
     if candidates is None:
-        candidates = [v for v in sorted(BOUNDARY) if ctx.is_free_vertex(v)]
-    else:
-        candidates = [v for v in candidates if ctx.is_free_vertex(v)]
+        candidates = sorted(BOUNDARY)
+    candidates = [v for v in candidates if ctx.is_free_vertex(v)]
     budget = None
     if max_col is not None:
         used = _col_exits_used(ctx)
         used += sum(1 for tid in rest if ctx.positions[tid] in COL_ONLY)
         budget = max_col - used
-    if not escape_tids:
-        for tid in rest:
-            ctx.finish_escape(tid)
-        return
+    ends = _pair_ends(ctx, link)
     positions = [ctx.positions[t] for t in escape_tids]
     for assignment in itertools.permutations(candidates, len(escape_tids)):
         if budget is not None:
             if sum(1 for x in assignment if x in COL_ONLY) > budget:
                 continue
-        trails = _joint_trails(ctx, list(zip(positions, assignment)), allowed)
+        trails = _joint_trails(ctx, ends + list(zip(positions, assignment)), allowed)
         if trails is None:
             continue
-        for tid, trail in zip(escape_tids, trails):
+        for i, trail in zip(link, trails):
+            ctx.finish_link(i, trail)
+        for tid, trail in zip(escape_tids, trails[len(link) :]):
             ctx.move(tid, trail)
             ctx.finish_escape(tid)
         for tid in rest:
@@ -262,42 +265,65 @@ def _mate_to_anchors(
     tid_y,
     anchors: tuple[Vertex, Vertex],
     label: str,
-    forbid=frozenset(),
-) -> str:
-    """Mate two terminals onto a pair of boundary anchors.
+    link=(),
+) -> None:
+    """Mate two terminals onto a pair of boundary anchors, linking the given
+    pairs as well.
 
-    Prefers catalogued clips with these anchors whose edges are free, do not
-    touch the forbidden edges, and cover both current positions; otherwise
-    routes the two matings directly in the free region (the in-text clips
-    are exactly such anchored matings).  Returns the clip name used.
+    Clips are the paper's named shortcut: catalogued clips with these
+    anchors whose edges are free and which cover both current positions are
+    tried first, in name order, with the linkages confined to the inner
+    square off the clip.  An anchored direct search is the general rule:
+    the linkages and both matings packed jointly in the free region, noted
+    as ``clip:direct``.  A failed mating leaves the context untouched.
     """
     x, y = ctx.positions[tid_x], ctx.positions[tid_y]
-    want = set(anchors)
-    for name in sorted(clip_catalog()):
-        clip = clip_catalog()[name]
-        if {clip.u, clip.v} != want:
+    ends = _pair_ends(ctx, link)
+    catalog = clip_catalog()
+    for name in sorted(catalog):
+        clip = catalog[name]
+        if {clip.u, clip.v} != set(anchors) or not clip.edges <= ctx.free:
             continue
-        if not clip.edges <= ctx.free or (clip.edges & set(forbid)):
+        if not {x, y} <= set(clip.covered()):
             continue
-        covered = set(clip.covered())
-        if x not in covered or y not in covered:
+        cores = _joint_trails(ctx, ends, S_EDGES - clip.edges) if link else []
+        if cores is None:
             continue
         try:
             mate_through_clip(ctx, clip, x, y)
-            return name
         except ToolkitError:
             continue
+        for i, core in zip(link, cores):
+            ctx.finish_link(i, core)
+        return
     u, v = anchors
-    allowed = ctx.free - set(forbid)
-    for a, b in (((x, u), (y, v)), ((x, v), (y, u))):
-        trails = _joint_trails(ctx, [a, b], allowed)
+    for mates in (((x, u), (y, v)), ((x, v), (y, u))):
+        trails = _joint_trails(ctx, ends + list(mates))
         if trails is not None:
-            ctx.move(tid_x, trails[0])
-            ctx.move(tid_y, trails[1])
+            for i, core in zip(link, trails):
+                ctx.finish_link(i, core)
+            ctx.move(tid_x, trails[-2])
+            ctx.move(tid_y, trails[-1])
             ctx.reserved_exits.update(anchors)
             ctx.notes.append("clip:direct")
-            return "direct"
+            return
     raise CaseGap(f"{label}: cannot mate {x}, {y} onto {anchors}")
+
+
+def _mate_to_first(ctx: RoutingContext, tid_x, tid_y, anchor_options, label: str) -> None:
+    """Mate two terminals onto the first anchor pair, in order, that admits it."""
+    for anchors in anchor_options:
+        try:
+            _mate_to_anchors(ctx, tid_x, tid_y, anchors, label)
+            return
+        except CaseGap:
+            continue
+    raise CaseGap(f"{label}: no anchor pair admits the mating")
+
+
+def _row_anchor_pairs(ctx: RoutingContext, z: Vertex):
+    """(u, z) for each free last-row vertex u, judged lazily as iterated."""
+    return ((u, z) for u in sorted(LAST_ROW) if ctx.is_free_vertex(u))
 
 
 def _cascade_shift_through_corner(ctx: RoutingContext, label: str) -> None:
@@ -327,81 +353,56 @@ def _both_col_stub_singles(ctx: RoutingContext) -> bool:
     )
 
 
-def _link_and_escape(
-    ctx: RoutingContext,
-    pair_idxs,
-    escape_tids,
-    candidates=None,
-    allowed=None,
-    max_col: int | None = None,
-    label: str = "",
-) -> None:
-    """Jointly link pairs and escape terminals to free boundary vertices.
-
-    The pair trails and escape trails are packed in one search so a linkage
-    never strands an escaper; everything else exits in place afterwards.
-    """
-    pair_idxs = list(pair_idxs)
-    eps = [
-        (ctx.positions[("p", i, 0)], ctx.positions[("p", i, 1)]) for i in pair_idxs
-    ]
-    escape_tids = sorted(escape_tids)
-    positions = [ctx.positions[t] for t in escape_tids]
-    if candidates is None:
-        candidates = [v for v in sorted(BOUNDARY) if ctx.is_free_vertex(v)]
-    else:
-        candidates = [v for v in candidates if ctx.is_free_vertex(v)]
-    rest = (
-        set(ctx.positions)
-        - set(escape_tids)
-        - {("p", i, k) for i in pair_idxs for k in (0, 1)}
-    )
-    budget = None
-    if max_col is not None:
-        used = _col_exits_used(ctx)
-        used += sum(1 for t in rest if ctx.positions[t] in COL_ONLY)
-        budget = max_col - used
-    for assignment in itertools.permutations(candidates, len(escape_tids)):
-        if budget is not None:
-            if sum(1 for x in assignment if x in COL_ONLY) > budget:
-                continue
-        trails = _joint_trails(ctx, eps + list(zip(positions, assignment)), allowed)
-        if trails is None:
-            continue
-        for i, tr in zip(pair_idxs, trails):
-            ctx.finish_link(i, tr)
-        for tid, tr in zip(escape_tids, trails[len(pair_idxs) :]):
-            ctx.move(tid, tr)
-            ctx.finish_escape(tid)
-        for tid in sorted(rest):
-            ctx.finish_escape(tid)
-        return
-    raise CaseGap(f"{label}: joint link and escape failed")
-
-
 def _link_with_walk(ctx: RoutingContext, pair_idx: int, vertices) -> None:
     ctx.finish_link(pair_idx, Path(tuple(vertices)))
 
 
-def _link_search(ctx: RoutingContext, pair_idx: int, allowed=None, label: str = "") -> None:
-    a = ctx.positions[("p", pair_idx, 0)]
-    b = ctx.positions[("p", pair_idx, 1)]
-    trail = _first_trail(ctx, a, b, allowed)
-    if trail is None:
-        raise CaseGap(f"{label}: no linkage for pair {pair_idx}")
-    ctx.finish_link(pair_idx, trail)
-
-
 def _link_many(ctx: RoutingContext, pair_idxs, allowed=None, label: str = "") -> None:
-    """Link several pairs jointly (edge-disjoint) inside one region."""
-    eps = []
-    for i in pair_idxs:
-        eps.append((ctx.positions[("p", i, 0)], ctx.positions[("p", i, 1)]))
-    trails = _joint_trails(ctx, eps, allowed)
+    """Link one or more pairs jointly (edge-disjoint) inside one region."""
+    trails = _joint_trails(ctx, _pair_ends(ctx, pair_idxs), allowed)
     if trails is None:
-        raise CaseGap(f"{label}: no joint linkage for pairs {pair_idxs}")
+        raise CaseGap(f"{label}: no linkage for pairs {pair_idxs}")
     for i, trail in zip(pair_idxs, trails):
         ctx.finish_link(i, trail)
+
+
+def _link_prescribed(ctx: RoutingContext, member, down: bool, label: str) -> None:
+    """Link an inner member's pair along the prescribed L: straight down its
+    column to the last row (``down``) or along its row to the last column,
+    then along the boundary to the partner."""
+    s = ctx.positions[member]
+    t = ctx.positions[partner(member)]
+    if down:
+        walk = _col_walk(s, 3) + unique_l_path((3, s[1]), t)[1:]
+    else:
+        walk = _row_walk(s, 3) + unique_l_path((s[0], 3), t)[1:]
+    path = Path(walk)
+    if not set(path.edges()) <= ctx.free:
+        raise CaseGap(f"{label}: prescribed linkage blocked")
+    ctx.finish_link(member[1], path)
+
+
+# The one boundary step from each stub end onto the frames' cycles.
+_ONTO_CYCLE = {(1, 3): (2, 3), (3, 1): (3, 2)}
+
+
+def _link_through_frame(
+    ctx: RoutingContext, cfg: TerminalConfig, frame: FrameSpec, pis, label: str
+) -> None:
+    """Link two pairs through a frame: each pair's member outside the square
+    lands on the cycle where it sits, or one boundary step onto it."""
+    mates = []
+    for pi in pis:
+        t_v = [x for x in cfg.pairs[pi] if x not in INNER_SQUARE][0]
+        if t_v in frame.cycle:
+            mates.append(path_of(t_v))
+        elif _ONTO_CYCLE.get(t_v) in frame.cycle:
+            mates.append(path_of(t_v, _ONTO_CYCLE[t_v]))
+        else:
+            raise CaseGap(f"{label}: mate {t_v} off the cycle")
+    trail1, trail2 = complete_frame(ctx, frame, mates[0], mates[1])
+    ctx.finish_link(pis[0], trail1)
+    ctx.finish_link(pis[1], trail2)
 
 
 def _tid_at(ctx: RoutingContext, v: Vertex):
@@ -457,16 +458,10 @@ def _h5_case_a(cfg: TerminalConfig):
             label = "L4/a/S2-shift-pair"
             z_tid = _tid_at(ctx, (2, 3))
             w = next(v for v in ((3, 1), (3, 2), (3, 3)) if ctx.is_free_vertex(v))
-            a, b = cfg.pairs[0]
-            trails = _joint_trails(ctx, [(a, b), ((2, 3), w)])
-            if trails is None:
-                raise CaseGap(f"{label}: 2-linkage failed")
-            ctx.finish_link(0, trails[0])
-            ctx.move(z_tid, trails[1])
-            _finish(ctx, label=label, max_col=1)
+            _finish(ctx, [z_tid], candidates=[w], max_col=1, label=label, link=[0])
             return ctx, label
         label = "L4/a/S2"
-        _link_search(ctx, 0, allowed=S_EDGES, label=label)
+        _link_many(ctx, [0], allowed=S_EDGES, label=label)
         _finish(ctx, label=label, max_col=1)
         return ctx, label
     if sc == 3:
@@ -508,7 +503,7 @@ def _h5_case_a(cfg: TerminalConfig):
     label = "L4/a/S4-corner-free" if corner_free else "L4/a/S4-corner-in-pair"
     if corner_free:
         reduced = {edge((1, 2), (2, 2)), edge((2, 1), (2, 2))}
-        _link_search(ctx, 0, allowed=reduced, label=label)
+        _link_many(ctx, [0], allowed=reduced, label=label)
         escapers = [t for t in _singleton_tids(ctx) if ctx.positions[t] in INNER_SQUARE]
         _finish(
             ctx,
@@ -519,7 +514,7 @@ def _h5_case_a(cfg: TerminalConfig):
             label=label,
         )
         return ctx, label
-    _link_search(ctx, 0, allowed=S_EDGES, label=label)
+    _link_many(ctx, [0], allowed=S_EDGES, label=label)
     escapers = [t for t in _singleton_tids(ctx) if ctx.positions[t] in INNER_SQUARE]
     _finish(
         ctx,
@@ -548,9 +543,7 @@ def _h5_case_b(cfg: TerminalConfig):
     t1 = next(v for v in pair if v in BOUNDARY)
     if t1 in COL_ONLY:
         label = "L4/b/t1-in-col"
-        walk = _row_walk(s1, 3)
-        walk = walk + tuple(unique_l_path((s1[0], 3), t1)[1:])
-        _link_with_walk(ctx, 0, walk)
+        _link_prescribed(ctx, _tid_at(ctx, s1), False, label)
         _finish(ctx, label=label, max_col=1)
         return ctx, label
     label = "L4/b/t1-in-row"
@@ -559,10 +552,10 @@ def _h5_case_b(cfg: TerminalConfig):
     # Link to the pair member's current position (it may have shifted).
     member = [tid for tid in (("p", 0, 0), ("p", 0, 1)) if ctx.origins[tid] == t1][0]
     other = ("p", 0, 1 - member[2])
-    core = _first_trail(ctx, ctx.positions[other], ctx.positions[member])
-    if core is None:
+    trails = _joint_trails(ctx, [(ctx.positions[other], ctx.positions[member])])
+    if trails is None:
         raise CaseGap(f"{label}: no linkage path")
-    ctx.finish_link(0, core)
+    ctx.finish_link(0, trails[0])
     _finish(ctx, label=label, max_col=1)
     return ctx, label
 
@@ -657,7 +650,7 @@ def _h5_case_e(cfg: TerminalConfig):
         raise CaseGap(f"{label}: no joint linkage")
     if sc == 4:
         label = "L4/e/S4-extension"
-        _h5_link_member_pair(ctx, s1, t1, label)
+        _link_prescribed(ctx, _tid_at(ctx, s1), t1 not in LAST_COL, label)
         inner = [t for t in ctx.positions if ctx.positions[t] in INNER_SQUARE]
         _finish(ctx, inner, max_col=1, label=label)
         return ctx, label
@@ -666,30 +659,11 @@ def _h5_case_e(cfg: TerminalConfig):
         label = "L4/e/S3-t1-in-B"
     else:
         label = "L4/e/S3-t1-in-row"
-    _h5_link_member_pair(ctx, s1, t1, label)
+    _link_prescribed(ctx, _tid_at(ctx, s1), t1 not in LAST_COL, label)
     inner = [t for t in ctx.positions if ctx.positions[t] in INNER_SQUARE]
-    anchor_options = _free_anchor_pairs(ctx)
-    for anchors in anchor_options:
-        try:
-            _mate_to_anchors(ctx, inner[0], inner[1], anchors, label)
-            _finish(ctx, label=label, max_col=1)
-            return ctx, label
-        except CaseGap:
-            continue
-    raise CaseGap(f"{label}: no anchor pair worked")
-
-
-def _h5_link_member_pair(ctx: RoutingContext, s1: Vertex, t1: Vertex, label: str) -> None:
-    """Linkage for a pair with one member inside the square: row-then-column
-    toward a last-column partner, column-then-row toward a last-row one."""
-    if t1 in LAST_COL:
-        walk = _row_walk(s1, 3) + tuple(unique_l_path((s1[0], 3), t1)[1:])
-    else:
-        walk = _col_walk(s1, 3) + tuple(unique_l_path((3, s1[1]), t1)[1:])
-    path = Path(walk)
-    if not set(path.edges()) <= ctx.free:
-        raise CaseGap(f"{label}: prescribed linkage blocked")
-    ctx.finish_link(0, path)
+    _mate_to_first(ctx, inner[0], inner[1], _free_anchor_pairs(ctx), label)
+    _finish(ctx, label=label, max_col=1)
+    return ctx, label
 
 
 def _free_anchor_pairs(ctx: RoutingContext):
@@ -752,7 +726,8 @@ def _h6_case_a(cfg: TerminalConfig):
     a, b = cfg.pairs[pi]
     _link_with_walk(ctx, pi, unique_l_path(a, b))
     s_tid = [t for t in ctx.positions if ctx.positions[t] in INNER_SQUARE][0]
-    stage1 = _first_trail(ctx, ctx.positions[s_tid], (3, 1), allowed=ctx.free - L_EDGES)
+    start = ctx.positions[s_tid]
+    stage1 = _joint_trails(ctx, [(start, (3, 1))], allowed=ctx.free - L_EDGES)
     if stage1 is None:
         raise CaseGap(f"{label}: no path to the row corner")
     # extend along the boundary until the first freed endpoint of the linkage
@@ -762,7 +737,7 @@ def _h6_case_a(cfg: TerminalConfig):
         if len(nxt) < 2:
             raise CaseGap(f"{label}: no linked endpoint along the walk")
         stage2.append(nxt[1])
-    full = stage1 + Path(tuple(stage2))
+    full = stage1[0] + Path(tuple(stage2))
     ctx.move(s_tid, full)
     ctx.finish_escape(s_tid)
     if set(cfg.pairs[pi]) <= LAST_ROW and _both_col_stub_occupied(ctx):
@@ -781,7 +756,7 @@ def _h6_case_b(cfg: TerminalConfig, pi: int):
     other = 1 - pi
     if sc == 2:
         label = "L3/b/S2"
-        _link_search(ctx, pi, allowed=S_EDGES, label=label)
+        _link_many(ctx, [pi], allowed=S_EDGES, label=label)
         if _both_col_stub_occupied(ctx):
             w = next(
                 (v for v in L_ORDER if ctx.is_free_vertex(v) and v not in COL_ONLY),
@@ -797,7 +772,7 @@ def _h6_case_b(cfg: TerminalConfig, pi: int):
         oa, ob = cfg.pairs[other]
         _link_with_walk(ctx, other, unique_l_path(oa, ob))
         inner = [t for t in ctx.positions if t[0] == "s" and ctx.positions[t] in INNER_SQUARE]
-        _link_and_escape(ctx, [pi], inner, max_col=1, label=label)
+        _finish(ctx, inner, max_col=1, label=label, link=[pi])
         return ctx, label
     if sc == 3:
         label = "L3/b/S3"
@@ -857,45 +832,9 @@ def _h6_case_b(cfg: TerminalConfig, pi: int):
                 raise CaseGap(f"{label}: no free row vertex")
             ctx.shift((3, 1), w)
         anchors = ((3, 1), (1, 3))
-    _h6_b4_link_and_mate(ctx, pi, pq, anchors, label)
+    _mate_to_anchors(ctx, pq[0], pq[1], anchors, label, link=[pi])
     _finish(ctx, label=label, max_col=1)
     return ctx, label
-
-
-def _h6_b4_link_and_mate(ctx, pi, pq, anchors, label):
-    """Link the square pair and mate p, q onto the anchors, trying the
-    catalogued clips first and a joint search otherwise."""
-    pa = ctx.positions[("p", pi, 0)]
-    pb = ctx.positions[("p", pi, 1)]
-    want = set(anchors)
-    for name in sorted(clip_catalog()):
-        clip = clip_catalog()[name]
-        if {clip.u, clip.v} != want or not clip.edges <= ctx.free:
-            continue
-        covered = set(clip.covered())
-        if not {ctx.positions[pq[0]], ctx.positions[pq[1]]} <= covered:
-            continue
-        core = _first_trail(ctx, pa, pb, allowed=S_EDGES - clip.edges)
-        if core is None:
-            continue
-        try:
-            mate_through_clip(ctx, clip, ctx.positions[pq[0]], ctx.positions[pq[1]])
-        except ToolkitError:
-            continue
-        ctx.finish_link(pi, core)
-        return
-    x, y = ctx.positions[pq[0]], ctx.positions[pq[1]]
-    u, v = anchors
-    for a, b in (((x, u), (y, v)), ((x, v), (y, u))):
-        trails = _joint_trails(ctx, [(pa, pb), a, b])
-        if trails is not None:
-            ctx.finish_link(pi, trails[0])
-            ctx.move(pq[0], trails[1])
-            ctx.move(pq[1], trails[2])
-            ctx.reserved_exits.update(anchors)
-            ctx.notes.append("clip:direct")
-            return
-    raise CaseGap(f"{label}: linkage plus mating failed")
 
 
 def _h6_case_c(cfg: TerminalConfig, pi: int):
@@ -923,38 +862,28 @@ def _h6_case_c(cfg: TerminalConfig, pi: int):
     if t2 in LAST_COL:
         label = "L3/c/S3-t2-in-B"
         _link_with_walk(ctx, pi, unique_l_path(a, b))
-        walk = _row_walk(s2, 3) + tuple(unique_l_path((s2[0], 3), t2)[1:])
-        ctx.finish_link(other, Path(walk))
+        _link_prescribed(ctx, s2_tid, False, label)
         _mate_to_anchors(ctx, singles[0], singles[1], ((3, 1), (3, 2)), label)
         _finish(ctx, label=label, max_col=1)
         return ctx, label
     label = "L3/c/S3-t2-in-row"
     _link_with_walk(ctx, pi, unique_l_path(a, b))
-    core = _first_trail(
-        ctx, s2, t2, allowed=col_edges(s2[1]) | row_edges(s2[0]) | {edge((3, 1), (3, 2))}
+    trails = _joint_trails(
+        ctx, [(s2, t2)], allowed=col_edges(s2[1]) | row_edges(s2[0]) | {edge((3, 1), (3, 2))}
     )
-    if core is not None:
-        ctx.finish_link(other, core)
-        for u in ((3, 1), (3, 2), (3, 3)):
-            if not ctx.is_free_vertex(u):
-                continue
-            try:
-                _mate_to_anchors(ctx, singles[0], singles[1], (u, (1, 3)), label)
-                break
-            except CaseGap:
-                continue
-        else:
-            raise CaseGap(f"{label}: no row anchor admits the mating")
+    if trails is not None:
+        ctx.finish_link(other, trails[0])
+        _mate_to_first(ctx, singles[0], singles[1], _row_anchor_pairs(ctx, (1, 3)), label)
         _finish(ctx, label=label, max_col=1)
         return ctx, label
     # the prescribed lane is blocked: pack the linkage and matings jointly
-    _link_and_escape(
+    _finish(
         ctx,
-        [other],
         singles,
         candidates=[(3, 1), (3, 2), (3, 3), (1, 3)],
         max_col=1,
         label=label,
+        link=[other],
     )
     return ctx, label
 
@@ -973,12 +902,8 @@ def _h6_case_d(cfg: TerminalConfig, pi: int):
         )
         if b_clear:
             label = "L3/d/S2-all-B-free"
-            try:
-                _mate_to_anchors(ctx, inner[0], inner[1], ((3, 3), (1, 3)), label)
-            except CaseGap:
-                _mate_to_anchors(
-                    ctx, inner[0], inner[1], ((3, 3), (2, 3)), label
-                )
+            anchor_options = (((3, 3), (1, 3)), ((3, 3), (2, 3)))
+            _mate_to_first(ctx, inner[0], inner[1], anchor_options, label)
             _finish(ctx, label=label, max_col=1)
             return ctx, label
         if CORNER in pair:
@@ -999,28 +924,18 @@ def _h6_case_d(cfg: TerminalConfig, pi: int):
     singles = _singleton_tids(ctx)
     if t2 in ROW_ONLY:
         allowed = col_edges(s2[1]) | {edge((3, 1), (3, 2))}
-        core = _first_trail(ctx, s2, t2, allowed=allowed)
     else:
         allowed = col_edges(s2[1]) | row_edges(2) | col_edges(3) | row_edges(s2[0])
-        core = _first_trail(ctx, s2, t2, allowed=allowed)
-    if core is None:
-        core = _first_trail(ctx, s2, t2)
-    if core is None:
+    trails = _joint_trails(ctx, [(s2, t2)], allowed=allowed)
+    if trails is None:
+        trails = _joint_trails(ctx, [(s2, t2)])
+    if trails is None:
         raise CaseGap(f"{label}: no linkage for the second pair")
-    ctx.finish_link(other, core)
+    ctx.finish_link(other, trails[0])
     z = (1, 3)
     if not ctx.is_free_vertex(z):
         raise CaseGap(f"{label}: the column anchor is occupied")
-    for u in ((3, 1), (3, 2), (3, 3)):
-        if not ctx.is_free_vertex(u):
-            continue
-        try:
-            _mate_to_anchors(ctx, singles[0], singles[1], (u, z), label)
-            break
-        except CaseGap:
-            continue
-    else:
-        raise CaseGap(f"{label}: no row anchor admits the mating")
+    _mate_to_first(ctx, singles[0], singles[1], _row_anchor_pairs(ctx, z), label)
     _finish(ctx, label=label, max_col=1)
     return ctx, label
 
@@ -1054,14 +969,7 @@ def _h6_end_s2(cfg: TerminalConfig):
         if corner_tids and corner_tids[0][0] == "p":
             ctx.shift(CORNER, (3, 2))
         off_corner = {e for e in ctx.free if CORNER not in e}
-        eps = [
-            (ctx.positions[("p", i, 0)], ctx.positions[("p", i, 1)]) for i in (0, 1)
-        ]
-        trails = _joint_trails(ctx, eps, allowed=off_corner)
-        if trails is None:
-            raise CaseGap(f"{label}: no 2-linkage off the corner")
-        ctx.finish_link(0, trails[0])
-        ctx.finish_link(1, trails[1])
+        _link_many(ctx, [0, 1], allowed=off_corner, label=label)
         if _both_col_stub_occupied(ctx):
             ctx.shift((2, 3), (3, 3))
         _finish(ctx, label=label, max_col=1)
@@ -1083,32 +991,22 @@ def _h6_end_s2(cfg: TerminalConfig):
         return ctx, label
     if t1 in ROW_ONLY:
         label = "L3/end/S2-t1-row"
-        s1 = ctx.positions[member]
-        walk = _col_walk(s1, 3) + tuple(unique_l_path((3, s1[1]), t1)[1:])
-        path = Path(walk)
-        if not set(path.edges()) <= ctx.free:
-            raise CaseGap(f"{label}: prescribed linkage blocked")
-        ctx.finish_link(pi, path)
-        mate = _first_trail(ctx, ctx.positions[single], t1, allowed=QMB_EDGES)
-        if mate is None:
+        _link_prescribed(ctx, member, True, label)
+        trails = _joint_trails(ctx, [(ctx.positions[single], t1)], allowed=QMB_EDGES)
+        if trails is None:
             raise CaseGap(f"{label}: no mating path outside the last column")
-        ctx.move(single, mate)
+        ctx.move(single, trails[0])
         ctx.finish_escape(single)
         if _both_col_stub_occupied(ctx):
             _cascade_shift_through_corner(ctx, label)
         _finish(ctx, label=label, max_col=1)
         return ctx, label
     label = "L3/end/S2-B"
-    s1 = ctx.positions[member]
-    walk = _row_walk(s1, 3) + tuple(unique_l_path((s1[0], 3), t1)[1:])
-    path = Path(walk)
-    if not set(path.edges()) <= ctx.free:
-        raise CaseGap(f"{label}: prescribed linkage blocked")
-    ctx.finish_link(pi, path)
-    mate = _first_trail(ctx, ctx.positions[single], (3, 3))
-    if mate is None:
+    _link_prescribed(ctx, member, False, label)
+    trails = _joint_trails(ctx, [(ctx.positions[single], (3, 3))])
+    if trails is None:
         raise CaseGap(f"{label}: no mating path to the corner")
-    ctx.move(single, mate)
+    ctx.move(single, trails[0])
     ctx.finish_escape(single)
     _finish(ctx, label=label, max_col=1)
     return ctx, label
@@ -1126,15 +1024,16 @@ def _h6_end_s3(cfg: TerminalConfig):
         if len(col_res) == 0:
             label = "L3/end/S3-col0"
             m = inner_members[0]
-            return _h6_s3_link_and_clip(ctx, m, "row", ((1, 3),), label)
+            # the row anchor is picked once the linkage has freed its partner
+            return _h6_s3_link_and_mate(ctx, m, True, _row_anchor_pairs(ctx, (1, 3)), label)
         if len(col_res) == 2:
             label = "L3/end/S3-col2"
             m = next(
                 m for m in inner_members if ctx.positions[partner(m)] in COL_ONLY
             )
             free_rows = [v for v in ((3, 1), (3, 2), (3, 3)) if ctx.is_free_vertex(v)]
-            return _h6_s3_link_and_clip(
-                ctx, m, "col", tuple(free_rows), label, anchor_mode="pair"
+            return _h6_s3_link_and_mate(
+                ctx, m, False, itertools.combinations(free_rows, 2), label
             )
         # exactly one boundary resident on the column stub
         col_is_pair_t = col_res[0] in pair_ts
@@ -1144,24 +1043,22 @@ def _h6_end_s3(cfg: TerminalConfig):
                 m for m in inner_members if ctx.positions[partner(m)] == col_res[0]
             )
             u = next(v for v in ((3, 1), (3, 2), (3, 3)) if ctx.is_free_vertex(v))
-            return _h6_s3_link_and_clip(
-                ctx, m, "col", (u, ctx.positions[partner(m)]), label, anchor_mode="fixed"
+            return _h6_s3_link_and_mate(
+                ctx, m, False, [(u, ctx.positions[partner(m)])], label
             )
         if ctx.is_free_vertex((3, 3)):
             label = "L3/end/S3-corner-free"
             m = inner_members[0]
             t1 = ctx.positions[partner(m)]
-            return _h6_s3_link_and_clip(
-                ctx, m, "row", ((3, 3), t1), label, anchor_mode="fixed"
-            )
+            return _h6_s3_link_and_mate(ctx, m, True, [((3, 3), t1)], label)
         label = "L3/end/S3-corner-taken"
         m = next(
             (m for m in inner_members if ctx.positions[partner(m)] == (3, 3)),
             inner_members[0],
         )
         w = next(v for v in ((3, 1), (3, 2)) if ctx.is_free_vertex(v))
-        return _h6_s3_link_and_clip(
-            ctx, m, "col", (w, ctx.positions[partner(m)]), label, anchor_mode="fixed"
+        return _h6_s3_link_and_mate(
+            ctx, m, False, [(w, ctx.positions[partner(m)])], label
         )
     # one pair member and two singletons inside the square
     m = inner_members[0]
@@ -1169,47 +1066,26 @@ def _h6_end_s3(cfg: TerminalConfig):
     if t1 in COL_ONLY:
         label = "L3/end/S3-col2"
         free_rows = [v for v in ((3, 1), (3, 2), (3, 3)) if ctx.is_free_vertex(v)]
-        return _h6_s3_link_and_clip(ctx, m, "col", tuple(free_rows), label, anchor_mode="pair")
+        return _h6_s3_link_and_mate(
+            ctx, m, False, itertools.combinations(free_rows, 2), label
+        )
     if t1 == (3, 3):
         label = "L3/end/S3-corner-taken"
         w = next(v for v in ((3, 1), (3, 2)) if ctx.is_free_vertex(v))
-        return _h6_s3_link_and_clip(ctx, m, "col", (w, t1), label, anchor_mode="fixed")
+        return _h6_s3_link_and_mate(ctx, m, False, [(w, t1)], label)
     label = "L3/end/S3-corner-free"
-    return _h6_s3_link_and_clip(ctx, m, "row", ((3, 3), t1), label, anchor_mode="fixed")
+    return _h6_s3_link_and_mate(ctx, m, True, [((3, 3), t1)], label)
 
 
-def _h6_s3_link_and_clip(ctx, member, link_mode, anchors, label, anchor_mode="ab"):
+def _h6_s3_link_and_mate(ctx, member, down, anchor_options, label):
     """Shared tail for the three-in-square endgame: link the member's pair
-    along the prescribed route, then mate the two remaining inner terminals
-    onto boundary anchors."""
-    s1 = ctx.positions[member]
-    t1 = ctx.positions[partner(member)]
-    if link_mode == "row":
-        walk = _col_walk(s1, 3) + tuple(unique_l_path((3, s1[1]), t1)[1:])
-    else:
-        walk = _row_walk(s1, 3) + tuple(unique_l_path((s1[0], 3), t1)[1:])
-    path = Path(walk)
-    if not set(path.edges()) <= ctx.free:
-        raise CaseGap(f"{label}: prescribed linkage blocked")
-    ctx.finish_link(member[1], path)
+    along the prescribed L, then mate the two remaining inner terminals onto
+    the first anchor pair that admits it."""
+    _link_prescribed(ctx, member, down, label)
     rest = sorted(t for t in ctx.positions if ctx.positions[t] in INNER_SQUARE)
     if len(rest) != 2:
         raise CaseGap(f"{label}: expected two inner terminals, got {rest}")
-    if anchor_mode == "fixed":
-        _mate_to_anchors(ctx, rest[0], rest[1], (anchors[0], anchors[1]), label)
-    elif anchor_mode == "pair":
-        pairs = list(itertools.combinations(anchors, 2))
-        for cand in pairs:
-            try:
-                _mate_to_anchors(ctx, rest[0], rest[1], cand, label)
-                break
-            except CaseGap:
-                continue
-        else:
-            raise CaseGap(f"{label}: no anchor pair worked")
-    else:
-        u = next(v for v in ((3, 1), (3, 2), (3, 3)) if ctx.is_free_vertex(v))
-        _mate_to_anchors(ctx, rest[0], rest[1], (u, anchors[0]), label)
+    _mate_to_first(ctx, rest[0], rest[1], anchor_options, label)
     _finish(ctx, label=label, max_col=1)
     return ctx, label
 
@@ -1262,7 +1138,7 @@ def _h6_end_s4(cfg: TerminalConfig):
             raise CaseGap(f"{label}: diagonal split failed")
         ctx.finish_link(pi, trails[0])
         mate_tid = _tid_at(ctx, mate)
-        ext = trails[1] + _walk((2, 3), (3, 3))
+        ext = trails[1] + path_of((2, 3), (3, 3))
         ctx.move(mate_tid, ext)
         ctx.finish_escape(mate_tid)
         others = sorted((diag_1 | diag_2) - diagonal_of(s_k))
@@ -1283,7 +1159,7 @@ def _h6_end_s4(cfg: TerminalConfig):
         trails = _joint_trails(ctx, [(s_k, (2, 3)), (mate, (2, 3))], allowed=region)
         if trails is None:
             raise CaseGap(f"{label}: diagonal split failed")
-        link_walk = trails[0] + _walk((2, 3), (3, 3))
+        link_walk = trails[0] + path_of((2, 3), (3, 3))
         ctx.finish_link(pi, link_walk)
         mate_tid = _tid_at(ctx, mate)
         ctx.move(mate_tid, trails[1])
@@ -1351,7 +1227,7 @@ def _h78_case_a(cfg: TerminalConfig):
     inner = [t for t in sorted(ctx.positions) if ctx.positions[t] in INNER_SQUARE]
     if in_s:
         label = "L2/a/pair-in-S"
-        _link_search(ctx, in_s[0], allowed=S_EDGES, label=label)
+        _link_many(ctx, [in_s[0]], allowed=S_EDGES, label=label)
         second = next(i for i in range(len(cfg.pairs)) if i != in_s[0])
         sa, sb = cfg.pairs[second]
         _link_with_walk(ctx, second, unique_l_path(sa, sb))
@@ -1404,7 +1280,7 @@ def _h78_b2(cfg: TerminalConfig, pi: int):
     s0 = [v for v in cfg.singletons if v in INNER_SQUARE][0]
     s0_tid = _tid_at(ctx, s0)
     reduced = [e for e in S_EDGES if s0 not in e]
-    _link_search(ctx, pi, allowed=reduced, label=label)
+    _link_many(ctx, [pi], allowed=reduced, label=label)
     target = (3, s0[1])
     walk = _col_walk(s0, 3)
     ctx.move(s0_tid, Path(walk))
@@ -1454,20 +1330,9 @@ def _h78_b3(cfg: TerminalConfig, escaping):
         if v == (2, 2):
             attaches.append(Path(((2, 2),)))
         else:
-            attaches.append(_walk(v, (2, 2)))
+            attaches.append(path_of(v, (2, 2)))
     frame = FrameSpec(cycle=INNER_CYCLE_4, anchor=(2, 2), attach=tuple(attaches))
-    mates = []
-    for pi in pis:
-        t_v = [v for v in cfg.pairs[pi] if v not in INNER_SQUARE][0]
-        if t_v in ((2, 3), (3, 3), (3, 2)):
-            mates.append(Path((t_v,)))
-        elif t_v == (1, 3):
-            mates.append(_walk((1, 3), (2, 3)))
-        else:
-            mates.append(_walk((3, 1), (3, 2)))
-    trail1, trail2 = complete_frame(ctx, frame, mates[0], mates[1])
-    ctx.finish_link(pis[0], trail1)
-    ctx.finish_link(pis[1], trail2)
+    _link_through_frame(ctx, cfg, frame, pis, label)
     esc_tid = _tid_at(ctx, escaper_v)
     _finish(
         ctx,
@@ -1520,18 +1385,7 @@ def _h78_b4_column(cfg: TerminalConfig):
             raise CaseGap(f"{label}: inner terminal {v} is not a pair member")
         pis.append(tid[1])
     frame = FrameSpec(cycle=cyc, anchor=y, attach=(attach_a, attach_b))
-    mates = []
-    for pi in pis:
-        t_v = [x for x in cfg.pairs[pi] if x not in INNER_SQUARE][0]
-        if t_v in cyc:
-            mates.append(Path((t_v,)))
-        elif t_v == (1, 3):
-            mates.append(_walk((1, 3), (2, 3)))
-        else:
-            raise CaseGap(f"{label}: mate {t_v} off the cycle")
-    trail1, trail2 = complete_frame(ctx, frame, mates[0], mates[1])
-    ctx.finish_link(pis[0], trail1)
-    ctx.finish_link(pis[1], trail2)
+    _link_through_frame(ctx, cfg, frame, pis, label)
     # resolve the top-right stub for the singleton's escape
     z = (1, 3)
     s0_tid = _tid_at(ctx, s0)
@@ -1644,20 +1498,9 @@ def _h78_c3_member(cfg: TerminalConfig):
     frame = FrameSpec(
         cycle=INNER_CYCLE_4,
         anchor=(2, 2),
-        attach=(Path(((2, 2),)), _walk((2, 1), (2, 2))),
+        attach=(Path(((2, 2),)), path_of((2, 1), (2, 2))),
     )
-    mates = []
-    for pi in (p_center, p_left):
-        t_v = [x for x in plan_cfg.pairs[pi] if x not in INNER_SQUARE][0]
-        if t_v in ((2, 3), (3, 3), (3, 2)):
-            mates.append(Path((t_v,)))
-        elif t_v == (1, 3):
-            mates.append(_walk((1, 3), (2, 3)))
-        else:
-            mates.append(_walk((3, 1), (3, 2)))
-    trail1, trail2 = complete_frame(ctx, frame, mates[0], mates[1])
-    ctx.finish_link(p_center, trail1)
-    ctx.finish_link(p_left, trail2)
+    _link_through_frame(ctx, plan_cfg, frame, (p_center, p_left), label)
     _h78_c3_outer_escapes(ctx, plan_cfg, label)
     _finish(ctx, label=label)
     return ctx, label
@@ -1697,35 +1540,24 @@ def _h78_c3_outer_escapes(ctx: RoutingContext, cfg: TerminalConfig, label: str) 
     for origin, stub, lane, stub_edges, lane_region in stub_specs:
         tid = _tid_at(ctx, origin)
         mate_pos = ctx.positions.get(partner(tid)) if tid[0] == "p" else None
-        occupants = ctx.terminals_at(stub)
-        if not occupants:
-            esc = _first_trail(ctx, origin, stub, allowed=stub_edges)
-            if esc is None:
-                raise CaseGap(f"{label}: escape lane to {stub} blocked")
-            ctx.move(tid, esc)
-            ctx.finish_escape(tid)
-            continue
-        if mate_pos == stub:
-            core = _first_trail(ctx, origin, stub, allowed=stub_edges)
-            if core is None:
-                raise CaseGap(f"{label}: conflict linkage to {stub} blocked")
-            ctx.finish_link(tid[1], core)
-            continue
-        if not ctx.terminals_at(lane):
+        if ctx.terminals_at(stub) and mate_pos != stub:
+            if ctx.terminals_at(lane):
+                if mate_pos != lane:
+                    raise CaseGap(f"{label}: stub and lane both blocked at {stub}")
+                core = _joint_trails(ctx, [(origin, lane)], allowed=lane_region)
+                if core is None:
+                    raise CaseGap(f"{label}: conflict linkage to {lane} blocked")
+                ctx.finish_link(tid[1], core[0])
+                continue
             ctx.shift(stub, lane)
-            esc = _first_trail(ctx, origin, stub, allowed=stub_edges)
-            if esc is None:
-                raise CaseGap(f"{label}: escape lane to {stub} blocked")
-            ctx.move(tid, esc)
+        trails = _joint_trails(ctx, [(origin, stub)], allowed=stub_edges)
+        if trails is None:
+            raise CaseGap(f"{label}: lane to {stub} blocked")
+        if mate_pos == stub:
+            ctx.finish_link(tid[1], trails[0])
+        else:
+            ctx.move(tid, trails[0])
             ctx.finish_escape(tid)
-            continue
-        if mate_pos == lane:
-            core = _first_trail(ctx, origin, lane, allowed=lane_region)
-            if core is None:
-                raise CaseGap(f"{label}: conflict linkage to {lane} blocked")
-            ctx.finish_link(tid[1], core)
-            continue
-        raise CaseGap(f"{label}: stub and lane both blocked at {stub}")
 
 
 def _h78_c3_singleton(cfg: TerminalConfig):
@@ -1762,24 +1594,13 @@ def _h78_c3_singleton_frame(cfg: TerminalConfig):
     p_12 = next(i for i, p in enumerate(cfg.pairs) if (1, 2) in p)
     cyc = CYCLE_6_NO_COL1
     frame = FrameSpec(
-        cycle=cyc, anchor=(1, 2), attach=(_walk((1, 1), (1, 2)), Path(((1, 2),)))
+        cycle=cyc, anchor=(1, 2), attach=(path_of((1, 1), (1, 2)), Path(((1, 2),)))
     )
-    mates = []
-    for pi in (p_11, p_12):
-        t_v = [x for x in cfg.pairs[pi] if x not in INNER_SQUARE][0]
-        if t_v in cyc:
-            mates.append(Path((t_v,)))
-        elif t_v == (3, 1):
-            mates.append(_walk((3, 1), (3, 2)))
-        else:
-            raise CaseGap(f"{label}: mate {t_v} off the cycle")
-    trail1, trail2 = complete_frame(ctx, frame, mates[0], mates[1])
-    ctx.finish_link(p_11, trail1)
-    ctx.finish_link(p_12, trail2)
+    _link_through_frame(ctx, cfg, frame, (p_11, p_12), label)
     # escapes: the (2,1) member exits at (3,1), the singleton at (2,3)
     m21_tid = _tid_at(ctx, (2, 1))
     t21 = ctx.positions.get(partner(m21_tid))
-    esc = _walk((2, 1), (3, 1))
+    esc = path_of((2, 1), (3, 1))
     if t21 == (3, 1):
         core = esc
         ctx.finish_link(m21_tid[1], core)
@@ -1789,7 +1610,7 @@ def _h78_c3_singleton_frame(cfg: TerminalConfig):
         ctx.move(m21_tid, esc)
         ctx.finish_escape(m21_tid)
     s0_tid = _tid_at(ctx, (2, 2))
-    esc0 = _walk((2, 2), (2, 3))
+    esc0 = path_of((2, 2), (2, 3))
     if not set(esc0.edges()) <= ctx.free or not ctx.is_free_vertex((2, 3)):
         raise CaseGap(f"{label}: stub exit blocked for the singleton")
     ctx.move(s0_tid, esc0)
@@ -1808,10 +1629,10 @@ def _h78_c3_singleton_direct(cfg: TerminalConfig):
     _link_with_walk(ctx, p_12, ((1, 2), (2, 2), (3, 2)))
     _link_with_walk(ctx, p_21, ((2, 1), (3, 1), (3, 2), (3, 3), (2, 3)))
     m11_tid = _tid_at(ctx, (1, 1))
-    ctx.move(m11_tid, _walk((1, 1), (1, 2), (1, 3)))
+    ctx.move(m11_tid, path_of((1, 1), (1, 2), (1, 3)))
     ctx.finish_escape(m11_tid)
     s0_tid = _tid_at(ctx, (2, 2))
-    ctx.move(s0_tid, _walk((2, 2), (2, 3)))
+    ctx.move(s0_tid, path_of((2, 2), (2, 3)))
     ctx.finish_escape(s0_tid)
     _finish(ctx, label=label)
     return ctx, label

@@ -157,6 +157,9 @@ def decode_config(obj) -> TerminalConfig:
         obj = json.loads(obj)
     if not isinstance(obj, dict):
         raise MalformedConfigError("config JSON must be an object")
+    unknown = set(obj) - {"pairs", "singletons"}
+    if unknown:
+        raise MalformedConfigError(f"unknown config keys: {sorted(map(str, unknown))}")
     try:
         pairs = [(_as_vertex(p[0]), _as_vertex(p[1])) for p in obj.get("pairs", [])]
         if any(len(p) != 2 for p in obj.get("pairs", [])):

@@ -9,11 +9,13 @@ unresolved terminal, and the path fragments each terminal has accumulated
   which any two covered vertices can be routed edge-disjointly to the two
   anchors);
 * completing a frame (a cycle plus two attachment paths to an anchor),
-  which links two pairs via opposite cycle arcs;
-* linking two pairs anywhere in a weakly 2-linked subgraph.
+  which links two pairs via opposite cycle arcs.
 
-Every clip used anywhere is listed in the packaged catalog and is
-machine-verified; nothing about a clip is trusted from its drawing.
+Clips are the paper's named shortcut for a mating, and an anchored direct
+search in the free region is the general rule: the router tries the
+catalogued clips first and searches directly when none fits.  Every clip in
+the packaged catalog is machine-verified; nothing about a clip is trusted
+from its drawing.
 """
 
 from __future__ import annotations
@@ -226,24 +228,6 @@ class RoutingContext:
             for e in path.edges():
                 assert e not in self.free, "linked path edge still free"
         assert not (used & self.free), "fragment edge still marked free"
-
-
-# -- weak 2-linkage -------------------------------------------------------
-
-
-def link_pairs_in_subgraph(
-    g: GridGraph, u1: Vertex, v1: Vertex, u2: Vertex, v2: Vertex
-) -> tuple[Path, Path]:
-    """Two edge-disjoint trails u1->v1 and u2->v2 inside g.
-
-    Intended for the two weakly 2-linked subgraphs (the full corner grid and
-    the grid minus its far corner), where existence is guaranteed and
-    exhaustively verified; raises if no system exists.
-    """
-    trails, _, _ = kernel.solve_trails(g, g.edges, [(u1, v1), (u2, v2)])
-    if trails is None:
-        raise ToolkitError(f"no edge-disjoint linkage for {u1}-{v1}, {u2}-{v2} in {g}")
-    return trails[0], trails[1]
 
 
 # -- clips ----------------------------------------------------------------

@@ -33,10 +33,14 @@ def test_solve_fixture_trace_names_lemma_and_clip_family(tmp_path, capsys):
 
 
 def test_solve_rejects_malformed(tmp_path, capsys):
-    path = _write_cfg(tmp_path, {"pairs": [[[1, 1], [1, 1]]], "singletons": []})
-    status = main(["solve", "--config", path])
-    assert status == 2
-    assert "malformed" in capsys.readouterr().err
+    for cfg in (
+        {"pairs": [[[1, 1], [1, 1]]], "singletons": []},
+        {"pairs": [[[True, 1], [2, 2]]], "singletons": [[1, 2], [1, 3], [2, 1]]},
+    ):
+        path = _write_cfg(tmp_path, cfg)
+        status = main(["solve", "--config", path])
+        assert status == 2
+        assert "malformed" in capsys.readouterr().err
 
 
 def test_solve_rejects_unsupported_family(tmp_path, capsys):

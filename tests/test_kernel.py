@@ -26,9 +26,10 @@ def test_backend_reported():
 
 
 def test_zero_length_pair(grid):
-    paths, _, _ = kernel.solve_trails(grid, grid.edges, [((1, 1), (1, 1))])
-    assert paths is not None
-    assert paths[0].is_zero_length()
+    for pairs in ([((1, 1), (1, 1))], [((1, 1), (1, 1)), ((3, 3), (3, 3))]):
+        paths, _, _ = kernel.solve_trails(grid, grid.edges, pairs)
+        assert paths is not None
+        assert all(p.is_zero_length() for p in paths)
 
 
 def test_no_pairs(grid):
@@ -93,15 +94,19 @@ def test_backends_identical_random(endpoints, mask, budget):
 
 
 def test_trails_are_edge_disjoint(grid):
-    paths, _, _ = kernel.solve_trails(
-        grid, grid.edges, [((1, 1), (1, 3)), ((3, 1), (3, 3)), ((2, 1), (2, 3))]
-    )
-    assert paths is not None
-    seen = set()
-    for p in paths:
-        for e in p.edges():
-            assert e not in seen
-            seen.add(e)
+    for pairs in (
+        [((1, 1), (1, 3)), ((3, 1), (3, 3)), ((2, 1), (2, 3))],
+        # corner to corner, both diagonals
+        [((1, 1), (3, 3)), ((1, 3), (3, 1))],
+    ):
+        paths, _, _ = kernel.solve_trails(grid, grid.edges, pairs)
+        assert paths is not None
+        assert [(p.start, p.end) for p in paths] == pairs
+        seen = set()
+        for p in paths:
+            for e in p.edges():
+                assert e not in seen
+                seen.add(e)
 
 
 def _bfs_reach(adj, m, src):
@@ -131,6 +136,10 @@ def test_reach_table_filled_lazily():
     desc = _desc(g)
     table = _kernel_py.reach_table(desc.adj)
     assert not table
-    paths, _, _ = kernel.solve_trails(g, g.edges, [((1, 2), (3, 2))])
-    assert paths is not None
+    # the Python kernel directly: solve_trails may dispatch to the compiled one
+    pairs = ((desc.vindex[(1, 2)], desc.vindex[(3, 2)]),)
+    status, _, _ = _kernel_py.find_trail_system(
+        desc.adj, pairs, desc.edge_mask(g.edges), 0
+    )
+    assert status == _kernel_py.FOUND
     assert 0 < len(table) < 1 << len(desc.edges)

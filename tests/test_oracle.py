@@ -12,7 +12,6 @@ from escape3x3.oracle import (
     SearchBudget,
     check_weakly_2_linked,
     exists_trail_system_euler,
-    link_two_pairs,
     oracle_solve,
 )
 from escape3x3.terminals import LemmaId, make_config
@@ -110,13 +109,6 @@ def test_oracle_budget_spent_exactly_stops_search(grid):
 def test_budget_zero_rejected():
     with pytest.raises(ValueError):
         SearchBudget.limited(0)
-
-
-def test_link_two_pairs_witness(grid):
-    pair = link_two_pairs(grid, (1, 1), (3, 3), (1, 3), (3, 1))
-    assert pair is not None
-    p1, p2 = pair
-    assert not set(p1.edges()) & set(p2.edges())
 
 
 def test_euler_cross_check_agrees_with_kernel():

@@ -91,6 +91,25 @@ def test_decode_rejects_five_pairs():
         decode_config({"pairs": pairs, "singletons": []})
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"pairs": [[[true, 1], [2, 2]]], "singletons": [[1, 2], [1, 3], [2, 1]]}',
+        '{"pairs": [[[1, 1], [2, 2]]], "singletons": [[1, 2], [1, 3], [2, true]]}',
+    ],
+    ids=["pair", "singleton"],
+)
+def test_decode_rejects_bool_coordinate(text):
+    with pytest.raises(MalformedConfigError):
+        decode_config(text)
+
+
+def test_decode_rejects_unknown_key():
+    text = '{"pairs": [[[1, 1], [2, 2]]], "singletons": [[1, 2], [1, 3], [2, 1]], "bogus": 1}'
+    with pytest.raises(MalformedConfigError):
+        decode_config(text)
+
+
 def test_decode_from_string():
     text = json.dumps({"pairs": [], "singletons": [[1, 1]]})
     assert decode_config(text).singletons == ((1, 1),)

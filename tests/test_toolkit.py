@@ -13,7 +13,6 @@ from escape3x3.toolkit import (
     ShiftBlocked,
     clip_catalog,
     complete_frame,
-    link_pairs_in_subgraph,
     mate_through_clip,
     verify_clip,
 )
@@ -52,16 +51,6 @@ def test_shift_requires_boundary():
     ctx = _ctx([], [(2, 2)])
     with pytest.raises(NotOnBoundary):
         ctx.shift((2, 2), (3, 2))
-
-
-def test_link_pairs_identity_case(grid):
-    p1, p2 = link_pairs_in_subgraph(grid, (1, 1), (1, 1), (3, 3), (3, 3))
-    assert p1.is_zero_length() and p2.is_zero_length()
-
-
-def test_link_pairs_corner_to_corner(grid):
-    p1, p2 = link_pairs_in_subgraph(grid, (1, 1), (3, 3), (1, 3), (3, 1))
-    assert not set(p1.edges()) & set(p2.edges())
 
 
 def test_bad_clip_fails_verification(grid):
