@@ -111,6 +111,15 @@ def test_budget_zero_rejected():
         SearchBudget.limited(0)
 
 
+def test_link_two_pairs_witness(grid):
+    paths, _, _ = kernel.solve_trails(
+        grid, grid.edges, [((1, 1), (3, 3)), ((1, 3), (3, 1))]
+    )
+    assert paths is not None
+    p1, p2 = paths
+    assert not set(p1.edges()) & set(p2.edges())
+
+
 def test_euler_cross_check_agrees_with_kernel():
     g = build_corner_grid(frozenset({(1, 1), (1, 2), (1, 3)}))  # 2x3 grid
     vertices = g.sorted_vertices()

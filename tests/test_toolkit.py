@@ -1,5 +1,6 @@
 import pytest
 
+from escape3x3 import kernel
 from escape3x3.grid import edge, full_grid
 from escape3x3.model import Path, path_of
 from escape3x3.terminals import make_config
@@ -51,6 +52,24 @@ def test_shift_requires_boundary():
     ctx = _ctx([], [(2, 2)])
     with pytest.raises(NotOnBoundary):
         ctx.shift((2, 2), (3, 2))
+
+
+def test_link_pairs_identity_case(grid):
+    paths, _, _ = kernel.solve_trails(
+        grid, grid.edges, [((1, 1), (1, 1)), ((3, 3), (3, 3))]
+    )
+    assert paths is not None
+    p1, p2 = paths
+    assert p1.is_zero_length() and p2.is_zero_length()
+
+
+def test_link_pairs_corner_to_corner(grid):
+    paths, _, _ = kernel.solve_trails(
+        grid, grid.edges, [((1, 1), (3, 3)), ((1, 3), (3, 1))]
+    )
+    assert paths is not None
+    p1, p2 = paths
+    assert not set(p1.edges()) & set(p2.edges())
 
 
 def test_bad_clip_fails_verification(grid):
