@@ -72,17 +72,6 @@ class GridGraph:
     edges: frozenset[Edge]
     deleted: frozenset[Vertex]
 
-    def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return adjacent(u, v) and edge(u, v) in self.edges
-
-    def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
-        r, c = v
-        out = []
-        for w in ((r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c)):
-            if w in self.vertices and edge(v, w) in self.edges:
-                out.append(w)
-        return tuple(sorted(out))
-
     def sorted_vertices(self) -> tuple[Vertex, ...]:
         return tuple(sorted(self.vertices))
 

@@ -60,6 +60,9 @@ class GraphDesc:
 def desc_for(g: GridGraph) -> GraphDesc:
     vertices = g.sorted_vertices()
     edges = g.sorted_edges()
+    if len(vertices) > 32:
+        # the compiled reach keeps a 32-bit visited mask and a 32-slot stack
+        raise ValueError("kernel supports at most 32 vertices")
     if len(edges) > 63:
         raise ValueError("kernel supports at most 63 edges")
     vindex = {v: i for i, v in enumerate(vertices)}

@@ -3,7 +3,10 @@
 Each router follows a fixed case tree keyed on where the terminals sit
 (inner square vs boundary, pair composition), assembling plans from the
 toolkit primitives: boundary shifts, clip matings, frames, and linkages
-restricted to stated subregions.  Every produced plan is validated; in
+restricted to stated subregions.  A case handler resolves the terminals
+its case names; the dispatcher then lets every other boundary terminal exit
+where it stands, and every exit assignment takes its budget of last-column
+exits from the family's contract.  Every produced plan is validated; in
 strict mode a case whose construction fails raises CaseGap, otherwise the
 exhaustive oracle is substituted and the fallback is recorded on the trace.
 
@@ -200,8 +203,14 @@ def _pair_ends(ctx: RoutingContext, pair_idxs) -> list[tuple[Vertex, Vertex]]:
     return [(ctx.positions[("p", i, 0)], ctx.positions[("p", i, 1)]) for i in pair_idxs]
 
 
-def _col_exits_used(ctx: RoutingContext) -> int:
-    return sum(1 for x, _ in ctx.escaped.values() if x in COL_ONLY)
+def _col_budget(ctx: RoutingContext, staying) -> int | None:
+    """Exits the family's contract still allows on the last-column stub once
+    the ``staying`` terminals exit where they stand; None when unbounded."""
+    bound = contract_for(family_of(ctx.cfg)).max_exits_in_restricted
+    if bound is None:
+        return None
+    used = sum(1 for x, _ in ctx.escaped.values() if x in COL_ONLY)
+    return bound - used - sum(1 for tid in staying if ctx.positions[tid] in COL_ONLY)
 
 
 def _finish(
@@ -209,7 +218,6 @@ def _finish(
     escape_tids=(),
     candidates=None,
     allowed=None,
-    max_col: int | None = None,
     label: str = "",
     link=(),
 ) -> None:
@@ -217,9 +225,10 @@ def _finish(
     vertices; every other terminal exits in place.
 
     Exit assignments are tried in candidate order (lexicographic by default),
-    respecting the remaining budget of restricted-column exits.  The pair
+    within the contract's remaining budget of last-column exits.  The pair
     and escape trails are packed in one search, so a linkage never strands
-    an escaper; with nothing to link or escape no search is made.
+    an escaper; with nothing to link or escape no search is made, so on a
+    closed context this does nothing.
     """
     escape_tids = sorted(escape_tids)
     members = {("p", i, k) for i in link for k in (0, 1)}
@@ -234,11 +243,7 @@ def _finish(
     if candidates is None:
         candidates = sorted(BOUNDARY)
     candidates = [v for v in candidates if ctx.is_free_vertex(v)]
-    budget = None
-    if max_col is not None:
-        used = _col_exits_used(ctx)
-        used += sum(1 for tid in rest if ctx.positions[tid] in COL_ONLY)
-        budget = max_col - used
+    budget = _col_budget(ctx, rest)
     ends = _pair_ends(ctx, link)
     positions = [ctx.positions[t] for t in escape_tids]
     for assignment in itertools.permutations(candidates, len(escape_tids)):
@@ -251,8 +256,7 @@ def _finish(
         for i, trail in zip(link, trails):
             ctx.finish_link(i, trail)
         for tid, trail in zip(escape_tids, trails[len(link) :]):
-            ctx.move(tid, trail)
-            ctx.finish_escape(tid)
+            ctx.escape_via(tid, trail)
         for tid in rest:
             ctx.finish_escape(tid)
         return
@@ -428,12 +432,6 @@ QMB_EDGES = frozenset(
 # ---------------------------------------------------------------------------
 
 
-def route_heavy5(cfg: TerminalConfig, strict: bool = False) -> tuple[EscapePlan, CaseTrace]:
-    if family_of(cfg) is not LemmaId.HEAVY5:
-        raise UnsupportedFamily("expected 1 pair + 3 singletons")
-    return _route_with_fallback(cfg, LemmaId.HEAVY5, _heavy5_case, strict)
-
-
 def _heavy5_case(cfg: TerminalConfig):
     pair = set(cfg.pairs[0])
     sc = _s_count(cfg)
@@ -458,11 +456,10 @@ def _h5_case_a(cfg: TerminalConfig):
             label = "L4/a/S2-shift-pair"
             z_tid = _tid_at(ctx, (2, 3))
             w = next(v for v in ((3, 1), (3, 2), (3, 3)) if ctx.is_free_vertex(v))
-            _finish(ctx, [z_tid], candidates=[w], max_col=1, label=label, link=[0])
+            _finish(ctx, [z_tid], candidates=[w], label=label, link=[0])
             return ctx, label
         label = "L4/a/S2"
         _link_many(ctx, [0], allowed=S_EDGES, label=label)
-        _finish(ctx, label=label, max_col=1)
         return ctx, label
     if sc == 3:
         label = "L4/a/S3"
@@ -474,16 +471,8 @@ def _h5_case_a(cfg: TerminalConfig):
             (v for v in ((3, 1), (3, 2), (3, 3)) if ctx.is_free_vertex(v)), None
         )
         allowed = ctx.free
-        if w is None:
-            used = _col_exits_used(ctx) + sum(
-                1
-                for t in singles
-                if t != s2 and ctx.positions[t] in COL_ONLY
-            )
-            w = next(
-                (v for v in ((1, 3), (2, 3)) if ctx.is_free_vertex(v) and used < 1),
-                None,
-            )
+        if w is None and _col_budget(ctx, [t for t in singles if t != s2]) > 0:
+            w = next((v for v in ((1, 3), (2, 3)) if ctx.is_free_vertex(v)), None)
         if w is None:
             raise CaseGap(f"{label}: no exit for the inner singleton")
         if w != (3, 3):
@@ -496,7 +485,6 @@ def _h5_case_a(cfg: TerminalConfig):
             raise CaseGap(f"{label}: 2-linkage failed")
         ctx.finish_link(0, trails[0])
         ctx.move(s2, trails[1])
-        _finish(ctx, label=label, max_col=1)
         return ctx, label
     # four terminals inside the square
     corner_free = (1, 1) not in set(cfg.pairs[0])
@@ -510,7 +498,6 @@ def _h5_case_a(cfg: TerminalConfig):
             escapers,
             candidates=[(3, 1), (3, 2), (1, 3)],
             allowed=cycle_edges(CYCLE_8_NO_CORNER),
-            max_col=1,
             label=label,
         )
         return ctx, label
@@ -521,7 +508,6 @@ def _h5_case_a(cfg: TerminalConfig):
         escapers,
         candidates=[(3, 1), (3, 2), (1, 3)],
         allowed=ctx.free - S_EDGES,
-        max_col=1,
         label=label,
     )
     return ctx, label
@@ -537,14 +523,13 @@ def _h5_case_b(cfg: TerminalConfig):
         if _both_col_stub_occupied(ctx):
             _cascade_shift_through_corner(ctx, label)
         inner = [t for t in ctx.positions if ctx.positions[t] in INNER_SQUARE]
-        _finish(ctx, inner, candidates=[a, b] + sorted(BOUNDARY), max_col=1, label=label)
+        _finish(ctx, inner, candidates=[a, b] + sorted(BOUNDARY), label=label)
         return ctx, label
     s1 = next(v for v in pair if v in INNER_SQUARE)
     t1 = next(v for v in pair if v in BOUNDARY)
     if t1 in COL_ONLY:
         label = "L4/b/t1-in-col"
         _link_prescribed(ctx, _tid_at(ctx, s1), False, label)
-        _finish(ctx, label=label, max_col=1)
         return ctx, label
     label = "L4/b/t1-in-row"
     if _both_col_stub_occupied(ctx):
@@ -556,7 +541,6 @@ def _h5_case_b(cfg: TerminalConfig):
     if trails is None:
         raise CaseGap(f"{label}: no linkage path")
     ctx.finish_link(0, trails[0])
-    _finish(ctx, label=label, max_col=1)
     return ctx, label
 
 
@@ -566,7 +550,7 @@ def _h5_case_c(cfg: TerminalConfig):
     a, b = cfg.pairs[0]
     _link_with_walk(ctx, 0, unique_l_path(a, b))
     inner = [t for t in ctx.positions if ctx.positions[t] in INNER_SQUARE]
-    _finish(ctx, inner, candidates=[a, b, (1, 3)], max_col=1, label=label)
+    _finish(ctx, inner, candidates=[a, b, (1, 3)], label=label)
     return ctx, label
 
 
@@ -582,11 +566,10 @@ def _h5_case_d(cfg: TerminalConfig):
             ctx.shift(ctx.positions[row_single[0]], (3, 3))
         inner = [t for t in ctx.positions if ctx.positions[t] in INNER_SQUARE]
         _mate_to_anchors(ctx, inner[0], inner[1], ((3, 1), (3, 2)), label)
-        _finish(ctx, label=label, max_col=1)
         return ctx, label
     label = "L4/d/S3"
     inner = [t for t in ctx.positions if ctx.positions[t] in INNER_SQUARE]
-    _finish(ctx, inner, candidates=[(3, 1), (3, 2), (1, 3)], max_col=1, label=label)
+    _finish(ctx, inner, candidates=[(3, 1), (3, 2), (1, 3)], label=label)
     return ctx, label
 
 
@@ -605,7 +588,6 @@ def _h5_case_e(cfg: TerminalConfig):
                 ctx,
                 inner,
                 candidates=[(3, 1), (3, 2), (1, 3), (3, 3), (2, 3)],
-                max_col=1,
                 label=label,
             )
             return ctx, label
@@ -620,7 +602,6 @@ def _h5_case_e(cfg: TerminalConfig):
         else:
             label = "L4/e/S2-ab"
             _mate_to_anchors(ctx, inner[0], inner[1], (a_end, b_end), label)
-        _finish(ctx, label=label, max_col=1)
         return ctx, label
     s1 = next(v for v in pair if v in INNER_SQUARE)
     t1 = next(v for v in pair if v in BOUNDARY)
@@ -629,30 +610,24 @@ def _h5_case_e(cfg: TerminalConfig):
         s2 = [t for t in _singleton_tids(ctx) if ctx.positions[t] in INNER_SQUARE][0]
         if _both_col_stub_singles(ctx):
             _cascade_shift_through_corner(ctx, label)
-        used_col = sum(
-            1
-            for t in _singleton_tids(ctx)
-            if t != s2 and ctx.positions[t] in COL_ONLY
-        )
         pa = ctx.positions[("p", 0, 0)]
         pb = ctx.positions[("p", 0, 1)]
         cands = [v for v in ((3, 1), (3, 2), (3, 3)) if ctx.is_free_vertex(v)]
         cands.append(t1)
-        if used_col == 0:
+        if _col_budget(ctx, [t for t in _singleton_tids(ctx) if t != s2]) > 0:
             cands += [v for v in ((1, 3), (2, 3)) if ctx.is_free_vertex(v)]
         for w in cands:
             trails = _joint_trails(ctx, [(pa, pb), (ctx.positions[s2], w)])
             if trails is not None:
                 ctx.finish_link(0, trails[0])
                 ctx.move(s2, trails[1])
-                _finish(ctx, label=label, max_col=1)
                 return ctx, label
         raise CaseGap(f"{label}: no joint linkage")
     if sc == 4:
         label = "L4/e/S4-extension"
         _link_prescribed(ctx, _tid_at(ctx, s1), t1 not in LAST_COL, label)
         inner = [t for t in ctx.positions if ctx.positions[t] in INNER_SQUARE]
-        _finish(ctx, inner, max_col=1, label=label)
+        _finish(ctx, inner, label=label)
         return ctx, label
     # three in the square: the pair member plus two singletons
     if t1 in LAST_COL:
@@ -662,7 +637,6 @@ def _h5_case_e(cfg: TerminalConfig):
     _link_prescribed(ctx, _tid_at(ctx, s1), t1 not in LAST_COL, label)
     inner = [t for t in ctx.positions if ctx.positions[t] in INNER_SQUARE]
     _mate_to_first(ctx, inner[0], inner[1], _free_anchor_pairs(ctx), label)
-    _finish(ctx, label=label, max_col=1)
     return ctx, label
 
 
@@ -670,15 +644,12 @@ def _free_anchor_pairs(ctx: RoutingContext):
     """Anchor pairs for escaping two terminals: free or freed boundary
     vertices, preferring the last row, then one last-column anchor."""
     avail = [v for v in sorted(BOUNDARY) if ctx.is_free_vertex(v)]
-    used_col = _col_exits_used(ctx)
-    inplace_col = sum(1 for p in ctx.positions.values() if p in COL_ONLY)
-    col_budget = 1 - used_col - inplace_col
     out = []
     row_avail = [v for v in avail if v in LAST_ROW]
     col_avail = [v for v in avail if v in COL_ONLY]
     for pair in itertools.combinations(row_avail, 2):
         out.append(pair)
-    if col_budget >= 1:
+    if _col_budget(ctx, ctx.positions) > 0:
         for r in row_avail:
             for c in col_avail:
                 out.append((r, c))
@@ -688,12 +659,6 @@ def _free_anchor_pairs(ctx: RoutingContext):
 # ---------------------------------------------------------------------------
 # Family with six terminals: two pairs, two singletons.
 # ---------------------------------------------------------------------------
-
-
-def route_heavy6(cfg: TerminalConfig, strict: bool = False) -> tuple[EscapePlan, CaseTrace]:
-    if family_of(cfg) is not LemmaId.HEAVY6:
-        raise UnsupportedFamily("expected 2 pairs + 2 singletons")
-    return _route_with_fallback(cfg, LemmaId.HEAVY6, _heavy6_case, strict)
 
 
 def _heavy6_case(cfg: TerminalConfig):
@@ -738,15 +703,13 @@ def _h6_case_a(cfg: TerminalConfig):
             raise CaseGap(f"{label}: no linked endpoint along the walk")
         stage2.append(nxt[1])
     full = stage1[0] + Path(tuple(stage2))
-    ctx.move(s_tid, full)
-    ctx.finish_escape(s_tid)
+    ctx.escape_via(s_tid, full)
     if set(cfg.pairs[pi]) <= LAST_ROW and _both_col_stub_occupied(ctx):
         other_end = a if full.end == b else b
         if ctx.is_free_vertex(other_end):
             ctx.shift((2, 3), other_end)
         else:
             _cascade_shift_through_corner(ctx, label)
-    _finish(ctx, label=label, max_col=1)
     return ctx, label
 
 
@@ -765,14 +728,13 @@ def _h6_case_b(cfg: TerminalConfig, pi: int):
             if w is None:
                 raise CaseGap(f"{label}: no free vertex for the shift")
             ctx.shift((2, 3), w)
-        _finish(ctx, label=label, max_col=1)
         return ctx, label
     if set(cfg.pairs[other]) <= BOUNDARY:
         label = "L3/b/other-pair-on-L"
         oa, ob = cfg.pairs[other]
         _link_with_walk(ctx, other, unique_l_path(oa, ob))
         inner = [t for t in ctx.positions if t[0] == "s" and ctx.positions[t] in INNER_SQUARE]
-        _finish(ctx, inner, max_col=1, label=label, link=[pi])
+        _finish(ctx, inner, label=label, link=[pi])
         return ctx, label
     if sc == 3:
         label = "L3/b/S3"
@@ -799,8 +761,7 @@ def _h6_case_b(cfg: TerminalConfig, pi: int):
         if trails is None:
             raise CaseGap(f"{label}: no joint linkage and escape")
         ctx.finish_link(pi, trails[0])
-        ctx.move(s2_tid, trails[1])
-        ctx.finish_escape(s2_tid)
+        ctx.escape_via(s2_tid, trails[1])
         if _both_col_stub_occupied(ctx):
             w2 = next(
                 (v for v in ((3, 2), (3, 3), (3, 1)) if ctx.is_free_vertex(v)), None
@@ -808,7 +769,6 @@ def _h6_case_b(cfg: TerminalConfig, pi: int):
             if w2 is None:
                 raise CaseGap(f"{label}: no free row vertex for the column shift")
             ctx.shift((2, 3), w2)
-        _finish(ctx, label=label, max_col=1)
         return ctx, label
     # everything inside the square
     col_count = len(_terminals_in(cfg, COL_ONLY))
@@ -833,7 +793,6 @@ def _h6_case_b(cfg: TerminalConfig, pi: int):
             ctx.shift((3, 1), w)
         anchors = ((3, 1), (1, 3))
     _mate_to_anchors(ctx, pq[0], pq[1], anchors, label, link=[pi])
-    _finish(ctx, label=label, max_col=1)
     return ctx, label
 
 
@@ -853,7 +812,6 @@ def _h6_case_c(cfg: TerminalConfig, pi: int):
         else:
             label = "L3/c/S2-w-col"
             _mate_to_anchors(ctx, inner[0], inner[1], (a, b), label)
-        _finish(ctx, label=label, max_col=1)
         return ctx, label
     t2 = [v for v in cfg.pairs[other] if v in BOUNDARY][0]
     s2 = [v for v in cfg.pairs[other] if v in INNER_SQUARE][0]
@@ -864,7 +822,6 @@ def _h6_case_c(cfg: TerminalConfig, pi: int):
         _link_with_walk(ctx, pi, unique_l_path(a, b))
         _link_prescribed(ctx, s2_tid, False, label)
         _mate_to_anchors(ctx, singles[0], singles[1], ((3, 1), (3, 2)), label)
-        _finish(ctx, label=label, max_col=1)
         return ctx, label
     label = "L3/c/S3-t2-in-row"
     _link_with_walk(ctx, pi, unique_l_path(a, b))
@@ -874,14 +831,12 @@ def _h6_case_c(cfg: TerminalConfig, pi: int):
     if trails is not None:
         ctx.finish_link(other, trails[0])
         _mate_to_first(ctx, singles[0], singles[1], _row_anchor_pairs(ctx, (1, 3)), label)
-        _finish(ctx, label=label, max_col=1)
         return ctx, label
     # the prescribed lane is blocked: pack the linkage and matings jointly
     _finish(
         ctx,
         singles,
         candidates=[(3, 1), (3, 2), (3, 3), (1, 3)],
-        max_col=1,
         label=label,
         link=[other],
     )
@@ -904,7 +859,6 @@ def _h6_case_d(cfg: TerminalConfig, pi: int):
             label = "L3/d/S2-all-B-free"
             anchor_options = (((3, 3), (1, 3)), ((3, 3), (2, 3)))
             _mate_to_first(ctx, inner[0], inner[1], anchor_options, label)
-            _finish(ctx, label=label, max_col=1)
             return ctx, label
         if CORNER in pair:
             label = "L3/d/S2-corner-pair"
@@ -913,10 +867,9 @@ def _h6_case_d(cfg: TerminalConfig, pi: int):
             )
             if w is not None:
                 _mate_to_anchors(ctx, inner[0], inner[1], (w, (3, 3)), label)
-                _finish(ctx, label=label, max_col=1)
                 return ctx, label
         label = "L3/d/S2-colpair"
-        _finish(ctx, inner, max_col=1, label=label)
+        _finish(ctx, inner, label=label)
         return ctx, label
     label = "L3/d/S3"
     t2 = [v for v in cfg.pairs[other] if v in BOUNDARY][0]
@@ -936,7 +889,6 @@ def _h6_case_d(cfg: TerminalConfig, pi: int):
     if not ctx.is_free_vertex(z):
         raise CaseGap(f"{label}: the column anchor is occupied")
     _mate_to_first(ctx, singles[0], singles[1], _row_anchor_pairs(ctx, z), label)
-    _finish(ctx, label=label, max_col=1)
     return ctx, label
 
 
@@ -959,7 +911,6 @@ def _h6_end_s2(cfg: TerminalConfig):
             walk = ((2, 3), (2, 2), (3, 2), (3, 1))
         _link_with_walk(ctx, pi, walk)
         _mate_to_anchors(ctx, inner_singles[0], inner_singles[1], (t1, (3, 3)), label)
-        _finish(ctx, label=label, max_col=1)
         return ctx, label
     inner_members = [t for t in inner if t[0] == "p"]
     if len(inner_members) == 2:
@@ -972,7 +923,6 @@ def _h6_end_s2(cfg: TerminalConfig):
         _link_many(ctx, [0, 1], allowed=off_corner, label=label)
         if _both_col_stub_occupied(ctx):
             ctx.shift((2, 3), (3, 3))
-        _finish(ctx, label=label, max_col=1)
         return ctx, label
     # one pair member and one singleton inside the square
     member = inner_members[0]
@@ -987,7 +937,6 @@ def _h6_end_s2(cfg: TerminalConfig):
         label = "L3/end/S2-w-row"
         _link_with_walk(ctx, other, unique_l_path(s2, t2))
         _mate_to_anchors(ctx, member, single, (s2, w), label)
-        _finish(ctx, label=label, max_col=1)
         return ctx, label
     if t1 in ROW_ONLY:
         label = "L3/end/S2-t1-row"
@@ -995,20 +944,16 @@ def _h6_end_s2(cfg: TerminalConfig):
         trails = _joint_trails(ctx, [(ctx.positions[single], t1)], allowed=QMB_EDGES)
         if trails is None:
             raise CaseGap(f"{label}: no mating path outside the last column")
-        ctx.move(single, trails[0])
-        ctx.finish_escape(single)
+        ctx.escape_via(single, trails[0])
         if _both_col_stub_occupied(ctx):
             _cascade_shift_through_corner(ctx, label)
-        _finish(ctx, label=label, max_col=1)
         return ctx, label
     label = "L3/end/S2-B"
     _link_prescribed(ctx, member, False, label)
     trails = _joint_trails(ctx, [(ctx.positions[single], (3, 3))])
     if trails is None:
         raise CaseGap(f"{label}: no mating path to the corner")
-    ctx.move(single, trails[0])
-    ctx.finish_escape(single)
-    _finish(ctx, label=label, max_col=1)
+    ctx.escape_via(single, trails[0])
     return ctx, label
 
 
@@ -1086,116 +1031,71 @@ def _h6_s3_link_and_mate(ctx, member, down, anchor_options, label):
     if len(rest) != 2:
         raise CaseGap(f"{label}: expected two inner terminals, got {rest}")
     _mate_to_first(ctx, rest[0], rest[1], anchor_options, label)
-    _finish(ctx, label=label, max_col=1)
     return ctx, label
+
+
+# Regions of the diagonal splits: the inner columns with the last row, and
+# the inner rows with the last column.
+_COLS_AND_ROW = col_edges(1) | col_edges(2) | row_edges(3)
+_ROWS_AND_COL = row_edges(1) | row_edges(2) | col_edges(3)
+
+
+def _diagonal_split(ctx, pi, hub, region, label, link_to=None, mate_to=None):
+    """Split the inner square along its diagonals: link pair ``pi`` from its
+    inner member to ``hub`` and escape the member's diagonal mate to ``hub``
+    as well, the two trails packed jointly in ``region``.  ``link_to`` or
+    ``mate_to`` carries that trail one step on from the hub.  Returns the
+    other diagonal, row 1 first."""
+    r, c = next(v for v in ctx.cfg.pairs[pi] if v in INNER_SQUARE)
+    mate = (3 - r, 3 - c)
+    trails = _joint_trails(ctx, [((r, c), hub), (mate, hub)], allowed=region)
+    if trails is None:
+        raise CaseGap(f"{label}: diagonal split failed")
+    link, escape = trails
+    if link_to is not None:
+        link = link + path_of(hub, link_to)
+    if mate_to is not None:
+        escape = escape + path_of(hub, mate_to)
+    ctx.finish_link(pi, link)
+    ctx.escape_via(_tid_at(ctx, mate), escape)
+    return sorted({(r, 3 - c), (3 - r, c)})
 
 
 def _h6_end_s4(cfg: TerminalConfig):
     ctx = RoutingContext.fresh(cfg)
     l_res = _terminals_in(cfg, BOUNDARY)
     col_res = [v for v in l_res if v in COL_ONLY]
-    diag_1 = frozenset({(1, 1), (2, 2)})
-    diag_2 = frozenset({(1, 2), (2, 1)})
-
-    def diagonal_of(v):
-        return diag_1 if v in diag_1 else diag_2
-
     if len(col_res) == 0 and CORNER not in l_res:
         label = "L3/end/S4-rows"
         pi = next(i for i, p in enumerate(cfg.pairs) if set(p) & set(l_res))
         t1 = [v for v in cfg.pairs[pi] if v in BOUNDARY][0]
-        s1 = [v for v in cfg.pairs[pi] if v in INNER_SQUARE][0]
-        mate = sorted(diagonal_of(s1) - {s1})[0]
-        region = col_edges(1) | col_edges(2) | row_edges(3)
-        trails = _joint_trails(ctx, [(s1, t1), (mate, t1)], allowed=region)
-        if trails is None:
-            raise CaseGap(f"{label}: diagonal split failed")
-        ctx.finish_link(pi, trails[0])
-        mate_tid = _tid_at(ctx, mate)
-        ctx.move(mate_tid, trails[1])
-        ctx.finish_escape(mate_tid)
-        others = sorted((diag_1 | diag_2) - diagonal_of(s1))
-        row1_v = [v for v in others if v[0] == 1][0]
-        row2_v = [v for v in others if v[0] == 2][0]
-        tid1 = _tid_at(ctx, row1_v)
-        p1 = Path(_row_walk(row1_v, 3))
-        ctx.move(tid1, p1)
-        ctx.finish_escape(tid1)
-        tid2 = _tid_at(ctx, row2_v)
-        p2 = Path(_row_walk(row2_v, 3) + ((3, 3),))
-        ctx.move(tid2, p2)
-        ctx.finish_escape(tid2)
-        _finish(ctx, label=label, max_col=1)
+        row1_v, row2_v = _diagonal_split(ctx, pi, t1, _COLS_AND_ROW, label)
+        ctx.escape_via(_tid_at(ctx, row1_v), Path(_row_walk(row1_v, 3)))
+        ctx.escape_via(_tid_at(ctx, row2_v), Path(_row_walk(row2_v, 3) + (CORNER,)))
         return ctx, label
     if len(col_res) == 2:
         label = "L3/end/S4-cols"
         pi = next(i for i, p in enumerate(cfg.pairs) if (2, 3) in p)
-        s_k = [v for v in cfg.pairs[pi] if v in INNER_SQUARE][0]
-        mate = sorted(diagonal_of(s_k) - {s_k})[0]
-        region = row_edges(1) | row_edges(2) | col_edges(3)
-        trails = _joint_trails(ctx, [(s_k, (2, 3)), (mate, (2, 3))], allowed=region)
-        if trails is None:
-            raise CaseGap(f"{label}: diagonal split failed")
-        ctx.finish_link(pi, trails[0])
-        mate_tid = _tid_at(ctx, mate)
-        ext = trails[1] + path_of((2, 3), (3, 3))
-        ctx.move(mate_tid, ext)
-        ctx.finish_escape(mate_tid)
-        others = sorted((diag_1 | diag_2) - diagonal_of(s_k))
-        _finish(
-            ctx,
-            [_tid_at(ctx, v) for v in others],
-            candidates=[(3, 1), (3, 2)],
-            max_col=1,
-            label=label,
-        )
+        others = _diagonal_split(ctx, pi, (2, 3), _ROWS_AND_COL, label, mate_to=CORNER)
+        escapers = [_tid_at(ctx, v) for v in others]
+        _finish(ctx, escapers, candidates=[(3, 1), (3, 2)], label=label)
         return ctx, label
     if CORNER in l_res and len(col_res) == 0:
         label = "L3/end/S4-corner"
         pi = next(i for i, p in enumerate(cfg.pairs) if CORNER in p)
-        s_k = [v for v in cfg.pairs[pi] if v in INNER_SQUARE][0]
-        mate = sorted(diagonal_of(s_k) - {s_k})[0]
-        region = row_edges(1) | row_edges(2) | col_edges(3)
-        trails = _joint_trails(ctx, [(s_k, (2, 3)), (mate, (2, 3))], allowed=region)
-        if trails is None:
-            raise CaseGap(f"{label}: diagonal split failed")
-        link_walk = trails[0] + path_of((2, 3), (3, 3))
-        ctx.finish_link(pi, link_walk)
-        mate_tid = _tid_at(ctx, mate)
-        ctx.move(mate_tid, trails[1])
-        ctx.finish_escape(mate_tid)
-        others = sorted((diag_1 | diag_2) - diagonal_of(s_k))
-        free_row = [v for v in ((3, 1), (3, 2)) if ctx.is_free_vertex(v)]
-        _finish(
-            ctx,
-            [_tid_at(ctx, v) for v in others],
-            candidates=[(3, 3)] + free_row,
-            allowed=col_edges(1) | col_edges(2) | row_edges(3) | S_EDGES,
-            max_col=1,
-            label=label,
-        )
-        return ctx, label
-    label = "L3/end/S4-mixed"
-    t1 = col_res[0]
-    pi = next(i for i, p in enumerate(cfg.pairs) if t1 in p)
-    s1 = [v for v in cfg.pairs[pi] if v in INNER_SQUARE][0]
-    mate = sorted(diagonal_of(s1) - {s1})[0]
-    region = row_edges(1) | row_edges(2) | col_edges(3)
-    trails = _joint_trails(ctx, [(s1, t1), (mate, t1)], allowed=region)
-    if trails is None:
-        raise CaseGap(f"{label}: diagonal split failed")
-    ctx.finish_link(pi, trails[0])
-    mate_tid = _tid_at(ctx, mate)
-    ctx.move(mate_tid, trails[1])
-    ctx.finish_escape(mate_tid)
-    others = sorted((diag_1 | diag_2) - diagonal_of(s1))
-    free_row = [v for v in sorted(LAST_ROW) if ctx.is_free_vertex(v)]
+        others = _diagonal_split(ctx, pi, (2, 3), _ROWS_AND_COL, label, link_to=CORNER)
+        candidates = [CORNER, (3, 1), (3, 2)]
+    else:
+        label = "L3/end/S4-mixed"
+        t1 = col_res[0]
+        pi = next(i for i, p in enumerate(cfg.pairs) if t1 in p)
+        others = _diagonal_split(ctx, pi, t1, _ROWS_AND_COL, label)
+        candidates = sorted(LAST_ROW)
     _finish(
         ctx,
         [_tid_at(ctx, v) for v in others],
-        candidates=free_row,
-        allowed=col_edges(1) | col_edges(2) | row_edges(3) | S_EDGES,
-        max_col=1,
+        candidates=candidates,
+        allowed=_COLS_AND_ROW | S_EDGES,
         label=label,
     )
     return ctx, label
@@ -1204,12 +1104,6 @@ def _h6_end_s4(cfg: TerminalConfig):
 # ---------------------------------------------------------------------------
 # Family with seven or eight terminals: 4 pairs, or 3 pairs + 1 singleton.
 # ---------------------------------------------------------------------------
-
-
-def route_heavy78(cfg: TerminalConfig, strict: bool = False) -> tuple[EscapePlan, CaseTrace]:
-    if family_of(cfg) is not LemmaId.HEAVY78:
-        raise UnsupportedFamily("expected 4 pairs, or 3 pairs + 1 singleton")
-    return _route_with_fallback(cfg, LemmaId.HEAVY78, _heavy78_case, strict)
 
 
 def _heavy78_case(cfg: TerminalConfig):
@@ -1231,13 +1125,11 @@ def _h78_case_a(cfg: TerminalConfig):
         second = next(i for i in range(len(cfg.pairs)) if i != in_s[0])
         sa, sb = cfg.pairs[second]
         _link_with_walk(ctx, second, unique_l_path(sa, sb))
-        _finish(ctx, label=label)
         return ctx, label
     if all(t[0] == "p" for t in inner):
         label = "L2/a/two-members"
         p1, p2 = inner[0][1], inner[1][1]
         _link_many(ctx, [p1, p2], label=label)
-        _finish(ctx, label=label)
         return ctx, label
     label = "L2/a/member-and-singleton"
     h_edges = L_EDGES | {edge((2, 2), (2, 3)), edge((2, 2), (3, 2))}
@@ -1262,7 +1154,6 @@ def _h78_case_b(cfg: TerminalConfig):
         if inner_rest and inner_rest[0][0] == "p":
             label = "L2/b/pair-plus-member"
             _link_many(ctx, [in_s[0], inner_rest[0][1]], label=label)
-            _finish(ctx, label=label)
             return ctx, label
         return _h78_b2(cfg, in_s[0])
     members = [
@@ -1303,7 +1194,6 @@ def _h78_b2(cfg: TerminalConfig, pi: int):
     oa, ob = cfg.pairs[link_second]
     _link_with_walk(ctx, link_second, unique_l_path(oa, ob))
     ctx.finish_escape(s0_tid)
-    _finish(ctx, label=label)
     return ctx, label
 
 
@@ -1338,7 +1228,7 @@ def _h78_b3(cfg: TerminalConfig, escaping):
         ctx,
         [esc_tid],
         candidates=[(3, 1), (1, 3), (3, 2), (2, 3), (3, 3)],
-        label=label,
+    label=label,
     )
     return ctx, label
 
@@ -1406,9 +1296,7 @@ def _h78_b4_column(cfg: TerminalConfig):
             raise CaseGap(f"{label}: unexpected occupant at the stub")
     if not set(p0.edges()) <= ctx.free:
         raise CaseGap(f"{label}: escape lane blocked")
-    ctx.move(s0_tid, p0)
-    ctx.finish_escape(s0_tid)
-    _finish(ctx, label=label)
+    ctx.escape_via(s0_tid, p0)
     return ctx, label
 
 
@@ -1418,7 +1306,6 @@ def _h78_case_c(cfg: TerminalConfig):
         ctx = RoutingContext.fresh(cfg)
         label = "L2/c/two-pairs"
         _link_many(ctx, in_s[:2], label=label)
-        _finish(ctx, label=label)
         return ctx, label
     if len(in_s) == 1:
         return _h78_c2(cfg, in_s[0])
@@ -1455,9 +1342,7 @@ def _h78_c2(cfg: TerminalConfig, pi: int):
             continue
         ctx.finish_link(first_tid[1], trails[0])
         sec = _tid_at(ctx, second)
-        ctx.move(sec, trails[1])
-        ctx.finish_escape(sec)
-        _finish(ctx, label=label)
+        ctx.escape_via(sec, trails[1])
         return ctx, label
     raise CaseGap(f"{label}: through-link failed")
 
@@ -1486,10 +1371,8 @@ def _inner_trails(a: Vertex, b: Vertex):
 def _h78_c3_member(cfg: TerminalConfig):
     label = "L2/c/no-pair-center-member"
     plan_cfg = cfg
-    flipped = False
     if not any((2, 1) in p for p in plan_cfg.pairs):
         plan_cfg = cfg.reflected()
-        flipped = True
     ctx = RoutingContext.fresh(plan_cfg)
     p_center = next(i for i, p in enumerate(plan_cfg.pairs) if (2, 2) in p)
     p_left = next(i for i, p in enumerate(plan_cfg.pairs) if (2, 1) in p)
@@ -1502,7 +1385,6 @@ def _h78_c3_member(cfg: TerminalConfig):
     )
     _link_through_frame(ctx, plan_cfg, frame, (p_center, p_left), label)
     _h78_c3_outer_escapes(ctx, plan_cfg, label)
-    _finish(ctx, label=label)
     return ctx, label
 
 
@@ -1556,26 +1438,18 @@ def _h78_c3_outer_escapes(ctx: RoutingContext, cfg: TerminalConfig, label: str) 
         if mate_pos == stub:
             ctx.finish_link(tid[1], trails[0])
         else:
-            ctx.move(tid, trails[0])
-            ctx.finish_escape(tid)
+            ctx.escape_via(tid, trails[0])
 
 
 def _h78_c3_singleton(cfg: TerminalConfig):
     sub = cfg
-    flipped = False
-    m21 = (2, 1)
-    if _partner_of(sub, m21) == (2, 3):
-        if _partner_of(sub, (1, 2)) != (3, 2):
-            sub = cfg.reflected()
-            flipped = True
-        elif _partner_of(sub, (1, 1)) == (1, 3):
-            sub = cfg.reflected()
-            flipped = True
+    if _partner_of(cfg, (2, 1)) == (2, 3) and (
+        _partner_of(cfg, (1, 2)) != (3, 2) or _partner_of(cfg, (1, 1)) == (1, 3)
+    ):
+        sub = cfg.reflected()
     if _partner_of(sub, (2, 1)) != (2, 3):
-        ctx, label = _h78_c3_singleton_frame(sub)
-    else:
-        ctx, label = _h78_c3_singleton_direct(sub)
-    return ctx, label
+        return _h78_c3_singleton_frame(sub)
+    return _h78_c3_singleton_direct(sub)
 
 
 def _partner_of(cfg: TerminalConfig, v: Vertex) -> Vertex | None:
@@ -1607,15 +1481,12 @@ def _h78_c3_singleton_frame(cfg: TerminalConfig):
     else:
         if not set(esc.edges()) <= ctx.free:
             raise CaseGap(f"{label}: lane to the row corner blocked")
-        ctx.move(m21_tid, esc)
-        ctx.finish_escape(m21_tid)
+        ctx.escape_via(m21_tid, esc)
     s0_tid = _tid_at(ctx, (2, 2))
     esc0 = path_of((2, 2), (2, 3))
     if not set(esc0.edges()) <= ctx.free or not ctx.is_free_vertex((2, 3)):
         raise CaseGap(f"{label}: stub exit blocked for the singleton")
-    ctx.move(s0_tid, esc0)
-    ctx.finish_escape(s0_tid)
-    _finish(ctx, label=label)
+    ctx.escape_via(s0_tid, esc0)
     return ctx, label
 
 
@@ -1629,12 +1500,9 @@ def _h78_c3_singleton_direct(cfg: TerminalConfig):
     _link_with_walk(ctx, p_12, ((1, 2), (2, 2), (3, 2)))
     _link_with_walk(ctx, p_21, ((2, 1), (3, 1), (3, 2), (3, 3), (2, 3)))
     m11_tid = _tid_at(ctx, (1, 1))
-    ctx.move(m11_tid, path_of((1, 1), (1, 2), (1, 3)))
-    ctx.finish_escape(m11_tid)
+    ctx.escape_via(m11_tid, path_of((1, 1), (1, 2), (1, 3)))
     s0_tid = _tid_at(ctx, (2, 2))
-    ctx.move(s0_tid, path_of((2, 2), (2, 3)))
-    ctx.finish_escape(s0_tid)
-    _finish(ctx, label=label)
+    ctx.escape_via(s0_tid, path_of((2, 2), (2, 3)))
     return ctx, label
 
 
@@ -1644,8 +1512,11 @@ def _h78_c3_singleton_direct(cfg: TerminalConfig):
 
 
 def _route(cfg: TerminalConfig, lemma: LemmaId, case_fn):
+    """Run the case handler, exit every terminal it left on the boundary in
+    place, and validate the plan (carried back if the handler reflected)."""
     contract = contract_for(lemma)
     ctx, label = case_fn(cfg)
+    _finish(ctx, label=label)
     plan = ctx.plan()
     labels = (label, *ctx.notes)
     verdict = validate_plan(ctx.grid, ctx.cfg, plan, contract)
@@ -1661,7 +1532,22 @@ def _route(cfg: TerminalConfig, lemma: LemmaId, case_fn):
     return plan, CaseTrace(lemma, labels)
 
 
-def _route_with_fallback(cfg, lemma, case_fn, strict):
+_CASES = {
+    LemmaId.HEAVY78: _heavy78_case,
+    LemmaId.HEAVY6: _heavy6_case,
+    LemmaId.HEAVY5: _heavy5_case,
+}
+
+
+def route(cfg: TerminalConfig, strict: bool = False) -> tuple[EscapePlan, CaseTrace]:
+    lemma = family_of(cfg)
+    case_fn = _CASES.get(lemma)
+    if case_fn is None:
+        if len(cfg.pairs) == 3 and not cfg.singletons:
+            raise UnsupportedFamily(
+                "six terminals in three pairs: demote a pair to singletons first"
+            )
+        raise UnsupportedFamily(f"unsupported terminal family: {cfg}")
     try:
         return _route(cfg, lemma, case_fn)
     except (CaseGap, ToolkitError) as exc:
@@ -1671,18 +1557,3 @@ def _route_with_fallback(cfg, lemma, case_fn, strict):
         if plan is None:
             raise RouterError(f"no plan exists for {cfg}") from exc
         return plan, CaseTrace(lemma, ("fallback",), used_fallback=True)
-
-
-def route(cfg: TerminalConfig, strict: bool = False) -> tuple[EscapePlan, CaseTrace]:
-    family = family_of(cfg)
-    if family is LemmaId.HEAVY78:
-        return _route_with_fallback(cfg, family, _heavy78_case, strict)
-    if family is LemmaId.HEAVY6:
-        return _route_with_fallback(cfg, family, _heavy6_case, strict)
-    if family is LemmaId.HEAVY5:
-        return _route_with_fallback(cfg, family, _heavy5_case, strict)
-    if len(cfg.pairs) == 3 and not cfg.singletons:
-        raise UnsupportedFamily(
-            "six terminals in three pairs: demote a pair to singletons first"
-        )
-    raise UnsupportedFamily(f"unsupported terminal family: {cfg}")

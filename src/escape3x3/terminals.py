@@ -161,13 +161,17 @@ def decode_config(obj) -> TerminalConfig:
     if unknown:
         raise MalformedConfigError(f"unknown config keys: {sorted(map(str, unknown))}")
     try:
-        pairs = [(_as_vertex(p[0]), _as_vertex(p[1])) for p in obj.get("pairs", [])]
-        if any(len(p) != 2 for p in obj.get("pairs", [])):
-            raise MalformedConfigError("each pair must have exactly two vertices")
+        pairs = [_as_pair(p) for p in obj.get("pairs", [])]
         singles = [_as_vertex(s) for s in obj.get("singletons", [])]
-    except (TypeError, IndexError) as exc:
+    except TypeError as exc:
         raise MalformedConfigError(f"bad config JSON: {exc}") from exc
     return make_config(pairs, singles)
+
+
+def _as_pair(p) -> Pair:
+    if not isinstance(p, (list, tuple)) or len(p) != 2:
+        raise MalformedConfigError(f"{p!r} is not a pair of two vertices")
+    return (_as_vertex(p[0]), _as_vertex(p[1]))
 
 
 def _as_vertex(x) -> Vertex:

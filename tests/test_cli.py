@@ -36,6 +36,7 @@ def test_solve_rejects_malformed(tmp_path, capsys):
     for cfg in (
         {"pairs": [[[1, 1], [1, 1]]], "singletons": []},
         {"pairs": [[[True, 1], [2, 2]]], "singletons": [[1, 2], [1, 3], [2, 1]]},
+        {"pairs": [{}]},
     ):
         path = _write_cfg(tmp_path, cfg)
         status = main(["solve", "--config", path])

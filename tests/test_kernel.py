@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escape3x3 import _kernel_py, kernel
-from escape3x3.grid import build_corner_grid, full_grid, grid_without_corner
+from escape3x3.grid import GridGraph, build_corner_grid, edge, full_grid, grid_without_corner
 
 try:
     from escape3x3 import _kernel_cy
@@ -23,6 +23,26 @@ def _desc(g):
 
 def test_backend_reported():
     assert kernel.BACKEND in ("python", "cython")
+
+
+def _row_path_graph(n):
+    vertices = [(1, c) for c in range(1, n + 1)]
+    return GridGraph(
+        rows=1,
+        cols=n,
+        vertices=frozenset(vertices),
+        edges=frozenset(edge(a, b) for a, b in zip(vertices, vertices[1:])),
+        deleted=frozenset(),
+    )
+
+
+def test_desc_for_rejects_more_than_32_vertices():
+    # 32 edges would fit the edge mask; 33 vertices overflow the compiled reach
+    with pytest.raises(ValueError, match="32 vertices"):
+        kernel.desc_for(_row_path_graph(33))
+    g = _row_path_graph(32)
+    paths, _, _ = kernel.solve_trails(g, g.edges, [((1, 1), (1, 32))])
+    assert paths is not None and len(paths[0].vertices) == 32
 
 
 def test_zero_length_pair(grid):

@@ -14,9 +14,6 @@ from escape3x3.router import (
     CASE_LABELS,
     UnsupportedFamily,
     route,
-    route_heavy5,
-    route_heavy6,
-    route_heavy78,
 )
 from escape3x3.terminals import (
     LemmaId,
@@ -45,14 +42,6 @@ def test_three_pairs_six_terminals_rejected_with_hint():
     demoted = demote_pair_to_singletons(cfg, 2)
     plan, trace = route(demoted)
     assert trace.lemma is LemmaId.HEAVY6
-
-
-def test_wrong_family_routers_reject():
-    cfg = make_config([((1, 1), (2, 2))], [(1, 2), (2, 1), (1, 3)])
-    with pytest.raises(UnsupportedFamily):
-        route_heavy6(cfg)
-    with pytest.raises(UnsupportedFamily):
-        route_heavy78(cfg)
 
 
 def test_route_is_deterministic():
@@ -181,5 +170,6 @@ def test_case_labels_registry_is_closed():
 def test_strict_mode_raises_case_gap_only_via_router():
     # strict routing over a sample must never fall back
     for cfg in list(enumerate_configs(LemmaId.HEAVY5))[::97]:
-        plan, trace = route_heavy5(cfg, strict=True)
+        plan, trace = route(cfg, strict=True)
+        assert trace.lemma is LemmaId.HEAVY5
         assert not trace.used_fallback

@@ -110,6 +110,16 @@ def test_decode_rejects_unknown_key():
         decode_config(text)
 
 
+@pytest.mark.parametrize(
+    "pair",
+    [{}, [[1, 1]], [[1, 1], [2, 2], [1, 2]]],
+    ids=["object", "one-vertex", "three-vertices"],
+)
+def test_decode_rejects_bad_pair_shape(pair):
+    with pytest.raises(MalformedConfigError):
+        decode_config({"pairs": [pair]})
+
+
 def test_decode_from_string():
     text = json.dumps({"pairs": [], "singletons": [[1, 1]]})
     assert decode_config(text).singletons == ((1, 1),)
