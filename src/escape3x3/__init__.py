@@ -14,9 +14,7 @@ from .grid import (
     LAST_ROW,
     GridGraph,
     Vertex,
-    boundary_partition,
     build_corner_grid,
-    diagonal_reflect,
     full_grid,
     grid_without_corner,
     unique_l_path,
@@ -40,28 +38,7 @@ from .terminals import (
 )
 
 
-def route(cfg, strict=False):
-    """Route a configuration constructively; see escape3x3.router."""
-    from .router import route as _route
-
-    return _route(cfg, strict=strict)
-
-
-def oracle_solve(cfg, contract=None, budget=None):
-    """Exhaustive witness search on the full corner grid."""
-    from .model import contract_for as _contract_for
-    from .oracle import SearchBudget
-    from .oracle import oracle_solve as _solve
-    from .terminals import family_of
-
-    if contract is None:
-        contract = _contract_for(family_of(cfg))
-    return _solve(full_grid(), cfg, contract, budget or SearchBudget())
-
-
 __all__ = [
-    "route",
-    "oracle_solve",
     "BOUNDARY",
     "COL_ONLY",
     "INNER_SQUARE",
@@ -69,9 +46,7 @@ __all__ = [
     "LAST_ROW",
     "GridGraph",
     "Vertex",
-    "boundary_partition",
     "build_corner_grid",
-    "diagonal_reflect",
     "full_grid",
     "grid_without_corner",
     "unique_l_path",

@@ -120,6 +120,16 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="escape3x3",
@@ -134,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p_verify.add_argument("--strict", action="store_true")
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=_jobs, default=1)
     p_verify.add_argument("--report", metavar="OUT.json")
     p_verify.set_defaults(fn=_cmd_verify)
 

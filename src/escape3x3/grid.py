@@ -64,13 +64,10 @@ def edges_of_walk(vertices: Iterable[Vertex]) -> list[Edge]:
 
 @dataclass(frozen=True)
 class GridGraph:
-    """An induced subgraph of the corner grid, given by deleted vertices."""
+    """A subgraph of the corner grid: its vertices and its edges."""
 
-    rows: int
-    cols: int
     vertices: frozenset[Vertex]
     edges: frozenset[Edge]
-    deleted: frozenset[Vertex]
 
     def sorted_vertices(self) -> tuple[Vertex, ...]:
         return tuple(sorted(self.vertices))
@@ -92,13 +89,7 @@ def build_corner_grid(deleted: frozenset[Vertex] = frozenset()) -> GridGraph:
         for w in ((r, c + 1), (r + 1, c)):
             if w in vertices:
                 all_edges.add(edge((r, c), w))
-    return GridGraph(
-        rows=GRID_SIZE,
-        cols=GRID_SIZE,
-        vertices=vertices,
-        edges=frozenset(all_edges),
-        deleted=deleted,
-    )
+    return GridGraph(vertices=vertices, edges=frozenset(all_edges))
 
 
 def full_grid() -> GridGraph:
@@ -109,48 +100,8 @@ def grid_without_corner() -> GridGraph:
     return build_corner_grid(frozenset({CORNER}))
 
 
-@dataclass(frozen=True)
-class BoundaryPartition:
-    """Last row A, last column B, boundary L = A|B, inner square S = Q - L."""
-
-    A: frozenset[Vertex]
-    B: frozenset[Vertex]
-    L: frozenset[Vertex]
-    S: frozenset[Vertex]
-    corner_c: Vertex
-
-
-def boundary_partition(g: GridGraph) -> BoundaryPartition:
-    if g.deleted:
-        raise GridError("boundary partition is defined on the full corner grid only")
-    return BoundaryPartition(
-        A=LAST_ROW, B=LAST_COL, L=BOUNDARY, S=INNER_SQUARE, corner_c=CORNER
-    )
-
-
 def reflect_vertex(v: Vertex) -> Vertex:
     return (v[1], v[0])
-
-
-def reflect_edge(e: Edge) -> Edge:
-    u, v = (reflect_vertex(e[0]), reflect_vertex(e[1]))
-    return (u, v) if u < v else (v, u)
-
-
-def diagonal_reflect(x):
-    """Transpose (i,j) -> (j,i), applied componentwise.
-
-    Accepts a vertex, an edge, or any object exposing a ``reflected()``
-    method (paths, terminal configurations, escape plans).  An involution;
-    swaps the last row with the last column and fixes the inner square.
-    """
-    if hasattr(x, "reflected"):
-        return x.reflected()
-    if isinstance(x, tuple) and len(x) == 2:
-        if isinstance(x[0], int):
-            return reflect_vertex(x)
-        return reflect_edge(x)
-    raise TypeError(f"cannot reflect object of type {type(x)!r}")
 
 
 def unique_l_path(u: Vertex, v: Vertex) -> tuple[Vertex, ...]:
@@ -179,10 +130,6 @@ def col_edges(j: int) -> frozenset[Edge]:
 L_EDGES: frozenset[Edge] = frozenset(edges_of_walk(L_ORDER))
 S_EDGES: frozenset[Edge] = frozenset(
     {edge((1, 1), (1, 2)), edge((1, 2), (2, 2)), edge((2, 1), (2, 2)), edge((1, 1), (2, 1))}
-)
-# The four edges joining the inner square to the boundary.
-BRIDGE_EDGES: frozenset[Edge] = frozenset(
-    {edge((1, 2), (1, 3)), edge((2, 2), (2, 3)), edge((2, 2), (3, 2)), edge((2, 1), (3, 1))}
 )
 
 INNER_CYCLE_4: tuple[Vertex, ...] = ((2, 2), (2, 3), (3, 3), (3, 2))

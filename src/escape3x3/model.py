@@ -11,7 +11,6 @@ are compared over every campaign plan.
 from __future__ import annotations
 
 import enum
-import json
 from collections import Counter
 from dataclasses import dataclass
 
@@ -171,24 +170,6 @@ def plan_to_json(plan: EscapePlan) -> dict:
             for t, x, p in plan.escapes
         ],
     }
-
-
-def plan_from_json(obj) -> EscapePlan:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    linkages = {
-        rec["pair"]: Path(tuple(tuple(v) for v in rec["path"]))
-        for rec in obj.get("linkages", [])
-    }
-    escapes = [
-        (
-            tuple(rec["terminal"]),
-            tuple(rec["exit"]),
-            Path(tuple(tuple(v) for v in rec["path"])),
-        )
-        for rec in obj.get("escapes", [])
-    ]
-    return EscapePlan.build(linkages, escapes)
 
 
 def validate_plan(

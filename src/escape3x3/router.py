@@ -12,7 +12,9 @@ exhaustive oracle is substituted and the fallback is recorded on the trace.
 
 Where a case leaves a choice open (which free vertex, which of several
 catalogued clips), ties are broken lexicographically so that routing is
-bit-identical across runs.
+bit-identical across runs.  Two cases retry a search beyond their first
+region, and each retry is noted on the trace: ``retry:unrestricted`` in
+L3/b/S3 and ``retry:joint`` in L3/c/S3-t2-in-row.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .grid import (
     ROW_ONLY,
     S_EDGES,
     Vertex,
+    adjacent,
     col_edges,
     cycle_edges,
     edge,
@@ -470,17 +473,11 @@ def _h5_case_a(cfg: TerminalConfig):
         w = next(
             (v for v in ((3, 1), (3, 2), (3, 3)) if ctx.is_free_vertex(v)), None
         )
-        allowed = ctx.free
-        if w is None and _col_budget(ctx, [t for t in singles if t != s2]) > 0:
-            w = next((v for v in ((1, 3), (2, 3)) if ctx.is_free_vertex(v)), None)
         if w is None:
             raise CaseGap(f"{label}: no exit for the inner singleton")
-        if w != (3, 3):
-            allowed = {e for e in ctx.free if CORNER not in e}
+        allowed = None if w == CORNER else {e for e in ctx.free if CORNER not in e}
         a, b = cfg.pairs[0]
         trails = _joint_trails(ctx, [(a, b), (ctx.positions[s2], w)], allowed)
-        if trails is None:
-            trails = _joint_trails(ctx, [(a, b), (ctx.positions[s2], w)])
         if trails is None:
             raise CaseGap(f"{label}: 2-linkage failed")
         ctx.finish_link(0, trails[0])
@@ -705,11 +702,7 @@ def _h6_case_a(cfg: TerminalConfig):
     full = stage1[0] + Path(tuple(stage2))
     ctx.escape_via(s_tid, full)
     if set(cfg.pairs[pi]) <= LAST_ROW and _both_col_stub_occupied(ctx):
-        other_end = a if full.end == b else b
-        if ctx.is_free_vertex(other_end):
-            ctx.shift((2, 3), other_end)
-        else:
-            _cascade_shift_through_corner(ctx, label)
+        ctx.shift((2, 3), a if full.end == b else b)
     return ctx, label
 
 
@@ -757,6 +750,7 @@ def _h6_case_b(cfg: TerminalConfig, pi: int):
             allowed=QMB_EDGES | S_EDGES,
         )
         if trails is None:
+            ctx.notes.append("retry:unrestricted")
             trails = _joint_trails(ctx, [(pa, pb), (ctx.positions[s2_tid], (3, 1))])
         if trails is None:
             raise CaseGap(f"{label}: no joint linkage and escape")
@@ -833,6 +827,7 @@ def _h6_case_c(cfg: TerminalConfig, pi: int):
         _mate_to_first(ctx, singles[0], singles[1], _row_anchor_pairs(ctx, (1, 3)), label)
         return ctx, label
     # the prescribed lane is blocked: pack the linkage and matings jointly
+    ctx.notes.append("retry:joint")
     _finish(
         ctx,
         singles,
@@ -880,8 +875,6 @@ def _h6_case_d(cfg: TerminalConfig, pi: int):
     else:
         allowed = col_edges(s2[1]) | row_edges(2) | col_edges(3) | row_edges(s2[0])
     trails = _joint_trails(ctx, [(s2, t2)], allowed=allowed)
-    if trails is None:
-        trails = _joint_trails(ctx, [(s2, t2)])
     if trails is None:
         raise CaseGap(f"{label}: no linkage for the second pair")
     ctx.finish_link(other, trails[0])
@@ -1259,7 +1252,7 @@ def _h78_b4_column(cfg: TerminalConfig):
     cyc = CYCLE_6_NO_ROW1
     cyc_edges = cycle_edges(cyc)
     allowed = (S_EDGES - set(p0.edges())) - cyc_edges
-    trails, _, _ = kernel.solve_trails(ctx.grid, allowed & ctx.free, [tuple(members)])
+    trails = _joint_trails(ctx, [tuple(members)], allowed)
     if trails is None:
         raise CaseGap(f"{label}: no inner connector avoiding the cycle")
     p12 = trails[0]
@@ -1324,48 +1317,20 @@ def _h78_c2(cfg: TerminalConfig, pi: int):
     )
     # linkage inside the square avoiding the far corner as an interior vertex
     pa, pb = cfg.pairs[pi]
-    p1 = None
-    for cand in _inner_trails(pa, pb):
-        if (1, 1) not in cand.vertices[1:-1]:
-            p1 = cand
-            break
-    if p1 is None:
-        raise CaseGap(f"{label}: no inner linkage avoiding the corner")
-    ctx.finish_link(pi, p1)
-    for first, second in (others, list(reversed(others))):
-        first_tid, second_tid = _tid_at(ctx, first), _tid_at(ctx, second)
-        if first_tid[0] != "p":
-            continue
-        t2 = ctx.positions[partner(first_tid)]
-        trails = _joint_trails(ctx, [(first, t2), (second, t2)])
-        if trails is None:
-            continue
-        ctx.finish_link(first_tid[1], trails[0])
-        sec = _tid_at(ctx, second)
-        ctx.escape_via(sec, trails[1])
-        return ctx, label
-    raise CaseGap(f"{label}: through-link failed")
-
-
-def _inner_trails(a: Vertex, b: Vertex):
-    """All trails between two distinct inner-square vertices using square
-    edges only, shortest first, deterministic."""
-    sq = sorted(INNER_SQUARE)
-    out = []
-
-    def walk(cur, used, path):
-        if cur == b and len(path) > 1:
-            out.append(Path(tuple(path)))
-        for w in sq:
-            if abs(w[0] - cur[0]) + abs(w[1] - cur[1]) != 1:
-                continue
-            e = edge(cur, w)
-            if e in S_EDGES and e not in used:
-                walk(w, used | {e}, path + [w])
-
-    walk(a, set(), [a])
-    out.sort(key=lambda p: (len(p.vertices), p.vertices))
-    return out
+    if adjacent(pa, pb):
+        ctx.finish_link(pi, path_of(pa, pb))
+    else:
+        ctx.finish_link(pi, path_of(pa, (1, 2) if (1, 1) in (pa, pb) else (2, 2), pb))
+    # the pair member links through its partner's vertex, where the other escapes
+    first, second = others if _tid_at(ctx, others[0])[0] == "p" else others[::-1]
+    first_tid = _tid_at(ctx, first)
+    t2 = ctx.positions[partner(first_tid)]
+    trails = _joint_trails(ctx, [(first, t2), (second, t2)])
+    if trails is None:
+        raise CaseGap(f"{label}: through-link failed")
+    ctx.finish_link(first_tid[1], trails[0])
+    ctx.escape_via(_tid_at(ctx, second), trails[1])
+    return ctx, label
 
 
 def _h78_c3_member(cfg: TerminalConfig):

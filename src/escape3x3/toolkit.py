@@ -124,9 +124,6 @@ class RoutingContext:
             and not any(pos == v for pos in self.positions.values())
         )
 
-    def free_boundary_vertices(self, order) -> list[Vertex]:
-        return [v for v in order if self.is_free_vertex(v)]
-
     def assembled(self, tid: TermId) -> Path:
         path = Path((self.origins[tid],))
         for frag in self.fragments[tid]:

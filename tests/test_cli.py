@@ -1,6 +1,13 @@
+import contextlib
+import io
 import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from escape3x3.cli import main
+from escape3x3.terminals import MalformedConfigError, TerminalConfig, decode_config
 
 
 def _write_cfg(tmp_path, payload):
@@ -99,3 +106,49 @@ def test_verify_w2l(capsys):
     out = capsys.readouterr().out
     assert status == 0
     assert "total=10657" in out
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_verify_rejects_bad_jobs(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--lemma", "w2l", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-1, 4)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=5)
+    | st.dictionaries(
+        st.sampled_from(["pairs", "singletons"]) | st.text(max_size=3), kids, max_size=3
+    ),
+    max_leaves=24,
+)
+# near-configs: the two known keys over lists of short coordinate lists
+_vertex_like = st.lists(st.integers(0, 4) | st.booleans(), min_size=1, max_size=3)
+_config_like = st.dictionaries(
+    st.sampled_from(["pairs", "singletons"]),
+    st.lists(st.lists(_vertex_like, min_size=1, max_size=3) | _vertex_like, max_size=5),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given((_json_values | _config_like).filter(lambda v: not isinstance(v, str)))
+def test_decode_and_solve_fuzzed_config(tmp_path_factory, value):
+    """Any JSON value decodes to a config or is rejected as malformed, and
+    ``solve`` on it exits 0 or 2 without raising."""
+    try:
+        decoded = decode_config(value)
+    except MalformedConfigError:
+        decoded = None
+    else:
+        assert isinstance(decoded, TerminalConfig)
+    path = tmp_path_factory.getbasetemp() / "fuzzed-config.json"
+    path.write_text(json.dumps(value), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        status = main(["solve", "--config", str(path)])
+    assert status in ((0, 2) if decoded is not None else (2,))

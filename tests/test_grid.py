@@ -8,16 +8,17 @@ from escape3x3.grid import (
     CYCLE_8_NO_CORNER,
     INNER_CYCLE_4,
     INNER_SQUARE,
+    LAST_COL,
+    LAST_ROW,
     GridError,
-    boundary_partition,
     build_corner_grid,
     cycle_edges,
-    diagonal_reflect,
     edge,
     full_grid,
-    grid_without_corner,
+    reflect_vertex,
     unique_l_path,
 )
+from escape3x3.model import path_of
 
 
 def test_full_grid_counts():
@@ -44,19 +45,14 @@ def test_deletion_outside_grid_rejected():
 
 
 def test_boundary_partition():
-    part = boundary_partition(full_grid())
-    assert part.A == {(3, 1), (3, 2), (3, 3)}
-    assert part.B == {(1, 3), (2, 3), (3, 3)}
-    assert part.A & part.B == {(3, 3)}
-    assert len(part.L) == 5
-    assert len(part.S) == 4
-    assert part.L | part.S == full_grid().vertices
-    assert not part.L & part.S
-
-
-def test_partition_rejects_deleted_grids():
-    with pytest.raises(GridError):
-        boundary_partition(grid_without_corner())
+    assert LAST_ROW == {(3, 1), (3, 2), (3, 3)}
+    assert LAST_COL == {(1, 3), (2, 3), (3, 3)}
+    assert LAST_ROW & LAST_COL == {(3, 3)}
+    assert BOUNDARY == LAST_ROW | LAST_COL
+    assert len(BOUNDARY) == 5
+    assert len(INNER_SQUARE) == 4
+    assert BOUNDARY | INNER_SQUARE == full_grid().vertices
+    assert not BOUNDARY & INNER_SQUARE
 
 
 def test_four_bridging_edges():
@@ -74,22 +70,22 @@ def test_edge_canonical_order():
 
 
 def test_reflect_examples():
-    assert diagonal_reflect((1, 2)) == (2, 1)
-    assert diagonal_reflect((3, 3)) == (3, 3)
-    assert diagonal_reflect(((1, 2), (2, 2))) == ((2, 1), (2, 2))
+    assert reflect_vertex((1, 2)) == (2, 1)
+    assert reflect_vertex((3, 3)) == (3, 3)
+    assert path_of((1, 2), (2, 2)).reflected() == path_of((2, 1), (2, 2))
 
 
 def test_reflect_is_involution_on_vertices():
     for v in sorted(full_grid().vertices):
-        assert diagonal_reflect(diagonal_reflect(v)) == v
+        assert reflect_vertex(reflect_vertex(v)) == v
 
 
 def test_reflect_is_automorphism():
     g = full_grid()
-    reflected = {diagonal_reflect(e) for e in g.edges}
+    reflected = {edge(reflect_vertex(a), reflect_vertex(b)) for a, b in g.edges}
     assert reflected == g.edges
-    assert {diagonal_reflect(v) for v in BOUNDARY} == BOUNDARY
-    assert {diagonal_reflect(v) for v in INNER_SQUARE} == INNER_SQUARE
+    assert {reflect_vertex(v) for v in BOUNDARY} == BOUNDARY
+    assert {reflect_vertex(v) for v in INNER_SQUARE} == INNER_SQUARE
 
 
 def test_unique_l_path_examples():

@@ -8,8 +8,6 @@ from escape3x3.model import (
     PathError,
     contract_for,
     path_of,
-    plan_from_json,
-    plan_to_json,
     reflected_contract,
     reflected_plan,
     validate_plan,
@@ -153,11 +151,6 @@ def test_validate_detects_missing_edge():
     assert validate_plan(g, cfg, plan, contract_for(LemmaId.HEAVY5)).ok
     verdict = validate_plan(deleted, cfg, plan, contract_for(LemmaId.HEAVY5))
     assert any(v.code is Code.NOT_A_PATH for v in verdict.violations)
-
-
-def test_plan_json_round_trip():
-    _, plan = _sample_heavy5()
-    assert plan_from_json(plan_to_json(plan)) == plan
 
 
 def test_validators_agree_on_bad_plans(grid):

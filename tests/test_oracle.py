@@ -144,10 +144,7 @@ def test_euler_cross_check_agrees_with_kernel_on_free_edge_subsets(free, ends):
     with the full grid searched under the same free edges."""
     u1, v1, u2, v2 = ends
     pairs = [(u1, v1), (u2, v2)]
-    g = GridGraph(
-        rows=_FULL.rows, cols=_FULL.cols, vertices=_FULL.vertices,
-        edges=frozenset(free), deleted=frozenset(),
-    )
+    g = GridGraph(vertices=_FULL.vertices, edges=frozenset(free))
     fast = kernel.solve_trails(g, g.edges, pairs)
     assert (fast[0] is not None) == exists_trail_system_euler(g, pairs)
     assert kernel.solve_trails(_FULL, free, pairs) == fast

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escape3x3.grid import diagonal_reflect
 from escape3x3.terminals import (
     LemmaId,
     MalformedConfigError,
@@ -154,15 +153,15 @@ heavy6_configs.cache = list(enumerate_configs(LemmaId.HEAVY6))
 @settings(max_examples=200, deadline=None)
 @given(heavy6_configs())
 def test_reflect_involution_on_configs(cfg):
-    assert diagonal_reflect(diagonal_reflect(cfg)) == cfg
+    assert cfg.reflected().reflected() == cfg
 
 
 def test_reflect_involution_over_whole_family():
     for cfg in enumerate_configs(LemmaId.HEAVY5):
-        assert diagonal_reflect(diagonal_reflect(cfg)) == cfg
+        assert cfg.reflected().reflected() == cfg
 
 
 @settings(max_examples=100, deadline=None)
 @given(heavy6_configs())
 def test_reflect_preserves_family(cfg):
-    assert family_of(diagonal_reflect(cfg)) is family_of(cfg)
+    assert family_of(cfg.reflected()) is family_of(cfg)
