@@ -24,6 +24,12 @@ EXIT_VALIDATION = 2
 EXIT_ORACLE_DISAGREEMENT = 3
 EXIT_CASE_GAP = 4
 
+# Refutations the oracle has proved in the running campaign, per graph
+# (see oracle_solve).  verify_all empties it before any pool exists, so the
+# memo, its memory and its savings are one campaign's, and each pool worker
+# fills its own.
+_refuted: dict = {}
+
 
 @dataclass
 class CampaignReport:
@@ -96,7 +102,7 @@ def _verify_one(args):
         record["violations"].append(f"CASE_GAP: {exc}")
     except Exception as exc:  # noqa: BLE001 - campaign reports, never raises
         record["violations"].append(f"ERROR: {exc!r}")
-    if oracle_solve(grid, cfg, contract) is None:
+    if oracle_solve(grid, cfg, contract, refuted=_refuted) is None:
         record["oracle_ok"] = False
     return record
 
@@ -106,6 +112,7 @@ def verify_all(lemma: LemmaId, strict: bool = False, jobs: int = 1) -> CampaignR
     if lemma is LemmaId.W2L:
         return verify_weak_linkage()
     started = time.perf_counter()
+    _refuted.clear()
     report = CampaignReport(lemma=lemma.value)
     tasks = [
         (lemma.value, strict, i, encode_config(cfg))

@@ -153,13 +153,14 @@ def test_criterion_7a_validator_double_implementation():
     )
 
 
-def test_criterion_7b_reflection_transport():
+def test_criterion_7b_reflection_transport(strict_sweep):
     grid = full_grid()
     contract = contract_for(LemmaId.HEAVY78)
     bad = 0
     checked = 0
-    for cfg in enumerate_configs(LemmaId.HEAVY78):
-        plan, _ = route(cfg, strict=True)
+    for lemma, cfg, plan, _ in strict_sweep:
+        if lemma is not LemmaId.HEAVY78:
+            continue
         rplan = reflected_plan(cfg, plan)
         if not validate_plan(grid, cfg.reflected(), rplan, contract).ok:
             bad += 1

@@ -5,16 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escape3x3 import kernel
-from escape3x3.grid import GridGraph, build_corner_grid, full_grid
+from escape3x3.grid import GridGraph, build_corner_grid, full_grid, grid_without_corner
 from escape3x3.model import EscapeContract, contract_for, validate_plan
 from escape3x3.oracle import (
     BudgetExhausted,
     SearchBudget,
     check_weakly_2_linked,
     exists_trail_system_euler,
+    graph_symmetries,
     oracle_solve,
+    pair_keys,
 )
-from escape3x3.terminals import LemmaId, make_config
+from escape3x3.terminals import LemmaId, enumerate_configs, make_config
 
 
 def test_weakly_2_linked_full_grid(grid):
@@ -37,6 +39,18 @@ def test_double_deletion_not_weakly_2_linked():
         g, g.edges, [((1, 3), (3, 1)), ((3, 1), (1, 3))]
     )
     assert paths is None
+    # the first failing tuple in product order, pinned per deleted set
+    first_failures = {
+        ((2, 2), (3, 3)): ((1, 1), (1, 2), (1, 1), (1, 2)),
+        ((1, 1), (3, 3)): ((1, 2), (2, 3), (1, 3), (2, 1)),
+        ((2, 2),): ((1, 1), (1, 3), (1, 2), (2, 1)),
+        ((1, 2),): ((1, 1), (1, 3), (1, 1), (1, 3)),
+    }
+    for deleted, first in first_failures.items():
+        assert check_weakly_2_linked(build_corner_grid(frozenset(deleted))) == (
+            False,
+            first,
+        )
 
 
 def test_adjacent_pair_and_boundary_singletons_solve_trivially(grid):
@@ -202,3 +216,145 @@ def test_weak_linkage_witnesses_validate(grid):
         assert not set(paths[0].edges()) & set(paths[1].edges())
         assert paths[0].start == u1 and paths[0].end == v1
         assert paths[1].start == u2 and paths[1].end == v2
+
+
+# -- the oracle's canonical key and its memos ---------------------------------
+
+# deleted vertices -> number of symmetries of the square the graph keeps
+_KEYED_GRAPHS = {
+    (): 8,
+    ((3, 3),): 2,
+    ((2, 2),): 8,
+    ((1, 2),): 2,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_trail_existence_is_invariant_under_the_key(data):
+    """What the memos rest on: whether trails exist does not change under a
+    permutation of the pairs, a reversal of pairs, or any symmetry the key
+    uses for the graph; and the key does not change either."""
+    deleted = data.draw(st.sampled_from(sorted(_KEYED_GRAPHS)))
+    g = build_corner_grid(frozenset(deleted))
+    symmetries = graph_symmetries(g)
+    assert len(symmetries) == _KEYED_GRAPHS[deleted]
+    vertex = st.sampled_from(g.sorted_vertices())
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=4))
+    order = data.draw(st.permutations(range(len(pairs))))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    variants = [
+        [pairs[i] for i in order],
+        [(b, a) for a, b in pairs],
+        [(b, a) if flip else (a, b) for (a, b), flip in zip(pairs, flips)],
+    ] + [[(image[a], image[b]) for a, b in pairs] for image in symmetries]
+    exists = kernel.solve_trails(g, g.edges, pairs)[0] is not None
+    keys = pair_keys(g)
+    for variant in variants:
+        assert (kernel.solve_trails(g, g.edges, variant)[0] is not None) == exists
+        assert keys.key(variant) == keys.key(pairs)
+
+
+@pytest.mark.parametrize(
+    "deleted", sorted(_KEYED_GRAPHS), ids=["full", "no-33", "no-22", "no-12"]
+)
+def test_pair_key_classes_are_symmetry_orbits(deleted):
+    """Multisets of one or two pairs share a key exactly when a symmetry of
+    the graph maps one onto the other (ordered and reversed pairs are one
+    multiset)."""
+    g = build_corner_grid(frozenset(deleted))
+    symmetries = graph_symmetries(g)
+    keys = pair_keys(g)
+
+    def orbit_form(pairs):
+        return min(
+            tuple(sorted(tuple(sorted((image[a], image[b]))) for a, b in pairs))
+            for image in symmetries
+        )
+
+    by_key, by_orbit = {}, {}
+    one = [((u, v),) for u, v in itertools.product(g.sorted_vertices(), repeat=2)]
+    two = [(p, q) for (p,), (q,) in itertools.product(one, repeat=2)]
+    for pairs in one + two:
+        by_key.setdefault(keys.key(pairs), set()).add(pairs)
+        by_orbit.setdefault(orbit_form(pairs), set()).add(pairs)
+    assert sorted(map(sorted, by_key.values())) == sorted(map(sorted, by_orbit.values()))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The endpoint pairs of every kernel.solve_trails call the test makes."""
+    calls = []
+    solve = kernel.solve_trails
+    monkeypatch.setattr(
+        kernel, "solve_trails", lambda *args: calls.append(args[2]) or solve(*args)
+    )
+    return calls
+
+
+def test_weak_linkage_searches_one_tuple_per_key(kernel_calls):
+    """The full grid and the grid without its corner: 6,561 + 4,096 tuples
+    in 517 key classes, one kernel call each."""
+    for g in (full_grid(), grid_without_corner()):
+        assert check_weakly_2_linked(g) == (True, None)
+    assert len(kernel_calls) == 517
+
+
+@pytest.mark.parametrize(
+    "lemma, infeasible",
+    [(LemmaId.HEAVY5, 0), (LemmaId.HEAVY6, 106)],
+    ids=["heavy5", "heavy6-one-pair"],
+)
+def test_refutation_memo_keeps_every_result(grid, kernel_calls, lemma, infeasible):
+    """One refuted set shared across the 1,260 one-pair configurations of a
+    family (for heavy6, of its extension) gives the memo-less result on
+    every one, with fewer kernel calls."""
+    cfgs = [c for c in enumerate_configs(lemma, extended=True) if len(c.pairs) == 1]
+    assert len(cfgs) == 1260
+    contract = contract_for(lemma)
+    plain = [oracle_solve(grid, cfg, contract) for cfg in cfgs]
+    plain_calls = len(kernel_calls)
+    refuted = {}
+    memo = [oracle_solve(grid, cfg, contract, refuted=refuted) for cfg in cfgs]
+    assert memo == plain
+    assert [p is None for p in memo] == [p is None for p in plain]
+    assert sum(p is None for p in memo) == infeasible
+    assert set(refuted) == {grid} and refuted[grid]
+    assert len(kernel_calls) - plain_calls < plain_calls
+
+
+def test_refutation_memo_records_only_complete_searches(grid):
+    """A search cut short by the budget adds nothing; a complete failing
+    search adds its key, and a later call skips it at no node cost.  The
+    configuration is the one of test_oracle_budget_spent_exactly_stops_search:
+    its first kernel call fails after exactly 215 nodes, and its plan costs
+    319 nodes without a memo."""
+    cfg = make_config([((1, 1), (2, 1)), ((1, 2), (2, 2)), ((1, 3), (2, 3))], [(3, 1)])
+    contract = contract_for(LemmaId.HEAVY78)
+    refuted = {}
+    with pytest.raises(BudgetExhausted):
+        oracle_solve(grid, cfg, contract, SearchBudget.limited(214), refuted=refuted)
+    assert not refuted.get(grid)
+    with pytest.raises(BudgetExhausted):
+        oracle_solve(grid, cfg, contract, SearchBudget.limited(215), refuted=refuted)
+    assert refuted[grid] == {pair_keys(grid).key([*cfg.pairs, ((3, 1), (1, 3))])}
+    plan = oracle_solve(grid, cfg, contract)
+    memo_budget = SearchBudget.limited(104)
+    assert oracle_solve(grid, cfg, contract, memo_budget, refuted=refuted) == plan
+
+
+def test_refutation_memo_never_answers_for_another_graph(grid):
+    """Refutations proved on a graph with fewer edges, and the same vertex
+    indices, must not be used on the full grid."""
+    sparse = GridGraph(
+        vertices=grid.vertices, edges=frozenset(e for e in grid.edges if (2, 2) not in e)
+    )
+    contract = contract_for(LemmaId.HEAVY5)
+    cfgs = list(enumerate_configs(LemmaId.HEAVY5))
+    refuted = {}
+    on_sparse = [oracle_solve(sparse, cfg, contract, refuted=refuted) for cfg in cfgs]
+    on_grid = [oracle_solve(grid, cfg, contract, refuted=refuted) for cfg in cfgs]
+    assert on_grid == [oracle_solve(grid, cfg, contract) for cfg in cfgs]
+    # the sparse graph refutes trail systems the full grid has
+    assert refuted[sparse] - refuted[grid]
+    assert any(s is None and g is not None for s, g in zip(on_sparse, on_grid))

@@ -13,20 +13,9 @@ import pathlib
 import pytest
 
 from escape3x3.model import plan_to_json
-from escape3x3.router import route
-from escape3x3.terminals import LemmaId, enumerate_configs
 
 REFERENCE = pathlib.Path(__file__).parents[1] / "perfbench" / "reference.json"
 DIGEST_CHARS = 12
-
-
-@pytest.fixture(scope="module")
-def sweep():
-    return [
-        (cfg, *route(cfg, strict=True))
-        for lemma in (LemmaId.HEAVY78, LemmaId.HEAVY6, LemmaId.HEAVY5)
-        for cfg in enumerate_configs(lemma)
-    ]
 
 
 def _digest(plan) -> str:
@@ -34,13 +23,13 @@ def _digest(plan) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:DIGEST_CHARS]
 
 
-def test_plans_match_reference_digests(sweep):
+def test_plans_match_reference_digests(strict_sweep):
     reference = json.loads(REFERENCE.read_text(encoding="utf-8"))["solve"]
-    assert reference["count"] == len(sweep) == 9765
-    digests = "".join(_digest(plan) for _, plan, _ in sweep)
+    assert reference["count"] == len(strict_sweep) == 9765
+    digests = "".join(_digest(plan) for _, _, plan, _ in strict_sweep)
     mismatched = [
         i
-        for i in range(len(sweep))
+        for i in range(len(strict_sweep))
         if digests[i * DIGEST_CHARS : (i + 1) * DIGEST_CHARS]
         != reference["item_digests"][i * DIGEST_CHARS : (i + 1) * DIGEST_CHARS]
     ]
@@ -52,7 +41,7 @@ def test_plans_match_reference_digests(sweep):
     [("retry:unrestricted", "L3/b/S3", 18), ("retry:joint", "L3/c/S3-t2-in-row", 6)],
     ids=["unrestricted", "joint"],
 )
-def test_retry_notes_only_in_their_case(sweep, note, case, count):
-    noted = [trace for _, _, trace in sweep if note in trace.case_labels[1:]]
+def test_retry_notes_only_in_their_case(strict_sweep, note, case, count):
+    noted = [trace for _, _, _, trace in strict_sweep if note in trace.case_labels[1:]]
     assert len(noted) == count
     assert {trace.case_labels[0] for trace in noted} == {case}

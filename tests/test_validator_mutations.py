@@ -27,8 +27,7 @@ from escape3x3.model import (
     validate_plan,
     validate_plan_recheck,
 )
-from escape3x3.router import route
-from escape3x3.terminals import LemmaId, enumerate_configs
+from escape3x3.terminals import LemmaId
 
 
 def _edges_of(paths):
@@ -131,13 +130,13 @@ def _corruptions(grid, plan, bound, n):
 
 
 @pytest.mark.parametrize("lemma", [LemmaId.HEAVY78, LemmaId.HEAVY6, LemmaId.HEAVY5])
-def test_validators_reject_single_step_corruptions(grid, lemma):
+def test_validators_reject_single_step_corruptions(grid, strict_sweep, lemma):
     contract = contract_for(lemma)
     bound = contract.max_exits_in_restricted
     built = dict.fromkeys(("drop", "move", "swap", "reuse", "stub"), 0)
     eligible = dict(built)
-    for n, cfg in enumerate(enumerate_configs(lemma)):
-        plan, _ = route(cfg, strict=True)
+    routed = [(cfg, plan) for family, cfg, plan, _ in strict_sweep if family is lemma]
+    for n, (cfg, plan) in enumerate(routed):
         k = len(plan.escapes)
         eligible["drop"] += k >= 1
         eligible["move"] += k >= 1
