@@ -1,4 +1,4 @@
-"""Pure-Python twin of the edge-disjoint trail packing kernel.
+"""The edge-disjoint trail packing kernel, in pure Python.
 
 Given a small graph (adjacency lists over vertex indices, edges numbered
 into a bitmask) and a sequence of (start, end) endpoint pairs, finds the
@@ -14,9 +14,6 @@ row is filled lazily, all vertices in one pass, the first time its mask is
 seen; nothing is built at import.  The memo is bounded: every grid graph
 is an induced subgraph of the 3x3 grid, so it has at most 12 edges and its
 table at most 4,096 rows.
-
-The compiled twin in _kernel_cy.pyx mirrors this enumeration order and the
-node-counting exactly; both backends must return identical results.
 """
 
 from __future__ import annotations

@@ -69,16 +69,12 @@ class CampaignReport:
 
 
 def _verify_one(args):
-    lemma_value, strict, index, cfg_json = args
-    from .terminals import decode_config
-
+    lemma_value, strict, index, cfg = args
     lemma = LemmaId(lemma_value)
-    cfg = decode_config(cfg_json)
     contract = contract_for(lemma)
     grid = full_grid()
     record = {
         "index": index,
-        "config": cfg_json,
         "label": None,
         "fallback": False,
         "violations": [],
@@ -114,10 +110,8 @@ def verify_all(lemma: LemmaId, strict: bool = False, jobs: int = 1) -> CampaignR
     started = time.perf_counter()
     _refuted.clear()
     report = CampaignReport(lemma=lemma.value)
-    tasks = [
-        (lemma.value, strict, i, encode_config(cfg))
-        for i, cfg in enumerate(enumerate_configs(lemma))
-    ]
+    configs = list(enumerate_configs(lemma))
+    tasks = [(lemma.value, strict, i, cfg) for i, cfg in enumerate(configs)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_verify_one, tasks, chunksize=64))
@@ -139,7 +133,9 @@ def verify_all(lemma: LemmaId, strict: bool = False, jobs: int = 1) -> CampaignR
                 report.case_histogram.get(rec["label"], 0) + 1
             )
         if problems:
-            report.failures.append({"config": rec["config"], "problems": problems})
+            report.failures.append(
+                {"config": encode_config(configs[rec["index"]]), "problems": problems}
+            )
         else:
             report.valid += 1
     report.dead_labels = sorted(CASE_LABELS[lemma] - set(report.case_histogram))

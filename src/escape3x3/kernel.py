@@ -1,13 +1,11 @@
-"""Trail-packing kernel with backend selection.
+"""Trail-packing kernel: graph descriptors and the vertex-level wrapper.
 
-The compiled Cython kernel is preferred when available; the pure-Python
-twin is always present.  Set ESCAPE3X3_KERNEL=py or =cy to force a backend.
-Both backends return bit-identical results; the test suite compares them.
+``solve_trails`` translates vertices and edges to the indices and bitmasks
+of ``desc_for`` and runs the search in ``_kernel_py``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -15,22 +13,10 @@ from . import _kernel_py
 from .grid import Edge, GridGraph, Vertex
 from .model import Path
 
-_choice = os.environ.get("ESCAPE3X3_KERNEL", "").strip().lower()
-if _choice in ("py", "python"):
-    _impl = _kernel_py
-    BACKEND = "python"
-elif _choice in ("cy", "cython"):
-    from . import _kernel_cy as _impl  # type: ignore[attr-defined]
-
-    BACKEND = "cython"
-else:
-    try:
-        from . import _kernel_cy as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "cython"
-    except ImportError:
-        _impl = _kernel_py
-        BACKEND = "python"
+# solve_trails reads _impl.find_trail_system at each call, so a wrapper set
+# on the module attribute (as a tracer does) takes effect
+_impl = _kernel_py
+BACKEND = "python"
 
 FOUND = _kernel_py.FOUND
 NONE = _kernel_py.NONE
@@ -60,11 +46,6 @@ class GraphDesc:
 def desc_for(g: GridGraph) -> GraphDesc:
     vertices = g.sorted_vertices()
     edges = g.sorted_edges()
-    if len(vertices) > 32:
-        # the compiled reach keeps a 32-bit visited mask and a 32-slot stack
-        raise ValueError("kernel supports at most 32 vertices")
-    if len(edges) > 63:
-        raise ValueError("kernel supports at most 63 edges")
     vindex = {v: i for i, v in enumerate(vertices)}
     adj: list[list[tuple[int, int]]] = [[] for _ in vertices]
     for eid, (a, b) in enumerate(edges):

@@ -1,5 +1,6 @@
 import json
 
+from escape3x3 import campaign
 from escape3x3.campaign import (
     EXIT_CASE_GAP,
     EXIT_OK,
@@ -8,7 +9,7 @@ from escape3x3.campaign import (
     CampaignReport,
     verify_all,
 )
-from escape3x3.terminals import LemmaId
+from escape3x3.terminals import LemmaId, encode_config, enumerate_configs
 
 
 def test_report_invariant_valid_plus_failures_is_total():
@@ -23,6 +24,16 @@ def test_parallel_report_matches_sequential():
     seq.pop("wall_time")
     par.pop("wall_time")
     assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
+
+
+def test_failures_carry_the_encoded_config(monkeypatch):
+    monkeypatch.setattr(campaign, "oracle_solve", lambda *args, **kwargs: None)
+    report = verify_all(LemmaId.HEAVY5, strict=True)
+    assert report.failures == [
+        {"config": encode_config(cfg), "problems": ["ORACLE_NONE"]}
+        for cfg in enumerate_configs(LemmaId.HEAVY5)
+    ]
+    assert report.exit_status() == EXIT_ORACLE_DISAGREEMENT
 
 
 def test_exit_status_priorities():
