@@ -57,7 +57,7 @@ def _cmd_solve(args) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             cfg = decode_config(json.load(fh))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except MalformedConfigError as exc:

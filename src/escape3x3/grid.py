@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 Vertex = tuple[int, int]
 Edge = tuple[Vertex, Vertex]
@@ -55,11 +54,6 @@ def edge(u: Vertex, v: Vertex) -> Edge:
     if not adjacent(u, v):
         raise GridError(f"{u} and {v} are not grid-adjacent")
     return (u, v) if u < v else (v, u)
-
-
-def edges_of_walk(vertices: Iterable[Vertex]) -> list[Edge]:
-    vs = list(vertices)
-    return [edge(a, b) for a, b in zip(vs, vs[1:])]
 
 
 @dataclass(frozen=True)
@@ -127,7 +121,7 @@ def col_edges(j: int) -> frozenset[Edge]:
     return frozenset(edge((r, j), (r + 1, j)) for r in range(1, GRID_SIZE))
 
 
-L_EDGES: frozenset[Edge] = frozenset(edges_of_walk(L_ORDER))
+L_EDGES: frozenset[Edge] = frozenset(edge(a, b) for a, b in zip(L_ORDER, L_ORDER[1:]))
 S_EDGES: frozenset[Edge] = frozenset(
     {edge((1, 1), (1, 2)), edge((1, 2), (2, 2)), edge((2, 1), (2, 2)), edge((1, 1), (2, 1))}
 )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .grid import (
     BOUNDARY,
@@ -22,7 +22,7 @@ from .grid import (
     Vertex,
     adjacent,
     edge,
-    edges_of_walk,
+    full_grid,
     reflect_vertex,
 )
 from .terminals import LemmaId, TerminalConfig
@@ -32,21 +32,39 @@ class PathError(ValueError):
     """Raised when a vertex sequence is not an edge-simple grid trail."""
 
 
-@dataclass(frozen=True, order=True)
+# Each step of the corner grid, either way, to its one canonical edge tuple:
+# a Path keeps its edges, and a shared tuple costs it only a reference.
+_STEP_EDGE = {(a, b): edge(a, b) for e in full_grid().edges for a, b in (e, e[::-1])}
+
+
+@dataclass(frozen=True, order=True, slots=True)
 class Path:
+    """A trail given by its vertex sequence.
+
+    The constructor checks the walk once and keeps the canonical edges it
+    steps along, in walk order; ``edges()`` hands those back.  Slots, in
+    place of an instance dict, pay for the memory the kept edges take.
+    """
+
     vertices: tuple[Vertex, ...]
+    _edges: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.vertices:
             raise PathError("a path needs at least one vertex")
+        edges: list[Edge] = []
         seen: set[Edge] = set()
         for a, b in zip(self.vertices, self.vertices[1:]):
-            if not adjacent(a, b):
-                raise PathError(f"{a} -> {b} is not a grid step")
-            e = edge(a, b)
+            e = _STEP_EDGE.get((a, b))
+            if e is None:  # a step off the corner grid (other kernel graphs)
+                if not adjacent(a, b):
+                    raise PathError(f"{a} -> {b} is not a grid step")
+                e = (a, b) if a < b else (b, a)
             if e in seen:
                 raise PathError(f"edge {e} traversed twice")
             seen.add(e)
+            edges.append(e)
+        object.__setattr__(self, "_edges", tuple(edges))
 
     @property
     def start(self) -> Vertex:
@@ -57,7 +75,7 @@ class Path:
         return self.vertices[-1]
 
     def edges(self) -> list[Edge]:
-        return edges_of_walk(self.vertices)
+        return list(self._edges)
 
     def is_zero_length(self) -> bool:
         return len(self.vertices) == 1

@@ -55,7 +55,7 @@ from .model import (
     reflected_plan,
     validate_plan,
 )
-from .oracle import SearchBudget, oracle_solve
+from .oracle import oracle_solve
 from .terminals import LemmaId, TerminalConfig, family_of
 from .toolkit import (
     FrameSpec,
@@ -212,7 +212,7 @@ def _col_budget(ctx: RoutingContext, staying) -> int | None:
     bound = contract_for(family_of(ctx.cfg)).max_exits_in_restricted
     if bound is None:
         return None
-    used = sum(1 for x, _ in ctx.escaped.values() if x in COL_ONLY)
+    used = sum(1 for tid in ctx.escaped if ctx.trails[tid].end in COL_ONLY)
     return bound - used - sum(1 for tid in staying if ctx.positions[tid] in COL_ONLY)
 
 
@@ -311,7 +311,6 @@ def _mate_to_anchors(
                 ctx.finish_link(i, core)
             ctx.move(tid_x, trails[-2])
             ctx.move(tid_y, trails[-1])
-            ctx.reserved_exits.update(anchors)
             ctx.notes.append("clip:direct")
             return
     raise CaseGap(f"{label}: cannot mate {x}, {y} onto {anchors}")
@@ -532,7 +531,7 @@ def _h5_case_b(cfg: TerminalConfig):
     if _both_col_stub_occupied(ctx):
         _cascade_shift_through_corner(ctx, label)
     # Link to the pair member's current position (it may have shifted).
-    member = [tid for tid in (("p", 0, 0), ("p", 0, 1)) if ctx.origins[tid] == t1][0]
+    member = [tid for tid in (("p", 0, 0), ("p", 0, 1)) if ctx.trails[tid].start == t1][0]
     other = ("p", 0, 1 - member[2])
     trails = _joint_trails(ctx, [(ctx.positions[other], ctx.positions[member])])
     if trails is None:
@@ -1518,7 +1517,7 @@ def route(cfg: TerminalConfig, strict: bool = False) -> tuple[EscapePlan, CaseTr
     except (CaseGap, ToolkitError) as exc:
         if strict:
             raise CaseGap(f"{lemma.value}: {exc}") from exc
-        plan = oracle_solve(full_grid(), cfg, contract_for(lemma), SearchBudget())
+        plan = oracle_solve(full_grid(), cfg, contract_for(lemma))
         if plan is None:
             raise RouterError(f"no plan exists for {cfg}") from exc
         return plan, CaseTrace(lemma, ("fallback",), used_fallback=True)

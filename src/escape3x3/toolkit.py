@@ -1,8 +1,8 @@
 """Construction primitives for the constructive router.
 
-A RoutingContext tracks the free edges, the current position of every
-unresolved terminal, and the path fragments each terminal has accumulated
-(from shifts and matings).  The primitives:
+A RoutingContext tracks the free edges and one trail per terminal, grown
+by every shift, mating and escape; an unresolved terminal sits at its
+trail's end.  The primitives:
 
 * shifting a terminal along the boundary path, consuming its edges;
 * mating two terminals through a clip (a boundary-anchored subgraph in
@@ -34,7 +34,6 @@ from .grid import (
     Vertex,
     cycle_edges,
     edge,
-    edges_of_walk,
     full_grid,
     unique_l_path,
 )
@@ -85,30 +84,34 @@ def partner(tid: TermId) -> TermId | None:
 
 @dataclass
 class RoutingContext:
-    """Mutable bookkeeping for one routing job; single-owner."""
+    """Mutable bookkeeping for one routing job; single-owner.
+
+    Every terminal owns one trail, ``trails[tid]``, which starts at the
+    terminal and grows with each move (shift, mating, escape).  An unresolved
+    terminal sits in ``positions`` at its trail's end; an escaped one exits
+    at its trail's end; a linked pair's linkage is its two trails joined by
+    a core.  ``free`` holds the edges no trail or core has consumed.
+    """
 
     grid: GridGraph
     cfg: TerminalConfig
     free: set[Edge]
     positions: dict[TermId, Vertex]
-    origins: dict[TermId, Vertex]
-    fragments: dict[TermId, list[Path]]
-    reserved_exits: set[Vertex] = field(default_factory=set)
+    trails: dict[TermId, Path]
     linked: dict[int, Path] = field(default_factory=dict)
-    escaped: dict[TermId, tuple[Vertex, Path]] = field(default_factory=dict)
+    escaped: set[TermId] = field(default_factory=set)
     notes: list[str] = field(default_factory=list)
 
     @staticmethod
-    def fresh(cfg: TerminalConfig, grid: GridGraph | None = None) -> "RoutingContext":
-        grid = grid or full_grid()
+    def fresh(cfg: TerminalConfig) -> "RoutingContext":
+        grid = full_grid()
         ids = term_ids(cfg)
         return RoutingContext(
             grid=grid,
             cfg=cfg,
             free=set(grid.edges),
             positions=dict(ids),
-            origins=dict(ids),
-            fragments={tid: [] for tid in ids},
+            trails={tid: Path((v,)) for tid, v in ids.items()},
         )
 
     # -- queries ----------------------------------------------------------
@@ -117,18 +120,12 @@ class RoutingContext:
         return sorted(tid for tid, pos in self.positions.items() if pos == v)
 
     def is_free_vertex(self, v: Vertex) -> bool:
-        """A boundary vertex hosting no unresolved terminal, not reserved."""
+        """A boundary vertex hosting neither an unresolved terminal nor an exit."""
         return (
             v in BOUNDARY
-            and v not in self.reserved_exits
-            and not any(pos == v for pos in self.positions.values())
+            and v not in self.positions.values()
+            and all(self.trails[tid].end != v for tid in self.escaped)
         )
-
-    def assembled(self, tid: TermId) -> Path:
-        path = Path((self.origins[tid],))
-        for frag in self.fragments[tid]:
-            path = path + frag
-        return path
 
     # -- mutations --------------------------------------------------------
 
@@ -147,7 +144,7 @@ class RoutingContext:
         if path.is_zero_length():
             return
         self.consume(path.edges())
-        self.fragments[tid].append(path)
+        self.trails[tid] = self.trails[tid] + path
         self.positions[tid] = path.end
         self._self_check()
 
@@ -158,20 +155,15 @@ class RoutingContext:
         tids = self.terminals_at(u)
         if not tids:
             raise ToolkitError(f"no terminal at {u} to shift")
-        walk = unique_l_path(u, v)
-        for e in edges_of_walk(walk):
+        path = Path(unique_l_path(u, v))
+        for e in path.edges():
             if e not in self.free:
                 raise ShiftBlocked(f"boundary edge {e} already consumed")
-        self.move(tids[0], Path(walk))
+        self.move(tids[0], path)
 
-    def finish_escape(self, tid: TermId, exit_vertex: Vertex | None = None) -> None:
+    def finish_escape(self, tid: TermId) -> None:
         """Resolve a terminal as escaping at its current position."""
-        pos = self.positions[tid]
-        if exit_vertex is not None and exit_vertex != pos:
-            raise ToolkitError(f"{tid} is at {pos}, cannot exit at {exit_vertex}")
-        full = self.assembled(tid)
-        self.escaped[tid] = (pos, full)
-        self.reserved_exits.add(pos)
+        self.escaped.add(tid)
         del self.positions[tid]
 
     def escape_via(self, tid: TermId, path: Path) -> None:
@@ -192,8 +184,7 @@ class RoutingContext:
             core = core.reversed()
         if not core.is_zero_length():
             self.consume(core.edges())
-        full = self.assembled(a) + core + self.assembled(b).reversed()
-        self.linked[pair_index] = full
+        self.linked[pair_index] = self.trails[a] + core + self.trails[b].reversed()
         del self.positions[a]
         del self.positions[b]
         self._self_check()
@@ -201,30 +192,25 @@ class RoutingContext:
     def plan(self):
         from .model import EscapePlan
 
-        escapes = [
-            (self.origins[tid], exit_v, path)
-            for tid, (exit_v, path) in self.escaped.items()
-        ]
-        return EscapePlan.build(dict(self.linked), escapes)
+        escapes = [self.trails[tid] for tid in self.escaped]
+        return EscapePlan.build(dict(self.linked), [(t.start, t.end, t) for t in escapes])
 
     def _self_check(self) -> None:
+        """Assert what the trails do not guarantee by construction: no edge
+        in two trails, no trail or linkage edge still free, and every
+        unresolved terminal at its trail's end."""
         if not __debug__:
             return
         used: set[Edge] = set()
-        for tid, frags in self.fragments.items():
-            at = self.origins[tid]
-            for frag in frags:
-                assert frag.start == at, f"fragment chain broken for {tid}"
-                at = frag.end
-                for e in frag.edges():
-                    assert e not in used, f"edge {e} in two fragments"
-                    used.add(e)
-            if tid in self.positions:
-                assert at == self.positions[tid]
+        for tid, trail in self.trails.items():
+            edges = trail.edges()
+            assert used.isdisjoint(edges), f"trail of {tid} shares an edge"
+            used.update(edges)
         for path in self.linked.values():
-            for e in path.edges():
-                assert e not in self.free, "linked path edge still free"
-        assert not (used & self.free), "fragment edge still marked free"
+            used.update(path.edges())
+        assert used.isdisjoint(self.free), "trail or linkage edge still free"
+        for tid, pos in self.positions.items():
+            assert self.trails[tid].end == pos, f"{tid} is not at its trail's end"
 
 
 # -- clips ----------------------------------------------------------------
@@ -281,12 +267,11 @@ def verify_clip(g: GridGraph, clip: ClipSpec) -> Verdict:
 
 
 def _mating_paths(
-    g: GridGraph, clip: ClipSpec, x: Vertex, y: Vertex, free=None
+    g: GridGraph, clip: ClipSpec, x: Vertex, y: Vertex
 ) -> tuple[Path, Path] | None:
     """Edge-disjoint trails from {x, y} onto {u, v} within the clip."""
-    edges = clip.edges if free is None else (clip.edges & free)
     for a, b in ((x, y), (y, x)):
-        trails, _, _ = kernel.solve_trails(g, edges, [(a, clip.u), (b, clip.v)])
+        trails, _, _ = kernel.solve_trails(g, clip.edges, [(a, clip.u), (b, clip.v)])
         if trails is not None:
             first, second = trails
             return (first, second) if a == x else (second, first)
@@ -307,7 +292,6 @@ def mate_through_clip(ctx: RoutingContext, clip: ClipSpec, x: Vertex, y: Vertex)
         raise ClipFailed(f"no unresolved terminals at {x} and {y}")
     ctx.move(tx[0], px)
     ctx.move(ty[0], py)
-    ctx.reserved_exits.update({clip.u, clip.v})
     ctx.notes.append(f"clip:{clip.name}")
 
 

@@ -51,6 +51,19 @@ def test_solve_rejects_malformed(tmp_path, capsys):
         assert "malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"pairs": [], "singletons": [[1, 1]], "note": "\xff"}', b"[" * 100_000],
+    ids=["not-utf8", "nested-past-recursion-limit"],
+)
+def test_solve_rejects_unreadable(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    status = main(["solve", "--config", str(path)])
+    assert status == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
 def test_solve_rejects_unsupported_family(tmp_path, capsys):
     cfg = {
         "pairs": [[[1, 1], [2, 2]], [[1, 2], [2, 1]], [[1, 3], [3, 1]]],

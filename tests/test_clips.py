@@ -24,6 +24,13 @@ def test_clip_kinds_match_anchors(name):
     assert clip.kind == expected
 
 
+def test_every_catalogued_clip_serves_a_strict_mating(strict_sweep):
+    # dead-clip alarm: a clip no strict route mates through is dead weight
+    noted = {label for *_, trace in strict_sweep for label in trace.case_labels[1:]}
+    unused = sorted(name for name in clip_catalog() if f"clip:{name}" not in noted)
+    assert not unused, f"catalogued clips no strict route mates through: {unused}"
+
+
 def test_catalog_covers_all_anchor_pairs_used_by_the_router():
     wanted = {
         frozenset({(3, 1), (3, 2)}),

@@ -31,6 +31,20 @@ def test_path_allows_vertex_revisit():
     assert p.start == (1, 2) and p.end == (1, 3)
 
 
+def test_path_keeps_canonical_edges_in_walk_order():
+    p = path_of((1, 2), (1, 1), (2, 1), (2, 2))
+    assert p.edges() == [((1, 1), (1, 2)), ((1, 1), (2, 1)), ((2, 1), (2, 2))]
+    p.edges().clear()  # each call hands out a fresh list
+    assert len(p.edges()) == 3
+    assert p == Path(p.vertices) and hash(p) == hash(Path(p.vertices))
+    # steps off the corner grid (other kernel graphs) take the same checks
+    assert path_of((3, 4), (3, 3), (4, 3)).edges() == [((3, 3), (3, 4)), ((3, 3), (4, 3))]
+    with pytest.raises(PathError):
+        path_of((1, 4), (1, 5), (1, 4))
+    with pytest.raises(PathError):
+        path_of((4, 4), (5, 5))
+
+
 def test_zero_length_path():
     p = path_of((2, 3))
     assert p.is_zero_length()

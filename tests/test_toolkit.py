@@ -89,7 +89,8 @@ def test_clip_catalog_mating_consumes_only_used_edges():
     ctx = _ctx([], [(1, 1), (2, 2), (3, 3)])
     mate_through_clip(ctx, clip, (1, 1), (2, 2))
     assert {ctx.positions[("s", 0)], ctx.positions[("s", 1)]} == {(3, 1), (3, 2)}
-    assert ctx.reserved_exits == {(3, 1), (3, 2)}
+    # the mated terminals hold the clip anchors
+    assert not ctx.is_free_vertex((3, 1)) and not ctx.is_free_vertex((3, 2))
     # the mating uses two disjoint branches; nothing else is consumed
     used = full_grid().edges - ctx.free
     assert used < clip.edges or used == clip.edges
@@ -179,5 +180,21 @@ def test_free_vertex_accounting():
     assert not ctx.is_free_vertex((2, 2))  # off the boundary
     ctx.finish_link(0, Path(((3, 1), (3, 2), (3, 3), (2, 3), (1, 3))))
     assert ctx.is_free_vertex((3, 1))  # freed by the linkage
-    ctx.reserved_exits.add((3, 1))
-    assert not ctx.is_free_vertex((3, 1))
+    ctx.escape_via(("s", 0), path_of((2, 2), (2, 1), (3, 1)))
+    assert not ctx.is_free_vertex((3, 1))  # taken by the escape's exit
+
+
+def test_self_check_catches_a_consumed_trail_edge_put_back():
+    ctx = _ctx([], [(2, 3)])
+    ctx.shift((2, 3), (3, 2))
+    ctx.free.add(edge((3, 3), (3, 2)))
+    with pytest.raises(AssertionError):
+        ctx._self_check()
+
+
+def test_self_check_catches_a_position_off_its_trail_end():
+    ctx = _ctx([], [(2, 3)])
+    ctx.shift((2, 3), (3, 3))
+    ctx.positions[("s", 0)] = (3, 2)  # the trail still ends at (3,3)
+    with pytest.raises(AssertionError):
+        ctx._self_check()
