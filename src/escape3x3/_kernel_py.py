@@ -6,14 +6,18 @@ lexicographically first system of pairwise edge-disjoint trails connecting
 every pair, by depth-first search.  Trails may revisit vertices but never
 reuse an edge; a zero-length trail is allowed when start == end.
 
-The search prunes with reachability over the still-free edges.  Instead of
-a graph search per query, reachability is read from a module-level memo
-keyed by the adjacency tuple: for each free-edge mask it holds one row
-giving, per vertex, the bitmask of that vertex's connected component.  A
-row is filled lazily, all vertices in one pass, the first time its mask is
-seen; nothing is built at import.  The memo is bounded: every grid graph
-is an induced subgraph of the 3x3 grid, so it has at most 12 edges and its
-table at most 4,096 rows.
+The search prunes with reachability over the still-free edges: a node
+returns at once if the current trail cannot reach its end, or the ends of a
+later pair are cut apart.  The free mask only shrinks below a node, so such
+a pair stays cut apart in the whole subtree: pruning drops only subtrees
+without a trail system and keeps the first one in depth-first order.
+Instead of a graph search per query, reachability is read from a
+module-level memo keyed by the adjacency tuple: for each free-edge mask it
+holds one row giving, per vertex, the bitmask of that vertex's connected
+component.  A row is filled lazily, all vertices in one pass, the first
+time its mask is seen; nothing is built at import.  The memo is bounded:
+every grid graph is an induced subgraph of the 3x3 grid, so it has at most
+12 edges and its table at most 4,096 rows.
 """
 
 from __future__ import annotations
@@ -72,13 +76,6 @@ def find_trail_system(adj, pairs, mask, max_nodes=0):
     state = [0, False]  # nodes, exhausted
     table = reach_table(adj)
 
-    def later_pairs_connected(row, i: int) -> bool:
-        for j in range(i, k):
-            a, b = pairs[j]
-            if a != b and not (row[a] >> b) & 1:
-                return False
-        return True
-
     def extend(i: int, m: int, path: list, cur: int) -> bool:
         if max_nodes and state[0] >= max_nodes:
             state[1] = True
@@ -88,13 +85,15 @@ def find_trail_system(adj, pairs, mask, max_nodes=0):
         row = table.get(m)
         if row is None:
             row = fill_row(adj, table, m)
+        for j in range(i + 1, k):
+            a, c = pairs[j]
+            if a != c and not (row[a] >> c) & 1:
+                return False
         if cur == b:
             trails[i] = tuple(path)
             if i + 1 == k:
                 return True
-            if later_pairs_connected(row, i + 1) and extend(
-                i + 1, m, [pairs[i + 1][0]], pairs[i + 1][0]
-            ):
+            if extend(i + 1, m, [pairs[i + 1][0]], pairs[i + 1][0]):
                 return True
             trails[i] = None
             if state[1]:

@@ -87,9 +87,18 @@ class Path:
         return Path(tuple(reflect_vertex(v) for v in self.vertices))
 
     def __add__(self, other: "Path") -> "Path":
+        """Join two trails end to start.  Each half is already a checked
+        trail, so only the seam and the halves' disjointness are checked;
+        the joined path keeps both edge tuples without walking them again."""
         if self.end != other.start:
             raise PathError(f"cannot join {self.end} to {other.start}")
-        return Path(self.vertices + other.vertices[1:])
+        shared = set(self._edges).intersection(other._edges)
+        if shared:
+            raise PathError(f"edge {min(shared)} traversed twice")
+        joined = object.__new__(Path)
+        object.__setattr__(joined, "vertices", self.vertices + other.vertices[1:])
+        object.__setattr__(joined, "_edges", self._edges + other._edges)
+        return joined
 
 
 def path_of(*vertices: Vertex) -> Path:
@@ -341,11 +350,12 @@ def validate_plan_recheck(
             resolved[cfg.pairs[i][1]] += 1
     for t, _, _ in plan.escapes:
         resolved[t] += 1
+    terminals = set(cfg.terminals)
     for t in cfg.terminals:
         if resolved[t] != 1:
             bad.append(Violation(Code.UNRESOLVED_TERMINAL, f"{t} resolved x{resolved[t]}"))
     for t in resolved:
-        if t not in set(cfg.terminals):
+        if t not in terminals:
             bad.append(Violation(Code.UNRESOLVED_TERMINAL, f"{t} is not a terminal"))
 
     # Clause: exits.

@@ -1,6 +1,8 @@
 """Kernel behavior."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from escape3x3 import _kernel_py, kernel
 from escape3x3.grid import GridGraph, build_corner_grid, edge, full_grid, grid_without_corner
@@ -107,3 +109,54 @@ def test_reach_table_filled_lazily():
     paths, _, _ = kernel.solve_trails(g, g.edges, [((1, 2), (3, 2))])
     assert paths is not None
     assert 0 < len(table) < 1 << len(desc.edges)
+
+
+def _naive_trail_system(adj, pairs, mask):
+    """The kernel's depth-first search with no pruning at all: every trail,
+    in adjacency order, pair after pair.  Counts one node per call."""
+    k = len(pairs)
+    trails = [None] * k
+    nodes = 0
+
+    def extend(i, m, path, cur):
+        nonlocal nodes
+        nodes += 1
+        if cur == pairs[i][1]:
+            trails[i] = tuple(path)
+            if i + 1 == k or extend(i + 1, m, [pairs[i + 1][0]], pairs[i + 1][0]):
+                return True
+        for w, eid in adj[cur]:
+            if (m >> eid) & 1:
+                path.append(w)
+                if extend(i, m & ~(1 << eid), path, w):
+                    return True
+                path.pop()
+        return False
+
+    if extend(0, mask, [pairs[0][0]], pairs[0][0]):
+        return _kernel_py.FOUND, tuple(trails), nodes
+    return _kernel_py.NONE, None, nodes
+
+
+_FULL = kernel.desc_for(full_grid())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    free=st.sets(st.sampled_from(_FULL.edges)),
+    pairs=st.lists(
+        st.tuples(st.sampled_from(_FULL.vertices), st.sampled_from(_FULL.vertices)),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_pruned_search_finds_the_first_trail_system(free, pairs):
+    """Pruning cuts only subtrees without a solution: the kernel returns the
+    naive search's status and trails, in no more nodes."""
+    vindex = _FULL.vindex
+    pairs_idx = tuple((vindex[a], vindex[b]) for a, b in pairs)
+    mask = _FULL.edge_mask(free)
+    status, trails, nodes = _kernel_py.find_trail_system(_FULL.adj, pairs_idx, mask)
+    naive_status, naive_trails, naive_nodes = _naive_trail_system(_FULL.adj, pairs_idx, mask)
+    assert (status, trails) == (naive_status, naive_trails)
+    assert nodes <= naive_nodes

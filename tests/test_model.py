@@ -45,6 +45,20 @@ def test_path_keeps_canonical_edges_in_walk_order():
         path_of((4, 4), (5, 5))
 
 
+def test_joined_path_keeps_both_halves():
+    left = path_of((1, 2), (1, 1), (2, 1))
+    right = path_of((2, 1), (2, 2), (1, 2), (1, 3))
+    joined = left + right
+    assert joined == Path(left.vertices + right.vertices[1:])
+    assert joined.edges() == left.edges() + right.edges()
+    assert left + path_of((2, 1)) == left
+    with pytest.raises(PathError, match="cannot join"):
+        left + path_of((2, 2), (2, 3))
+    # the right half is a trail (a cycle) but shares two edges with the left
+    with pytest.raises(PathError, match="traversed twice"):
+        left + path_of((2, 1), (2, 2), (1, 2), (1, 1), (2, 1))
+
+
 def test_zero_length_path():
     p = path_of((2, 3))
     assert p.is_zero_length()

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from escape3x3.oracle import (
     pair_keys,
 )
 from escape3x3.terminals import LemmaId, enumerate_configs, make_config
+from test_strict_sweep import DIGEST_CHARS, REFERENCE, _digest
 
 
 def test_weakly_2_linked_full_grid(grid):
@@ -102,22 +104,44 @@ def test_oracle_prefers_more_linked_pairs(grid):
 
 
 def test_oracle_budget_spent_exactly_stops_search(grid):
-    """The first kernel call fails after exactly 215 nodes; a budget of 215
+    """The first kernel call fails after exactly 59 nodes; a budget of 59
     must stop there rather than let the next call run uncapped (the plan
-    costs 319 nodes)."""
+    costs 93 nodes)."""
     cfg = make_config([((1, 1), (2, 1)), ((1, 2), (2, 2)), ((1, 3), (2, 3))], [(3, 1)])
     contract = contract_for(LemmaId.HEAVY78)
     first, nodes, _ = kernel.solve_trails(
         grid, grid.edges, [*cfg.pairs, ((3, 1), (1, 3))]
     )
-    assert first is None and nodes == 215
+    assert first is None and nodes == 59
     with pytest.raises(BudgetExhausted) as info:
-        oracle_solve(grid, cfg, contract, SearchBudget.limited(215))
-    assert info.value.nodes == 215
+        oracle_solve(grid, cfg, contract, SearchBudget.limited(59))
+    assert info.value.nodes == 59
     plan = oracle_solve(grid, cfg, contract)
-    assert oracle_solve(grid, cfg, contract, SearchBudget.limited(319)) == plan
+    assert oracle_solve(grid, cfg, contract, SearchBudget.limited(93)) == plan
     with pytest.raises(BudgetExhausted):
-        oracle_solve(grid, cfg, contract, SearchBudget.limited(318))
+        oracle_solve(grid, cfg, contract, SearchBudget.limited(92))
+
+
+def test_refute_witnesses_match_reference_digests(grid):
+    """The oracle's plan for every one-pair heavy6 configuration of the
+    extended enumeration, in enumeration order, is pinned to the digests in
+    ``perfbench/reference.json`` (only read); a refutation's digest is
+    dashes."""
+    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))["refute"]
+    contract = contract_for(LemmaId.HEAVY6)
+    cfgs = [c for c in enumerate_configs(LemmaId.HEAVY6, extended=True) if len(c.pairs) == 1]
+    plans = [oracle_solve(grid, cfg, contract) for cfg in cfgs]
+    assert reference["count"] == len(plans) == 1260
+    infeasible = [i for i, plan in enumerate(plans) if plan is None]
+    assert infeasible == reference["infeasible"] and len(infeasible) == 106
+    digests = "".join("-" * DIGEST_CHARS if plan is None else _digest(plan) for plan in plans)
+    mismatched = [
+        i
+        for i in range(len(plans))
+        if digests[i * DIGEST_CHARS : (i + 1) * DIGEST_CHARS]
+        != reference["item_digests"][i * DIGEST_CHARS : (i + 1) * DIGEST_CHARS]
+    ]
+    assert not mismatched, f"{len(mismatched)} witnesses differ, first at item {mismatched[0]}"
 
 
 def test_budget_zero_rejected():
@@ -327,19 +351,19 @@ def test_refutation_memo_records_only_complete_searches(grid):
     """A search cut short by the budget adds nothing; a complete failing
     search adds its key, and a later call skips it at no node cost.  The
     configuration is the one of test_oracle_budget_spent_exactly_stops_search:
-    its first kernel call fails after exactly 215 nodes, and its plan costs
-    319 nodes without a memo."""
+    its first kernel call fails after exactly 59 nodes, and its plan costs
+    93 nodes without a memo."""
     cfg = make_config([((1, 1), (2, 1)), ((1, 2), (2, 2)), ((1, 3), (2, 3))], [(3, 1)])
     contract = contract_for(LemmaId.HEAVY78)
     refuted = {}
     with pytest.raises(BudgetExhausted):
-        oracle_solve(grid, cfg, contract, SearchBudget.limited(214), refuted=refuted)
+        oracle_solve(grid, cfg, contract, SearchBudget.limited(58), refuted=refuted)
     assert not refuted.get(grid)
     with pytest.raises(BudgetExhausted):
-        oracle_solve(grid, cfg, contract, SearchBudget.limited(215), refuted=refuted)
+        oracle_solve(grid, cfg, contract, SearchBudget.limited(59), refuted=refuted)
     assert refuted[grid] == {pair_keys(grid).key([*cfg.pairs, ((3, 1), (1, 3))])}
     plan = oracle_solve(grid, cfg, contract)
-    memo_budget = SearchBudget.limited(104)
+    memo_budget = SearchBudget.limited(34)
     assert oracle_solve(grid, cfg, contract, memo_budget, refuted=refuted) == plan
 
 
