@@ -168,17 +168,6 @@ class EscapePlan:
     def linkage_map(self) -> dict[int, Path]:
         return dict(self.linkages)
 
-    def reflected(self) -> "EscapePlan":
-        return EscapePlan(
-            linkages=tuple((i, p.reflected()) for i, p in self.linkages),
-            escapes=tuple(
-                sorted(
-                    (reflect_vertex(t), reflect_vertex(x), p.reflected())
-                    for t, x, p in self.escapes
-                )
-            ),
-        )
-
     def all_paths(self) -> list[Path]:
         return [p for _, p in self.linkages] + [p for _, _, p in self.escapes]
 
@@ -374,17 +363,17 @@ def validate_plan_recheck(
 
 
 def reflected_plan(cfg, plan: EscapePlan) -> EscapePlan:
-    """Reflect a plan across the diagonal, re-keying pair indices to the
-    canonical ordering of the reflected configuration."""
-    reflected = plan.reflected()
+    """Reflect a plan for ``cfg`` across the diagonal, re-keying pair indices
+    to the canonical ordering of the reflected configuration."""
     target = cfg.reflected()
-    index_map = {}
-    for i, (a, b) in enumerate(cfg.pairs):
-        image = tuple(sorted((reflect_vertex(a), reflect_vertex(b))))
-        index_map[i] = target.pairs.index(image)
-    return EscapePlan.build(
-        {index_map[i]: p for i, p in reflected.linkages}, reflected.escapes
-    )
+    linkages = {}
+    for i, p in plan.linkages:
+        image = tuple(sorted(reflect_vertex(v) for v in cfg.pairs[i]))
+        linkages[target.pairs.index(image)] = p.reflected()
+    escapes = [
+        (reflect_vertex(t), reflect_vertex(x), p.reflected()) for t, x, p in plan.escapes
+    ]
+    return EscapePlan.build(linkages, escapes)
 
 
 def reflected_contract(contract: EscapeContract) -> EscapeContract:

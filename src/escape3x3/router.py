@@ -3,12 +3,17 @@
 Each router follows a fixed case tree keyed on where the terminals sit
 (inner square vs boundary, pair composition), assembling plans from the
 toolkit primitives: boundary shifts, clip matings, frames, and linkages
-restricted to stated subregions.  A case handler resolves the terminals
-its case names; the dispatcher then lets every other boundary terminal exit
-where it stands, and every exit assignment takes its budget of last-column
-exits from the family's contract.  Every produced plan is validated; in
-strict mode a case whose construction fails raises CaseGap, otherwise the
-exhaustive oracle is substituted and the fallback is recorded on the trace.
+restricted to stated subregions.  Every step the cases repeat is written
+once, as one helper: a search that must succeed (``_must_trails``), a
+linkage along the boundary (``_link_on_l``), clearing the last-column stub
+(``_clear_col_stub``), a mating onto anchors, a diagonal split.  A case
+handler resolves the terminals its case names; the dispatcher then lets
+every other boundary terminal exit where it stands, and every exit
+assignment takes its budget of last-column exits from the family's
+contract.  Each plan is validated once, after it is carried back to the
+configuration asked for; in strict mode a case whose construction fails
+raises CaseGap, otherwise the exhaustive oracle is substituted and the
+fallback is recorded on the trace.
 
 Where a case leaves a choice open (which free vertex, which of several
 catalogued clips), ties are broken lexicographically so that routing is
@@ -75,11 +80,9 @@ class RouterError(RuntimeError):
 class CaseGap(RouterError):
     """A documented case matched but its construction could not complete."""
 
-    code = "CASE_GAP"
-
 
 class UnsupportedFamily(ValueError):
-    code = "UNSUPPORTED_FAMILY"
+    pass
 
 
 @dataclass(frozen=True)
@@ -182,6 +185,11 @@ def _pairs_within(cfg: TerminalConfig, region: frozenset[Vertex]) -> list[int]:
     return [i for i, (a, b) in enumerate(cfg.pairs) if a in region and b in region]
 
 
+def _pair_index(cfg: TerminalConfig, v: Vertex) -> int | None:
+    """The index of the pair holding ``v``; None if no pair does."""
+    return next((i for i, p in enumerate(cfg.pairs) if v in p), None)
+
+
 def _row_walk(v: Vertex, col: int) -> tuple[Vertex, ...]:
     r, c = v
     step = 1 if col >= c else -1
@@ -194,11 +202,31 @@ def _col_walk(v: Vertex, row: int) -> tuple[Vertex, ...]:
     return tuple((rr, c) for rr in range(r, row + step, step))
 
 
+def _inner(ctx: RoutingContext) -> list:
+    """The unresolved terminals inside the square, in id order (the order
+    ``positions`` keeps)."""
+    return [tid for tid, v in ctx.positions.items() if v in INNER_SQUARE]
+
+
+def _first_free(ctx: RoutingContext, vertices) -> Vertex | None:
+    """The first free boundary vertex among ``vertices``, in their order."""
+    return next((v for v in vertices if ctx.is_free_vertex(v)), None)
+
+
 def _joint_trails(ctx: RoutingContext, endpoint_pairs, allowed=None) -> list[Path] | None:
     """Edge-disjoint trails joining the endpoint pairs, in order, over the
     free edges (only those in ``allowed`` when given); None if none exist."""
     region = ctx.free if allowed is None else (set(allowed) & ctx.free)
     trails, _, _ = kernel.solve_trails(ctx.grid, region, endpoint_pairs)
+    return trails
+
+
+def _must_trails(ctx: RoutingContext, endpoint_pairs, allowed, gap: str) -> list[Path]:
+    """``_joint_trails`` for a step the case needs: no trails is the case gap
+    ``gap`` describes."""
+    trails = _joint_trails(ctx, endpoint_pairs, allowed)
+    if trails is None:
+        raise CaseGap(gap)
     return trails
 
 
@@ -332,23 +360,6 @@ def _row_anchor_pairs(ctx: RoutingContext, z: Vertex):
     return ((u, z) for u in sorted(LAST_ROW) if ctx.is_free_vertex(u))
 
 
-def _cascade_shift_through_corner(ctx: RoutingContext, label: str) -> None:
-    """Move the terminal off (2,3) along the boundary through the corner to
-    the first free vertex, conveyor-style: every terminal on the walk up to
-    that vertex shifts one stop toward it."""
-    walk = ((2, 3), (3, 3), (3, 2), (3, 1))
-    free_at = None
-    for idx in range(1, len(walk)):
-        if ctx.is_free_vertex(walk[idx]):
-            free_at = idx
-            break
-    if free_at is None:
-        raise CaseGap(f"{label}: no free vertex to shift toward")
-    for i in range(free_at - 1, -1, -1):
-        if ctx.terminals_at(walk[i]):
-            ctx.shift(walk[i], walk[i + 1])
-
-
 def _both_col_stub_occupied(ctx: RoutingContext) -> bool:
     return all(ctx.terminals_at(v) for v in sorted(COL_ONLY))
 
@@ -359,15 +370,41 @@ def _both_col_stub_singles(ctx: RoutingContext) -> bool:
     )
 
 
-def _link_with_walk(ctx: RoutingContext, pair_idx: int, vertices) -> None:
-    ctx.finish_link(pair_idx, Path(tuple(vertices)))
+def _cascade_shift_through_corner(ctx: RoutingContext, label: str) -> None:
+    """When both last-column stub vertices hold terminals, move the one at
+    (2,3) along the boundary through the corner to the first free vertex,
+    conveyor-style: every terminal on the walk up to that vertex shifts one
+    stop toward it."""
+    if not _both_col_stub_occupied(ctx):
+        return
+    walk = ((2, 3), (3, 3), (3, 2), (3, 1))
+    w = _first_free(ctx, walk[1:])
+    if w is None:
+        raise CaseGap(f"{label}: no free vertex to shift toward")
+    for i in range(walk.index(w) - 1, -1, -1):
+        if ctx.terminals_at(walk[i]):
+            ctx.shift(walk[i], walk[i + 1])
+
+
+def _clear_col_stub(ctx: RoutingContext, targets, label: str) -> None:
+    """When both last-column stub vertices hold terminals, shift the one at
+    (2,3) to the first free vertex of ``targets``."""
+    if _both_col_stub_occupied(ctx):
+        w = _first_free(ctx, targets)
+        if w is None:
+            raise CaseGap(f"{label}: no free vertex to clear the stub")
+        ctx.shift((2, 3), w)
+
+
+def _link_on_l(ctx: RoutingContext, pi: int) -> None:
+    """Link pair ``pi``, both ends on the boundary, along the boundary."""
+    ctx.finish_link(pi, Path(unique_l_path(*ctx.cfg.pairs[pi])))
 
 
 def _link_many(ctx: RoutingContext, pair_idxs, allowed=None, label: str = "") -> None:
     """Link one or more pairs jointly (edge-disjoint) inside one region."""
-    trails = _joint_trails(ctx, _pair_ends(ctx, pair_idxs), allowed)
-    if trails is None:
-        raise CaseGap(f"{label}: no linkage for pairs {pair_idxs}")
+    gap = f"{label}: no linkage for pairs {pair_idxs}"
+    trails = _must_trails(ctx, _pair_ends(ctx, pair_idxs), allowed, gap)
     for i, trail in zip(pair_idxs, trails):
         ctx.finish_link(i, trail)
 
@@ -427,6 +464,8 @@ def _singleton_tids(ctx: RoutingContext):
 QMB_EDGES = frozenset(
     e for e in full_grid().edges if e[0] not in LAST_COL and e[1] not in LAST_COL
 )
+# Edges of the grid that avoid the corner (3,3).
+_OFF_CORNER = frozenset(e for e in full_grid().edges if CORNER not in e)
 
 
 # ---------------------------------------------------------------------------
@@ -451,59 +490,42 @@ def _heavy5_case(cfg: TerminalConfig):
 def _h5_case_a(cfg: TerminalConfig):
     ctx = RoutingContext.fresh(cfg)
     sc = _s_count(cfg)
-    singles = _singleton_tids(ctx)
     if sc == 2:
-        col_singles = [t for t in singles if ctx.positions[t] in COL_ONLY]
-        if len(col_singles) == 2:
+        if _both_col_stub_singles(ctx):
             label = "L4/a/S2-shift-pair"
-            z_tid = _tid_at(ctx, (2, 3))
-            w = next(v for v in ((3, 1), (3, 2), (3, 3)) if ctx.is_free_vertex(v))
-            _finish(ctx, [z_tid], candidates=[w], label=label, link=[0])
+            w = _first_free(ctx, sorted(LAST_ROW))
+            _finish(ctx, [_tid_at(ctx, (2, 3))], candidates=[w], label=label, link=[0])
             return ctx, label
         label = "L4/a/S2"
         _link_many(ctx, [0], allowed=S_EDGES, label=label)
         return ctx, label
     if sc == 3:
         label = "L4/a/S3"
-        inner = [t for t in singles if ctx.positions[t] in INNER_SQUARE]
-        s2 = inner[0]
-        if _both_col_stub_occupied(ctx):
-            ctx.shift((2, 3), (3, 3))
-        w = next(
-            (v for v in ((3, 1), (3, 2), (3, 3)) if ctx.is_free_vertex(v)), None
-        )
-        if w is None:
-            raise CaseGap(f"{label}: no exit for the inner singleton")
-        allowed = None if w == CORNER else {e for e in ctx.free if CORNER not in e}
-        a, b = cfg.pairs[0]
-        trails = _joint_trails(ctx, [(a, b), (ctx.positions[s2], w)], allowed)
-        if trails is None:
-            raise CaseGap(f"{label}: 2-linkage failed")
-        ctx.finish_link(0, trails[0])
-        ctx.move(s2, trails[1])
-        return ctx, label
-    # four terminals inside the square
-    corner_free = (1, 1) not in set(cfg.pairs[0])
-    label = "L4/a/S4-corner-free" if corner_free else "L4/a/S4-corner-in-pair"
-    if corner_free:
-        reduced = {edge((1, 2), (2, 2)), edge((2, 1), (2, 2))}
-        _link_many(ctx, [0], allowed=reduced, label=label)
-        escapers = [t for t in _singleton_tids(ctx) if ctx.positions[t] in INNER_SQUARE]
+        _clear_col_stub(ctx, [CORNER], label)
+        w = _first_free(ctx, sorted(LAST_ROW))
         _finish(
             ctx,
-            escapers,
-            candidates=[(3, 1), (3, 2), (1, 3)],
-            allowed=cycle_edges(CYCLE_8_NO_CORNER),
+            [t for t in _inner(ctx) if t[0] == "s"],
+            candidates=[w],
+            allowed=None if w == CORNER else _OFF_CORNER,
             label=label,
+            link=[0],
         )
         return ctx, label
-    _link_many(ctx, [0], allowed=S_EDGES, label=label)
-    escapers = [t for t in _singleton_tids(ctx) if ctx.positions[t] in INNER_SQUARE]
+    # four terminals inside the square
+    if (1, 1) not in cfg.pairs[0]:
+        label = "L4/a/S4-corner-free"
+        link_region = {edge((1, 2), (2, 2)), edge((2, 1), (2, 2))}
+        exit_region = cycle_edges(CYCLE_8_NO_CORNER)
+    else:
+        label = "L4/a/S4-corner-in-pair"
+        link_region, exit_region = S_EDGES, full_grid().edges - S_EDGES
+    _link_many(ctx, [0], allowed=link_region, label=label)
     _finish(
         ctx,
-        escapers,
+        _inner(ctx),
         candidates=[(3, 1), (3, 2), (1, 3)],
-        allowed=ctx.free - S_EDGES,
+        allowed=exit_region,
         label=label,
     )
     return ctx, label
@@ -514,12 +536,10 @@ def _h5_case_b(cfg: TerminalConfig):
     pair = set(cfg.pairs[0])
     if pair <= BOUNDARY:
         label = "L4/b/pair-on-L"
-        a, b = cfg.pairs[0]
-        _link_with_walk(ctx, 0, unique_l_path(a, b))
-        if _both_col_stub_occupied(ctx):
-            _cascade_shift_through_corner(ctx, label)
-        inner = [t for t in ctx.positions if ctx.positions[t] in INNER_SQUARE]
-        _finish(ctx, inner, candidates=[a, b] + sorted(BOUNDARY), label=label)
+        _link_on_l(ctx, 0)
+        _cascade_shift_through_corner(ctx, label)
+        candidates = [*cfg.pairs[0], *sorted(BOUNDARY)]
+        _finish(ctx, _inner(ctx), candidates=candidates, label=label)
         return ctx, label
     s1 = next(v for v in pair if v in INNER_SQUARE)
     t1 = next(v for v in pair if v in BOUNDARY)
@@ -528,14 +548,10 @@ def _h5_case_b(cfg: TerminalConfig):
         _link_prescribed(ctx, _tid_at(ctx, s1), False, label)
         return ctx, label
     label = "L4/b/t1-in-row"
-    if _both_col_stub_occupied(ctx):
-        _cascade_shift_through_corner(ctx, label)
-    # Link to the pair member's current position (it may have shifted).
-    member = [tid for tid in (("p", 0, 0), ("p", 0, 1)) if ctx.trails[tid].start == t1][0]
-    other = ("p", 0, 1 - member[2])
-    trails = _joint_trails(ctx, [(ctx.positions[other], ctx.positions[member])])
-    if trails is None:
-        raise CaseGap(f"{label}: no linkage path")
+    _cascade_shift_through_corner(ctx, label)
+    # link to the boundary member's current position (it may have shifted)
+    t1_now = ctx.positions[partner(_tid_at(ctx, s1))]
+    trails = _must_trails(ctx, [(s1, t1_now)], None, f"{label}: no linkage path")
     ctx.finish_link(0, trails[0])
     return ctx, label
 
@@ -543,29 +559,24 @@ def _h5_case_b(cfg: TerminalConfig):
 def _h5_case_c(cfg: TerminalConfig):
     ctx = RoutingContext.fresh(cfg)
     label = "L4/c"
-    a, b = cfg.pairs[0]
-    _link_with_walk(ctx, 0, unique_l_path(a, b))
-    inner = [t for t in ctx.positions if ctx.positions[t] in INNER_SQUARE]
-    _finish(ctx, inner, candidates=[a, b, (1, 3)], label=label)
+    _link_on_l(ctx, 0)
+    _finish(ctx, _inner(ctx), candidates=[*cfg.pairs[0], (1, 3)], label=label)
     return ctx, label
 
 
 def _h5_case_d(cfg: TerminalConfig):
     ctx = RoutingContext.fresh(cfg)
-    a, b = cfg.pairs[0]
-    sc = _s_count(cfg)
-    _link_with_walk(ctx, 0, unique_l_path(a, b))
-    if sc == 2:
+    _link_on_l(ctx, 0)
+    if _s_count(cfg) == 2:
         label = "L4/d/S2"
         row_single = [t for t in ctx.positions if ctx.positions[t] in ROW_ONLY]
         if row_single:
-            ctx.shift(ctx.positions[row_single[0]], (3, 3))
-        inner = [t for t in ctx.positions if ctx.positions[t] in INNER_SQUARE]
+            ctx.shift(ctx.positions[row_single[0]], CORNER)
+        inner = _inner(ctx)
         _mate_to_anchors(ctx, inner[0], inner[1], ((3, 1), (3, 2)), label)
         return ctx, label
     label = "L4/d/S3"
-    inner = [t for t in ctx.positions if ctx.positions[t] in INNER_SQUARE]
-    _finish(ctx, inner, candidates=[(3, 1), (3, 2), (1, 3)], label=label)
+    _finish(ctx, _inner(ctx), candidates=[(3, 1), (3, 2), (1, 3)], label=label)
     return ctx, label
 
 
@@ -574,46 +585,35 @@ def _h5_case_e(cfg: TerminalConfig):
     pair = set(cfg.pairs[0])
     sc = _s_count(cfg)
     if pair <= BOUNDARY:
-        a_end = next(v for v in pair if v in ROW_ONLY)
-        b_end = next(v for v in pair if v in COL_ONLY)
+        _link_on_l(ctx, 0)
+        inner = _inner(ctx)
         if sc == 3:
             label = "L4/e/S3-pair-on-L"
-            _link_with_walk(ctx, 0, unique_l_path(a_end, b_end))
-            inner = [t for t in ctx.positions if ctx.positions[t] in INNER_SQUARE]
-            _finish(
-                ctx,
-                inner,
-                candidates=[(3, 1), (3, 2), (1, 3), (3, 3), (2, 3)],
-                label=label,
-            )
+            candidates = [(3, 1), (3, 2), (1, 3), (3, 3), (2, 3)]
+            _finish(ctx, inner, candidates=candidates, label=label)
             return ctx, label
         # two inner singletons, one on the boundary
-        l_single = [t for t in ctx.positions if t[0] == "s" and ctx.positions[t] in BOUNDARY]
-        single_pos = ctx.positions[l_single[0]]
-        _link_with_walk(ctx, 0, unique_l_path(a_end, b_end))
-        inner = [t for t in ctx.positions if ctx.positions[t] in INNER_SQUARE]
-        if single_pos not in ROW_ONLY:
-            label = "L4/e/S2-aa"
-            _mate_to_anchors(ctx, inner[0], inner[1], ((3, 1), (3, 2)), label)
+        if next(v for v in cfg.singletons if v in BOUNDARY) not in ROW_ONLY:
+            label, anchors = "L4/e/S2-aa", ((3, 1), (3, 2))
         else:
-            label = "L4/e/S2-ab"
-            _mate_to_anchors(ctx, inner[0], inner[1], (a_end, b_end), label)
+            a_end = next(v for v in pair if v in ROW_ONLY)
+            b_end = next(v for v in pair if v in COL_ONLY)
+            label, anchors = "L4/e/S2-ab", (a_end, b_end)
+        _mate_to_anchors(ctx, inner[0], inner[1], anchors, label)
         return ctx, label
     s1 = next(v for v in pair if v in INNER_SQUARE)
     t1 = next(v for v in pair if v in BOUNDARY)
     if sc == 2:
         label = "L4/e/S2-member"
-        s2 = [t for t in _singleton_tids(ctx) if ctx.positions[t] in INNER_SQUARE][0]
+        s2 = _inner(ctx)[1]  # the inner singleton; the pair member comes first
         if _both_col_stub_singles(ctx):
             _cascade_shift_through_corner(ctx, label)
-        pa = ctx.positions[("p", 0, 0)]
-        pb = ctx.positions[("p", 0, 1)]
-        cands = [v for v in ((3, 1), (3, 2), (3, 3)) if ctx.is_free_vertex(v)]
-        cands.append(t1)
+        ends = _pair_ends(ctx, [0])
+        cands = [v for v in sorted(LAST_ROW) if ctx.is_free_vertex(v)] + [t1]
         if _col_budget(ctx, [t for t in _singleton_tids(ctx) if t != s2]) > 0:
-            cands += [v for v in ((1, 3), (2, 3)) if ctx.is_free_vertex(v)]
+            cands += [v for v in sorted(COL_ONLY) if ctx.is_free_vertex(v)]
         for w in cands:
-            trails = _joint_trails(ctx, [(pa, pb), (ctx.positions[s2], w)])
+            trails = _joint_trails(ctx, ends + [(ctx.positions[s2], w)])
             if trails is not None:
                 ctx.finish_link(0, trails[0])
                 ctx.move(s2, trails[1])
@@ -621,34 +621,25 @@ def _h5_case_e(cfg: TerminalConfig):
         raise CaseGap(f"{label}: no joint linkage")
     if sc == 4:
         label = "L4/e/S4-extension"
-        _link_prescribed(ctx, _tid_at(ctx, s1), t1 not in LAST_COL, label)
-        inner = [t for t in ctx.positions if ctx.positions[t] in INNER_SQUARE]
-        _finish(ctx, inner, label=label)
-        return ctx, label
-    # three in the square: the pair member plus two singletons
-    if t1 in LAST_COL:
-        label = "L4/e/S3-t1-in-B"
-    else:
-        label = "L4/e/S3-t1-in-row"
+    else:  # three in the square: the pair member plus two singletons
+        label = "L4/e/S3-t1-in-B" if t1 in LAST_COL else "L4/e/S3-t1-in-row"
     _link_prescribed(ctx, _tid_at(ctx, s1), t1 not in LAST_COL, label)
-    inner = [t for t in ctx.positions if ctx.positions[t] in INNER_SQUARE]
-    _mate_to_first(ctx, inner[0], inner[1], _free_anchor_pairs(ctx), label)
+    inner = _inner(ctx)
+    if sc == 4:
+        _finish(ctx, inner, label=label)
+    else:
+        _mate_to_first(ctx, inner[0], inner[1], _free_anchor_pairs(ctx), label)
     return ctx, label
 
 
 def _free_anchor_pairs(ctx: RoutingContext):
     """Anchor pairs for escaping two terminals: free or freed boundary
     vertices, preferring the last row, then one last-column anchor."""
-    avail = [v for v in sorted(BOUNDARY) if ctx.is_free_vertex(v)]
-    out = []
-    row_avail = [v for v in avail if v in LAST_ROW]
-    col_avail = [v for v in avail if v in COL_ONLY]
-    for pair in itertools.combinations(row_avail, 2):
-        out.append(pair)
+    row_avail = [v for v in sorted(LAST_ROW) if ctx.is_free_vertex(v)]
+    out = list(itertools.combinations(row_avail, 2))
     if _col_budget(ctx, ctx.positions) > 0:
-        for r in row_avail:
-            for c in col_avail:
-                out.append((r, c))
+        col_avail = [v for v in sorted(COL_ONLY) if ctx.is_free_vertex(v)]
+        out += [(r, c) for r in row_avail for c in col_avail]
     return out
 
 
@@ -680,25 +671,17 @@ def _heavy6_case(cfg: TerminalConfig):
 def _h6_case_a(cfg: TerminalConfig):
     label = "L3/a/pair-on-L"
     ctx = RoutingContext.fresh(cfg)
-    on_l = [i for i in _pairs_within(cfg, BOUNDARY)]
+    on_l = _pairs_within(cfg, BOUNDARY)
     if not on_l:
         raise CaseGap(f"{label}: no pair on the boundary")
     pi = on_l[0]
     a, b = cfg.pairs[pi]
-    _link_with_walk(ctx, pi, unique_l_path(a, b))
-    s_tid = [t for t in ctx.positions if ctx.positions[t] in INNER_SQUARE][0]
-    start = ctx.positions[s_tid]
-    stage1 = _joint_trails(ctx, [(start, (3, 1))], allowed=ctx.free - L_EDGES)
-    if stage1 is None:
-        raise CaseGap(f"{label}: no path to the row corner")
-    # extend along the boundary until the first freed endpoint of the linkage
-    stage2 = [(3, 1)]
-    while stage2[-1] not in (a, b):
-        nxt = unique_l_path(stage2[-1], (1, 3))
-        if len(nxt) < 2:
-            raise CaseGap(f"{label}: no linked endpoint along the walk")
-        stage2.append(nxt[1])
-    full = stage1[0] + Path(tuple(stage2))
+    _link_on_l(ctx, pi)
+    s_tid = _inner(ctx)[0]
+    gap = f"{label}: no path to the row corner"
+    stage1 = _must_trails(ctx, [(ctx.positions[s_tid], (3, 1))], ctx.free - L_EDGES, gap)
+    # on along the boundary to the linkage's end nearer the row corner
+    full = stage1[0] + Path(unique_l_path((3, 1), max((a, b), key=L_ORDER.index)))
     ctx.escape_via(s_tid, full)
     if set(cfg.pairs[pi]) <= LAST_ROW and _both_col_stub_occupied(ctx):
         ctx.shift((2, 3), a if full.end == b else b)
@@ -712,75 +695,46 @@ def _h6_case_b(cfg: TerminalConfig, pi: int):
     if sc == 2:
         label = "L3/b/S2"
         _link_many(ctx, [pi], allowed=S_EDGES, label=label)
-        if _both_col_stub_occupied(ctx):
-            w = next(
-                (v for v in L_ORDER if ctx.is_free_vertex(v) and v not in COL_ONLY),
-                None,
-            )
-            if w is None:
-                raise CaseGap(f"{label}: no free vertex for the shift")
-            ctx.shift((2, 3), w)
+        _clear_col_stub(ctx, ((3, 3), (3, 2), (3, 1)), label)
         return ctx, label
     if set(cfg.pairs[other]) <= BOUNDARY:
         label = "L3/b/other-pair-on-L"
-        oa, ob = cfg.pairs[other]
-        _link_with_walk(ctx, other, unique_l_path(oa, ob))
-        inner = [t for t in ctx.positions if t[0] == "s" and ctx.positions[t] in INNER_SQUARE]
-        _finish(ctx, inner, label=label, link=[pi])
+        _link_on_l(ctx, other)
+        singles = [t for t in _inner(ctx) if t[0] == "s"]
+        _finish(ctx, singles, label=label, link=[pi])
         return ctx, label
     if sc == 3:
         label = "L3/b/S3"
-        s2_tid = [
-            t
-            for t in ctx.positions
-            if t[0] == "p" and t[1] == other and ctx.positions[t] in INNER_SQUARE
-        ][0]
+        s2_tid = next(t for t in _inner(ctx) if t[:2] == ("p", other))
         if ctx.terminals_at((3, 1)):
-            target = next(
-                v
-                for v in ((3, 2), (3, 3), (2, 3), (1, 3))
-                if ctx.is_free_vertex(v)
-            )
-            ctx.shift((3, 1), target)
-        pa, pb = cfg.pairs[pi]
-        trails = _joint_trails(
-            ctx,
-            [(pa, pb), (ctx.positions[s2_tid], (3, 1))],
-            allowed=QMB_EDGES | S_EDGES,
-        )
+            ctx.shift((3, 1), _first_free(ctx, ((3, 2), (3, 3), (2, 3), (1, 3))))
+        ends = [cfg.pairs[pi], (ctx.positions[s2_tid], (3, 1))]
+        trails = _joint_trails(ctx, ends, allowed=QMB_EDGES | S_EDGES)
         if trails is None:
             ctx.notes.append("retry:unrestricted")
-            trails = _joint_trails(ctx, [(pa, pb), (ctx.positions[s2_tid], (3, 1))])
-        if trails is None:
-            raise CaseGap(f"{label}: no joint linkage and escape")
+            gap = f"{label}: no joint linkage and escape"
+            trails = _must_trails(ctx, ends, None, gap)
         ctx.finish_link(pi, trails[0])
         ctx.escape_via(s2_tid, trails[1])
-        if _both_col_stub_occupied(ctx):
-            w2 = next(
-                (v for v in ((3, 2), (3, 3), (3, 1)) if ctx.is_free_vertex(v)), None
-            )
-            if w2 is None:
-                raise CaseGap(f"{label}: no free row vertex for the column shift")
-            ctx.shift((2, 3), w2)
+        _clear_col_stub(ctx, ((3, 2), (3, 3), (3, 1)), label)
         return ctx, label
     # everything inside the square
     col_count = len(_terminals_in(cfg, COL_ONLY))
-    pq = [t for t in ctx.positions if not (t[0] == "p" and t[1] == pi)
-          and ctx.positions[t] in INNER_SQUARE]
+    pq = [t for t in _inner(ctx) if t[:2] != ("p", pi)]
     if col_count == 2:
         label = "L3/b/S4-col2"
-        ctx.shift((2, 3), (3, 3))
+        ctx.shift((2, 3), CORNER)
         anchors = ((3, 1), (3, 2))
     elif col_count == 1:
         label = "L3/b/S4-col1"
         for v in ((3, 1), (3, 2)):
-            if ctx.terminals_at(v) and ctx.is_free_vertex((3, 3)):
-                ctx.shift(v, (3, 3))
+            if ctx.terminals_at(v) and ctx.is_free_vertex(CORNER):
+                ctx.shift(v, CORNER)
         anchors = ((3, 1), (3, 2))
     else:
         label = "L3/b/S4-col0"
-        w = next((v for v in ((3, 2), (3, 3)) if ctx.is_free_vertex(v)), None)
         if ctx.terminals_at((3, 1)):
+            w = _first_free(ctx, ((3, 2), (3, 3)))
             if w is None:
                 raise CaseGap(f"{label}: no free row vertex")
             ctx.shift((3, 1), w)
@@ -791,16 +745,16 @@ def _h6_case_b(cfg: TerminalConfig, pi: int):
 
 def _h6_case_c(cfg: TerminalConfig, pi: int):
     ctx = RoutingContext.fresh(cfg)
-    sc = _s_count(cfg)
     other = 1 - pi
     a, b = cfg.pairs[pi]
-    if sc == 2:
-        w = next(v for v in sorted(BOUNDARY) if ctx.is_free_vertex(v))
-        _link_with_walk(ctx, pi, unique_l_path(a, b))
-        inner = [t for t in ctx.positions if ctx.positions[t] in INNER_SQUARE]
-        if w in LAST_ROW:
+    # judged before the linkage frees the pair's ends
+    w_in_row = _first_free(ctx, sorted(BOUNDARY)) in LAST_ROW
+    _link_on_l(ctx, pi)
+    if _s_count(cfg) == 2:
+        inner = _inner(ctx)
+        if w_in_row:
             label = "L3/c/S2-w-row"
-            ctx.shift((2, 3), (3, 3))
+            ctx.shift((2, 3), CORNER)
             _mate_to_anchors(ctx, inner[0], inner[1], ((3, 1), (3, 2)), label)
         else:
             label = "L3/c/S2-w-col"
@@ -808,16 +762,13 @@ def _h6_case_c(cfg: TerminalConfig, pi: int):
         return ctx, label
     t2 = [v for v in cfg.pairs[other] if v in BOUNDARY][0]
     s2 = [v for v in cfg.pairs[other] if v in INNER_SQUARE][0]
-    s2_tid = [t for t in ctx.positions if ctx.positions[t] == s2][0]
-    singles = [t for t in _singleton_tids(ctx)]
+    singles = _singleton_tids(ctx)
     if t2 in LAST_COL:
         label = "L3/c/S3-t2-in-B"
-        _link_with_walk(ctx, pi, unique_l_path(a, b))
-        _link_prescribed(ctx, s2_tid, False, label)
+        _link_prescribed(ctx, _tid_at(ctx, s2), False, label)
         _mate_to_anchors(ctx, singles[0], singles[1], ((3, 1), (3, 2)), label)
         return ctx, label
     label = "L3/c/S3-t2-in-row"
-    _link_with_walk(ctx, pi, unique_l_path(a, b))
     trails = _joint_trails(
         ctx, [(s2, t2)], allowed=col_edges(s2[1]) | row_edges(s2[0]) | {edge((3, 1), (3, 2))}
     )
@@ -839,29 +790,21 @@ def _h6_case_c(cfg: TerminalConfig, pi: int):
 
 def _h6_case_d(cfg: TerminalConfig, pi: int):
     ctx = RoutingContext.fresh(cfg)
-    sc = _s_count(cfg)
     other = 1 - pi
-    a, b = cfg.pairs[pi]
     pair = set(cfg.pairs[pi])
-    _link_with_walk(ctx, pi, unique_l_path(a, b))
-    if sc == 2:
-        inner = [t for t in ctx.positions if ctx.positions[t] in INNER_SQUARE]
-        b_clear = all(
-            not ctx.terminals_at(v) for v in sorted(LAST_COL - pair)
-        )
-        if b_clear:
+    _link_on_l(ctx, pi)
+    if _s_count(cfg) == 2:
+        inner = _inner(ctx)
+        if not any(ctx.terminals_at(v) for v in LAST_COL - pair):
             label = "L3/d/S2-all-B-free"
-            anchor_options = (((3, 3), (1, 3)), ((3, 3), (2, 3)))
+            anchor_options = ((CORNER, (1, 3)), (CORNER, (2, 3)))
             _mate_to_first(ctx, inner[0], inner[1], anchor_options, label)
             return ctx, label
-        if CORNER in pair:
+        w = _first_free(ctx, sorted(ROW_ONLY)) if CORNER in pair else None
+        if w is not None:
             label = "L3/d/S2-corner-pair"
-            w = next(
-                (v for v in ((3, 1), (3, 2)) if ctx.is_free_vertex(v)), None
-            )
-            if w is not None:
-                _mate_to_anchors(ctx, inner[0], inner[1], (w, (3, 3)), label)
-                return ctx, label
+            _mate_to_anchors(ctx, inner[0], inner[1], (w, CORNER), label)
+            return ctx, label
         label = "L3/d/S2-colpair"
         _finish(ctx, inner, label=label)
         return ctx, label
@@ -873,10 +816,8 @@ def _h6_case_d(cfg: TerminalConfig, pi: int):
         allowed = col_edges(s2[1]) | {edge((3, 1), (3, 2))}
     else:
         allowed = col_edges(s2[1]) | row_edges(2) | col_edges(3) | row_edges(s2[0])
-    trails = _joint_trails(ctx, [(s2, t2)], allowed=allowed)
-    if trails is None:
-        raise CaseGap(f"{label}: no linkage for the second pair")
-    ctx.finish_link(other, trails[0])
+    gap = f"{label}: no linkage for the second pair"
+    ctx.finish_link(other, _must_trails(ctx, [(s2, t2)], allowed, gap)[0])
     z = (1, 3)
     if not ctx.is_free_vertex(z):
         raise CaseGap(f"{label}: the column anchor is occupied")
@@ -886,143 +827,87 @@ def _h6_case_d(cfg: TerminalConfig, pi: int):
 
 def _h6_end_s2(cfg: TerminalConfig):
     ctx = RoutingContext.fresh(cfg)
-    inner = [t for t in sorted(ctx.positions) if ctx.positions[t] in INNER_SQUARE]
-    inner_singles = [t for t in inner if t[0] == "s"]
-    if len(inner_singles) == 2:
+    inner = _inner(ctx)
+    singles = [t for t in inner if t[0] == "s"]
+    members = [t for t in inner if t[0] == "p"]
+    if len(singles) == 2:
         label = "L3/end/S2-two-singles"
-        pi = next(
-            i for i, p in enumerate(cfg.pairs) if (2, 3) in p
-        ) if any((2, 3) in p for p in cfg.pairs) else None
-        if pi is None:
+        t1 = _partner_of(cfg, (2, 3))
+        if t1 is None:
             raise CaseGap(f"{label}: expected a pair holding (2,3)")
-        s1 = (2, 3)
-        t1 = [v for v in cfg.pairs[pi] if v != s1][0]
         if t1 == (3, 2):
             walk = ((2, 3), (2, 2), (3, 2))
         else:
             walk = ((2, 3), (2, 2), (3, 2), (3, 1))
-        _link_with_walk(ctx, pi, walk)
-        _mate_to_anchors(ctx, inner_singles[0], inner_singles[1], (t1, (3, 3)), label)
+        ctx.finish_link(_pair_index(cfg, (2, 3)), Path(walk))
+        _mate_to_anchors(ctx, singles[0], singles[1], (t1, CORNER), label)
         return ctx, label
-    inner_members = [t for t in inner if t[0] == "p"]
-    if len(inner_members) == 2:
+    if len(members) == 2:
         # no singleton inside the square: both pairs link off the corner
         label = "L3/end/S2-two-members"
         corner_tids = ctx.terminals_at(CORNER)
         if corner_tids and corner_tids[0][0] == "p":
             ctx.shift(CORNER, (3, 2))
-        off_corner = {e for e in ctx.free if CORNER not in e}
-        _link_many(ctx, [0, 1], allowed=off_corner, label=label)
-        if _both_col_stub_occupied(ctx):
-            ctx.shift((2, 3), (3, 3))
+        _link_many(ctx, [0, 1], allowed=_OFF_CORNER, label=label)
+        _clear_col_stub(ctx, [CORNER], label)
         return ctx, label
     # one pair member and one singleton inside the square
-    member = inner_members[0]
-    single = [t for t in inner if t[0] == "s"][0]
-    pi = member[1]
-    other = 1 - pi
+    member, single = members[0], singles[0]
+    other = 1 - member[1]
     s2 = [v for v in cfg.pairs[other] if v in ROW_ONLY][0]
-    t2 = [v for v in cfg.pairs[other] if v in COL_ONLY][0]
     t1 = ctx.positions[partner(member)]
-    w = next(v for v in sorted(BOUNDARY) if ctx.is_free_vertex(v))
+    w = _first_free(ctx, sorted(BOUNDARY))
     if w in ROW_ONLY:
         label = "L3/end/S2-w-row"
-        _link_with_walk(ctx, other, unique_l_path(s2, t2))
+        _link_on_l(ctx, other)
         _mate_to_anchors(ctx, member, single, (s2, w), label)
         return ctx, label
-    if t1 in ROW_ONLY:
-        label = "L3/end/S2-t1-row"
-        _link_prescribed(ctx, member, True, label)
-        trails = _joint_trails(ctx, [(ctx.positions[single], t1)], allowed=QMB_EDGES)
-        if trails is None:
-            raise CaseGap(f"{label}: no mating path outside the last column")
-        ctx.escape_via(single, trails[0])
-        if _both_col_stub_occupied(ctx):
-            _cascade_shift_through_corner(ctx, label)
-        return ctx, label
-    label = "L3/end/S2-B"
-    _link_prescribed(ctx, member, False, label)
-    trails = _joint_trails(ctx, [(ctx.positions[single], (3, 3))])
-    if trails is None:
-        raise CaseGap(f"{label}: no mating path to the corner")
-    ctx.escape_via(single, trails[0])
+    down = t1 in ROW_ONLY
+    label = "L3/end/S2-t1-row" if down else "L3/end/S2-B"
+    _link_prescribed(ctx, member, down, label)
+    # the singleton escapes to the freed partner vertex outside the last
+    # column, or else to the corner
+    exit_v, region = (t1, QMB_EDGES) if down else (CORNER, None)
+    gap = f"{label}: no escape path to {exit_v}"
+    ctx.escape_via(single, _must_trails(ctx, [(ctx.positions[single], exit_v)], region, gap)[0])
+    if down:
+        _cascade_shift_through_corner(ctx, label)
     return ctx, label
 
 
 def _h6_end_s3(cfg: TerminalConfig):
+    """Three terminals inside the square: link one inner member's pair along
+    its prescribed L, then mate the other two inner terminals onto the first
+    anchor pair that admits it.  The last-column residents and the corner
+    decide the member, the direction of its linkage and the anchors."""
     ctx = RoutingContext.fresh(cfg)
-    inner_members = sorted(
-        t for t in ctx.positions if t[0] == "p" and ctx.positions[t] in INNER_SQUARE
-    )
-    l_residents = _terminals_in(cfg, BOUNDARY)
-    col_res = [v for v in l_residents if v in COL_ONLY]
-    if len(inner_members) == 2:
-        pair_ts = {ctx.positions[partner(m)] for m in inner_members}
-        if len(col_res) == 0:
-            label = "L3/end/S3-col0"
-            m = inner_members[0]
-            # the row anchor is picked once the linkage has freed its partner
-            return _h6_s3_link_and_mate(ctx, m, True, _row_anchor_pairs(ctx, (1, 3)), label)
-        if len(col_res) == 2:
-            label = "L3/end/S3-col2"
-            m = next(
-                m for m in inner_members if ctx.positions[partner(m)] in COL_ONLY
-            )
-            free_rows = [v for v in ((3, 1), (3, 2), (3, 3)) if ctx.is_free_vertex(v)]
-            return _h6_s3_link_and_mate(
-                ctx, m, False, itertools.combinations(free_rows, 2), label
-            )
-        # exactly one boundary resident on the column stub
-        col_is_pair_t = col_res[0] in pair_ts
-        if col_is_pair_t:
-            label = "L3/end/S3-t-col"
-            m = next(
-                m for m in inner_members if ctx.positions[partner(m)] == col_res[0]
-            )
-            u = next(v for v in ((3, 1), (3, 2), (3, 3)) if ctx.is_free_vertex(v))
-            return _h6_s3_link_and_mate(
-                ctx, m, False, [(u, ctx.positions[partner(m)])], label
-            )
-        if ctx.is_free_vertex((3, 3)):
-            label = "L3/end/S3-corner-free"
-            m = inner_members[0]
-            t1 = ctx.positions[partner(m)]
-            return _h6_s3_link_and_mate(ctx, m, True, [((3, 3), t1)], label)
-        label = "L3/end/S3-corner-taken"
-        m = next(
-            (m for m in inner_members if ctx.positions[partner(m)] == (3, 3)),
-            inner_members[0],
-        )
-        w = next(v for v in ((3, 1), (3, 2)) if ctx.is_free_vertex(v))
-        return _h6_s3_link_and_mate(
-            ctx, m, False, [(w, ctx.positions[partner(m)])], label
-        )
-    # one pair member and two singletons inside the square
-    m = inner_members[0]
-    t1 = ctx.positions[partner(m)]
-    if t1 in COL_ONLY:
-        label = "L3/end/S3-col2"
-        free_rows = [v for v in ((3, 1), (3, 2), (3, 3)) if ctx.is_free_vertex(v)]
-        return _h6_s3_link_and_mate(
-            ctx, m, False, itertools.combinations(free_rows, 2), label
-        )
-    if t1 == (3, 3):
-        label = "L3/end/S3-corner-taken"
-        w = next(v for v in ((3, 1), (3, 2)) if ctx.is_free_vertex(v))
-        return _h6_s3_link_and_mate(ctx, m, False, [(w, t1)], label)
-    label = "L3/end/S3-corner-free"
-    return _h6_s3_link_and_mate(ctx, m, True, [((3, 3), t1)], label)
-
-
-def _h6_s3_link_and_mate(ctx, member, down, anchor_options, label):
-    """Shared tail for the three-in-square endgame: link the member's pair
-    along the prescribed L, then mate the two remaining inner terminals onto
-    the first anchor pair that admits it."""
-    _link_prescribed(ctx, member, down, label)
-    rest = sorted(t for t in ctx.positions if ctx.positions[t] in INNER_SQUARE)
-    if len(rest) != 2:
-        raise CaseGap(f"{label}: expected two inner terminals, got {rest}")
-    _mate_to_first(ctx, rest[0], rest[1], anchor_options, label)
+    members = [t for t in _inner(ctx) if t[0] == "p"]
+    partner_at = {ctx.positions[partner(m)]: m for m in members}
+    col_res = _terminals_in(cfg, COL_ONLY)
+    free_rows = [v for v in sorted(LAST_ROW) if ctx.is_free_vertex(v)]
+    m = members[0]
+    if not col_res:
+        label, down = "L3/end/S3-col0", True
+        # the row anchor is picked once the linkage has freed its partner
+        anchors = _row_anchor_pairs(ctx, (1, 3))
+    elif len(col_res) == 2:
+        label, down = "L3/end/S3-col2", False
+        m = next(x for x in members if ctx.positions[partner(x)] in COL_ONLY)
+        anchors = itertools.combinations(free_rows, 2)
+    elif col_res[0] not in partner_at and ctx.is_free_vertex(CORNER):
+        label, down = "L3/end/S3-corner-free", True
+        anchors = [(CORNER, ctx.positions[partner(m)])]
+    else:
+        # the linked member's partner sits on the stub or the corner; it
+        # pairs with the first free last-row vertex
+        t_col = col_res[0] in partner_at
+        label = "L3/end/S3-t-col" if t_col else "L3/end/S3-corner-taken"
+        m = partner_at[col_res[0]] if t_col else partner_at.get(CORNER, m)
+        down = False
+        anchors = [(u, ctx.positions[partner(m)]) for u in free_rows[:1]]
+    _link_prescribed(ctx, m, down, label)
+    rest = _inner(ctx)
+    _mate_to_first(ctx, rest[0], rest[1], anchors, label)
     return ctx, label
 
 
@@ -1040,10 +925,8 @@ def _diagonal_split(ctx, pi, hub, region, label, link_to=None, mate_to=None):
     other diagonal, row 1 first."""
     r, c = next(v for v in ctx.cfg.pairs[pi] if v in INNER_SQUARE)
     mate = (3 - r, 3 - c)
-    trails = _joint_trails(ctx, [((r, c), hub), (mate, hub)], allowed=region)
-    if trails is None:
-        raise CaseGap(f"{label}: diagonal split failed")
-    link, escape = trails
+    ends = [((r, c), hub), (mate, hub)]
+    link, escape = _must_trails(ctx, ends, region, f"{label}: diagonal split failed")
     if link_to is not None:
         link = link + path_of(hub, link_to)
     if mate_to is not None:
@@ -1067,20 +950,20 @@ def _h6_end_s4(cfg: TerminalConfig):
         return ctx, label
     if len(col_res) == 2:
         label = "L3/end/S4-cols"
-        pi = next(i for i, p in enumerate(cfg.pairs) if (2, 3) in p)
+        pi = _pair_index(cfg, (2, 3))
         others = _diagonal_split(ctx, pi, (2, 3), _ROWS_AND_COL, label, mate_to=CORNER)
         escapers = [_tid_at(ctx, v) for v in others]
         _finish(ctx, escapers, candidates=[(3, 1), (3, 2)], label=label)
         return ctx, label
     if CORNER in l_res and len(col_res) == 0:
         label = "L3/end/S4-corner"
-        pi = next(i for i, p in enumerate(cfg.pairs) if CORNER in p)
+        pi = _pair_index(cfg, CORNER)
         others = _diagonal_split(ctx, pi, (2, 3), _ROWS_AND_COL, label, link_to=CORNER)
         candidates = [CORNER, (3, 1), (3, 2)]
     else:
         label = "L3/end/S4-mixed"
         t1 = col_res[0]
-        pi = next(i for i, p in enumerate(cfg.pairs) if t1 in p)
+        pi = _pair_index(cfg, t1)
         others = _diagonal_split(ctx, pi, t1, _ROWS_AND_COL, label)
         candidates = sorted(LAST_ROW)
     _finish(
@@ -1110,13 +993,11 @@ def _heavy78_case(cfg: TerminalConfig):
 def _h78_case_a(cfg: TerminalConfig):
     ctx = RoutingContext.fresh(cfg)
     in_s = _pairs_within(cfg, INNER_SQUARE)
-    inner = [t for t in sorted(ctx.positions) if ctx.positions[t] in INNER_SQUARE]
+    inner = _inner(ctx)
     if in_s:
         label = "L2/a/pair-in-S"
         _link_many(ctx, [in_s[0]], allowed=S_EDGES, label=label)
-        second = next(i for i in range(len(cfg.pairs)) if i != in_s[0])
-        sa, sb = cfg.pairs[second]
-        _link_with_walk(ctx, second, unique_l_path(sa, sb))
+        _link_on_l(ctx, next(i for i in range(len(cfg.pairs)) if i != in_s[0]))
         return ctx, label
     if all(t[0] == "p" for t in inner):
         label = "L2/a/two-members"
@@ -1137,12 +1018,7 @@ def _h78_case_b(cfg: TerminalConfig):
     in_s = _pairs_within(cfg, INNER_SQUARE)
     if in_s:
         ctx = RoutingContext.fresh(cfg)
-        inner_rest = [
-            t
-            for t in sorted(ctx.positions)
-            if ctx.positions[t] in INNER_SQUARE
-            and not (t[0] == "p" and t[1] == in_s[0])
-        ]
+        inner_rest = [t for t in _inner(ctx) if t[:2] != ("p", in_s[0])]
         if inner_rest and inner_rest[0][0] == "p":
             label = "L2/b/pair-plus-member"
             _link_many(ctx, [in_s[0], inner_rest[0][1]], label=label)
@@ -1164,27 +1040,19 @@ def _h78_b2(cfg: TerminalConfig, pi: int):
     s0_tid = _tid_at(ctx, s0)
     reduced = [e for e in S_EDGES if s0 not in e]
     _link_many(ctx, [pi], allowed=reduced, label=label)
-    target = (3, s0[1])
-    walk = _col_walk(s0, 3)
-    ctx.move(s0_tid, Path(walk))
-    occupant = [t for t in ctx.positions if ctx.positions[t] == target and t != s0_tid]
-    link_second = None
-    for i in range(len(cfg.pairs)):
-        if i == pi:
-            continue
-        if occupant and occupant[0][0] == "p" and occupant[0][1] == i:
-            link_second = i
-            break
-    if link_second is None:
-        link_second = next(
-            i
-            for i in range(len(cfg.pairs))
-            if i != pi and set(cfg.pairs[i]) <= BOUNDARY
+    ctx.move(s0_tid, Path(_col_walk(s0, 3)))
+    # the second linkage is the pair of a member the singleton lands on,
+    # else the first pair on the boundary
+    occupant = [t for t in ctx.terminals_at((3, s0[1])) if t != s0_tid]
+    if not occupant:
+        second = next(
+            i for i, p in enumerate(cfg.pairs) if i != pi and set(p) <= BOUNDARY
         )
-    if occupant and not (occupant[0][0] == "p" and occupant[0][1] == link_second):
+    elif occupant[0][0] == "p":
+        second = occupant[0][1]
+    else:
         raise CaseGap(f"{label}: landing vertex hosts an unlinked terminal")
-    oa, ob = cfg.pairs[link_second]
-    _link_with_walk(ctx, link_second, unique_l_path(oa, ob))
+    _link_on_l(ctx, second)
     ctx.finish_escape(s0_tid)
     return ctx, label
 
@@ -1220,7 +1088,7 @@ def _h78_b3(cfg: TerminalConfig, escaping):
         ctx,
         [esc_tid],
         candidates=[(3, 1), (1, 3), (3, 2), (2, 3), (3, 3)],
-    label=label,
+        label=label,
     )
     return ctx, label
 
@@ -1251,10 +1119,8 @@ def _h78_b4_column(cfg: TerminalConfig):
     cyc = CYCLE_6_NO_ROW1
     cyc_edges = cycle_edges(cyc)
     allowed = (S_EDGES - set(p0.edges())) - cyc_edges
-    trails = _joint_trails(ctx, [tuple(members)], allowed)
-    if trails is None:
-        raise CaseGap(f"{label}: no inner connector avoiding the cycle")
-    p12 = trails[0]
+    gap = f"{label}: no inner connector avoiding the cycle"
+    p12 = _must_trails(ctx, [tuple(members)], allowed, gap)[0]
     y = next(v for v in p12.vertices if v in cyc)
     i_y = p12.vertices.index(y)
     # attach paths run member -> anchor along the two halves of the connector
@@ -1279,7 +1145,7 @@ def _h78_b4_column(cfg: TerminalConfig):
         occ = occupants[0]
         if occ[0] == "p" and occ[1] == third:
             if (2, 3) in cfg.pairs[third]:
-                _link_with_walk(ctx, third, ((1, 3), (2, 3)))
+                ctx.finish_link(third, path_of((1, 3), (2, 3)))
             else:
                 if not ctx.is_free_vertex((2, 3)):
                     raise CaseGap(f"{label}: cannot clear the stub")
@@ -1301,9 +1167,7 @@ def _h78_case_c(cfg: TerminalConfig):
         return ctx, label
     if len(in_s) == 1:
         return _h78_c2(cfg, in_s[0])
-    center = (2, 2)
-    center_tid_is_member = any(center in p for p in cfg.pairs)
-    if center_tid_is_member:
+    if _pair_index(cfg, (2, 2)) is not None:
         return _h78_c3_member(cfg)
     return _h78_c3_singleton(cfg)
 
@@ -1324,9 +1188,8 @@ def _h78_c2(cfg: TerminalConfig, pi: int):
     first, second = others if _tid_at(ctx, others[0])[0] == "p" else others[::-1]
     first_tid = _tid_at(ctx, first)
     t2 = ctx.positions[partner(first_tid)]
-    trails = _joint_trails(ctx, [(first, t2), (second, t2)])
-    if trails is None:
-        raise CaseGap(f"{label}: through-link failed")
+    ends = [(first, t2), (second, t2)]
+    trails = _must_trails(ctx, ends, None, f"{label}: through-link failed")
     ctx.finish_link(first_tid[1], trails[0])
     ctx.escape_via(_tid_at(ctx, second), trails[1])
     return ctx, label
@@ -1334,12 +1197,10 @@ def _h78_c2(cfg: TerminalConfig, pi: int):
 
 def _h78_c3_member(cfg: TerminalConfig):
     label = "L2/c/no-pair-center-member"
-    plan_cfg = cfg
-    if not any((2, 1) in p for p in plan_cfg.pairs):
-        plan_cfg = cfg.reflected()
+    plan_cfg = cfg if _pair_index(cfg, (2, 1)) is not None else cfg.reflected()
     ctx = RoutingContext.fresh(plan_cfg)
-    p_center = next(i for i, p in enumerate(plan_cfg.pairs) if (2, 2) in p)
-    p_left = next(i for i, p in enumerate(plan_cfg.pairs) if (2, 1) in p)
+    p_center = _pair_index(plan_cfg, (2, 2))
+    p_left = _pair_index(plan_cfg, (2, 1))
     if p_center == p_left:
         raise CaseGap(f"{label}: center and left member share a pair")
     frame = FrameSpec(
@@ -1390,19 +1251,16 @@ def _h78_c3_outer_escapes(ctx: RoutingContext, cfg: TerminalConfig, label: str) 
             if ctx.terminals_at(lane):
                 if mate_pos != lane:
                     raise CaseGap(f"{label}: stub and lane both blocked at {stub}")
-                core = _joint_trails(ctx, [(origin, lane)], allowed=lane_region)
-                if core is None:
-                    raise CaseGap(f"{label}: conflict linkage to {lane} blocked")
-                ctx.finish_link(tid[1], core[0])
+                gap = f"{label}: conflict linkage to {lane} blocked"
+                ctx.finish_link(tid[1], _must_trails(ctx, [(origin, lane)], lane_region, gap)[0])
                 continue
             ctx.shift(stub, lane)
-        trails = _joint_trails(ctx, [(origin, stub)], allowed=stub_edges)
-        if trails is None:
-            raise CaseGap(f"{label}: lane to {stub} blocked")
+        gap = f"{label}: lane to {stub} blocked"
+        trail = _must_trails(ctx, [(origin, stub)], stub_edges, gap)[0]
         if mate_pos == stub:
-            ctx.finish_link(tid[1], trails[0])
+            ctx.finish_link(tid[1], trail)
         else:
-            ctx.escape_via(tid, trails[0])
+            ctx.escape_via(tid, trail)
 
 
 def _h78_c3_singleton(cfg: TerminalConfig):
@@ -1428,8 +1286,8 @@ def _partner_of(cfg: TerminalConfig, v: Vertex) -> Vertex | None:
 def _h78_c3_singleton_frame(cfg: TerminalConfig):
     label = "L2/c/no-pair-center-singleton"
     ctx = RoutingContext.fresh(cfg)
-    p_11 = next(i for i, p in enumerate(cfg.pairs) if (1, 1) in p)
-    p_12 = next(i for i, p in enumerate(cfg.pairs) if (1, 2) in p)
+    p_11 = _pair_index(cfg, (1, 1))
+    p_12 = _pair_index(cfg, (1, 2))
     cyc = CYCLE_6_NO_COL1
     frame = FrameSpec(
         cycle=cyc, anchor=(1, 2), attach=(path_of((1, 1), (1, 2)), Path(((1, 2),)))
@@ -1440,8 +1298,7 @@ def _h78_c3_singleton_frame(cfg: TerminalConfig):
     t21 = ctx.positions.get(partner(m21_tid))
     esc = path_of((2, 1), (3, 1))
     if t21 == (3, 1):
-        core = esc
-        ctx.finish_link(m21_tid[1], core)
+        ctx.finish_link(m21_tid[1], esc)
     else:
         if not set(esc.edges()) <= ctx.free:
             raise CaseGap(f"{label}: lane to the row corner blocked")
@@ -1457,12 +1314,12 @@ def _h78_c3_singleton_frame(cfg: TerminalConfig):
 def _h78_c3_singleton_direct(cfg: TerminalConfig):
     label = "L2/c/no-pair-center-singleton-direct"
     ctx = RoutingContext.fresh(cfg)
-    p_12 = next(i for i, p in enumerate(cfg.pairs) if (1, 2) in p)
-    p_21 = next(i for i, p in enumerate(cfg.pairs) if (2, 1) in p)
     if _partner_of(cfg, (1, 2)) != (3, 2) or _partner_of(cfg, (2, 1)) != (2, 3):
         raise CaseGap(f"{label}: direct pattern precondition failed")
-    _link_with_walk(ctx, p_12, ((1, 2), (2, 2), (3, 2)))
-    _link_with_walk(ctx, p_21, ((2, 1), (3, 1), (3, 2), (3, 3), (2, 3)))
+    ctx.finish_link(_pair_index(cfg, (1, 2)), path_of((1, 2), (2, 2), (3, 2)))
+    ctx.finish_link(
+        _pair_index(cfg, (2, 1)), path_of((2, 1), (3, 1), (3, 2), (3, 3), (2, 3))
+    )
     m11_tid = _tid_at(ctx, (1, 1))
     ctx.escape_via(m11_tid, path_of((1, 1), (1, 2), (1, 3)))
     s0_tid = _tid_at(ctx, (2, 2))
@@ -1477,23 +1334,18 @@ def _h78_c3_singleton_direct(cfg: TerminalConfig):
 
 def _route(cfg: TerminalConfig, lemma: LemmaId, case_fn):
     """Run the case handler, exit every terminal it left on the boundary in
-    place, and validate the plan (carried back if the handler reflected)."""
-    contract = contract_for(lemma)
+    place, carry the plan back if the handler solved the diagonal reflection,
+    and validate the plan returned."""
     ctx, label = case_fn(cfg)
     _finish(ctx, label=label)
     plan = ctx.plan()
-    labels = (label, *ctx.notes)
-    verdict = validate_plan(ctx.grid, ctx.cfg, plan, contract)
+    reflected = ctx.cfg != cfg
+    if reflected:
+        plan = reflected_plan(ctx.cfg, plan)
+    verdict = validate_plan(full_grid(), cfg, plan, contract_for(lemma))
     if not verdict.ok:
         raise CaseGap(f"{label}: plan invalid: {verdict.violations[0].message}")
-    if ctx.cfg != cfg:
-        # the handler solved the diagonal reflection; carry the plan back
-        plan = reflected_plan(ctx.cfg, plan)
-        verdict = validate_plan(full_grid(), cfg, plan, contract)
-        if not verdict.ok:
-            raise CaseGap(f"{label}: reflected plan invalid")
-        return plan, CaseTrace(lemma, labels, symmetry_applied=True)
-    return plan, CaseTrace(lemma, labels)
+    return plan, CaseTrace(lemma, (label, *ctx.notes), symmetry_applied=reflected)
 
 
 _CASES = {

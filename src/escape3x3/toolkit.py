@@ -20,6 +20,7 @@ from its drawing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -42,23 +43,23 @@ from .terminals import TerminalConfig
 
 
 class ToolkitError(RuntimeError):
-    code = "TOOLKIT"
+    pass
 
 
 class NotOnBoundary(ToolkitError):
-    code = "NOT_ON_L"
+    pass
 
 
 class ShiftBlocked(ToolkitError):
-    code = "SHIFT_BLOCKED"
+    pass
 
 
 class ClipFailed(ToolkitError):
-    code = "CLIP_FAILED"
+    pass
 
 
 class FrameConflict(ToolkitError):
-    code = "FRAME_CONFLICT"
+    pass
 
 
 TermId = tuple
@@ -376,23 +377,14 @@ def _parse_clip(rec: dict) -> ClipSpec:
     )
 
 
-def load_clip_catalog() -> dict[str, ClipSpec]:
+@functools.lru_cache(maxsize=None)
+def clip_catalog() -> dict[str, ClipSpec]:
+    """The packaged clip catalog by name, read once per process."""
     text = resources.files("escape3x3").joinpath("data/clips.json").read_text("utf-8")
-    records = json.loads(text)
     catalog = {}
-    for rec in records:
+    for rec in json.loads(text):
         clip = _parse_clip(rec)
         if clip.name in catalog:
             raise ValueError(f"duplicate clip name {clip.name}")
         catalog[clip.name] = clip
     return catalog
-
-
-_catalog_cache: dict[str, ClipSpec] | None = None
-
-
-def clip_catalog() -> dict[str, ClipSpec]:
-    global _catalog_cache
-    if _catalog_cache is None:
-        _catalog_cache = load_clip_catalog()
-    return _catalog_cache

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import pathlib
 
 import pytest
 
+from escape3x3 import kernel
 from escape3x3.grid import full_grid, grid_without_corner
 from escape3x3.router import route
 from escape3x3.terminals import LemmaId, enumerate_configs
@@ -21,15 +23,45 @@ def grid_star():
 
 
 @pytest.fixture(scope="session")
-def strict_sweep():
+def _strict_sweep_run():
+    """Route every configuration of the three routed families strictly, once
+    per session, and digest every routing kernel call as it is made: its
+    free edges, endpoint pairs and returned trails, not its node count."""
+    digest = hashlib.sha256()
+    count = 0
+    solve = kernel.solve_trails
+
+    def recording(g, free_edges, endpoint_pairs, max_nodes=0):
+        nonlocal count
+        out = solve(g, free_edges, endpoint_pairs, max_nodes)
+        trails = None if out[0] is None else [t.vertices for t in out[0]]
+        digest.update(json.dumps([sorted(free_edges), endpoint_pairs, trails]).encode())
+        count += 1
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "solve_trails", recording)
+        sweep = [
+            (lemma, cfg, *route(cfg, strict=True))
+            for lemma in (LemmaId.HEAVY78, LemmaId.HEAVY6, LemmaId.HEAVY5)
+            for cfg in enumerate_configs(lemma)
+        ]
+    return sweep, count, digest.hexdigest()
+
+
+@pytest.fixture(scope="session")
+def strict_sweep(_strict_sweep_run):
     """(lemma, cfg, plan, trace) for the strict route of every configuration
     of the three routed families, in enumeration order; routed once per
     session for every test that reads the whole sweep."""
-    return [
-        (lemma, cfg, *route(cfg, strict=True))
-        for lemma in (LemmaId.HEAVY78, LemmaId.HEAVY6, LemmaId.HEAVY5)
-        for cfg in enumerate_configs(lemma)
-    ]
+    return _strict_sweep_run[0]
+
+
+@pytest.fixture(scope="session")
+def strict_sweep_kernel_calls(_strict_sweep_run):
+    """(number, sha256 hex digest) of the routing kernel calls the strict
+    sweep made, in order."""
+    return _strict_sweep_run[1:]
 
 
 @pytest.fixture(scope="session")

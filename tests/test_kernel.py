@@ -101,7 +101,9 @@ def test_reach_table_matches_bfs(g):
         assert table[m] == tuple(_bfs_reach(desc.adj, m, v) for v in range(len(desc.adj)))
 
 
-def test_reach_table_filled_lazily():
+def test_reach_table_filled_lazily(monkeypatch):
+    # an empty memo of its own: other tests fill the shared one for this graph
+    monkeypatch.setattr(_kernel_py, "_REACH", {})
     g = build_corner_grid(frozenset({(1, 1), (3, 3)}))
     desc = kernel.desc_for(g)
     table = _kernel_py.reach_table(desc.adj)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -173,3 +175,60 @@ def test_strict_mode_raises_case_gap_only_via_router():
         plan, trace = route(cfg, strict=True)
         assert trace.lemma is LemmaId.HEAVY5
         assert not trace.used_fallback
+
+
+def test_strict_sweep_kernel_calls_pinned(strict_sweep_kernel_calls):
+    """The routing kernel calls of the strict sweep, in order, are pinned by
+    number and by a digest of their free edges, endpoint pairs and trails;
+    node counts are left out, so a change to the search alone keeps them."""
+    count, digest = strict_sweep_kernel_calls
+    assert count == 11896
+    assert digest == "0307e6eb7bb93ecc3a32760cc42577403750cb1472cbbb0db4f2fbee1ed41627"
+
+
+def _drop_first_linkage(build):
+    def corrupted(*args):
+        plan = build(*args)
+        return dataclasses.replace(plan, linkages=plan.linkages[1:])
+
+    return corrupted
+
+
+@pytest.mark.parametrize(
+    "pairs, singletons, reflects",
+    [
+        ([((1, 1), (1, 3)), ((1, 2), (2, 3)), ((2, 2), (3, 1))], [(2, 1)], True),
+        (
+            [((1, 1), (1, 2)), ((1, 3), (2, 1)), ((2, 2), (2, 3)), ((3, 1), (3, 2))],
+            [],
+            False,
+        ),
+    ],
+    ids=["reflecting", "direct"],
+)
+def test_route_rejects_corrupted_plan_and_falls_back(
+    monkeypatch, grid, pairs, singletons, reflects
+):
+    """A plan that reaches the router's check with a linkage missing is
+    refused: strict routing raises, otherwise the oracle's plan is returned.
+    For a handler that solves the reflection, the plan is corrupted as it is
+    carried back, so only a check of the returned plan catches it."""
+    from escape3x3 import router
+    from escape3x3.router import CaseGap
+    from escape3x3.terminals import make_config
+    from escape3x3.toolkit import RoutingContext
+
+    cfg = make_config(pairs, singletons)
+    _, trace = route(cfg, strict=True)
+    assert trace.symmetry_applied is reflects and not trace.used_fallback
+    if reflects:
+        corrupted = _drop_first_linkage(router.reflected_plan)
+        monkeypatch.setattr(router, "reflected_plan", corrupted)
+    else:
+        corrupted = _drop_first_linkage(RoutingContext.plan)
+        monkeypatch.setattr(RoutingContext, "plan", corrupted)
+    with pytest.raises(CaseGap, match="plan invalid"):
+        route(cfg, strict=True)
+    plan, trace = route(cfg)
+    assert trace.used_fallback and trace.case_labels == ("fallback",)
+    assert validate_plan(grid, cfg, plan, contract_for(LemmaId.HEAVY78)).ok
