@@ -250,66 +250,3 @@ def check_weakly_2_linked(
             return False, (u1, v1, u2, v2)
         feasible.add(key)
     return True, None
-
-
-# -- Second, independent existence checker (different traversal order) -----
-#
-# Used to cross-check oracle completeness on small graphs: a set of edges
-# forms a single a,b-trail exactly when it is connected and its odd-degree
-# vertices are {a, b} (or none, for a closed trail through a).
-
-
-def _subset_is_trail(g: GridGraph, edges: tuple, subset_mask: int, a: Vertex, b: Vertex) -> bool:
-    chosen = [e for i, e in enumerate(edges) if (subset_mask >> i) & 1]
-    if not chosen:
-        return a == b
-    degree: dict[Vertex, int] = {}
-    for u, v in chosen:
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-    odd = sorted(v for v, d in degree.items() if d % 2)
-    if a == b:
-        if odd or a not in degree:
-            return False
-    elif odd != sorted((a, b)):
-        return False
-    # Connectivity over the chosen edges.
-    verts = set(degree)
-    start = next(iter(verts))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        u = frontier.pop()
-        for x, y in chosen:
-            for p, q in ((x, y), (y, x)):
-                if p == u and q not in seen:
-                    seen.add(q)
-                    frontier.append(q)
-    return seen == verts
-
-
-def exists_trail_system_euler(g: GridGraph, endpoint_pairs) -> bool:
-    """Brute-force existence via edge-subset enumeration (ascending masks).
-
-    Exponential in the edge count; intended for cross-checking the DFS
-    kernel on small graphs only.
-    """
-    edges = g.sorted_edges()
-    m = len(edges)
-    if m > 16:
-        raise ValueError("euler cross-check is restricted to small graphs")
-
-    def place(i: int, free_mask: int) -> bool:
-        if i == len(endpoint_pairs):
-            return True
-        a, b = endpoint_pairs[i]
-        # iterate submasks of free_mask in ascending numeric order
-        for candidate in range(free_mask + 1):
-            if candidate & ~free_mask:
-                continue
-            if _subset_is_trail(g, edges, candidate, a, b):
-                if place(i + 1, free_mask & ~candidate):
-                    return True
-        return False
-
-    return place(0, (1 << m) - 1)

@@ -1017,13 +1017,14 @@ def _h78_case_a(cfg: TerminalConfig):
 def _h78_case_b(cfg: TerminalConfig):
     in_s = _pairs_within(cfg, INNER_SQUARE)
     if in_s:
+        third = next(v for v in _terminals_in(cfg, INNER_SQUARE) if v not in cfg.pairs[in_s[0]])
+        pj = _pair_index(cfg, third)
+        if pj is None:
+            return _h78_b2(cfg, in_s[0])
+        label = "L2/b/pair-plus-member"
         ctx = RoutingContext.fresh(cfg)
-        inner_rest = [t for t in _inner(ctx) if t[:2] != ("p", in_s[0])]
-        if inner_rest and inner_rest[0][0] == "p":
-            label = "L2/b/pair-plus-member"
-            _link_many(ctx, [in_s[0], inner_rest[0][1]], label=label)
-            return ctx, label
-        return _h78_b2(cfg, in_s[0])
+        _link_many(ctx, [in_s[0], pj], label=label)
+        return ctx, label
     members = [
         v for v in _terminals_in(cfg, INNER_SQUARE)
         if any(v in p for p in cfg.pairs)

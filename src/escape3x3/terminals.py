@@ -14,6 +14,7 @@ unordered; configurations are canonicalized by lexicographic sorting.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -46,9 +47,14 @@ class TerminalConfig:
     pairs: tuple[Pair, ...]
     singletons: tuple[Vertex, ...]
 
-    @property
+    @functools.cached_property
     def terminals(self) -> tuple[Vertex, ...]:
         return tuple(v for p in self.pairs for v in p) + self.singletons
+
+    def __getstate__(self):
+        # the cached ``terminals`` stays out of the pickle, so pool tasks
+        # carry the two fields only
+        return {"pairs": self.pairs, "singletons": self.singletons}
 
     def terminal_count(self) -> int:
         return 2 * len(self.pairs) + len(self.singletons)
@@ -65,7 +71,9 @@ def make_config(pairs, singletons) -> TerminalConfig:
     cpairs = tuple(sorted(_canonical_pair(p) for p in pairs))
     csingles = tuple(sorted(tuple(s) for s in singletons))
     cfg = TerminalConfig(pairs=cpairs, singletons=csingles)
-    terms = cfg.terminals
+    # checked from the fields, so a configuration nobody routes (a pool
+    # task the parent only sends) carries no cached ``terminals``
+    terms = [v for p in cpairs for v in p] + list(csingles)
     for v in terms:
         if not is_vertex(v):
             raise MalformedConfigError(f"terminal {v} outside the corner grid")

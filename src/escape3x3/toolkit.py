@@ -92,6 +92,12 @@ class RoutingContext:
     terminal sits in ``positions`` at its trail's end; an escaped one exits
     at its trail's end; a linked pair's linkage is its two trails joined by
     a core.  ``free`` holds the edges no trail or core has consumed.
+
+    Only the mutation methods write this state, and each keeps those
+    invariants as it goes: ``consume`` takes only free edges, all or none,
+    ``Path`` joins refuse a shared edge, and ``move`` leaves the terminal at
+    its trail's end.  Nothing re-checks them afterwards; ``route`` validates
+    the finished plan.
     """
 
     grid: GridGraph
@@ -131,10 +137,11 @@ class RoutingContext:
     # -- mutations --------------------------------------------------------
 
     def consume(self, edges) -> None:
-        for e in edges:
-            if e not in self.free:
-                raise ToolkitError(f"edge {e} is not free")
-            self.free.discard(e)
+        """Take the edges out of ``free``; all or none."""
+        if not self.free.issuperset(edges):
+            taken = next(e for e in edges if e not in self.free)
+            raise ToolkitError(f"edge {taken} is not free")
+        self.free.difference_update(edges)
 
     def move(self, tid: TermId, path: Path) -> None:
         """Advance a terminal along a path, consuming its edges."""
@@ -147,7 +154,6 @@ class RoutingContext:
         self.consume(path.edges())
         self.trails[tid] = self.trails[tid] + path
         self.positions[tid] = path.end
-        self._self_check()
 
     def shift(self, u: Vertex, v: Vertex) -> None:
         """Shift the terminal at u along the boundary path to v."""
@@ -188,30 +194,12 @@ class RoutingContext:
         self.linked[pair_index] = self.trails[a] + core + self.trails[b].reversed()
         del self.positions[a]
         del self.positions[b]
-        self._self_check()
 
     def plan(self):
         from .model import EscapePlan
 
         escapes = [self.trails[tid] for tid in self.escaped]
         return EscapePlan.build(dict(self.linked), [(t.start, t.end, t) for t in escapes])
-
-    def _self_check(self) -> None:
-        """Assert what the trails do not guarantee by construction: no edge
-        in two trails, no trail or linkage edge still free, and every
-        unresolved terminal at its trail's end."""
-        if not __debug__:
-            return
-        used: set[Edge] = set()
-        for tid, trail in self.trails.items():
-            edges = trail.edges()
-            assert used.isdisjoint(edges), f"trail of {tid} shares an edge"
-            used.update(edges)
-        for path in self.linked.values():
-            used.update(path.edges())
-        assert used.isdisjoint(self.free), "trail or linkage edge still free"
-        for tid, pos in self.positions.items():
-            assert self.trails[tid].end == pos, f"{tid} is not at its trail's end"
 
 
 # -- clips ----------------------------------------------------------------

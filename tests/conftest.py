@@ -8,6 +8,7 @@ from escape3x3 import kernel
 from escape3x3.grid import full_grid, grid_without_corner
 from escape3x3.router import route
 from escape3x3.terminals import LemmaId, enumerate_configs
+from escape3x3.toolkit import RoutingContext
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -26,10 +27,12 @@ def grid_star():
 def _strict_sweep_run():
     """Route every configuration of the three routed families strictly, once
     per session, and digest every routing kernel call as it is made: its
-    free edges, endpoint pairs and returned trails, not its node count."""
+    free edges, endpoint pairs and returned trails, not its node count.
+    Also count the routing contexts the sweep builds."""
     digest = hashlib.sha256()
-    count = 0
+    count = contexts = 0
     solve = kernel.solve_trails
+    fresh = RoutingContext.fresh
 
     def recording(g, free_edges, endpoint_pairs, max_nodes=0):
         nonlocal count
@@ -39,14 +42,20 @@ def _strict_sweep_run():
         count += 1
         return out
 
+    def counting(cfg):
+        nonlocal contexts
+        contexts += 1
+        return fresh(cfg)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "solve_trails", recording)
+        mp.setattr(RoutingContext, "fresh", staticmethod(counting))
         sweep = [
             (lemma, cfg, *route(cfg, strict=True))
             for lemma in (LemmaId.HEAVY78, LemmaId.HEAVY6, LemmaId.HEAVY5)
             for cfg in enumerate_configs(lemma)
         ]
-    return sweep, count, digest.hexdigest()
+    return sweep, count, digest.hexdigest(), contexts
 
 
 @pytest.fixture(scope="session")
@@ -61,7 +70,13 @@ def strict_sweep(_strict_sweep_run):
 def strict_sweep_kernel_calls(_strict_sweep_run):
     """(number, sha256 hex digest) of the routing kernel calls the strict
     sweep made, in order."""
-    return _strict_sweep_run[1:]
+    return _strict_sweep_run[1:3]
+
+
+@pytest.fixture(scope="session")
+def strict_sweep_contexts(_strict_sweep_run):
+    """How many times the strict sweep called ``RoutingContext.fresh``."""
+    return _strict_sweep_run[3]
 
 
 @pytest.fixture(scope="session")

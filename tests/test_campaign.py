@@ -1,6 +1,7 @@
 import json
+import pathlib
 
-from escape3x3 import campaign
+from escape3x3 import campaign, cli, kernel, model, oracle, router, terminals
 from escape3x3.campaign import (
     EXIT_CASE_GAP,
     EXIT_OK,
@@ -10,6 +11,8 @@ from escape3x3.campaign import (
     verify_all,
 )
 from escape3x3.terminals import LemmaId, encode_config, enumerate_configs
+
+PERFBENCH = pathlib.Path(__file__).parents[1] / "perfbench"
 
 
 def test_report_invariant_valid_plus_failures_is_total():
@@ -52,3 +55,20 @@ def test_report_json_shape():
     assert payload["lemma"] == "w2l"
     assert payload["total"] == 6561 + 4096
     assert payload["valid"] == payload["total"]
+
+
+def test_benchmark_tracer_finds_every_patch_point(monkeypatch):
+    """The benchmark's tracer (read, never edited here) wraps package callables at
+    the module and class attributes their callers look up; each must still
+    be one, and restoring the tracer puts every original back."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    owners = (campaign, cli, kernel, kernel._impl, model, oracle, router, terminals, model.Path)
+    before = [dict(vars(owner)) for owner in owners]
+    tr = tracer.Tracer()
+    try:
+        tracer.trace_package(tr)
+    finally:
+        tr.restore()
+    assert [dict(vars(owner)) for owner in owners] == before

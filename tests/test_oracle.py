@@ -12,12 +12,12 @@ from escape3x3.oracle import (
     BudgetExhausted,
     SearchBudget,
     check_weakly_2_linked,
-    exists_trail_system_euler,
     graph_symmetries,
     oracle_solve,
     pair_keys,
 )
 from escape3x3.terminals import LemmaId, enumerate_configs, make_config
+from euler_trails import exists_trail_system_euler
 from test_strict_sweep import DIGEST_CHARS, REFERENCE, _digest
 
 

@@ -45,3 +45,7 @@ def test_retry_notes_only_in_their_case(strict_sweep, note, case, count):
     noted = [trace for _, _, _, trace in strict_sweep if note in trace.case_labels[1:]]
     assert len(noted) == count
     assert {trace.case_labels[0] for trace in noted} == {case}
+
+
+def test_one_routing_context_per_route(strict_sweep, strict_sweep_contexts):
+    assert strict_sweep_contexts == len(strict_sweep) == 9765

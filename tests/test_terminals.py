@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from escape3x3.terminals import (
     LemmaId,
     MalformedConfigError,
+    TerminalConfig,
     config_to_ndjson_line,
     decode_config,
     demote_pair_to_singletons,
@@ -58,7 +60,16 @@ def test_w2l_not_enumerated_here():
 
 def test_round_trip_identity_over_heavy5():
     for cfg in enumerate_configs(LemmaId.HEAVY5):
+        unread = TerminalConfig(cfg.pairs, cfg.singletons)
+        assert len(cfg.terminals) == 5  # cached from here on
         assert decode_config(encode_config(cfg)) == cfg
+        # the cache changes no comparison, hash, repr, encoding or pickle
+        assert cfg == unread and cfg <= unread and unread <= cfg
+        assert hash(cfg) == hash(unread) and repr(cfg) == repr(unread)
+        assert encode_config(cfg) == encode_config(unread)
+        assert pickle.dumps(cfg) == pickle.dumps(unread)
+        copy = pickle.loads(pickle.dumps(cfg))
+        assert copy == cfg and copy.terminals == cfg.terminals
 
 
 def test_decode_example():

@@ -12,6 +12,7 @@ from escape3x3.toolkit import (
     NotOnBoundary,
     RoutingContext,
     ShiftBlocked,
+    ToolkitError,
     clip_catalog,
     complete_frame,
     mate_through_clip,
@@ -39,6 +40,18 @@ def test_shift_identity_consumes_nothing():
     ctx = _ctx([], [(2, 3)])
     ctx.shift((2, 3), (2, 3))
     assert ctx.free == set(full_grid().edges)
+
+
+def test_blocked_move_changes_nothing():
+    # the third edge of the move is held by the terminal shifted from (2,3)
+    ctx = _ctx([], [(2, 3), (3, 1)])
+    ctx.shift((2, 3), (3, 3))
+    free, trails, positions = set(ctx.free), dict(ctx.trails), dict(ctx.positions)
+    with pytest.raises(ToolkitError):
+        ctx.move(("s", 1), path_of((3, 1), (3, 2), (3, 3), (2, 3)))
+    assert ctx.free == free
+    assert ctx.trails == trails
+    assert ctx.positions == positions
 
 
 def test_second_overlapping_shift_blocked():
@@ -160,7 +173,7 @@ def test_frame_attach_may_not_use_cycle_edges():
         )
 
 
-def test_context_self_check_and_plan_assembly(grid):
+def test_context_plan_assembly(grid):
     cfg = make_config([((1, 1), (2, 3))], [(3, 1), (3, 2), (1, 3)])
     ctx = RoutingContext.fresh(cfg)
     ctx.move(("p", 0, 0), path_of((1, 1), (1, 2)))
@@ -182,19 +195,3 @@ def test_free_vertex_accounting():
     assert ctx.is_free_vertex((3, 1))  # freed by the linkage
     ctx.escape_via(("s", 0), path_of((2, 2), (2, 1), (3, 1)))
     assert not ctx.is_free_vertex((3, 1))  # taken by the escape's exit
-
-
-def test_self_check_catches_a_consumed_trail_edge_put_back():
-    ctx = _ctx([], [(2, 3)])
-    ctx.shift((2, 3), (3, 2))
-    ctx.free.add(edge((3, 3), (3, 2)))
-    with pytest.raises(AssertionError):
-        ctx._self_check()
-
-
-def test_self_check_catches_a_position_off_its_trail_end():
-    ctx = _ctx([], [(2, 3)])
-    ctx.shift((2, 3), (3, 3))
-    ctx.positions[("s", 0)] = (3, 2)  # the trail still ends at (3,3)
-    with pytest.raises(AssertionError):
-        ctx._self_check()
