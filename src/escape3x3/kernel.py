@@ -1,7 +1,9 @@
-"""Trail-packing kernel: graph descriptors and the vertex-level wrapper.
+"""Trail-packing kernel: graph descriptors and the vertex-level wrappers.
 
 ``solve_trails`` translates vertices and edges to the indices and bitmasks
-of ``desc_for`` and runs the search in ``_kernel_py``.
+of ``desc_for`` and runs the search in ``_kernel_py``.  ``escapes_exist``
+runs the same search on the sink graph of ``sink_desc``, where "escape to
+any free exit" is one trail into a sink vertex.
 """
 
 from __future__ import annotations
@@ -75,9 +77,87 @@ def solve_trails(
     vindex = desc.vindex
     pairs_idx = tuple((vindex[a], vindex[b]) for a, b in endpoint_pairs)
     status, trails, nodes = _impl.find_trail_system(
-        desc.adj, pairs_idx, desc.edge_mask(free_edges), max_nodes
+        desc.adj, pairs_idx, desc.edge_mask(free_edges), max_nodes, 0
     )
     if status == FOUND:
         paths = [Path(tuple(desc.vertices[i] for i in t)) for t in trails]
         return paths, nodes, False
     return None, nodes, status == BUDGET
+
+
+@dataclass(frozen=True)
+class SinkDesc:
+    """A grid graph's descriptor extended by a sink S fed by the exits.
+
+    Each unrestricted exit has one directed edge to S.  With a limit, each
+    restricted exit has one directed edge to a vertex R, and R has ``limit``
+    edges to S (no more than there are restricted exits).  Nothing leaves S,
+    and R leads only to S, so a virtual vertex can only end a trail and no
+    trail passes from one exit to another.  Trails into S from distinct
+    terminals are edge-disjoint, so they end at distinct exits, at most
+    ``limit`` of them restricted.  An exit lists its virtual edge first, so
+    a trail reaching it tries to end there before it walks on."""
+
+    grid: GraphDesc
+    adj: tuple[tuple[tuple[int, int], ...], ...]
+    sink: int
+    virtual: int  # mask of every virtual edge
+    exit_edges: int  # mask of the exit->S and exit->R edges
+
+
+@lru_cache(maxsize=None)
+def sink_desc(
+    g: GridGraph, exits: tuple[Vertex, ...], restricted: frozenset[Vertex], limit: int | None
+) -> SinkDesc:
+    grid = desc_for(g)
+    n = len(grid.vertices)
+    held = [] if limit is None else [x for x in exits if x in restricted]
+    r = n  # R, present only when some exit is restricted
+    sink = n + 1 if held else n
+    adj = [list(entries) for entries in grid.adj] + [[] for _ in range(sink + 1 - n)]
+    eid = len(grid.edges)
+    for x in exits:
+        adj[grid.vindex[x]].insert(0, (r if x in held else sink, eid))
+        eid += 1
+    exit_edges = (1 << eid) - (1 << len(grid.edges))
+    for _ in range(min(limit, len(held)) if held else 0):
+        adj[r].append((sink, eid))
+        eid += 1
+    return SinkDesc(
+        grid=grid,
+        adj=tuple(map(tuple, adj)),
+        sink=sink,
+        virtual=(1 << eid) - (1 << len(grid.edges)),
+        exit_edges=exit_edges,
+    )
+
+
+def escapes_exist(
+    g: GridGraph,
+    free_edges,
+    linked_pairs,
+    escaping,
+    exits,
+    restricted,
+    limit: int | None,
+    max_nodes: int = 0,
+) -> tuple[bool, int, bool]:
+    """Whether edge-disjoint trails join the linked pairs and take every
+    escaping terminal to its own exit, at most ``limit`` of them in
+    ``restricted`` (None: no bound): one search of the sink graph.
+
+    Returns (feasible, nodes, exhausted).
+    """
+    sd = sink_desc(g, tuple(exits), frozenset(restricted), limit)
+    vindex = sd.grid.vindex
+    pairs_idx = tuple((vindex[a], vindex[b]) for a, b in linked_pairs) + tuple(
+        (vindex[t], sd.sink) for t in escaping
+    )
+    status, _, nodes = _impl.find_trail_system(
+        sd.adj,
+        pairs_idx,
+        sd.grid.edge_mask(free_edges) | sd.virtual,
+        max_nodes,
+        sd.exit_edges,
+    )
+    return status == FOUND, nodes, status == BUDGET

@@ -6,6 +6,19 @@ assignments for the remaining terminals (lexicographic by terminal then
 exit), and packs edge-disjoint trails depth-first.  The first witness found
 under this fixed order is returned, making the oracle deterministic.
 
+A subset with terminals to escape whose first searched assignment fails
+is asked once, by one sink search (``kernel.escapes_exist``), whether any
+of its assignments has trails: every escape is one trail into a sink fed
+by one edge per exit, so edge-disjointness alone keeps the exits distinct
+(and a gadget of ``limit`` edges bounds the restricted ones).  If none
+has, the rest of the subset is skipped; if one has, the loop goes on as
+before.  A subset is skipped only when its loop would find nothing, so
+every call that yields a witness is made exactly as without the sink
+search, and witnesses and reports stay bit-identical.  The sink search's
+nodes count against the budget like any other call's, and its refutations
+do not enter the ``refuted`` memo below, whose keys name single
+assignments.
+
 This module is the ground truth the constructive router is measured
 against; it shares no routing logic with the router.
 
@@ -168,6 +181,30 @@ def pair_keys(g: GridGraph) -> PairKeys:
 # -- The exhaustive searches ---------------------------------------------------
 
 
+class _Spend:
+    """Nodes spent against a budget across the kernel calls of one search."""
+
+    def __init__(self, max_nodes: int | None):
+        self.remaining = max_nodes
+        self.spent = 0
+
+    def cap(self) -> int:
+        """The next call's node cap; 0 means unlimited to the kernel, so a
+        budget spent exactly stops the search here."""
+        if self.remaining is None:
+            return 0
+        if self.remaining <= 0:
+            raise BudgetExhausted(self.spent)
+        return self.remaining
+
+    def charge(self, nodes: int, exhausted: bool) -> None:
+        self.spent += nodes
+        if self.remaining is not None:
+            self.remaining -= nodes
+        if exhausted:
+            raise BudgetExhausted(self.spent)
+
+
 def oracle_solve(
     g: GridGraph,
     cfg: TerminalConfig,
@@ -183,8 +220,7 @@ def oracle_solve(
     """
     npairs = len(cfg.pairs)
     exits = sorted(contract.exit_target & g.vertices)
-    remaining = budget.max_nodes
-    spent = 0
+    spend = _Spend(budget.max_nodes)
     known = None
     if refuted is not None:
         known = refuted.setdefault(g, set())
@@ -196,27 +232,36 @@ def oracle_solve(
             unlinked = sorted(set(cfg.terminals) - linked_vertices)
             if known is not None:
                 base = keys.sums(linked_pairs)
+            # with no terminal to escape, the one assignment is the subset
+            sink_pending = bool(unlinked)
             for assignment in _exit_assignments(unlinked, exits, contract):
                 escapes = list(zip(unlinked, assignment))
                 if known is not None:
                     key = keys.key(escapes, base)
                     if key in known:
                         continue
-                if remaining is not None and remaining <= 0:
-                    # spent exactly: a cap of 0 would mean unlimited to the kernel
-                    raise BudgetExhausted(spent)
-                cap = remaining if remaining is not None else 0
                 trails, nodes, exhausted = kernel.solve_trails(
-                    g, g.edges, linked_pairs + escapes, cap
+                    g, g.edges, linked_pairs + escapes, spend.cap()
                 )
-                spent += nodes
-                if remaining is not None:
-                    remaining -= nodes
-                if exhausted:
-                    raise BudgetExhausted(spent)
+                spend.charge(nodes, exhausted)
                 if trails is None:
                     if known is not None:
                         known.add(key)
+                    if sink_pending:
+                        sink_pending = False
+                        feasible, nodes, exhausted = kernel.escapes_exist(
+                            g,
+                            g.edges,
+                            linked_pairs,
+                            unlinked,
+                            exits,
+                            contract.restricted_zone,
+                            contract.max_exits_in_restricted,
+                            spend.cap(),
+                        )
+                        spend.charge(nodes, exhausted)
+                        if not feasible:
+                            break
                     continue
                 linkages = {i: trails[j] for j, i in enumerate(linked)}
                 escape_paths = [

@@ -136,22 +136,26 @@ class RoutingContext:
 
     # -- mutations --------------------------------------------------------
 
-    def consume(self, edges) -> None:
-        """Take the edges out of ``free``; all or none."""
+    def consume(self, edges, blocked: type[ToolkitError] = ToolkitError) -> None:
+        """Take the edges out of ``free``; all or none: if one is taken,
+        raise ``blocked`` and change nothing."""
         if not self.free.issuperset(edges):
             taken = next(e for e in edges if e not in self.free)
-            raise ToolkitError(f"edge {taken} is not free")
+            raise blocked(f"edge {taken} is not free")
         self.free.difference_update(edges)
 
-    def move(self, tid: TermId, path: Path) -> None:
-        """Advance a terminal along a path, consuming its edges."""
+    def move(
+        self, tid: TermId, path: Path, blocked: type[ToolkitError] = ToolkitError
+    ) -> None:
+        """Advance a terminal along a path, consuming its edges (see
+        ``consume`` for ``blocked``)."""
         if self.positions.get(tid) != path.start:
             raise ToolkitError(
                 f"{tid} is at {self.positions.get(tid)}, path starts at {path.start}"
             )
         if path.is_zero_length():
             return
-        self.consume(path.edges())
+        self.consume(path.edges(), blocked)
         self.trails[tid] = self.trails[tid] + path
         self.positions[tid] = path.end
 
@@ -162,11 +166,7 @@ class RoutingContext:
         tids = self.terminals_at(u)
         if not tids:
             raise ToolkitError(f"no terminal at {u} to shift")
-        path = Path(unique_l_path(u, v))
-        for e in path.edges():
-            if e not in self.free:
-                raise ShiftBlocked(f"boundary edge {e} already consumed")
-        self.move(tids[0], path)
+        self.move(tids[0], Path(unique_l_path(u, v)), ShiftBlocked)
 
     def finish_escape(self, tid: TermId) -> None:
         """Resolve a terminal as escaping at its current position."""

@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escape3x3 import kernel
-from escape3x3.grid import GridGraph, build_corner_grid, full_grid, grid_without_corner
+from escape3x3 import _kernel_py, kernel
+from escape3x3.grid import (
+    BOUNDARY,
+    COL_ONLY,
+    GridGraph,
+    build_corner_grid,
+    full_grid,
+    grid_without_corner,
+)
 from escape3x3.model import EscapeContract, contract_for, validate_plan
 from escape3x3.oracle import (
     BudgetExhausted,
@@ -103,34 +110,95 @@ def test_oracle_prefers_more_linked_pairs(grid):
     assert len(plan.linkages) == 2
 
 
+# The heavy78 configuration of the budget tests.  Without a memo the oracle
+# makes three kernel calls: the first assignment fails after exactly 59 nodes,
+# the sink search that follows finds the subset feasible in 47, and the
+# second assignment gives the plan in 34.
+_BUDGET_CFG = make_config([((1, 1), (2, 1)), ((1, 2), (2, 2)), ((1, 3), (2, 3))], [(3, 1)])
+_BUDGET_ESCAPES = [((3, 1), (1, 3)), ((3, 1), (2, 3))]
+
+
 def test_oracle_budget_spent_exactly_stops_search(grid):
-    """The first kernel call fails after exactly 59 nodes; a budget of 59
-    must stop there rather than let the next call run uncapped (the plan
-    costs 93 nodes)."""
-    cfg = make_config([((1, 1), (2, 1)), ((1, 2), (2, 2)), ((1, 3), (2, 3))], [(3, 1)])
+    """A budget of 59 must stop after the first call rather than let the
+    sink search run uncapped; the plan costs 59 + 47 + 34 = 140 nodes."""
+    cfg = _BUDGET_CFG
     contract = contract_for(LemmaId.HEAVY78)
-    first, nodes, _ = kernel.solve_trails(
-        grid, grid.edges, [*cfg.pairs, ((3, 1), (1, 3))]
-    )
+    first, nodes, _ = kernel.solve_trails(grid, grid.edges, [*cfg.pairs, _BUDGET_ESCAPES[0]])
     assert first is None and nodes == 59
+    exits = sorted(contract.exit_target)
+    assert kernel.escapes_exist(
+        grid, grid.edges, cfg.pairs, [(3, 1)], exits, contract.restricted_zone, None
+    ) == (True, 47, False)
+    second, nodes, _ = kernel.solve_trails(grid, grid.edges, [*cfg.pairs, _BUDGET_ESCAPES[1]])
+    assert second is not None and nodes == 34
     with pytest.raises(BudgetExhausted) as info:
         oracle_solve(grid, cfg, contract, SearchBudget.limited(59))
     assert info.value.nodes == 59
     plan = oracle_solve(grid, cfg, contract)
-    assert oracle_solve(grid, cfg, contract, SearchBudget.limited(93)) == plan
-    with pytest.raises(BudgetExhausted):
-        oracle_solve(grid, cfg, contract, SearchBudget.limited(92))
+    assert oracle_solve(grid, cfg, contract, SearchBudget.limited(140)) == plan
+    with pytest.raises(BudgetExhausted) as info:
+        oracle_solve(grid, cfg, contract, SearchBudget.limited(139))
+    assert info.value.nodes == 139
 
 
-def test_refute_witnesses_match_reference_digests(grid):
+def test_budget_runs_out_inside_the_sink_search(grid):
+    """A budget of 80 leaves the sink search a cap of 21 of its 47 nodes: the
+    oracle stops with exactly 80 spent, and the memo holds only the first
+    assignment, refuted by a complete search."""
+    cfg = _BUDGET_CFG
+    contract = contract_for(LemmaId.HEAVY78)
+    refuted = {}
+    with pytest.raises(BudgetExhausted) as info:
+        oracle_solve(grid, cfg, contract, SearchBudget.limited(80), refuted=refuted)
+    assert info.value.nodes == 80
+    assert refuted[grid] == {pair_keys(grid).key([*cfg.pairs, _BUDGET_ESCAPES[0]])}
+
+
+def test_sink_refutation_adds_nothing_to_the_memo(grid):
+    """An infeasible subset is refuted by its first assignment and one sink
+    search; only the assignment's key enters the memo."""
+    cfg = make_config([((1, 1), (3, 1))], [(1, 2), (1, 3), (2, 1), (2, 2)])
+    contract = contract_for(LemmaId.HEAVY6)
+    # the first assignment with at most one exit in the restricted {(1,3), (2,3)}
+    first = [cfg.pairs[0], *zip(sorted(cfg.singletons), [(1, 3), (3, 1), (3, 2), (3, 3)])]
+    refuted = {}
+    assert oracle_solve(grid, cfg, contract, refuted=refuted) is None
+    assert refuted[grid] == {pair_keys(grid).key(first)}
+
+
+@pytest.fixture(scope="module")
+def refute_sweep(grid):
+    """The oracle on every one-pair heavy6 configuration of the extended
+    enumeration, in enumeration order, with no memo, run once per module:
+    (configurations, plans, kernel calls).  Each kernel call is recorded as
+    (always-free mask, status) at ``kernel._impl.find_trail_system``; the
+    mask is 0 for an assignment call and nonzero for a sink search."""
+    contract = contract_for(LemmaId.HEAVY6)
+    cfgs = [c for c in enumerate_configs(LemmaId.HEAVY6, extended=True) if len(c.pairs) == 1]
+    calls = []
+    find = kernel._impl.find_trail_system
+
+    def recording(*args):
+        out = find(*args)
+        calls.append((args[4], out[0]))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel._impl, "find_trail_system", recording)
+        plans = [oracle_solve(grid, cfg, contract) for cfg in cfgs]
+    return cfgs, plans, calls
+
+
+def test_refute_witnesses_match_reference_digests(grid, refute_sweep):
     """The oracle's plan for every one-pair heavy6 configuration of the
     extended enumeration, in enumeration order, is pinned to the digests in
     ``perfbench/reference.json`` (only read); a refutation's digest is
-    dashes."""
+    dashes.  So is the kernel work: 2,468 assignment calls and 540 sink
+    searches, of which 106 refute a subset (one per infeasible
+    configuration, which has the one subset), in place of the 48 assignment
+    calls each of those would take without the sink search."""
+    _, plans, calls = refute_sweep
     reference = json.loads(REFERENCE.read_text(encoding="utf-8"))["refute"]
-    contract = contract_for(LemmaId.HEAVY6)
-    cfgs = [c for c in enumerate_configs(LemmaId.HEAVY6, extended=True) if len(c.pairs) == 1]
-    plans = [oracle_solve(grid, cfg, contract) for cfg in cfgs]
     assert reference["count"] == len(plans) == 1260
     infeasible = [i for i, plan in enumerate(plans) if plan is None]
     assert infeasible == reference["infeasible"] and len(infeasible) == 106
@@ -142,6 +210,24 @@ def test_refute_witnesses_match_reference_digests(grid):
         != reference["item_digests"][i * DIGEST_CHARS : (i + 1) * DIGEST_CHARS]
     ]
     assert not mismatched, f"{len(mismatched)} witnesses differ, first at item {mismatched[0]}"
+    sink = [status for always_free, status in calls if always_free]
+    assert len(calls) - len(sink) == 2468
+    assert len(sink) == 540
+    assert sink.count(kernel.NONE) == 106
+
+
+def test_sink_reach_rows_hold_every_exit_edge(grid, refute_sweep):
+    """Every row of the sink graph's reachability memo is keyed with all its
+    exit edges free, so the memo has at most one row per state of the grid
+    edges and the R->S edge."""
+    contract = contract_for(LemmaId.HEAVY6)
+    sd = kernel.sink_desc(
+        grid, tuple(sorted(contract.exit_target)), contract.restricted_zone, 1
+    )
+    table = _kernel_py.reach_table(sd.adj)
+    assert table
+    assert all(m & sd.exit_edges == sd.exit_edges for m in table)
+    assert len(table) <= 1 << (len(sd.grid.edges) + 1)
 
 
 def test_budget_zero_rejected():
@@ -186,6 +272,32 @@ def test_euler_cross_check_agrees_with_kernel_on_free_edge_subsets(free, ends):
     fast = kernel.solve_trails(g, g.edges, pairs)
     assert (fast[0] is not None) == exists_trail_system_euler(g, pairs)
     assert kernel.solve_trails(_FULL, free, pairs) == fast
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    taken=st.sets(st.sampled_from(_FULL.sorted_edges())),
+    linked=st.lists(st.tuples(_VERTEX, _VERTEX), max_size=2),
+    escaping=st.lists(_VERTEX, min_size=1, max_size=4),
+    exits=st.sets(st.sampled_from(sorted(BOUNDARY))),
+    limit=st.sampled_from([None, 1]),
+)
+def test_sink_search_agrees_with_every_exit_assignment(taken, linked, escaping, exits, limit):
+    """One sink search answers what the oracle's loop asks of a subset:
+    whether some injective assignment of the escaping terminals to the
+    exits, at most ``limit`` of them in the restricted zone, has trails
+    (one kernel call per assignment) in the grid edges not ``taken``."""
+    free = _FULL.edges - taken
+    exits = sorted(exits)
+    brute = any(
+        kernel.solve_trails(_FULL, free, [*linked, *zip(escaping, combo)])[0] is not None
+        for combo in itertools.permutations(exits, len(escaping))
+        if limit is None or sum(x in COL_ONLY for x in combo) <= limit
+    )
+    found, _, exhausted = kernel.escapes_exist(
+        _FULL, free, linked, escaping, exits, COL_ONLY, limit
+    )
+    assert found == brute and not exhausted
 
 
 def _euler_plan_exists(g, cfg, contract):
@@ -329,15 +441,23 @@ def test_weak_linkage_searches_one_tuple_per_key(kernel_calls):
     [(LemmaId.HEAVY5, 0), (LemmaId.HEAVY6, 106)],
     ids=["heavy5", "heavy6-one-pair"],
 )
-def test_refutation_memo_keeps_every_result(grid, kernel_calls, lemma, infeasible):
+def test_refutation_memo_keeps_every_result(
+    grid, refute_sweep, kernel_calls, lemma, infeasible
+):
     """One refuted set shared across the 1,260 one-pair configurations of a
     family (for heavy6, of its extension) gives the memo-less result on
-    every one, with fewer kernel calls."""
+    every one, with fewer assignment calls.  The memo-less heavy6 results
+    are those of the refute sweep."""
     cfgs = [c for c in enumerate_configs(lemma, extended=True) if len(c.pairs) == 1]
     assert len(cfgs) == 1260
     contract = contract_for(lemma)
-    plain = [oracle_solve(grid, cfg, contract) for cfg in cfgs]
-    plain_calls = len(kernel_calls)
+    if lemma is LemmaId.HEAVY6:
+        assert cfgs == refute_sweep[0]
+        plain = refute_sweep[1]
+        plain_calls = sum(not always_free for always_free, _ in refute_sweep[2])
+    else:
+        plain = [oracle_solve(grid, cfg, contract) for cfg in cfgs]
+        plain_calls = len(kernel_calls)
     refuted = {}
     memo = [oracle_solve(grid, cfg, contract, refuted=refuted) for cfg in cfgs]
     assert memo == plain
@@ -351,9 +471,10 @@ def test_refutation_memo_records_only_complete_searches(grid):
     """A search cut short by the budget adds nothing; a complete failing
     search adds its key, and a later call skips it at no node cost.  The
     configuration is the one of test_oracle_budget_spent_exactly_stops_search:
-    its first kernel call fails after exactly 59 nodes, and its plan costs
-    93 nodes without a memo."""
-    cfg = make_config([((1, 1), (2, 1)), ((1, 2), (2, 2)), ((1, 3), (2, 3))], [(3, 1)])
+    its first kernel call fails after exactly 59 nodes, and with that call
+    skipped its second assignment is the first call made and gives the plan
+    in 34, with no sink search."""
+    cfg = _BUDGET_CFG
     contract = contract_for(LemmaId.HEAVY78)
     refuted = {}
     with pytest.raises(BudgetExhausted):
@@ -361,7 +482,7 @@ def test_refutation_memo_records_only_complete_searches(grid):
     assert not refuted.get(grid)
     with pytest.raises(BudgetExhausted):
         oracle_solve(grid, cfg, contract, SearchBudget.limited(59), refuted=refuted)
-    assert refuted[grid] == {pair_keys(grid).key([*cfg.pairs, ((3, 1), (1, 3))])}
+    assert refuted[grid] == {pair_keys(grid).key([*cfg.pairs, _BUDGET_ESCAPES[0]])}
     plan = oracle_solve(grid, cfg, contract)
     memo_budget = SearchBudget.limited(34)
     assert oracle_solve(grid, cfg, contract, memo_budget, refuted=refuted) == plan

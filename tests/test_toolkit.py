@@ -57,8 +57,13 @@ def test_blocked_move_changes_nothing():
 def test_second_overlapping_shift_blocked():
     ctx = _ctx([], [(2, 3), (1, 3)])
     ctx.shift((2, 3), (3, 2))
+    free, trails, positions = set(ctx.free), dict(ctx.trails), dict(ctx.positions)
+    # (1,3)-(2,3) is free, (2,3)-(3,3) is not: the shift takes neither
     with pytest.raises(ShiftBlocked):
         ctx.shift((1, 3), (3, 3))
+    assert ctx.free == free
+    assert ctx.trails == trails
+    assert ctx.positions == positions
 
 
 def test_shift_requires_boundary():
