@@ -136,26 +136,22 @@ class RoutingContext:
 
     # -- mutations --------------------------------------------------------
 
-    def consume(self, edges, blocked: type[ToolkitError] = ToolkitError) -> None:
-        """Take the edges out of ``free``; all or none: if one is taken,
-        raise ``blocked`` and change nothing."""
+    def consume(self, edges) -> None:
+        """Take the edges out of ``free``; all or none."""
         if not self.free.issuperset(edges):
             taken = next(e for e in edges if e not in self.free)
-            raise blocked(f"edge {taken} is not free")
+            raise ToolkitError(f"edge {taken} is not free")
         self.free.difference_update(edges)
 
-    def move(
-        self, tid: TermId, path: Path, blocked: type[ToolkitError] = ToolkitError
-    ) -> None:
-        """Advance a terminal along a path, consuming its edges (see
-        ``consume`` for ``blocked``)."""
+    def move(self, tid: TermId, path: Path) -> None:
+        """Advance a terminal along a path, consuming its edges."""
         if self.positions.get(tid) != path.start:
             raise ToolkitError(
                 f"{tid} is at {self.positions.get(tid)}, path starts at {path.start}"
             )
         if path.is_zero_length():
             return
-        self.consume(path.edges(), blocked)
+        self.consume(path.edges())
         self.trails[tid] = self.trails[tid] + path
         self.positions[tid] = path.end
 
@@ -166,7 +162,11 @@ class RoutingContext:
         tids = self.terminals_at(u)
         if not tids:
             raise ToolkitError(f"no terminal at {u} to shift")
-        self.move(tids[0], Path(unique_l_path(u, v)), ShiftBlocked)
+        # the terminal is at u, so move can only fail on an edge not free
+        try:
+            self.move(tids[0], Path(unique_l_path(u, v)))
+        except ToolkitError as e:
+            raise ShiftBlocked(str(e)) from e
 
     def finish_escape(self, tid: TermId) -> None:
         """Resolve a terminal as escaping at its current position."""

@@ -8,7 +8,6 @@ from escape3x3 import _kernel_py, kernel
 from escape3x3.grid import (
     BOUNDARY,
     COL_ONLY,
-    CORNER,
     GridGraph,
     build_corner_grid,
     edge,
@@ -153,6 +152,30 @@ _FULL = kernel.desc_for(full_grid())
 _SINK = "sink"  # stands for the sink vertex of a sink descriptor
 
 
+def _assert_pruned_matches_naive(adj, pairs_idx, mask, always_free=0):
+    status, trails, nodes = _kernel_py.find_trail_system(adj, pairs_idx, mask, 0, always_free)
+    naive_status, naive_trails, naive_nodes = _naive_trail_system(adj, pairs_idx, mask)
+    assert (status, trails) == (naive_status, naive_trails)
+    assert nodes <= naive_nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    free=st.sets(st.sampled_from(_FULL.edges)),
+    pairs=st.lists(
+        st.tuples(st.sampled_from(_FULL.vertices), st.sampled_from(_FULL.vertices)),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_pruned_search_finds_the_first_trail_system(free, pairs):
+    """Pruning cuts only subtrees without a solution: the kernel returns the
+    naive search's status and trails, in no more nodes."""
+    vindex = _FULL.vindex
+    pairs_idx = tuple((vindex[a], vindex[b]) for a, b in pairs)
+    _assert_pruned_matches_naive(_FULL.adj, pairs_idx, _FULL.edge_mask(free))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     free=st.sets(st.sampled_from(_FULL.edges)),
@@ -164,30 +187,16 @@ _SINK = "sink"  # stands for the sink vertex of a sink descriptor
         min_size=1,
         max_size=5,
     ),
-    sink=st.none()
-    | st.tuples(st.sets(st.sampled_from(sorted(BOUNDARY))), st.sampled_from([None, 1])),
+    exits=st.sets(st.sampled_from(sorted(BOUNDARY))),
+    limit=st.sampled_from([None, 1]),
 )
-def test_pruned_search_finds_the_first_trail_system(free, pairs, sink):
-    """Pruning cuts only subtrees without a solution: the kernel returns the
-    naive search's status and trails, in no more nodes.  Without ``sink``
-    the graph is the full grid; with it, the sink descriptor of the full
-    grid for those exits and that limit, whose reachability rows are read
-    with the exit edges always free, and the naive search follows its
-    directed virtual edges as listed.  With no sink, a pair drawn to end at
-    the sink ends at the corner."""
+def test_pruned_sink_search_finds_the_first_trail_system(free, pairs, exits, limit):
+    """The same on the sink descriptor of the full grid for those exits and
+    that limit: its reachability rows are read with the exit edges always
+    free, and the naive search follows its directed virtual edges as
+    listed."""
+    sd = kernel.sink_desc(full_grid(), tuple(sorted(exits)), COL_ONLY, limit)
     vindex = _FULL.vindex
-    if sink is None:
-        adj, virtual, always_free, end = _FULL.adj, 0, 0, vindex[CORNER]
-    else:
-        exits, limit = sink
-        sd = kernel.sink_desc(full_grid(), tuple(sorted(exits)), COL_ONLY, limit)
-        adj, virtual, always_free = sd.adj, sd.virtual, sd.exit_edges
-        end = sd.sink
-    pairs_idx = tuple(
-        (vindex[a], end if b == _SINK else vindex[b]) for a, b in pairs
-    )
-    mask = _FULL.edge_mask(free) | virtual
-    status, trails, nodes = _kernel_py.find_trail_system(adj, pairs_idx, mask, 0, always_free)
-    naive_status, naive_trails, naive_nodes = _naive_trail_system(adj, pairs_idx, mask)
-    assert (status, trails) == (naive_status, naive_trails)
-    assert nodes <= naive_nodes
+    pairs_idx = tuple((vindex[a], sd.sink if b == _SINK else vindex[b]) for a, b in pairs)
+    mask = _FULL.edge_mask(free) | sd.virtual
+    _assert_pruned_matches_naive(sd.adj, pairs_idx, mask, sd.exit_edges)

@@ -458,13 +458,14 @@ def test_refutation_memo_keeps_every_result(
     else:
         plain = [oracle_solve(grid, cfg, contract) for cfg in cfgs]
         plain_calls = len(kernel_calls)
+    kernel_calls.clear()
     refuted = {}
     memo = [oracle_solve(grid, cfg, contract, refuted=refuted) for cfg in cfgs]
     assert memo == plain
     assert [p is None for p in memo] == [p is None for p in plain]
     assert sum(p is None for p in memo) == infeasible
     assert set(refuted) == {grid} and refuted[grid]
-    assert len(kernel_calls) - plain_calls < plain_calls
+    assert len(kernel_calls) < plain_calls
 
 
 def test_refutation_memo_records_only_complete_searches(grid):
