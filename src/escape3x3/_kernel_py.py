@@ -1,9 +1,9 @@
 """The edge-disjoint trail packing kernel, in pure Python.
 
-Given a small graph (adjacency lists over vertex indices, edges numbered
-into a bitmask) and a sequence of (start, end) endpoint pairs, finds the
-lexicographically first system of pairwise edge-disjoint trails connecting
-every pair, by depth-first search.  Trails may revisit vertices but never
+Given a small graph (adjacency lists over vertex indices, each entry a
+neighbour and its edge's bit in the free-edge mask) and a sequence of
+(start, end) endpoint pairs, finds the lexicographically first system of
+pairwise edge-disjoint trails connecting every pair, by depth-first search.  Trails may revisit vertices but never
 reuse an edge; a zero-length trail is allowed when start == end.
 
 An edge may be directed: listed in the adjacency of one endpoint only, so a
@@ -11,11 +11,16 @@ trail crosses it that way alone.  Grid edges are listed at both ends.  The
 sink graphs of ``kernel.sink_desc`` add directed virtual edges from exits
 into a sink; nothing leaves the sink, so it can only end a trail.
 
-The search prunes with reachability over the still-free edges: a node
-returns at once if the current trail cannot reach its end, or the ends of a
-later pair are cut apart.  The free mask only shrinks below a node, so such
-a pair stays cut apart in the whole subtree: pruning drops only subtrees
-without a trail system and keeps the first one in depth-first order.
+The search prunes with reachability over the still-free edges: a node is
+cut if the current trail cannot reach its end, or the ends of a later pair
+are cut apart.  The free mask only shrinks below a node, so such a pair
+stays cut apart in the whole subtree: pruning drops only subtrees without a
+trail system and keeps the first one in depth-first order.  A node's cuts
+are checked in its parent's loop, before any call is made for it, but a
+child cut there is still one node: it is counted and spends budget as if
+it had been entered and had returned at once.  The first node of the next
+trail has its parent's free mask, so it reuses its parent's row, and its
+parent's check of the later pairs has already covered its cuts.
 Instead of a graph search per query, reachability is read from a
 module-level memo keyed by the adjacency tuple: for each free-edge mask it
 holds one row giving, per vertex, a bitmask holding every vertex it
@@ -63,8 +68,8 @@ def fill_row(adj, table: dict, m: int) -> tuple[int, ...]:
         stack = [src]
         while stack:
             u = stack.pop()
-            for w, eid in adj[u]:
-                if (m >> eid) & 1 and not (seen >> w) & 1:
+            for w, bit in adj[u]:
+                if m & bit and not (seen >> w) & 1:
                     seen |= 1 << w
                     stack.append(w)
         for v in range(src, n):
@@ -77,57 +82,90 @@ def fill_row(adj, table: dict, m: int) -> tuple[int, ...]:
 def find_trail_system(adj, pairs, mask, max_nodes=0, always_free=0):
     """Search for edge-disjoint trails joining every endpoint pair.
 
-    adj: tuple of per-vertex tuples ((neighbor, edge_id), ...) in the order
-         the search tries them (by neighbor index for a grid); pairs: tuple
-         of (a, b) vertex indices; mask: bitmask of free edge ids;
-         max_nodes: 0 for unlimited; always_free: bitmask of edges the
-         reachability memo treats as free (0 for grid calls).
+    adj: tuple of per-vertex tuples ((neighbor, edge bit), ...) in the order
+         the search tries them (by neighbor index for a grid), where an edge
+         bit is ``1 << edge_id``; pairs: tuple of (a, b) vertex indices;
+         mask: bitmask of free edges; max_nodes: 0 for unlimited, else a
+         positive cap; always_free: bitmask of edges the reachability memo
+         treats as free (0 for grid calls).
 
     Returns (status, trails, nodes) where trails is a tuple of vertex-index
     tuples when status == FOUND.
     """
     k = len(pairs)
+    if k == 0:
+        return FOUND, (), 0
+    # per pair, its end's bit, and the pairs from it on that still have to
+    # be joined, as (start, end bit): zero-length ones are left out
+    ends = [0] * k
+    pending = [()] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        a, b = pairs[i]
+        ends[i] = bit = 1 << b
+        pending[i] = ((a, bit),) + pending[i + 1] if a != b else pending[i + 1]
+    later = pending[1:]
     trails: list = [None] * k
-    state = [0, False]  # nodes, exhausted
     table = reach_table(adj)
+    nodes = 1  # the root
+    exhausted = False
 
-    def extend(i: int, m: int, path: list, cur: int) -> bool:
-        if max_nodes and state[0] >= max_nodes:
-            state[1] = True
-            return False
-        state[0] += 1
-        b = pairs[i][1]
-        row = table.get(m | always_free)
-        if row is None:
-            row = fill_row(adj, table, m | always_free)
-        for j in range(i + 1, k):
-            a, c = pairs[j]
-            if a != c and not (row[a] >> c) & 1:
-                return False
-        if cur == b:
+    def visit(i: int, m: int, row: tuple, path: list, cur: int) -> bool:
+        # A node already counted that passed every cut: trail i is at cur,
+        # m is the free mask and row its reachability row.  Once the budget
+        # is spent, every frame returns at its next child, so only the
+        # caller reads ``exhausted``.
+        nonlocal nodes, exhausted
+        if cur == pairs[i][1]:
             trails[i] = tuple(path)
             if i + 1 == k:
                 return True
-            if extend(i + 1, m, [pairs[i + 1][0]], pairs[i + 1][0]):
+            # the next trail's first node has this node's mask, so this
+            # node's row, and this node's later-pair check covered its cuts
+            if max_nodes and nodes >= max_nodes:
+                exhausted = True
+                return False
+            nodes += 1
+            a = pairs[i + 1][0]
+            if visit(i + 1, m, row, [a], a):
                 return True
             trails[i] = None
-            if state[1]:
-                return False
-        if not (row[cur] >> b) & 1:
-            return False
-        for w, eid in adj[cur]:
-            if (m >> eid) & 1:
-                path.append(w)
-                if extend(i, m & ~(1 << eid), path, w):
-                    return True
-                path.pop()
-                if state[1]:
+        end = ends[i]
+        rest = later[i]
+        for w, bit in adj[cur]:
+            if m & bit:
+                if max_nodes and nodes >= max_nodes:
+                    exhausted = True
                     return False
+                nodes += 1  # the child, counted even if cut here
+                child = m ^ bit
+                try:
+                    crow = table[child | always_free]
+                except KeyError:
+                    crow = fill_row(adj, table, child | always_free)
+                # the child's cuts: it cannot reach its end (a child at its
+                # end passes, as a vertex reaches itself), or a later pair
+                # is cut apart
+                if not crow[w] & end:
+                    continue
+                for a, c in rest:
+                    if not crow[a] & c:
+                        break
+                else:
+                    path.append(w)
+                    if visit(i, child, crow, path, w):
+                        return True
+                    path.pop()
         return False
 
-    if k == 0:
-        return FOUND, (), 0
-    ok = extend(0, mask, [pairs[0][0]], pairs[0][0])
-    if ok:
-        return FOUND, tuple(trails), state[0]
-    return (BUDGET if state[1] else NONE), None, state[0]
+    a = pairs[0][0]
+    row = table.get(mask | always_free)
+    if row is None:
+        row = fill_row(adj, table, mask | always_free)
+    # the root's cuts: the first pair and every later one
+    for s, c in pending[0]:
+        if not row[s] & c:
+            break
+    else:
+        if visit(0, mask, row, [a], a):
+            return FOUND, tuple(trails), nodes
+    return (BUDGET if exhausted else NONE), None, nodes

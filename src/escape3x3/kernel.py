@@ -28,7 +28,9 @@ BUDGET = _kernel_py.BUDGET
 @dataclass(frozen=True)
 class GraphDesc:
     """Index-level description of a grid graph for the kernel, with the
-    vertex -> index and edge -> bit tables the wrapper looks up."""
+    vertex -> index and edge -> bit tables the wrapper looks up.  ``adj``
+    lists each vertex's (neighbour index, edge bit) entries, where an edge's
+    bit is ``1 << `` its index in ``edges``."""
 
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
@@ -51,8 +53,8 @@ def desc_for(g: GridGraph) -> GraphDesc:
     vindex = {v: i for i, v in enumerate(vertices)}
     adj: list[list[tuple[int, int]]] = [[] for _ in vertices]
     for eid, (a, b) in enumerate(edges):
-        adj[vindex[a]].append((vindex[b], eid))
-        adj[vindex[b]].append((vindex[a], eid))
+        adj[vindex[a]].append((vindex[b], 1 << eid))
+        adj[vindex[b]].append((vindex[a], 1 << eid))
     return GraphDesc(
         vertices=vertices,
         edges=edges,
@@ -117,11 +119,11 @@ def sink_desc(
     adj = [list(entries) for entries in grid.adj] + [[] for _ in range(sink + 1 - n)]
     eid = len(grid.edges)
     for x in exits:
-        adj[grid.vindex[x]].insert(0, (r if x in held else sink, eid))
+        adj[grid.vindex[x]].insert(0, (r if x in held else sink, 1 << eid))
         eid += 1
     exit_edges = (1 << eid) - (1 << len(grid.edges))
     for _ in range(min(limit, len(held)) if held else 0):
-        adj[r].append((sink, eid))
+        adj[r].append((sink, 1 << eid))
         eid += 1
     return SinkDesc(
         grid=grid,

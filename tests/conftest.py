@@ -27,16 +27,18 @@ def grid_star():
 def _strict_sweep_run():
     """Route every configuration of the three routed families strictly, once
     per session, and digest every routing kernel call as it is made: its
-    free edges, endpoint pairs and returned trails, not its node count.
-    Also count the routing contexts the sweep builds."""
+    free edges, endpoint pairs and returned trails, not its node count,
+    which is summed apart.  Also count the routing contexts the sweep
+    builds."""
     digest = hashlib.sha256()
-    count = contexts = 0
+    count = nodes = contexts = 0
     solve = kernel.solve_trails
     fresh = RoutingContext.fresh
 
     def recording(g, free_edges, endpoint_pairs, max_nodes=0):
-        nonlocal count
+        nonlocal count, nodes
         out = solve(g, free_edges, endpoint_pairs, max_nodes)
+        nodes += out[1]
         trails = None if out[0] is None else [t.vertices for t in out[0]]
         digest.update(json.dumps([sorted(free_edges), endpoint_pairs, trails]).encode())
         count += 1
@@ -55,7 +57,7 @@ def _strict_sweep_run():
             for lemma in (LemmaId.HEAVY78, LemmaId.HEAVY6, LemmaId.HEAVY5)
             for cfg in enumerate_configs(lemma)
         ]
-    return sweep, count, digest.hexdigest(), contexts
+    return sweep, count, nodes, digest.hexdigest(), contexts
 
 
 @pytest.fixture(scope="session")
@@ -68,15 +70,15 @@ def strict_sweep(_strict_sweep_run):
 
 @pytest.fixture(scope="session")
 def strict_sweep_kernel_calls(_strict_sweep_run):
-    """(number, sha256 hex digest) of the routing kernel calls the strict
-    sweep made, in order."""
-    return _strict_sweep_run[1:3]
+    """(number, total nodes, sha256 hex digest) of the routing kernel calls
+    the strict sweep made, in order."""
+    return _strict_sweep_run[1:4]
 
 
 @pytest.fixture(scope="session")
 def strict_sweep_contexts(_strict_sweep_run):
     """How many times the strict sweep called ``RoutingContext.fresh``."""
-    return _strict_sweep_run[3]
+    return _strict_sweep_run[4]
 
 
 @pytest.fixture(scope="session")

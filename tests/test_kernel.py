@@ -60,7 +60,7 @@ def test_budget_exhaustion(grid):
     paths, nodes, exhausted = kernel.solve_trails(
         grid, grid.edges, [((1, 1), (3, 3)), ((3, 3), (1, 1)), ((1, 3), (3, 1))], 3
     )
-    assert paths is None and exhausted and nodes <= 3
+    assert paths is None and exhausted and nodes == 3
 
 
 def test_determinism(grid):
@@ -92,8 +92,8 @@ def _bfs_reach(adj, m, src):
     frontier = [src]
     while frontier:
         u = frontier.pop()
-        for w, eid in adj[u]:
-            if (m >> eid) & 1 and w not in seen:
+        for w, bit in adj[u]:
+            if m & bit and w not in seen:
                 seen.add(w)
                 frontier.append(w)
     return sum(1 << v for v in seen)
@@ -135,10 +135,10 @@ def _naive_trail_system(adj, pairs, mask):
             trails[i] = tuple(path)
             if i + 1 == k or extend(i + 1, m, [pairs[i + 1][0]], pairs[i + 1][0]):
                 return True
-        for w, eid in adj[cur]:
-            if (m >> eid) & 1:
+        for w, bit in adj[cur]:
+            if m & bit:
                 path.append(w)
-                if extend(i, m & ~(1 << eid), path, w):
+                if extend(i, m & ~bit, path, w):
                     return True
                 path.pop()
         return False
@@ -150,53 +150,82 @@ def _naive_trail_system(adj, pairs, mask):
 
 _FULL = kernel.desc_for(full_grid())
 _SINK = "sink"  # stands for the sink vertex of a sink descriptor
+_FREE = st.sets(st.sampled_from(_FULL.edges))
+_GRID_PAIRS = st.lists(
+    st.tuples(st.sampled_from(_FULL.vertices), st.sampled_from(_FULL.vertices)),
+    min_size=1,
+    max_size=5,
+)
+_SINK_PAIRS = st.lists(
+    st.tuples(st.sampled_from(_FULL.vertices), st.sampled_from(_FULL.vertices + (_SINK,))),
+    min_size=1,
+    max_size=5,
+)
+_EXITS = st.sets(st.sampled_from(sorted(BOUNDARY)))
+_LIMITS = st.sampled_from([None, 1])
 
 
-def _assert_pruned_matches_naive(adj, pairs_idx, mask, always_free=0):
+def _grid_call(free, pairs):
+    """(adj, pairs, mask, always_free) of a kernel call on the full grid."""
+    vindex = _FULL.vindex
+    pairs_idx = tuple((vindex[a], vindex[b]) for a, b in pairs)
+    return _FULL.adj, pairs_idx, _FULL.edge_mask(free), 0
+
+
+def _sink_call(free, pairs, exits, limit):
+    """(adj, pairs, mask, always_free) of a kernel call on the sink
+    descriptor of the full grid for those exits and that limit."""
+    sd = kernel.sink_desc(full_grid(), tuple(sorted(exits)), COL_ONLY, limit)
+    vindex = _FULL.vindex
+    pairs_idx = tuple((vindex[a], sd.sink if b == _SINK else vindex[b]) for a, b in pairs)
+    return sd.adj, pairs_idx, _FULL.edge_mask(free) | sd.virtual, sd.exit_edges
+
+
+def _assert_pruned_matches_naive(adj, pairs_idx, mask, always_free):
     status, trails, nodes = _kernel_py.find_trail_system(adj, pairs_idx, mask, 0, always_free)
     naive_status, naive_trails, naive_nodes = _naive_trail_system(adj, pairs_idx, mask)
     assert (status, trails) == (naive_status, naive_trails)
     assert nodes <= naive_nodes
 
 
+def _assert_budgets_exact(adj, pairs_idx, mask, always_free):
+    """For every cap from 1 to N + 1, N the uncapped node count: the uncapped
+    result once the cap reaches N (a search that ends on its cap is not cut
+    short), else BUDGET after exactly the cap."""
+    uncapped = _kernel_py.find_trail_system(adj, pairs_idx, mask, 0, always_free)
+    n = uncapped[2]
+    for cap in range(1, n + 2):
+        expected = uncapped if cap >= n else (_kernel_py.BUDGET, None, cap)
+        assert _kernel_py.find_trail_system(adj, pairs_idx, mask, cap, always_free) == expected
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    free=st.sets(st.sampled_from(_FULL.edges)),
-    pairs=st.lists(
-        st.tuples(st.sampled_from(_FULL.vertices), st.sampled_from(_FULL.vertices)),
-        min_size=1,
-        max_size=5,
-    ),
-)
+@given(free=_FREE, pairs=_GRID_PAIRS)
 def test_pruned_search_finds_the_first_trail_system(free, pairs):
     """Pruning cuts only subtrees without a solution: the kernel returns the
     naive search's status and trails, in no more nodes."""
-    vindex = _FULL.vindex
-    pairs_idx = tuple((vindex[a], vindex[b]) for a, b in pairs)
-    _assert_pruned_matches_naive(_FULL.adj, pairs_idx, _FULL.edge_mask(free))
+    _assert_pruned_matches_naive(*_grid_call(free, pairs))
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    free=st.sets(st.sampled_from(_FULL.edges)),
-    pairs=st.lists(
-        st.tuples(
-            st.sampled_from(_FULL.vertices),
-            st.sampled_from(_FULL.vertices + (_SINK,)),
-        ),
-        min_size=1,
-        max_size=5,
-    ),
-    exits=st.sets(st.sampled_from(sorted(BOUNDARY))),
-    limit=st.sampled_from([None, 1]),
-)
+@given(free=_FREE, pairs=_SINK_PAIRS, exits=_EXITS, limit=_LIMITS)
 def test_pruned_sink_search_finds_the_first_trail_system(free, pairs, exits, limit):
     """The same on the sink descriptor of the full grid for those exits and
     that limit: its reachability rows are read with the exit edges always
     free, and the naive search follows its directed virtual edges as
     listed."""
-    sd = kernel.sink_desc(full_grid(), tuple(sorted(exits)), COL_ONLY, limit)
-    vindex = _FULL.vindex
-    pairs_idx = tuple((vindex[a], sd.sink if b == _SINK else vindex[b]) for a, b in pairs)
-    mask = _FULL.edge_mask(free) | sd.virtual
-    _assert_pruned_matches_naive(sd.adj, pairs_idx, mask, sd.exit_edges)
+    _assert_pruned_matches_naive(*_sink_call(free, pairs, exits, limit))
+
+
+@settings(max_examples=300, deadline=None)
+@given(free=_FREE, pairs=_GRID_PAIRS)
+def test_budget_is_exact(free, pairs):
+    """A node cut in its parent's loop still counts and spends budget."""
+    _assert_budgets_exact(*_grid_call(free, pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(free=_FREE, pairs=_SINK_PAIRS, exits=_EXITS, limit=_LIMITS)
+def test_sink_budget_is_exact(free, pairs, exits, limit):
+    """The same on the sink descriptor of the full grid."""
+    _assert_budgets_exact(*_sink_call(free, pairs, exits, limit))

@@ -171,8 +171,8 @@ def refute_sweep(grid):
     """The oracle on every one-pair heavy6 configuration of the extended
     enumeration, in enumeration order, with no memo, run once per module:
     (configurations, plans, kernel calls).  Each kernel call is recorded as
-    (always-free mask, status) at ``kernel._impl.find_trail_system``; the
-    mask is 0 for an assignment call and nonzero for a sink search."""
+    (always-free mask, status, nodes) at ``kernel._impl.find_trail_system``;
+    the mask is 0 for an assignment call and nonzero for a sink search."""
     contract = contract_for(LemmaId.HEAVY6)
     cfgs = [c for c in enumerate_configs(LemmaId.HEAVY6, extended=True) if len(c.pairs) == 1]
     calls = []
@@ -180,7 +180,7 @@ def refute_sweep(grid):
 
     def recording(*args):
         out = find(*args)
-        calls.append((args[4], out[0]))
+        calls.append((args[4], out[0], out[2]))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -193,10 +193,10 @@ def test_refute_witnesses_match_reference_digests(grid, refute_sweep):
     """The oracle's plan for every one-pair heavy6 configuration of the
     extended enumeration, in enumeration order, is pinned to the digests in
     ``perfbench/reference.json`` (only read); a refutation's digest is
-    dashes.  So is the kernel work: 2,468 assignment calls and 540 sink
-    searches, of which 106 refute a subset (one per infeasible
-    configuration, which has the one subset), in place of the 48 assignment
-    calls each of those would take without the sink search."""
+    dashes.  So is the kernel work: 2,468 assignment calls in 115,726 nodes
+    and 540 sink searches in 94,041 nodes, of which 106 refute a subset (one
+    per infeasible configuration, which has the one subset), in place of the
+    48 assignment calls each of those would take without the sink search."""
     _, plans, calls = refute_sweep
     reference = json.loads(REFERENCE.read_text(encoding="utf-8"))["refute"]
     assert reference["count"] == len(plans) == 1260
@@ -210,10 +210,11 @@ def test_refute_witnesses_match_reference_digests(grid, refute_sweep):
         != reference["item_digests"][i * DIGEST_CHARS : (i + 1) * DIGEST_CHARS]
     ]
     assert not mismatched, f"{len(mismatched)} witnesses differ, first at item {mismatched[0]}"
-    sink = [status for always_free, status in calls if always_free]
-    assert len(calls) - len(sink) == 2468
-    assert len(sink) == 540
-    assert sink.count(kernel.NONE) == 106
+    plain = [nodes for always_free, _, nodes in calls if not always_free]
+    sink = [(status, nodes) for always_free, status, nodes in calls if always_free]
+    assert (len(plain), sum(plain)) == (2468, 115726)
+    assert (len(sink), sum(nodes for _, nodes in sink)) == (540, 94041)
+    assert [status for status, _ in sink].count(kernel.NONE) == 106
 
 
 def test_sink_reach_rows_hold_every_exit_edge(grid, refute_sweep):
@@ -454,7 +455,7 @@ def test_refutation_memo_keeps_every_result(
     if lemma is LemmaId.HEAVY6:
         assert cfgs == refute_sweep[0]
         plain = refute_sweep[1]
-        plain_calls = sum(not always_free for always_free, _ in refute_sweep[2])
+        plain_calls = sum(not always_free for always_free, _, _ in refute_sweep[2])
     else:
         plain = [oracle_solve(grid, cfg, contract) for cfg in cfgs]
         plain_calls = len(kernel_calls)

@@ -179,10 +179,12 @@ def test_strict_mode_raises_case_gap_only_via_router():
 
 def test_strict_sweep_kernel_calls_pinned(strict_sweep_kernel_calls):
     """The routing kernel calls of the strict sweep, in order, are pinned by
-    number and by a digest of their free edges, endpoint pairs and trails;
-    node counts are left out, so a change to the search alone keeps them."""
-    count, digest = strict_sweep_kernel_calls
+    number and by a digest of their free edges, endpoint pairs and trails.
+    Their node total is pinned apart: a change to how the kernel runs its
+    search, not to what it searches, keeps all three."""
+    count, nodes, digest = strict_sweep_kernel_calls
     assert count == 11896
+    assert nodes == 98287
     assert digest == "0307e6eb7bb93ecc3a32760cc42577403750cb1472cbbb0db4f2fbee1ed41627"
 
 
