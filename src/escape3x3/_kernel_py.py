@@ -17,10 +17,10 @@ are cut apart.  The free mask only shrinks below a node, so such a pair
 stays cut apart in the whole subtree: pruning drops only subtrees without a
 trail system and keeps the first one in depth-first order.  A node's cuts
 are checked in its parent's loop, before any call is made for it, but a
-child cut there is still one node: it is counted and spends budget as if
-it had been entered and had returned at once.  The first node of the next
-trail has its parent's free mask, so it reuses its parent's row, and its
-parent's check of the later pairs has already covered its cuts.
+child cut there is still one node: it is counted as if it had been entered
+and had returned at once.  The first node of the next trail has its
+parent's free mask, so it reuses its parent's row, and its parent's check
+of the later pairs has already covered its cuts.
 Instead of a graph search per query, reachability is read from a
 module-level memo keyed by the adjacency tuple: for each free-edge mask it
 holds one row giving, per vertex, a bitmask holding every vertex it
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 FOUND = 1
 NONE = 0
-BUDGET = -1
 
 # adj -> {free-edge mask: per-vertex component bitmask}
 _REACH: dict[tuple, dict[int, tuple[int, ...]]] = {}
@@ -79,18 +78,18 @@ def fill_row(adj, table: dict, m: int) -> tuple[int, ...]:
     return out
 
 
-def find_trail_system(adj, pairs, mask, max_nodes=0, always_free=0):
+def find_trail_system(adj, pairs, mask, always_free=0):
     """Search for edge-disjoint trails joining every endpoint pair.
 
     adj: tuple of per-vertex tuples ((neighbor, edge bit), ...) in the order
          the search tries them (by neighbor index for a grid), where an edge
          bit is ``1 << edge_id``; pairs: tuple of (a, b) vertex indices;
-         mask: bitmask of free edges; max_nodes: 0 for unlimited, else a
-         positive cap; always_free: bitmask of edges the reachability memo
-         treats as free (0 for grid calls).
+         mask: bitmask of free edges; always_free: bitmask of edges the
+         reachability memo treats as free (0 for grid calls).
 
-    Returns (status, trails, nodes) where trails is a tuple of vertex-index
-    tuples when status == FOUND.
+    Returns (status, trails, nodes): status FOUND or NONE, trails a tuple of
+    vertex-index tuples when status == FOUND, and nodes the search nodes
+    visited.
     """
     k = len(pairs)
     if k == 0:
@@ -107,23 +106,17 @@ def find_trail_system(adj, pairs, mask, max_nodes=0, always_free=0):
     trails: list = [None] * k
     table = reach_table(adj)
     nodes = 1  # the root
-    exhausted = False
 
     def visit(i: int, m: int, row: tuple, path: list, cur: int) -> bool:
         # A node already counted that passed every cut: trail i is at cur,
-        # m is the free mask and row its reachability row.  Once the budget
-        # is spent, every frame returns at its next child, so only the
-        # caller reads ``exhausted``.
-        nonlocal nodes, exhausted
+        # m is the free mask and row its reachability row.
+        nonlocal nodes
         if cur == pairs[i][1]:
             trails[i] = tuple(path)
             if i + 1 == k:
                 return True
             # the next trail's first node has this node's mask, so this
             # node's row, and this node's later-pair check covered its cuts
-            if max_nodes and nodes >= max_nodes:
-                exhausted = True
-                return False
             nodes += 1
             a = pairs[i + 1][0]
             if visit(i + 1, m, row, [a], a):
@@ -133,9 +126,6 @@ def find_trail_system(adj, pairs, mask, max_nodes=0, always_free=0):
         rest = later[i]
         for w, bit in adj[cur]:
             if m & bit:
-                if max_nodes and nodes >= max_nodes:
-                    exhausted = True
-                    return False
                 nodes += 1  # the child, counted even if cut here
                 child = m ^ bit
                 try:
@@ -168,4 +158,4 @@ def find_trail_system(adj, pairs, mask, max_nodes=0, always_free=0):
     else:
         if visit(0, mask, row, [a], a):
             return FOUND, tuple(trails), nodes
-    return (BUDGET if exhausted else NONE), None, nodes
+    return NONE, None, nodes

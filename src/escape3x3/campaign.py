@@ -24,6 +24,9 @@ EXIT_VALIDATION = 2
 EXIT_ORACLE_DISAGREEMENT = 3
 EXIT_CASE_GAP = 4
 
+# Configurations per task the pool hands a worker at a time.
+_CHUNK = 64
+
 # Refutations the oracle has proved in the running campaign, per graph
 # (see oracle_solve).  verify_all empties it before any pool exists, so the
 # memo, its memory and its savings are one campaign's, and each pool worker
@@ -113,8 +116,10 @@ def verify_all(lemma: LemmaId, strict: bool = False, jobs: int = 1) -> CampaignR
     configs = list(enumerate_configs(lemma))
     tasks = [(lemma.value, strict, i, cfg) for i, cfg in enumerate(configs)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_verify_one, tasks, chunksize=64))
+        # the pool starts every worker up front: no more than there are chunks
+        workers = min(jobs, -(-len(tasks) // _CHUNK))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(_verify_one, tasks, chunksize=_CHUNK))
     else:
         records = [_verify_one(t) for t in tasks]
     records.sort(key=lambda r: r["index"])

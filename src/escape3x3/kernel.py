@@ -21,8 +21,6 @@ _impl = _kernel_py
 BACKEND = "python"
 
 FOUND = _kernel_py.FOUND
-NONE = _kernel_py.NONE
-BUDGET = _kernel_py.BUDGET
 
 
 @dataclass(frozen=True)
@@ -64,27 +62,20 @@ def desc_for(g: GridGraph) -> GraphDesc:
     )
 
 
-def solve_trails(
-    g: GridGraph,
-    free_edges,
-    endpoint_pairs,
-    max_nodes: int = 0,
-) -> tuple[list[Path] | None, int, bool]:
-    """Find edge-disjoint trails joining the endpoint pairs, in order.
-
-    Returns (paths | None, nodes, exhausted).  Deterministic: the
-    lexicographically first trail system under sorted-vertex order.
+def solve_trails(g: GridGraph, free_edges, endpoint_pairs) -> list[Path] | None:
+    """Find edge-disjoint trails joining the endpoint pairs, in order, or
+    None if there are none.  Deterministic: the lexicographically first
+    trail system under sorted-vertex order.
     """
     desc = desc_for(g)
     vindex = desc.vindex
     pairs_idx = tuple((vindex[a], vindex[b]) for a, b in endpoint_pairs)
-    status, trails, nodes = _impl.find_trail_system(
-        desc.adj, pairs_idx, desc.edge_mask(free_edges), max_nodes, 0
+    status, trails, _ = _impl.find_trail_system(
+        desc.adj, pairs_idx, desc.edge_mask(free_edges), 0
     )
     if status == FOUND:
-        paths = [Path(tuple(desc.vertices[i] for i in t)) for t in trails]
-        return paths, nodes, False
-    return None, nodes, status == BUDGET
+        return [Path(tuple(desc.vertices[i] for i in t)) for t in trails]
+    return None
 
 
 @dataclass(frozen=True)
@@ -142,24 +133,17 @@ def escapes_exist(
     exits,
     restricted,
     limit: int | None,
-    max_nodes: int = 0,
-) -> tuple[bool, int, bool]:
+) -> bool:
     """Whether edge-disjoint trails join the linked pairs and take every
     escaping terminal to its own exit, at most ``limit`` of them in
     ``restricted`` (None: no bound): one search of the sink graph.
-
-    Returns (feasible, nodes, exhausted).
     """
     sd = sink_desc(g, tuple(exits), frozenset(restricted), limit)
     vindex = sd.grid.vindex
     pairs_idx = tuple((vindex[a], vindex[b]) for a, b in linked_pairs) + tuple(
         (vindex[t], sd.sink) for t in escaping
     )
-    status, _, nodes = _impl.find_trail_system(
-        sd.adj,
-        pairs_idx,
-        sd.grid.edge_mask(free_edges) | sd.virtual,
-        max_nodes,
-        sd.exit_edges,
+    status, _, _ = _impl.find_trail_system(
+        sd.adj, pairs_idx, sd.grid.edge_mask(free_edges) | sd.virtual, sd.exit_edges
     )
-    return status == FOUND, nodes, status == BUDGET
+    return status == FOUND

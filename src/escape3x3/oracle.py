@@ -15,9 +15,8 @@ has, the rest of the subset is skipped; if one has, the loop goes on as
 before.  A subset is skipped only when its loop would find nothing, so
 every call that yields a witness is made exactly as without the sink
 search, and witnesses and reports stay bit-identical.  The sink search's
-nodes count against the budget like any other call's, and its refutations
-do not enter the ``refuted`` memo below, whose keys name single
-assignments.
+refutations do not enter the ``refuted`` memo below, whose keys name
+single assignments.
 
 This module is the ground truth the constructive router is measured
 against; it shares no routing logic with the router.
@@ -42,16 +41,14 @@ have, under one canonical key (``PairKeys``):
 
 Two memos use the key.  ``oracle_solve`` takes an optional caller-owned
 ``refuted`` dict, graph -> set of keys, and skips a kernel call whose key
-is already refuted on that graph; it adds a key only after a search that
-ran to the end without exhausting its budget, so a search cut short never
-stands as a refutation.  ``check_weakly_2_linked`` keeps, for one call,
+is already refuted on that graph; every call that finds no trails adds
+its key.  ``check_weakly_2_linked`` keeps, for one call,
 the keys of the tuples it has shown feasible and skips their images, still
 visiting tuples in ``product`` order.  Either memo skips only calls whose
 answer is known and would not be used: a refuted call yields no witness,
 and a feasible w2l tuple only lets the sweep go on.  So every call that
 finds a witness is made exactly as before, and witnesses, counterexamples
-and reports stay bit-identical.  A skipped call spends 0 nodes, so budgets
-still hold.
+and reports stay bit-identical.
 """
 
 from __future__ import annotations
@@ -64,27 +61,6 @@ from . import kernel
 from .grid import GRID_SIZE, GridGraph, Vertex
 from .model import EscapeContract, EscapePlan, validate_plan
 from .terminals import TerminalConfig
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Cap on search-tree nodes; None means unlimited."""
-
-    max_nodes: int | None = None
-
-    @staticmethod
-    def limited(n: int) -> "SearchBudget":
-        if n <= 0:
-            raise ValueError("max_nodes must be positive")
-        return SearchBudget(n)
-
-
-class BudgetExhausted(RuntimeError):
-    """The node cap was hit before the search space was exhausted."""
-
-    def __init__(self, nodes: int):
-        super().__init__(f"search budget exhausted after {nodes} nodes")
-        self.nodes = nodes
 
 
 def _exit_assignments(unlinked: list[Vertex], exits: list[Vertex], contract: EscapeContract):
@@ -181,35 +157,10 @@ def pair_keys(g: GridGraph) -> PairKeys:
 # -- The exhaustive searches ---------------------------------------------------
 
 
-class _Spend:
-    """Nodes spent against a budget across the kernel calls of one search."""
-
-    def __init__(self, max_nodes: int | None):
-        self.remaining = max_nodes
-        self.spent = 0
-
-    def cap(self) -> int:
-        """The next call's node cap; 0 means unlimited to the kernel, so a
-        budget spent exactly stops the search here."""
-        if self.remaining is None:
-            return 0
-        if self.remaining <= 0:
-            raise BudgetExhausted(self.spent)
-        return self.remaining
-
-    def charge(self, nodes: int, exhausted: bool) -> None:
-        self.spent += nodes
-        if self.remaining is not None:
-            self.remaining -= nodes
-        if exhausted:
-            raise BudgetExhausted(self.spent)
-
-
 def oracle_solve(
     g: GridGraph,
     cfg: TerminalConfig,
     contract: EscapeContract,
-    budget: SearchBudget = SearchBudget(),
     refuted: dict[GridGraph, set[int]] | None = None,
 ) -> EscapePlan | None:
     """Exhaustive witness search; None only after the whole space is swept.
@@ -220,7 +171,6 @@ def oracle_solve(
     """
     npairs = len(cfg.pairs)
     exits = sorted(contract.exit_target & g.vertices)
-    spend = _Spend(budget.max_nodes)
     known = None
     if refuted is not None:
         known = refuted.setdefault(g, set())
@@ -240,16 +190,13 @@ def oracle_solve(
                     key = keys.key(escapes, base)
                     if key in known:
                         continue
-                trails, nodes, exhausted = kernel.solve_trails(
-                    g, g.edges, linked_pairs + escapes, spend.cap()
-                )
-                spend.charge(nodes, exhausted)
+                trails = kernel.solve_trails(g, g.edges, linked_pairs + escapes)
                 if trails is None:
                     if known is not None:
                         known.add(key)
                     if sink_pending:
                         sink_pending = False
-                        feasible, nodes, exhausted = kernel.escapes_exist(
+                        if not kernel.escapes_exist(
                             g,
                             g.edges,
                             linked_pairs,
@@ -257,10 +204,7 @@ def oracle_solve(
                             exits,
                             contract.restricted_zone,
                             contract.max_exits_in_restricted,
-                            spend.cap(),
-                        )
-                        spend.charge(nodes, exhausted)
-                        if not feasible:
+                        ):
                             break
                     continue
                 linkages = {i: trails[j] for j, i in enumerate(linked)}
@@ -290,8 +234,7 @@ def check_weakly_2_linked(
         key = keys.key(pairs)
         if key in feasible:
             continue
-        trails, _, _ = kernel.solve_trails(g, g.edges, pairs)
-        if trails is None:
+        if kernel.solve_trails(g, g.edges, pairs) is None:
             return False, (u1, v1, u2, v2)
         feasible.add(key)
     return True, None

@@ -217,8 +217,7 @@ def _joint_trails(ctx: RoutingContext, endpoint_pairs, allowed=None) -> list[Pat
     """Edge-disjoint trails joining the endpoint pairs, in order, over the
     free edges (only those in ``allowed`` when given); None if none exist."""
     region = ctx.free if allowed is None else (set(allowed) & ctx.free)
-    trails, _, _ = kernel.solve_trails(ctx.grid, region, endpoint_pairs)
-    return trails
+    return kernel.solve_trails(ctx.grid, region, endpoint_pairs)
 
 
 def _must_trails(ctx: RoutingContext, endpoint_pairs, allowed, gap: str) -> list[Path]:

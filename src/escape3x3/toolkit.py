@@ -260,7 +260,7 @@ def _mating_paths(
 ) -> tuple[Path, Path] | None:
     """Edge-disjoint trails from {x, y} onto {u, v} within the clip."""
     for a, b in ((x, y), (y, x)):
-        trails, _, _ = kernel.solve_trails(g, clip.edges, [(a, clip.u), (b, clip.v)])
+        trails = kernel.solve_trails(g, clip.edges, [(a, clip.u), (b, clip.v)])
         if trails is not None:
             first, second = trails
             return (first, second) if a == x else (second, first)

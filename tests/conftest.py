@@ -27,21 +27,27 @@ def grid_star():
 def _strict_sweep_run():
     """Route every configuration of the three routed families strictly, once
     per session, and digest every routing kernel call as it is made: its
-    free edges, endpoint pairs and returned trails, not its node count,
-    which is summed apart.  Also count the routing contexts the sweep
-    builds."""
+    free edges, endpoint pairs and returned trails.  Its node count is
+    summed apart, at the kernel search itself.  Also count the routing
+    contexts the sweep builds."""
     digest = hashlib.sha256()
     count = nodes = contexts = 0
     solve = kernel.solve_trails
+    find = kernel._impl.find_trail_system
     fresh = RoutingContext.fresh
 
-    def recording(g, free_edges, endpoint_pairs, max_nodes=0):
-        nonlocal count, nodes
-        out = solve(g, free_edges, endpoint_pairs, max_nodes)
-        nodes += out[1]
-        trails = None if out[0] is None else [t.vertices for t in out[0]]
+    def recording(g, free_edges, endpoint_pairs):
+        nonlocal count
+        out = solve(g, free_edges, endpoint_pairs)
+        trails = None if out is None else [t.vertices for t in out]
         digest.update(json.dumps([sorted(free_edges), endpoint_pairs, trails]).encode())
         count += 1
+        return out
+
+    def counting_nodes(*args):
+        nonlocal nodes
+        out = find(*args)
+        nodes += out[2]
         return out
 
     def counting(cfg):
@@ -51,6 +57,7 @@ def _strict_sweep_run():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "solve_trails", recording)
+        mp.setattr(kernel._impl, "find_trail_system", counting_nodes)
         mp.setattr(RoutingContext, "fresh", staticmethod(counting))
         sweep = [
             (lemma, cfg, *route(cfg, strict=True))

@@ -29,6 +29,34 @@ def test_parallel_report_matches_sequential():
     assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
 
 
+def test_pool_has_no_more_workers_than_chunks(monkeypatch):
+    """heavy5's 1,260 configurations make 20 chunks of 64, so a huge
+    ``--jobs`` asks for 20 workers and 2 asks for 2.  The stand-in pool
+    runs the chunks in this process, so the test starts no process."""
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            assert max_workers <= 20
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(campaign, "ProcessPoolExecutor", InProcessPool)
+    seq = verify_all(LemmaId.HEAVY5, strict=True).to_json()
+    for jobs in (100000, 2):
+        par = verify_all(LemmaId.HEAVY5, strict=True, jobs=jobs).to_json()
+        assert {**par, "wall_time": 0} == {**seq, "wall_time": 0}
+    assert asked == [20, 2]
+
+
 def test_failures_carry_the_encoded_config(monkeypatch):
     monkeypatch.setattr(campaign, "oracle_solve", lambda *args, **kwargs: None)
     report = verify_all(LemmaId.HEAVY5, strict=True)

@@ -31,44 +31,35 @@ def _row_path_graph(n):
 def test_solves_a_33_vertex_path():
     # vertex and edge masks are Python ints, so no width limit applies
     g = _row_path_graph(33)
-    paths, _, _ = kernel.solve_trails(g, g.edges, [((1, 1), (1, 33))])
+    paths = kernel.solve_trails(g, g.edges, [((1, 1), (1, 33))])
     assert paths is not None and len(paths[0].vertices) == 33
 
 
 def test_zero_length_pair(grid):
     for pairs in ([((1, 1), (1, 1))], [((1, 1), (1, 1)), ((3, 3), (3, 3))]):
-        paths, _, _ = kernel.solve_trails(grid, grid.edges, pairs)
+        paths = kernel.solve_trails(grid, grid.edges, pairs)
         assert paths is not None
         assert all(p.is_zero_length() for p in paths)
 
 
 def test_no_pairs(grid):
-    paths, nodes, exhausted = kernel.solve_trails(grid, grid.edges, [])
-    assert paths == [] and nodes == 0 and not exhausted
+    assert kernel.solve_trails(grid, grid.edges, []) == []
+    desc = kernel.desc_for(grid)
+    found = _kernel_py.find_trail_system(desc.adj, (), desc.edge_mask(grid.edges))
+    assert found == (_kernel_py.FOUND, (), 0)
 
 
 def test_infeasible_returns_none():
     g = build_corner_grid(frozenset({(2, 2), (3, 3)}))
     # the surviving graph is a path; two edge-disjoint routes cannot exist
-    paths, _, exhausted = kernel.solve_trails(
-        g, g.edges, [((1, 3), (3, 1)), ((3, 1), (1, 3))]
-    )
-    assert paths is None and not exhausted
-
-
-def test_budget_exhaustion(grid):
-    paths, nodes, exhausted = kernel.solve_trails(
-        grid, grid.edges, [((1, 1), (3, 3)), ((3, 3), (1, 1)), ((1, 3), (3, 1))], 3
-    )
-    assert paths is None and exhausted and nodes == 3
+    assert kernel.solve_trails(g, g.edges, [((1, 3), (3, 1)), ((3, 1), (1, 3))]) is None
 
 
 def test_determinism(grid):
     pairs = [((1, 1), (3, 3)), ((1, 3), (3, 1))]
-    first = kernel.solve_trails(grid, grid.edges, pairs)
-    second = kernel.solve_trails(grid, grid.edges, pairs)
-    assert first[0] == second[0]
-    assert first[1] == second[1]
+    assert kernel.solve_trails(grid, grid.edges, pairs) == kernel.solve_trails(
+        grid, grid.edges, pairs
+    )
 
 
 def test_trails_are_edge_disjoint(grid):
@@ -77,7 +68,7 @@ def test_trails_are_edge_disjoint(grid):
         # corner to corner, both diagonals
         [((1, 1), (3, 3)), ((1, 3), (3, 1))],
     ):
-        paths, _, _ = kernel.solve_trails(grid, grid.edges, pairs)
+        paths = kernel.solve_trails(grid, grid.edges, pairs)
         assert paths is not None
         assert [(p.start, p.end) for p in paths] == pairs
         seen = set()
@@ -116,7 +107,7 @@ def test_reach_table_filled_lazily(monkeypatch):
     desc = kernel.desc_for(g)
     table = _kernel_py.reach_table(desc.adj)
     assert not table
-    paths, _, _ = kernel.solve_trails(g, g.edges, [((1, 2), (3, 2))])
+    paths = kernel.solve_trails(g, g.edges, [((1, 2), (3, 2))])
     assert paths is not None
     assert 0 < len(table) < 1 << len(desc.edges)
 
@@ -182,21 +173,10 @@ def _sink_call(free, pairs, exits, limit):
 
 
 def _assert_pruned_matches_naive(adj, pairs_idx, mask, always_free):
-    status, trails, nodes = _kernel_py.find_trail_system(adj, pairs_idx, mask, 0, always_free)
+    status, trails, nodes = _kernel_py.find_trail_system(adj, pairs_idx, mask, always_free)
     naive_status, naive_trails, naive_nodes = _naive_trail_system(adj, pairs_idx, mask)
     assert (status, trails) == (naive_status, naive_trails)
     assert nodes <= naive_nodes
-
-
-def _assert_budgets_exact(adj, pairs_idx, mask, always_free):
-    """For every cap from 1 to N + 1, N the uncapped node count: the uncapped
-    result once the cap reaches N (a search that ends on its cap is not cut
-    short), else BUDGET after exactly the cap."""
-    uncapped = _kernel_py.find_trail_system(adj, pairs_idx, mask, 0, always_free)
-    n = uncapped[2]
-    for cap in range(1, n + 2):
-        expected = uncapped if cap >= n else (_kernel_py.BUDGET, None, cap)
-        assert _kernel_py.find_trail_system(adj, pairs_idx, mask, cap, always_free) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -215,17 +195,3 @@ def test_pruned_sink_search_finds_the_first_trail_system(free, pairs, exits, lim
     free, and the naive search follows its directed virtual edges as
     listed."""
     _assert_pruned_matches_naive(*_sink_call(free, pairs, exits, limit))
-
-
-@settings(max_examples=300, deadline=None)
-@given(free=_FREE, pairs=_GRID_PAIRS)
-def test_budget_is_exact(free, pairs):
-    """A node cut in its parent's loop still counts and spends budget."""
-    _assert_budgets_exact(*_grid_call(free, pairs))
-
-
-@settings(max_examples=300, deadline=None)
-@given(free=_FREE, pairs=_SINK_PAIRS, exits=_EXITS, limit=_LIMITS)
-def test_sink_budget_is_exact(free, pairs, exits, limit):
-    """The same on the sink descriptor of the full grid."""
-    _assert_budgets_exact(*_sink_call(free, pairs, exits, limit))

@@ -234,7 +234,7 @@ def test_validators_agree_on_duplicated_exits(grid):
         for p in plan.all_paths():
             used.update(p.edges())
         free = set(grid.edges) - used
-        trails, _, _ = kernel.solve_trails(grid, free, [(t1, x0)])
+        trails = kernel.solve_trails(grid, free, [(t1, x0)])
         if trails is None:
             continue
         escapes = (plan.escapes[0], (t1, x0, trails[0])) + plan.escapes[2:]

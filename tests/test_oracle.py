@@ -16,8 +16,6 @@ from escape3x3.grid import (
 )
 from escape3x3.model import EscapeContract, contract_for, validate_plan
 from escape3x3.oracle import (
-    BudgetExhausted,
-    SearchBudget,
     check_weakly_2_linked,
     graph_symmetries,
     oracle_solve,
@@ -44,10 +42,7 @@ def test_double_deletion_not_weakly_2_linked():
     assert not ok
     assert witness is not None
     # the two corner-to-corner routes collapse to one: this tuple must fail
-    paths, _, _ = kernel.solve_trails(
-        g, g.edges, [((1, 3), (3, 1)), ((3, 1), (1, 3))]
-    )
-    assert paths is None
+    assert kernel.solve_trails(g, g.edges, [((1, 3), (3, 1)), ((3, 1), (1, 3))]) is None
     # the first failing tuple in product order, pinned per deleted set
     first_failures = {
         ((2, 2), (3, 3)): ((1, 1), (1, 2), (1, 1), (1, 2)),
@@ -81,14 +76,6 @@ def test_pigeonhole_none(grid):
     assert oracle_solve(grid, cfg, contract) is None
 
 
-def test_oracle_budget(grid):
-    cfg = make_config(
-        [((1, 1), (3, 3)), ((1, 3), (3, 1)), ((2, 2), (1, 2)), ((2, 1), (2, 3))], []
-    )
-    with pytest.raises(BudgetExhausted):
-        oracle_solve(grid, cfg, contract_for(LemmaId.HEAVY78), SearchBudget.limited(5))
-
-
 def test_oracle_returns_validated_plans(grid):
     contract = contract_for(LemmaId.HEAVY6)
     cfg = make_config([((1, 1), (3, 3)), ((1, 3), (3, 1))], [(2, 2), (2, 3)])
@@ -110,48 +97,46 @@ def test_oracle_prefers_more_linked_pairs(grid):
     assert len(plan.linkages) == 2
 
 
-# The heavy78 configuration of the budget tests.  Without a memo the oracle
-# makes three kernel calls: the first assignment fails after exactly 59 nodes,
-# the sink search that follows finds the subset feasible in 47, and the
-# second assignment gives the plan in 34.
-_BUDGET_CFG = make_config([((1, 1), (2, 1)), ((1, 2), (2, 2)), ((1, 3), (2, 3))], [(3, 1)])
-_BUDGET_ESCAPES = [((3, 1), (1, 3)), ((3, 1), (2, 3))]
+def _recording_search(calls):
+    """A stand-in for ``kernel._impl.find_trail_system`` that appends each
+    call to ``calls`` as (always-free mask, status, nodes): the mask is 0
+    for a grid call and nonzero for a sink search."""
+    find = kernel._impl.find_trail_system
+
+    def recording(*args):
+        out = find(*args)
+        calls.append((args[3], out[0], out[2]))
+        return out
+
+    return recording
 
 
-def test_oracle_budget_spent_exactly_stops_search(grid):
-    """A budget of 59 must stop after the first call rather than let the
-    sink search run uncapped; the plan costs 59 + 47 + 34 = 140 nodes."""
-    cfg = _BUDGET_CFG
-    contract = contract_for(LemmaId.HEAVY78)
-    first, nodes, _ = kernel.solve_trails(grid, grid.edges, [*cfg.pairs, _BUDGET_ESCAPES[0]])
-    assert first is None and nodes == 59
-    exits = sorted(contract.exit_target)
-    assert kernel.escapes_exist(
-        grid, grid.edges, cfg.pairs, [(3, 1)], exits, contract.restricted_zone, None
-    ) == (True, 47, False)
-    second, nodes, _ = kernel.solve_trails(grid, grid.edges, [*cfg.pairs, _BUDGET_ESCAPES[1]])
-    assert second is not None and nodes == 34
-    with pytest.raises(BudgetExhausted) as info:
-        oracle_solve(grid, cfg, contract, SearchBudget.limited(59))
-    assert info.value.nodes == 59
-    plan = oracle_solve(grid, cfg, contract)
-    assert oracle_solve(grid, cfg, contract, SearchBudget.limited(140)) == plan
-    with pytest.raises(BudgetExhausted) as info:
-        oracle_solve(grid, cfg, contract, SearchBudget.limited(139))
-    assert info.value.nodes == 139
+@pytest.fixture
+def search_calls(monkeypatch):
+    """Every kernel search the test makes, as recorded by ``_recording_search``."""
+    calls = []
+    monkeypatch.setattr(kernel._impl, "find_trail_system", _recording_search(calls))
+    return calls
 
 
-def test_budget_runs_out_inside_the_sink_search(grid):
-    """A budget of 80 leaves the sink search a cap of 21 of its 47 nodes: the
-    oracle stops with exactly 80 spent, and the memo holds only the first
-    assignment, refuted by a complete search."""
-    cfg = _BUDGET_CFG
-    contract = contract_for(LemmaId.HEAVY78)
-    refuted = {}
-    with pytest.raises(BudgetExhausted) as info:
-        oracle_solve(grid, cfg, contract, SearchBudget.limited(80), refuted=refuted)
-    assert info.value.nodes == 80
-    assert refuted[grid] == {pair_keys(grid).key([*cfg.pairs, _BUDGET_ESCAPES[0]])}
+# A heavy78 configuration whose plan takes three kernel searches without a
+# memo (see test_oracle_budget_spent_exactly_stops_search), and its first two
+# exit assignments.
+_THREE_CALL_CFG = make_config([((1, 1), (2, 1)), ((1, 2), (2, 2)), ((1, 3), (2, 3))], [(3, 1)])
+_THREE_CALL_ESCAPES = [((3, 1), (1, 3)), ((3, 1), (2, 3))]
+
+
+def test_oracle_budget_spent_exactly_stops_search(grid, search_calls):
+    """The plan of ``_THREE_CALL_CFG`` takes three kernel searches: the first
+    assignment fails after exactly 59 nodes, the sink search that follows
+    finds the subset feasible in 47, and the second assignment gives the
+    plan in 34."""
+    assert oracle_solve(grid, _THREE_CALL_CFG, contract_for(LemmaId.HEAVY78)) is not None
+    assert [(bool(free), status, nodes) for free, status, nodes in search_calls] == [
+        (False, _kernel_py.NONE, 59),
+        (True, _kernel_py.FOUND, 47),
+        (False, _kernel_py.FOUND, 34),
+    ]
 
 
 def test_sink_refutation_adds_nothing_to_the_memo(grid):
@@ -176,15 +161,8 @@ def refute_sweep(grid):
     contract = contract_for(LemmaId.HEAVY6)
     cfgs = [c for c in enumerate_configs(LemmaId.HEAVY6, extended=True) if len(c.pairs) == 1]
     calls = []
-    find = kernel._impl.find_trail_system
-
-    def recording(*args):
-        out = find(*args)
-        calls.append((args[4], out[0], out[2]))
-        return out
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel._impl, "find_trail_system", recording)
+        mp.setattr(kernel._impl, "find_trail_system", _recording_search(calls))
         plans = [oracle_solve(grid, cfg, contract) for cfg in cfgs]
     return cfgs, plans, calls
 
@@ -214,7 +192,7 @@ def test_refute_witnesses_match_reference_digests(grid, refute_sweep):
     sink = [(status, nodes) for always_free, status, nodes in calls if always_free]
     assert (len(plain), sum(plain)) == (2468, 115726)
     assert (len(sink), sum(nodes for _, nodes in sink)) == (540, 94041)
-    assert [status for status, _ in sink].count(kernel.NONE) == 106
+    assert [status for status, _ in sink].count(_kernel_py.NONE) == 106
 
 
 def test_sink_reach_rows_hold_every_exit_edge(grid, refute_sweep):
@@ -231,15 +209,8 @@ def test_sink_reach_rows_hold_every_exit_edge(grid, refute_sweep):
     assert len(table) <= 1 << (len(sd.grid.edges) + 1)
 
 
-def test_budget_zero_rejected():
-    with pytest.raises(ValueError):
-        SearchBudget.limited(0)
-
-
 def test_link_two_pairs_witness(grid):
-    paths, _, _ = kernel.solve_trails(
-        grid, grid.edges, [((1, 1), (3, 3)), ((1, 3), (3, 1))]
-    )
+    paths = kernel.solve_trails(grid, grid.edges, [((1, 1), (3, 3)), ((1, 3), (3, 1))])
     assert paths is not None
     p1, p2 = paths
     assert not set(p1.edges()) & set(p2.edges())
@@ -249,7 +220,7 @@ def test_euler_cross_check_agrees_with_kernel():
     g = build_corner_grid(frozenset({(1, 1), (1, 2), (1, 3)}))  # 2x3 grid
     vertices = g.sorted_vertices()
     for u1, v1, u2, v2 in itertools.product(vertices[:4], repeat=4):
-        fast, _, _ = kernel.solve_trails(g, g.edges, [(u1, v1), (u2, v2)])
+        fast = kernel.solve_trails(g, g.edges, [(u1, v1), (u2, v2)])
         slow = exists_trail_system_euler(g, [(u1, v1), (u2, v2)])
         assert (fast is not None) == slow
 
@@ -270,9 +241,14 @@ def test_euler_cross_check_agrees_with_kernel_on_free_edge_subsets(free, ends):
     u1, v1, u2, v2 = ends
     pairs = [(u1, v1), (u2, v2)]
     g = GridGraph(vertices=_FULL.vertices, edges=frozenset(free))
-    fast = kernel.solve_trails(g, g.edges, pairs)
-    assert (fast[0] is not None) == exists_trail_system_euler(g, pairs)
-    assert kernel.solve_trails(_FULL, free, pairs) == fast
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel._impl, "find_trail_system", _recording_search(calls))
+        fast = kernel.solve_trails(g, g.edges, pairs)
+        assert (fast is not None) == exists_trail_system_euler(g, pairs)
+        assert kernel.solve_trails(_FULL, free, pairs) == fast
+    # the same search, node for node
+    assert calls[0] == calls[1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -291,14 +267,11 @@ def test_sink_search_agrees_with_every_exit_assignment(taken, linked, escaping, 
     free = _FULL.edges - taken
     exits = sorted(exits)
     brute = any(
-        kernel.solve_trails(_FULL, free, [*linked, *zip(escaping, combo)])[0] is not None
+        kernel.solve_trails(_FULL, free, [*linked, *zip(escaping, combo)]) is not None
         for combo in itertools.permutations(exits, len(escaping))
         if limit is None or sum(x in COL_ONLY for x in combo) <= limit
     )
-    found, _, exhausted = kernel.escapes_exist(
-        _FULL, free, linked, escaping, exits, COL_ONLY, limit
-    )
-    assert found == brute and not exhausted
+    assert kernel.escapes_exist(_FULL, free, linked, escaping, exits, COL_ONLY, limit) == brute
 
 
 def _euler_plan_exists(g, cfg, contract):
@@ -348,7 +321,7 @@ def test_weak_linkage_witnesses_validate(grid):
     for u1, v1, u2, v2 in itertools.islice(
         itertools.product(grid.sorted_vertices(), repeat=4), 0, 500, 7
     ):
-        paths, _, _ = kernel.solve_trails(grid, grid.edges, [(u1, v1), (u2, v2)])
+        paths = kernel.solve_trails(grid, grid.edges, [(u1, v1), (u2, v2)])
         assert paths is not None
         assert not set(paths[0].edges()) & set(paths[1].edges())
         assert paths[0].start == u1 and paths[0].end == v1
@@ -385,10 +358,10 @@ def test_trail_existence_is_invariant_under_the_key(data):
         [(b, a) for a, b in pairs],
         [(b, a) if flip else (a, b) for (a, b), flip in zip(pairs, flips)],
     ] + [[(image[a], image[b]) for a, b in pairs] for image in symmetries]
-    exists = kernel.solve_trails(g, g.edges, pairs)[0] is not None
+    exists = kernel.solve_trails(g, g.edges, pairs) is not None
     keys = pair_keys(g)
     for variant in variants:
-        assert (kernel.solve_trails(g, g.edges, variant)[0] is not None) == exists
+        assert (kernel.solve_trails(g, g.edges, variant) is not None) == exists
         assert keys.key(variant) == keys.key(pairs)
 
 
@@ -469,25 +442,22 @@ def test_refutation_memo_keeps_every_result(
     assert len(kernel_calls) < plain_calls
 
 
-def test_refutation_memo_records_only_complete_searches(grid):
-    """A search cut short by the budget adds nothing; a complete failing
-    search adds its key, and a later call skips it at no node cost.  The
-    configuration is the one of test_oracle_budget_spent_exactly_stops_search:
-    its first kernel call fails after exactly 59 nodes, and with that call
-    skipped its second assignment is the first call made and gives the plan
-    in 34, with no sink search."""
-    cfg = _BUDGET_CFG
+def test_refutation_memo_records_only_complete_searches(grid, kernel_calls, search_calls):
+    """A failing assignment adds its key, and a later call skips it at no
+    cost.  With the memo of a first run, a second run on ``_THREE_CALL_CFG``
+    makes one kernel call, the 34-node plan call, with no sink search (its
+    second assignment is the first call made, and it succeeds), and gives
+    the same plan."""
+    cfg = _THREE_CALL_CFG
     contract = contract_for(LemmaId.HEAVY78)
     refuted = {}
-    with pytest.raises(BudgetExhausted):
-        oracle_solve(grid, cfg, contract, SearchBudget.limited(58), refuted=refuted)
-    assert not refuted.get(grid)
-    with pytest.raises(BudgetExhausted):
-        oracle_solve(grid, cfg, contract, SearchBudget.limited(59), refuted=refuted)
-    assert refuted[grid] == {pair_keys(grid).key([*cfg.pairs, _BUDGET_ESCAPES[0]])}
-    plan = oracle_solve(grid, cfg, contract)
-    memo_budget = SearchBudget.limited(34)
-    assert oracle_solve(grid, cfg, contract, memo_budget, refuted=refuted) == plan
+    plan = oracle_solve(grid, cfg, contract, refuted=refuted)
+    assert refuted[grid] == {pair_keys(grid).key([*cfg.pairs, _THREE_CALL_ESCAPES[0]])}
+    kernel_calls.clear()
+    search_calls.clear()
+    assert oracle_solve(grid, cfg, contract, refuted=refuted) == plan
+    assert kernel_calls == [[*cfg.pairs, _THREE_CALL_ESCAPES[1]]]
+    assert search_calls == [(0, _kernel_py.FOUND, 34)]
 
 
 def test_refutation_memo_never_answers_for_another_graph(grid):

@@ -73,18 +73,14 @@ def test_shift_requires_boundary():
 
 
 def test_link_pairs_identity_case(grid):
-    paths, _, _ = kernel.solve_trails(
-        grid, grid.edges, [((1, 1), (1, 1)), ((3, 3), (3, 3))]
-    )
+    paths = kernel.solve_trails(grid, grid.edges, [((1, 1), (1, 1)), ((3, 3), (3, 3))])
     assert paths is not None
     p1, p2 = paths
     assert p1.is_zero_length() and p2.is_zero_length()
 
 
 def test_link_pairs_corner_to_corner(grid):
-    paths, _, _ = kernel.solve_trails(
-        grid, grid.edges, [((1, 1), (3, 3)), ((1, 3), (3, 1))]
-    )
+    paths = kernel.solve_trails(grid, grid.edges, [((1, 1), (3, 3)), ((1, 3), (3, 1))])
     assert paths is not None
     p1, p2 = paths
     assert not set(p1.edges()) & set(p2.edges())

@@ -38,7 +38,7 @@ def _through(grid, a, b, e):
     """A trail from a to b that traverses edge e, or None."""
     free = grid.edges - {e}
     for u, w in (e, e[::-1]):
-        trails, _, _ = kernel.solve_trails(grid, free, [(a, u), (w, b)])
+        trails = kernel.solve_trails(grid, free, [(a, u), (w, b)])
         if trails is not None:
             return trails[0] + Path((u, w)) + trails[1]
     return None
@@ -93,7 +93,7 @@ def _overfill_stub(grid, plan, bound):
         free = grid.edges - _edges_of(kept + [p for _, p in plan.linkages])
         for ends in itertools.permutations(targets, need):
             starts = [plan.escapes[k][0] for k in chosen]
-            trails, _, _ = kernel.solve_trails(grid, free, list(zip(starts, ends)))
+            trails = kernel.solve_trails(grid, free, list(zip(starts, ends)))
             if trails is None:
                 continue
             escapes = list(plan.escapes)
