@@ -101,8 +101,12 @@ def _verify_one(args):
         record["violations"].append(f"CASE_GAP: {exc}")
     except Exception as exc:  # noqa: BLE001 - campaign reports, never raises
         record["violations"].append(f"ERROR: {exc!r}")
-    if oracle_solve(grid, cfg, contract, refuted=_refuted) is None:
+    try:
+        if oracle_solve(grid, cfg, contract, refuted=_refuted) is None:
+            record["oracle_ok"] = False
+    except Exception as exc:  # noqa: BLE001 - campaign reports, never raises
         record["oracle_ok"] = False
+        record["violations"].append(f"ERROR: {exc!r}")
     return record
 
 

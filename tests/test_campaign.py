@@ -67,6 +67,27 @@ def test_failures_carry_the_encoded_config(monkeypatch):
     assert report.exit_status() == EXIT_ORACLE_DISAGREEMENT
 
 
+def test_oracle_error_is_reported_not_raised(monkeypatch):
+    """An oracle that raises on one configuration makes that configuration
+    a failure that names it, and the campaign exits as for a disagreement."""
+    broken = list(enumerate_configs(LemmaId.HEAVY5))[7]
+    error = RuntimeError("oracle broke")
+    solve = campaign.oracle_solve
+
+    def raising(g, cfg, contract, refuted=None):
+        if cfg == broken:
+            raise error
+        return solve(g, cfg, contract, refuted=refuted)
+
+    monkeypatch.setattr(campaign, "oracle_solve", raising)
+    report = verify_all(LemmaId.HEAVY5, strict=True)
+    assert report.failures == [
+        {"config": encode_config(broken), "problems": [f"ERROR: {error!r}", "ORACLE_NONE"]}
+    ]
+    assert report.valid == report.total - 1
+    assert report.exit_status() == EXIT_ORACLE_DISAGREEMENT
+
+
 def test_exit_status_priorities():
     report = CampaignReport(lemma="heavy5", total=1, valid=0)
     report.failures.append({"config": {}, "problems": ["x"]})

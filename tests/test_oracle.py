@@ -1,11 +1,12 @@
 import itertools
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escape3x3 import _kernel_py, kernel
+from escape3x3 import _kernel_py, kernel, oracle
 from escape3x3.grid import (
     BOUNDARY,
     COL_ONLY,
@@ -14,13 +15,8 @@ from escape3x3.grid import (
     full_grid,
     grid_without_corner,
 )
-from escape3x3.model import EscapeContract, contract_for, validate_plan
-from escape3x3.oracle import (
-    check_weakly_2_linked,
-    graph_symmetries,
-    oracle_solve,
-    pair_keys,
-)
+from escape3x3.model import EscapeContract, Verdict, contract_for, validate_plan
+from escape3x3.oracle import InvalidWitness, _pair_key, check_weakly_2_linked, oracle_solve
 from escape3x3.terminals import LemmaId, enumerate_configs, make_config
 from euler_trails import exists_trail_system_euler
 from test_strict_sweep import DIGEST_CHARS, REFERENCE, _digest
@@ -90,6 +86,16 @@ def test_oracle_deterministic(grid):
     assert oracle_solve(grid, cfg, contract) == oracle_solve(grid, cfg, contract)
 
 
+def test_oracle_raises_on_a_witness_that_fails_validation(grid, monkeypatch):
+    """The oracle's check of its own witness is no ``assert``, so it holds
+    under ``python -O`` too."""
+    monkeypatch.setattr(oracle, "validate_plan", lambda *args: Verdict(ok=False))
+    cfg = make_config([((1, 1), (1, 2))], [(3, 1), (3, 2), (1, 3)])
+    with pytest.raises(InvalidWitness):
+        oracle_solve(grid, cfg, contract_for(LemmaId.HEAVY5))
+    assert not issubclass(InvalidWitness, AssertionError)
+
+
 def test_oracle_prefers_more_linked_pairs(grid):
     # both pairs are linkable, so the maximal subset must be linked
     cfg = make_config([((1, 1), (1, 2)), ((3, 1), (3, 2))], [(1, 3), (2, 2)])
@@ -148,7 +154,7 @@ def test_sink_refutation_adds_nothing_to_the_memo(grid):
     first = [cfg.pairs[0], *zip(sorted(cfg.singletons), [(1, 3), (3, 1), (3, 2), (3, 3)])]
     refuted = {}
     assert oracle_solve(grid, cfg, contract, refuted=refuted) is None
-    assert refuted[grid] == {pair_keys(grid).key(first)}
+    assert refuted[grid] == {_pair_key(first)}
 
 
 @pytest.fixture(scope="module")
@@ -328,27 +334,18 @@ def test_weak_linkage_witnesses_validate(grid):
         assert paths[1].start == u2 and paths[1].end == v2
 
 
-# -- the oracle's canonical key and its memos ---------------------------------
+# -- the oracle's pair key and its memos -------------------------------------
 
-# deleted vertices -> number of symmetries of the square the graph keeps
-_KEYED_GRAPHS = {
-    (): 8,
-    ((3, 3),): 2,
-    ((2, 2),): 8,
-    ((1, 2),): 2,
-}
+_KEYED_GRAPHS = [(), ((3, 3),), ((2, 2),), ((1, 2),)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_trail_existence_is_invariant_under_the_key(data):
     """What the memos rest on: whether trails exist does not change under a
-    permutation of the pairs, a reversal of pairs, or any symmetry the key
-    uses for the graph; and the key does not change either."""
-    deleted = data.draw(st.sampled_from(sorted(_KEYED_GRAPHS)))
-    g = build_corner_grid(frozenset(deleted))
-    symmetries = graph_symmetries(g)
-    assert len(symmetries) == _KEYED_GRAPHS[deleted]
+    permutation of the pairs or a reversal of pairs; and the key does not
+    change either."""
+    g = build_corner_grid(frozenset(data.draw(st.sampled_from(_KEYED_GRAPHS))))
     vertex = st.sampled_from(g.sorted_vertices())
     pairs = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=4))
     order = data.draw(st.permutations(range(len(pairs))))
@@ -357,38 +354,24 @@ def test_trail_existence_is_invariant_under_the_key(data):
         [pairs[i] for i in order],
         [(b, a) for a, b in pairs],
         [(b, a) if flip else (a, b) for (a, b), flip in zip(pairs, flips)],
-    ] + [[(image[a], image[b]) for a, b in pairs] for image in symmetries]
+    ]
     exists = kernel.solve_trails(g, g.edges, pairs) is not None
-    keys = pair_keys(g)
     for variant in variants:
         assert (kernel.solve_trails(g, g.edges, variant) is not None) == exists
-        assert keys.key(variant) == keys.key(pairs)
+        assert _pair_key(variant) == _pair_key(pairs)
 
 
-@pytest.mark.parametrize(
-    "deleted", sorted(_KEYED_GRAPHS), ids=["full", "no-33", "no-22", "no-12"]
-)
-def test_pair_key_classes_are_symmetry_orbits(deleted):
-    """Multisets of one or two pairs share a key exactly when a symmetry of
-    the graph maps one onto the other (ordered and reversed pairs are one
-    multiset)."""
-    g = build_corner_grid(frozenset(deleted))
-    symmetries = graph_symmetries(g)
-    keys = pair_keys(g)
-
-    def orbit_form(pairs):
-        return min(
-            tuple(sorted(tuple(sorted((image[a], image[b]))) for a, b in pairs))
-            for image in symmetries
-        )
-
-    by_key, by_orbit = {}, {}
-    one = [((u, v),) for u, v in itertools.product(g.sorted_vertices(), repeat=2)]
+def test_pair_key_classes_are_pair_multisets(grid):
+    """Lists of one or two pairs share a key exactly when they are the same
+    multiset of unordered pairs."""
+    by_key, by_multiset = {}, {}
+    one = [((u, v),) for u, v in itertools.product(grid.sorted_vertices(), repeat=2)]
     two = [(p, q) for (p,), (q,) in itertools.product(one, repeat=2)]
     for pairs in one + two:
-        by_key.setdefault(keys.key(pairs), set()).add(pairs)
-        by_orbit.setdefault(orbit_form(pairs), set()).add(pairs)
-    assert sorted(map(sorted, by_key.values())) == sorted(map(sorted, by_orbit.values()))
+        multiset = frozenset(Counter(frozenset(pair) for pair in pairs).items())
+        by_key.setdefault(_pair_key(pairs), set()).add(pairs)
+        by_multiset.setdefault(multiset, set()).add(pairs)
+    assert sorted(map(sorted, by_key.values())) == sorted(map(sorted, by_multiset.values()))
 
 
 @pytest.fixture
@@ -404,24 +387,24 @@ def kernel_calls(monkeypatch):
 
 def test_weak_linkage_searches_one_tuple_per_key(kernel_calls):
     """The full grid and the grid without its corner: 6,561 + 4,096 tuples
-    in 517 key classes, one kernel call each."""
+    in 1,701 key classes, one kernel call each."""
     for g in (full_grid(), grid_without_corner()):
         assert check_weakly_2_linked(g) == (True, None)
-    assert len(kernel_calls) == 517
+    assert len(kernel_calls) == 1701
 
 
 @pytest.mark.parametrize(
-    "lemma, infeasible",
-    [(LemmaId.HEAVY5, 0), (LemmaId.HEAVY6, 106)],
+    "lemma, infeasible, memo_calls",
+    [(LemmaId.HEAVY5, 0, 1532), (LemmaId.HEAVY6, 106, 2248)],
     ids=["heavy5", "heavy6-one-pair"],
 )
 def test_refutation_memo_keeps_every_result(
-    grid, refute_sweep, kernel_calls, lemma, infeasible
+    grid, refute_sweep, kernel_calls, lemma, infeasible, memo_calls
 ):
     """One refuted set shared across the 1,260 one-pair configurations of a
     family (for heavy6, of its extension) gives the memo-less result on
-    every one, with fewer assignment calls.  The memo-less heavy6 results
-    are those of the refute sweep."""
+    every one, with fewer assignment calls: 1,532 for heavy5 and 2,248 for
+    heavy6.  The memo-less heavy6 results are those of the refute sweep."""
     cfgs = [c for c in enumerate_configs(lemma, extended=True) if len(c.pairs) == 1]
     assert len(cfgs) == 1260
     contract = contract_for(lemma)
@@ -439,7 +422,7 @@ def test_refutation_memo_keeps_every_result(
     assert [p is None for p in memo] == [p is None for p in plain]
     assert sum(p is None for p in memo) == infeasible
     assert set(refuted) == {grid} and refuted[grid]
-    assert len(kernel_calls) < plain_calls
+    assert len(kernel_calls) == memo_calls < plain_calls
 
 
 def test_refutation_memo_records_only_complete_searches(grid, kernel_calls, search_calls):
@@ -452,7 +435,7 @@ def test_refutation_memo_records_only_complete_searches(grid, kernel_calls, sear
     contract = contract_for(LemmaId.HEAVY78)
     refuted = {}
     plan = oracle_solve(grid, cfg, contract, refuted=refuted)
-    assert refuted[grid] == {pair_keys(grid).key([*cfg.pairs, _THREE_CALL_ESCAPES[0]])}
+    assert refuted[grid] == {_pair_key([*cfg.pairs, _THREE_CALL_ESCAPES[0]])}
     kernel_calls.clear()
     search_calls.clear()
     assert oracle_solve(grid, cfg, contract, refuted=refuted) == plan
