@@ -361,11 +361,17 @@ def test_trail_existence_is_invariant_under_the_key(data):
         assert _pair_key(variant) == _pair_key(pairs)
 
 
-def test_pair_key_classes_are_pair_multisets(grid):
-    """Lists of one or two pairs share a key exactly when they are the same
-    multiset of unordered pairs."""
+@pytest.mark.parametrize(
+    "deleted", sorted(_KEYED_GRAPHS), ids=["full", "no-12", "no-22", "no-33"]
+)
+def test_pair_key_classes_are_symmetry_orbits(deleted):
+    """Lists of one or two pairs share a key exactly when a permutation of
+    the pairs and a reversal of some of them map one onto the other, the
+    only symmetries the key uses: its classes are the multisets of
+    unordered pairs, on each keyed graph."""
+    g = build_corner_grid(frozenset(deleted))
     by_key, by_multiset = {}, {}
-    one = [((u, v),) for u, v in itertools.product(grid.sorted_vertices(), repeat=2)]
+    one = [((u, v),) for u, v in itertools.product(g.sorted_vertices(), repeat=2)]
     two = [(p, q) for (p,), (q,) in itertools.product(one, repeat=2)]
     for pairs in one + two:
         multiset = frozenset(Counter(frozenset(pair) for pair in pairs).items())
