@@ -100,13 +100,14 @@ def _verify_one(args):
         record["case_gap"] = True
         record["violations"].append(f"CASE_GAP: {exc}")
     except Exception as exc:  # noqa: BLE001 - campaign reports, never raises
-        record["violations"].append(f"ERROR: {exc!r}")
+        record["violations"].append(f"ROUTE_ERROR: {exc!r}")
     try:
         if oracle_solve(grid, cfg, contract, refuted=_refuted) is None:
             record["oracle_ok"] = False
+            record["violations"].append("ORACLE_NONE")
     except Exception as exc:  # noqa: BLE001 - campaign reports, never raises
         record["oracle_ok"] = False
-        record["violations"].append(f"ERROR: {exc!r}")
+        record["violations"].append(f"ORACLE_ERROR: {exc!r}")
     return record
 
 
@@ -129,10 +130,9 @@ def verify_all(lemma: LemmaId, strict: bool = False, jobs: int = 1) -> CampaignR
     records.sort(key=lambda r: r["index"])
     for rec in records:
         report.total += 1
-        problems = list(rec["violations"])
+        problems = rec["violations"]
         if not rec["oracle_ok"]:
             report.oracle_disagreements += 1
-            problems.append("ORACLE_NONE")
         if rec["case_gap"]:
             report.case_gaps += 1
         if rec["fallback"]:

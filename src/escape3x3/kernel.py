@@ -26,15 +26,17 @@ FOUND = _kernel_py.FOUND
 @dataclass(frozen=True)
 class GraphDesc:
     """Index-level description of a grid graph for the kernel, with the
-    vertex -> index and edge -> bit tables the wrapper looks up.  ``adj``
-    lists each vertex's (neighbour index, edge bit) entries, where an edge's
-    bit is ``1 << `` its index in ``edges``."""
+    vertex -> index, edge -> bit and step -> edge tables the wrapper looks
+    up.  ``adj`` lists each vertex's (neighbour index, edge bit) entries,
+    where an edge's bit is ``1 << `` its index in ``edges``; ``step`` maps
+    each (index, neighbour index) step, either way, to its edge."""
 
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
     adj: tuple[tuple[tuple[int, int], ...], ...]
     vindex: dict[Vertex, int] = field(compare=False, repr=False)
     ebit: dict[Edge, int] = field(compare=False, repr=False)
+    step: dict[tuple[int, int], Edge] = field(compare=False, repr=False)
 
     def edge_mask(self, edges) -> int:
         ebit = self.ebit
@@ -50,22 +52,28 @@ def desc_for(g: GridGraph) -> GraphDesc:
     edges = g.sorted_edges()
     vindex = {v: i for i, v in enumerate(vertices)}
     adj: list[list[tuple[int, int]]] = [[] for _ in vertices]
-    for eid, (a, b) in enumerate(edges):
-        adj[vindex[a]].append((vindex[b], 1 << eid))
-        adj[vindex[b]].append((vindex[a], 1 << eid))
+    step: dict[tuple[int, int], Edge] = {}
+    for eid, e in enumerate(edges):
+        i, j = vindex[e[0]], vindex[e[1]]
+        adj[i].append((j, 1 << eid))
+        adj[j].append((i, 1 << eid))
+        step[i, j] = step[j, i] = e
     return GraphDesc(
         vertices=vertices,
         edges=edges,
         adj=tuple(tuple(sorted(entries)) for entries in adj),
         vindex=vindex,
         ebit={e: 1 << i for i, e in enumerate(edges)},
+        step=step,
     )
 
 
 def solve_trails(g: GridGraph, free_edges, endpoint_pairs) -> list[Path] | None:
     """Find edge-disjoint trails joining the endpoint pairs, in order, or
     None if there are none.  Deterministic: the lexicographically first
-    trail system under sorted-vertex order.
+    trail system under sorted-vertex order.  The search steps only along
+    free graph edges, each once, so each trail is built with the edges its
+    steps name, unchecked (``Path._trusted``).
     """
     desc = desc_for(g)
     vindex = desc.vindex
@@ -73,9 +81,14 @@ def solve_trails(g: GridGraph, free_edges, endpoint_pairs) -> list[Path] | None:
     status, trails, _ = _impl.find_trail_system(
         desc.adj, pairs_idx, desc.edge_mask(free_edges), 0
     )
-    if status == FOUND:
-        return [Path(tuple(desc.vertices[i] for i in t)) for t in trails]
-    return None
+    if status != FOUND:
+        return None
+    vertex = desc.vertices.__getitem__
+    step = desc.step.__getitem__
+    return [
+        Path._trusted(tuple(map(vertex, t)), tuple(map(step, zip(t, t[1:]))))
+        for t in trails
+    ]
 
 
 @dataclass(frozen=True)

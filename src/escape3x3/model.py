@@ -36,6 +36,11 @@ class PathError(ValueError):
 # a Path keeps its edges, and a shared tuple costs it only a reference.
 _STEP_EDGE = {(a, b): edge(a, b) for e in full_grid().edges for a, b in (e, e[::-1])}
 
+# Each edge a reflected path has stepped along, to its mirror image, filled
+# as paths are reflected: a plan keeps its reflected paths, and a shared
+# mirror costs each of them only a reference.
+_MIRROR: dict[Edge, Edge] = {}
+
 
 @dataclass(frozen=True, order=True, slots=True)
 class Path:
@@ -44,6 +49,19 @@ class Path:
     The constructor checks the walk once and keeps the canonical edges it
     steps along, in walk order; ``edges()`` hands those back.  Slots, in
     place of an instance dict, pay for the memory the kept edges take.
+
+    ``_trusted`` builds a path from its vertices and edges with no walk
+    check.  It is the only unchecked way in, and only callers that already
+    hold the edges use it:
+
+    * ``kernel.solve_trails``: the search stepped along graph edges, each
+      once, and the descriptor maps each step to its canonical edge;
+    * ``reversed`` and ``reflected``: the mirror of a checked trail's edges;
+    * ``__add__``: two trails that meet at the seam and share no edge;
+    * ``RoutingContext.fresh``: a terminal's zero-length start trail.
+
+    Every other caller, the router's fixed walks included, goes through the
+    checked constructor.
     """
 
     vertices: tuple[Vertex, ...]
@@ -64,7 +82,16 @@ class Path:
                 raise PathError(f"edge {e} traversed twice")
             seen.add(e)
             edges.append(e)
-        object.__setattr__(self, "_edges", tuple(edges))
+        _set_edges(self, tuple(edges))
+
+    @staticmethod
+    def _trusted(vertices: tuple[Vertex, ...], edges: tuple[Edge, ...]) -> "Path":
+        """The path with these vertices and these canonical edges in walk
+        order, taken as given (see the class docstring for who may)."""
+        path = object.__new__(Path)
+        _set_vertices(path, vertices)
+        _set_edges(path, edges)
+        return path
 
     @property
     def start(self) -> Vertex:
@@ -81,24 +108,44 @@ class Path:
         return len(self.vertices) == 1
 
     def reversed(self) -> "Path":
-        return Path(tuple(reversed(self.vertices)))
+        if not self._edges:
+            return self
+        # the same canonical edges, walked the other way
+        return Path._trusted(self.vertices[::-1], self._edges[::-1])
 
     def reflected(self) -> "Path":
-        return Path(tuple(reflect_vertex(v) for v in self.vertices))
+        edges = []
+        for e in self._edges:
+            mirror = _MIRROR.get(e)
+            if mirror is None:
+                # the ends differ in one coordinate, the first end smaller
+                # there; swapping coordinates keeps it first, so the mirror
+                # is canonical as it stands
+                (a, b), (c, d) = e
+                mirror = _MIRROR[e] = ((b, a), (d, c))
+            edges.append(mirror)
+        return Path._trusted(tuple([(c, r) for r, c in self.vertices]), tuple(edges))
 
     def __add__(self, other: "Path") -> "Path":
         """Join two trails end to start.  Each half is already a checked
         trail, so only the seam and the halves' disjointness are checked;
-        the joined path keeps both edge tuples without walking them again."""
+        the joined path keeps both edge tuples without walking them again,
+        and a half with no edges leaves the other as it is."""
         if self.end != other.start:
             raise PathError(f"cannot join {self.end} to {other.start}")
+        if not other._edges:
+            return self
+        if not self._edges:
+            return other
         shared = set(self._edges).intersection(other._edges)
         if shared:
             raise PathError(f"edge {min(shared)} traversed twice")
-        joined = object.__new__(Path)
-        object.__setattr__(joined, "vertices", self.vertices + other.vertices[1:])
-        object.__setattr__(joined, "_edges", self._edges + other._edges)
-        return joined
+        return Path._trusted(self.vertices + other.vertices[1:], self._edges + other._edges)
+
+
+# the slot setters, which a frozen dataclass's __setattr__ would refuse
+_set_vertices = Path.__dict__["vertices"].__set__
+_set_edges = Path.__dict__["_edges"].__set__
 
 
 def path_of(*vertices: Vertex) -> Path:
@@ -115,14 +162,19 @@ class EscapeContract:
     restricted_zone: frozenset[Vertex] = COL_ONLY
 
 
+# One frozen contract per family, shared by every caller.
+_CONTRACTS = {
+    LemmaId.HEAVY78: EscapeContract(2, BOUNDARY, None),
+    LemmaId.HEAVY6: EscapeContract(1, BOUNDARY, 1),
+    LemmaId.HEAVY5: EscapeContract(1, BOUNDARY, 1),
+}
+
+
 def contract_for(lemma: LemmaId) -> EscapeContract:
-    if lemma is LemmaId.HEAVY78:
-        return EscapeContract(2, BOUNDARY, None)
-    if lemma is LemmaId.HEAVY6:
-        return EscapeContract(1, BOUNDARY, 1)
-    if lemma is LemmaId.HEAVY5:
-        return EscapeContract(1, BOUNDARY, 1)
-    raise ValueError(f"{lemma} has no escape contract")
+    contract = _CONTRACTS.get(lemma)
+    if contract is None:
+        raise ValueError(f"{lemma} has no escape contract")
+    return contract
 
 
 class Code(str, enum.Enum):
@@ -251,8 +303,8 @@ def validate_plan(
         )
 
     exits = [x for _, x, _ in plan.escapes]
-    collisions = sorted(x for x, n in Counter(exits).items() if n > 1)
-    if collisions:
+    if len(set(exits)) != len(exits):
+        collisions = sorted(x for x, n in Counter(exits).items() if n > 1)
         violations.append(
             Violation(Code.EXIT_COLLISION, f"exit used twice: {collisions}", collisions)
         )
@@ -282,9 +334,11 @@ def validate_plan(
                 )
             )
 
-    used: set[Edge] = set()
-    for path in plan.all_paths():
-        for e in path.edges():
+    walked = [e for path in plan.all_paths() for e in path._edges]
+    distinct = set(walked)
+    if len(distinct) != len(walked) or not g.edges.issuperset(distinct):
+        used: set[Edge] = set()
+        for e in walked:
             if e not in g.edges:
                 violations.append(
                     Violation(Code.NOT_A_PATH, f"edge {e} is not in the graph", e)
@@ -307,20 +361,21 @@ def validate_plan_recheck(
     bad: list[Violation] = []
 
     # Clause: global edge multiset must be a set, and a subset of g's edges.
-    multiset: Counter = Counter()
+    steps: list[Edge] = []
     for path in plan.all_paths():
         vs = path.vertices
-        for k in range(len(vs) - 1):
-            a, b = vs[k], vs[k + 1]
+        for a, b in zip(vs, vs[1:]):
             if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
                 bad.append(Violation(Code.NOT_A_PATH, f"non-step {a}->{b}"))
                 continue
-            multiset[edge(a, b)] += 1
-    for e, n in sorted(multiset.items()):
-        if n > 1:
-            bad.append(Violation(Code.EDGE_REUSE, f"{e} x{n}"))
-        if e not in g.edges:
-            bad.append(Violation(Code.NOT_A_PATH, f"{e} absent"))
+            steps.append((a, b) if a < b else (b, a))
+    multiset = Counter(steps)
+    if len(multiset) != len(steps) or not g.edges.issuperset(multiset):
+        for e in sorted(e for e, n in multiset.items() if n > 1 or e not in g.edges):
+            if multiset[e] > 1:
+                bad.append(Violation(Code.EDGE_REUSE, f"{e} x{multiset[e]}"))
+            if e not in g.edges:
+                bad.append(Violation(Code.NOT_A_PATH, f"{e} absent"))
 
     # Clause: linkage count and endpoints.
     linkmap = plan.linkage_map()
@@ -332,20 +387,17 @@ def validate_plan_recheck(
             bad.append(Violation(Code.BAD_ENDPOINT, f"linkage {i}"))
 
     # Clause: every terminal resolved exactly once.
-    resolved: Counter = Counter()
-    for i in linkmap:
-        if 0 <= i < len(cfg.pairs):
-            resolved[cfg.pairs[i][0]] += 1
-            resolved[cfg.pairs[i][1]] += 1
-    for t, _, _ in plan.escapes:
-        resolved[t] += 1
+    ends = [v for i in linkmap if 0 <= i < len(cfg.pairs) for v in cfg.pairs[i]]
+    ends += [t for t, _, _ in plan.escapes]
+    resolved = Counter(ends)
     terminals = set(cfg.terminals)
-    for t in cfg.terminals:
-        if resolved[t] != 1:
-            bad.append(Violation(Code.UNRESOLVED_TERMINAL, f"{t} resolved x{resolved[t]}"))
-    for t in resolved:
-        if t not in terminals:
-            bad.append(Violation(Code.UNRESOLVED_TERMINAL, f"{t} is not a terminal"))
+    if len(resolved) != len(ends) or resolved.keys() != terminals:
+        for t in cfg.terminals:
+            if resolved[t] != 1:
+                bad.append(Violation(Code.UNRESOLVED_TERMINAL, f"{t} resolved x{resolved[t]}"))
+        for t in resolved:
+            if t not in terminals:
+                bad.append(Violation(Code.UNRESOLVED_TERMINAL, f"{t} is not a terminal"))
 
     # Clause: exits.
     exits = [x for _, x, _ in plan.escapes]

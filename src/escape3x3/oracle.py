@@ -61,8 +61,29 @@ def _exit_assignments(unlinked: list[Vertex], exits: list[Vertex], contract: Esc
 
 
 class InvalidWitness(RuntimeError):
-    """The oracle found trails whose plan fails validation: the kernel, the
-    oracle or the validator is wrong."""
+    """The oracle found trails that are not what it asked for (a plan that
+    fails validation, or a w2l linkage that fails its check): the kernel,
+    the oracle or the validator is wrong."""
+
+
+def _check_linkage(g: GridGraph, pairs, trails) -> None:
+    """Raise InvalidWitness unless ``trails`` join ``pairs`` in order along
+    edges of ``g``, no edge used twice.  Each edge is derived from the
+    trail's vertices, not read from the edges the trail carries."""
+    if len(trails) != len(pairs):
+        raise InvalidWitness(f"{len(trails)} trails for {len(pairs)} pairs")
+    used: set = set()
+    for (a, b), trail in zip(pairs, trails):
+        vs = trail.vertices
+        if (vs[0], vs[-1]) != (a, b):
+            raise InvalidWitness(f"trail {vs[0]}->{vs[-1]} does not join {a}-{b}")
+        for u, w in zip(vs, vs[1:]):
+            e = (u, w) if u < w else (w, u)
+            if e not in g.edges:
+                raise InvalidWitness(f"trail {vs} steps along {e}, not an edge of the graph")
+            if e in used:
+                raise InvalidWitness(f"edge {e} used twice in the linkage of {pairs}")
+            used.add(e)
 
 
 def _pair_key(pairs) -> tuple[Vertex, ...]:
@@ -139,6 +160,8 @@ def check_weakly_2_linked(
     Quantifies over all ordered 4-tuples of (not necessarily distinct)
     vertices; returns the first failing tuple as a counterexample.  A tuple
     whose key matches one already shown feasible is not searched again.
+    Each linkage found is checked (``_check_linkage``) before its key counts
+    as feasible; a bad one raises InvalidWitness.
     """
     feasible: set[tuple[Vertex, ...]] = set()
     for u1, v1, u2, v2 in itertools.product(g.sorted_vertices(), repeat=4):
@@ -146,7 +169,9 @@ def check_weakly_2_linked(
         key = _pair_key(pairs)
         if key in feasible:
             continue
-        if kernel.solve_trails(g, g.edges, pairs) is None:
+        trails = kernel.solve_trails(g, g.edges, pairs)
+        if trails is None:
             return False, (u1, v1, u2, v2)
+        _check_linkage(g, pairs, trails)
         feasible.add(key)
     return True, None

@@ -88,10 +88,14 @@ class RoutingContext:
     """Mutable bookkeeping for one routing job; single-owner.
 
     Every terminal owns one trail, ``trails[tid]``, which starts at the
-    terminal and grows with each move (shift, mating, escape).  An unresolved
-    terminal sits in ``positions`` at its trail's end; an escaped one exits
-    at its trail's end; a linked pair's linkage is its two trails joined by
-    a core.  ``free`` holds the edges no trail or core has consumed.
+    terminal and grows with each move (shift, mating, escape).  ``fresh``
+    gives each terminal its zero-length start trail unchecked
+    (``Path._trusted``: one vertex, no edges), and a join with a trail that
+    has no edges returns the other trail, so a terminal that never moves
+    costs no further ``Path``.  An unresolved terminal sits in
+    ``positions`` at its trail's end; an escaped one exits at its trail's
+    end; a linked pair's linkage is its two trails joined by a core.
+    ``free`` holds the edges no trail or core has consumed.
 
     Only the mutation methods write this state, and each keeps those
     invariants as it goes: ``consume`` takes only free edges, all or none,
@@ -118,7 +122,8 @@ class RoutingContext:
             cfg=cfg,
             free=set(grid.edges),
             positions=dict(ids),
-            trails={tid: Path((v,)) for tid, v in ids.items()},
+            # one vertex and no edges: there is no walk to check
+            trails={tid: Path._trusted((v,), ()) for tid, v in ids.items()},
         )
 
     # -- queries ----------------------------------------------------------

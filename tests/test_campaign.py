@@ -69,7 +69,9 @@ def test_failures_carry_the_encoded_config(monkeypatch):
 
 def test_oracle_error_is_reported_not_raised(monkeypatch):
     """An oracle that raises on one configuration makes that configuration
-    a failure that names it, and the campaign exits as for a disagreement."""
+    a failure that names it and the stage that raised, and the campaign
+    exits as for a disagreement.  The oracle returned nothing, so there is
+    no ``ORACLE_NONE``."""
     broken = list(enumerate_configs(LemmaId.HEAVY5))[7]
     error = RuntimeError("oracle broke")
     solve = campaign.oracle_solve
@@ -82,10 +84,34 @@ def test_oracle_error_is_reported_not_raised(monkeypatch):
     monkeypatch.setattr(campaign, "oracle_solve", raising)
     report = verify_all(LemmaId.HEAVY5, strict=True)
     assert report.failures == [
-        {"config": encode_config(broken), "problems": [f"ERROR: {error!r}", "ORACLE_NONE"]}
+        {"config": encode_config(broken), "problems": [f"ORACLE_ERROR: {error!r}"]}
     ]
     assert report.valid == report.total - 1
+    assert report.oracle_disagreements == 1
     assert report.exit_status() == EXIT_ORACLE_DISAGREEMENT
+
+
+def test_route_error_is_reported_not_raised(monkeypatch):
+    """A router that raises on one configuration makes that configuration
+    a failure that names the routing stage; the oracle still agrees, so the
+    campaign exits as for a validation failure."""
+    broken = list(enumerate_configs(LemmaId.HEAVY5))[7]
+    error = RuntimeError("router broke")
+    original = campaign.route
+
+    def raising(cfg, strict=False):
+        if cfg == broken:
+            raise error
+        return original(cfg, strict=strict)
+
+    monkeypatch.setattr(campaign, "route", raising)
+    report = verify_all(LemmaId.HEAVY5, strict=True)
+    assert report.failures == [
+        {"config": encode_config(broken), "problems": [f"ROUTE_ERROR: {error!r}"]}
+    ]
+    assert report.valid == report.total - 1
+    assert report.oracle_disagreements == 0
+    assert report.exit_status() == EXIT_VALIDATION
 
 
 def test_exit_status_priorities():

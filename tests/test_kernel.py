@@ -14,6 +14,7 @@ from escape3x3.grid import (
     full_grid,
     grid_without_corner,
 )
+from test_strict_sweep import assert_checked
 
 
 def test_backend_reported():
@@ -33,6 +34,36 @@ def test_solves_a_33_vertex_path():
     g = _row_path_graph(33)
     paths = kernel.solve_trails(g, g.edges, [((1, 1), (1, 33))])
     assert paths is not None and len(paths[0].vertices) == 33
+
+
+_TRUSTED_GRAPHS = {
+    "full": full_grid(),
+    "no-33": grid_without_corner(),
+    "no-22": build_corner_grid(frozenset({(2, 2)})),
+    "no-12": build_corner_grid(frozenset({(1, 2)})),
+    "row-33": _row_path_graph(33),
+}
+
+
+@pytest.mark.parametrize("name", list(_TRUSTED_GRAPHS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_trusted_trails_equal_checked_paths(name, data):
+    """``solve_trails`` builds its trails unchecked from the descriptor's
+    step table, and ``reversed``/``reflected`` mirror their edges: each
+    equals the checked path through its vertices, on the four graphs the
+    oracle keys and on the 33-vertex row path."""
+    g = _TRUSTED_GRAPHS[name]
+    edges = sorted(g.edges)
+    vertex = st.sampled_from(g.sorted_vertices())
+    taken = data.draw(st.sets(st.sampled_from(edges)))
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=3))
+    trails = kernel.solve_trails(g, g.edges - taken, pairs)
+    if name == "row-33":
+        trails = (trails or []) + kernel.solve_trails(g, g.edges, [((1, 1), (1, 33))])
+    for trail in trails or ():
+        for path in (trail, trail.reversed(), trail.reflected()):
+            assert_checked(path)
 
 
 def test_zero_length_pair(grid):

@@ -59,10 +59,26 @@ def test_joined_path_keeps_both_halves():
         left + path_of((2, 1), (2, 2), (1, 2), (1, 1), (2, 1))
 
 
+def test_join_with_a_zero_length_half_builds_nothing():
+    trail = path_of((1, 2), (1, 1), (2, 1))
+    assert trail + path_of((2, 1)) is trail
+    assert path_of((1, 2)) + trail is trail
+    stay = path_of((2, 2))
+    assert stay + path_of((2, 2)) == stay and stay.reversed() is stay
+    with pytest.raises(PathError, match="cannot join"):
+        trail + path_of((2, 2))
+
+
 def test_zero_length_path():
     p = path_of((2, 3))
     assert p.is_zero_length()
     assert p.edges() == []
+
+
+def test_contract_for_returns_one_shared_contract():
+    for lemma in (LemmaId.HEAVY78, LemmaId.HEAVY6, LemmaId.HEAVY5):
+        assert contract_for(lemma) is contract_for(lemma)
+    assert contract_for(LemmaId.HEAVY6) == contract_for(LemmaId.HEAVY5)
 
 
 def test_contracts():

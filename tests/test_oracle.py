@@ -15,11 +15,11 @@ from escape3x3.grid import (
     full_grid,
     grid_without_corner,
 )
-from escape3x3.model import EscapeContract, Verdict, contract_for, validate_plan
+from escape3x3.model import EscapeContract, Path, Verdict, contract_for, validate_plan
 from escape3x3.oracle import InvalidWitness, _pair_key, check_weakly_2_linked, oracle_solve
 from escape3x3.terminals import LemmaId, enumerate_configs, make_config
 from euler_trails import exists_trail_system_euler
-from test_strict_sweep import DIGEST_CHARS, REFERENCE, _digest
+from test_strict_sweep import DIGEST_CHARS, REFERENCE, _digest, assert_checked
 
 
 def test_weakly_2_linked_full_grid(grid):
@@ -201,6 +201,16 @@ def test_refute_witnesses_match_reference_digests(grid, refute_sweep):
     assert [status for status, _ in sink].count(_kernel_py.NONE) == 106
 
 
+def test_every_witness_path_equals_its_checked_path(refute_sweep):
+    """The oracle's witnesses are kernel trails, built unchecked; each equals
+    the checked path through its vertices."""
+    _, plans, _ = refute_sweep
+    paths = [path for plan in plans if plan is not None for path in plan.all_paths()]
+    assert paths
+    for path in paths:
+        assert_checked(path)
+
+
 def test_sink_reach_rows_hold_every_exit_edge(grid, refute_sweep):
     """Every row of the sink graph's reachability memo is keyed with all its
     exit edges free, so the memo has at most one row per state of the grid
@@ -332,6 +342,58 @@ def test_weak_linkage_witnesses_validate(grid):
         assert not set(paths[0].edges()) & set(paths[1].edges())
         assert paths[0].start == u1 and paths[0].end == v1
         assert paths[1].start == u2 and paths[1].end == v2
+
+
+def _share_an_edge(pairs, trails):
+    """The first trail twice, when both pairs are one pair of distinct ends."""
+    (a, b), second = pairs
+    return [trails[0], trails[0]] if a != b and second == (a, b) else trails
+
+
+def _swap_ends(pairs, trails):
+    """The first trail with distinct ends, reversed."""
+    for j, (a, b) in enumerate(pairs):
+        if a != b:
+            return trails[:j] + [trails[j].reversed()] + trails[j + 1 :]
+    return trails
+
+
+def _through_the_corner(pairs, trails):
+    """A trail between (2, 3) and (3, 2) through (3, 3), the vertex the grid
+    without its corner lacks."""
+    for j, (a, b) in enumerate(pairs):
+        if {a, b} == {(2, 3), (3, 2)}:
+            return trails[:j] + [Path((a, (3, 3), b))] + trails[j + 1 :]
+    return trails
+
+
+@pytest.mark.parametrize(
+    "mutate, graph",
+    [
+        (_share_an_edge, full_grid()),
+        (_swap_ends, full_grid()),
+        (_through_the_corner, grid_without_corner()),
+    ],
+    ids=["shared-edge", "wrong-end", "edge-off-graph"],
+)
+def test_weak_linkage_sweep_rejects_a_bad_witness(monkeypatch, mutate, graph):
+    """The w2l sweep checks every linkage the kernel returns: a witness with
+    a shared edge, a wrong end or an edge off the graph raises, not an
+    ``assert``, instead of counting its tuple as linked."""
+    solve = kernel.solve_trails
+    mutated = []
+
+    def corrupting(g, free_edges, pairs):
+        trails = solve(g, free_edges, pairs)
+        bad = trails if trails is None else mutate(pairs, trails)
+        if bad != trails:
+            mutated.append(pairs)
+        return bad
+
+    monkeypatch.setattr(kernel, "solve_trails", corrupting)
+    with pytest.raises(InvalidWitness):
+        check_weakly_2_linked(graph)
+    assert len(mutated) == 1
 
 
 # -- the oracle's pair key and its memos -------------------------------------

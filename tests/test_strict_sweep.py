@@ -12,7 +12,7 @@ import pathlib
 
 import pytest
 
-from escape3x3.model import plan_to_json
+from escape3x3.model import Path, plan_to_json
 
 REFERENCE = pathlib.Path(__file__).parents[1] / "perfbench" / "reference.json"
 DIGEST_CHARS = 12
@@ -21,6 +21,12 @@ DIGEST_CHARS = 12
 def _digest(plan) -> str:
     text = json.dumps(plan_to_json(plan), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:DIGEST_CHARS]
+
+
+def assert_checked(path):
+    """The path equals the checked path through its vertices, edges and all."""
+    checked = Path(path.vertices)
+    assert path == checked and path.edges() == checked.edges(), path
 
 
 def test_plans_match_reference_digests(strict_sweep):
@@ -49,3 +55,11 @@ def test_retry_notes_only_in_their_case(strict_sweep, note, case, count):
 
 def test_one_routing_context_per_route(strict_sweep, strict_sweep_contexts):
     assert strict_sweep_contexts == len(strict_sweep) == 9765
+
+
+def test_every_path_equals_its_checked_path(strict_sweep):
+    """Kernel trails, reversals, reflections and joins are built unchecked;
+    every path of every plan equals the checked path through its vertices."""
+    for _, _, plan, _ in strict_sweep:
+        for path in plan.all_paths():
+            assert_checked(path)
