@@ -19,7 +19,7 @@ from .campaign import (
     verify_all,
 )
 from .grid import full_grid
-from .model import contract_for, plan_to_json, validate_plan
+from .model import plan_to_json
 from .render import render_ascii, render_dot
 from .router import UnsupportedFamily, route
 from .terminals import (
@@ -82,8 +82,7 @@ def _cmd_solve(args) -> int:
         print(render_ascii(plan, cfg))
     elif args.render == "dot":
         print(render_dot(plan, cfg))
-    verdict = validate_plan(full_grid(), cfg, plan, contract_for(trace.lemma))
-    return 0 if verdict.ok else EXIT_VALIDATION
+    return 0 if trace.verdict.ok else EXIT_VALIDATION
 
 
 def _cmd_clips(args) -> int:

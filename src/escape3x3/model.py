@@ -5,7 +5,10 @@ edge is traversed twice, but vertices may repeat (assembled routes may cross
 at a vertex).  A zero-length path is a single vertex.
 
 Validation is implemented twice, in different styles, and the two verdicts
-are compared over every campaign plan.
+are compared over every campaign plan.  Each validator accepts a valid plan
+in one pass: it gathers the plan's pair ends, escaping terminals, exits and
+edges, and set tests decide every clause at once.  Only a plan that fails a
+clause is walked again, clause by clause, to explain each violation.
 """
 
 from __future__ import annotations
@@ -205,6 +208,10 @@ class Verdict:
         return Verdict(ok=not vs, violations=vs)
 
 
+# The verdict both validators return for a valid plan: one shared object.
+_VALID = Verdict(True)
+
+
 @dataclass(frozen=True)
 class EscapePlan:
     linkages: tuple[tuple[int, Path], ...]  # (pair index, trail), sorted by index
@@ -243,7 +250,52 @@ def plan_to_json(plan: EscapePlan) -> dict:
 def validate_plan(
     g: GridGraph, cfg: TerminalConfig, plan: EscapePlan, contract: EscapeContract
 ) -> Verdict:
-    """Primary validator: walks the plan once, accumulating violations."""
+    """Primary validator, reading each path's stored edges.
+
+    One pass over the linkages and one over the escapes gather the linked
+    pair indices and terminals, the escaping terminals, the exits and the
+    edges; set tests then decide every clause, and a valid plan is accepted
+    there.  A plan that fails any clause is walked again, accumulating one
+    violation per broken clause in clause order.
+    """
+    pairs = cfg.pairs
+    indices: set[int] = set()
+    linked: set[Vertex] = set()
+    walked: list[Edge] = []
+    for i, path in plan.linkages:
+        if not 0 <= i < len(pairs):
+            break
+        a, b = pairs[i]
+        vs = path.vertices
+        if not (vs[0] == a and vs[-1] == b or vs[0] == b and vs[-1] == a):
+            break
+        indices.add(i)
+        linked.add(a)
+        linked.add(b)
+        walked += path._edges
+    else:
+        escaping: set[Vertex] = set()
+        exits: set[Vertex] = set()
+        for t, x, path in plan.escapes:
+            vs = path.vertices
+            if vs[0] != t or vs[-1] != x:
+                break
+            escaping.add(t)
+            exits.add(x)
+            walked += path._edges
+        else:
+            bound = contract.max_exits_in_restricted
+            if (
+                len(indices) == len(plan.linkages) >= contract.min_linked_pairs
+                and len(escaping) == len(exits) == len(plan.escapes)
+                and escaping == set(cfg.terminals) - linked
+                and exits <= contract.exit_target
+                and (bound is None or len(exits & contract.restricted_zone) <= bound)
+                and len(set(walked)) == len(walked)
+                and g.edges.issuperset(walked)
+            ):
+                return _VALID
+
     violations: list[Violation] = []
     linkmap = plan.linkage_map()
 
@@ -256,6 +308,12 @@ def validate_plan(
                 len(linkmap),
             )
         )
+    if len(linkmap) != len(plan.linkages):
+        listed = Counter(i for i, _ in plan.linkages)
+        for i in sorted(i for i, n in listed.items() if n > 1):
+            violations.append(
+                Violation(Code.BAD_ENDPOINT, f"pair {i} linked {listed[i]} times", i)
+            )
 
     linked_terminals: set[Vertex] = set()
     for i, path in sorted(linkmap.items()):
@@ -355,9 +413,63 @@ def validate_plan(
 def validate_plan_recheck(
     g: GridGraph, cfg: TerminalConfig, plan: EscapePlan, contract: EscapeContract
 ) -> Verdict:
-    """Independent re-check: multiset the traversed edges, then test every
-    clause with separate passes.  Returns only the overall verdict shape;
-    messages are not meant to match the primary validator."""
+    """Independent re-check, deriving every edge from the vertices.
+
+    One pass over the linkages and one over the escapes derive each path's
+    steps, keeping those that pass a unit-step test, and list every
+    terminal an entry resolves and every exit; a valid plan is accepted
+    when those lists have no repeats and cover what the contract asks.
+    Otherwise the plan is re-checked clause by clause: multiset the
+    traversed edges, then test every clause with separate passes.  Only the
+    overall verdict shape is meant to match the primary validator, not its
+    messages."""
+    pairs = cfg.pairs
+    steps: list[Edge] = []
+    length = 0
+    ends: list[Vertex] = []
+    fits = True
+    for i, p in plan.linkages:
+        vs = p.vertices
+        steps += [
+            (a, b) if a < b else (b, a)
+            for a, b in zip(vs, vs[1:])
+            if abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
+        ]
+        length += len(vs) - 1
+        if 0 <= i < len(pairs) and {vs[0], vs[-1]} == set(pairs[i]):
+            ends += pairs[i]
+        else:
+            fits = False
+    exits: list[Vertex] = []
+    for t, x, p in plan.escapes:
+        vs = p.vertices
+        steps += [
+            (a, b) if a < b else (b, a)
+            for a, b in zip(vs, vs[1:])
+            if abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
+        ]
+        length += len(vs) - 1
+        fits = fits and vs[0] == t and vs[-1] == x
+        ends.append(t)
+        exits.append(x)
+    resolved = set(ends)
+    if (
+        fits
+        and len(steps) == len(set(steps)) == length
+        and g.edges.issuperset(steps)
+        and len(plan.linkages) >= contract.min_linked_pairs
+        and len(resolved) == len(ends)
+        and resolved == set(cfg.terminals)
+        and len(set(exits)) == len(exits)
+        and contract.exit_target.issuperset(exits)
+        and (
+            contract.max_exits_in_restricted is None
+            or len(contract.restricted_zone.intersection(exits))
+            <= contract.max_exits_in_restricted
+        )
+    ):
+        return _VALID
+
     bad: list[Violation] = []
 
     # Clause: global edge multiset must be a set, and a subset of g's edges.
@@ -381,6 +493,9 @@ def validate_plan_recheck(
     linkmap = plan.linkage_map()
     if len(linkmap) < contract.min_linked_pairs:
         bad.append(Violation(Code.LINK_COUNT, "too few linkages"))
+    listed = Counter(i for i, _ in plan.linkages)
+    for i in sorted(i for i, n in listed.items() if n > 1):
+        bad.append(Violation(Code.BAD_ENDPOINT, f"linkage {i} listed x{listed[i]}"))
     for i in sorted(linkmap):
         p = linkmap[i]
         if i < 0 or i >= len(cfg.pairs) or {p.start, p.end} != set(cfg.pairs[i]):

@@ -25,7 +25,7 @@ L3/b/S3 and ``retry:joint`` in L3/c/S3-t2-in-row.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import kernel
 from .grid import (
@@ -55,6 +55,7 @@ from .grid import (
 from .model import (
     EscapePlan,
     Path,
+    Verdict,
     contract_for,
     path_of,
     reflected_plan,
@@ -87,8 +88,13 @@ class UnsupportedFamily(ValueError):
 
 @dataclass(frozen=True)
 class CaseTrace:
+    """How a plan was routed, and the verdict of its one validation under
+    the family's contract; callers take that verdict instead of validating
+    the plan again."""
+
     lemma: LemmaId
     case_labels: tuple[str, ...]
+    verdict: Verdict = field(compare=False)
     used_fallback: bool = False
     symmetry_applied: bool = False
 
@@ -1335,7 +1341,7 @@ def _h78_c3_singleton_direct(cfg: TerminalConfig):
 def _route(cfg: TerminalConfig, lemma: LemmaId, case_fn):
     """Run the case handler, exit every terminal it left on the boundary in
     place, carry the plan back if the handler solved the diagonal reflection,
-    and validate the plan returned."""
+    and validate the plan returned; the verdict travels on the trace."""
     ctx, label = case_fn(cfg)
     _finish(ctx, label=label)
     plan = ctx.plan()
@@ -1345,7 +1351,7 @@ def _route(cfg: TerminalConfig, lemma: LemmaId, case_fn):
     verdict = validate_plan(full_grid(), cfg, plan, contract_for(lemma))
     if not verdict.ok:
         raise CaseGap(f"{label}: plan invalid: {verdict.violations[0].message}")
-    return plan, CaseTrace(lemma, (label, *ctx.notes), symmetry_applied=reflected)
+    return plan, CaseTrace(lemma, (label, *ctx.notes), verdict, symmetry_applied=reflected)
 
 
 _CASES = {
@@ -1369,7 +1375,9 @@ def route(cfg: TerminalConfig, strict: bool = False) -> tuple[EscapePlan, CaseTr
     except (CaseGap, ToolkitError) as exc:
         if strict:
             raise CaseGap(f"{lemma.value}: {exc}") from exc
-        plan = oracle_solve(full_grid(), cfg, contract_for(lemma))
+        grid, contract = full_grid(), contract_for(lemma)
+        plan = oracle_solve(grid, cfg, contract)
         if plan is None:
             raise RouterError(f"no plan exists for {cfg}") from exc
-        return plan, CaseTrace(lemma, ("fallback",), used_fallback=True)
+        verdict = validate_plan(grid, cfg, plan, contract)
+        return plan, CaseTrace(lemma, ("fallback",), verdict, used_fallback=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 
@@ -10,6 +11,7 @@ from escape3x3.campaign import (
     CampaignReport,
     verify_all,
 )
+from escape3x3.model import Verdict
 from escape3x3.terminals import LemmaId, encode_config, enumerate_configs
 
 PERFBENCH = pathlib.Path(__file__).parents[1] / "perfbench"
@@ -112,6 +114,75 @@ def test_route_error_is_reported_not_raised(monkeypatch):
     assert report.valid == report.total - 1
     assert report.oracle_disagreements == 0
     assert report.exit_status() == EXIT_VALIDATION
+
+
+def test_each_plan_validated_once_where_it_is_made(monkeypatch):
+    """A ``--jobs 1`` heavy5 campaign calls ``validate_plan`` once per plan
+    it produces: in ``route`` and on the oracle's witness.  The campaign
+    takes the router's verdict as its first and checks it against one
+    ``validate_plan_recheck`` of its own."""
+    calls = {}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def count(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, count)
+
+    for owner in (router, oracle, campaign):
+        counting(owner, "validate_plan")
+    counting(campaign, "validate_plan_recheck")
+    report = verify_all(LemmaId.HEAVY5, strict=True)
+    assert report.valid == report.total == 1260
+    assert calls == {"validate_plan": 2520, "validate_plan_recheck": 1260}
+
+
+def test_fallback_verdict_reaches_the_report(monkeypatch):
+    """Outside strict mode a failed case falls back to the oracle's plan,
+    whose verdict the campaign takes from the trace: each of the first 20
+    heavy5 configurations counts as a valid fallback.  In strict mode each
+    is a case gap."""
+    first = list(enumerate_configs(LemmaId.HEAVY5))[:20]
+
+    def broken(cfg):
+        raise router.CaseGap("construction failed")
+
+    monkeypatch.setitem(router._CASES, LemmaId.HEAVY5, broken)
+    monkeypatch.setattr(campaign, "enumerate_configs", lambda lemma: iter(first))
+    report = verify_all(LemmaId.HEAVY5)
+    assert (report.total, report.valid, report.fallbacks) == (20, 20, 20)
+    assert report.case_histogram == {"fallback": 20}
+    assert report.exit_status() == EXIT_OK
+    strict = verify_all(LemmaId.HEAVY5, strict=True)
+    assert (strict.valid, strict.case_gaps) == (0, 20)
+    assert strict.exit_status() == EXIT_CASE_GAP
+
+
+def test_verdict_for_another_family_is_not_taken(monkeypatch):
+    """A trace that names another family carries a verdict under another
+    contract, so the campaign validates the plan itself under its own: a
+    false verdict on such a trace changes nothing."""
+    first = list(enumerate_configs(LemmaId.HEAVY5))[:20]
+    original = campaign.route
+    validated = []
+
+    def other_family(cfg, strict=False):
+        plan, trace = original(cfg, strict=strict)
+        return plan, dataclasses.replace(trace, lemma=LemmaId.HEAVY6, verdict=Verdict(False))
+
+    def validate(*args):
+        validated.append(args[1])
+        return model.validate_plan(*args)
+
+    monkeypatch.setattr(campaign, "route", other_family)
+    monkeypatch.setattr(campaign, "validate_plan", validate)
+    monkeypatch.setattr(campaign, "enumerate_configs", lambda lemma: iter(first))
+    report = verify_all(LemmaId.HEAVY5, strict=True)
+    assert (report.total, report.valid) == (20, 20)
+    assert validated == first
 
 
 def test_exit_status_priorities():

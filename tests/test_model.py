@@ -1,8 +1,14 @@
-import pytest
+import hashlib
+import itertools
 
-from escape3x3.grid import BOUNDARY, COL_ONLY, ROW_ONLY, full_grid
+import pytest
+from test_validator_mutations import _corruptions
+
+from escape3x3 import kernel
+from escape3x3.grid import BOUNDARY, COL_ONLY, ROW_ONLY, full_grid, grid_without_corner
 from escape3x3.model import (
     Code,
+    EscapeContract,
     EscapePlan,
     Path,
     PathError,
@@ -275,3 +281,116 @@ def test_reflected_plan_is_valid_for_reflected_config(grid):
     rplan = reflected_plan(cfg, plan)
     rcontract = reflected_contract(contract_for(LemmaId.HEAVY5))
     assert validate_plan(grid, rcfg, rplan, rcontract).ok
+
+
+def _off_clause_corruptions(cfg, plan, contract):
+    """Corrupted copies of a valid plan, each breaking a clause the
+    single-step mutations leave alone; every trail is still a Path."""
+    links, escapes = plan.linkages, plan.escapes
+    if links:
+        i, p = links[0]
+        for bad in (len(cfg.pairs), -1):
+            yield EscapePlan(((bad, p),) + links[1:], escapes)
+        a = cfg.pairs[i][0]
+        yield EscapePlan(links, tuple(sorted(escapes + ((a, a, path_of(a)),))))
+    yield EscapePlan(links[: contract.min_linked_pairs - 1], escapes)
+    if escapes:
+        t, x, p = escapes[0]
+        yield EscapePlan(links, tuple(sorted(escapes + (escapes[0],))))
+        if t != x and t in BOUNDARY:
+            yield EscapePlan(links, tuple(sorted(escapes + ((t, t, path_of(t)),))))
+        if not p.is_zero_length():
+            yield EscapePlan(links, ((t, x, Path(p.vertices[1:])),) + escapes[1:])
+    for k, (t, x, p) in enumerate(escapes):
+        inner = [n for n, v in enumerate(p.vertices) if v not in BOUNDARY]
+        if inner:
+            n = inner[0]
+            cut = (t, p.vertices[n], Path(p.vertices[: n + 1]))
+            yield EscapePlan(links, escapes[:k] + (cut,) + escapes[k + 1 :])
+            break
+
+
+def test_failing_verdicts_are_pinned(grid, strict_sweep):
+    """Both validators' full explanation of a fixed corpus of corrupted
+    plans, hashed: the single-step mutations of every seventh strict plan,
+    and hand-built breaks of every 49th (an out-of-range linkage index, an
+    escape entry for a linked terminal, too few linkages, a terminal
+    escaping twice, an escape path off its terminal, an exit off the
+    boundary).  Plans whose paths step on the far corner are also checked
+    on the grid without it, where those edges are missing."""
+    star = grid_without_corner()
+    corpus = []
+    for n, (lemma, cfg, plan, _) in enumerate(strict_sweep):
+        if n % 7:
+            continue
+        contract = contract_for(lemma)
+        bound = contract.max_exits_in_restricted
+        bad_plans = [bad for _, _, bad in _corruptions(grid, plan, bound, n)]
+        if n % 49 == 0:
+            bad_plans += _off_clause_corruptions(cfg, plan, contract)
+        corpus += [(grid, cfg, bad, contract) for bad in bad_plans]
+        walked = {e for p in plan.all_paths() for e in p.edges()}
+        if n % 49 == 0 and not star.edges.issuperset(walked):
+            corpus.append((star, cfg, plan, contract))
+    digest = hashlib.sha256()
+    for g, cfg, plan, contract in corpus:
+        for validate in (validate_plan, validate_plan_recheck):
+            verdict = validate(g, cfg, plan, contract)
+            assert not verdict.ok, (cfg, plan, validate.__name__)
+            explained = [(v.code.value, v.message, v.subject) for v in verdict.violations]
+            digest.update(repr(explained).encode())
+    assert len(corpus) == 7545
+    assert digest.hexdigest() == (
+        "4d124317818b3a53595062b110c32a38733d385d77bfb6f8f80f617ee4f00087"
+    )
+
+
+def test_validators_reject_a_pair_linked_twice(grid, strict_sweep):
+    """A plan that lists a pair index twice is rejected by both validators,
+    whichever of the two trails comes first, with BAD_ENDPOINT naming the
+    index.  On the first strict heavy78 plan the extra trail is junk over an
+    edge no path uses; on the fourth, whose third pair has a second trail
+    over such edges, it is that trail, so both entries join the pair."""
+    contract = contract_for(LemmaId.HEAVY78)
+    cases = []
+    for _, cfg, plan, _ in (strict_sweep[0], strict_sweep[3]):
+        free = grid.edges - {e for p in plan.all_paths() for e in p.edges()}
+        for i, _ in plan.linkages:
+            extras = [Path(min(free)), *(kernel.solve_trails(grid, free, [cfg.pairs[i]]) or ())]
+            cases += [(cfg, plan, i, extra) for extra in extras]
+    assert any({t.start, t.end} == set(cfg.pairs[i]) for cfg, _, i, t in cases)
+    for (cfg, plan, i, extra), first in itertools.product(cases, (True, False)):
+        entry = ((i, extra),)
+        linkages = entry + plan.linkages if first else plan.linkages + entry
+        twice = EscapePlan(linkages, plan.escapes)
+        v1 = validate_plan(grid, cfg, twice, contract)
+        assert not v1.ok
+        assert any(v.code is Code.BAD_ENDPOINT and v.subject == i for v in v1.violations)
+        v2 = validate_plan_recheck(grid, cfg, twice, contract)
+        assert not v2.ok
+        assert any(
+            v.code is Code.BAD_ENDPOINT and f"linkage {i}" in v.message for v in v2.violations
+        )
+
+
+def test_validators_reject_too_few_linkages_alone(grid):
+    """A heavy78 plan that links one pair and escapes the other five
+    terminals to the five boundary exits breaks only the two-linkage
+    clause: both validators name LINK_COUNT alone, and both accept the plan
+    under a contract that asks for one linkage."""
+    cfg = make_config([((1, 1), (1, 2)), ((1, 3), (2, 1)), ((2, 2), (2, 3))], [(3, 1)])
+    plan = EscapePlan.build(
+        {0: path_of((1, 1), (1, 2))},
+        [
+            ((1, 3), (1, 3), path_of((1, 3))),
+            ((2, 1), (2, 3), path_of((2, 1), (2, 2), (1, 2), (1, 3), (2, 3))),
+            ((2, 2), (3, 2), path_of((2, 2), (3, 2))),
+            ((2, 3), (3, 3), path_of((2, 3), (3, 3))),
+            ((3, 1), (3, 1), path_of((3, 1))),
+        ],
+    )
+    one = EscapeContract(1, BOUNDARY, None)
+    for validate in (validate_plan, validate_plan_recheck):
+        verdict = validate(grid, cfg, plan, contract_for(LemmaId.HEAVY78))
+        assert [v.code for v in verdict.violations] == [Code.LINK_COUNT]
+        assert validate(grid, cfg, plan, one).ok

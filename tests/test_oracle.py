@@ -333,6 +333,29 @@ def test_oracle_none_confirmed_by_euler_enumeration(grid):
         assert _euler_plan_exists(grid, cfg, contract)
 
 
+def test_weak_linkage_sweep_confirmed_by_euler_enumeration(grid, grid_star):
+    """Every ordered 4-tuple of both weak-2-linkage graphs, 6,561 + 4,096 =
+    10,657 in all, has two edge-disjoint trails by the subset enumerator:
+    the sweep's verdict (``test_weakly_2_linked_*``) is confirmed without
+    the kernel or the pair-multiset memo."""
+    checked = 0
+    for g in (grid, grid_star):
+        for u1, v1, u2, v2 in itertools.product(g.sorted_vertices(), repeat=4):
+            assert exists_trail_system_euler(g, [(u1, v1), (u2, v2)]), (u1, v1, u2, v2)
+            checked += 1
+    assert checked == 10657
+
+
+def test_refute_verdicts_confirmed_by_euler_enumeration(grid, refute_sweep):
+    """Every verdict of the refute sweep, a witness on 1,154 configurations
+    and NONE on 106, is the subset enumerator's verdict too."""
+    cfgs, plans, _ = refute_sweep
+    contract = contract_for(LemmaId.HEAVY6)
+    euler = [_euler_plan_exists(grid, cfg, contract) for cfg in cfgs]
+    assert euler == [plan is not None for plan in plans]
+    assert (len(euler), euler.count(False)) == (1260, 106)
+
+
 def test_weak_linkage_witnesses_validate(grid):
     for u1, v1, u2, v2 in itertools.islice(
         itertools.product(grid.sorted_vertices(), repeat=4), 0, 500, 7

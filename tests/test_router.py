@@ -12,8 +12,10 @@ from escape3x3.model import (
     reflected_plan,
     validate_plan,
 )
+from escape3x3 import router
 from escape3x3.router import (
     CASE_LABELS,
+    CaseGap,
     UnsupportedFamily,
     route,
 )
@@ -35,6 +37,28 @@ def test_dispatch_by_count():
     cfg8 = next(iter(enumerate_configs(LemmaId.HEAVY78)))
     plan, trace = route(cfg8)
     assert trace.lemma is LemmaId.HEAVY78
+
+
+def test_trace_carries_the_verdict_of_its_plan(grid, monkeypatch):
+    """A routed trace and a non-strict fallback's trace each carry the
+    verdict of their plan under the family's contract; strict routing of a
+    failed case raises instead."""
+    cfg = next(iter(enumerate_configs(LemmaId.HEAVY5)))
+    contract = contract_for(LemmaId.HEAVY5)
+    plan, trace = route(cfg, strict=True)
+    assert trace.verdict == validate_plan(grid, cfg, plan, contract)
+    assert trace.verdict.ok and not trace.used_fallback
+
+    def broken(cfg):
+        raise CaseGap("construction failed")
+
+    monkeypatch.setitem(router._CASES, LemmaId.HEAVY5, broken)
+    plan, trace = route(cfg)
+    assert trace.case_labels == ("fallback",) and trace.used_fallback
+    assert trace.verdict == validate_plan(grid, cfg, plan, contract)
+    assert trace.verdict.ok
+    with pytest.raises(CaseGap):
+        route(cfg, strict=True)
 
 
 def test_three_pairs_six_terminals_rejected_with_hint():
