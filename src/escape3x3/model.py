@@ -209,7 +209,7 @@ class Verdict:
 
 
 # The verdict both validators return for a valid plan: one shared object.
-_VALID = Verdict(True)
+VALID = Verdict(True)
 
 
 @dataclass(frozen=True)
@@ -257,6 +257,11 @@ def validate_plan(
     edges; set tests then decide every clause, and a valid plan is accepted
     there.  A plan that fails any clause is walked again, accumulating one
     violation per broken clause in clause order.
+
+    The one-pass accept and the clause code must test the same clauses: a
+    clause in one alone either lets an invalid plan through or goes
+    unexplained.  ``test_failing_verdicts_are_pinned`` and
+    ``test_validator_mutations`` hold the two copies together.
     """
     pairs = cfg.pairs
     indices: set[int] = set()
@@ -294,7 +299,7 @@ def validate_plan(
                 and len(set(walked)) == len(walked)
                 and g.edges.issuperset(walked)
             ):
-                return _VALID
+                return VALID
 
     violations: list[Violation] = []
     linkmap = plan.linkage_map()
@@ -422,7 +427,11 @@ def validate_plan_recheck(
     Otherwise the plan is re-checked clause by clause: multiset the
     traversed edges, then test every clause with separate passes.  Only the
     overall verdict shape is meant to match the primary validator, not its
-    messages."""
+    messages.
+
+    As in ``validate_plan``, the one-pass accept and the clause code must
+    test the same clauses; ``test_failing_verdicts_are_pinned`` and
+    ``test_validator_mutations`` hold the two copies together."""
     pairs = cfg.pairs
     steps: list[Edge] = []
     length = 0
@@ -468,7 +477,7 @@ def validate_plan_recheck(
             <= contract.max_exits_in_restricted
         )
     ):
-        return _VALID
+        return VALID
 
     bad: list[Violation] = []
 

@@ -53,6 +53,7 @@ from .grid import (
     unique_l_path,
 )
 from .model import (
+    VALID,
     EscapePlan,
     Path,
     Verdict,
@@ -88,9 +89,12 @@ class UnsupportedFamily(ValueError):
 
 @dataclass(frozen=True)
 class CaseTrace:
-    """How a plan was routed, and the verdict of its one validation under
-    the family's contract; callers take that verdict instead of validating
-    the plan again."""
+    """How a plan was routed, and its verdict under the family's contract.
+
+    ``route`` returns only plans that passed ``validate_plan`` under that
+    contract: its own, or the oracle's on the fallback witness.  So the
+    verdict is always ok, and callers take it instead of validating the
+    plan again."""
 
     lemma: LemmaId
     case_labels: tuple[str, ...]
@@ -1375,9 +1379,8 @@ def route(cfg: TerminalConfig, strict: bool = False) -> tuple[EscapePlan, CaseTr
     except (CaseGap, ToolkitError) as exc:
         if strict:
             raise CaseGap(f"{lemma.value}: {exc}") from exc
-        grid, contract = full_grid(), contract_for(lemma)
-        plan = oracle_solve(grid, cfg, contract)
+        plan = oracle_solve(full_grid(), cfg, contract_for(lemma))
         if plan is None:
             raise RouterError(f"no plan exists for {cfg}") from exc
-        verdict = validate_plan(grid, cfg, plan, contract)
-        return plan, CaseTrace(lemma, ("fallback",), verdict, used_fallback=True)
+        # the oracle validated its witness under the same grid and contract
+        return plan, CaseTrace(lemma, ("fallback",), VALID, used_fallback=True)

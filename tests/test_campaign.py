@@ -11,7 +11,6 @@ from escape3x3.campaign import (
     CampaignReport,
     verify_all,
 )
-from escape3x3.model import Verdict
 from escape3x3.terminals import LemmaId, encode_config, enumerate_configs
 
 PERFBENCH = pathlib.Path(__file__).parents[1] / "perfbench"
@@ -161,28 +160,25 @@ def test_fallback_verdict_reaches_the_report(monkeypatch):
     assert strict.exit_status() == EXIT_CASE_GAP
 
 
-def test_verdict_for_another_family_is_not_taken(monkeypatch):
-    """A trace that names another family carries a verdict under another
-    contract, so the campaign validates the plan itself under its own: a
-    false verdict on such a trace changes nothing."""
+def test_taken_verdict_is_checked_against_the_campaign_contract(monkeypatch):
+    """The campaign takes the trace's verdict as its first and checks the
+    plan under its own contract with ``validate_plan_recheck``: an ok
+    verdict of another family on a plan that breaks the heavy5 contract
+    (one linkage dropped) is reported as a validator disagreement."""
     first = list(enumerate_configs(LemmaId.HEAVY5))[:20]
     original = campaign.route
-    validated = []
 
     def other_family(cfg, strict=False):
         plan, trace = original(cfg, strict=strict)
-        return plan, dataclasses.replace(trace, lemma=LemmaId.HEAVY6, verdict=Verdict(False))
-
-    def validate(*args):
-        validated.append(args[1])
-        return model.validate_plan(*args)
+        broken = dataclasses.replace(plan, linkages=plan.linkages[:-1])
+        return broken, dataclasses.replace(trace, lemma=LemmaId.HEAVY6, verdict=model.VALID)
 
     monkeypatch.setattr(campaign, "route", other_family)
-    monkeypatch.setattr(campaign, "validate_plan", validate)
     monkeypatch.setattr(campaign, "enumerate_configs", lambda lemma: iter(first))
     report = verify_all(LemmaId.HEAVY5, strict=True)
-    assert (report.total, report.valid) == (20, 20)
-    assert validated == first
+    assert (report.total, report.valid, len(report.failures)) == (20, 0, 20)
+    assert all(f["problems"] == ["VALIDATOR_DISAGREEMENT"] for f in report.failures)
+    assert report.exit_status() == EXIT_VALIDATION
 
 
 def test_exit_status_priorities():
