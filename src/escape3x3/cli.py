@@ -82,7 +82,7 @@ def _cmd_solve(args) -> int:
         print(render_ascii(plan, cfg))
     elif args.render == "dot":
         print(render_dot(plan, cfg))
-    return 0 if trace.verdict.ok else EXIT_VALIDATION
+    return 0
 
 
 def _cmd_clips(args) -> int:
@@ -105,6 +105,9 @@ def _cmd_clips(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     lemma = LemmaId(args.lemma)
+    if args.extended and lemma is not LemmaId.HEAVY6:
+        print(f"--extended applies to heavy6 only, not {lemma.value}", file=sys.stderr)
+        return EXIT_VALIDATION
     lines = [
         config_to_ndjson_line(cfg)
         for cfg in enumerate_configs(lemma, extended=args.extended)

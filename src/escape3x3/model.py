@@ -4,11 +4,12 @@ Paths are edge-simple trails: consecutive vertices are grid-adjacent, no
 edge is traversed twice, but vertices may repeat (assembled routes may cross
 at a vertex).  A zero-length path is a single vertex.
 
-Validation is implemented twice, in different styles, and the two verdicts
-are compared over every campaign plan.  Each validator accepts a valid plan
-in one pass: it gathers the plan's pair ends, escaping terminals, exits and
-edges, and set tests decide every clause at once.  Only a plan that fails a
-clause is walked again, clause by clause, to explain each violation.
+Validation is implemented twice, in different styles and with no shared
+helper: the router accepts only plans ``validate_plan`` passes, and a
+campaign re-checks each of them with ``validate_plan_recheck``.  Each
+validator gathers what it needs in one pass over the plan's linkages and
+escapes, then tests each clause once, building that clause's violations only
+when the test fails.
 """
 
 from __future__ import annotations
@@ -204,11 +205,13 @@ class Verdict:
 
     @staticmethod
     def from_violations(violations) -> "Verdict":
+        """The failing verdict naming these violations, or the shared
+        ``VALID`` when there are none."""
         vs = tuple(violations)
-        return Verdict(ok=not vs, violations=vs)
+        return Verdict(ok=False, violations=vs) if vs else VALID
 
 
-# The verdict both validators return for a valid plan: one shared object.
+# The verdict for a plan, or a clip, that breaks nothing: one shared object.
 VALID = Verdict(True)
 
 
@@ -223,9 +226,6 @@ class EscapePlan:
             linkages=tuple(sorted(linkages.items())),
             escapes=tuple(sorted(escapes)),
         )
-
-    def linkage_map(self) -> dict[int, Path]:
-        return dict(self.linkages)
 
     def all_paths(self) -> list[Path]:
         return [p for _, p in self.linkages] + [p for _, _, p in self.escapes]
@@ -253,57 +253,52 @@ def validate_plan(
     """Primary validator, reading each path's stored edges.
 
     One pass over the linkages and one over the escapes gather the linked
-    pair indices and terminals, the escaping terminals, the exits and the
-    edges; set tests then decide every clause, and a valid plan is accepted
-    there.  A plan that fails any clause is walked again, accumulating one
-    violation per broken clause in clause order.
-
-    The one-pass accept and the clause code must test the same clauses: a
-    clause in one alone either lets an invalid plan through or goes
-    unexplained.  ``test_failing_verdicts_are_pinned`` and
-    ``test_validator_mutations`` hold the two copies together.
+    terminals, the escaping terminals, the exits and the walked edges, and
+    explain each entry whose ends are wrong.  The clauses then follow in
+    order, each one set test that builds its violations only when it fails.
     """
     pairs = cfg.pairs
-    indices: set[int] = set()
-    linked: set[Vertex] = set()
+    linkmap = dict(plan.linkages)  # a pair listed twice keeps its last trail
     walked: list[Edge] = []
-    for i, path in plan.linkages:
+    for _, path in plan.linkages:
+        walked += path._edges
+    linked: set[Vertex] = set()
+    misjoined: dict[int, Violation] = {}
+    for i, path in linkmap.items():
         if not 0 <= i < len(pairs):
-            break
-        a, b = pairs[i]
+            misjoined[i] = Violation(Code.BAD_ENDPOINT, f"linkage references pair {i}", i)
+            continue
+        a, b = pair = pairs[i]
         vs = path.vertices
         if not (vs[0] == a and vs[-1] == b or vs[0] == b and vs[-1] == a):
-            break
-        indices.add(i)
+            misjoined[i] = Violation(
+                Code.BAD_ENDPOINT,
+                f"linkage {i} joins {vs[0]}-{vs[-1]}, pair is {sorted(pair)}",
+                i,
+            )
         linked.add(a)
         linked.add(b)
+    target = contract.exit_target
+    escaping: set[Vertex] = set()
+    exits: set[Vertex] = set()
+    misrouted: list[Violation] = []
+    for t, x, path in plan.escapes:
+        escaping.add(t)
+        exits.add(x)
         walked += path._edges
-    else:
-        escaping: set[Vertex] = set()
-        exits: set[Vertex] = set()
-        for t, x, path in plan.escapes:
-            vs = path.vertices
-            if vs[0] != t or vs[-1] != x:
-                break
-            escaping.add(t)
-            exits.add(x)
-            walked += path._edges
-        else:
-            bound = contract.max_exits_in_restricted
-            if (
-                len(indices) == len(plan.linkages) >= contract.min_linked_pairs
-                and len(escaping) == len(exits) == len(plan.escapes)
-                and escaping == set(cfg.terminals) - linked
-                and exits <= contract.exit_target
-                and (bound is None or len(exits & contract.restricted_zone) <= bound)
-                and len(set(walked)) == len(walked)
-                and g.edges.issuperset(walked)
-            ):
-                return VALID
+        if x not in target:
+            misrouted.append(Violation(Code.BAD_ENDPOINT, f"exit {x} outside the boundary", x))
+        vs = path.vertices
+        if vs[0] != t or vs[-1] != x:
+            misrouted.append(
+                Violation(
+                    Code.BAD_ENDPOINT,
+                    f"escape path runs {vs[0]}->{vs[-1]}, expected {t}->{x}",
+                    t,
+                )
+            )
 
     violations: list[Violation] = []
-    linkmap = plan.linkage_map()
-
     if len(linkmap) < contract.min_linked_pairs:
         violations.append(
             Violation(
@@ -315,101 +310,74 @@ def validate_plan(
         )
     if len(linkmap) != len(plan.linkages):
         listed = Counter(i for i, _ in plan.linkages)
-        for i in sorted(i for i, n in listed.items() if n > 1):
-            violations.append(
-                Violation(Code.BAD_ENDPOINT, f"pair {i} linked {listed[i]} times", i)
-            )
+        violations += [
+            Violation(Code.BAD_ENDPOINT, f"pair {i} linked {listed[i]} times", i)
+            for i in sorted(listed)
+            if listed[i] > 1
+        ]
+    if misjoined:
+        violations += [misjoined[i] for i in sorted(misjoined)]
 
-    linked_terminals: set[Vertex] = set()
-    for i, path in sorted(linkmap.items()):
-        if not 0 <= i < len(cfg.pairs):
-            violations.append(
-                Violation(Code.BAD_ENDPOINT, f"linkage references pair {i}", i)
-            )
-            continue
-        pair = set(cfg.pairs[i])
-        if {path.start, path.end} != pair:
-            violations.append(
-                Violation(
-                    Code.BAD_ENDPOINT,
-                    f"linkage {i} joins {path.start}-{path.end}, pair is {sorted(pair)}",
-                    i,
-                )
-            )
-        linked_terminals |= pair
-
-    all_terminals = set(cfg.terminals)
-    escaping = [t for t, _, _ in plan.escapes]
-    escape_set = set(escaping)
-    if len(escaping) != len(escape_set):
-        dup = sorted(t for t, n in Counter(escaping).items() if n > 1)
+    if len(escaping) != len(plan.escapes):
+        listed = Counter(t for t, _, _ in plan.escapes)
+        dup = sorted(t for t, n in listed.items() if n > 1)
         violations.append(
             Violation(Code.UNRESOLVED_TERMINAL, f"terminal escapes twice: {dup}", dup)
         )
-    unresolved = all_terminals - linked_terminals - escape_set
-    if unresolved:
-        violations.append(
-            Violation(
-                Code.UNRESOLVED_TERMINAL,
-                f"terminals neither linked nor escaped: {sorted(unresolved)}",
-                sorted(unresolved),
+    unlinked = set(cfg.terminals) - linked
+    if escaping != unlinked:
+        unresolved = sorted(unlinked - escaping)
+        if unresolved:
+            violations.append(
+                Violation(
+                    Code.UNRESOLVED_TERMINAL,
+                    f"terminals neither linked nor escaped: {unresolved}",
+                    unresolved,
+                )
             )
-        )
-    stray = escape_set - (all_terminals - linked_terminals)
-    if stray:
-        violations.append(
-            Violation(
-                Code.UNRESOLVED_TERMINAL,
-                f"escape entries for non-escaping vertices: {sorted(stray)}",
-                sorted(stray),
+        stray = sorted(escaping - unlinked)
+        if stray:
+            violations.append(
+                Violation(
+                    Code.UNRESOLVED_TERMINAL,
+                    f"escape entries for non-escaping vertices: {stray}",
+                    stray,
+                )
             )
-        )
 
-    exits = [x for _, x, _ in plan.escapes]
-    if len(set(exits)) != len(exits):
-        collisions = sorted(x for x, n in Counter(exits).items() if n > 1)
+    if len(exits) != len(plan.escapes):
+        listed = Counter(x for _, x, _ in plan.escapes)
+        collisions = sorted(x for x, n in listed.items() if n > 1)
         violations.append(
             Violation(Code.EXIT_COLLISION, f"exit used twice: {collisions}", collisions)
         )
-    for t, x, path in plan.escapes:
-        if x not in contract.exit_target:
-            violations.append(
-                Violation(Code.BAD_ENDPOINT, f"exit {x} outside the boundary", x)
-            )
-        if path.start != t or path.end != x:
-            violations.append(
-                Violation(
-                    Code.BAD_ENDPOINT,
-                    f"escape path runs {path.start}->{path.end}, expected {t}->{x}",
-                    t,
-                )
-            )
-
-    if contract.max_exits_in_restricted is not None:
-        in_zone = sorted(x for x in exits if x in contract.restricted_zone)
-        if len(in_zone) > contract.max_exits_in_restricted:
+    violations += misrouted
+    bound = contract.max_exits_in_restricted
+    if bound is not None:
+        zone = contract.restricted_zone
+        # a repeated exit counts once per escape, so only distinct exits
+        # may be intersected as a set
+        if len(exits) == len(plan.escapes):
+            in_zone = zone & exits
+        else:
+            in_zone = [x for _, x, _ in plan.escapes if x in zone]
+        if len(in_zone) > bound:
             violations.append(
                 Violation(
                     Code.B_EXIT_BOUND,
-                    f"{len(in_zone)} exits in {sorted(contract.restricted_zone)}, "
-                    f"allowed {contract.max_exits_in_restricted}",
-                    in_zone,
+                    f"{len(in_zone)} exits in {sorted(zone)}, allowed {bound}",
+                    sorted(in_zone),
                 )
             )
 
-    walked = [e for path in plan.all_paths() for e in path._edges]
     distinct = set(walked)
     if len(distinct) != len(walked) or not g.edges.issuperset(distinct):
         used: set[Edge] = set()
         for e in walked:
             if e not in g.edges:
-                violations.append(
-                    Violation(Code.NOT_A_PATH, f"edge {e} is not in the graph", e)
-                )
+                violations.append(Violation(Code.NOT_A_PATH, f"edge {e} is not in the graph", e))
             if e in used:
-                violations.append(
-                    Violation(Code.EDGE_REUSE, f"edge {e} used by two paths", e)
-                )
+                violations.append(Violation(Code.EDGE_REUSE, f"edge {e} used by two paths", e))
             used.add(e)
 
     return Verdict.from_violations(violations)
@@ -420,78 +388,46 @@ def validate_plan_recheck(
 ) -> Verdict:
     """Independent re-check, deriving every edge from the vertices.
 
-    One pass over the linkages and one over the escapes derive each path's
-    steps, keeping those that pass a unit-step test, and list every
-    terminal an entry resolves and every exit; a valid plan is accepted
-    when those lists have no repeats and cover what the contract asks.
-    Otherwise the plan is re-checked clause by clause: multiset the
-    traversed edges, then test every clause with separate passes.  Only the
-    overall verdict shape is meant to match the primary validator, not its
-    messages.
-
-    As in ``validate_plan``, the one-pass accept and the clause code must
-    test the same clauses; ``test_failing_verdicts_are_pinned`` and
-    ``test_validator_mutations`` hold the two copies together."""
+    One pass over every path derives its steps with a unit-step test,
+    explaining each non-step; one over the linkages and one over the
+    escapes list the terminals each entry resolves and the exits, and
+    explain each entry whose ends are wrong.  The clauses then follow in
+    order, each one test over those lists that builds its violations only
+    when it fails.  Only the overall verdict shape is meant to match the
+    primary validator, not its messages."""
     pairs = cfg.pairs
+    bad: list[Violation] = []
     steps: list[Edge] = []
-    length = 0
-    ends: list[Vertex] = []
-    fits = True
-    for i, p in plan.linkages:
+    for p in [p for _, p in plan.linkages] + [p for _, _, p in plan.escapes]:
         vs = p.vertices
-        steps += [
-            (a, b) if a < b else (b, a)
-            for a, b in zip(vs, vs[1:])
-            if abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
-        ]
-        length += len(vs) - 1
-        if 0 <= i < len(pairs) and {vs[0], vs[-1]} == set(pairs[i]):
+        for a, b in zip(vs, vs[1:]):
+            if abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1:
+                steps.append((a, b) if a < b else (b, a))
+            else:
+                bad.append(Violation(Code.NOT_A_PATH, f"non-step {a}->{b}"))
+    linkmap = dict(plan.linkages)  # a pair listed twice keeps its last trail
+    ends: list[Vertex] = []
+    misjoined: list[Violation] = []
+    for i in sorted(linkmap):
+        vs = linkmap[i].vertices
+        if 0 <= i < len(pairs):
             ends += pairs[i]
-        else:
-            fits = False
+            if {vs[0], vs[-1]} == set(pairs[i]):
+                continue
+        misjoined.append(Violation(Code.BAD_ENDPOINT, f"linkage {i}"))
     exits: list[Vertex] = []
+    misrouted: list[Violation] = []
     for t, x, p in plan.escapes:
         vs = p.vertices
-        steps += [
-            (a, b) if a < b else (b, a)
-            for a, b in zip(vs, vs[1:])
-            if abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
-        ]
-        length += len(vs) - 1
-        fits = fits and vs[0] == t and vs[-1] == x
         ends.append(t)
         exits.append(x)
-    resolved = set(ends)
-    if (
-        fits
-        and len(steps) == len(set(steps)) == length
-        and g.edges.issuperset(steps)
-        and len(plan.linkages) >= contract.min_linked_pairs
-        and len(resolved) == len(ends)
-        and resolved == set(cfg.terminals)
-        and len(set(exits)) == len(exits)
-        and contract.exit_target.issuperset(exits)
-        and (
-            contract.max_exits_in_restricted is None
-            or len(contract.restricted_zone.intersection(exits))
-            <= contract.max_exits_in_restricted
-        )
-    ):
-        return VALID
-
-    bad: list[Violation] = []
+        if vs[0] != t or vs[-1] != x or x not in contract.exit_target:
+            misrouted.append(Violation(Code.BAD_ENDPOINT, f"escape {t}->{x}"))
 
     # Clause: global edge multiset must be a set, and a subset of g's edges.
-    steps: list[Edge] = []
-    for path in plan.all_paths():
-        vs = path.vertices
-        for a, b in zip(vs, vs[1:]):
-            if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
-                bad.append(Violation(Code.NOT_A_PATH, f"non-step {a}->{b}"))
-                continue
-            steps.append((a, b) if a < b else (b, a))
-    multiset = Counter(steps)
-    if len(multiset) != len(steps) or not g.edges.issuperset(multiset):
+    walked = set(steps)
+    if len(walked) != len(steps) or not g.edges.issuperset(walked):
+        multiset = Counter(steps)
         for e in sorted(e for e, n in multiset.items() if n > 1 or e not in g.edges):
             if multiset[e] > 1:
                 bad.append(Violation(Code.EDGE_REUSE, f"{e} x{multiset[e]}"))
@@ -499,40 +435,46 @@ def validate_plan_recheck(
                 bad.append(Violation(Code.NOT_A_PATH, f"{e} absent"))
 
     # Clause: linkage count and endpoints.
-    linkmap = plan.linkage_map()
     if len(linkmap) < contract.min_linked_pairs:
         bad.append(Violation(Code.LINK_COUNT, "too few linkages"))
-    listed = Counter(i for i, _ in plan.linkages)
-    for i in sorted(i for i, n in listed.items() if n > 1):
-        bad.append(Violation(Code.BAD_ENDPOINT, f"linkage {i} listed x{listed[i]}"))
-    for i in sorted(linkmap):
-        p = linkmap[i]
-        if i < 0 or i >= len(cfg.pairs) or {p.start, p.end} != set(cfg.pairs[i]):
-            bad.append(Violation(Code.BAD_ENDPOINT, f"linkage {i}"))
+    if len(linkmap) != len(plan.linkages):
+        listed = Counter(i for i, _ in plan.linkages)
+        bad += [
+            Violation(Code.BAD_ENDPOINT, f"linkage {i} listed x{listed[i]}")
+            for i in sorted(listed)
+            if listed[i] > 1
+        ]
+    bad += misjoined
 
     # Clause: every terminal resolved exactly once.
-    ends = [v for i in linkmap if 0 <= i < len(cfg.pairs) for v in cfg.pairs[i]]
-    ends += [t for t, _, _ in plan.escapes]
-    resolved = Counter(ends)
     terminals = set(cfg.terminals)
-    if len(resolved) != len(ends) or resolved.keys() != terminals:
-        for t in cfg.terminals:
-            if resolved[t] != 1:
-                bad.append(Violation(Code.UNRESOLVED_TERMINAL, f"{t} resolved x{resolved[t]}"))
-        for t in resolved:
-            if t not in terminals:
-                bad.append(Violation(Code.UNRESOLVED_TERMINAL, f"{t} is not a terminal"))
+    resolved = set(ends)
+    if len(resolved) != len(ends) or resolved != terminals:
+        counts = Counter(ends)
+        bad += [
+            Violation(Code.UNRESOLVED_TERMINAL, f"{t} resolved x{counts[t]}")
+            for t in cfg.terminals
+            if counts[t] != 1
+        ]
+        bad += [
+            Violation(Code.UNRESOLVED_TERMINAL, f"{t} is not a terminal")
+            for t in counts
+            if t not in terminals
+        ]
 
     # Clause: exits.
-    exits = [x for _, x, _ in plan.escapes]
-    if len(set(exits)) != len(exits):
+    distinct = set(exits)
+    if len(distinct) != len(exits):
         bad.append(Violation(Code.EXIT_COLLISION, "exit collision"))
-    for t, x, p in plan.escapes:
-        if x not in contract.exit_target or p.start != t or p.end != x:
-            bad.append(Violation(Code.BAD_ENDPOINT, f"escape {t}->{x}"))
-    if contract.max_exits_in_restricted is not None:
-        count = sum(1 for x in exits if x in contract.restricted_zone)
-        if count > contract.max_exits_in_restricted:
+    bad += misrouted
+    bound = contract.max_exits_in_restricted
+    if bound is not None:
+        zone = contract.restricted_zone
+        if len(distinct) == len(exits):
+            count = len(zone.intersection(distinct))
+        else:
+            count = sum(1 for x in exits if x in zone)
+        if count > bound:
             bad.append(Violation(Code.B_EXIT_BOUND, f"{count} restricted exits"))
 
     return Verdict.from_violations(bad)

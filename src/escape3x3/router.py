@@ -25,7 +25,7 @@ L3/b/S3 and ``retry:joint`` in L3/c/S3-t2-in-row.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import kernel
 from .grid import (
@@ -53,10 +53,8 @@ from .grid import (
     unique_l_path,
 )
 from .model import (
-    VALID,
     EscapePlan,
     Path,
-    Verdict,
     contract_for,
     path_of,
     reflected_plan,
@@ -89,16 +87,13 @@ class UnsupportedFamily(ValueError):
 
 @dataclass(frozen=True)
 class CaseTrace:
-    """How a plan was routed, and its verdict under the family's contract.
+    """How a plan was routed.
 
-    ``route`` returns only plans that passed ``validate_plan`` under that
-    contract: its own, or the oracle's on the fallback witness.  So the
-    verdict is always ok, and callers take it instead of validating the
-    plan again."""
+    ``route`` returns only plans that passed ``validate_plan`` under the
+    family's contract: its own, or the oracle's on the fallback witness."""
 
     lemma: LemmaId
     case_labels: tuple[str, ...]
-    verdict: Verdict = field(compare=False)
     used_fallback: bool = False
     symmetry_applied: bool = False
 
@@ -1345,7 +1340,7 @@ def _h78_c3_singleton_direct(cfg: TerminalConfig):
 def _route(cfg: TerminalConfig, lemma: LemmaId, case_fn):
     """Run the case handler, exit every terminal it left on the boundary in
     place, carry the plan back if the handler solved the diagonal reflection,
-    and validate the plan returned; the verdict travels on the trace."""
+    and validate the plan returned: an invalid plan is a case gap."""
     ctx, label = case_fn(cfg)
     _finish(ctx, label=label)
     plan = ctx.plan()
@@ -1355,7 +1350,7 @@ def _route(cfg: TerminalConfig, lemma: LemmaId, case_fn):
     verdict = validate_plan(full_grid(), cfg, plan, contract_for(lemma))
     if not verdict.ok:
         raise CaseGap(f"{label}: plan invalid: {verdict.violations[0].message}")
-    return plan, CaseTrace(lemma, (label, *ctx.notes), verdict, symmetry_applied=reflected)
+    return plan, CaseTrace(lemma, (label, *ctx.notes), symmetry_applied=reflected)
 
 
 _CASES = {
@@ -1383,4 +1378,4 @@ def route(cfg: TerminalConfig, strict: bool = False) -> tuple[EscapePlan, CaseTr
         if plan is None:
             raise RouterError(f"no plan exists for {cfg}") from exc
         # the oracle validated its witness under the same grid and contract
-        return plan, CaseTrace(lemma, ("fallback",), VALID, used_fallback=True)
+        return plan, CaseTrace(lemma, ("fallback",), used_fallback=True)

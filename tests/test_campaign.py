@@ -118,8 +118,8 @@ def test_route_error_is_reported_not_raised(monkeypatch):
 def test_each_plan_validated_once_where_it_is_made(monkeypatch):
     """A ``--jobs 1`` heavy5 campaign calls ``validate_plan`` once per plan
     it produces: in ``route`` and on the oracle's witness.  The campaign
-    takes the router's verdict as its first and checks it against one
-    ``validate_plan_recheck`` of its own."""
+    re-checks each routed plan with one ``validate_plan_recheck`` of its
+    own."""
     calls = {}
 
     def counting(owner, name):
@@ -141,9 +141,9 @@ def test_each_plan_validated_once_where_it_is_made(monkeypatch):
 
 def test_fallback_verdict_reaches_the_report(monkeypatch):
     """Outside strict mode a failed case falls back to the oracle's plan,
-    whose verdict the campaign takes from the trace: each of the first 20
-    heavy5 configurations counts as a valid fallback.  In strict mode each
-    is a case gap."""
+    which the oracle has validated and the campaign re-checks: each of the
+    first 20 heavy5 configurations counts as a valid fallback.  In strict
+    mode each is a case gap."""
     first = list(enumerate_configs(LemmaId.HEAVY5))[:20]
 
     def broken(cfg):
@@ -161,17 +161,17 @@ def test_fallback_verdict_reaches_the_report(monkeypatch):
 
 
 def test_taken_verdict_is_checked_against_the_campaign_contract(monkeypatch):
-    """The campaign takes the trace's verdict as its first and checks the
-    plan under its own contract with ``validate_plan_recheck``: an ok
-    verdict of another family on a plan that breaks the heavy5 contract
-    (one linkage dropped) is reported as a validator disagreement."""
+    """The campaign takes a routed plan as validated and checks it under
+    its own contract with ``validate_plan_recheck``: a plan routed as
+    another family's that breaks the heavy5 contract (one linkage dropped)
+    is reported as a validator disagreement."""
     first = list(enumerate_configs(LemmaId.HEAVY5))[:20]
     original = campaign.route
 
     def other_family(cfg, strict=False):
         plan, trace = original(cfg, strict=strict)
         broken = dataclasses.replace(plan, linkages=plan.linkages[:-1])
-        return broken, dataclasses.replace(trace, lemma=LemmaId.HEAVY6, verdict=model.VALID)
+        return broken, dataclasses.replace(trace, lemma=LemmaId.HEAVY6)
 
     monkeypatch.setattr(campaign, "route", other_family)
     monkeypatch.setattr(campaign, "enumerate_configs", lambda lemma: iter(first))

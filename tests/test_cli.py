@@ -6,8 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from escape3x3 import router
 from escape3x3.cli import main
-from escape3x3.terminals import MalformedConfigError, TerminalConfig, decode_config
+from escape3x3.grid import full_grid
+from escape3x3.model import contract_for, plan_to_json
+from escape3x3.oracle import oracle_solve
+from escape3x3.terminals import (
+    LemmaId,
+    MalformedConfigError,
+    TerminalConfig,
+    decode_config,
+)
 
 
 def _write_cfg(tmp_path, payload):
@@ -37,6 +46,26 @@ def test_solve_fixture_trace_names_lemma_and_clip_family(tmp_path, capsys):
     assert status == 0
     payload = json.loads(out)
     assert payload["trace"]["case_labels"][0].startswith("L3/")
+
+
+def test_solve_falls_back_to_the_oracle(tmp_path, capsys, monkeypatch):
+    """Without ``--strict``, a case handler that cannot complete hands the
+    configuration to the oracle: ``solve`` prints the oracle's plan, marks
+    the trace as a fallback and exits 0."""
+    payload = {"pairs": [[[1, 1], [2, 2]]], "singletons": [[1, 2], [2, 1], [1, 3]]}
+    cfg = decode_config(payload)
+
+    def broken(cfg):
+        raise router.CaseGap("construction failed")
+
+    monkeypatch.setitem(router._CASES, LemmaId.HEAVY5, broken)
+    status = main(["solve", "--config", _write_cfg(tmp_path, payload)])
+    out = json.loads(capsys.readouterr().out)
+    assert status == 0
+    assert out["trace"]["used_fallback"] is True
+    assert out["trace"]["case_labels"] == ["fallback"]
+    witness = oracle_solve(full_grid(), cfg, contract_for(LemmaId.HEAVY5))
+    assert out["plan"] == plan_to_json(witness)
 
 
 def test_solve_rejects_malformed(tmp_path, capsys):
@@ -92,6 +121,17 @@ def test_enumerate_writes_ndjson(tmp_path, capsys):
     lines = out_path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1260
     assert all(json.loads(line) for line in lines)
+
+
+@pytest.mark.parametrize("lemma", ["heavy78", "heavy5"])
+def test_enumerate_rejects_extended_outside_heavy6(tmp_path, capsys, lemma):
+    """``--extended`` adds configurations to heavy6 only; any other family
+    rejects it and writes nothing."""
+    out_path = tmp_path / f"{lemma}.ndjson"
+    status = main(["enumerate", "--lemma", lemma, "--extended", "--out", str(out_path)])
+    assert status == 2
+    assert "--extended" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_clips_verify(capsys):

@@ -57,7 +57,7 @@ def test_adjacent_pair_and_boundary_singletons_solve_trivially(grid):
     cfg = make_config([((1, 1), (1, 2))], [(3, 1), (3, 2), (1, 3)])
     plan = oracle_solve(grid, cfg, contract_for(LemmaId.HEAVY5))
     assert plan is not None
-    linkage = plan.linkage_map()[0]
+    linkage = dict(plan.linkages)[0]
     assert len(linkage.vertices) == 2
     assert all(p.is_zero_length() for _, _, p in plan.escapes)
 

@@ -43,3 +43,34 @@ def test_trusted_path_constructor_has_only_its_named_callers():
         "toolkit.fresh",
     }
     assert setters == {"model._trusted", "model.__post_init__"}
+
+
+def test_validators_share_no_helper():
+    """The two validators are written independently: neither calls a
+    function, method or class the package defines, apart from building its
+    violations and its verdict."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    defined = {
+        node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    shared = defined - {"Violation", "Verdict", "from_violations"}
+    validators = [
+        node
+        for node in trees["model"].body
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("validate_plan", "validate_plan_recheck")
+    ]
+    assert len(validators) == 2
+    found = set()
+    for func in validators:
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+            if name in shared:
+                found.add(f"{func.name} calls {name}")
+    assert not found, sorted(found)

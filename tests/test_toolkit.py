@@ -182,7 +182,7 @@ def test_context_plan_assembly(grid):
     for j in range(3):
         ctx.finish_escape(("s", j))
     plan = ctx.plan()
-    linkage = plan.linkage_map()[0]
+    linkage = dict(plan.linkages)[0]
     assert linkage.start == (1, 1) and linkage.end == (2, 3)
     assert len(plan.escapes) == 3
 
