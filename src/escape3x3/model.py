@@ -253,8 +253,9 @@ def validate_plan(
     """Primary validator, reading each path's stored edges.
 
     One pass over the linkages and one over the escapes gather the linked
-    terminals, the escaping terminals, the exits and the walked edges, and
-    explain each entry whose ends are wrong.  The clauses then follow in
+    terminals, the escaping terminals, the exits (those in the restricted
+    zone once per escape) and the walked edges, and explain each entry whose
+    ends are wrong.  The clauses then follow in
     order, each one set test that builds its violations only when it fails.
     """
     pairs = cfg.pairs
@@ -263,28 +264,34 @@ def validate_plan(
     for _, path in plan.linkages:
         walked += path._edges
     linked: set[Vertex] = set()
-    misjoined: dict[int, Violation] = {}
-    for i, path in linkmap.items():
+    misjoined: list[Violation] = []
+    for i, path in sorted(linkmap.items()):
         if not 0 <= i < len(pairs):
-            misjoined[i] = Violation(Code.BAD_ENDPOINT, f"linkage references pair {i}", i)
+            misjoined.append(Violation(Code.BAD_ENDPOINT, f"linkage references pair {i}", i))
             continue
         a, b = pair = pairs[i]
         vs = path.vertices
         if not (vs[0] == a and vs[-1] == b or vs[0] == b and vs[-1] == a):
-            misjoined[i] = Violation(
-                Code.BAD_ENDPOINT,
-                f"linkage {i} joins {vs[0]}-{vs[-1]}, pair is {sorted(pair)}",
-                i,
+            misjoined.append(
+                Violation(
+                    Code.BAD_ENDPOINT,
+                    f"linkage {i} joins {vs[0]}-{vs[-1]}, pair is {sorted(pair)}",
+                    i,
+                )
             )
         linked.add(a)
         linked.add(b)
     target = contract.exit_target
+    zone = contract.restricted_zone
     escaping: set[Vertex] = set()
     exits: set[Vertex] = set()
+    in_zone: list[Vertex] = []  # a repeated exit counts once per escape
     misrouted: list[Violation] = []
     for t, x, path in plan.escapes:
         escaping.add(t)
         exits.add(x)
+        if x in zone:
+            in_zone.append(x)
         walked += path._edges
         if x not in target:
             misrouted.append(Violation(Code.BAD_ENDPOINT, f"exit {x} outside the boundary", x))
@@ -315,8 +322,7 @@ def validate_plan(
             for i in sorted(listed)
             if listed[i] > 1
         ]
-    if misjoined:
-        violations += [misjoined[i] for i in sorted(misjoined)]
+    violations += misjoined
 
     if len(escaping) != len(plan.escapes):
         listed = Counter(t for t, _, _ in plan.escapes)
@@ -353,22 +359,14 @@ def validate_plan(
         )
     violations += misrouted
     bound = contract.max_exits_in_restricted
-    if bound is not None:
-        zone = contract.restricted_zone
-        # a repeated exit counts once per escape, so only distinct exits
-        # may be intersected as a set
-        if len(exits) == len(plan.escapes):
-            in_zone = zone & exits
-        else:
-            in_zone = [x for _, x, _ in plan.escapes if x in zone]
-        if len(in_zone) > bound:
-            violations.append(
-                Violation(
-                    Code.B_EXIT_BOUND,
-                    f"{len(in_zone)} exits in {sorted(zone)}, allowed {bound}",
-                    sorted(in_zone),
-                )
+    if bound is not None and len(in_zone) > bound:
+        violations.append(
+            Violation(
+                Code.B_EXIT_BOUND,
+                f"{len(in_zone)} exits in {sorted(zone)}, allowed {bound}",
+                sorted(in_zone),
             )
+        )
 
     distinct = set(walked)
     if len(distinct) != len(walked) or not g.edges.issuperset(distinct):
@@ -390,8 +388,8 @@ def validate_plan_recheck(
 
     One pass over every path derives its steps with a unit-step test,
     explaining each non-step; one over the linkages and one over the
-    escapes list the terminals each entry resolves and the exits, and
-    explain each entry whose ends are wrong.  The clauses then follow in
+    escapes list the terminals each entry resolves and the exits, count the
+    restricted exits, and explain each entry whose ends are wrong.  The clauses then follow in
     order, each one test over those lists that builds its violations only
     when it fails.  Only the overall verdict shape is meant to match the
     primary validator, not its messages."""
@@ -416,11 +414,13 @@ def validate_plan_recheck(
                 continue
         misjoined.append(Violation(Code.BAD_ENDPOINT, f"linkage {i}"))
     exits: list[Vertex] = []
+    restricted = 0
     misrouted: list[Violation] = []
     for t, x, p in plan.escapes:
         vs = p.vertices
         ends.append(t)
         exits.append(x)
+        restricted += x in contract.restricted_zone
         if vs[0] != t or vs[-1] != x or x not in contract.exit_target:
             misrouted.append(Violation(Code.BAD_ENDPOINT, f"escape {t}->{x}"))
 
@@ -463,19 +463,12 @@ def validate_plan_recheck(
         ]
 
     # Clause: exits.
-    distinct = set(exits)
-    if len(distinct) != len(exits):
+    if len(set(exits)) != len(exits):
         bad.append(Violation(Code.EXIT_COLLISION, "exit collision"))
     bad += misrouted
     bound = contract.max_exits_in_restricted
-    if bound is not None:
-        zone = contract.restricted_zone
-        if len(distinct) == len(exits):
-            count = len(zone.intersection(distinct))
-        else:
-            count = sum(1 for x in exits if x in zone)
-        if count > bound:
-            bad.append(Violation(Code.B_EXIT_BOUND, f"{count} restricted exits"))
+    if bound is not None and restricted > bound:
+        bad.append(Violation(Code.B_EXIT_BOUND, f"{restricted} restricted exits"))
 
     return Verdict.from_violations(bad)
 

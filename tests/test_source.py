@@ -1,5 +1,6 @@
 import ast
 import pathlib
+from collections import Counter
 
 SRC = pathlib.Path(__file__).parents[1] / "src" / "escape3x3"
 
@@ -46,17 +47,40 @@ def test_trusted_path_constructor_has_only_its_named_callers():
 
 
 def test_validators_share_no_helper():
-    """The two validators are written independently: neither calls a
-    function, method or class the package defines, apart from building its
-    violations and its verdict."""
+    """The two validators are written independently: neither reaches code
+    the package defines, apart from building its violations and its verdict
+    and reading the configuration's cached ``terminals``.
+
+    A call by bare name is resolved against the package's module-level
+    functions, classes and names.  A method call or an attribute read on
+    some object cannot be resolved to its class here, so it is matched by
+    name against the package's methods (calls) and properties (any read);
+    names that builtin containers also define, such as ``items`` or
+    ``add``, are left out, since a validator calls those on its own sets,
+    dicts and lists.  Plain fields, such as a path's ``_edges``, are data
+    and not checked.
+    """
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
-    defined = {
-        node.name
-        for tree in trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-    }
-    shared = defined - {"Violation", "Verdict", "from_violations"}
+    module_level, methods, properties = set(), set(), set()
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                module_level.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                module_level.update(t.id for t in targets if isinstance(t, ast.Name))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                methods.add(node.name)
+                if any(ast.unparse(d).endswith("property") for d in node.decorator_list):
+                    properties.add(node.name)
+    containers = (object, dict, list, set, frozenset, tuple, str, int, Counter)
+    builtin = {name for t in containers for name in dir(t)}
+    allowed = {"Violation", "Verdict", "from_violations", "terminals"}
     validators = [
         node
         for node in trees["model"].body
@@ -67,10 +91,13 @@ def test_validators_share_no_helper():
     found = set()
     for func in validators:
         for node in ast.walk(func):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = node.func
-            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
-            if name in shared:
-                found.add(f"{func.name} calls {name}")
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id in module_level - allowed:
+                    found.add(f"{func.name} calls {node.func.id}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                name = node.func.attr
+                if name in (methods | module_level) - builtin - allowed:
+                    found.add(f"{func.name} calls {name}")
+            elif isinstance(node, ast.Attribute) and node.attr in properties - builtin - allowed:
+                found.add(f"{func.name} reads {node.attr}")
     assert not found, sorted(found)
