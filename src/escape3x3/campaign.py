@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .grid import full_grid, grid_without_corner
@@ -35,6 +34,16 @@ _CHUNK = 64
 # memo, its memory and its savings are one campaign's, and each pool worker
 # fills its own.
 _refuted: dict = {}
+
+
+def ProcessPoolExecutor(max_workers: int):  # noqa: N802 - stands in for the class
+    """A process pool of ``max_workers`` workers.  The pool class is
+    imported here, when a campaign makes a pool: loading
+    ``multiprocessing`` costs a fresh process tens of milliseconds, which
+    every other command and ``--jobs 1`` would pay for nothing."""
+    from concurrent.futures import ProcessPoolExecutor as pool_class
+
+    return pool_class(max_workers=max_workers)
 
 
 @dataclass

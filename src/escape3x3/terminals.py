@@ -129,19 +129,21 @@ def enumerate_configs(lemma: LemmaId, extended: bool = False) -> Iterator[Termin
 
     ``extended`` additionally yields the 1-pair + 4-singleton six-terminal
     family, which is checked against the oracle only (the constructive
-    router does not claim it).
+    router does not claim it); it extends heavy6 only.  A lemma this
+    function does not enumerate, or ``extended`` on another family, raises
+    ``ValueError`` at the call, before any configuration is made.
     """
-    if lemma is LemmaId.HEAVY5:
-        yield from _configs_with(1, 3)
-    elif lemma is LemmaId.HEAVY6:
-        yield from _configs_with(2, 2)
+    if lemma is LemmaId.HEAVY6:
         if extended:
-            yield from _configs_with(1, 4)
-    elif lemma is LemmaId.HEAVY78:
-        yield from _configs_with(4, 0)
-        yield from _configs_with(3, 1)
-    else:
-        raise ValueError(f"{lemma} is not enumerated here; 4-tuples live in the oracle")
+            return itertools.chain(_configs_with(2, 2), _configs_with(1, 4))
+        return _configs_with(2, 2)
+    if extended:
+        raise ValueError(f"extended applies to heavy6 only, not {lemma}")
+    if lemma is LemmaId.HEAVY5:
+        return _configs_with(1, 3)
+    if lemma is LemmaId.HEAVY78:
+        return itertools.chain(_configs_with(4, 0), _configs_with(3, 1))
+    raise ValueError(f"{lemma} is not enumerated here; 4-tuples live in the oracle")
 
 
 def demote_pair_to_singletons(cfg: TerminalConfig, pair_index: int) -> TerminalConfig:
@@ -161,8 +163,14 @@ def encode_config(cfg: TerminalConfig) -> dict:
 
 
 def decode_config(obj) -> TerminalConfig:
+    """A configuration from its decoded JSON object, or from JSON text.
+    Text that does not parse, or nests too deeply to parse, raises
+    ``MalformedConfigError`` like any other malformed configuration."""
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        try:
+            obj = json.loads(obj)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise MalformedConfigError(f"config is not JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedConfigError("config JSON must be an object")
     unknown = set(obj) - {"pairs", "singletons"}

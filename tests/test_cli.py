@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,20 @@ from escape3x3.terminals import (
     TerminalConfig,
     decode_config,
 )
+
+
+TESTS = pathlib.Path(__file__).parent
+
+# runs cli.main on its arguments in a fresh interpreter, then prints the exit
+# status and which of the process pool's modules the run loaded
+_FRESH_RUN = """\
+import contextlib, io, sys
+from escape3x3.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    status = main(sys.argv[1:])
+pool = ("multiprocessing", "concurrent.futures.process")
+print(status, *[name for name in pool if name in sys.modules])
+"""
 
 
 def _write_cfg(tmp_path, payload):
@@ -132,6 +150,28 @@ def test_enumerate_rejects_extended_outside_heavy6(tmp_path, capsys, lemma):
     assert status == 2
     assert "--extended" in capsys.readouterr().err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--config", str(TESTS / "fixtures" / "l2-b-pair-singleton.json")],
+        ["verify", "--lemma", "heavy5", "--strict", "--jobs", "1"],
+    ],
+    ids=["solve", "verify-jobs1"],
+)
+def test_fresh_process_does_not_load_the_pool(argv):
+    """Only a campaign that makes a process pool imports it, so a command
+    that makes none starts without ``multiprocessing``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(TESTS.parent / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_RUN, *argv],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.split() == ["0"], done.stdout
 
 
 def test_clips_verify(capsys):

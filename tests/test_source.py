@@ -2,6 +2,8 @@ import ast
 import pathlib
 from collections import Counter
 
+from escape3x3 import campaign
+
 SRC = pathlib.Path(__file__).parents[1] / "src" / "escape3x3"
 
 
@@ -101,3 +103,37 @@ def test_validators_share_no_helper():
             elif isinstance(node, ast.Attribute) and node.attr in properties - builtin - allowed:
                 found.add(f"{func.name} reads {node.attr}")
     assert not found, sorted(found)
+
+
+def _module_level(node):
+    """The nodes that run when a module is imported: everything outside the
+    bodies of its functions and lambdas."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _module_level(child)
+
+
+def test_process_pool_is_imported_only_when_made():
+    """Loading ``multiprocessing`` costs a fresh process tens of
+    milliseconds that only a pooled campaign needs, so no package module
+    imports it, or ``concurrent.futures``, at module level.  The campaign
+    keeps ``ProcessPoolExecutor`` as a module attribute that makes the
+    pool."""
+    heavy = ("concurrent", "multiprocessing")
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in _module_level(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] in heavy
+            ]
+    assert not found, f"module-level pool imports: {found}"
+    assert "ProcessPoolExecutor" in vars(campaign)

@@ -55,7 +55,15 @@ def test_extended_six_terminal_family():
 
 def test_w2l_not_enumerated_here():
     with pytest.raises(ValueError):
-        list(enumerate_configs(LemmaId.W2L))
+        enumerate_configs(LemmaId.W2L)
+
+
+@pytest.mark.parametrize("lemma", [LemmaId.HEAVY78, LemmaId.HEAVY5], ids=["heavy78", "heavy5"])
+def test_extended_rejected_outside_heavy6(lemma):
+    """``extended`` adds configurations to heavy6 only; on another family
+    the call itself raises, before any configuration is made."""
+    with pytest.raises(ValueError, match="heavy6 only"):
+        enumerate_configs(lemma, extended=True)
 
 
 def test_round_trip_identity_over_heavy5():
@@ -128,6 +136,14 @@ def test_decode_rejects_unknown_key():
 def test_decode_rejects_bad_pair_shape(pair):
     with pytest.raises(MalformedConfigError):
         decode_config({"pairs": [pair]})
+
+
+@pytest.mark.parametrize(
+    "text", ["not json", "[1", "[" * 100_000 + "]" * 100_000], ids=["word", "open-list", "deep"]
+)
+def test_decode_rejects_text_that_is_not_json(text):
+    with pytest.raises(MalformedConfigError):
+        decode_config(text)
 
 
 def test_decode_from_string():
