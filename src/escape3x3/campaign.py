@@ -29,13 +29,6 @@ EXIT_CASE_GAP = 4
 # Configurations per task the pool hands a worker at a time.
 _CHUNK = 64
 
-# Refutations the oracle has proved in the running campaign, per graph
-# (see oracle_solve).  verify_all empties it before any pool exists, so the
-# memo, its memory and its savings are one campaign's, and each pool worker
-# fills its own.
-_refuted: dict = {}
-
-
 def ProcessPoolExecutor(max_workers: int):  # noqa: N802 - stands in for the class
     """A process pool of ``max_workers`` workers.  The pool class is
     imported here, when a campaign makes a pool: loading
@@ -84,12 +77,11 @@ class CampaignReport:
 
 
 def _verify_one(args):
-    lemma_value, strict, index, cfg = args
+    lemma_value, strict, cfg = args
     lemma = LemmaId(lemma_value)
     contract = contract_for(lemma)
     grid = full_grid()
     record = {
-        "index": index,
         "label": None,
         "fallback": False,
         "violations": [],
@@ -109,7 +101,7 @@ def _verify_one(args):
     except Exception as exc:  # noqa: BLE001 - campaign reports, never raises
         record["violations"].append(f"ROUTE_ERROR: {exc!r}")
     try:
-        if oracle_solve(grid, cfg, contract, refuted=_refuted) is None:
+        if oracle_solve(grid, cfg, contract) is None:
             record["oracle_ok"] = False
             record["violations"].append("ORACLE_NONE")
     except Exception as exc:  # noqa: BLE001 - campaign reports, never raises
@@ -123,10 +115,9 @@ def verify_all(lemma: LemmaId, strict: bool = False, jobs: int = 1) -> CampaignR
     if lemma is LemmaId.W2L:
         return verify_weak_linkage()
     started = time.perf_counter()
-    _refuted.clear()
     report = CampaignReport(lemma=lemma.value)
     configs = list(enumerate_configs(lemma))
-    tasks = [(lemma.value, strict, i, cfg) for i, cfg in enumerate(configs)]
+    tasks = [(lemma.value, strict, cfg) for cfg in configs]
     if jobs > 1:
         # the pool starts every worker up front: no more than there are chunks
         workers = min(jobs, -(-len(tasks) // _CHUNK))
@@ -134,8 +125,8 @@ def verify_all(lemma: LemmaId, strict: bool = False, jobs: int = 1) -> CampaignR
             records = list(pool.map(_verify_one, tasks, chunksize=_CHUNK))
     else:
         records = [_verify_one(t) for t in tasks]
-    records.sort(key=lambda r: r["index"])
-    for rec in records:
+    # pool.map, like the list comprehension, returns records in task order
+    for cfg, rec in zip(configs, records):
         report.total += 1
         problems = rec["violations"]
         if not rec["oracle_ok"]:
@@ -150,7 +141,7 @@ def verify_all(lemma: LemmaId, strict: bool = False, jobs: int = 1) -> CampaignR
             )
         if problems:
             report.failures.append(
-                {"config": encode_config(configs[rec["index"]]), "problems": problems}
+                {"config": encode_config(cfg), "problems": problems}
             )
         else:
             report.valid += 1

@@ -104,14 +104,12 @@ def _cmd_clips(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    lemma = LemmaId(args.lemma)
-    if args.extended and lemma is not LemmaId.HEAVY6:
-        print(f"--extended applies to heavy6 only, not {lemma.value}", file=sys.stderr)
+    try:
+        configs = enumerate_configs(LemmaId(args.lemma), extended=args.extended)
+    except ValueError as exc:
+        print(f"invalid --extended: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    lines = [
-        config_to_ndjson_line(cfg)
-        for cfg in enumerate_configs(lemma, extended=args.extended)
-    ]
+    lines = [config_to_ndjson_line(cfg) for cfg in configs]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -14,27 +14,19 @@ by one edge per exit, so edge-disjointness alone keeps the exits distinct
 has, the rest of the subset is skipped; if one has, the loop goes on as
 before.  A subset is skipped only when its loop would find nothing, so
 every call that yields a witness is made exactly as without the sink
-search, and witnesses and reports stay bit-identical.  The sink search's
-refutations do not enter the ``refuted`` memo below, whose keys name
-single assignments.
+search, and witnesses and reports stay bit-identical.
 
 This module is the ground truth the constructive router is measured
 against; it shares no routing logic with the router.
 
 Whether edge-disjoint trails exist for a list of endpoint pairs depends
 only on the multiset of its unordered pairs, not on the order of the pairs
-or the direction of each.  Both exhaustive searches use that to skip
-kernel calls whose answer they already have, keyed by that multiset
-(``_pair_key``).  ``oracle_solve`` takes an optional caller-owned
-``refuted`` dict, graph -> set of keys, and skips a kernel call whose key
-is already refuted on that graph; every call that finds no trails adds
-its key.  ``check_weakly_2_linked`` keeps, for one call, the keys of the
-tuples it has shown feasible and skips tuples with those keys, still
-visiting tuples in ``product`` order.  Either memo skips only calls whose
-answer is known and would not be used: a refuted call yields no witness,
-and a feasible w2l tuple only lets the sweep go on.  So every call that
-finds a witness is made exactly as before, and witnesses, counterexamples
-and reports stay bit-identical.
+or the direction of each.  ``check_weakly_2_linked`` uses that: it keeps,
+for one call, the keys (``_pair_key``) of the tuples it has shown feasible
+and skips tuples with those keys, still visiting tuples in ``product``
+order.  A feasible tuple only lets the sweep go on, so every call that can
+find a counterexample is made exactly as without the memo, and
+counterexamples and reports stay bit-identical.
 """
 
 from __future__ import annotations
@@ -93,22 +85,11 @@ def _pair_key(pairs) -> tuple[Vertex, ...]:
 
 
 def oracle_solve(
-    g: GridGraph,
-    cfg: TerminalConfig,
-    contract: EscapeContract,
-    refuted: dict[GridGraph, set[tuple[Vertex, ...]]] | None = None,
+    g: GridGraph, cfg: TerminalConfig, contract: EscapeContract
 ) -> EscapePlan | None:
-    """Exhaustive witness search; None only after the whole space is swept.
-
-    ``refuted`` maps a graph to the keys (``_pair_key``) of endpoint pairs
-    already refuted on it; calls with a known key are skipped and new
-    refutations added.  The result is the same with or without it.
-    """
+    """Exhaustive witness search; None only after the whole space is swept."""
     npairs = len(cfg.pairs)
     exits = sorted(contract.exit_target & g.vertices)
-    known = None
-    if refuted is not None:
-        known = refuted.setdefault(g, set())
     for size in range(npairs, contract.min_linked_pairs - 1, -1):
         for linked in itertools.combinations(range(npairs), size):
             linked_pairs = [cfg.pairs[i] for i in linked]
@@ -118,15 +99,8 @@ def oracle_solve(
             sink_pending = bool(unlinked)
             for assignment in _exit_assignments(unlinked, exits, contract):
                 escapes = list(zip(unlinked, assignment))
-                endpoint_pairs = linked_pairs + escapes
-                if known is not None:
-                    key = _pair_key(endpoint_pairs)
-                    if key in known:
-                        continue
-                trails = kernel.solve_trails(g, g.edges, endpoint_pairs)
+                trails = kernel.solve_trails(g, g.edges, linked_pairs + escapes)
                 if trails is None:
-                    if known is not None:
-                        known.add(key)
                     if sink_pending:
                         sink_pending = False
                         if not kernel.escapes_exist(

@@ -138,12 +138,12 @@ def enumerate_configs(lemma: LemmaId, extended: bool = False) -> Iterator[Termin
             return itertools.chain(_configs_with(2, 2), _configs_with(1, 4))
         return _configs_with(2, 2)
     if extended:
-        raise ValueError(f"extended applies to heavy6 only, not {lemma}")
+        raise ValueError(f"extended applies to heavy6 only, not {lemma.value}")
     if lemma is LemmaId.HEAVY5:
         return _configs_with(1, 3)
     if lemma is LemmaId.HEAVY78:
         return itertools.chain(_configs_with(4, 0), _configs_with(3, 1))
-    raise ValueError(f"{lemma} is not enumerated here; 4-tuples live in the oracle")
+    raise ValueError(f"{lemma.value} is not enumerated here; 4-tuples live in the oracle")
 
 
 def demote_pair_to_singletons(cfg: TerminalConfig, pair_index: int) -> TerminalConfig:

@@ -12,6 +12,7 @@ from escape3x3.campaign import (
     verify_all,
 )
 from escape3x3.terminals import LemmaId, encode_config, enumerate_configs
+from test_oracle import _THREE_CALL_CFG, _recording_search
 
 PERFBENCH = pathlib.Path(__file__).parents[1] / "perfbench"
 
@@ -58,6 +59,22 @@ def test_pool_has_no_more_workers_than_chunks(monkeypatch):
     assert asked == [20, 2]
 
 
+def test_verify_one_depends_only_on_its_task(monkeypatch):
+    """A task's record and its kernel searches are the same however often,
+    and after whatever, the task runs, so no pool worker's record depends
+    on what that worker ran before: routing and the oracle search 4 times
+    in 149 nodes on each run."""
+    calls = []
+    monkeypatch.setattr(kernel._impl, "find_trail_system", _recording_search(calls))
+    task = (LemmaId.HEAVY78.value, True, _THREE_CALL_CFG)
+    first = campaign._verify_one(task)
+    first_calls = calls[:]
+    calls.clear()
+    assert campaign._verify_one(task) == first
+    assert calls == first_calls
+    assert (len(calls), sum(nodes for _, _, nodes in calls)) == (4, 149)
+
+
 def test_failures_carry_the_encoded_config(monkeypatch):
     monkeypatch.setattr(campaign, "oracle_solve", lambda *args, **kwargs: None)
     report = verify_all(LemmaId.HEAVY5, strict=True)
@@ -77,10 +94,10 @@ def test_oracle_error_is_reported_not_raised(monkeypatch):
     error = RuntimeError("oracle broke")
     solve = campaign.oracle_solve
 
-    def raising(g, cfg, contract, refuted=None):
+    def raising(g, cfg, contract):
         if cfg == broken:
             raise error
-        return solve(g, cfg, contract, refuted=refuted)
+        return solve(g, cfg, contract)
 
     monkeypatch.setattr(campaign, "oracle_solve", raising)
     report = verify_all(LemmaId.HEAVY5, strict=True)

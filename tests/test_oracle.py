@@ -125,11 +125,9 @@ def search_calls(monkeypatch):
     return calls
 
 
-# A heavy78 configuration whose plan takes three kernel searches without a
-# memo (see test_oracle_budget_spent_exactly_stops_search), and its first two
-# exit assignments.
+# A heavy78 configuration whose plan takes three kernel searches (see
+# test_oracle_budget_spent_exactly_stops_search).
 _THREE_CALL_CFG = make_config([((1, 1), (2, 1)), ((1, 2), (2, 2)), ((1, 3), (2, 3))], [(3, 1)])
-_THREE_CALL_ESCAPES = [((3, 1), (1, 3)), ((3, 1), (2, 3))]
 
 
 def test_oracle_budget_spent_exactly_stops_search(grid, search_calls):
@@ -145,22 +143,22 @@ def test_oracle_budget_spent_exactly_stops_search(grid, search_calls):
     ]
 
 
-def test_sink_refutation_adds_nothing_to_the_memo(grid):
-    """An infeasible subset is refuted by its first assignment and one sink
-    search; only the assignment's key enters the memo."""
+def test_sink_refutation_adds_nothing_to_the_memo(grid, search_calls):
+    """An infeasible configuration whose one subset is refuted by two
+    searches: its first assignment fails in 58 nodes, and the sink search
+    that follows fails in 427, so no other assignment is searched."""
     cfg = make_config([((1, 1), (3, 1))], [(1, 2), (1, 3), (2, 1), (2, 2)])
-    contract = contract_for(LemmaId.HEAVY6)
-    # the first assignment with at most one exit in the restricted {(1,3), (2,3)}
-    first = [cfg.pairs[0], *zip(sorted(cfg.singletons), [(1, 3), (3, 1), (3, 2), (3, 3)])]
-    refuted = {}
-    assert oracle_solve(grid, cfg, contract, refuted=refuted) is None
-    assert refuted[grid] == {_pair_key(first)}
+    assert oracle_solve(grid, cfg, contract_for(LemmaId.HEAVY6)) is None
+    assert [(bool(free), status, nodes) for free, status, nodes in search_calls] == [
+        (False, _kernel_py.NONE, 58),
+        (True, _kernel_py.NONE, 427),
+    ]
 
 
 @pytest.fixture(scope="module")
 def refute_sweep(grid):
     """The oracle on every one-pair heavy6 configuration of the extended
-    enumeration, in enumeration order, with no memo, run once per module:
+    enumeration, in enumeration order, run once per module:
     (configurations, plans, kernel calls).  Each kernel call is recorded as
     (always-free mask, status, nodes) at ``kernel._impl.find_trail_system``;
     the mask is 0 for an assignment call and nonzero for a sink search."""
@@ -419,7 +417,7 @@ def test_weak_linkage_sweep_rejects_a_bad_witness(monkeypatch, mutate, graph):
     assert len(mutated) == 1
 
 
-# -- the oracle's pair key and its memos -------------------------------------
+# -- the weak-2-linkage sweep's pair key ---------------------------------------
 
 _KEYED_GRAPHS = [(), ((3, 3),), ((2, 2),), ((1, 2),)]
 
@@ -427,9 +425,9 @@ _KEYED_GRAPHS = [(), ((3, 3),), ((2, 2),), ((1, 2),)]
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_trail_existence_is_invariant_under_the_key(data):
-    """What the memos rest on: whether trails exist does not change under a
-    permutation of the pairs or a reversal of pairs; and the key does not
-    change either."""
+    """What the sweep's memo rests on: whether trails exist does not change
+    under a permutation of the pairs or a reversal of pairs; and the key
+    does not change either."""
     g = build_corner_grid(frozenset(data.draw(st.sampled_from(_KEYED_GRAPHS))))
     vertex = st.sampled_from(g.sorted_vertices())
     pairs = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=4))
@@ -482,71 +480,3 @@ def test_weak_linkage_searches_one_tuple_per_key(kernel_calls):
     for g in (full_grid(), grid_without_corner()):
         assert check_weakly_2_linked(g) == (True, None)
     assert len(kernel_calls) == 1701
-
-
-@pytest.mark.parametrize(
-    "lemma, infeasible, memo_calls",
-    [(LemmaId.HEAVY5, 0, 1532), (LemmaId.HEAVY6, 106, 2248)],
-    ids=["heavy5", "heavy6-one-pair"],
-)
-def test_refutation_memo_keeps_every_result(
-    grid, refute_sweep, kernel_calls, lemma, infeasible, memo_calls
-):
-    """One refuted set shared across the 1,260 one-pair configurations of a
-    family (for heavy6, of its extension) gives the memo-less result on
-    every one, with fewer assignment calls: 1,532 for heavy5 and 2,248 for
-    heavy6.  The memo-less heavy6 results are those of the refute sweep."""
-    extended = lemma is LemmaId.HEAVY6
-    cfgs = [c for c in enumerate_configs(lemma, extended=extended) if len(c.pairs) == 1]
-    assert len(cfgs) == 1260
-    contract = contract_for(lemma)
-    if lemma is LemmaId.HEAVY6:
-        assert cfgs == refute_sweep[0]
-        plain = refute_sweep[1]
-        plain_calls = sum(not always_free for always_free, _, _ in refute_sweep[2])
-    else:
-        plain = [oracle_solve(grid, cfg, contract) for cfg in cfgs]
-        plain_calls = len(kernel_calls)
-    kernel_calls.clear()
-    refuted = {}
-    memo = [oracle_solve(grid, cfg, contract, refuted=refuted) for cfg in cfgs]
-    assert memo == plain
-    assert [p is None for p in memo] == [p is None for p in plain]
-    assert sum(p is None for p in memo) == infeasible
-    assert set(refuted) == {grid} and refuted[grid]
-    assert len(kernel_calls) == memo_calls < plain_calls
-
-
-def test_refutation_memo_records_only_complete_searches(grid, kernel_calls, search_calls):
-    """A failing assignment adds its key, and a later call skips it at no
-    cost.  With the memo of a first run, a second run on ``_THREE_CALL_CFG``
-    makes one kernel call, the 34-node plan call, with no sink search (its
-    second assignment is the first call made, and it succeeds), and gives
-    the same plan."""
-    cfg = _THREE_CALL_CFG
-    contract = contract_for(LemmaId.HEAVY78)
-    refuted = {}
-    plan = oracle_solve(grid, cfg, contract, refuted=refuted)
-    assert refuted[grid] == {_pair_key([*cfg.pairs, _THREE_CALL_ESCAPES[0]])}
-    kernel_calls.clear()
-    search_calls.clear()
-    assert oracle_solve(grid, cfg, contract, refuted=refuted) == plan
-    assert kernel_calls == [[*cfg.pairs, _THREE_CALL_ESCAPES[1]]]
-    assert search_calls == [(0, _kernel_py.FOUND, 34)]
-
-
-def test_refutation_memo_never_answers_for_another_graph(grid):
-    """Refutations proved on a graph with fewer edges, and the same vertex
-    indices, must not be used on the full grid."""
-    sparse = GridGraph(
-        vertices=grid.vertices, edges=frozenset(e for e in grid.edges if (2, 2) not in e)
-    )
-    contract = contract_for(LemmaId.HEAVY5)
-    cfgs = list(enumerate_configs(LemmaId.HEAVY5))
-    refuted = {}
-    on_sparse = [oracle_solve(sparse, cfg, contract, refuted=refuted) for cfg in cfgs]
-    on_grid = [oracle_solve(grid, cfg, contract, refuted=refuted) for cfg in cfgs]
-    assert on_grid == [oracle_solve(grid, cfg, contract) for cfg in cfgs]
-    # the sparse graph refutes trail systems the full grid has
-    assert refuted[sparse] - refuted[grid]
-    assert any(s is None and g is not None for s, g in zip(on_sparse, on_grid))

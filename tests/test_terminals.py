@@ -61,8 +61,9 @@ def test_w2l_not_enumerated_here():
 @pytest.mark.parametrize("lemma", [LemmaId.HEAVY78, LemmaId.HEAVY5], ids=["heavy78", "heavy5"])
 def test_extended_rejected_outside_heavy6(lemma):
     """``extended`` adds configurations to heavy6 only; on another family
-    the call itself raises, before any configuration is made."""
-    with pytest.raises(ValueError, match="heavy6 only"):
+    the call itself raises, before any configuration is made, and names the
+    family by its value."""
+    with pytest.raises(ValueError, match=f"heavy6 only, not {lemma.value}$"):
         enumerate_configs(lemma, extended=True)
 
 
