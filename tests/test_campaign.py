@@ -60,10 +60,10 @@ def test_pool_has_no_more_workers_than_chunks(monkeypatch):
 
 
 def test_verify_one_depends_only_on_its_task(monkeypatch):
-    """A task's record and its kernel searches are the same however often,
-    and after whatever, the task runs, so no pool worker's record depends
-    on what that worker ran before: routing and the oracle search 4 times
-    in 149 nodes on each run."""
+    """Running a task twice gives equal records and the same kernel
+    searches, so a pool worker's record does not depend on what the worker
+    ran before: routing and the oracle search 4 times in 149 nodes on each
+    run."""
     calls = []
     monkeypatch.setattr(kernel._impl, "find_trail_system", _recording_search(calls))
     task = (LemmaId.HEAVY78.value, True, _THREE_CALL_CFG)
