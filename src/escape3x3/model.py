@@ -486,15 +486,3 @@ def reflected_plan(cfg, plan: EscapePlan) -> EscapePlan:
     ]
     return EscapePlan.build(linkages, escapes)
 
-
-def reflected_contract(contract: EscapeContract) -> EscapeContract:
-    """The contract a reflected plan satisfies: the restricted zone flips
-    from the last-column stub to the last-row stub."""
-    zone = contract.restricted_zone
-    flipped = frozenset(reflect_vertex(v) for v in zone)
-    return EscapeContract(
-        min_linked_pairs=contract.min_linked_pairs,
-        exit_target=frozenset(reflect_vertex(v) for v in contract.exit_target),
-        max_exits_in_restricted=contract.max_exits_in_restricted,
-        restricted_zone=flipped,
-    )

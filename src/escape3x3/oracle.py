@@ -41,11 +41,8 @@ from .terminals import TerminalConfig
 
 def _exit_assignments(unlinked: list[Vertex], exits: list[Vertex], contract: EscapeContract):
     """Injective exit assignments in lexicographic order, bound respected."""
-    k = len(unlinked)
-    if k > len(exits):
-        return
     limit = contract.max_exits_in_restricted
-    for combo in itertools.permutations(exits, k):
+    for combo in itertools.permutations(exits, len(unlinked)):
         if limit is not None:
             if sum(1 for x in combo if x in contract.restricted_zone) > limit:
                 continue

@@ -49,6 +49,7 @@ from .grid import (
     cycle_edges,
     edge,
     full_grid,
+    reflect_vertex,
     row_edges,
     unique_l_path,
 )
@@ -202,9 +203,7 @@ def _row_walk(v: Vertex, col: int) -> tuple[Vertex, ...]:
 
 
 def _col_walk(v: Vertex, row: int) -> tuple[Vertex, ...]:
-    r, c = v
-    step = 1 if row >= r else -1
-    return tuple((rr, c) for rr in range(r, row + step, step))
+    return tuple(reflect_vertex(w) for w in _row_walk(reflect_vertex(v), row))
 
 
 def _inner(ctx: RoutingContext) -> list:
@@ -328,10 +327,7 @@ def _mate_to_anchors(
         cores = _joint_trails(ctx, ends, S_EDGES - clip.edges) if link else []
         if cores is None:
             continue
-        try:
-            mate_through_clip(ctx, clip, x, y)
-        except ToolkitError:
-            continue
+        mate_through_clip(ctx, clip, x, y)
         for i, core in zip(link, cores):
             ctx.finish_link(i, core)
         return
@@ -413,7 +409,7 @@ def _link_many(ctx: RoutingContext, pair_idxs, allowed=None, label: str = "") ->
         ctx.finish_link(i, trail)
 
 
-def _link_prescribed(ctx: RoutingContext, member, down: bool, label: str) -> None:
+def _link_prescribed(ctx: RoutingContext, member, down: bool) -> None:
     """Link an inner member's pair along the prescribed L: straight down its
     column to the last row (``down``) or along its row to the last column,
     then along the boundary to the partner."""
@@ -423,10 +419,7 @@ def _link_prescribed(ctx: RoutingContext, member, down: bool, label: str) -> Non
         walk = _col_walk(s, 3) + unique_l_path((3, s[1]), t)[1:]
     else:
         walk = _row_walk(s, 3) + unique_l_path((s[0], 3), t)[1:]
-    path = Path(walk)
-    if not set(path.edges()) <= ctx.free:
-        raise CaseGap(f"{label}: prescribed linkage blocked")
-    ctx.finish_link(member[1], path)
+    ctx.finish_link(member[1], Path(walk))
 
 
 # The one boundary step from each stub end onto the frames' cycles.
@@ -549,7 +542,7 @@ def _h5_case_b(cfg: TerminalConfig):
     t1 = next(v for v in pair if v in BOUNDARY)
     if t1 in COL_ONLY:
         label = "L4/b/t1-in-col"
-        _link_prescribed(ctx, _tid_at(ctx, s1), False, label)
+        _link_prescribed(ctx, _tid_at(ctx, s1), False)
         return ctx, label
     label = "L4/b/t1-in-row"
     _cascade_shift_through_corner(ctx, label)
@@ -627,7 +620,7 @@ def _h5_case_e(cfg: TerminalConfig):
         label = "L4/e/S4-extension"
     else:  # three in the square: the pair member plus two singletons
         label = "L4/e/S3-t1-in-B" if t1 in LAST_COL else "L4/e/S3-t1-in-row"
-    _link_prescribed(ctx, _tid_at(ctx, s1), t1 not in LAST_COL, label)
+    _link_prescribed(ctx, _tid_at(ctx, s1), t1 not in LAST_COL)
     inner = _inner(ctx)
     if sc == 4:
         _finish(ctx, inner, label=label)
@@ -769,7 +762,7 @@ def _h6_case_c(cfg: TerminalConfig, pi: int):
     singles = _singleton_tids(ctx)
     if t2 in LAST_COL:
         label = "L3/c/S3-t2-in-B"
-        _link_prescribed(ctx, _tid_at(ctx, s2), False, label)
+        _link_prescribed(ctx, _tid_at(ctx, s2), False)
         _mate_to_anchors(ctx, singles[0], singles[1], ((3, 1), (3, 2)), label)
         return ctx, label
     label = "L3/c/S3-t2-in-row"
@@ -868,7 +861,7 @@ def _h6_end_s2(cfg: TerminalConfig):
         return ctx, label
     down = t1 in ROW_ONLY
     label = "L3/end/S2-t1-row" if down else "L3/end/S2-B"
-    _link_prescribed(ctx, member, down, label)
+    _link_prescribed(ctx, member, down)
     # the singleton escapes to the freed partner vertex outside the last
     # column, or else to the corner
     exit_v, region = (t1, QMB_EDGES) if down else (CORNER, None)
@@ -909,7 +902,7 @@ def _h6_end_s3(cfg: TerminalConfig):
         m = partner_at[col_res[0]] if t_col else partner_at.get(CORNER, m)
         down = False
         anchors = [(u, ctx.positions[partner(m)]) for u in free_rows[:1]]
-    _link_prescribed(ctx, m, down, label)
+    _link_prescribed(ctx, m, down)
     rest = _inner(ctx)
     _mate_to_first(ctx, rest[0], rest[1], anchors, label)
     return ctx, label
@@ -1157,8 +1150,6 @@ def _h78_b4_column(cfg: TerminalConfig):
                 ctx.shift(z, (2, 3))
         else:
             raise CaseGap(f"{label}: unexpected occupant at the stub")
-    if not set(p0.edges()) <= ctx.free:
-        raise CaseGap(f"{label}: escape lane blocked")
     ctx.escape_via(s0_tid, p0)
     return ctx, label
 
@@ -1218,38 +1209,25 @@ def _h78_c3_member(cfg: TerminalConfig):
     return ctx, label
 
 
+# (origin, stub, lane, stub edges, lane region) for each outer escape
+_OUTER_STUBS = (
+    (
+        (1, 2), (1, 3), (2, 3), frozenset({edge((1, 2), (1, 3))}),
+        cycle_edges(((1, 2), (1, 3), (2, 3), (2, 2))),
+    ),
+    (
+        (1, 1), (3, 1), (3, 2), col_edges(1),
+        col_edges(1) | cycle_edges(((2, 1), (2, 2), (3, 2), (3, 1))),
+    ),
+)
+
+
 def _h78_c3_outer_escapes(ctx: RoutingContext, cfg: TerminalConfig, label: str) -> None:
     """Escape the terminals at (1,2) and (1,1) toward the two boundary
     stubs.  If such a terminal's own mate sits on the stub or just past it,
     the escape becomes a linkage; any other unresolved stub occupant shifts
     one stop along the boundary first."""
-    stub_specs = (
-        (
-            (1, 2),
-            (1, 3),
-            (2, 3),
-            frozenset({edge((1, 2), (1, 3))}),
-            frozenset(
-                {
-                    edge((1, 2), (1, 3)),
-                    edge((1, 3), (2, 3)),
-                    edge((1, 2), (2, 2)),
-                    edge((2, 2), (2, 3)),
-                }
-            ),
-        ),
-        (
-            (1, 1),
-            (3, 1),
-            (3, 2),
-            col_edges(1),
-            col_edges(1)
-            | frozenset(
-                {edge((3, 1), (3, 2)), edge((2, 1), (2, 2)), edge((2, 2), (3, 2))}
-            ),
-        ),
-    )
-    for origin, stub, lane, stub_edges, lane_region in stub_specs:
+    for origin, stub, lane, stub_edges, lane_region in _OUTER_STUBS:
         tid = _tid_at(ctx, origin)
         mate_pos = ctx.positions.get(partner(tid)) if tid[0] == "p" else None
         if ctx.terminals_at(stub) and mate_pos != stub:
@@ -1305,14 +1283,10 @@ def _h78_c3_singleton_frame(cfg: TerminalConfig):
     if t21 == (3, 1):
         ctx.finish_link(m21_tid[1], esc)
     else:
-        if not set(esc.edges()) <= ctx.free:
-            raise CaseGap(f"{label}: lane to the row corner blocked")
         ctx.escape_via(m21_tid, esc)
-    s0_tid = _tid_at(ctx, (2, 2))
-    esc0 = path_of((2, 2), (2, 3))
-    if not set(esc0.edges()) <= ctx.free or not ctx.is_free_vertex((2, 3)):
+    if not ctx.is_free_vertex((2, 3)):
         raise CaseGap(f"{label}: stub exit blocked for the singleton")
-    ctx.escape_via(s0_tid, esc0)
+    ctx.escape_via(_tid_at(ctx, (2, 2)), path_of((2, 2), (2, 3)))
     return ctx, label
 
 

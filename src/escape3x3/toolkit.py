@@ -38,27 +38,11 @@ from .grid import (
     full_grid,
     unique_l_path,
 )
-from .model import Path, Verdict, Violation, Code
+from .model import EscapePlan, Path, Verdict, Violation, Code
 from .terminals import TerminalConfig
 
 
 class ToolkitError(RuntimeError):
-    pass
-
-
-class NotOnBoundary(ToolkitError):
-    pass
-
-
-class ShiftBlocked(ToolkitError):
-    pass
-
-
-class ClipFailed(ToolkitError):
-    pass
-
-
-class FrameConflict(ToolkitError):
     pass
 
 
@@ -163,15 +147,11 @@ class RoutingContext:
     def shift(self, u: Vertex, v: Vertex) -> None:
         """Shift the terminal at u along the boundary path to v."""
         if u not in BOUNDARY or v not in BOUNDARY:
-            raise NotOnBoundary(f"shift endpoints must lie on the boundary: {u}, {v}")
+            raise ToolkitError(f"shift endpoints must lie on the boundary: {u}, {v}")
         tids = self.terminals_at(u)
         if not tids:
             raise ToolkitError(f"no terminal at {u} to shift")
-        # the terminal is at u, so move can only fail on an edge not free
-        try:
-            self.move(tids[0], Path(unique_l_path(u, v)))
-        except ToolkitError as e:
-            raise ShiftBlocked(str(e)) from e
+        self.move(tids[0], Path(unique_l_path(u, v)))
 
     def finish_escape(self, tid: TermId) -> None:
         """Resolve a terminal as escaping at its current position."""
@@ -185,24 +165,19 @@ class RoutingContext:
     def finish_link(self, pair_index: int, core: Path) -> None:
         """Link a pair with a core path joining the two current positions."""
         a, b = ("p", pair_index, 0), ("p", pair_index, 1)
-        if {core.start, core.end} != {self.positions[a], self.positions[b]} and not (
-            core.is_zero_length() and self.positions[a] == self.positions[b] == core.start
-        ):
+        if {core.start, core.end} != {self.positions[a], self.positions[b]}:
             raise ToolkitError(
                 f"core {core.start}->{core.end} does not join pair {pair_index} at "
                 f"{self.positions[a]}, {self.positions[b]}"
             )
         if core.start != self.positions[a]:
             core = core.reversed()
-        if not core.is_zero_length():
-            self.consume(core.edges())
+        self.consume(core.edges())
         self.linked[pair_index] = self.trails[a] + core + self.trails[b].reversed()
         del self.positions[a]
         del self.positions[b]
 
     def plan(self):
-        from .model import EscapePlan
-
         escapes = [self.trails[tid] for tid in self.escaped]
         return EscapePlan.build(dict(self.linked), [(t.start, t.end, t) for t in escapes])
 
@@ -273,17 +248,19 @@ def _mating_paths(
 
 
 def mate_through_clip(ctx: RoutingContext, clip: ClipSpec, x: Vertex, y: Vertex) -> None:
-    """Mate the terminals currently at x and y onto the clip anchors."""
-    if not clip.edges <= ctx.free:
-        raise ClipFailed(f"clip {clip.name} edges are not all free")
+    """Mate the terminals currently at x and y onto the clip anchors.
+
+    The caller offers only a clip whose edges are all free: the two moves
+    consume separately, so on a clip that is not, the first may stand when
+    the second raises."""
     paths = _mating_paths(ctx.grid, clip, x, y)
     if paths is None:
-        raise ClipFailed(f"clip {clip.name} cannot mate {x}, {y}")
+        raise ToolkitError(f"clip {clip.name} cannot mate {x}, {y}")
     px, py = paths
     tx = ctx.terminals_at(x)
     ty = [t for t in ctx.terminals_at(y) if not tx or t != tx[0]]
     if not tx or not ty:
-        raise ClipFailed(f"no unresolved terminals at {x} and {y}")
+        raise ToolkitError(f"no unresolved terminals at {x} and {y}")
     ctx.move(tx[0], px)
     ctx.move(ty[0], py)
     ctx.notes.append(f"clip:{clip.name}")
@@ -302,14 +279,14 @@ class FrameSpec:
 
     def __post_init__(self):
         if self.anchor not in self.cycle:
-            raise FrameConflict("anchor must lie on the cycle")
+            raise ToolkitError("anchor must lie on the cycle")
         for p in self.attach:
             if p.end != self.anchor:
-                raise FrameConflict("attachment paths must end at the anchor")
+                raise ToolkitError("attachment paths must end at the anchor")
             if set(p.edges()) & cycle_edges(self.cycle):
-                raise FrameConflict("attachment paths may not use cycle edges")
+                raise ToolkitError("attachment paths may not use cycle edges")
         if set(self.attach[0].edges()) & set(self.attach[1].edges()):
-            raise FrameConflict("attachment paths must be edge-disjoint")
+            raise ToolkitError("attachment paths must be edge-disjoint")
 
 
 def _arc(cycle: tuple[Vertex, ...], frm: Vertex, to: Vertex, direction: int) -> Path:
@@ -320,7 +297,7 @@ def _arc(cycle: tuple[Vertex, ...], frm: Vertex, to: Vertex, direction: int) -> 
         i = (i + direction) % n
         out.append(cycle[i])
         if len(out) > n + 1:
-            raise FrameConflict("arc walk failed to close")
+            raise ToolkitError("arc walk failed to close")
     return Path(tuple(out))
 
 
@@ -338,7 +315,7 @@ def complete_frame(
     landings = (mate1.end, mate2.end)
     for p, what in ((mate1, "mate1"), (mate2, "mate2")):
         if p.end not in frame.cycle:
-            raise FrameConflict(f"{what} does not land on the cycle")
+            raise ToolkitError(f"{what} does not land on the cycle")
     for d1, d2 in ((1, -1), (-1, 1), (1, 1), (-1, -1)):
         arc1 = _arc(frame.cycle, frame.anchor, landings[0], d1)
         arc2 = _arc(frame.cycle, frame.anchor, landings[1], d2)
@@ -353,7 +330,7 @@ def complete_frame(
         trail1 = frame.attach[0] + arc1 + mate1.reversed()
         trail2 = frame.attach[1] + arc2 + mate2.reversed()
         return trail1, trail2
-    raise FrameConflict("no arc orientation avoids edge reuse")
+    raise ToolkitError("no arc orientation avoids edge reuse")
 
 
 # -- clip catalog ---------------------------------------------------------

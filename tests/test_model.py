@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 
@@ -5,7 +6,7 @@ import pytest
 from test_validator_mutations import _corruptions
 
 from escape3x3 import kernel
-from escape3x3.grid import BOUNDARY, COL_ONLY, ROW_ONLY, full_grid, grid_without_corner
+from escape3x3.grid import BOUNDARY, ROW_ONLY, full_grid, grid_without_corner
 from escape3x3.model import (
     Code,
     EscapeContract,
@@ -14,7 +15,6 @@ from escape3x3.model import (
     PathError,
     contract_for,
     path_of,
-    reflected_contract,
     reflected_plan,
     validate_plan,
     validate_plan_recheck,
@@ -267,19 +267,11 @@ def test_validators_agree_on_duplicated_exits(grid):
         assert any(v.code is Code.EXIT_COLLISION for v in v1.violations)
 
 
-def test_reflected_contract_swaps_zone():
-    c = contract_for(LemmaId.HEAVY6)
-    r = reflected_contract(c)
-    assert c.restricted_zone == COL_ONLY
-    assert r.restricted_zone == ROW_ONLY
-    assert r.exit_target == frozenset(BOUNDARY)
-
-
 def test_reflected_plan_is_valid_for_reflected_config(grid):
     cfg, plan = _sample_heavy5()
     rcfg = cfg.reflected()
     rplan = reflected_plan(cfg, plan)
-    rcontract = reflected_contract(contract_for(LemmaId.HEAVY5))
+    rcontract = dataclasses.replace(contract_for(LemmaId.HEAVY5), restricted_zone=ROW_ONLY)
     assert validate_plan(grid, rcfg, rplan, rcontract).ok
 
 

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escape3x3.grid import full_grid
+from escape3x3.grid import ROW_ONLY, full_grid
 from escape3x3.model import (
     contract_for,
     plan_to_json,
-    reflected_contract,
     reflected_plan,
     validate_plan,
 )
@@ -128,7 +127,8 @@ def test_reflection_transport_on_bounded_contract(index):
     contract = contract_for(LemmaId.HEAVY6)
     plan, _ = route(cfg, strict=True)
     rplan = reflected_plan(cfg, plan)
-    assert validate_plan(grid, cfg.reflected(), rplan, reflected_contract(contract)).ok
+    rcontract = dataclasses.replace(contract, restricted_zone=ROW_ONLY)
+    assert validate_plan(grid, cfg.reflected(), rplan, rcontract).ok
 
 
 def test_route_and_reflected_route_both_succeed():

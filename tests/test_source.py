@@ -137,3 +137,33 @@ def test_process_pool_is_imported_only_when_made():
             ]
     assert not found, f"module-level pool imports: {found}"
     assert "ProcessPoolExecutor" in vars(campaign)
+
+
+def test_every_module_level_definition_is_named_elsewhere():
+    """Each module-level function and class in the package is on a campaign
+    path or a CLI path, or it goes: some other statement of the package
+    names it, as a bare name, an attribute or an import.  ``__init__``'s
+    re-exports count; a use only in tests does not."""
+    statements = [
+        (f"{path.stem}.{getattr(node, 'name', '')}", node)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    named = []
+    for _, stmt in statements:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        named.append(names)
+    unnamed = [
+        where
+        for i, (where, stmt) in enumerate(statements)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not any(stmt.name in names for j, names in enumerate(named) if j != i)
+    ]
+    assert not unnamed, f"defined but never named elsewhere in the package: {unnamed}"
