@@ -1,9 +1,10 @@
 """Trail-packing kernel: graph descriptors and the vertex-level wrappers.
 
 ``solve_trails`` translates vertices and edges to the indices and bitmasks
-of ``desc_for`` and runs the search in ``_kernel_py``.  ``escapes_exist``
+of ``desc_for`` and runs the search in ``_kernel_py``.  ``escape_trails``
 runs the same search on the sink graph of ``sink_desc``, where "escape to
-any free exit" is one trail into a sink vertex.
+any free exit" is one trail into a sink vertex, and returns its trails
+without the virtual vertices.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def sink_desc(
     )
 
 
-def escapes_exist(
+def escape_trails(
     g: GridGraph,
     free_edges,
     linked_pairs,
@@ -146,17 +147,36 @@ def escapes_exist(
     exits,
     restricted,
     limit: int | None,
-) -> bool:
-    """Whether edge-disjoint trails join the linked pairs and take every
+) -> list[Path] | None:
+    """Edge-disjoint trails that join the linked pairs and take every
     escaping terminal to its own exit, at most ``limit`` of them in
-    ``restricted`` (None: no bound): one search of the sink graph.
+    ``restricted`` (None: no bound), or None if there are none: one search
+    of the sink graph.  The linked pairs' trails come first, in order, then
+    one per escaping terminal, ending at its exit.
+
+    A trail into the sink ends with the virtual vertices it entered last;
+    they are stripped.  Nothing leaves the sink, and R leads only to the
+    sink, so what is left is a walk along free grid edges ending at the
+    exit, built with the edges its steps name, unchecked
+    (``Path._trusted``), as in ``solve_trails``.
     """
     sd = sink_desc(g, tuple(exits), frozenset(restricted), limit)
-    vindex = sd.grid.vindex
+    grid = sd.grid
+    vindex = grid.vindex
     pairs_idx = tuple((vindex[a], vindex[b]) for a, b in linked_pairs) + tuple(
         (vindex[t], sd.sink) for t in escaping
     )
-    status, _, _ = _impl.find_trail_system(
-        sd.adj, pairs_idx, sd.grid.edge_mask(free_edges) | sd.virtual, sd.exit_edges
+    status, trails, _ = _impl.find_trail_system(
+        sd.adj, pairs_idx, grid.edge_mask(free_edges) | sd.virtual, sd.exit_edges
     )
-    return status == FOUND
+    if status != FOUND:
+        return None
+    n = len(grid.vertices)
+    vertex = grid.vertices.__getitem__
+    step = grid.step.__getitem__
+    paths = []
+    for t in trails:
+        while t[-1] >= n:
+            t = t[:-1]
+        paths.append(Path._trusted(tuple(map(vertex, t)), tuple(map(step, zip(t, t[1:])))))
+    return paths

@@ -62,8 +62,8 @@ def test_pool_has_no_more_workers_than_chunks(monkeypatch):
 def test_verify_one_depends_only_on_its_task(monkeypatch):
     """Running a task twice gives equal records and the same kernel
     searches, so a pool worker's record does not depend on what the worker
-    ran before: routing and the oracle search 4 times in 149 nodes on each
-    run."""
+    ran before: routing and the oracle's existence search make 2 kernel
+    searches in 56 nodes on each run."""
     calls = []
     monkeypatch.setattr(kernel._impl, "find_trail_system", _recording_search(calls))
     task = (LemmaId.HEAVY78.value, True, _THREE_CALL_CFG)
@@ -72,11 +72,11 @@ def test_verify_one_depends_only_on_its_task(monkeypatch):
     calls.clear()
     assert campaign._verify_one(task) == first
     assert calls == first_calls
-    assert (len(calls), sum(nodes for _, _, nodes in calls)) == (4, 149)
+    assert (len(calls), sum(nodes for _, _, nodes in calls)) == (2, 56)
 
 
 def test_failures_carry_the_encoded_config(monkeypatch):
-    monkeypatch.setattr(campaign, "oracle_solve", lambda *args, **kwargs: None)
+    monkeypatch.setattr(campaign, "any_plan", lambda *args, **kwargs: None)
     report = verify_all(LemmaId.HEAVY5, strict=True)
     assert report.failures == [
         {"config": encode_config(cfg), "problems": ["ORACLE_NONE"]}
@@ -92,14 +92,14 @@ def test_oracle_error_is_reported_not_raised(monkeypatch):
     no ``ORACLE_NONE``."""
     broken = list(enumerate_configs(LemmaId.HEAVY5))[7]
     error = RuntimeError("oracle broke")
-    solve = campaign.oracle_solve
+    solve = campaign.any_plan
 
     def raising(g, cfg, contract):
         if cfg == broken:
             raise error
         return solve(g, cfg, contract)
 
-    monkeypatch.setattr(campaign, "oracle_solve", raising)
+    monkeypatch.setattr(campaign, "any_plan", raising)
     report = verify_all(LemmaId.HEAVY5, strict=True)
     assert report.failures == [
         {"config": encode_config(broken), "problems": [f"ORACLE_ERROR: {error!r}"]}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escape3x3 import _kernel_py, kernel, oracle
+from escape3x3 import _kernel_py, campaign, kernel, oracle
 from escape3x3.grid import (
     BOUNDARY,
     COL_ONLY,
@@ -15,9 +15,16 @@ from escape3x3.grid import (
     full_grid,
     grid_without_corner,
 )
-from escape3x3.model import EscapeContract, Path, Verdict, contract_for, validate_plan
+from escape3x3.model import (
+    EscapeContract,
+    Path,
+    Verdict,
+    contract_for,
+    validate_plan,
+    validate_plan_recheck,
+)
 from escape3x3.oracle import InvalidWitness, _pair_key, check_weakly_2_linked, oracle_solve
-from escape3x3.terminals import LemmaId, enumerate_configs, make_config
+from escape3x3.terminals import LemmaId, encode_config, enumerate_configs, make_config
 from euler_trails import exists_trail_system_euler
 from test_strict_sweep import DIGEST_CHARS, REFERENCE, _digest, assert_checked
 
@@ -277,7 +284,11 @@ def test_sink_search_agrees_with_every_exit_assignment(taken, linked, escaping, 
     """One sink search answers what the oracle's loop asks of a subset:
     whether some injective assignment of the escaping terminals to the
     exits, at most ``limit`` of them in the restricted zone, has trails
-    (one kernel call per assignment) in the grid edges not ``taken``."""
+    (one kernel call per assignment) in the grid edges not ``taken``.  The
+    trails it returns are checked here from their vertices alone: each
+    joins its pair or takes its terminal to an exit, the exits are
+    distinct and within the bound, and every step is a free grid edge,
+    none used twice."""
     free = _FULL.edges - taken
     exits = sorted(exits)
     brute = any(
@@ -285,7 +296,26 @@ def test_sink_search_agrees_with_every_exit_assignment(taken, linked, escaping, 
         for combo in itertools.permutations(exits, len(escaping))
         if limit is None or sum(x in COL_ONLY for x in combo) <= limit
     )
-    assert kernel.escapes_exist(_FULL, free, linked, escaping, exits, COL_ONLY, limit) == brute
+    trails = kernel.escape_trails(_FULL, free, linked, escaping, exits, COL_ONLY, limit)
+    assert (trails is not None) == brute
+    if trails is None:
+        return
+    assert len(trails) == len(linked) + len(escaping)
+    for (a, b), trail in zip(linked, trails):
+        assert (trail.vertices[0], trail.vertices[-1]) == (a, b)
+    escapes = trails[len(linked) :]
+    assert [trail.vertices[0] for trail in escapes] == escaping
+    reached = [trail.vertices[-1] for trail in escapes]
+    assert set(reached) <= set(exits)
+    assert len(set(reached)) == len(reached)
+    assert limit is None or sum(x in COL_ONLY for x in reached) <= limit
+    used = set()
+    for trail in trails:
+        for (r1, c1), (r2, c2) in zip(trail.vertices, trail.vertices[1:]):
+            assert abs(r1 - r2) + abs(c1 - c2) == 1
+            edge = tuple(sorted([(r1, c1), (r2, c2)]))
+            assert edge in free and edge not in used
+            used.add(edge)
 
 
 def _euler_plan_exists(g, cfg, contract):
@@ -352,6 +382,46 @@ def test_refute_verdicts_confirmed_by_euler_enumeration(grid, refute_sweep):
     euler = [_euler_plan_exists(grid, cfg, contract) for cfg in cfgs]
     assert euler == [plan is not None for plan in plans]
     assert (len(euler), euler.count(False)) == (1260, 106)
+
+
+def test_any_plan_refutes_exactly_the_reference_infeasible(grid, refute_sweep):
+    """The existence search on the 1,260 one-pair heavy6 configurations
+    finds no plan at exactly the reference's 106 infeasible indices, and
+    every plan it returns passes the validator the oracle does not call."""
+    cfgs, _, _ = refute_sweep
+    contract = contract_for(LemmaId.HEAVY6)
+    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))["refute"]
+    plans = [oracle.any_plan(grid, cfg, contract) for cfg in cfgs]
+    assert [i for i, plan in enumerate(plans) if plan is None] == reference["infeasible"]
+    for cfg, plan in zip(cfgs, plans):
+        if plan is not None:
+            assert validate_plan_recheck(grid, cfg, plan, contract).ok, encode_config(cfg)
+
+
+def test_any_plan_raises_on_swapped_escape_exits(grid, monkeypatch):
+    """With two escape trails swapped, each terminal is given the other's
+    trail and exit: ``any_plan`` raises InvalidWitness, and the campaign
+    records it as an oracle error instead of raising."""
+    search = kernel.escape_trails
+    swapped = []
+
+    def swapping(g, free_edges, linked_pairs, escaping, *rest):
+        trails = search(g, free_edges, linked_pairs, escaping, *rest)
+        if trails is None or len(escaping) < 2:
+            return trails
+        swapped.append(escaping)
+        k = len(linked_pairs)
+        return trails[:k] + [trails[k + 1], trails[k]] + trails[k + 2 :]
+
+    monkeypatch.setattr(kernel, "escape_trails", swapping)
+    cfg = make_config([((1, 1), (1, 2))], [(3, 1), (3, 2), (1, 3)])
+    with pytest.raises(InvalidWitness):
+        oracle.any_plan(grid, cfg, contract_for(LemmaId.HEAVY5))
+    assert swapped
+    record = campaign._verify_one((LemmaId.HEAVY5.value, True, cfg))
+    assert not record["oracle_ok"]
+    (violation,) = record["violations"]
+    assert violation.startswith("ORACLE_ERROR: InvalidWitness(")
 
 
 def test_weak_linkage_witnesses_validate(grid):

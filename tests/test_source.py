@@ -24,7 +24,9 @@ def test_package_has_no_assert():
 def test_trusted_path_constructor_has_only_its_named_callers():
     """``Path._trusted`` builds a path without checking its walk; only the
     callers that already hold the path's edges may use it, and no other
-    code sets a path's slots."""
+    code sets a path's slots.  ``kernel.escape_trails`` is one: once the
+    sink's virtual vertices are stripped, its steps come from the same
+    free-edge search as ``solve_trails``'s."""
     callers, setters = set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -40,6 +42,7 @@ def test_trusted_path_constructor_has_only_its_named_callers():
                     setters.add(f"{path.stem}.{func.name}")
     assert callers == {
         "kernel.solve_trails",
+        "kernel.escape_trails",
         "model.reversed",
         "model.reflected",
         "model.__add__",
@@ -167,3 +170,45 @@ def test_every_module_level_definition_is_named_elsewhere():
         and not any(stmt.name in names for j, names in enumerate(named) if j != i)
     ]
     assert not unnamed, f"defined but never named elsewhere in the package: {unnamed}"
+
+
+def _package_imports(tree) -> set[str]:
+    """The package modules a module imports anywhere in its source, by a
+    relative import or by the package's name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = node.module
+            elif (node.module or "").startswith("escape3x3"):
+                base = node.module.partition(".")[2] or None
+            else:
+                continue
+            found |= {base} if base else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {
+                alias.name.partition(".")[2]
+                for alias in node.names
+                if alias.name.startswith("escape3x3.")
+            }
+    return {name.partition(".")[0] for name in found}
+
+
+def test_oracle_shares_no_routing_logic():
+    """The oracle is the router's independent check: neither ``oracle`` nor
+    ``kernel``, nor any package module they import, imports ``router`` or
+    ``toolkit``."""
+    imports = {
+        path.stem: _package_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in SRC.glob("*.py")
+    }
+    assert {"router", "toolkit"} <= set(imports)
+    for root in ("oracle", "kernel"):
+        reached, todo = set(), [root]
+        while todo:
+            module = todo.pop()
+            for name in imports.get(module, ()):
+                if name not in reached:
+                    reached.add(name)
+                    todo.append(name)
+        assert not reached & {"router", "toolkit"}, (root, sorted(reached))
