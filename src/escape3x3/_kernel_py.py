@@ -32,6 +32,11 @@ only over-estimate reachability, so pruning stays sound.  The memo is
 bounded: every grid graph is a subgraph of the 3x3 grid, with at most 12
 edges, and a sink graph's rows are keyed with its exit edges always free,
 so its table has at most 2^(12 + number of R->S edges) rows.
+
+The search is a nested function that calls itself through its closure
+cell, a reference cycle; the closure is cleared on every way out, so each
+search's state is freed by reference counting, not left to the cyclic
+garbage collector.
 """
 
 from __future__ import annotations
@@ -147,15 +152,18 @@ def find_trail_system(adj, pairs, mask, always_free=0):
                     path.pop()
         return False
 
-    a = pairs[0][0]
-    row = table.get(mask | always_free)
-    if row is None:
-        row = fill_row(adj, table, mask | always_free)
-    # the root's cuts: the first pair and every later one
-    for s, c in pending[0]:
-        if not row[s] & c:
-            break
-    else:
-        if visit(0, mask, row, [a], a):
-            return FOUND, tuple(trails), nodes
-    return NONE, None, nodes
+    try:
+        a = pairs[0][0]
+        row = table.get(mask | always_free)
+        if row is None:
+            row = fill_row(adj, table, mask | always_free)
+        # the root's cuts: the first pair and every later one
+        for s, c in pending[0]:
+            if not row[s] & c:
+                break
+        else:
+            if visit(0, mask, row, [a], a):
+                return FOUND, tuple(trails), nodes
+        return NONE, None, nodes
+    finally:
+        del visit  # see the module docstring

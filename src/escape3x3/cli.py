@@ -47,8 +47,12 @@ def _cmd_verify(args) -> int:
         status = max(status, report.exit_status())
     if args.report:
         payload = [r.to_json() for r in reports]
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(payload if len(payload) > 1 else payload[0], fh, indent=2, sort_keys=True)
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                json.dump(payload if len(payload) > 1 else payload[0], fh, indent=2, sort_keys=True)
+        except OSError as exc:
+            print(f"cannot write {args.report}: {exc}", file=sys.stderr)
+            return max(status, EXIT_VALIDATION)
         print(f"report written to {args.report}")
     return status
 
@@ -111,8 +115,12 @@ def _cmd_enumerate(args) -> int:
         return EXIT_VALIDATION
     lines = [config_to_ndjson_line(cfg) for cfg in configs]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+        except OSError as exc:
+            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
         print(f"{len(lines)} configs written to {args.out}")
     else:
         for line in lines:

@@ -10,8 +10,10 @@ from escape3x3.campaign import (
     EXIT_VALIDATION,
     CampaignReport,
     verify_all,
+    verify_weak_linkage,
 )
 from escape3x3.terminals import LemmaId, encode_config, enumerate_configs
+from test_kernel import garbage_left
 from test_oracle import _THREE_CALL_CFG, _recording_search
 
 PERFBENCH = pathlib.Path(__file__).parents[1] / "perfbench"
@@ -73,6 +75,17 @@ def test_verify_one_depends_only_on_its_task(monkeypatch):
     assert campaign._verify_one(task) == first
     assert calls == first_calls
     assert (len(calls), sum(nodes for _, _, nodes in calls)) == (2, 56)
+
+
+def test_campaigns_leave_no_reference_cycles():
+    """A campaign's router, toolkit, oracle and validators free what they
+    make by reference counting alone: once warm, a strict heavy5 campaign
+    and the w2l sweep each leave nothing for the cyclic collector."""
+    campaigns = {
+        "heavy5": lambda: verify_all(LemmaId.HEAVY5, strict=True),
+        "w2l": verify_weak_linkage,
+    }
+    assert garbage_left(campaigns) == {"heavy5": 0, "w2l": 0}
 
 
 def test_failures_carry_the_encoded_config(monkeypatch):

@@ -141,6 +141,16 @@ def test_enumerate_writes_ndjson(tmp_path, capsys):
     assert all(json.loads(line) for line in lines)
 
 
+def test_enumerate_reports_an_unwritable_out(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "out.json"
+    status = main(["enumerate", "--lemma", "heavy5", "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert f"cannot write {out_path}:" in captured.err
+    assert "written" not in captured.out
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("lemma", ["heavy78", "heavy5"])
 def test_enumerate_rejects_extended_outside_heavy6(tmp_path, capsys, lemma):
     """``--extended`` adds configurations to heavy6 only; any other family
@@ -199,6 +209,18 @@ def test_verify_w2l(capsys):
     out = capsys.readouterr().out
     assert status == 0
     assert "total=10657" in out
+
+
+def test_verify_reports_an_unwritable_report(tmp_path, capsys):
+    """The campaign's verdict is still printed; the failed write raises the
+    exit status to a validation failure instead of a traceback."""
+    report_path = tmp_path / "missing" / "out.json"
+    status = main(["verify", "--lemma", "w2l", "--report", str(report_path)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert "total=10657" in captured.out
+    assert "written" not in captured.out
+    assert f"cannot write {report_path}:" in captured.err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3", "two"])

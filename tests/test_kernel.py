@@ -1,5 +1,7 @@
 """Kernel behavior."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -226,3 +228,61 @@ def test_pruned_sink_search_finds_the_first_trail_system(free, pairs, exits, lim
     free, and the naive search follows its directed virtual edges as
     listed."""
     _assert_pruned_matches_naive(*_sink_call(free, pairs, exits, limit))
+
+
+
+def garbage_left(runs):
+    """Run each of ``runs`` (name -> callable) once to fill memos and lazy
+    state, then again with the cyclic collector off, and return, per name,
+    how many objects its second run left for the collector."""
+    for run in runs.values():
+        run()
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        left = {}
+        for name, run in runs.items():
+            run()
+            left[name] = gc.collect()
+        return left
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_search_leaves_no_reference_cycle():
+    """A search frees everything it made by reference counting alone: the
+    recursive search function reaches itself through its closure cell, and
+    that cycle is broken on every way out, the root cut included."""
+    desc = kernel.desc_for(full_grid())
+    vindex = desc.vindex
+    path_desc = kernel.desc_for(build_corner_grid(frozenset({(2, 2), (3, 3)})))
+    pvindex = path_desc.vindex
+
+    def feasible():
+        pairs = ((vindex[(1, 1)], vindex[(3, 3)]), (vindex[(1, 3)], vindex[(3, 1)]))
+        status, _, nodes = _kernel_py.find_trail_system(desc.adj, pairs, desc.edge_mask(desc.edges))
+        assert status == _kernel_py.FOUND and nodes > 1
+
+    def infeasible():
+        # the surviving graph is a path: the search runs and finds nothing
+        pairs = ((pvindex[(1, 3)], pvindex[(3, 1)]), (pvindex[(3, 1)], pvindex[(1, 3)]))
+        mask = path_desc.edge_mask(path_desc.edges)
+        status, _, nodes = _kernel_py.find_trail_system(path_desc.adj, pairs, mask)
+        assert status == _kernel_py.NONE and nodes > 1
+
+    def root_cut():
+        # no edge is free, so the root's check cuts the only pair
+        pairs = ((vindex[(1, 1)], vindex[(3, 3)]),)
+        assert _kernel_py.find_trail_system(desc.adj, pairs, 0) == (_kernel_py.NONE, None, 1)
+
+    def sink():
+        g = full_grid()
+        trails = kernel.escape_trails(
+            g, g.edges, [((1, 1), (3, 3))], [(2, 2)], sorted(BOUNDARY), COL_ONLY, None
+        )
+        assert trails is not None
+
+    cases = {"feasible": feasible, "infeasible": infeasible, "root_cut": root_cut, "sink": sink}
+    assert garbage_left(cases) == dict.fromkeys(cases, 0)

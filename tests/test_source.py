@@ -117,6 +117,19 @@ def _module_level(node):
             yield from _module_level(child)
 
 
+def _absolute_imports(nodes):
+    """(line, module name) of each absolute import among ``nodes``."""
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        for name in names:
+            yield node.lineno, name
+
+
 def test_process_pool_is_imported_only_when_made():
     """Loading ``multiprocessing`` costs a fresh process tens of
     milliseconds that only a pooled campaign needs, so no package module
@@ -124,22 +137,30 @@ def test_process_pool_is_imported_only_when_made():
     keeps ``ProcessPoolExecutor`` as a module attribute that makes the
     pool."""
     heavy = ("concurrent", "multiprocessing")
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in _module_level(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module or ""]
-            else:
-                continue
-            found += [
-                f"{path.name}:{node.lineno} {name}"
-                for name in names
-                if name.split(".")[0] in heavy
-            ]
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _absolute_imports(
+            _module_level(ast.parse(path.read_text(encoding="utf-8")))
+        )
+        if name.split(".")[0] in heavy
+    ]
     assert not found, f"module-level pool imports: {found}"
     assert "ProcessPoolExecutor" in vars(campaign)
+
+
+def test_package_does_not_import_gc():
+    """The cyclic collector's settings are process-wide: a library must not
+    change them for its callers, so no package module imports ``gc``,
+    anywhere in its source.  Code that leaves no reference cycles needs no
+    collector tuning."""
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _absolute_imports(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        if name == "gc"
+    ]
+    assert not found, f"gc imports in the package: {found}"
 
 
 def test_every_module_level_definition_is_named_elsewhere():
