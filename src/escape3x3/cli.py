@@ -38,6 +38,13 @@ def _cmd_verify(args) -> int:
         if args.lemma == "all"
         else [LemmaId(args.lemma)]
     )
+    if args.report:
+        # fail before any campaign runs; append mode keeps an existing report
+        try:
+            open(args.report, "a", encoding="utf-8").close()
+        except OSError as exc:
+            print(f"cannot write {args.report}: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
     status = 0
     reports = []
     for lemma in lemmas:

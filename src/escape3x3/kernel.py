@@ -5,6 +5,15 @@ of ``desc_for`` and runs the search in ``_kernel_py``.  ``escape_trails``
 runs the same search on the sink graph of ``sink_desc``, where "escape to
 any free exit" is one trail into a sink vertex, and returns its trails
 without the virtual vertices.
+
+Both wrappers take their ``Path``s from the grid descriptor's memo
+(``GraphDesc.path``), keyed by the index trail the search returns: the
+searches repeat a few hundred trails tens of thousands of times, so each
+distinct trail is built once, on first use.  A key is an edge-simple trail
+of the descriptor's graph, so the memo holds at most that many entries
+(2,069 for the full corner grid, 750 without its corner), and it lives as
+long as the cached descriptor.  A ``Path`` is frozen, so plans and callers
+can share one.
 """
 
 from __future__ import annotations
@@ -38,6 +47,20 @@ class GraphDesc:
     vindex: dict[Vertex, int] = field(compare=False, repr=False)
     ebit: dict[Edge, int] = field(compare=False, repr=False)
     step: dict[tuple[int, int], Edge] = field(compare=False, repr=False)
+    paths: dict[tuple[int, ...], Path] = field(default_factory=dict, compare=False, repr=False)
+
+    def path(self, t: tuple[int, ...]) -> Path:
+        """The path along index trail ``t``, built on first use and kept in
+        ``paths``.  The search steps only along graph edges, each once, so
+        it is built with the edges its steps name, unchecked
+        (``Path._trusted``)."""
+        path = self.paths.get(t)
+        if path is None:
+            path = self.paths[t] = Path._trusted(
+                tuple(map(self.vertices.__getitem__, t)),
+                tuple(map(self.step.__getitem__, zip(t, t[1:]))),
+            )
+        return path
 
     def edge_mask(self, edges) -> int:
         ebit = self.ebit
@@ -72,9 +95,8 @@ def desc_for(g: GridGraph) -> GraphDesc:
 def solve_trails(g: GridGraph, free_edges, endpoint_pairs) -> list[Path] | None:
     """Find edge-disjoint trails joining the endpoint pairs, in order, or
     None if there are none.  Deterministic: the lexicographically first
-    trail system under sorted-vertex order.  The search steps only along
-    free graph edges, each once, so each trail is built with the edges its
-    steps name, unchecked (``Path._trusted``).
+    trail system under sorted-vertex order.  Each trail is the descriptor's
+    shared ``Path`` for it (``GraphDesc.path``).
     """
     desc = desc_for(g)
     vindex = desc.vindex
@@ -84,12 +106,7 @@ def solve_trails(g: GridGraph, free_edges, endpoint_pairs) -> list[Path] | None:
     )
     if status != FOUND:
         return None
-    vertex = desc.vertices.__getitem__
-    step = desc.step.__getitem__
-    return [
-        Path._trusted(tuple(map(vertex, t)), tuple(map(step, zip(t, t[1:]))))
-        for t in trails
-    ]
+    return [desc.path(t) for t in trails]
 
 
 @dataclass(frozen=True)
@@ -156,9 +173,9 @@ def escape_trails(
 
     A trail into the sink ends with the virtual vertices it entered last;
     they are stripped.  Nothing leaves the sink, and R leads only to the
-    sink, so what is left is a walk along free grid edges ending at the
-    exit, built with the edges its steps name, unchecked
-    (``Path._trusted``), as in ``solve_trails``.
+    sink, so what is left is a trail of the grid graph ending at the exit,
+    and its ``Path`` is the grid descriptor's shared one, as in
+    ``solve_trails``.
     """
     sd = sink_desc(g, tuple(exits), frozenset(restricted), limit)
     grid = sd.grid
@@ -172,11 +189,9 @@ def escape_trails(
     if status != FOUND:
         return None
     n = len(grid.vertices)
-    vertex = grid.vertices.__getitem__
-    step = grid.step.__getitem__
     paths = []
     for t in trails:
         while t[-1] >= n:
             t = t[:-1]
-        paths.append(Path._trusted(tuple(map(vertex, t)), tuple(map(step, zip(t, t[1:])))))
+        paths.append(grid.path(t))
     return paths

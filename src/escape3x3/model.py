@@ -58,8 +58,9 @@ class Path:
     check.  It is the only unchecked way in, and only callers that already
     hold the edges use it:
 
-    * ``kernel.solve_trails``: the search stepped along graph edges, each
-      once, and the descriptor maps each step to its canonical edge;
+    * ``kernel.GraphDesc.path``: the search stepped along graph edges, each
+      once, and the descriptor maps each step to its canonical edge; both
+      kernel wrappers take their trails from it;
     * ``reversed`` and ``reflected``: the mirror of a checked trail's edges;
     * ``__add__``: two trails that meet at the seam and share no edge;
     * ``RoutingContext.fresh``: a terminal's zero-length start trail.

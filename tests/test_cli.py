@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escape3x3 import router
+from escape3x3 import cli, router
 from escape3x3.cli import main
 from escape3x3.grid import full_grid
 from escape3x3.model import contract_for, plan_to_json
@@ -211,15 +211,19 @@ def test_verify_w2l(capsys):
     assert "total=10657" in out
 
 
-def test_verify_reports_an_unwritable_report(tmp_path, capsys):
-    """The campaign's verdict is still printed; the failed write raises the
-    exit status to a validation failure instead of a traceback."""
+def test_verify_reports_an_unwritable_report(tmp_path, capsys, monkeypatch):
+    """A report that cannot be opened fails the command with a validation
+    status before any campaign runs, instead of after all of them."""
+
+    def no_campaign(*args, **kwargs):
+        raise AssertionError("a campaign ran")
+
+    monkeypatch.setattr(cli, "verify_all", no_campaign)
     report_path = tmp_path / "missing" / "out.json"
-    status = main(["verify", "--lemma", "w2l", "--report", str(report_path)])
+    status = main(["verify", "--lemma", "all", "--report", str(report_path)])
     captured = capsys.readouterr()
     assert status == 2
-    assert "total=10657" in captured.out
-    assert "written" not in captured.out
+    assert captured.out == ""
     assert f"cannot write {report_path}:" in captured.err
 
 

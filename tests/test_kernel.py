@@ -68,6 +68,66 @@ def test_trusted_trails_equal_checked_paths(name, data):
             assert_checked(path)
 
 
+def test_repeated_trail_is_one_shared_path(grid):
+    """Two searches that find the same trail hand out the same ``Path``."""
+    pairs = [((1, 1), (3, 3)), ((1, 3), (3, 1))]
+    first = kernel.solve_trails(grid, grid.edges, pairs)
+    second = kernel.solve_trails(grid, grid.edges, pairs)
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second, strict=True))
+
+
+def test_escape_trail_shares_the_grid_path(grid):
+    """Once its sink vertices are stripped, an escape trail is the grid
+    descriptor's path for it: the same object ``solve_trails`` returns for
+    that trail, here the only one its own edges hold (no vertex repeats)."""
+    trails = kernel.escape_trails(
+        grid, grid.edges, [((1, 1), (3, 3))], [(2, 2)], sorted(BOUNDARY), COL_ONLY, None
+    )
+    assert [t.end for t in trails] == [(3, 3), (3, 2)]
+    for trail in trails:
+        assert len(set(trail.vertices)) == len(trail.vertices)
+        (same,) = kernel.solve_trails(grid, frozenset(trail.edges()), [(trail.start, trail.end)])
+        assert same is trail
+
+
+def _edge_simple_trails(desc):
+    """Every edge-simple trail of the descriptor's graph as an index tuple,
+    zero-length ones and both directions included."""
+    found = set()
+
+    def walk(trail, m):
+        found.add(tuple(trail))
+        for w, bit in desc.adj[trail[-1]]:
+            if m & bit:
+                trail.append(w)
+                walk(trail, m & ~bit)
+                trail.pop()
+
+    for v in range(len(desc.vertices)):
+        walk([v], (1 << len(desc.edges)) - 1)
+    return found
+
+
+def test_memo_entries_equal_checked_paths(strict_sweep):
+    """After the strict sweep, each trail the full grid's memo holds is the
+    checked path through that trail's vertices, edges included."""
+    desc = kernel.desc_for(full_grid())
+    assert desc.paths
+    for t, path in desc.paths.items():
+        assert path.vertices == tuple(desc.vertices[i] for i in t)
+        assert_checked(path)
+
+
+def test_memo_is_bounded_by_the_trail_count(strict_sweep):
+    """The memo's keys are edge-simple trails of the graph, so it never
+    holds more entries than the full grid has of those."""
+    desc = kernel.desc_for(full_grid())
+    trails = _edge_simple_trails(desc)
+    assert len(trails) == 2069
+    assert desc.paths.keys() <= trails
+
+
 def test_zero_length_pair(grid):
     for pairs in ([((1, 1), (1, 1))], [((1, 1), (1, 1)), ((3, 3), (3, 3))]):
         paths = kernel.solve_trails(grid, grid.edges, pairs)

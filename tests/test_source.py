@@ -24,9 +24,9 @@ def test_package_has_no_assert():
 def test_trusted_path_constructor_has_only_its_named_callers():
     """``Path._trusted`` builds a path without checking its walk; only the
     callers that already hold the path's edges may use it, and no other
-    code sets a path's slots.  ``kernel.escape_trails`` is one: once the
-    sink's virtual vertices are stripped, its steps come from the same
-    free-edge search as ``solve_trails``'s."""
+    code sets a path's slots.  ``kernel.GraphDesc.path`` is the one place
+    that builds a kernel trail: ``solve_trails`` and ``escape_trails``
+    (once the sink's virtual vertices are stripped) take theirs from it."""
     callers, setters = set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -41,8 +41,7 @@ def test_trusted_path_constructor_has_only_its_named_callers():
                 if isinstance(node, ast.Attribute) and node.attr in ("__new__", "__setattr__"):
                     setters.add(f"{path.stem}.{func.name}")
     assert callers == {
-        "kernel.solve_trails",
-        "kernel.escape_trails",
+        "kernel.path",
         "model.reversed",
         "model.reflected",
         "model.__add__",
