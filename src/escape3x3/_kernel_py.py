@@ -33,6 +33,18 @@ bounded: every grid graph is a subgraph of the 3x3 grid, with at most 12
 edges, and a sink graph's rows are keyed with its exit edges always free,
 so its table has at most 2^(12 + number of R->S edges) rows.
 
+Rows are interned: ``fill_row`` stores a row equal to one it has made
+before as that same object (``_ROWS``), so masks whose rows agree share
+one row.  A step whose edge changes no reachability (an edge on a cycle of
+free edges, or one the memo treats as always free) leaves its child with
+its parent's row object, and the child then skips the later-pair cut.
+That is exact: the later pairs are the parent's, and the parent's row
+passed them, in its own parent's loop, at the root, or in the check of
+the previous trail's last node, whose later pairs include these.  The
+child's own end test still runs: its vertex is not its parent's, and over
+a directed edge it need not reach what its parent reaches.  ``_ROWS``
+holds one object per distinct row, so it never outgrows the tables.
+
 The search is a nested function that calls itself through its closure
 cell, a reference cycle; the closure is cleared on every way out, so each
 search's state is freed by reference counting, not left to the cyclic
@@ -46,6 +58,8 @@ NONE = 0
 
 # adj -> {free-edge mask: per-vertex component bitmask}
 _REACH: dict[tuple, dict[int, tuple[int, ...]]] = {}
+# each distinct row of every table, keyed by itself
+_ROWS: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
 def reach_table(adj) -> dict[int, tuple[int, ...]]:
@@ -62,7 +76,8 @@ def fill_row(adj, table: dict, m: int) -> tuple[int, ...]:
 
     Each search's reached set is stored for all the vertices in it: exact
     where every edge is undirected, and possibly more than a vertex reaches
-    when it is entered by a directed edge."""
+    when it is entered by a directed edge.  A row equal to one made before
+    is stored as that same object (``_ROWS``)."""
     n = len(adj)
     row = [0] * n
     for src in range(n):
@@ -79,18 +94,20 @@ def fill_row(adj, table: dict, m: int) -> tuple[int, ...]:
         for v in range(src, n):
             if (seen >> v) & 1:
                 row[v] = seen
-    table[m] = out = tuple(row)
+    out = tuple(row)
+    out = table[m] = _ROWS.setdefault(out, out)
     return out
 
 
-def find_trail_system(adj, pairs, mask, always_free=0):
+def find_trail_system(adj, pairs, mask, always_free=0, table=None):
     """Search for edge-disjoint trails joining every endpoint pair.
 
     adj: tuple of per-vertex tuples ((neighbor, edge bit), ...) in the order
          the search tries them (by neighbor index for a grid), where an edge
          bit is ``1 << edge_id``; pairs: tuple of (a, b) vertex indices;
          mask: bitmask of free edges; always_free: bitmask of edges the
-         reachability memo treats as free (0 for grid calls).
+         reachability memo treats as free (0 for grid calls); table:
+         ``reach_table(adj)``, looked up here when not given.
 
     Returns (status, trails, nodes): status FOUND or NONE, trails a tuple of
     vertex-index tuples when status == FOUND, and nodes the search nodes
@@ -109,7 +126,8 @@ def find_trail_system(adj, pairs, mask, always_free=0):
         pending[i] = ((a, bit),) + pending[i + 1] if a != b else pending[i + 1]
     later = pending[1:]
     trails: list = [None] * k
-    table = reach_table(adj)
+    if table is None:
+        table = reach_table(adj)
     nodes = 1  # the root
 
     def visit(i: int, m: int, row: tuple, path: list, cur: int) -> bool:
@@ -139,8 +157,15 @@ def find_trail_system(adj, pairs, mask, always_free=0):
                     crow = fill_row(adj, table, child | always_free)
                 # the child's cuts: it cannot reach its end (a child at its
                 # end passes, as a vertex reaches itself), or a later pair
-                # is cut apart
+                # is cut apart; its parent's row, if it is the same object,
+                # has passed the later pairs already
                 if not crow[w] & end:
+                    continue
+                if crow is row:
+                    path.append(w)
+                    if visit(i, child, crow, path, w):
+                        return True
+                    path.pop()
                     continue
                 for a, c in rest:
                     if not crow[a] & c:

@@ -14,6 +14,18 @@ of the descriptor's graph, so the memo holds at most that many entries
 (2,069 for the full corner grid, 750 without its corner), and it lives as
 long as the cached descriptor.  A ``Path`` is frozen, so plans and callers
 can share one.
+
+Each descriptor also holds its graph's reachability table
+(``_kernel_py.reach_table`` of its adjacency), and both wrappers hand it
+to the search, so no call looks the table up by hashing the nested
+adjacency tuple.  It is the module memo's own table, bounded as that memo
+is.  ``GraphDesc.edge_mask`` keeps the mask of each frozenset of edges it
+is given (``GraphDesc.masks``): the oracle passes the graph's own edge set
+on every call, and the router's clip catalog a fixed few.  Its keys are
+sets of the graph's edges, at most 2^12 on the 3x3 grid, in practice the
+graph's edge set and the clips that fit it.  A mutable set, such as the
+router's free edges, is never kept: it is folded edge by edge on every
+call.
 """
 
 from __future__ import annotations
@@ -47,7 +59,9 @@ class GraphDesc:
     vindex: dict[Vertex, int] = field(compare=False, repr=False)
     ebit: dict[Edge, int] = field(compare=False, repr=False)
     step: dict[tuple[int, int], Edge] = field(compare=False, repr=False)
+    reach: dict[int, tuple[int, ...]] = field(compare=False, repr=False)
     paths: dict[tuple[int, ...], Path] = field(default_factory=dict, compare=False, repr=False)
+    masks: dict[frozenset[Edge], int] = field(default_factory=dict, compare=False, repr=False)
 
     def path(self, t: tuple[int, ...]) -> Path:
         """The path along index trail ``t``, built on first use and kept in
@@ -63,10 +77,19 @@ class GraphDesc:
         return path
 
     def edge_mask(self, edges) -> int:
+        """The bitmask of ``edges``, kept in ``masks`` when they are a
+        frozenset (so they cannot change under the key)."""
+        frozen = type(edges) is frozenset
+        if frozen:
+            mask = self.masks.get(edges)
+            if mask is not None:
+                return mask
         ebit = self.ebit
         mask = 0
         for e in edges:
             mask |= ebit[e]
+        if frozen:
+            self.masks[edges] = mask
         return mask
 
 
@@ -82,10 +105,12 @@ def desc_for(g: GridGraph) -> GraphDesc:
         adj[i].append((j, 1 << eid))
         adj[j].append((i, 1 << eid))
         step[i, j] = step[j, i] = e
+    adj_t = tuple(tuple(sorted(entries)) for entries in adj)
     return GraphDesc(
         vertices=vertices,
         edges=edges,
-        adj=tuple(tuple(sorted(entries)) for entries in adj),
+        adj=adj_t,
+        reach=_kernel_py.reach_table(adj_t),
         vindex=vindex,
         ebit={e: 1 << i for i, e in enumerate(edges)},
         step=step,
@@ -102,7 +127,7 @@ def solve_trails(g: GridGraph, free_edges, endpoint_pairs) -> list[Path] | None:
     vindex = desc.vindex
     pairs_idx = tuple((vindex[a], vindex[b]) for a, b in endpoint_pairs)
     status, trails, _ = _impl.find_trail_system(
-        desc.adj, pairs_idx, desc.edge_mask(free_edges), 0
+        desc.adj, pairs_idx, desc.edge_mask(free_edges), 0, desc.reach
     )
     if status != FOUND:
         return None
@@ -127,6 +152,7 @@ class SinkDesc:
     sink: int
     virtual: int  # mask of every virtual edge
     exit_edges: int  # mask of the exit->S and exit->R edges
+    reach: dict[int, tuple[int, ...]] = field(compare=False, repr=False)
 
 
 @lru_cache(maxsize=None)
@@ -147,12 +173,14 @@ def sink_desc(
     for _ in range(min(limit, len(held)) if held else 0):
         adj[r].append((sink, 1 << eid))
         eid += 1
+    adj_t = tuple(map(tuple, adj))
     return SinkDesc(
         grid=grid,
-        adj=tuple(map(tuple, adj)),
+        adj=adj_t,
         sink=sink,
         virtual=(1 << eid) - (1 << len(grid.edges)),
         exit_edges=exit_edges,
+        reach=_kernel_py.reach_table(adj_t),
     )
 
 
@@ -184,7 +212,11 @@ def escape_trails(
         (vindex[t], sd.sink) for t in escaping
     )
     status, trails, _ = _impl.find_trail_system(
-        sd.adj, pairs_idx, grid.edge_mask(free_edges) | sd.virtual, sd.exit_edges
+        sd.adj,
+        pairs_idx,
+        grid.edge_mask(free_edges) | sd.virtual,
+        sd.exit_edges,
+        sd.reach,
     )
     if status != FOUND:
         return None

@@ -52,13 +52,15 @@ from .terminals import TerminalConfig
 
 
 def _exit_assignments(unlinked: list[Vertex], exits: list[Vertex], contract: EscapeContract):
-    """Injective exit assignments in lexicographic order, bound respected."""
+    """Injective exit assignments in lexicographic order, bound respected.
+    An assignment's exits are distinct, so its restricted ones are its
+    intersection with the zone."""
+    combos = itertools.permutations(exits, len(unlinked))
     limit = contract.max_exits_in_restricted
-    for combo in itertools.permutations(exits, len(unlinked)):
-        if limit is not None:
-            if sum(1 for x in combo if x in contract.restricted_zone) > limit:
-                continue
-        yield combo
+    if limit is None:
+        return combos
+    zone = contract.restricted_zone
+    return (combo for combo in combos if len(zone.intersection(combo)) <= limit)
 
 
 class InvalidWitness(RuntimeError):

@@ -1,12 +1,13 @@
 """Kernel behavior."""
 
+import functools
 import gc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escape3x3 import _kernel_py, kernel
+from escape3x3 import _kernel_py, kernel, toolkit
 from escape3x3.grid import (
     BOUNDARY,
     COL_ONLY,
@@ -16,6 +17,9 @@ from escape3x3.grid import (
     full_grid,
     grid_without_corner,
 )
+from escape3x3.model import contract_for
+from escape3x3.oracle import oracle_solve
+from escape3x3.terminals import LemmaId, enumerate_configs
 from test_strict_sweep import assert_checked
 
 
@@ -194,15 +198,38 @@ def test_reach_table_matches_bfs(g):
 
 
 def test_reach_table_filled_lazily(monkeypatch):
-    # an empty memo of its own: other tests fill the shared one for this graph
+    """A descriptor's reach table is the module memo's table for its
+    adjacency, empty until a search reads it, and a search fills only the
+    rows it reads."""
+    # an empty memo and descriptor cache of their own: other tests fill the
+    # shared ones for this graph
     monkeypatch.setattr(_kernel_py, "_REACH", {})
+    monkeypatch.setattr(kernel, "desc_for", functools.lru_cache(kernel.desc_for.__wrapped__))
     g = build_corner_grid(frozenset({(1, 1), (3, 3)}))
     desc = kernel.desc_for(g)
-    table = _kernel_py.reach_table(desc.adj)
+    table = desc.reach
+    assert table is _kernel_py.reach_table(desc.adj)
     assert not table
     paths = kernel.solve_trails(g, g.edges, [((1, 2), (3, 2))])
     assert paths is not None
     assert 0 < len(table) < 1 << len(desc.edges)
+
+
+def test_equal_rows_are_one_object():
+    """``fill_row`` interns its rows: masks whose rows are equal, in one
+    table or in two, get the same row object, and an unequal row is its
+    own."""
+    desc = kernel.desc_for(full_grid())
+    every = (1 << len(desc.edges)) - 1
+    cycle_edge = desc.ebit[edge((1, 1), (1, 2))]
+    corner = cycle_edge | desc.ebit[edge((1, 1), (2, 1))]
+    table, other = {}, {}
+    row = _kernel_py.fill_row(desc.adj, table, every)
+    assert _kernel_py.fill_row(desc.adj, table, every ^ cycle_edge) is row
+    assert _kernel_py.fill_row(desc.adj, other, every) is row
+    cut = _kernel_py.fill_row(desc.adj, table, every ^ corner)
+    assert cut != row and cut is not row
+    assert table == {every: row, every ^ cycle_edge: row, every ^ corner: cut}
 
 
 def _naive_trail_system(adj, pairs, mask):
@@ -249,11 +276,12 @@ _EXITS = st.sets(st.sampled_from(sorted(BOUNDARY)))
 _LIMITS = st.sampled_from([None, 1])
 
 
-def _grid_call(free, pairs):
-    """(adj, pairs, mask, always_free) of a kernel call on the full grid."""
-    vindex = _FULL.vindex
+def _grid_call(free, pairs, desc=_FULL):
+    """(adj, pairs, mask, always_free) of a kernel call on the graph of
+    ``desc``, the full grid by default."""
+    vindex = desc.vindex
     pairs_idx = tuple((vindex[a], vindex[b]) for a, b in pairs)
-    return _FULL.adj, pairs_idx, _FULL.edge_mask(free), 0
+    return desc.adj, pairs_idx, desc.edge_mask(free), 0
 
 
 def _sink_call(free, pairs, exits, limit):
@@ -289,6 +317,106 @@ def test_pruned_sink_search_finds_the_first_trail_system(free, pairs, exits, lim
     listed."""
     _assert_pruned_matches_naive(*_sink_call(free, pairs, exits, limit))
 
+
+class _Unshared(dict):
+    """A stand-in for ``_kernel_py._ROWS`` that interns nothing: each row
+    ``fill_row`` makes stays an object of its own."""
+
+    def setdefault(self, row, default=None):
+        return default
+
+
+class _CopyingTable(dict):
+    """A reach table that hands out a new copy of its row on every lookup
+    in the search loop.  With ``_Unshared`` rows, no child's row is its
+    parent's object, not even after a step along an always-free edge,
+    which keeps the row's key: the later-pair cut never skips."""
+
+    def __getitem__(self, m):
+        return tuple(list(dict.__getitem__(self, m)))
+
+
+def _unskipped(adj, pairs_idx, mask, always_free):
+    """The search's result when no child shares its parent's row."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel_py, "_ROWS", _Unshared())
+        mp.setattr(_kernel_py, "_REACH", {adj: _CopyingTable()})
+        return _kernel_py.find_trail_system(adj, pairs_idx, mask, always_free)
+
+
+_NO_CORNER = kernel.desc_for(grid_without_corner())
+_HEAVY6_EXITS = tuple(sorted(contract_for(LemmaId.HEAVY6).exit_target & full_grid().vertices))
+
+
+@pytest.mark.parametrize("name", ["full", "no-corner", "heavy6-sink"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_shared_row_skip_is_exact(name, data):
+    """A child whose row is its parent's skips the later-pair cut: the
+    search returns the same status, trails and node count as one in which
+    no row is shared, on the full grid, the grid without its corner and
+    the oracle's heavy6 sink graph, whose directed virtual edges keep the
+    child's end test needed.  (A skip that ignored which rows are shared
+    would skip in both runs; the pinned node counts of the strict and
+    refute sweeps catch that.)"""
+    desc = _NO_CORNER if name == "no-corner" else _FULL
+    vertex = st.sampled_from(desc.vertices)
+    free = data.draw(st.sets(st.sampled_from(desc.edges)))
+    if name == "heavy6-sink":
+        ends = st.sampled_from(desc.vertices + (_SINK,))
+        pairs = data.draw(st.lists(st.tuples(vertex, ends), min_size=1, max_size=5))
+        call = _sink_call(free, pairs, _HEAVY6_EXITS, 1)
+    else:
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=5))
+        call = _grid_call(free, pairs, desc)
+    assert _kernel_py.find_trail_system(*call) == _unskipped(*call)
+
+
+def _folded(desc, edges):
+    """The mask of ``edges`` built edge by edge."""
+    return sum(desc.ebit[e] for e in edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(free=_FREE)
+def test_frozenset_mask_is_kept(free):
+    """A frozenset's mask is the edge-by-edge mask, kept under that set."""
+    desc = kernel.desc_for.__wrapped__(full_grid())  # an empty memo of its own
+    free = frozenset(free)
+    mask = desc.edge_mask(free)
+    assert mask == _folded(desc, free)
+    assert desc.masks == {free: mask}
+    assert desc.edge_mask(free) == mask
+
+
+def test_mutable_set_mask_is_not_kept():
+    """A set can change between calls, as the router's free edges do: its
+    mask is folded afresh each time and never kept."""
+    free = set(_FULL.edges)
+    before = dict(_FULL.masks)
+    first = _FULL.edge_mask(free)
+    gone = edge((1, 1), (1, 2))
+    free.discard(gone)
+    assert _FULL.edge_mask(free) == first ^ _FULL.ebit[gone]
+    assert _FULL.masks == before
+
+
+def test_mask_memo_holds_only_the_graphs_edge_sets(strict_sweep):
+    """After the strict sweep and the refute sweep, each grid descriptor's
+    mask memo holds only frozensets of its graph's edges, each under its
+    edge-by-edge mask; the router's clips are among them."""
+    contract = contract_for(LemmaId.HEAVY6)
+    for cfg in enumerate_configs(LemmaId.HEAVY6, extended=True):
+        if len(cfg.pairs) == 1:
+            oracle_solve(full_grid(), cfg, contract)
+    for g in (full_grid(), grid_without_corner()):
+        desc = kernel.desc_for(g)
+        for key, mask in desc.masks.items():
+            assert type(key) is frozenset and key <= g.edges
+            assert mask == _folded(desc, key)
+    full = kernel.desc_for(full_grid()).masks
+    clips = {clip.edges for clip in toolkit.clip_catalog().values()}
+    assert full_grid().edges in full and clips & full.keys()
 
 
 def garbage_left(runs):

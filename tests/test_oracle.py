@@ -110,6 +110,38 @@ def test_oracle_prefers_more_linked_pairs(grid):
     assert len(plan.linkages) == 2
 
 
+def _sum_filtered_assignments(unlinked, exits, contract):
+    """The exit assignments as the oracle first made them: every injective
+    assignment in ``permutations`` order, those with more restricted exits
+    than the bound counted out one exit at a time."""
+    limit = contract.max_exits_in_restricted
+    for combo in itertools.permutations(exits, len(unlinked)):
+        if limit is not None:
+            if sum(1 for x in combo if x in contract.restricted_zone) > limit:
+                continue
+        yield combo
+
+
+_ASSIGNMENT_CONTRACTS = {
+    **{lemma.name: contract_for(lemma) for lemma in (LemmaId.HEAVY78, LemmaId.HEAVY6, LemmaId.HEAVY5)},
+    "bound-0": EscapeContract(1, BOUNDARY, 0),
+    "bound-2": EscapeContract(1, BOUNDARY, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_ASSIGNMENT_CONTRACTS))
+def test_exit_assignments_keep_the_sum_filter_order(grid, name):
+    """The zone-intersection bound yields exactly the assignments, in
+    exactly the order, of the per-exit count it replaced, for 0-5 terminals
+    to escape under each family's contract and two other bounds."""
+    contract = _ASSIGNMENT_CONTRACTS[name]
+    exits = sorted(contract.exit_target & grid.vertices)
+    for n in range(6):
+        unlinked = grid.sorted_vertices()[:n]
+        expected = list(_sum_filtered_assignments(unlinked, exits, contract))
+        assert list(oracle._exit_assignments(unlinked, exits, contract)) == expected, n
+
+
 def _recording_search(calls):
     """A stand-in for ``kernel._impl.find_trail_system`` that appends each
     call to ``calls`` as (always-free mask, status, nodes): the mask is 0

@@ -162,6 +162,27 @@ def test_package_does_not_import_gc():
     assert not found, f"gc imports in the package: {found}"
 
 
+def test_package_reads_no_environment():
+    """A run computes from its arguments alone: no package module reads the
+    process environment, through ``os.environ`` or ``os.getenv`` (or their
+    bytes forms), as an attribute or an import, anywhere in its source.
+    Nothing the package does can then be tuned, or broken, by a variable
+    set outside it."""
+    knobs = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in knobs:
+                found.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module in ("os", "posix"):
+                found += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name in knobs
+                ]
+    assert not found, f"environment reads in the package: {found}"
+
+
 def test_every_module_level_definition_is_named_elsewhere():
     """Each module-level function and class in the package is on a campaign
     path or a CLI path, or it goes: some other statement of the package
