@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import pathlib
 from collections import Counter
 
 import pytest
@@ -20,6 +22,7 @@ from escape3x3.model import (
     Path,
     Verdict,
     contract_for,
+    plan_to_json,
     validate_plan,
     validate_plan_recheck,
 )
@@ -428,6 +431,36 @@ def test_any_plan_refutes_exactly_the_reference_infeasible(grid, refute_sweep):
     for cfg, plan in zip(cfgs, plans):
         if plan is not None:
             assert validate_plan_recheck(grid, cfg, plan, contract).ok, encode_config(cfg)
+
+
+ANY_PLAN_DIGESTS = pathlib.Path(__file__).parent / "fixtures" / "any-plan-digests.json"
+
+
+@pytest.mark.parametrize(
+    "lemma, calls, nodes",
+    [
+        (LemmaId.HEAVY78, 5936, 270780),
+        (LemmaId.HEAVY6, 3837, 137405),
+        (LemmaId.HEAVY5, 1260, 53116),
+    ],
+    ids=["heavy78", "heavy6", "heavy5"],
+)
+def test_existence_search_is_pinned(grid, search_calls, lemma, calls, nodes):
+    """The campaigns' existence search (``any_plan``) on every strict
+    configuration of a family, as the gate runs it: a plan for each, whose
+    ``plan_to_json`` texts, in enumeration order, hash to the family's
+    sha256 in ``fixtures/any-plan-digests.json``, and exactly these kernel
+    searches and nodes, counted at the kernel search itself."""
+    contract = contract_for(lemma)
+    digest = hashlib.sha256()
+    for cfg in enumerate_configs(lemma):
+        plan = oracle.any_plan(grid, cfg, contract)
+        assert plan is not None, encode_config(cfg)
+        text = json.dumps(plan_to_json(plan), sort_keys=True, separators=(",", ":"))
+        digest.update(text.encode() + b"\n")
+    assert (len(search_calls), sum(nodes for _, _, nodes in search_calls)) == (calls, nodes)
+    expected = json.loads(ANY_PLAN_DIGESTS.read_text(encoding="utf-8"))
+    assert digest.hexdigest() == expected[lemma.value]
 
 
 def test_any_plan_raises_on_swapped_escape_exits(grid, monkeypatch):
