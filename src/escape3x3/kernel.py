@@ -1,10 +1,65 @@
-"""Trail-packing kernel: graph descriptors and the vertex-level wrappers.
+"""Trail-packing kernel: the search, the graph descriptors it runs on, and
+the vertex-level wrappers.
+
+Given a small graph (adjacency lists over vertex indices, each entry a
+neighbour and its edge's bit in the free-edge mask) and a sequence of
+(start, end) endpoint pairs, ``find_trail_system`` finds the
+lexicographically first system of pairwise edge-disjoint trails connecting
+every pair, by depth-first search.  Trails may revisit vertices but never
+reuse an edge; a zero-length trail is allowed when start == end.
+
+An edge may be directed: listed in the adjacency of one endpoint only, so a
+trail crosses it that way alone.  Grid edges are listed at both ends.  The
+sink graphs of ``sink_desc`` add directed virtual edges from exits into a
+sink; nothing leaves the sink, so it can only end a trail.
+
+The search prunes with reachability over the still-free edges: a node is
+cut if the current trail cannot reach its end, or the ends of a later pair
+are cut apart.  The free mask only shrinks below a node, so such a pair
+stays cut apart in the whole subtree: pruning drops only subtrees without a
+trail system and keeps the first one in depth-first order.  A node's cuts
+are checked in its parent's loop, before any call is made for it, but a
+child cut there is still one node: it is counted as if it had been entered
+and had returned at once.  The first node of the next trail has its
+parent's free mask, so it reuses its parent's row, and its parent's check
+of the later pairs has already covered its cuts.
+
+Instead of a graph search per query, reachability is read from the table
+the caller hands in, which is the descriptor's own (``GraphDesc.reach``,
+``SinkDesc.reach``): for each free-edge mask it holds one row giving, per
+vertex, a bitmask holding every vertex it reaches (with directed edges,
+possibly more).  A row is filled lazily, all vertices in one pass, the
+first time its mask is seen; nothing is built at import.  A call may name
+edges the table treats as always free: rows are looked up under the free
+mask with those edges added, and such rows can only over-estimate
+reachability, so pruning stays sound.  The tables are bounded: every grid
+graph is a subgraph of the 3x3 grid, with at most 12 edges, and a sink
+graph's rows are keyed with its exit edges always free, so its table has at
+most 2^(12 + number of R->S edges) rows.  A table lives as long as its
+cached descriptor.
+
+Rows are interned: ``fill_row`` stores a row equal to one it has made
+before as that same object (``_ROWS``), so masks whose rows agree share
+one row.  A step whose edge changes no reachability (an edge on a cycle of
+free edges, or one the table treats as always free) leaves its child with
+its parent's row object, and the child then skips the later-pair cut.
+That is exact: the later pairs are the parent's, and the parent's row
+passed them, in its own parent's loop, at the root, or in the check of
+the previous trail's last node, whose later pairs include these.  The
+child's own end test still runs: its vertex is not its parent's, and over
+a directed edge it need not reach what its parent reaches.  ``_ROWS``
+holds one object per distinct row, so it never outgrows the tables.
+
+The search is a nested function that calls itself through its closure
+cell, a reference cycle; the closure is cleared on every way out, so each
+search's state is freed by reference counting, not left to the cyclic
+garbage collector.
 
 ``solve_trails`` translates vertices and edges to the indices and bitmasks
-of ``desc_for`` and runs the search in ``_kernel_py``.  ``escape_trails``
-runs the same search on the sink graph of ``sink_desc``, where "escape to
-any free exit" is one trail into a sink vertex, and returns its trails
-without the virtual vertices.
+of ``desc_for`` and runs the search.  ``escape_trails`` runs the same
+search on the sink graph of ``sink_desc``, where "escape to any free exit"
+is one trail into a sink vertex, and returns its trails without the
+virtual vertices.
 
 Both wrappers take their ``Path``s from the grid descriptor's memo
 (``GraphDesc.path``), keyed by the index trail the search returns: the
@@ -15,14 +70,10 @@ of the descriptor's graph, so the memo holds at most that many entries
 long as the cached descriptor.  A ``Path`` is frozen, so plans and callers
 can share one.
 
-Each descriptor also holds its graph's reachability table
-(``_kernel_py.reach_table`` of its adjacency), and both wrappers hand it
-to the search, so no call looks the table up by hashing the nested
-adjacency tuple.  It is the module memo's own table, bounded as that memo
-is.  ``GraphDesc.edge_mask`` keeps the mask of each frozenset of edges it
-is given (``GraphDesc.masks``): the oracle passes the graph's own edge set
-on every call, and the router's clip catalog a fixed few.  Its keys are
-sets of the graph's edges, at most 2^12 on the 3x3 grid, in practice the
+``GraphDesc.edge_mask`` keeps the mask of each frozenset of edges it is
+given (``GraphDesc.masks``): the oracle passes the graph's own edge set on
+every call, and the router's clip catalog a fixed few.  Its keys are sets
+of the graph's edges, at most 2^12 on the 3x3 grid, in practice the
 graph's edge set and the clips that fit it.  A mutable set, such as the
 router's free edges, is never kept: it is folded edge by edge on every
 call.
@@ -30,19 +81,147 @@ call.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from . import _kernel_py
 from .grid import Edge, GridGraph, Vertex
 from .model import Path
 
-# solve_trails reads _impl.find_trail_system at each call, so a wrapper set
-# on the module attribute (as a tracer does) takes effect
-_impl = _kernel_py
-BACKEND = "python"
+# perfbench's tracer wraps _impl.find_trail_system, and the wrappers look
+# find_trail_system up in the module at each call, so the wrap takes effect
+# there; kept until the benchmark reads its counts from the package
+_impl = sys.modules[__name__]
+BACKEND = "python"  # stamped in every benchmark record
 
-FOUND = _kernel_py.FOUND
+FOUND = 1
+NONE = 0
+
+# each distinct row of every table, keyed by itself
+_ROWS: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
+def fill_row(adj, table: dict, m: int) -> tuple[int, ...]:
+    """Compute, store and return the row of ``table`` for free-edge mask
+    ``m``: for each vertex, a bitmask holding every vertex it reaches.
+
+    Each search's reached set is stored for all the vertices in it: exact
+    where every edge is undirected, and possibly more than a vertex reaches
+    when it is entered by a directed edge.  A row equal to one made before
+    is stored as that same object (``_ROWS``)."""
+    n = len(adj)
+    row = [0] * n
+    for src in range(n):
+        if row[src]:
+            continue
+        seen = 1 << src
+        stack = [src]
+        while stack:
+            u = stack.pop()
+            for w, bit in adj[u]:
+                if m & bit and not (seen >> w) & 1:
+                    seen |= 1 << w
+                    stack.append(w)
+        for v in range(src, n):
+            if (seen >> v) & 1:
+                row[v] = seen
+    out = tuple(row)
+    out = table[m] = _ROWS.setdefault(out, out)
+    return out
+
+
+def find_trail_system(adj, pairs, mask, always_free, table):
+    """Search for edge-disjoint trails joining every endpoint pair.
+
+    adj: tuple of per-vertex tuples ((neighbor, edge bit), ...) in the order
+         the search tries them (by neighbor index for a grid), where an edge
+         bit is ``1 << edge_id``; pairs: tuple of (a, b) vertex indices;
+         mask: bitmask of free edges; always_free: bitmask of edges the
+         reachability table treats as free (0 for grid calls); table: the
+         reach table of ``adj`` (a descriptor's ``reach``), filled here as
+         the search reads it.
+
+    Returns (status, trails, nodes): status FOUND or NONE, trails a tuple of
+    vertex-index tuples when status == FOUND, and nodes the search nodes
+    visited.
+    """
+    k = len(pairs)
+    if k == 0:
+        return FOUND, (), 0
+    # per pair, its end's bit, and the pairs from it on that still have to
+    # be joined, as (start, end bit): zero-length ones are left out
+    ends = [0] * k
+    pending = [()] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        a, b = pairs[i]
+        ends[i] = bit = 1 << b
+        pending[i] = ((a, bit),) + pending[i + 1] if a != b else pending[i + 1]
+    later = pending[1:]
+    trails: list = [None] * k
+    nodes = 1  # the root
+
+    def visit(i: int, m: int, row: tuple, path: list, cur: int) -> bool:
+        # A node already counted that passed every cut: trail i is at cur,
+        # m is the free mask and row its reachability row.
+        nonlocal nodes
+        if cur == pairs[i][1]:
+            trails[i] = tuple(path)
+            if i + 1 == k:
+                return True
+            # the next trail's first node has this node's mask, so this
+            # node's row, and this node's later-pair check covered its cuts
+            nodes += 1
+            a = pairs[i + 1][0]
+            if visit(i + 1, m, row, [a], a):
+                return True
+            trails[i] = None
+        end = ends[i]
+        rest = later[i]
+        for w, bit in adj[cur]:
+            if m & bit:
+                nodes += 1  # the child, counted even if cut here
+                child = m ^ bit
+                try:
+                    crow = table[child | always_free]
+                except KeyError:
+                    crow = fill_row(adj, table, child | always_free)
+                # the child's cuts: it cannot reach its end (a child at its
+                # end passes, as a vertex reaches itself), or a later pair
+                # is cut apart; its parent's row, if it is the same object,
+                # has passed the later pairs already
+                if not crow[w] & end:
+                    continue
+                if crow is row:
+                    path.append(w)
+                    if visit(i, child, crow, path, w):
+                        return True
+                    path.pop()
+                    continue
+                for a, c in rest:
+                    if not crow[a] & c:
+                        break
+                else:
+                    path.append(w)
+                    if visit(i, child, crow, path, w):
+                        return True
+                    path.pop()
+        return False
+
+    try:
+        a = pairs[0][0]
+        row = table.get(mask | always_free)
+        if row is None:
+            row = fill_row(adj, table, mask | always_free)
+        # the root's cuts: the first pair and every later one
+        for s, c in pending[0]:
+            if not row[s] & c:
+                break
+        else:
+            if visit(0, mask, row, [a], a):
+                return FOUND, tuple(trails), nodes
+        return NONE, None, nodes
+    finally:
+        del visit  # see the module docstring
 
 
 @dataclass(frozen=True)
@@ -51,7 +230,9 @@ class GraphDesc:
     vertex -> index, edge -> bit and step -> edge tables the wrapper looks
     up.  ``adj`` lists each vertex's (neighbour index, edge bit) entries,
     where an edge's bit is ``1 << `` its index in ``edges``; ``step`` maps
-    each (index, neighbour index) step, either way, to its edge."""
+    each (index, neighbour index) step, either way, to its edge.  It owns
+    three memos, each filled on first use: ``reach``, the search's
+    reachability table for ``adj``; ``paths``; and ``masks``."""
 
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
@@ -59,7 +240,7 @@ class GraphDesc:
     vindex: dict[Vertex, int] = field(compare=False, repr=False)
     ebit: dict[Edge, int] = field(compare=False, repr=False)
     step: dict[tuple[int, int], Edge] = field(compare=False, repr=False)
-    reach: dict[int, tuple[int, ...]] = field(compare=False, repr=False)
+    reach: dict[int, tuple[int, ...]] = field(default_factory=dict, compare=False, repr=False)
     paths: dict[tuple[int, ...], Path] = field(default_factory=dict, compare=False, repr=False)
     masks: dict[frozenset[Edge], int] = field(default_factory=dict, compare=False, repr=False)
 
@@ -110,7 +291,6 @@ def desc_for(g: GridGraph) -> GraphDesc:
         vertices=vertices,
         edges=edges,
         adj=adj_t,
-        reach=_kernel_py.reach_table(adj_t),
         vindex=vindex,
         ebit={e: 1 << i for i, e in enumerate(edges)},
         step=step,
@@ -126,7 +306,7 @@ def solve_trails(g: GridGraph, free_edges, endpoint_pairs) -> list[Path] | None:
     desc = desc_for(g)
     vindex = desc.vindex
     pairs_idx = tuple((vindex[a], vindex[b]) for a, b in endpoint_pairs)
-    status, trails, _ = _impl.find_trail_system(
+    status, trails, _ = find_trail_system(
         desc.adj, pairs_idx, desc.edge_mask(free_edges), 0, desc.reach
     )
     if status != FOUND:
@@ -152,7 +332,7 @@ class SinkDesc:
     sink: int
     virtual: int  # mask of every virtual edge
     exit_edges: int  # mask of the exit->S and exit->R edges
-    reach: dict[int, tuple[int, ...]] = field(compare=False, repr=False)
+    reach: dict[int, tuple[int, ...]] = field(default_factory=dict, compare=False, repr=False)
 
 
 @lru_cache(maxsize=None)
@@ -180,7 +360,6 @@ def sink_desc(
         sink=sink,
         virtual=(1 << eid) - (1 << len(grid.edges)),
         exit_edges=exit_edges,
-        reach=_kernel_py.reach_table(adj_t),
     )
 
 
@@ -211,7 +390,7 @@ def escape_trails(
     pairs_idx = tuple((vindex[a], vindex[b]) for a, b in linked_pairs) + tuple(
         (vindex[t], sd.sink) for t in escaping
     )
-    status, trails, _ = _impl.find_trail_system(
+    status, trails, _ = find_trail_system(
         sd.adj,
         pairs_idx,
         grid.edge_mask(free_edges) | sd.virtual,

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import pathlib
@@ -29,12 +30,15 @@ def _strict_sweep_run():
     per session, and digest every routing kernel call as it is made: its
     free edges, endpoint pairs and returned trails.  Its node count is
     summed apart, at the kernel search itself.  Also count the routing
-    contexts the sweep builds."""
+    contexts the sweep builds.  The sweep runs on grid descriptors of its
+    own, cached apart from the session's, so their memos hold what the
+    sweep alone put there."""
     digest = hashlib.sha256()
     count = nodes = contexts = 0
     solve = kernel.solve_trails
-    find = kernel._impl.find_trail_system
+    find = kernel.find_trail_system
     fresh = RoutingContext.fresh
+    desc_for = functools.lru_cache(kernel.desc_for.__wrapped__)
 
     def recording(g, free_edges, endpoint_pairs):
         nonlocal count
@@ -57,14 +61,15 @@ def _strict_sweep_run():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "solve_trails", recording)
-        mp.setattr(kernel._impl, "find_trail_system", counting_nodes)
+        mp.setattr(kernel, "find_trail_system", counting_nodes)
+        mp.setattr(kernel, "desc_for", desc_for)
         mp.setattr(RoutingContext, "fresh", staticmethod(counting))
         sweep = [
             (lemma, cfg, *route(cfg, strict=True))
             for lemma in (LemmaId.HEAVY78, LemmaId.HEAVY6, LemmaId.HEAVY5)
             for cfg in enumerate_configs(lemma)
         ]
-    return sweep, count, nodes, digest.hexdigest(), contexts
+    return sweep, count, nodes, digest.hexdigest(), contexts, desc_for(full_grid())
 
 
 @pytest.fixture(scope="session")
@@ -86,6 +91,13 @@ def strict_sweep_kernel_calls(_strict_sweep_run):
 def strict_sweep_contexts(_strict_sweep_run):
     """How many times the strict sweep called ``RoutingContext.fresh``."""
     return _strict_sweep_run[4]
+
+
+@pytest.fixture(scope="session")
+def strict_sweep_desc(_strict_sweep_run):
+    """The full grid's descriptor as the strict sweep left it: built for
+    the sweep, so its memos hold the sweep's work and nothing else."""
+    return _strict_sweep_run[5]
 
 
 @pytest.fixture(scope="session")

@@ -67,7 +67,7 @@ def test_verify_one_depends_only_on_its_task(monkeypatch):
     ran before: routing and the oracle's existence search make 2 kernel
     searches in 56 nodes on each run."""
     calls = []
-    monkeypatch.setattr(kernel._impl, "find_trail_system", _recording_search(calls))
+    monkeypatch.setattr(kernel, "find_trail_system", _recording_search(calls))
     task = (LemmaId.HEAVY78.value, True, _THREE_CALL_CFG)
     first = campaign._verify_one(task)
     first_calls = calls[:]

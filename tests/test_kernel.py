@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escape3x3 import _kernel_py, kernel, toolkit
+from escape3x3 import kernel, toolkit
 from escape3x3.grid import (
     BOUNDARY,
     COL_ONLY,
@@ -113,20 +113,20 @@ def _edge_simple_trails(desc):
     return found
 
 
-def test_memo_entries_equal_checked_paths(strict_sweep):
+def test_memo_entries_equal_checked_paths(strict_sweep_desc):
     """After the strict sweep, each trail the full grid's memo holds is the
     checked path through that trail's vertices, edges included."""
-    desc = kernel.desc_for(full_grid())
+    desc = strict_sweep_desc
     assert desc.paths
     for t, path in desc.paths.items():
         assert path.vertices == tuple(desc.vertices[i] for i in t)
         assert_checked(path)
 
 
-def test_memo_is_bounded_by_the_trail_count(strict_sweep):
+def test_memo_is_bounded_by_the_trail_count(strict_sweep_desc):
     """The memo's keys are edge-simple trails of the graph, so it never
     holds more entries than the full grid has of those."""
-    desc = kernel.desc_for(full_grid())
+    desc = strict_sweep_desc
     trails = _edge_simple_trails(desc)
     assert len(trails) == 2069
     assert desc.paths.keys() <= trails
@@ -142,8 +142,8 @@ def test_zero_length_pair(grid):
 def test_no_pairs(grid):
     assert kernel.solve_trails(grid, grid.edges, []) == []
     desc = kernel.desc_for(grid)
-    found = _kernel_py.find_trail_system(desc.adj, (), desc.edge_mask(grid.edges))
-    assert found == (_kernel_py.FOUND, (), 0)
+    found = kernel.find_trail_system(desc.adj, (), desc.edge_mask(grid.edges), 0, desc.reach)
+    assert found == (kernel.FOUND, (), 0)
 
 
 def test_infeasible_returns_none():
@@ -190,25 +190,22 @@ def _bfs_reach(adj, m, src):
 @pytest.mark.parametrize("g", [full_grid(), grid_without_corner()], ids=["full", "no-corner"])
 def test_reach_table_matches_bfs(g):
     desc = kernel.desc_for(g)
-    table = _kernel_py.reach_table(desc.adj)
+    table = desc.reach
     for m in range(1 << len(desc.edges)):
         if m not in table:
-            _kernel_py.fill_row(desc.adj, table, m)
+            kernel.fill_row(desc.adj, table, m)
         assert table[m] == tuple(_bfs_reach(desc.adj, m, v) for v in range(len(desc.adj)))
 
 
 def test_reach_table_filled_lazily(monkeypatch):
-    """A descriptor's reach table is the module memo's table for its
-    adjacency, empty until a search reads it, and a search fills only the
-    rows it reads."""
-    # an empty memo and descriptor cache of their own: other tests fill the
-    # shared ones for this graph
-    monkeypatch.setattr(_kernel_py, "_REACH", {})
+    """A descriptor's own reach table is empty until a search reads it,
+    and a search fills only the rows it reads."""
+    # a descriptor cache of its own: other tests fill the shared
+    # descriptor's table for this graph
     monkeypatch.setattr(kernel, "desc_for", functools.lru_cache(kernel.desc_for.__wrapped__))
     g = build_corner_grid(frozenset({(1, 1), (3, 3)}))
     desc = kernel.desc_for(g)
     table = desc.reach
-    assert table is _kernel_py.reach_table(desc.adj)
     assert not table
     paths = kernel.solve_trails(g, g.edges, [((1, 2), (3, 2))])
     assert paths is not None
@@ -224,10 +221,10 @@ def test_equal_rows_are_one_object():
     cycle_edge = desc.ebit[edge((1, 1), (1, 2))]
     corner = cycle_edge | desc.ebit[edge((1, 1), (2, 1))]
     table, other = {}, {}
-    row = _kernel_py.fill_row(desc.adj, table, every)
-    assert _kernel_py.fill_row(desc.adj, table, every ^ cycle_edge) is row
-    assert _kernel_py.fill_row(desc.adj, other, every) is row
-    cut = _kernel_py.fill_row(desc.adj, table, every ^ corner)
+    row = kernel.fill_row(desc.adj, table, every)
+    assert kernel.fill_row(desc.adj, table, every ^ cycle_edge) is row
+    assert kernel.fill_row(desc.adj, other, every) is row
+    cut = kernel.fill_row(desc.adj, table, every ^ corner)
     assert cut != row and cut is not row
     assert table == {every: row, every ^ cycle_edge: row, every ^ corner: cut}
 
@@ -255,8 +252,8 @@ def _naive_trail_system(adj, pairs, mask):
         return False
 
     if extend(0, mask, [pairs[0][0]], pairs[0][0]):
-        return _kernel_py.FOUND, tuple(trails), nodes
-    return _kernel_py.NONE, None, nodes
+        return kernel.FOUND, tuple(trails), nodes
+    return kernel.NONE, None, nodes
 
 
 _FULL = kernel.desc_for(full_grid())
@@ -277,24 +274,24 @@ _LIMITS = st.sampled_from([None, 1])
 
 
 def _grid_call(free, pairs, desc=_FULL):
-    """(adj, pairs, mask, always_free) of a kernel call on the graph of
-    ``desc``, the full grid by default."""
+    """(adj, pairs, mask, always_free, table) of a kernel call on the graph
+    of ``desc``, the full grid by default."""
     vindex = desc.vindex
     pairs_idx = tuple((vindex[a], vindex[b]) for a, b in pairs)
-    return desc.adj, pairs_idx, desc.edge_mask(free), 0
+    return desc.adj, pairs_idx, desc.edge_mask(free), 0, desc.reach
 
 
 def _sink_call(free, pairs, exits, limit):
-    """(adj, pairs, mask, always_free) of a kernel call on the sink
+    """(adj, pairs, mask, always_free, table) of a kernel call on the sink
     descriptor of the full grid for those exits and that limit."""
     sd = kernel.sink_desc(full_grid(), tuple(sorted(exits)), COL_ONLY, limit)
     vindex = _FULL.vindex
     pairs_idx = tuple((vindex[a], sd.sink if b == _SINK else vindex[b]) for a, b in pairs)
-    return sd.adj, pairs_idx, _FULL.edge_mask(free) | sd.virtual, sd.exit_edges
+    return sd.adj, pairs_idx, _FULL.edge_mask(free) | sd.virtual, sd.exit_edges, sd.reach
 
 
-def _assert_pruned_matches_naive(adj, pairs_idx, mask, always_free):
-    status, trails, nodes = _kernel_py.find_trail_system(adj, pairs_idx, mask, always_free)
+def _assert_pruned_matches_naive(adj, pairs_idx, mask, always_free, table):
+    status, trails, nodes = kernel.find_trail_system(adj, pairs_idx, mask, always_free, table)
     naive_status, naive_trails, naive_nodes = _naive_trail_system(adj, pairs_idx, mask)
     assert (status, trails) == (naive_status, naive_trails)
     assert nodes <= naive_nodes
@@ -319,7 +316,7 @@ def test_pruned_sink_search_finds_the_first_trail_system(free, pairs, exits, lim
 
 
 class _Unshared(dict):
-    """A stand-in for ``_kernel_py._ROWS`` that interns nothing: each row
+    """A stand-in for ``kernel._ROWS`` that interns nothing: each row
     ``fill_row`` makes stays an object of its own."""
 
     def setdefault(self, row, default=None):
@@ -336,12 +333,12 @@ class _CopyingTable(dict):
         return tuple(list(dict.__getitem__(self, m)))
 
 
-def _unskipped(adj, pairs_idx, mask, always_free):
-    """The search's result when no child shares its parent's row."""
+def _unskipped(adj, pairs_idx, mask, always_free, table):
+    """The search's result when no child shares its parent's row: it runs
+    on a ``_CopyingTable`` of its own in place of ``table``."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernel_py, "_ROWS", _Unshared())
-        mp.setattr(_kernel_py, "_REACH", {adj: _CopyingTable()})
-        return _kernel_py.find_trail_system(adj, pairs_idx, mask, always_free)
+        mp.setattr(kernel, "_ROWS", _Unshared())
+        return kernel.find_trail_system(adj, pairs_idx, mask, always_free, _CopyingTable())
 
 
 _NO_CORNER = kernel.desc_for(grid_without_corner())
@@ -369,7 +366,7 @@ def test_shared_row_skip_is_exact(name, data):
     else:
         pairs = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=5))
         call = _grid_call(free, pairs, desc)
-    assert _kernel_py.find_trail_system(*call) == _unskipped(*call)
+    assert kernel.find_trail_system(*call) == _unskipped(*call)
 
 
 def _folded(desc, edges):
@@ -401,22 +398,26 @@ def test_mutable_set_mask_is_not_kept():
     assert _FULL.masks == before
 
 
-def test_mask_memo_holds_only_the_graphs_edge_sets(strict_sweep):
-    """After the strict sweep and the refute sweep, each grid descriptor's
-    mask memo holds only frozensets of its graph's edges, each under its
-    edge-by-edge mask; the router's clips are among them."""
+def test_mask_memo_holds_only_the_graphs_edge_sets(strict_sweep_desc, monkeypatch):
+    """The strict sweep, on a descriptor of its own, leaves in the full
+    grid's mask memo exactly the edge sets of the router's 19 clips, each
+    under its edge-by-edge mask: the router's free edges are a mutable set,
+    never kept.  The refute sweep, on descriptors of its own, keeps one key,
+    the graph's own edge set; so a gate pass keeps 20."""
+    clips = {clip.edges for clip in toolkit.clip_catalog().values()}
+    assert len(clips) == 19
+    masks = strict_sweep_desc.masks
+    assert masks.keys() == clips
+    for key, mask in masks.items():
+        assert mask == _folded(strict_sweep_desc, key)
+    monkeypatch.setattr(kernel, "desc_for", functools.lru_cache(kernel.desc_for.__wrapped__))
+    monkeypatch.setattr(kernel, "sink_desc", functools.lru_cache(kernel.sink_desc.__wrapped__))
+    g = full_grid()
     contract = contract_for(LemmaId.HEAVY6)
     for cfg in enumerate_configs(LemmaId.HEAVY6, extended=True):
         if len(cfg.pairs) == 1:
-            oracle_solve(full_grid(), cfg, contract)
-    for g in (full_grid(), grid_without_corner()):
-        desc = kernel.desc_for(g)
-        for key, mask in desc.masks.items():
-            assert type(key) is frozenset and key <= g.edges
-            assert mask == _folded(desc, key)
-    full = kernel.desc_for(full_grid()).masks
-    clips = {clip.edges for clip in toolkit.clip_catalog().values()}
-    assert full_grid().edges in full and clips & full.keys()
+            oracle_solve(g, cfg, contract)
+    assert kernel.desc_for(g).masks == {g.edges: _folded(kernel.desc_for(g), g.edges)}
 
 
 def garbage_left(runs):
@@ -450,20 +451,22 @@ def test_search_leaves_no_reference_cycle():
 
     def feasible():
         pairs = ((vindex[(1, 1)], vindex[(3, 3)]), (vindex[(1, 3)], vindex[(3, 1)]))
-        status, _, nodes = _kernel_py.find_trail_system(desc.adj, pairs, desc.edge_mask(desc.edges))
-        assert status == _kernel_py.FOUND and nodes > 1
+        mask = desc.edge_mask(desc.edges)
+        status, _, nodes = kernel.find_trail_system(desc.adj, pairs, mask, 0, desc.reach)
+        assert status == kernel.FOUND and nodes > 1
 
     def infeasible():
         # the surviving graph is a path: the search runs and finds nothing
         pairs = ((pvindex[(1, 3)], pvindex[(3, 1)]), (pvindex[(3, 1)], pvindex[(1, 3)]))
         mask = path_desc.edge_mask(path_desc.edges)
-        status, _, nodes = _kernel_py.find_trail_system(path_desc.adj, pairs, mask)
-        assert status == _kernel_py.NONE and nodes > 1
+        status, _, nodes = kernel.find_trail_system(path_desc.adj, pairs, mask, 0, path_desc.reach)
+        assert status == kernel.NONE and nodes > 1
 
     def root_cut():
         # no edge is free, so the root's check cuts the only pair
         pairs = ((vindex[(1, 1)], vindex[(3, 3)]),)
-        assert _kernel_py.find_trail_system(desc.adj, pairs, 0) == (_kernel_py.NONE, None, 1)
+        found = kernel.find_trail_system(desc.adj, pairs, 0, 0, desc.reach)
+        assert found == (kernel.NONE, None, 1)
 
     def sink():
         g = full_grid()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escape3x3 import _kernel_py, campaign, kernel, oracle
+from escape3x3 import campaign, kernel, oracle
 from escape3x3.grid import (
     BOUNDARY,
     COL_ONLY,
@@ -146,10 +146,10 @@ def test_exit_assignments_keep_the_sum_filter_order(grid, name):
 
 
 def _recording_search(calls):
-    """A stand-in for ``kernel._impl.find_trail_system`` that appends each
+    """A stand-in for ``kernel.find_trail_system`` that appends each
     call to ``calls`` as (always-free mask, status, nodes): the mask is 0
     for a grid call and nonzero for a sink search."""
-    find = kernel._impl.find_trail_system
+    find = kernel.find_trail_system
 
     def recording(*args):
         out = find(*args)
@@ -163,7 +163,7 @@ def _recording_search(calls):
 def search_calls(monkeypatch):
     """Every kernel search the test makes, as recorded by ``_recording_search``."""
     calls = []
-    monkeypatch.setattr(kernel._impl, "find_trail_system", _recording_search(calls))
+    monkeypatch.setattr(kernel, "find_trail_system", _recording_search(calls))
     return calls
 
 
@@ -179,9 +179,9 @@ def test_oracle_budget_spent_exactly_stops_search(grid, search_calls):
     plan in 34."""
     assert oracle_solve(grid, _THREE_CALL_CFG, contract_for(LemmaId.HEAVY78)) is not None
     assert [(bool(free), status, nodes) for free, status, nodes in search_calls] == [
-        (False, _kernel_py.NONE, 59),
-        (True, _kernel_py.FOUND, 47),
-        (False, _kernel_py.FOUND, 34),
+        (False, kernel.NONE, 59),
+        (True, kernel.FOUND, 47),
+        (False, kernel.FOUND, 34),
     ]
 
 
@@ -192,8 +192,8 @@ def test_sink_refutation_adds_nothing_to_the_memo(grid, search_calls):
     cfg = make_config([((1, 1), (3, 1))], [(1, 2), (1, 3), (2, 1), (2, 2)])
     assert oracle_solve(grid, cfg, contract_for(LemmaId.HEAVY6)) is None
     assert [(bool(free), status, nodes) for free, status, nodes in search_calls] == [
-        (False, _kernel_py.NONE, 58),
-        (True, _kernel_py.NONE, 427),
+        (False, kernel.NONE, 58),
+        (True, kernel.NONE, 427),
     ]
 
 
@@ -202,13 +202,13 @@ def refute_sweep(grid):
     """The oracle on every one-pair heavy6 configuration of the extended
     enumeration, in enumeration order, run once per module:
     (configurations, plans, kernel calls).  Each kernel call is recorded as
-    (always-free mask, status, nodes) at ``kernel._impl.find_trail_system``;
+    (always-free mask, status, nodes) at ``kernel.find_trail_system``;
     the mask is 0 for an assignment call and nonzero for a sink search."""
     contract = contract_for(LemmaId.HEAVY6)
     cfgs = [c for c in enumerate_configs(LemmaId.HEAVY6, extended=True) if len(c.pairs) == 1]
     calls = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel._impl, "find_trail_system", _recording_search(calls))
+        mp.setattr(kernel, "find_trail_system", _recording_search(calls))
         plans = [oracle_solve(grid, cfg, contract) for cfg in cfgs]
     return cfgs, plans, calls
 
@@ -238,7 +238,7 @@ def test_refute_witnesses_match_reference_digests(grid, refute_sweep):
     sink = [(status, nodes) for always_free, status, nodes in calls if always_free]
     assert (len(plain), sum(plain)) == (2468, 115726)
     assert (len(sink), sum(nodes for _, nodes in sink)) == (540, 94041)
-    assert [status for status, _ in sink].count(_kernel_py.NONE) == 106
+    assert [status for status, _ in sink].count(kernel.NONE) == 106
 
 
 def test_every_witness_path_equals_its_checked_path(refute_sweep):
@@ -252,14 +252,14 @@ def test_every_witness_path_equals_its_checked_path(refute_sweep):
 
 
 def test_sink_reach_rows_hold_every_exit_edge(grid, refute_sweep):
-    """Every row of the sink graph's reachability memo is keyed with all its
-    exit edges free, so the memo has at most one row per state of the grid
+    """Every row of the sink descriptor's reach table is keyed with all its
+    exit edges free, so the table has at most one row per state of the grid
     edges and the R->S edge."""
     contract = contract_for(LemmaId.HEAVY6)
     sd = kernel.sink_desc(
         grid, tuple(sorted(contract.exit_target)), contract.restricted_zone, 1
     )
-    table = _kernel_py.reach_table(sd.adj)
+    table = sd.reach
     assert table
     assert all(m & sd.exit_edges == sd.exit_edges for m in table)
     assert len(table) <= 1 << (len(sd.grid.edges) + 1)
@@ -299,7 +299,7 @@ def test_euler_cross_check_agrees_with_kernel_on_free_edge_subsets(free, ends):
     g = GridGraph(vertices=_FULL.vertices, edges=frozenset(free))
     calls = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel._impl, "find_trail_system", _recording_search(calls))
+        mp.setattr(kernel, "find_trail_system", _recording_search(calls))
         fast = kernel.solve_trails(g, g.edges, pairs)
         assert (fast is not None) == exists_trail_system_euler(g, pairs)
         assert kernel.solve_trails(_FULL, free, pairs) == fast

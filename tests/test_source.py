@@ -253,3 +253,24 @@ def test_oracle_shares_no_routing_logic():
                     reached.add(name)
                     todo.append(name)
         assert not reached & {"router", "toolkit"}, (root, sorted(reached))
+
+
+def _layout_modules(readme: str) -> list[str]:
+    """The ``*.py`` files the README's ``## Layout`` block lists under
+    ``src/escape3x3/``, in order."""
+    block = readme.split("\n## Layout\n", 1)[1].split("```", 2)[1]
+    names, inside = [], False
+    for line in block.splitlines():
+        if not line.startswith(" "):
+            inside = line.strip() == "src/escape3x3/"
+        elif inside and line.split()[0].endswith(".py"):
+            names.append(line.split()[0])
+    return names
+
+
+def test_readme_layout_lists_every_module():
+    """The README's layout names each module of the package once, and no
+    module the package does not have."""
+    listed = _layout_modules((SRC.parents[1] / "README.md").read_text(encoding="utf-8"))
+    assert len(listed) == len(set(listed)), listed
+    assert set(listed) == {path.name for path in SRC.glob("*.py")}
