@@ -88,9 +88,10 @@ from functools import lru_cache
 from .grid import Edge, GridGraph, Vertex
 from .model import Path
 
-# perfbench's tracer wraps _impl.find_trail_system, and the wrappers look
-# find_trail_system up in the module at each call, so the wrap takes effect
-# there; kept until the benchmark reads its counts from the package
+# The benchmark's tracer wraps _impl.find_trail_system, that is, this
+# module's own: both wrappers look find_trail_system up here at every call
+# (never bind it to a local or a default), so they call the wrap.  Kept
+# until the benchmark reads its counts from the package.
 _impl = sys.modules[__name__]
 BACKEND = "python"  # stamped in every benchmark record
 
