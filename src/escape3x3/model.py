@@ -60,10 +60,11 @@ class Path:
 
     * ``kernel.GraphDesc.path``: the search stepped along graph edges, each
       once, and the descriptor maps each step to its canonical edge; both
-      kernel wrappers take their trails from it;
+      kernel wrappers take their trails from it, and
+      ``RoutingContext.fresh`` takes each terminal's zero-length start
+      trail from it;
     * ``reversed`` and ``reflected``: the mirror of a checked trail's edges;
-    * ``__add__``: two trails that meet at the seam and share no edge;
-    * ``RoutingContext.fresh``: a terminal's zero-length start trail.
+    * ``__add__``: two trails that meet at the seam and share no edge.
 
     Every other caller, the router's fixed walks included, goes through the
     checked constructor.

@@ -71,8 +71,7 @@ def make_config(pairs, singletons) -> TerminalConfig:
     cpairs = tuple(sorted(_canonical_pair(p) for p in pairs))
     csingles = tuple(sorted(tuple(s) for s in singletons))
     cfg = TerminalConfig(pairs=cpairs, singletons=csingles)
-    # checked from the fields, so a configuration nobody routes (a pool
-    # task the parent only sends) carries no cached ``terminals``
+    # checked from the fields, so checking fills no cached ``terminals``
     terms = [v for p in cpairs for v in p] + list(csingles)
     for v in terms:
         if not is_vertex(v):
@@ -98,10 +97,14 @@ def family_of(cfg: TerminalConfig) -> LemmaId | None:
 
 
 def _configs_with(n_pairs: int, n_singles: int) -> Iterator[TerminalConfig]:
+    # _split_support's output is already canonical and on distinct grid
+    # vertices, so it skips make_config's sorting and checks; nothing
+    # reads ``terminals`` here, so a configuration nobody routes (a pool
+    # task the parent only sends) carries no cached ``terminals``
     n = 2 * n_pairs + n_singles
     for support in itertools.combinations(ALL_VERTICES, n):
         for pairs, singles in _split_support(support, n_pairs):
-            yield make_config(pairs, singles)
+            yield TerminalConfig(pairs, singles)
 
 
 def _split_support(support, n_pairs):
@@ -109,16 +112,18 @@ def _split_support(support, n_pairs):
 
     Each partition is produced exactly once: the pair containing the smallest
     unplaced vertex is chosen first, or that vertex is committed as a
-    singleton.
+    singleton.  The split comes out canonical, as tuples: each pair is
+    ``(first, mate)`` with ``first < mate``, the pairs in order of their
+    first vertex, and the singletons sorted.
     """
     if n_pairs == 0:
-        yield ([], tuple(support))
+        yield ((), tuple(support))
         return
     first, rest = support[0], support[1:]
     for mate in rest:
         remaining = tuple(v for v in rest if v != mate)
         for pairs, singles in _split_support(remaining, n_pairs - 1):
-            yield ([(first, mate)] + pairs, singles)
+            yield (((first, mate),) + pairs, singles)
     if len(rest) >= 2 * n_pairs:
         for pairs, singles in _split_support(rest, n_pairs):
             yield (pairs, (first,) + singles)

@@ -73,10 +73,11 @@ class RoutingContext:
 
     Every terminal owns one trail, ``trails[tid]``, which starts at the
     terminal and grows with each move (shift, mating, escape).  ``fresh``
-    gives each terminal its zero-length start trail unchecked
-    (``Path._trusted``: one vertex, no edges), and a join with a trail that
-    has no edges returns the other trail, so a terminal that never moves
-    costs no further ``Path``.  An unresolved terminal sits in
+    gives each terminal the grid descriptor's zero-length trail at its
+    vertex (``kernel.GraphDesc.path``), one frozen ``Path`` per vertex that
+    every context shares, and a join with a trail that has no edges returns
+    the other trail, so a terminal that never moves costs no ``Path`` of
+    its own.  An unresolved terminal sits in
     ``positions`` at its trail's end; an escaped one exits at its trail's
     end; a linked pair's linkage is its two trails joined by a core.
     ``free`` holds the edges no trail or core has consumed.
@@ -101,13 +102,14 @@ class RoutingContext:
     def fresh(cfg: TerminalConfig) -> "RoutingContext":
         grid = full_grid()
         ids = term_ids(cfg)
+        desc = kernel.desc_for(grid)
+        path, vindex = desc.path, desc.vindex
         return RoutingContext(
             grid=grid,
             cfg=cfg,
             free=set(grid.edges),
             positions=dict(ids),
-            # one vertex and no edges: there is no walk to check
-            trails={tid: Path._trusted((v,), ()) for tid, v in ids.items()},
+            trails={tid: path((vindex[v],)) for tid, v in ids.items()},
         )
 
     # -- queries ----------------------------------------------------------

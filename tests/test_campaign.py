@@ -61,6 +61,36 @@ def test_pool_has_no_more_workers_than_chunks(monkeypatch):
     assert asked == [20, 2]
 
 
+def test_pool_gets_one_task_per_configuration(monkeypatch):
+    """At ``--jobs 2`` the pool's ``map`` gets one task per configuration,
+    heavy5's 1,260 in enumeration order, in chunks of ``_CHUNK``.  perfbench
+    times each task as one item, so its latency percentiles are per
+    configuration only while a task is one configuration."""
+    handed = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            tasks = list(tasks)
+            handed.append((tasks, chunksize))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(campaign, "ProcessPoolExecutor", RecordingPool)
+    verify_all(LemmaId.HEAVY5, strict=True, jobs=2)
+    [(tasks, chunksize)] = handed
+    assert chunksize == campaign._CHUNK
+    assert tasks == [("heavy5", True, cfg) for cfg in enumerate_configs(LemmaId.HEAVY5)]
+    assert len(tasks) == 1260
+
+
 def test_verify_one_depends_only_on_its_task(monkeypatch):
     """Running a task twice gives equal records and the same kernel
     searches, so a pool worker's record does not depend on what the worker

@@ -26,7 +26,8 @@ def test_trusted_path_constructor_has_only_its_named_callers():
     callers that already hold the path's edges may use it, and no other
     code sets a path's slots.  ``kernel.GraphDesc.path`` is the one place
     that builds a kernel trail: ``solve_trails`` and ``escape_trails``
-    (once the sink's virtual vertices are stripped) take theirs from it."""
+    (once the sink's virtual vertices are stripped) take theirs from it, and
+    so does ``RoutingContext.fresh`` for each terminal's start trail."""
     callers, setters = set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -45,7 +46,6 @@ def test_trusted_path_constructor_has_only_its_named_callers():
         "model.reversed",
         "model.reflected",
         "model.__add__",
-        "toolkit.fresh",
     }
     assert setters == {"model._trusted", "model.__post_init__"}
 

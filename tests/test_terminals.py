@@ -1,10 +1,13 @@
+import hashlib
 import json
+import pathlib
 import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from escape3x3 import terminals
 from escape3x3.terminals import (
     LemmaId,
     MalformedConfigError,
@@ -65,6 +68,37 @@ def test_extended_rejected_outside_heavy6(lemma):
     family by its value."""
     with pytest.raises(ValueError, match=f"heavy6 only, not {lemma.value}$"):
         enumerate_configs(lemma, extended=True)
+
+
+ENUMERATION_DIGESTS = pathlib.Path(__file__).parent / "fixtures" / "enumeration-digests.json"
+
+
+@pytest.mark.parametrize(
+    "n_pairs, n_singles, count",
+    [(4, 0, 945), (3, 1, 3780), (2, 2, 3780), (1, 3, 1260), (1, 4, 1260)],
+)
+def test_enumeration_is_pinned(n_pairs, n_singles, count):
+    """Each shape's direct enumeration is, config by config, what
+    ``make_config`` makes of it: all fields tuples, no cached ``terminals``
+    on any configuration, and the sha256 of its NDJSON lines joined by
+    newlines and the sha256 of its pickles, in order, as in
+    ``fixtures/enumeration-digests.json``."""
+    configs = list(terminals._configs_with(n_pairs, n_singles))
+    assert len(configs) == count
+    assert configs == [make_config(c.pairs, c.singletons) for c in configs]
+    for cfg in configs:
+        assert type(cfg.pairs) is tuple and type(cfg.singletons) is tuple
+        assert all(type(p) is tuple for p in cfg.pairs)
+        assert all(type(v) is tuple for p in cfg.pairs for v in p)
+        assert all(type(v) is tuple for v in cfg.singletons)
+        assert "terminals" not in cfg.__dict__
+    expected = json.loads(ENUMERATION_DIGESTS.read_text(encoding="utf-8"))
+    lines = "\n".join(config_to_ndjson_line(cfg) for cfg in configs)
+    pickles = b"".join(pickle.dumps(cfg) for cfg in configs)
+    assert {
+        "ndjson": hashlib.sha256(lines.encode()).hexdigest(),
+        "pickle": hashlib.sha256(pickles).hexdigest(),
+    } == expected[f"{n_pairs}+{n_singles}"]
 
 
 def test_round_trip_identity_over_heavy5():

@@ -194,3 +194,19 @@ def test_free_vertex_accounting():
     assert ctx.is_free_vertex((3, 1))  # freed by the linkage
     ctx.escape_via(("s", 0), path_of((2, 2), (2, 1), (3, 1)))
     assert not ctx.is_free_vertex((3, 1))  # taken by the escape's exit
+
+
+def test_start_trails_are_the_descriptors_shared_paths(grid):
+    """Each terminal starts on the full grid descriptor's zero-length
+    trail at its vertex, the same object for every context: two
+    configurations with a terminal on (2, 2) share its start trail."""
+    desc = kernel.desc_for(grid)
+    first = _ctx([((1, 1), (2, 2))], [(3, 1), (3, 2), (1, 3)])
+    second = _ctx([((1, 2), (2, 1))], [(2, 2), (3, 3), (1, 3)])
+    for ctx in (first, second):
+        for tid, v in ctx.positions.items():
+            trail = ctx.trails[tid]
+            assert trail is desc.path((desc.vindex[v],))
+            assert trail.vertices == (v,) and trail.edges() == []
+    assert first.trails[("p", 0, 1)] is second.trails[("s", 1)]  # (2, 2)
+    assert first.trails[("s", 0)] is second.trails[("s", 0)]  # (1, 3)
