@@ -97,10 +97,10 @@ def family_of(cfg: TerminalConfig) -> LemmaId | None:
 
 
 def _configs_with(n_pairs: int, n_singles: int) -> Iterator[TerminalConfig]:
-    # _split_support's output is already canonical and on distinct grid
-    # vertices, so it skips make_config's sorting and checks; nothing
-    # reads ``terminals`` here, so a configuration nobody routes (a pool
-    # task the parent only sends) carries no cached ``terminals``
+    # _split_support yields canonical splits of distinct grid vertices, so
+    # make_config's sorting and checks are skipped; nothing here reads
+    # ``terminals``, so a configuration nobody routes (a pool task the
+    # parent only sends) carries no cached ``terminals``
     n = 2 * n_pairs + n_singles
     for support in itertools.combinations(ALL_VERTICES, n):
         for pairs, singles in _split_support(support, n_pairs):

@@ -77,9 +77,9 @@ class RoutingContext:
     vertex (``kernel.GraphDesc.path``), one frozen ``Path`` per vertex that
     every context shares, and a join with a trail that has no edges returns
     the other trail, so a terminal that never moves costs no ``Path`` of
-    its own.  An unresolved terminal sits in
-    ``positions`` at its trail's end; an escaped one exits at its trail's
-    end; a linked pair's linkage is its two trails joined by a core.
+    its own.  An unresolved terminal sits in ``positions`` at its trail's
+    end; an escaped one exits at its trail's end; a linked pair's linkage
+    is its two trails joined by a core.
     ``free`` holds the edges no trail or core has consumed.
 
     Only the mutation methods write this state, and each keeps those
