@@ -80,7 +80,7 @@ class Path:
         seen: set[Edge] = set()
         for a, b in zip(self.vertices, self.vertices[1:]):
             e = _STEP_EDGE.get((a, b))
-            if e is None:  # a step off the corner grid (other kernel graphs)
+            if e is None:  # a step off the corner grid, in a path built beyond it
                 if not adjacent(a, b):
                     raise PathError(f"{a} -> {b} is not a grid step")
                 e = (a, b) if a < b else (b, a)
@@ -109,9 +109,6 @@ class Path:
 
     def edges(self) -> list[Edge]:
         return list(self._edges)
-
-    def is_zero_length(self) -> bool:
-        return len(self.vertices) == 1
 
     def reversed(self) -> "Path":
         if not self._edges:

@@ -6,14 +6,14 @@ toolkit primitives: boundary shifts, clip matings, frames, and linkages
 restricted to stated subregions.  Every step the cases repeat is written
 once, as one helper: a search that must succeed (``_must_trails``), a
 linkage along the boundary (``_link_on_l``), clearing the last-column stub
-(``_clear_col_stub``), a mating onto anchors, a diagonal split.  A case
-handler resolves the terminals its case names; the dispatcher then lets
-every other boundary terminal exit where it stands, and every exit
-assignment takes its budget of last-column exits from the family's
-contract.  Each plan is validated once, after it is carried back to the
-configuration asked for; in strict mode a case whose construction fails
-raises CaseGap, otherwise the exhaustive oracle is substituted and the
-fallback is recorded on the trace.
+(``_clear_col_stub``), a mating onto anchors, a frame linking two pairs
+(``_link_through_frame``), a diagonal split.  A case handler resolves the
+terminals its case names; the dispatcher then lets every other boundary
+terminal exit where it stands, and every exit assignment takes its budget
+of last-column exits from the family's contract.  Each plan is validated
+once, after it is carried back to the configuration asked for; in strict
+mode a case whose construction fails raises CaseGap, otherwise the
+exhaustive oracle is substituted and the fallback is recorded on the trace.
 
 Where a case leaves a choice open (which free vertex, which of several
 catalogued clips), ties are broken lexicographically so that routing is
@@ -194,6 +194,13 @@ def _pairs_within(cfg: TerminalConfig, region: frozenset[Vertex]) -> list[int]:
 def _pair_index(cfg: TerminalConfig, v: Vertex) -> int | None:
     """The index of the pair holding ``v``; None if no pair does."""
     return next((i for i, p in enumerate(cfg.pairs) if v in p), None)
+
+
+def _split_pair(cfg: TerminalConfig, pi: int) -> tuple[Vertex, Vertex]:
+    """The ends of pair ``pi``, which straddles the square's edge: (inner
+    member, boundary member)."""
+    a, b = cfg.pairs[pi]
+    return (a, b) if a in INNER_SQUARE else (b, a)
 
 
 def _row_walk(v: Vertex, col: int) -> tuple[Vertex, ...]:
@@ -427,22 +434,35 @@ _ONTO_CYCLE = {(1, 3): (2, 3), (3, 1): (3, 2)}
 
 
 def _link_through_frame(
-    ctx: RoutingContext, cfg: TerminalConfig, frame: FrameSpec, pis, label: str
-) -> None:
-    """Link two pairs through a frame: each pair's member outside the square
-    lands on the cycle where it sits, or one boundary step onto it."""
+    ctx: RoutingContext, cycle, anchor: Vertex, members, label: str, attach=None
+) -> list[int]:
+    """Link the pairs of two inner members through a frame on ``cycle``.
+
+    Each member attaches to ``anchor`` along its path in ``attach``, by
+    default its one step onto the anchor, or no step if it is the anchor;
+    each partner lands on the cycle where it sits, or one boundary step onto
+    it.  Returns the two pair indices in the members' order.  Members not of
+    two different pairs, or a partner off the cycle, are a case gap raised
+    before anything is consumed."""
+    tids = [_tid_at(ctx, v) for v in members]
+    if any(t[0] != "p" for t in tids) or tids[0][1] == tids[1][1]:
+        raise CaseGap(f"{label}: frame members {members} are not of two pairs")
     mates = []
-    for pi in pis:
-        t_v = [x for x in cfg.pairs[pi] if x not in INNER_SQUARE][0]
-        if t_v in frame.cycle:
+    for tid in tids:
+        t_v = ctx.positions[partner(tid)]
+        if t_v in cycle:
             mates.append(path_of(t_v))
-        elif _ONTO_CYCLE.get(t_v) in frame.cycle:
+        elif _ONTO_CYCLE.get(t_v) in cycle:
             mates.append(path_of(t_v, _ONTO_CYCLE[t_v]))
         else:
             raise CaseGap(f"{label}: mate {t_v} off the cycle")
-    trail1, trail2 = complete_frame(ctx, frame, mates[0], mates[1])
-    ctx.finish_link(pis[0], trail1)
-    ctx.finish_link(pis[1], trail2)
+    if attach is None:
+        attach = tuple(path_of(v) if v == anchor else path_of(v, anchor) for v in members)
+    frame = FrameSpec(cycle=cycle, anchor=anchor, attach=attach)
+    pis = [t[1] for t in tids]
+    for pi, trail in zip(pis, complete_frame(ctx, frame, *mates)):
+        ctx.finish_link(pi, trail)
+    return pis
 
 
 def _tid_at(ctx: RoutingContext, v: Vertex):
@@ -538,8 +558,7 @@ def _h5_case_b(cfg: TerminalConfig):
         candidates = [*cfg.pairs[0], *sorted(BOUNDARY)]
         _finish(ctx, _inner(ctx), candidates=candidates, label=label)
         return ctx, label
-    s1 = next(v for v in pair if v in INNER_SQUARE)
-    t1 = next(v for v in pair if v in BOUNDARY)
+    s1, t1 = _split_pair(cfg, 0)
     if t1 in COL_ONLY:
         label = "L4/b/t1-in-col"
         _link_prescribed(ctx, _tid_at(ctx, s1), False)
@@ -598,8 +617,7 @@ def _h5_case_e(cfg: TerminalConfig):
             label, anchors = "L4/e/S2-ab", (a_end, b_end)
         _mate_to_anchors(ctx, inner[0], inner[1], anchors, label)
         return ctx, label
-    s1 = next(v for v in pair if v in INNER_SQUARE)
-    t1 = next(v for v in pair if v in BOUNDARY)
+    s1, t1 = _split_pair(cfg, 0)
     if sc == 2:
         label = "L4/e/S2-member"
         s2 = _inner(ctx)[1]  # the inner singleton; the pair member comes first
@@ -757,8 +775,7 @@ def _h6_case_c(cfg: TerminalConfig, pi: int):
             label = "L3/c/S2-w-col"
             _mate_to_anchors(ctx, inner[0], inner[1], (a, b), label)
         return ctx, label
-    t2 = [v for v in cfg.pairs[other] if v in BOUNDARY][0]
-    s2 = [v for v in cfg.pairs[other] if v in INNER_SQUARE][0]
+    s2, t2 = _split_pair(cfg, other)
     singles = _singleton_tids(ctx)
     if t2 in LAST_COL:
         label = "L3/c/S3-t2-in-B"
@@ -806,8 +823,7 @@ def _h6_case_d(cfg: TerminalConfig, pi: int):
         _finish(ctx, inner, label=label)
         return ctx, label
     label = "L3/d/S3"
-    t2 = [v for v in cfg.pairs[other] if v in BOUNDARY][0]
-    s2 = [v for v in cfg.pairs[other] if v in INNER_SQUARE][0]
+    s2, t2 = _split_pair(cfg, other)
     singles = _singleton_tids(ctx)
     if t2 in ROW_ONLY:
         allowed = col_edges(s2[1]) | {edge((3, 1), (3, 2))}
@@ -829,14 +845,15 @@ def _h6_end_s2(cfg: TerminalConfig):
     members = [t for t in inner if t[0] == "p"]
     if len(singles) == 2:
         label = "L3/end/S2-two-singles"
-        t1 = _partner_of(cfg, (2, 3))
-        if t1 is None:
-            raise CaseGap(f"{label}: expected a pair holding (2,3)")
+        # each pair joins the last row to the stub, so (2,3) has a partner
+        # on the last row, which sorts after it
+        pi = _pair_index(cfg, (2, 3))
+        t1 = cfg.pairs[pi][1]
         if t1 == (3, 2):
             walk = ((2, 3), (2, 2), (3, 2))
         else:
             walk = ((2, 3), (2, 2), (3, 2), (3, 1))
-        ctx.finish_link(_pair_index(cfg, (2, 3)), Path(walk))
+        ctx.finish_link(pi, Path(walk))
         _mate_to_anchors(ctx, singles[0], singles[1], (t1, CORNER), label)
         return ctx, label
     if len(members) == 2:
@@ -920,7 +937,7 @@ def _diagonal_split(ctx, pi, hub, region, label, link_to=None, mate_to=None):
     as well, the two trails packed jointly in ``region``.  ``link_to`` or
     ``mate_to`` carries that trail one step on from the hub.  Returns the
     other diagonal, row 1 first."""
-    r, c = next(v for v in ctx.cfg.pairs[pi] if v in INNER_SQUARE)
+    r, c = _split_pair(ctx.cfg, pi)[0]
     mate = (3 - r, 3 - c)
     ends = [((r, c), hub), (mate, hub)]
     link, escape = _must_trails(ctx, ends, region, f"{label}: diagonal split failed")
@@ -940,7 +957,7 @@ def _h6_end_s4(cfg: TerminalConfig):
     if len(col_res) == 0 and CORNER not in l_res:
         label = "L3/end/S4-rows"
         pi = next(i for i, p in enumerate(cfg.pairs) if set(p) & set(l_res))
-        t1 = [v for v in cfg.pairs[pi] if v in BOUNDARY][0]
+        t1 = _split_pair(cfg, pi)[1]
         row1_v, row2_v = _diagonal_split(ctx, pi, t1, _COLS_AND_ROW, label)
         ctx.escape_via(_tid_at(ctx, row1_v), Path(_row_walk(row1_v, 3)))
         ctx.escape_via(_tid_at(ctx, row2_v), Path(_row_walk(row2_v, 3) + (CORNER,)))
@@ -1068,19 +1085,7 @@ def _h78_b3(cfg: TerminalConfig, escaping):
     else:
         attach_vs = sorted(v for v in inner if v != escaping)
         escaper_v = escaping
-    pis = []
-    attaches = []
-    for v in attach_vs:
-        tid = _tid_at(ctx, v)
-        if tid[0] != "p":
-            raise CaseGap(f"{label}: attach terminal {v} is not a pair member")
-        pis.append(tid[1])
-        if v == (2, 2):
-            attaches.append(Path(((2, 2),)))
-        else:
-            attaches.append(path_of(v, (2, 2)))
-    frame = FrameSpec(cycle=INNER_CYCLE_4, anchor=(2, 2), attach=tuple(attaches))
-    _link_through_frame(ctx, cfg, frame, pis, label)
+    _link_through_frame(ctx, INNER_CYCLE_4, (2, 2), attach_vs, label)
     esc_tid = _tid_at(ctx, escaper_v)
     _finish(
         ctx,
@@ -1124,14 +1129,7 @@ def _h78_b4_column(cfg: TerminalConfig):
     # attach paths run member -> anchor along the two halves of the connector
     attach_a = Path(tuple(p12.vertices[: i_y + 1]))
     attach_b = Path(tuple(reversed(p12.vertices[i_y:])))
-    pis = []
-    for v in members:
-        tid = _tid_at(ctx, v)
-        if tid[0] != "p":
-            raise CaseGap(f"{label}: inner terminal {v} is not a pair member")
-        pis.append(tid[1])
-    frame = FrameSpec(cycle=cyc, anchor=y, attach=(attach_a, attach_b))
-    _link_through_frame(ctx, cfg, frame, pis, label)
+    pis = _link_through_frame(ctx, cyc, y, members, label, attach=(attach_a, attach_b))
     # resolve the top-right stub for the singleton's escape
     z = (1, 3)
     s0_tid = _tid_at(ctx, s0)
@@ -1195,16 +1193,7 @@ def _h78_c3_member(cfg: TerminalConfig):
     label = "L2/c/no-pair-center-member"
     plan_cfg = cfg if _pair_index(cfg, (2, 1)) is not None else cfg.reflected()
     ctx = RoutingContext.fresh(plan_cfg)
-    p_center = _pair_index(plan_cfg, (2, 2))
-    p_left = _pair_index(plan_cfg, (2, 1))
-    if p_center == p_left:
-        raise CaseGap(f"{label}: center and left member share a pair")
-    frame = FrameSpec(
-        cycle=INNER_CYCLE_4,
-        anchor=(2, 2),
-        attach=(Path(((2, 2),)), path_of((2, 1), (2, 2))),
-    )
-    _link_through_frame(ctx, plan_cfg, frame, (p_center, p_left), label)
+    _link_through_frame(ctx, INNER_CYCLE_4, (2, 2), ((2, 2), (2, 1)), label)
     _h78_c3_outer_escapes(ctx, plan_cfg, label)
     return ctx, label
 
@@ -1247,35 +1236,20 @@ def _h78_c3_outer_escapes(ctx: RoutingContext, cfg: TerminalConfig, label: str) 
 
 
 def _h78_c3_singleton(cfg: TerminalConfig):
-    sub = cfg
-    if _partner_of(cfg, (2, 1)) == (2, 3) and (
-        _partner_of(cfg, (1, 2)) != (3, 2) or _partner_of(cfg, (1, 1)) == (1, 3)
+    # pairs are sorted tuples, so each pair tested here is written low end first
+    if ((2, 1), (2, 3)) in cfg.pairs and (
+        ((1, 2), (3, 2)) not in cfg.pairs or ((1, 1), (1, 3)) in cfg.pairs
     ):
-        sub = cfg.reflected()
-    if _partner_of(sub, (2, 1)) != (2, 3):
-        return _h78_c3_singleton_frame(sub)
-    return _h78_c3_singleton_direct(sub)
-
-
-def _partner_of(cfg: TerminalConfig, v: Vertex) -> Vertex | None:
-    for a, b in cfg.pairs:
-        if a == v:
-            return b
-        if b == v:
-            return a
-    return None
+        cfg = cfg.reflected()
+    if ((2, 1), (2, 3)) not in cfg.pairs:
+        return _h78_c3_singleton_frame(cfg)
+    return _h78_c3_singleton_direct(cfg)
 
 
 def _h78_c3_singleton_frame(cfg: TerminalConfig):
     label = "L2/c/no-pair-center-singleton"
     ctx = RoutingContext.fresh(cfg)
-    p_11 = _pair_index(cfg, (1, 1))
-    p_12 = _pair_index(cfg, (1, 2))
-    cyc = CYCLE_6_NO_COL1
-    frame = FrameSpec(
-        cycle=cyc, anchor=(1, 2), attach=(path_of((1, 1), (1, 2)), Path(((1, 2),)))
-    )
-    _link_through_frame(ctx, cfg, frame, (p_11, p_12), label)
+    _link_through_frame(ctx, CYCLE_6_NO_COL1, (1, 2), ((1, 1), (1, 2)), label)
     # escapes: the (2,1) member exits at (3,1), the singleton at (2,3)
     m21_tid = _tid_at(ctx, (2, 1))
     t21 = ctx.positions.get(partner(m21_tid))
@@ -1293,8 +1267,6 @@ def _h78_c3_singleton_frame(cfg: TerminalConfig):
 def _h78_c3_singleton_direct(cfg: TerminalConfig):
     label = "L2/c/no-pair-center-singleton-direct"
     ctx = RoutingContext.fresh(cfg)
-    if _partner_of(cfg, (1, 2)) != (3, 2) or _partner_of(cfg, (2, 1)) != (2, 3):
-        raise CaseGap(f"{label}: direct pattern precondition failed")
     ctx.finish_link(_pair_index(cfg, (1, 2)), path_of((1, 2), (2, 2), (3, 2)))
     ctx.finish_link(
         _pair_index(cfg, (2, 1)), path_of((2, 1), (3, 1), (3, 2), (3, 3), (2, 3))

@@ -140,8 +140,6 @@ class RoutingContext:
             raise ToolkitError(
                 f"{tid} is at {self.positions.get(tid)}, path starts at {path.start}"
             )
-        if path.is_zero_length():
-            return
         self.consume(path.edges())
         self.trails[tid] = self.trails[tid] + path
         self.positions[tid] = path.end

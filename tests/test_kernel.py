@@ -136,7 +136,7 @@ def test_zero_length_pair(grid):
     for pairs in ([((1, 1), (1, 1))], [((1, 1), (1, 1)), ((3, 3), (3, 3))]):
         paths = kernel.solve_trails(grid, grid.edges, pairs)
         assert paths is not None
-        assert all(p.is_zero_length() for p in paths)
+        assert all(len(p.vertices) == 1 for p in paths)
 
 
 def test_no_pairs(grid):

@@ -69,7 +69,7 @@ def test_adjacent_pair_and_boundary_singletons_solve_trivially(grid):
     assert plan is not None
     linkage = dict(plan.linkages)[0]
     assert len(linkage.vertices) == 2
-    assert all(p.is_zero_length() for _, _, p in plan.escapes)
+    assert all(len(p.vertices) == 1 for _, _, p in plan.escapes)
 
 
 def test_pigeonhole_none(grid):

@@ -257,3 +257,51 @@ def test_route_rejects_corrupted_plan_and_falls_back(
     plan, trace = route(cfg)
     assert trace.used_fallback and trace.case_labels == ("fallback",)
     assert validate_plan(grid, cfg, plan, contract_for(LemmaId.HEAVY78)).ok
+
+
+@pytest.mark.parametrize(
+    "pairs, singletons, cycle, anchor, members, match",
+    [
+        (
+            [((1, 1), (3, 1)), ((1, 2), (1, 3)), ((2, 1), (3, 2))],
+            [(2, 2)],
+            "INNER_CYCLE_4",
+            (2, 2),
+            ((2, 2), (1, 2)),
+            "not of two pairs",
+        ),
+        (
+            [((1, 1), (1, 2)), ((2, 1), (3, 1)), ((2, 2), (2, 3))],
+            [(1, 3)],
+            "CYCLE_6_NO_COL1",
+            (1, 2),
+            ((1, 1), (1, 2)),
+            "not of two pairs",
+        ),
+        (
+            [((1, 1), (2, 2)), ((1, 2), (1, 3)), ((2, 1), (3, 1))],
+            [(2, 3)],
+            "INNER_CYCLE_4",
+            (2, 2),
+            ((2, 2), (2, 1)),
+            r"mate \(1, 1\) off the cycle",
+        ),
+    ],
+    ids=["singleton-member", "one-pair", "partner-off-cycle"],
+)
+def test_frame_guards_raise_case_gap_and_consume_nothing(
+    pairs, singletons, cycle, anchor, members, match
+):
+    """The frame step refuses a singleton as a member, two members of one
+    pair, and a partner neither on the cycle nor one boundary step onto it,
+    each as a case gap raised before any edge is consumed or any terminal
+    moves."""
+    from escape3x3 import grid
+    from escape3x3.terminals import make_config
+    from escape3x3.toolkit import RoutingContext
+
+    ctx = RoutingContext.fresh(make_config(pairs, singletons))
+    free, positions = set(ctx.free), dict(ctx.positions)
+    with pytest.raises(CaseGap, match=match):
+        router._link_through_frame(ctx, getattr(grid, cycle), anchor, members, "frame")
+    assert ctx.free == free and ctx.positions == positions and not ctx.linked

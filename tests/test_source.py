@@ -274,3 +274,27 @@ def test_readme_layout_lists_every_module():
     listed = _layout_modules((SRC.parents[1] / "README.md").read_text(encoding="utf-8"))
     assert len(listed) == len(set(listed)), listed
     assert set(listed) == {path.name for path in SRC.glob("*.py")}
+
+
+def test_frames_are_built_in_one_function():
+    """Every frame the router links through is assembled by one helper,
+    ``router._link_through_frame``: no other package code, a module's top
+    level included, constructs a ``FrameSpec``."""
+
+    def builders(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.partition('.')[0]}.{node.name}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "FrameSpec":
+                yield where
+        for child in ast.iter_child_nodes(node):
+            yield from builders(child, where)
+
+    found = [
+        where
+        for path in sorted(SRC.glob("*.py"))
+        for where in builders(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    ]
+    assert found == ["router._link_through_frame"], found

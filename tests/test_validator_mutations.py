@@ -48,7 +48,7 @@ def _moved(grid, plan, escape):
     """The escape with its terminal moved one step: along its path, or onto
     it over an incident edge, one no path of the plan uses if there is one."""
     t, x, p = escape
-    if not p.is_zero_length():
+    if len(p.vertices) != 1:
         return (p.vertices[1], x, Path(p.vertices[1:]))
     used = _edges_of(plan.all_paths())
     a, b = min((e for e in grid.edges if t in e), key=lambda e: (e in used, e))
