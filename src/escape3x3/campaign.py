@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 
 from .grid import full_grid, grid_without_corner
 # validate_plan is not called here; it stays a module attribute because
@@ -44,18 +43,62 @@ def ProcessPoolExecutor(max_workers: int):  # noqa: N802 - stands in for the cla
     return pool_class(max_workers=max_workers)
 
 
-@dataclass
 class CampaignReport:
-    lemma: str
-    total: int = 0
-    valid: int = 0
-    fallbacks: int = 0
-    case_histogram: dict[str, int] = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-    oracle_disagreements: int = 0
-    case_gaps: int = 0
-    dead_labels: list[str] = field(default_factory=list)
-    wall_time: float = 0.0
+    """A campaign's counts, filled in as it runs; two reports are equal
+    when every field is, ``wall_time`` included."""
+
+    def __init__(
+        self,
+        lemma: str,
+        total: int = 0,
+        valid: int = 0,
+        fallbacks: int = 0,
+        case_histogram: dict[str, int] | None = None,
+        failures: list | None = None,
+        oracle_disagreements: int = 0,
+        case_gaps: int = 0,
+        dead_labels: list[str] | None = None,
+        wall_time: float = 0.0,
+    ):
+        self.lemma = lemma
+        self.total = total
+        self.valid = valid
+        self.fallbacks = fallbacks
+        self.case_histogram = {} if case_histogram is None else case_histogram
+        self.failures = [] if failures is None else failures
+        self.oracle_disagreements = oracle_disagreements
+        self.case_gaps = case_gaps
+        self.dead_labels = [] if dead_labels is None else dead_labels
+        self.wall_time = wall_time
+
+    def _fields(self):
+        return (
+            self.lemma,
+            self.total,
+            self.valid,
+            self.fallbacks,
+            self.case_histogram,
+            self.failures,
+            self.oracle_disagreements,
+            self.case_gaps,
+            self.dead_labels,
+            self.wall_time,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not CampaignReport:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return (
+            f"CampaignReport(lemma={self.lemma!r}, total={self.total!r}, "
+            f"valid={self.valid!r}, fallbacks={self.fallbacks!r}, "
+            f"case_histogram={self.case_histogram!r}, failures={self.failures!r}, "
+            f"oracle_disagreements={self.oracle_disagreements!r}, "
+            f"case_gaps={self.case_gaps!r}, dead_labels={self.dead_labels!r}, "
+            f"wall_time={self.wall_time!r})"
+        )
 
     def exit_status(self) -> int:
         if self.case_gaps:

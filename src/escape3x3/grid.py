@@ -7,7 +7,6 @@ plane, so escape exits live on the union of the last row and last column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 Vertex = tuple[int, int]
@@ -56,12 +55,39 @@ def edge(u: Vertex, v: Vertex) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class GridGraph:
-    """A subgraph of the corner grid: its vertices and its edges."""
+class Frozen:
+    """Base of the package's immutable records: no attribute can be
+    assigned or deleted.  A record sets its fields once, in its
+    constructor, straight into its instance dict (``Path``, which has
+    slots, through its slot setters).  Each record compares and hashes the
+    tuple of its compared fields, and its repr names them in order."""
 
-    vertices: frozenset[Vertex]
-    edges: frozenset[Edge]
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GridGraph(Frozen):
+    """A subgraph of the corner grid: its vertices and its edges.  Equal
+    graphs hash alike: a graph keys the kernel's descriptor caches."""
+
+    def __init__(self, vertices: frozenset[Vertex], edges: frozenset[Edge]):
+        self.__dict__.update(vertices=vertices, edges=edges)
+
+    def __eq__(self, other):
+        if other.__class__ is not GridGraph:
+            return NotImplemented
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self):
+        return f"GridGraph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     def sorted_vertices(self) -> tuple[Vertex, ...]:
         return tuple(sorted(self.vertices))

@@ -82,10 +82,9 @@ call.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .grid import Edge, GridGraph, Vertex
+from .grid import Edge, Frozen, GridGraph, Vertex
 from .model import Path
 
 # The benchmark's tracer wraps _impl.find_trail_system, that is, this
@@ -225,25 +224,51 @@ def find_trail_system(adj, pairs, mask, always_free, table):
         del visit  # see the module docstring
 
 
-@dataclass(frozen=True)
-class GraphDesc:
+class GraphDesc(Frozen):
     """Index-level description of a grid graph for the kernel, with the
     vertex -> index, edge -> bit and step -> edge tables the wrapper looks
     up.  ``adj`` lists each vertex's (neighbour index, edge bit) entries,
     where an edge's bit is ``1 << `` its index in ``edges``; ``step`` maps
     each (index, neighbour index) step, either way, to its edge.  It owns
     three memos, each filled on first use: ``reach``, the search's
-    reachability table for ``adj``; ``paths``; and ``masks``."""
+    reachability table for ``adj``; ``paths``; and ``masks``.  Each memo
+    starts empty unless one is given.  Only ``vertices``, ``edges`` and
+    ``adj`` take part in equality, hashing and repr."""
 
-    vertices: tuple[Vertex, ...]
-    edges: tuple[Edge, ...]
-    adj: tuple[tuple[tuple[int, int], ...], ...]
-    vindex: dict[Vertex, int] = field(compare=False, repr=False)
-    ebit: dict[Edge, int] = field(compare=False, repr=False)
-    step: dict[tuple[int, int], Edge] = field(compare=False, repr=False)
-    reach: dict[int, tuple[int, ...]] = field(default_factory=dict, compare=False, repr=False)
-    paths: dict[tuple[int, ...], Path] = field(default_factory=dict, compare=False, repr=False)
-    masks: dict[frozenset[Edge], int] = field(default_factory=dict, compare=False, repr=False)
+    def __init__(
+        self,
+        vertices: tuple[Vertex, ...],
+        edges: tuple[Edge, ...],
+        adj: tuple[tuple[tuple[int, int], ...], ...],
+        vindex: dict[Vertex, int],
+        ebit: dict[Edge, int],
+        step: dict[tuple[int, int], Edge],
+        reach: dict[int, tuple[int, ...]] | None = None,
+        paths: dict[tuple[int, ...], Path] | None = None,
+        masks: dict[frozenset[Edge], int] | None = None,
+    ):
+        self.__dict__.update(
+            vertices=vertices,
+            edges=edges,
+            adj=adj,
+            vindex=vindex,
+            ebit=ebit,
+            step=step,
+            reach={} if reach is None else reach,
+            paths={} if paths is None else paths,
+            masks={} if masks is None else masks,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not GraphDesc:
+            return NotImplemented
+        return (self.vertices, self.edges, self.adj) == (other.vertices, other.edges, other.adj)
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges, self.adj))
+
+    def __repr__(self):
+        return f"GraphDesc(vertices={self.vertices!r}, edges={self.edges!r}, adj={self.adj!r})"
 
     def path(self, t: tuple[int, ...]) -> Path:
         """The path along index trail ``t``, built on first use and kept in
@@ -315,8 +340,7 @@ def solve_trails(g: GridGraph, free_edges, endpoint_pairs) -> list[Path] | None:
     return [desc.path(t) for t in trails]
 
 
-@dataclass(frozen=True)
-class SinkDesc:
+class SinkDesc(Frozen):
     """A grid graph's descriptor extended by a sink S fed by the exits.
 
     Each unrestricted exit has one directed edge to S.  With a limit, each
@@ -326,14 +350,50 @@ class SinkDesc:
     trail passes from one exit to another.  Trails into S from distinct
     terminals are edge-disjoint, so they end at distinct exits, at most
     ``limit`` of them restricted.  An exit lists its virtual edge first, so
-    a trail reaching it tries to end there before it walks on."""
+    a trail reaching it tries to end there before it walks on.
 
-    grid: GraphDesc
-    adj: tuple[tuple[tuple[int, int], ...], ...]
-    sink: int
-    virtual: int  # mask of every virtual edge
-    exit_edges: int  # mask of the exit->S and exit->R edges
-    reach: dict[int, tuple[int, ...]] = field(default_factory=dict, compare=False, repr=False)
+    ``virtual`` is the mask of every virtual edge, ``exit_edges`` that of
+    the exit->S and exit->R edges; ``reach``, the search's reachability
+    table for ``adj``, starts empty unless one is given and takes no part
+    in equality, hashing or repr."""
+
+    def __init__(
+        self,
+        grid: GraphDesc,
+        adj: tuple[tuple[tuple[int, int], ...], ...],
+        sink: int,
+        virtual: int,
+        exit_edges: int,
+        reach: dict[int, tuple[int, ...]] | None = None,
+    ):
+        self.__dict__.update(
+            grid=grid,
+            adj=adj,
+            sink=sink,
+            virtual=virtual,
+            exit_edges=exit_edges,
+            reach={} if reach is None else reach,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not SinkDesc:
+            return NotImplemented
+        return (self.grid, self.adj, self.sink, self.virtual, self.exit_edges) == (
+            other.grid,
+            other.adj,
+            other.sink,
+            other.virtual,
+            other.exit_edges,
+        )
+
+    def __hash__(self):
+        return hash((self.grid, self.adj, self.sink, self.virtual, self.exit_edges))
+
+    def __repr__(self):
+        return (
+            f"SinkDesc(grid={self.grid!r}, adj={self.adj!r}, sink={self.sink!r}, "
+            f"virtual={self.virtual!r}, exit_edges={self.exit_edges!r})"
+        )
 
 
 @lru_cache(maxsize=None)

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .grid import (
     BOUNDARY,
     COL_ONLY,
     Edge,
+    Frozen,
     GridGraph,
     Vertex,
     adjacent,
@@ -46,8 +46,7 @@ _STEP_EDGE = {(a, b): edge(a, b) for e in full_grid().edges for a, b in (e, e[::
 _MIRROR: dict[Edge, Edge] = {}
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Path:
+class Path(Frozen):
     """A trail given by its vertex sequence.
 
     The constructor checks the walk once and keeps the canonical edges it
@@ -67,18 +66,22 @@ class Path:
     * ``__add__``: two trails that meet at the seam and share no edge.
 
     Every other caller, the router's fixed walks included, goes through the
-    checked constructor.
+    checked constructor, which checks and sets both slots in
+    ``__post_init__``.  Paths compare, order and hash by their vertices
+    alone.
     """
 
-    vertices: tuple[Vertex, ...]
-    _edges: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("vertices", "_edges")
 
-    def __post_init__(self):
-        if not self.vertices:
+    def __init__(self, vertices: tuple[Vertex, ...]):
+        self.__post_init__(vertices)
+
+    def __post_init__(self, vertices):
+        if not vertices:
             raise PathError("a path needs at least one vertex")
         edges: list[Edge] = []
         seen: set[Edge] = set()
-        for a, b in zip(self.vertices, self.vertices[1:]):
+        for a, b in zip(vertices, vertices[1:]):
             e = _STEP_EDGE.get((a, b))
             if e is None:  # a step off the corner grid, in a path built beyond it
                 if not adjacent(a, b):
@@ -88,6 +91,7 @@ class Path:
                 raise PathError(f"edge {e} traversed twice")
             seen.add(e)
             edges.append(e)
+        _set_vertices(self, vertices)
         _set_edges(self, tuple(edges))
 
     @staticmethod
@@ -98,6 +102,27 @@ class Path:
         _set_vertices(path, vertices)
         _set_edges(path, edges)
         return path
+
+    def __eq__(self, other):
+        if other.__class__ is not Path:
+            return NotImplemented
+        return self.vertices == other.vertices
+
+    def __lt__(self, other):
+        if other.__class__ is not Path:
+            return NotImplemented
+        return self.vertices < other.vertices
+
+    def __le__(self, other):
+        if other.__class__ is not Path:
+            return NotImplemented
+        return self.vertices <= other.vertices
+
+    def __hash__(self):
+        return hash((self.vertices,))
+
+    def __repr__(self):
+        return f"Path(vertices={self.vertices!r})"
 
     @property
     def start(self) -> Vertex:
@@ -146,7 +171,7 @@ class Path:
         return Path._trusted(self.vertices + other.vertices[1:], self._edges + other._edges)
 
 
-# the slot setters, which a frozen dataclass's __setattr__ would refuse
+# the slot setters, which a frozen record's __setattr__ would refuse
 _set_vertices = Path.__dict__["vertices"].__set__
 _set_edges = Path.__dict__["_edges"].__set__
 
@@ -155,14 +180,56 @@ def path_of(*vertices: Vertex) -> Path:
     return Path(tuple(vertices))
 
 
-@dataclass(frozen=True)
-class EscapeContract:
-    """Obligations a plan must meet for one escape family."""
+class EscapeContract(Frozen):
+    """Obligations a plan must meet for one escape family.
+    ``max_exits_in_restricted`` None means unbounded."""
 
-    min_linked_pairs: int
-    exit_target: frozenset[Vertex]
-    max_exits_in_restricted: int | None  # None means unbounded
-    restricted_zone: frozenset[Vertex] = COL_ONLY
+    def __init__(
+        self,
+        min_linked_pairs: int,
+        exit_target: frozenset[Vertex],
+        max_exits_in_restricted: int | None,
+        restricted_zone: frozenset[Vertex] = COL_ONLY,
+    ):
+        self.__dict__.update(
+            min_linked_pairs=min_linked_pairs,
+            exit_target=exit_target,
+            max_exits_in_restricted=max_exits_in_restricted,
+            restricted_zone=restricted_zone,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not EscapeContract:
+            return NotImplemented
+        return (
+            self.min_linked_pairs,
+            self.exit_target,
+            self.max_exits_in_restricted,
+            self.restricted_zone,
+        ) == (
+            other.min_linked_pairs,
+            other.exit_target,
+            other.max_exits_in_restricted,
+            other.restricted_zone,
+        )
+
+    def __hash__(self):
+        return hash(
+            (
+                self.min_linked_pairs,
+                self.exit_target,
+                self.max_exits_in_restricted,
+                self.restricted_zone,
+            )
+        )
+
+    def __repr__(self):
+        return (
+            f"EscapeContract(min_linked_pairs={self.min_linked_pairs!r}, "
+            f"exit_target={self.exit_target!r}, "
+            f"max_exits_in_restricted={self.max_exits_in_restricted!r}, "
+            f"restricted_zone={self.restricted_zone!r})"
+        )
 
 
 # One frozen contract per family, shared by every caller.
@@ -190,17 +257,43 @@ class Code(str, enum.Enum):
     LINK_COUNT = "LINK_COUNT"
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: Code
-    message: str
-    subject: object = None
+class Violation(Frozen):
+    def __init__(self, code: Code, message: str, subject: object = None):
+        self.__dict__.update(code=code, message=message, subject=subject)
+
+    def __eq__(self, other):
+        if other.__class__ is not Violation:
+            return NotImplemented
+        return (self.code, self.message, self.subject) == (
+            other.code,
+            other.message,
+            other.subject,
+        )
+
+    def __hash__(self):
+        return hash((self.code, self.message, self.subject))
+
+    def __repr__(self):
+        return (
+            f"Violation(code={self.code!r}, message={self.message!r}, "
+            f"subject={self.subject!r})"
+        )
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    violations: tuple[Violation, ...] = ()
+class Verdict(Frozen):
+    def __init__(self, ok: bool, violations: tuple[Violation, ...] = ()):
+        self.__dict__.update(ok=ok, violations=violations)
+
+    def __eq__(self, other):
+        if other.__class__ is not Verdict:
+            return NotImplemented
+        return (self.ok, self.violations) == (other.ok, other.violations)
+
+    def __hash__(self):
+        return hash((self.ok, self.violations))
+
+    def __repr__(self):
+        return f"Verdict(ok={self.ok!r}, violations={self.violations!r})"
 
     @staticmethod
     def from_violations(violations) -> "Verdict":
@@ -214,10 +307,27 @@ class Verdict:
 VALID = Verdict(True)
 
 
-@dataclass(frozen=True)
-class EscapePlan:
-    linkages: tuple[tuple[int, Path], ...]  # (pair index, trail), sorted by index
-    escapes: tuple[tuple[Vertex, Vertex, Path], ...]  # (terminal, exit, trail)
+class EscapePlan(Frozen):
+    """``linkages`` holds (pair index, trail) sorted by index, ``escapes``
+    (terminal, exit, trail)."""
+
+    def __init__(
+        self,
+        linkages: tuple[tuple[int, Path], ...],
+        escapes: tuple[tuple[Vertex, Vertex, Path], ...],
+    ):
+        self.__dict__.update(linkages=linkages, escapes=escapes)
+
+    def __eq__(self, other):
+        if other.__class__ is not EscapePlan:
+            return NotImplemented
+        return (self.linkages, self.escapes) == (other.linkages, other.escapes)
+
+    def __hash__(self):
+        return hash((self.linkages, self.escapes))
+
+    def __repr__(self):
+        return f"EscapePlan(linkages={self.linkages!r}, escapes={self.escapes!r})"
 
     @staticmethod
     def build(linkages: dict[int, Path], escapes) -> "EscapePlan":

@@ -25,7 +25,6 @@ L3/b/S3 and ``retry:joint`` in L3/c/S3-t2-in-row.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import kernel
 from .grid import (
@@ -35,6 +34,7 @@ from .grid import (
     CYCLE_6_NO_COL1,
     CYCLE_6_NO_ROW1,
     CYCLE_8_NO_CORNER,
+    Frozen,
     INNER_CYCLE_4,
     INNER_SQUARE,
     LAST_COL,
@@ -86,17 +86,44 @@ class UnsupportedFamily(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CaseTrace:
+class CaseTrace(Frozen):
     """How a plan was routed.
 
     ``route`` returns only plans that passed ``validate_plan`` under the
     family's contract: its own, or the oracle's on the fallback witness."""
 
-    lemma: LemmaId
-    case_labels: tuple[str, ...]
-    used_fallback: bool = False
-    symmetry_applied: bool = False
+    def __init__(
+        self,
+        lemma: LemmaId,
+        case_labels: tuple[str, ...],
+        used_fallback: bool = False,
+        symmetry_applied: bool = False,
+    ):
+        self.__dict__.update(
+            lemma=lemma,
+            case_labels=case_labels,
+            used_fallback=used_fallback,
+            symmetry_applied=symmetry_applied,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not CaseTrace:
+            return NotImplemented
+        return (self.lemma, self.case_labels, self.used_fallback, self.symmetry_applied) == (
+            other.lemma,
+            other.case_labels,
+            other.used_fallback,
+            other.symmetry_applied,
+        )
+
+    def __hash__(self):
+        return hash((self.lemma, self.case_labels, self.used_fallback, self.symmetry_applied))
+
+    def __repr__(self):
+        return (
+            f"CaseTrace(lemma={self.lemma!r}, case_labels={self.case_labels!r}, "
+            f"used_fallback={self.used_fallback!r}, symmetry_applied={self.symmetry_applied!r})"
+        )
 
 
 # Registry of every case label a router can emit, per family; the campaign's

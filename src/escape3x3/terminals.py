@@ -17,10 +17,9 @@ import enum
 import functools
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Iterator
 
-from .grid import ALL_VERTICES, Vertex, is_vertex, reflect_vertex
+from .grid import ALL_VERTICES, Frozen, Vertex, is_vertex, reflect_vertex
 
 
 class MalformedConfigError(ValueError):
@@ -42,10 +41,35 @@ def _canonical_pair(pair) -> Pair:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True, order=True)
-class TerminalConfig:
-    pairs: tuple[Pair, ...]
-    singletons: tuple[Vertex, ...]
+class TerminalConfig(Frozen):
+    """Pairs and singletons, as built; ``make_config`` canonicalizes and
+    checks them.  Equality, order, hash and repr read the two fields only,
+    never the cached ``terminals``; a configuration's repr reaches error
+    messages."""
+
+    def __init__(self, pairs: tuple[Pair, ...], singletons: tuple[Vertex, ...]):
+        self.__dict__.update(pairs=pairs, singletons=singletons)
+
+    def __eq__(self, other):
+        if other.__class__ is not TerminalConfig:
+            return NotImplemented
+        return (self.pairs, self.singletons) == (other.pairs, other.singletons)
+
+    def __lt__(self, other):
+        if other.__class__ is not TerminalConfig:
+            return NotImplemented
+        return (self.pairs, self.singletons) < (other.pairs, other.singletons)
+
+    def __le__(self, other):
+        if other.__class__ is not TerminalConfig:
+            return NotImplemented
+        return (self.pairs, self.singletons) <= (other.pairs, other.singletons)
+
+    def __hash__(self):
+        return hash((self.pairs, self.singletons))
+
+    def __repr__(self):
+        return f"TerminalConfig(pairs={self.pairs!r}, singletons={self.singletons!r})"
 
     @functools.cached_property
     def terminals(self) -> tuple[Vertex, ...]:

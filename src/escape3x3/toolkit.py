@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field
 from importlib import resources
 
 from . import kernel
@@ -31,6 +30,7 @@ from .grid import (
     BOUNDARY,
     LAST_ROW,
     Edge,
+    Frozen,
     GridGraph,
     Vertex,
     cycle_edges,
@@ -67,7 +67,6 @@ def partner(tid: TermId) -> TermId | None:
     return None
 
 
-@dataclass
 class RoutingContext:
     """Mutable bookkeeping for one routing job; single-owner.
 
@@ -86,17 +85,52 @@ class RoutingContext:
     invariants as it goes: ``consume`` takes only free edges, all or none,
     ``Path`` joins refuse a shared edge, and ``move`` leaves the terminal at
     its trail's end.  Nothing re-checks them afterwards; ``route`` validates
-    the finished plan.
+    the finished plan.  Two contexts are equal when all their state is.
     """
 
-    grid: GridGraph
-    cfg: TerminalConfig
-    free: set[Edge]
-    positions: dict[TermId, Vertex]
-    trails: dict[TermId, Path]
-    linked: dict[int, Path] = field(default_factory=dict)
-    escaped: set[TermId] = field(default_factory=set)
-    notes: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        grid: GridGraph,
+        cfg: TerminalConfig,
+        free: set[Edge],
+        positions: dict[TermId, Vertex],
+        trails: dict[TermId, Path],
+        linked: dict[int, Path] | None = None,
+        escaped: set[TermId] | None = None,
+        notes: list[str] | None = None,
+    ):
+        self.grid = grid
+        self.cfg = cfg
+        self.free = free
+        self.positions = positions
+        self.trails = trails
+        self.linked = {} if linked is None else linked
+        self.escaped = set() if escaped is None else escaped
+        self.notes = [] if notes is None else notes
+
+    def _state(self):
+        return (
+            self.grid,
+            self.cfg,
+            self.free,
+            self.positions,
+            self.trails,
+            self.linked,
+            self.escaped,
+            self.notes,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not RoutingContext:
+            return NotImplemented
+        return self._state() == other._state()
+
+    def __repr__(self):
+        return (
+            f"RoutingContext(grid={self.grid!r}, cfg={self.cfg!r}, free={self.free!r}, "
+            f"positions={self.positions!r}, trails={self.trails!r}, "
+            f"linked={self.linked!r}, escaped={self.escaped!r}, notes={self.notes!r})"
+        )
 
     @staticmethod
     def fresh(cfg: TerminalConfig) -> "RoutingContext":
@@ -185,15 +219,32 @@ class RoutingContext:
 # -- clips ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClipSpec:
-    """A named boundary-anchored subgraph with the two-anchor mating property."""
+class ClipSpec(Frozen):
+    """A named boundary-anchored subgraph with the two-anchor mating
+    property; ``kind`` is "AA" or "AB"."""
 
-    name: str
-    u: Vertex
-    v: Vertex
-    kind: str  # "AA" or "AB"
-    edges: frozenset[Edge]
+    def __init__(self, name: str, u: Vertex, v: Vertex, kind: str, edges: frozenset[Edge]):
+        self.__dict__.update(name=name, u=u, v=v, kind=kind, edges=edges)
+
+    def __eq__(self, other):
+        if other.__class__ is not ClipSpec:
+            return NotImplemented
+        return (self.name, self.u, self.v, self.kind, self.edges) == (
+            other.name,
+            other.u,
+            other.v,
+            other.kind,
+            other.edges,
+        )
+
+    def __hash__(self):
+        return hash((self.name, self.u, self.v, self.kind, self.edges))
+
+    def __repr__(self):
+        return (
+            f"ClipSpec(name={self.name!r}, u={self.u!r}, v={self.v!r}, "
+            f"kind={self.kind!r}, edges={self.edges!r})"
+        )
 
     def covered(self) -> tuple[Vertex, ...]:
         return tuple(sorted({w for e in self.edges for w in e}))
@@ -269,24 +320,33 @@ def mate_through_clip(ctx: RoutingContext, clip: ClipSpec, x: Vertex, y: Vertex)
 # -- frames ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FrameSpec:
-    """A cycle with an anchor and one attachment path per pair."""
+class FrameSpec(Frozen):
+    """A cycle with an anchor and one attachment path per pair.  The cycle
+    is a closed walk whose first vertex is not repeated, and each
+    attachment path ends at the anchor."""
 
-    cycle: tuple[Vertex, ...]  # closed walk, first vertex not repeated
-    anchor: Vertex
-    attach: tuple[Path, Path]  # each ends at the anchor
-
-    def __post_init__(self):
-        if self.anchor not in self.cycle:
+    def __init__(self, cycle: tuple[Vertex, ...], anchor: Vertex, attach: tuple[Path, Path]):
+        if anchor not in cycle:
             raise ToolkitError("anchor must lie on the cycle")
-        for p in self.attach:
-            if p.end != self.anchor:
+        for p in attach:
+            if p.end != anchor:
                 raise ToolkitError("attachment paths must end at the anchor")
-            if set(p.edges()) & cycle_edges(self.cycle):
+            if set(p.edges()) & cycle_edges(cycle):
                 raise ToolkitError("attachment paths may not use cycle edges")
-        if set(self.attach[0].edges()) & set(self.attach[1].edges()):
+        if set(attach[0].edges()) & set(attach[1].edges()):
             raise ToolkitError("attachment paths must be edge-disjoint")
+        self.__dict__.update(cycle=cycle, anchor=anchor, attach=attach)
+
+    def __eq__(self, other):
+        if other.__class__ is not FrameSpec:
+            return NotImplemented
+        return (self.cycle, self.anchor, self.attach) == (other.cycle, other.anchor, other.attach)
+
+    def __hash__(self):
+        return hash((self.cycle, self.anchor, self.attach))
+
+    def __repr__(self):
+        return f"FrameSpec(cycle={self.cycle!r}, anchor={self.anchor!r}, attach={self.attach!r})"
 
 
 def _arc(cycle: tuple[Vertex, ...], frm: Vertex, to: Vertex, direction: int) -> Path:

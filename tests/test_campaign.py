@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import pathlib
 
@@ -12,6 +11,8 @@ from escape3x3.campaign import (
     verify_all,
     verify_weak_linkage,
 )
+from escape3x3.model import EscapePlan
+from escape3x3.router import CaseTrace
 from escape3x3.terminals import LemmaId, encode_config, enumerate_configs
 from test_kernel import garbage_left
 from test_oracle import _THREE_CALL_CFG, _recording_search
@@ -230,8 +231,10 @@ def test_taken_verdict_is_checked_against_the_campaign_contract(monkeypatch):
 
     def other_family(cfg, strict=False):
         plan, trace = original(cfg, strict=strict)
-        broken = dataclasses.replace(plan, linkages=plan.linkages[:-1])
-        return broken, dataclasses.replace(trace, lemma=LemmaId.HEAVY6)
+        broken = EscapePlan(plan.linkages[:-1], plan.escapes)
+        return broken, CaseTrace(
+            LemmaId.HEAVY6, trace.case_labels, trace.used_fallback, trace.symmetry_applied
+        )
 
     monkeypatch.setattr(campaign, "route", other_family)
     monkeypatch.setattr(campaign, "enumerate_configs", lambda lemma: iter(first))

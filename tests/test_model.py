@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 
@@ -271,7 +270,13 @@ def test_reflected_plan_is_valid_for_reflected_config(grid):
     cfg, plan = _sample_heavy5()
     rcfg = cfg.reflected()
     rplan = reflected_plan(cfg, plan)
-    rcontract = dataclasses.replace(contract_for(LemmaId.HEAVY5), restricted_zone=ROW_ONLY)
+    contract = contract_for(LemmaId.HEAVY5)
+    rcontract = EscapeContract(
+        contract.min_linked_pairs,
+        contract.exit_target,
+        contract.max_exits_in_restricted,
+        ROW_ONLY,
+    )
     assert validate_plan(grid, rcfg, rplan, rcontract).ok
 
 

@@ -1,11 +1,11 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escape3x3.grid import ROW_ONLY, full_grid
 from escape3x3.model import (
+    EscapeContract,
+    EscapePlan,
     contract_for,
     plan_to_json,
     reflected_plan,
@@ -127,7 +127,12 @@ def test_reflection_transport_on_bounded_contract(index):
     contract = contract_for(LemmaId.HEAVY6)
     plan, _ = route(cfg, strict=True)
     rplan = reflected_plan(cfg, plan)
-    rcontract = dataclasses.replace(contract, restricted_zone=ROW_ONLY)
+    rcontract = EscapeContract(
+        contract.min_linked_pairs,
+        contract.exit_target,
+        contract.max_exits_in_restricted,
+        ROW_ONLY,
+    )
     assert validate_plan(grid, cfg.reflected(), rplan, rcontract).ok
 
 
@@ -214,7 +219,7 @@ def test_strict_sweep_kernel_calls_pinned(strict_sweep_kernel_calls):
 def _drop_first_linkage(build):
     def corrupted(*args):
         plan = build(*args)
-        return dataclasses.replace(plan, linkages=plan.linkages[1:])
+        return EscapePlan(plan.linkages[1:], plan.escapes)
 
     return corrupted
 

@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 from escape3x3 import campaign
@@ -146,6 +149,41 @@ def test_process_pool_is_imported_only_when_made():
     ]
     assert not found, f"module-level pool imports: {found}"
     assert "ProcessPoolExecutor" in vars(campaign)
+
+
+def test_package_does_not_import_dataclasses():
+    """Importing ``dataclasses`` costs a fresh process milliseconds, and it
+    loads ``inspect``, ``ast``, ``dis`` and ``tokenize``, which the package
+    never uses; generating each class's methods costs more.  So no package
+    module imports it, anywhere in its source: each record class writes
+    out its own constructor, comparisons and repr."""
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _absolute_imports(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        if name.split(".")[0] == "dataclasses"
+    ]
+    assert not found, f"dataclasses imports in the package: {found}"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """A fresh interpreter that imports the CLI loads neither
+    ``dataclasses`` nor ``inspect``: modules the interpreter had already
+    loaded before the import do not count."""
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import escape3x3.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(out.stdout.split())
+    assert "escape3x3.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded & {"dataclasses", "inspect"})
 
 
 def test_package_does_not_import_gc():
