@@ -30,15 +30,6 @@ made exactly as without the sink search, and witnesses stay bit-identical.
 
 This module is the ground truth the constructive router is measured
 against; it shares no routing logic with the router.
-
-Whether edge-disjoint trails exist for a list of endpoint pairs depends
-only on the multiset of its unordered pairs, not on the order of the pairs
-or the direction of each.  ``check_weakly_2_linked`` uses that: it keeps,
-for one call, the keys (``_pair_key``) of the tuples it has shown feasible
-and skips tuples with those keys, still visiting tuples in ``product``
-order.  A feasible tuple only lets the sweep go on, so every call that can
-find a counterexample is made exactly as without the memo, and
-counterexamples and reports stay bit-identical.
 """
 
 from __future__ import annotations
@@ -87,12 +78,6 @@ def _check_linkage(g: GridGraph, pairs, trails) -> None:
             if e in used:
                 raise InvalidWitness(f"edge {e} used twice in the linkage of {pairs}")
             used.add(e)
-
-
-def _pair_key(pairs) -> tuple[Vertex, ...]:
-    """The multiset of unordered pairs in ``pairs``: each pair's ends in
-    order, the pairs sorted, flattened into one tuple of the ends."""
-    return sum(sorted([(a, b) if a <= b else (b, a) for a, b in pairs]), ())
 
 
 def _linked_subsets(cfg: TerminalConfig, contract: EscapeContract):
@@ -175,20 +160,20 @@ def check_weakly_2_linked(
     """Exhaustively test that any two vertex pairs admit edge-disjoint trails.
 
     Quantifies over all ordered 4-tuples of (not necessarily distinct)
-    vertices; returns the first failing tuple as a counterexample.  A tuple
-    whose key matches one already shown feasible is not searched again.
-    Each linkage found is checked (``_check_linkage``) before its key counts
-    as feasible; a bad one raises InvalidWitness.
+    vertices; returns the first failing tuple, in ``product`` order, as a
+    counterexample.  Whether trails exist depends only on the multiset of
+    unordered pairs, not on the order of the two pairs or the direction of
+    each, so one tuple per multiset is searched: the first in ``product``
+    order, whose pairs are each ordered and in order, ``(u1, v1) <= (u2,
+    v2)``.  ``combinations_with_replacement`` over the ordered pairs yields
+    exactly those tuples, in ``product`` order.  Each linkage found is
+    checked (``_check_linkage``); a bad one raises InvalidWitness.
     """
-    feasible: set[tuple[Vertex, ...]] = set()
-    for u1, v1, u2, v2 in itertools.product(g.sorted_vertices(), repeat=4):
-        pairs = [(u1, v1), (u2, v2)]
-        key = _pair_key(pairs)
-        if key in feasible:
-            continue
+    ordered = [(u, v) for u, v in itertools.product(g.sorted_vertices(), repeat=2) if u <= v]
+    for first, second in itertools.combinations_with_replacement(ordered, 2):
+        pairs = [first, second]
         trails = kernel.solve_trails(g, g.edges, pairs)
         if trails is None:
-            return False, (u1, v1, u2, v2)
+            return False, first + second
         _check_linkage(g, pairs, trails)
-        feasible.add(key)
     return True, None

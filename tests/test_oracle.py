@@ -26,7 +26,7 @@ from escape3x3.model import (
     validate_plan,
     validate_plan_recheck,
 )
-from escape3x3.oracle import InvalidWitness, _pair_key, check_weakly_2_linked, oracle_solve
+from escape3x3.oracle import InvalidWitness, check_weakly_2_linked, oracle_solve
 from escape3x3.terminals import LemmaId, encode_config, enumerate_configs, make_config
 from euler_trails import exists_trail_system_euler
 from test_strict_sweep import DIGEST_CHARS, REFERENCE, _digest, assert_checked
@@ -552,7 +552,7 @@ def test_weak_linkage_sweep_rejects_a_bad_witness(monkeypatch, mutate, graph):
     assert len(mutated) == 1
 
 
-# -- the weak-2-linkage sweep's pair key ---------------------------------------
+# -- the weak-2-linkage sweep's one tuple per pair multiset -------------------
 
 _KEYED_GRAPHS = [(), ((3, 3),), ((2, 2),), ((1, 2),)]
 
@@ -560,9 +560,8 @@ _KEYED_GRAPHS = [(), ((3, 3),), ((2, 2),), ((1, 2),)]
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_trail_existence_is_invariant_under_the_key(data):
-    """What the sweep's memo rests on: whether trails exist does not change
-    under a permutation of the pairs or a reversal of pairs; and the key
-    does not change either."""
+    """What the sweep rests on: whether trails exist does not change under
+    a permutation of the pairs or a reversal of pairs."""
     g = build_corner_grid(frozenset(data.draw(st.sampled_from(_KEYED_GRAPHS))))
     vertex = st.sampled_from(g.sorted_vertices())
     pairs = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=4))
@@ -576,26 +575,30 @@ def test_trail_existence_is_invariant_under_the_key(data):
     exists = kernel.solve_trails(g, g.edges, pairs) is not None
     for variant in variants:
         assert (kernel.solve_trails(g, g.edges, variant) is not None) == exists
-        assert _pair_key(variant) == _pair_key(pairs)
 
 
 @pytest.mark.parametrize(
     "deleted", sorted(_KEYED_GRAPHS), ids=["full", "no-12", "no-22", "no-33"]
 )
-def test_pair_key_classes_are_symmetry_orbits(deleted):
-    """Lists of one or two pairs share a key exactly when a permutation of
-    the pairs and a reversal of some of them map one onto the other, the
-    only symmetries the key uses: its classes are the multisets of
-    unordered pairs, on each keyed graph."""
+def test_pair_key_classes_are_symmetry_orbits(deleted, kernel_calls):
+    """The sweep searches one tuple per class of 4-tuples under the only
+    symmetries it uses, a swap of the two pairs and a reversal of either:
+    the classes are the multisets of unordered pairs.  On each graph its
+    searches are exactly the first member of each class in ``product``
+    order, in that order, up to its counterexample if it finds one."""
     g = build_corner_grid(frozenset(deleted))
-    by_key, by_multiset = {}, {}
-    one = [((u, v),) for u, v in itertools.product(g.sorted_vertices(), repeat=2)]
-    two = [(p, q) for (p,), (q,) in itertools.product(one, repeat=2)]
-    for pairs in one + two:
-        multiset = frozenset(Counter(frozenset(pair) for pair in pairs).items())
-        by_key.setdefault(_pair_key(pairs), set()).add(pairs)
-        by_multiset.setdefault(multiset, set()).add(pairs)
-    assert sorted(map(sorted, by_key.values())) == sorted(map(sorted, by_multiset.values()))
+    firsts = {}
+    for u1, v1, u2, v2 in itertools.product(g.sorted_vertices(), repeat=4):
+        multiset = frozenset(Counter([frozenset((u1, v1)), frozenset((u2, v2))]).items())
+        firsts.setdefault(multiset, ((u1, v1), (u2, v2)))
+    expected = list(firsts.values())
+    ok, witness = check_weakly_2_linked(g)
+    searched = [tuple(pairs) for pairs in kernel_calls]
+    assert searched == expected[: len(searched)]
+    if ok:
+        assert len(searched) == len(expected)
+    else:
+        assert witness == searched[-1][0] + searched[-1][1]
 
 
 @pytest.fixture
