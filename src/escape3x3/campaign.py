@@ -71,7 +71,7 @@ class CampaignReport:
         self.dead_labels = [] if dead_labels is None else dead_labels
         self.wall_time = wall_time
 
-    def _fields(self):
+    def _key(self):
         return (
             self.lemma,
             self.total,
@@ -88,7 +88,7 @@ class CampaignReport:
     def __eq__(self, other):
         if other.__class__ is not CampaignReport:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._key() == other._key()
 
     def __repr__(self):
         return (

@@ -375,19 +375,16 @@ class SinkDesc(Frozen):
             reach={} if reach is None else reach,
         )
 
+    def _key(self):
+        return (self.grid, self.adj, self.sink, self.virtual, self.exit_edges)
+
     def __eq__(self, other):
         if other.__class__ is not SinkDesc:
             return NotImplemented
-        return (self.grid, self.adj, self.sink, self.virtual, self.exit_edges) == (
-            other.grid,
-            other.adj,
-            other.sink,
-            other.virtual,
-            other.exit_edges,
-        )
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.grid, self.adj, self.sink, self.virtual, self.exit_edges))
+        return hash(self._key())
 
     def __repr__(self):
         return (

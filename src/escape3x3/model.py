@@ -198,30 +198,21 @@ class EscapeContract(Frozen):
             restricted_zone=restricted_zone,
         )
 
-    def __eq__(self, other):
-        if other.__class__ is not EscapeContract:
-            return NotImplemented
+    def _key(self):
         return (
             self.min_linked_pairs,
             self.exit_target,
             self.max_exits_in_restricted,
             self.restricted_zone,
-        ) == (
-            other.min_linked_pairs,
-            other.exit_target,
-            other.max_exits_in_restricted,
-            other.restricted_zone,
         )
 
+    def __eq__(self, other):
+        if other.__class__ is not EscapeContract:
+            return NotImplemented
+        return self._key() == other._key()
+
     def __hash__(self):
-        return hash(
-            (
-                self.min_linked_pairs,
-                self.exit_target,
-                self.max_exits_in_restricted,
-                self.restricted_zone,
-            )
-        )
+        return hash(self._key())
 
     def __repr__(self):
         return (
@@ -261,17 +252,16 @@ class Violation(Frozen):
     def __init__(self, code: Code, message: str, subject: object = None):
         self.__dict__.update(code=code, message=message, subject=subject)
 
+    def _key(self):
+        return (self.code, self.message, self.subject)
+
     def __eq__(self, other):
         if other.__class__ is not Violation:
             return NotImplemented
-        return (self.code, self.message, self.subject) == (
-            other.code,
-            other.message,
-            other.subject,
-        )
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.code, self.message, self.subject))
+        return hash(self._key())
 
     def __repr__(self):
         return (

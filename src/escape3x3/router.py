@@ -106,18 +106,16 @@ class CaseTrace(Frozen):
             symmetry_applied=symmetry_applied,
         )
 
+    def _key(self):
+        return (self.lemma, self.case_labels, self.used_fallback, self.symmetry_applied)
+
     def __eq__(self, other):
         if other.__class__ is not CaseTrace:
             return NotImplemented
-        return (self.lemma, self.case_labels, self.used_fallback, self.symmetry_applied) == (
-            other.lemma,
-            other.case_labels,
-            other.used_fallback,
-            other.symmetry_applied,
-        )
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.lemma, self.case_labels, self.used_fallback, self.symmetry_applied))
+        return hash(self._key())
 
     def __repr__(self):
         return (

@@ -108,7 +108,7 @@ class RoutingContext:
         self.escaped = set() if escaped is None else escaped
         self.notes = [] if notes is None else notes
 
-    def _state(self):
+    def _key(self):
         return (
             self.grid,
             self.cfg,
@@ -123,7 +123,7 @@ class RoutingContext:
     def __eq__(self, other):
         if other.__class__ is not RoutingContext:
             return NotImplemented
-        return self._state() == other._state()
+        return self._key() == other._key()
 
     def __repr__(self):
         return (
@@ -226,19 +226,16 @@ class ClipSpec(Frozen):
     def __init__(self, name: str, u: Vertex, v: Vertex, kind: str, edges: frozenset[Edge]):
         self.__dict__.update(name=name, u=u, v=v, kind=kind, edges=edges)
 
+    def _key(self):
+        return (self.name, self.u, self.v, self.kind, self.edges)
+
     def __eq__(self, other):
         if other.__class__ is not ClipSpec:
             return NotImplemented
-        return (self.name, self.u, self.v, self.kind, self.edges) == (
-            other.name,
-            other.u,
-            other.v,
-            other.kind,
-            other.edges,
-        )
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.name, self.u, self.v, self.kind, self.edges))
+        return hash(self._key())
 
     def __repr__(self):
         return (
