@@ -58,9 +58,12 @@ def edge(u: Vertex, v: Vertex) -> Edge:
 class Frozen:
     """Base of the package's immutable records: no attribute can be
     assigned or deleted.  A record sets its fields once, in its
-    constructor, straight into its instance dict (``Path``, which has
-    slots, through its slot setters).  Each record compares and hashes the
-    tuple of its compared fields, and its repr names them in order."""
+    constructor, straight into its instance dict, one item at a time, so
+    the dict keeps sharing its keys with the class's other instances
+    (``dict.update`` would give each instance a table of its own, about 90
+    bytes more); ``Path``, which has slots, uses its slot setters.  Each
+    record compares and hashes the tuple of its compared fields, and its
+    repr names them in order."""
 
     __slots__ = ()
 
@@ -76,7 +79,9 @@ class GridGraph(Frozen):
     graphs hash alike: a graph keys the kernel's descriptor caches."""
 
     def __init__(self, vertices: frozenset[Vertex], edges: frozenset[Edge]):
-        self.__dict__.update(vertices=vertices, edges=edges)
+        fields = self.__dict__
+        fields["vertices"] = vertices
+        fields["edges"] = edges
 
     def __eq__(self, other):
         if other.__class__ is not GridGraph:

@@ -247,17 +247,16 @@ class GraphDesc(Frozen):
         paths: dict[tuple[int, ...], Path] | None = None,
         masks: dict[frozenset[Edge], int] | None = None,
     ):
-        self.__dict__.update(
-            vertices=vertices,
-            edges=edges,
-            adj=adj,
-            vindex=vindex,
-            ebit=ebit,
-            step=step,
-            reach={} if reach is None else reach,
-            paths={} if paths is None else paths,
-            masks={} if masks is None else masks,
-        )
+        fields = self.__dict__
+        fields["vertices"] = vertices
+        fields["edges"] = edges
+        fields["adj"] = adj
+        fields["vindex"] = vindex
+        fields["ebit"] = ebit
+        fields["step"] = step
+        fields["reach"] = {} if reach is None else reach
+        fields["paths"] = {} if paths is None else paths
+        fields["masks"] = {} if masks is None else masks
 
     def __eq__(self, other):
         if other.__class__ is not GraphDesc:
@@ -366,14 +365,13 @@ class SinkDesc(Frozen):
         exit_edges: int,
         reach: dict[int, tuple[int, ...]] | None = None,
     ):
-        self.__dict__.update(
-            grid=grid,
-            adj=adj,
-            sink=sink,
-            virtual=virtual,
-            exit_edges=exit_edges,
-            reach={} if reach is None else reach,
-        )
+        fields = self.__dict__
+        fields["grid"] = grid
+        fields["adj"] = adj
+        fields["sink"] = sink
+        fields["virtual"] = virtual
+        fields["exit_edges"] = exit_edges
+        fields["reach"] = {} if reach is None else reach
 
     def _key(self):
         return (self.grid, self.adj, self.sink, self.virtual, self.exit_edges)

@@ -191,12 +191,11 @@ class EscapeContract(Frozen):
         max_exits_in_restricted: int | None,
         restricted_zone: frozenset[Vertex] = COL_ONLY,
     ):
-        self.__dict__.update(
-            min_linked_pairs=min_linked_pairs,
-            exit_target=exit_target,
-            max_exits_in_restricted=max_exits_in_restricted,
-            restricted_zone=restricted_zone,
-        )
+        fields = self.__dict__
+        fields["min_linked_pairs"] = min_linked_pairs
+        fields["exit_target"] = exit_target
+        fields["max_exits_in_restricted"] = max_exits_in_restricted
+        fields["restricted_zone"] = restricted_zone
 
     def _key(self):
         return (
@@ -250,7 +249,10 @@ class Code(str, enum.Enum):
 
 class Violation(Frozen):
     def __init__(self, code: Code, message: str, subject: object = None):
-        self.__dict__.update(code=code, message=message, subject=subject)
+        fields = self.__dict__
+        fields["code"] = code
+        fields["message"] = message
+        fields["subject"] = subject
 
     def _key(self):
         return (self.code, self.message, self.subject)
@@ -272,7 +274,9 @@ class Violation(Frozen):
 
 class Verdict(Frozen):
     def __init__(self, ok: bool, violations: tuple[Violation, ...] = ()):
-        self.__dict__.update(ok=ok, violations=violations)
+        fields = self.__dict__
+        fields["ok"] = ok
+        fields["violations"] = violations
 
     def __eq__(self, other):
         if other.__class__ is not Verdict:
@@ -306,7 +310,9 @@ class EscapePlan(Frozen):
         linkages: tuple[tuple[int, Path], ...],
         escapes: tuple[tuple[Vertex, Vertex, Path], ...],
     ):
-        self.__dict__.update(linkages=linkages, escapes=escapes)
+        fields = self.__dict__
+        fields["linkages"] = linkages
+        fields["escapes"] = escapes
 
     def __eq__(self, other):
         if other.__class__ is not EscapePlan:

@@ -99,12 +99,11 @@ class CaseTrace(Frozen):
         used_fallback: bool = False,
         symmetry_applied: bool = False,
     ):
-        self.__dict__.update(
-            lemma=lemma,
-            case_labels=case_labels,
-            used_fallback=used_fallback,
-            symmetry_applied=symmetry_applied,
-        )
+        fields = self.__dict__
+        fields["lemma"] = lemma
+        fields["case_labels"] = case_labels
+        fields["used_fallback"] = used_fallback
+        fields["symmetry_applied"] = symmetry_applied
 
     def _key(self):
         return (self.lemma, self.case_labels, self.used_fallback, self.symmetry_applied)

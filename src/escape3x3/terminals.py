@@ -48,7 +48,9 @@ class TerminalConfig(Frozen):
     messages."""
 
     def __init__(self, pairs: tuple[Pair, ...], singletons: tuple[Vertex, ...]):
-        self.__dict__.update(pairs=pairs, singletons=singletons)
+        fields = self.__dict__
+        fields["pairs"] = pairs
+        fields["singletons"] = singletons
 
     def __eq__(self, other):
         if other.__class__ is not TerminalConfig:

@@ -224,7 +224,12 @@ class ClipSpec(Frozen):
     property; ``kind`` is "AA" or "AB"."""
 
     def __init__(self, name: str, u: Vertex, v: Vertex, kind: str, edges: frozenset[Edge]):
-        self.__dict__.update(name=name, u=u, v=v, kind=kind, edges=edges)
+        fields = self.__dict__
+        fields["name"] = name
+        fields["u"] = u
+        fields["v"] = v
+        fields["kind"] = kind
+        fields["edges"] = edges
 
     def _key(self):
         return (self.name, self.u, self.v, self.kind, self.edges)
@@ -332,7 +337,10 @@ class FrameSpec(Frozen):
                 raise ToolkitError("attachment paths may not use cycle edges")
         if set(attach[0].edges()) & set(attach[1].edges()):
             raise ToolkitError("attachment paths must be edge-disjoint")
-        self.__dict__.update(cycle=cycle, anchor=anchor, attach=attach)
+        fields = self.__dict__
+        fields["cycle"] = cycle
+        fields["anchor"] = anchor
+        fields["attach"] = attach
 
     def __eq__(self, other):
         if other.__class__ is not FrameSpec:

@@ -238,11 +238,3 @@ def test_record_defaults_are_fresh_per_instance():
     sink = kernel.SinkDesc(one, one.adj, 9, 0, 0)
     assert sink.reach == {} and sink.reach is not kernel.SinkDesc(one, one.adj, 9, 0, 0).reach
 
-
-def test_frame_spec_checks_its_attachments():
-    cycle, anchor = ((2, 2), (2, 3), (3, 3), (3, 2)), (2, 2)
-    good = Path(((1, 2), (2, 2)))
-    with pytest.raises(Exception, match="anchor must lie on the cycle"):
-        FrameSpec(cycle, (1, 1), (good, good))
-    with pytest.raises(Exception, match="must be edge-disjoint"):
-        FrameSpec(cycle, anchor, (good, good))

@@ -172,6 +172,15 @@ def test_frame_attach_may_not_use_cycle_edges():
         )
 
 
+def test_frame_attach_must_end_at_the_anchor_and_be_edge_disjoint():
+    cycle, anchor = ((2, 2), (2, 3), (3, 3), (3, 2)), (2, 2)
+    with pytest.raises(ToolkitError, match="must end at the anchor"):
+        FrameSpec(cycle=cycle, anchor=anchor, attach=(path_of((1, 2)), path_of((2, 2))))
+    shared = path_of((1, 2), (2, 2))
+    with pytest.raises(ToolkitError, match="must be edge-disjoint"):
+        FrameSpec(cycle=cycle, anchor=anchor, attach=(shared, shared))
+
+
 def test_context_plan_assembly(grid):
     cfg = make_config([((1, 1), (2, 3))], [(3, 1), (3, 2), (1, 3)])
     ctx = RoutingContext.fresh(cfg)
