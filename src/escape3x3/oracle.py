@@ -164,10 +164,11 @@ def check_weakly_2_linked(
     counterexample.  Whether trails exist depends only on the multiset of
     unordered pairs, not on the order of the two pairs or the direction of
     each, so one tuple per multiset is searched: the first in ``product``
-    order, whose pairs are each ordered and in order, ``(u1, v1) <= (u2,
-    v2)``.  ``combinations_with_replacement`` over the ordered pairs yields
-    exactly those tuples, in ``product`` order.  Each linkage found is
-    checked (``_check_linkage``); a bad one raises InvalidWitness.
+    order, the one with ``u1 <= v1``, ``u2 <= v2`` and ``(u1, v1) <= (u2,
+    v2)``.  ``combinations_with_replacement`` over the pairs with ``u <=
+    v`` yields exactly those tuples, in ``product`` order.  Each linkage
+    found is checked (``_check_linkage``); a bad one raises
+    InvalidWitness.
     """
     ordered = [(u, v) for u, v in itertools.product(g.sorted_vertices(), repeat=2) if u <= v]
     for first, second in itertools.combinations_with_replacement(ordered, 2):
