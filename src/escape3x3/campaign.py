@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import time
 
-from .grid import full_grid, grid_without_corner
+from .grid import Record, full_grid, grid_without_corner
 # validate_plan is not called here; it stays a module attribute because
 # perfbench/tracer.py wraps it
 from .model import contract_for, validate_plan, validate_plan_recheck  # noqa: F401
@@ -43,9 +43,22 @@ def ProcessPoolExecutor(max_workers: int):  # noqa: N802 - stands in for the cla
     return pool_class(max_workers=max_workers)
 
 
-class CampaignReport:
+class CampaignReport(Record):
     """A campaign's counts, filled in as it runs; two reports are equal
     when every field is, ``wall_time`` included."""
+
+    _fields = (
+        "lemma",
+        "total",
+        "valid",
+        "fallbacks",
+        "case_histogram",
+        "failures",
+        "oracle_disagreements",
+        "case_gaps",
+        "dead_labels",
+        "wall_time",
+    )
 
     def __init__(
         self,
@@ -70,35 +83,6 @@ class CampaignReport:
         self.case_gaps = case_gaps
         self.dead_labels = [] if dead_labels is None else dead_labels
         self.wall_time = wall_time
-
-    def _key(self):
-        return (
-            self.lemma,
-            self.total,
-            self.valid,
-            self.fallbacks,
-            self.case_histogram,
-            self.failures,
-            self.oracle_disagreements,
-            self.case_gaps,
-            self.dead_labels,
-            self.wall_time,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not CampaignReport:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self):
-        return (
-            f"CampaignReport(lemma={self.lemma!r}, total={self.total!r}, "
-            f"valid={self.valid!r}, fallbacks={self.fallbacks!r}, "
-            f"case_histogram={self.case_histogram!r}, failures={self.failures!r}, "
-            f"oracle_disagreements={self.oracle_disagreements!r}, "
-            f"case_gaps={self.case_gaps!r}, dead_labels={self.dead_labels!r}, "
-            f"wall_time={self.wall_time!r})"
-        )
 
     def exit_status(self) -> int:
         if self.case_gaps:

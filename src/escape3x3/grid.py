@@ -8,6 +8,7 @@ plane, so escape exits live on the union of the last row and last column.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import attrgetter
 
 Vertex = tuple[int, int]
 Edge = tuple[Vertex, Vertex]
@@ -55,17 +56,48 @@ def edge(u: Vertex, v: Vertex) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-class Frozen:
-    """Base of the package's immutable records: no attribute can be
-    assigned or deleted.  A record sets its fields once, in its
-    constructor, straight into its instance dict, one item at a time, so
-    the dict keeps sharing its keys with the class's other instances
-    (``dict.update`` would give each instance a table of its own, about 90
-    bytes more); ``Path``, which has slots, uses its slot setters.  Each
-    record compares and hashes the tuple of its compared fields, and its
-    repr names them in order."""
+class Record:
+    """Base of the package's records.  A record class lists its compared
+    fields, in order, in ``_fields``.  Two records are equal when they are
+    of the same class and their compared fields are equal as one tuple; a
+    record of another class gives ``NotImplemented``.  The repr names the
+    compared fields in order.  A record defines ``__eq__``, so it has no
+    hash: the mutable records stay unhashable, and ``Frozen`` adds one."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls.__dict__.get("_fields")
+        if fields:
+            get = attrgetter(*fields)
+            # a single field still reads as a one-tuple, which hashes as the key
+            cls._key_of = staticmethod(get if len(fields) > 1 else lambda r: (get(r),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key_of
+        return key(self) == key(other)
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+
+class Frozen(Record):
+    """Base of the package's immutable records: no attribute can be
+    assigned or deleted, and a record hashes as the tuple of its compared
+    fields.  A record sets its fields once, in its constructor, straight
+    into its instance dict, one item at a time, so the dict keeps sharing
+    its keys with the class's other instances (``dict.update`` would give
+    each instance a table of its own, about 90 bytes more); ``Path``, which
+    has slots, uses its slot setters."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._key_of(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -78,21 +110,12 @@ class GridGraph(Frozen):
     """A subgraph of the corner grid: its vertices and its edges.  Equal
     graphs hash alike: a graph keys the kernel's descriptor caches."""
 
+    _fields = ("vertices", "edges")
+
     def __init__(self, vertices: frozenset[Vertex], edges: frozenset[Edge]):
         fields = self.__dict__
         fields["vertices"] = vertices
         fields["edges"] = edges
-
-    def __eq__(self, other):
-        if other.__class__ is not GridGraph:
-            return NotImplemented
-        return (self.vertices, self.edges) == (other.vertices, other.edges)
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
-
-    def __repr__(self):
-        return f"GridGraph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     def sorted_vertices(self) -> tuple[Vertex, ...]:
         return tuple(sorted(self.vertices))

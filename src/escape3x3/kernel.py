@@ -235,6 +235,8 @@ class GraphDesc(Frozen):
     starts empty unless one is given.  Only ``vertices``, ``edges`` and
     ``adj`` take part in equality, hashing and repr."""
 
+    _fields = ("vertices", "edges", "adj")
+
     def __init__(
         self,
         vertices: tuple[Vertex, ...],
@@ -257,17 +259,6 @@ class GraphDesc(Frozen):
         fields["reach"] = {} if reach is None else reach
         fields["paths"] = {} if paths is None else paths
         fields["masks"] = {} if masks is None else masks
-
-    def __eq__(self, other):
-        if other.__class__ is not GraphDesc:
-            return NotImplemented
-        return (self.vertices, self.edges, self.adj) == (other.vertices, other.edges, other.adj)
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges, self.adj))
-
-    def __repr__(self):
-        return f"GraphDesc(vertices={self.vertices!r}, edges={self.edges!r}, adj={self.adj!r})"
 
     def path(self, t: tuple[int, ...]) -> Path:
         """The path along index trail ``t``, built on first use and kept in
@@ -356,6 +347,8 @@ class SinkDesc(Frozen):
     table for ``adj``, starts empty unless one is given and takes no part
     in equality, hashing or repr."""
 
+    _fields = ("grid", "adj", "sink", "virtual", "exit_edges")
+
     def __init__(
         self,
         grid: GraphDesc,
@@ -372,23 +365,6 @@ class SinkDesc(Frozen):
         fields["virtual"] = virtual
         fields["exit_edges"] = exit_edges
         fields["reach"] = {} if reach is None else reach
-
-    def _key(self):
-        return (self.grid, self.adj, self.sink, self.virtual, self.exit_edges)
-
-    def __eq__(self, other):
-        if other.__class__ is not SinkDesc:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"SinkDesc(grid={self.grid!r}, adj={self.adj!r}, sink={self.sink!r}, "
-            f"virtual={self.virtual!r}, exit_edges={self.exit_edges!r})"
-        )
 
 
 @lru_cache(maxsize=None)

@@ -72,6 +72,7 @@ class Path(Frozen):
     """
 
     __slots__ = ("vertices", "_edges")
+    _fields = ("vertices",)
 
     def __init__(self, vertices: tuple[Vertex, ...]):
         self.__post_init__(vertices)
@@ -103,11 +104,6 @@ class Path(Frozen):
         _set_edges(path, edges)
         return path
 
-    def __eq__(self, other):
-        if other.__class__ is not Path:
-            return NotImplemented
-        return self.vertices == other.vertices
-
     def __lt__(self, other):
         if other.__class__ is not Path:
             return NotImplemented
@@ -117,12 +113,6 @@ class Path(Frozen):
         if other.__class__ is not Path:
             return NotImplemented
         return self.vertices <= other.vertices
-
-    def __hash__(self):
-        return hash((self.vertices,))
-
-    def __repr__(self):
-        return f"Path(vertices={self.vertices!r})"
 
     @property
     def start(self) -> Vertex:
@@ -184,6 +174,13 @@ class EscapeContract(Frozen):
     """Obligations a plan must meet for one escape family.
     ``max_exits_in_restricted`` None means unbounded."""
 
+    _fields = (
+        "min_linked_pairs",
+        "exit_target",
+        "max_exits_in_restricted",
+        "restricted_zone",
+    )
+
     def __init__(
         self,
         min_linked_pairs: int,
@@ -196,30 +193,6 @@ class EscapeContract(Frozen):
         fields["exit_target"] = exit_target
         fields["max_exits_in_restricted"] = max_exits_in_restricted
         fields["restricted_zone"] = restricted_zone
-
-    def _key(self):
-        return (
-            self.min_linked_pairs,
-            self.exit_target,
-            self.max_exits_in_restricted,
-            self.restricted_zone,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not EscapeContract:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"EscapeContract(min_linked_pairs={self.min_linked_pairs!r}, "
-            f"exit_target={self.exit_target!r}, "
-            f"max_exits_in_restricted={self.max_exits_in_restricted!r}, "
-            f"restricted_zone={self.restricted_zone!r})"
-        )
 
 
 # One frozen contract per family, shared by every caller.
@@ -248,46 +221,22 @@ class Code(str, enum.Enum):
 
 
 class Violation(Frozen):
+    _fields = ("code", "message", "subject")
+
     def __init__(self, code: Code, message: str, subject: object = None):
         fields = self.__dict__
         fields["code"] = code
         fields["message"] = message
         fields["subject"] = subject
 
-    def _key(self):
-        return (self.code, self.message, self.subject)
-
-    def __eq__(self, other):
-        if other.__class__ is not Violation:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"Violation(code={self.code!r}, message={self.message!r}, "
-            f"subject={self.subject!r})"
-        )
-
 
 class Verdict(Frozen):
+    _fields = ("ok", "violations")
+
     def __init__(self, ok: bool, violations: tuple[Violation, ...] = ()):
         fields = self.__dict__
         fields["ok"] = ok
         fields["violations"] = violations
-
-    def __eq__(self, other):
-        if other.__class__ is not Verdict:
-            return NotImplemented
-        return (self.ok, self.violations) == (other.ok, other.violations)
-
-    def __hash__(self):
-        return hash((self.ok, self.violations))
-
-    def __repr__(self):
-        return f"Verdict(ok={self.ok!r}, violations={self.violations!r})"
 
     @staticmethod
     def from_violations(violations) -> "Verdict":
@@ -305,6 +254,8 @@ class EscapePlan(Frozen):
     """``linkages`` holds (pair index, trail) sorted by index, ``escapes``
     (terminal, exit, trail)."""
 
+    _fields = ("linkages", "escapes")
+
     def __init__(
         self,
         linkages: tuple[tuple[int, Path], ...],
@@ -313,17 +264,6 @@ class EscapePlan(Frozen):
         fields = self.__dict__
         fields["linkages"] = linkages
         fields["escapes"] = escapes
-
-    def __eq__(self, other):
-        if other.__class__ is not EscapePlan:
-            return NotImplemented
-        return (self.linkages, self.escapes) == (other.linkages, other.escapes)
-
-    def __hash__(self):
-        return hash((self.linkages, self.escapes))
-
-    def __repr__(self):
-        return f"EscapePlan(linkages={self.linkages!r}, escapes={self.escapes!r})"
 
     @staticmethod
     def build(linkages: dict[int, Path], escapes) -> "EscapePlan":

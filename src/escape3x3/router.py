@@ -92,6 +92,8 @@ class CaseTrace(Frozen):
     ``route`` returns only plans that passed ``validate_plan`` under the
     family's contract: its own, or the oracle's on the fallback witness."""
 
+    _fields = ("lemma", "case_labels", "used_fallback", "symmetry_applied")
+
     def __init__(
         self,
         lemma: LemmaId,
@@ -104,23 +106,6 @@ class CaseTrace(Frozen):
         fields["case_labels"] = case_labels
         fields["used_fallback"] = used_fallback
         fields["symmetry_applied"] = symmetry_applied
-
-    def _key(self):
-        return (self.lemma, self.case_labels, self.used_fallback, self.symmetry_applied)
-
-    def __eq__(self, other):
-        if other.__class__ is not CaseTrace:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"CaseTrace(lemma={self.lemma!r}, case_labels={self.case_labels!r}, "
-            f"used_fallback={self.used_fallback!r}, symmetry_applied={self.symmetry_applied!r})"
-        )
 
 
 # Registry of every case label a router can emit, per family; the campaign's

@@ -17,7 +17,7 @@ import enum
 import functools
 import itertools
 import json
-from typing import Iterator
+from collections.abc import Iterator
 
 from .grid import ALL_VERTICES, Frozen, Vertex, is_vertex, reflect_vertex
 
@@ -47,15 +47,12 @@ class TerminalConfig(Frozen):
     never the cached ``terminals``; a configuration's repr reaches error
     messages."""
 
+    _fields = ("pairs", "singletons")
+
     def __init__(self, pairs: tuple[Pair, ...], singletons: tuple[Vertex, ...]):
         fields = self.__dict__
         fields["pairs"] = pairs
         fields["singletons"] = singletons
-
-    def __eq__(self, other):
-        if other.__class__ is not TerminalConfig:
-            return NotImplemented
-        return (self.pairs, self.singletons) == (other.pairs, other.singletons)
 
     def __lt__(self, other):
         if other.__class__ is not TerminalConfig:
@@ -66,12 +63,6 @@ class TerminalConfig(Frozen):
         if other.__class__ is not TerminalConfig:
             return NotImplemented
         return (self.pairs, self.singletons) <= (other.pairs, other.singletons)
-
-    def __hash__(self):
-        return hash((self.pairs, self.singletons))
-
-    def __repr__(self):
-        return f"TerminalConfig(pairs={self.pairs!r}, singletons={self.singletons!r})"
 
     @functools.cached_property
     def terminals(self) -> tuple[Vertex, ...]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from importlib import resources
+import os
 
 from . import kernel
 from .grid import (
@@ -32,6 +32,7 @@ from .grid import (
     Edge,
     Frozen,
     GridGraph,
+    Record,
     Vertex,
     cycle_edges,
     edge,
@@ -67,7 +68,7 @@ def partner(tid: TermId) -> TermId | None:
     return None
 
 
-class RoutingContext:
+class RoutingContext(Record):
     """Mutable bookkeeping for one routing job; single-owner.
 
     Every terminal owns one trail, ``trails[tid]``, which starts at the
@@ -88,6 +89,8 @@ class RoutingContext:
     the finished plan.  Two contexts are equal when all their state is.
     """
 
+    _fields = ("grid", "cfg", "free", "positions", "trails", "linked", "escaped", "notes")
+
     def __init__(
         self,
         grid: GridGraph,
@@ -107,30 +110,6 @@ class RoutingContext:
         self.linked = {} if linked is None else linked
         self.escaped = set() if escaped is None else escaped
         self.notes = [] if notes is None else notes
-
-    def _key(self):
-        return (
-            self.grid,
-            self.cfg,
-            self.free,
-            self.positions,
-            self.trails,
-            self.linked,
-            self.escaped,
-            self.notes,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not RoutingContext:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self):
-        return (
-            f"RoutingContext(grid={self.grid!r}, cfg={self.cfg!r}, free={self.free!r}, "
-            f"positions={self.positions!r}, trails={self.trails!r}, "
-            f"linked={self.linked!r}, escaped={self.escaped!r}, notes={self.notes!r})"
-        )
 
     @staticmethod
     def fresh(cfg: TerminalConfig) -> "RoutingContext":
@@ -223,6 +202,8 @@ class ClipSpec(Frozen):
     """A named boundary-anchored subgraph with the two-anchor mating
     property; ``kind`` is "AA" or "AB"."""
 
+    _fields = ("name", "u", "v", "kind", "edges")
+
     def __init__(self, name: str, u: Vertex, v: Vertex, kind: str, edges: frozenset[Edge]):
         fields = self.__dict__
         fields["name"] = name
@@ -230,23 +211,6 @@ class ClipSpec(Frozen):
         fields["v"] = v
         fields["kind"] = kind
         fields["edges"] = edges
-
-    def _key(self):
-        return (self.name, self.u, self.v, self.kind, self.edges)
-
-    def __eq__(self, other):
-        if other.__class__ is not ClipSpec:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"ClipSpec(name={self.name!r}, u={self.u!r}, v={self.v!r}, "
-            f"kind={self.kind!r}, edges={self.edges!r})"
-        )
 
     def covered(self) -> tuple[Vertex, ...]:
         return tuple(sorted({w for e in self.edges for w in e}))
@@ -327,6 +291,8 @@ class FrameSpec(Frozen):
     is a closed walk whose first vertex is not repeated, and each
     attachment path ends at the anchor."""
 
+    _fields = ("cycle", "anchor", "attach")
+
     def __init__(self, cycle: tuple[Vertex, ...], anchor: Vertex, attach: tuple[Path, Path]):
         if anchor not in cycle:
             raise ToolkitError("anchor must lie on the cycle")
@@ -341,17 +307,6 @@ class FrameSpec(Frozen):
         fields["cycle"] = cycle
         fields["anchor"] = anchor
         fields["attach"] = attach
-
-    def __eq__(self, other):
-        if other.__class__ is not FrameSpec:
-            return NotImplemented
-        return (self.cycle, self.anchor, self.attach) == (other.cycle, other.anchor, other.attach)
-
-    def __hash__(self):
-        return hash((self.cycle, self.anchor, self.attach))
-
-    def __repr__(self):
-        return f"FrameSpec(cycle={self.cycle!r}, anchor={self.anchor!r}, attach={self.attach!r})"
 
 
 def _arc(cycle: tuple[Vertex, ...], frm: Vertex, to: Vertex, direction: int) -> Path:
@@ -414,10 +369,13 @@ def _parse_clip(rec: dict) -> ClipSpec:
 
 @functools.lru_cache(maxsize=None)
 def clip_catalog() -> dict[str, ClipSpec]:
-    """The packaged clip catalog by name, read once per process."""
-    text = resources.files("escape3x3").joinpath("data/clips.json").read_text("utf-8")
+    """The packaged clip catalog by name, read once per process from
+    ``data/clips.json`` beside this module."""
+    path = os.path.join(os.path.dirname(__file__), "data", "clips.json")
+    with open(path, encoding="utf-8") as f:
+        records = json.load(f)
     catalog = {}
-    for rec in json.loads(text):
+    for rec in records:
         clip = _parse_clip(rec)
         if clip.name in catalog:
             raise ValueError(f"duplicate clip name {clip.name}")

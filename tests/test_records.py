@@ -7,9 +7,13 @@ compared fields as one tuple, ``repr`` names the same fields in order,
 ``Path`` and ``TerminalConfig`` order by them, and no field of a frozen
 record can be assigned."""
 
+import importlib
+import pkgutil
+
 import pytest
 
-from escape3x3 import kernel
+import escape3x3
+from escape3x3 import grid, kernel
 from escape3x3.campaign import CampaignReport
 from escape3x3.grid import BOUNDARY, COL_ONLY, GridGraph, full_grid
 from escape3x3.model import Code, EscapeContract, EscapePlan, Path, Verdict, Violation
@@ -166,6 +170,29 @@ RECORDS = _records()
 def test_every_record_class_is_listed():
     assert len(RECORDS) == 14
     assert len({cls for cls, *_ in RECORDS}) == 14
+
+
+def test_every_record_class_takes_its_methods_from_the_base():
+    """With every package module imported, the classes below
+    ``grid.Record``, at any depth and ``grid.Frozen`` aside, are exactly
+    the listed record classes, and none of them writes its own equality,
+    hashing, repr or key."""
+    for module in pkgutil.iter_modules(escape3x3.__path__, "escape3x3."):
+        importlib.import_module(module.name)
+    found, todo = set(), [grid.Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    assert found - {grid.Frozen} == {cls for cls, *_ in RECORDS}
+    own = [
+        f"{cls.__qualname__}.{name}"
+        for cls in found - {grid.Frozen}
+        for name in ("__eq__", "__hash__", "__repr__", "_key")
+        if name in vars(cls)
+    ]
+    assert not own, sorted(own)
 
 
 @pytest.mark.parametrize(

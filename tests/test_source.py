@@ -166,10 +166,12 @@ def test_package_does_not_import_dataclasses():
     assert not found, f"dataclasses imports in the package: {found}"
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    """A fresh interpreter that imports the CLI loads neither
-    ``dataclasses`` nor ``inspect``: modules the interpreter had already
-    loaded before the import do not count."""
+def test_cli_import_loads_no_unused_stdlib_module():
+    """A fresh interpreter that imports the CLI loads none of
+    ``dataclasses``, ``inspect``, ``typing`` and ``importlib.resources``:
+    modules the interpreter had already loaded before the import do not
+    count.  The probe runs with ``-S``, so that no ``.pth`` file in
+    site-packages preloads a module the package would otherwise pull in."""
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -179,11 +181,12 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     loaded = set(out.stdout.split())
     assert "escape3x3.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded & {"dataclasses", "inspect"})
+    unused = {"dataclasses", "inspect", "typing", "importlib.resources"}
+    assert not loaded & unused, sorted(loaded & unused)
 
 
 def test_package_does_not_import_gc():
