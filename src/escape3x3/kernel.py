@@ -230,10 +230,10 @@ class GraphDesc(Frozen):
     up.  ``adj`` lists each vertex's (neighbour index, edge bit) entries,
     where an edge's bit is ``1 << `` its index in ``edges``; ``step`` maps
     each (index, neighbour index) step, either way, to its edge.  It owns
-    three memos, each filled on first use: ``reach``, the search's
-    reachability table for ``adj``; ``paths``; and ``masks``.  Each memo
-    starts empty unless one is given.  Only ``vertices``, ``edges`` and
-    ``adj`` take part in equality, hashing and repr."""
+    three memos, each empty at construction and filled on first use:
+    ``reach``, the search's reachability table for ``adj``; ``paths``; and
+    ``masks``.  Only ``vertices``, ``edges`` and ``adj`` take part in
+    equality, hashing and repr."""
 
     _fields = ("vertices", "edges", "adj")
 
@@ -245,9 +245,6 @@ class GraphDesc(Frozen):
         vindex: dict[Vertex, int],
         ebit: dict[Edge, int],
         step: dict[tuple[int, int], Edge],
-        reach: dict[int, tuple[int, ...]] | None = None,
-        paths: dict[tuple[int, ...], Path] | None = None,
-        masks: dict[frozenset[Edge], int] | None = None,
     ):
         fields = self.__dict__
         fields["vertices"] = vertices
@@ -256,9 +253,9 @@ class GraphDesc(Frozen):
         fields["vindex"] = vindex
         fields["ebit"] = ebit
         fields["step"] = step
-        fields["reach"] = {} if reach is None else reach
-        fields["paths"] = {} if paths is None else paths
-        fields["masks"] = {} if masks is None else masks
+        fields["reach"] = {}
+        fields["paths"] = {}
+        fields["masks"] = {}
 
     def path(self, t: tuple[int, ...]) -> Path:
         """The path along index trail ``t``, built on first use and kept in
@@ -344,8 +341,8 @@ class SinkDesc(Frozen):
 
     ``virtual`` is the mask of every virtual edge, ``exit_edges`` that of
     the exit->S and exit->R edges; ``reach``, the search's reachability
-    table for ``adj``, starts empty unless one is given and takes no part
-    in equality, hashing or repr."""
+    table for ``adj``, starts empty and takes no part in equality, hashing
+    or repr."""
 
     _fields = ("grid", "adj", "sink", "virtual", "exit_edges")
 
@@ -356,7 +353,6 @@ class SinkDesc(Frozen):
         sink: int,
         virtual: int,
         exit_edges: int,
-        reach: dict[int, tuple[int, ...]] | None = None,
     ):
         fields = self.__dict__
         fields["grid"] = grid
@@ -364,7 +360,7 @@ class SinkDesc(Frozen):
         fields["sink"] = sink
         fields["virtual"] = virtual
         fields["exit_edges"] = exit_edges
-        fields["reach"] = {} if reach is None else reach
+        fields["reach"] = {}
 
 
 @lru_cache(maxsize=None)

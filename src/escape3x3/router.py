@@ -7,13 +7,16 @@ restricted to stated subregions.  Every step the cases repeat is written
 once, as one helper: a search that must succeed (``_must_trails``), a
 linkage along the boundary (``_link_on_l``), clearing the last-column stub
 (``_clear_col_stub``), a mating onto anchors, a frame linking two pairs
-(``_link_through_frame``), a diagonal split.  A case handler resolves the
-terminals its case names; the dispatcher then lets every other boundary
-terminal exit where it stands, and every exit assignment takes its budget
-of last-column exits from the family's contract.  Each plan is validated
-once, after it is carried back to the configuration asked for; in strict
-mode a case whose construction fails raises CaseGap, otherwise the
-exhaustive oracle is substituted and the fallback is recorded on the trace.
+(``_link_through_frame``), a diagonal split.  A case handler names its case
+once, on its routing context (``ctx.label``), and resolves the terminals
+the case names; the trace opens with that label, and the handler and its
+helpers read it there to open their case-gap messages.  The dispatcher
+then lets every other boundary terminal exit where it stands, and every
+exit assignment takes its budget of last-column exits from the family's
+contract.  Each plan is validated once, after it is carried back to the
+configuration asked for; in strict mode a case whose construction fails
+raises CaseGap, otherwise the exhaustive oracle is substituted and the
+fallback is recorded on the trace.
 
 Where a case leaves a choice open (which free vertex, which of several
 catalogued clips), ties are broken lexicographically so that routing is
@@ -263,14 +266,7 @@ def _col_budget(ctx: RoutingContext, staying) -> int | None:
     return bound - used - sum(1 for tid in staying if ctx.positions[tid] in COL_ONLY)
 
 
-def _finish(
-    ctx: RoutingContext,
-    escape_tids=(),
-    candidates=None,
-    allowed=None,
-    label: str = "",
-    link=(),
-) -> None:
+def _finish(ctx: RoutingContext, escape_tids=(), candidates=None, allowed=None, link=()) -> None:
     """Link the given pairs and escape the given terminals to free boundary
     vertices; every other terminal exits in place.
 
@@ -285,7 +281,7 @@ def _finish(
     rest = sorted(set(ctx.positions) - set(escape_tids) - members)
     for tid in rest:
         if ctx.positions[tid] not in BOUNDARY:
-            raise CaseGap(f"{label}: terminal {tid} stranded at {ctx.positions[tid]}")
+            raise CaseGap(f"{ctx.label}: terminal {tid} stranded at {ctx.positions[tid]}")
     if not escape_tids and not link:
         for tid in rest:
             ctx.finish_escape(tid)
@@ -310,16 +306,11 @@ def _finish(
         for tid in rest:
             ctx.finish_escape(tid)
         return
-    raise CaseGap(f"{label}: no exit assignment for {escape_tids}")
+    raise CaseGap(f"{ctx.label}: no exit assignment for {escape_tids}")
 
 
 def _mate_to_anchors(
-    ctx: RoutingContext,
-    tid_x,
-    tid_y,
-    anchors: tuple[Vertex, Vertex],
-    label: str,
-    link=(),
+    ctx: RoutingContext, tid_x, tid_y, anchors: tuple[Vertex, Vertex], link=()
 ) -> None:
     """Mate two terminals onto a pair of boundary anchors, linking the given
     pairs as well.
@@ -357,18 +348,18 @@ def _mate_to_anchors(
             ctx.move(tid_y, trails[-1])
             ctx.notes.append("clip:direct")
             return
-    raise CaseGap(f"{label}: cannot mate {x}, {y} onto {anchors}")
+    raise CaseGap(f"{ctx.label}: cannot mate {x}, {y} onto {anchors}")
 
 
-def _mate_to_first(ctx: RoutingContext, tid_x, tid_y, anchor_options, label: str) -> None:
+def _mate_to_first(ctx: RoutingContext, tid_x, tid_y, anchor_options) -> None:
     """Mate two terminals onto the first anchor pair, in order, that admits it."""
     for anchors in anchor_options:
         try:
-            _mate_to_anchors(ctx, tid_x, tid_y, anchors, label)
+            _mate_to_anchors(ctx, tid_x, tid_y, anchors)
             return
         except CaseGap:
             continue
-    raise CaseGap(f"{label}: no anchor pair admits the mating")
+    raise CaseGap(f"{ctx.label}: no anchor pair admits the mating")
 
 
 def _row_anchor_pairs(ctx: RoutingContext, z: Vertex):
@@ -386,7 +377,7 @@ def _both_col_stub_singles(ctx: RoutingContext) -> bool:
     )
 
 
-def _cascade_shift_through_corner(ctx: RoutingContext, label: str) -> None:
+def _cascade_shift_through_corner(ctx: RoutingContext) -> None:
     """When both last-column stub vertices hold terminals, move the one at
     (2,3) along the boundary through the corner to the first free vertex,
     conveyor-style: every terminal on the walk up to that vertex shifts one
@@ -396,19 +387,19 @@ def _cascade_shift_through_corner(ctx: RoutingContext, label: str) -> None:
     walk = ((2, 3), (3, 3), (3, 2), (3, 1))
     w = _first_free(ctx, walk[1:])
     if w is None:
-        raise CaseGap(f"{label}: no free vertex to shift toward")
+        raise CaseGap(f"{ctx.label}: no free vertex to shift toward")
     for i in range(walk.index(w) - 1, -1, -1):
         if ctx.terminals_at(walk[i]):
             ctx.shift(walk[i], walk[i + 1])
 
 
-def _clear_col_stub(ctx: RoutingContext, targets, label: str) -> None:
+def _clear_col_stub(ctx: RoutingContext, targets) -> None:
     """When both last-column stub vertices hold terminals, shift the one at
     (2,3) to the first free vertex of ``targets``."""
     if _both_col_stub_occupied(ctx):
         w = _first_free(ctx, targets)
         if w is None:
-            raise CaseGap(f"{label}: no free vertex to clear the stub")
+            raise CaseGap(f"{ctx.label}: no free vertex to clear the stub")
         ctx.shift((2, 3), w)
 
 
@@ -417,9 +408,9 @@ def _link_on_l(ctx: RoutingContext, pi: int) -> None:
     ctx.finish_link(pi, Path(unique_l_path(*ctx.cfg.pairs[pi])))
 
 
-def _link_many(ctx: RoutingContext, pair_idxs, allowed=None, label: str = "") -> None:
+def _link_many(ctx: RoutingContext, pair_idxs, allowed=None) -> None:
     """Link one or more pairs jointly (edge-disjoint) inside one region."""
-    gap = f"{label}: no linkage for pairs {pair_idxs}"
+    gap = f"{ctx.label}: no linkage for pairs {pair_idxs}"
     trails = _must_trails(ctx, _pair_ends(ctx, pair_idxs), allowed, gap)
     for i, trail in zip(pair_idxs, trails):
         ctx.finish_link(i, trail)
@@ -443,7 +434,7 @@ _ONTO_CYCLE = {(1, 3): (2, 3), (3, 1): (3, 2)}
 
 
 def _link_through_frame(
-    ctx: RoutingContext, cycle, anchor: Vertex, members, label: str, attach=None
+    ctx: RoutingContext, cycle, anchor: Vertex, members, attach=None
 ) -> list[int]:
     """Link the pairs of two inner members through a frame on ``cycle``.
 
@@ -455,7 +446,7 @@ def _link_through_frame(
     before anything is consumed."""
     tids = [_tid_at(ctx, v) for v in members]
     if any(t[0] != "p" for t in tids) or tids[0][1] == tids[1][1]:
-        raise CaseGap(f"{label}: frame members {members} are not of two pairs")
+        raise CaseGap(f"{ctx.label}: frame members {members} are not of two pairs")
     mates = []
     for tid in tids:
         t_v = ctx.positions[partner(tid)]
@@ -464,7 +455,7 @@ def _link_through_frame(
         elif _ONTO_CYCLE.get(t_v) in cycle:
             mates.append(path_of(t_v, _ONTO_CYCLE[t_v]))
         else:
-            raise CaseGap(f"{label}: mate {t_v} off the cycle")
+            raise CaseGap(f"{ctx.label}: mate {t_v} off the cycle")
     if attach is None:
         attach = tuple(path_of(v) if v == anchor else path_of(v, anchor) for v in members)
     frame = FrameSpec(cycle=cycle, anchor=anchor, attach=attach)
@@ -518,91 +509,84 @@ def _h5_case_a(cfg: TerminalConfig):
     sc = _s_count(cfg)
     if sc == 2:
         if _both_col_stub_singles(ctx):
-            label = "L4/a/S2-shift-pair"
+            ctx.label = "L4/a/S2-shift-pair"
             w = _first_free(ctx, sorted(LAST_ROW))
-            _finish(ctx, [_tid_at(ctx, (2, 3))], candidates=[w], label=label, link=[0])
-            return ctx, label
-        label = "L4/a/S2"
-        _link_many(ctx, [0], allowed=S_EDGES, label=label)
-        return ctx, label
+            _finish(ctx, [_tid_at(ctx, (2, 3))], candidates=[w], link=[0])
+            return ctx
+        ctx.label = "L4/a/S2"
+        _link_many(ctx, [0], allowed=S_EDGES)
+        return ctx
     if sc == 3:
-        label = "L4/a/S3"
-        _clear_col_stub(ctx, [CORNER], label)
+        ctx.label = "L4/a/S3"
+        _clear_col_stub(ctx, [CORNER])
         w = _first_free(ctx, sorted(LAST_ROW))
         _finish(
             ctx,
             [t for t in _inner(ctx) if t[0] == "s"],
             candidates=[w],
             allowed=None if w == CORNER else _OFF_CORNER,
-            label=label,
             link=[0],
         )
-        return ctx, label
+        return ctx
     # four terminals inside the square
     if (1, 1) not in cfg.pairs[0]:
-        label = "L4/a/S4-corner-free"
+        ctx.label = "L4/a/S4-corner-free"
         link_region = {edge((1, 2), (2, 2)), edge((2, 1), (2, 2))}
         exit_region = cycle_edges(CYCLE_8_NO_CORNER)
     else:
-        label = "L4/a/S4-corner-in-pair"
+        ctx.label = "L4/a/S4-corner-in-pair"
         link_region, exit_region = S_EDGES, full_grid().edges - S_EDGES
-    _link_many(ctx, [0], allowed=link_region, label=label)
-    _finish(
-        ctx,
-        _inner(ctx),
-        candidates=[(3, 1), (3, 2), (1, 3)],
-        allowed=exit_region,
-        label=label,
-    )
-    return ctx, label
+    _link_many(ctx, [0], allowed=link_region)
+    _finish(ctx, _inner(ctx), candidates=[(3, 1), (3, 2), (1, 3)], allowed=exit_region)
+    return ctx
 
 
 def _h5_case_b(cfg: TerminalConfig):
     ctx = RoutingContext.fresh(cfg)
     pair = set(cfg.pairs[0])
     if pair <= BOUNDARY:
-        label = "L4/b/pair-on-L"
+        ctx.label = "L4/b/pair-on-L"
         _link_on_l(ctx, 0)
-        _cascade_shift_through_corner(ctx, label)
+        _cascade_shift_through_corner(ctx)
         candidates = [*cfg.pairs[0], *sorted(BOUNDARY)]
-        _finish(ctx, _inner(ctx), candidates=candidates, label=label)
-        return ctx, label
+        _finish(ctx, _inner(ctx), candidates=candidates)
+        return ctx
     s1, t1 = _split_pair(cfg, 0)
     if t1 in COL_ONLY:
-        label = "L4/b/t1-in-col"
+        ctx.label = "L4/b/t1-in-col"
         _link_prescribed(ctx, _tid_at(ctx, s1), False)
-        return ctx, label
-    label = "L4/b/t1-in-row"
-    _cascade_shift_through_corner(ctx, label)
+        return ctx
+    ctx.label = "L4/b/t1-in-row"
+    _cascade_shift_through_corner(ctx)
     # link to the boundary member's current position (it may have shifted)
     t1_now = ctx.positions[partner(_tid_at(ctx, s1))]
-    trails = _must_trails(ctx, [(s1, t1_now)], None, f"{label}: no linkage path")
+    trails = _must_trails(ctx, [(s1, t1_now)], None, f"{ctx.label}: no linkage path")
     ctx.finish_link(0, trails[0])
-    return ctx, label
+    return ctx
 
 
 def _h5_case_c(cfg: TerminalConfig):
     ctx = RoutingContext.fresh(cfg)
-    label = "L4/c"
+    ctx.label = "L4/c"
     _link_on_l(ctx, 0)
-    _finish(ctx, _inner(ctx), candidates=[*cfg.pairs[0], (1, 3)], label=label)
-    return ctx, label
+    _finish(ctx, _inner(ctx), candidates=[*cfg.pairs[0], (1, 3)])
+    return ctx
 
 
 def _h5_case_d(cfg: TerminalConfig):
     ctx = RoutingContext.fresh(cfg)
     _link_on_l(ctx, 0)
     if _s_count(cfg) == 2:
-        label = "L4/d/S2"
+        ctx.label = "L4/d/S2"
         row_single = [t for t in ctx.positions if ctx.positions[t] in ROW_ONLY]
         if row_single:
             ctx.shift(ctx.positions[row_single[0]], CORNER)
         inner = _inner(ctx)
-        _mate_to_anchors(ctx, inner[0], inner[1], ((3, 1), (3, 2)), label)
-        return ctx, label
-    label = "L4/d/S3"
-    _finish(ctx, _inner(ctx), candidates=[(3, 1), (3, 2), (1, 3)], label=label)
-    return ctx, label
+        _mate_to_anchors(ctx, inner[0], inner[1], ((3, 1), (3, 2)))
+        return ctx
+    ctx.label = "L4/d/S3"
+    _finish(ctx, _inner(ctx), candidates=[(3, 1), (3, 2), (1, 3)])
+    return ctx
 
 
 def _h5_case_e(cfg: TerminalConfig):
@@ -613,25 +597,25 @@ def _h5_case_e(cfg: TerminalConfig):
         _link_on_l(ctx, 0)
         inner = _inner(ctx)
         if sc == 3:
-            label = "L4/e/S3-pair-on-L"
+            ctx.label = "L4/e/S3-pair-on-L"
             candidates = [(3, 1), (3, 2), (1, 3), (3, 3), (2, 3)]
-            _finish(ctx, inner, candidates=candidates, label=label)
-            return ctx, label
+            _finish(ctx, inner, candidates=candidates)
+            return ctx
         # two inner singletons, one on the boundary
         if next(v for v in cfg.singletons if v in BOUNDARY) not in ROW_ONLY:
-            label, anchors = "L4/e/S2-aa", ((3, 1), (3, 2))
+            ctx.label, anchors = "L4/e/S2-aa", ((3, 1), (3, 2))
         else:
             a_end = next(v for v in pair if v in ROW_ONLY)
             b_end = next(v for v in pair if v in COL_ONLY)
-            label, anchors = "L4/e/S2-ab", (a_end, b_end)
-        _mate_to_anchors(ctx, inner[0], inner[1], anchors, label)
-        return ctx, label
+            ctx.label, anchors = "L4/e/S2-ab", (a_end, b_end)
+        _mate_to_anchors(ctx, inner[0], inner[1], anchors)
+        return ctx
     s1, t1 = _split_pair(cfg, 0)
     if sc == 2:
-        label = "L4/e/S2-member"
+        ctx.label = "L4/e/S2-member"
         s2 = _inner(ctx)[1]  # the inner singleton; the pair member comes first
         if _both_col_stub_singles(ctx):
-            _cascade_shift_through_corner(ctx, label)
+            _cascade_shift_through_corner(ctx)
         ends = _pair_ends(ctx, [0])
         cands = [v for v in sorted(LAST_ROW) if ctx.is_free_vertex(v)] + [t1]
         if _col_budget(ctx, [t for t in _singleton_tids(ctx) if t != s2]) > 0:
@@ -641,19 +625,19 @@ def _h5_case_e(cfg: TerminalConfig):
             if trails is not None:
                 ctx.finish_link(0, trails[0])
                 ctx.move(s2, trails[1])
-                return ctx, label
-        raise CaseGap(f"{label}: no joint linkage")
+                return ctx
+        raise CaseGap(f"{ctx.label}: no joint linkage")
     if sc == 4:
-        label = "L4/e/S4-extension"
+        ctx.label = "L4/e/S4-extension"
     else:  # three in the square: the pair member plus two singletons
-        label = "L4/e/S3-t1-in-B" if t1 in LAST_COL else "L4/e/S3-t1-in-row"
+        ctx.label = "L4/e/S3-t1-in-B" if t1 in LAST_COL else "L4/e/S3-t1-in-row"
     _link_prescribed(ctx, _tid_at(ctx, s1), t1 not in LAST_COL)
     inner = _inner(ctx)
     if sc == 4:
-        _finish(ctx, inner, label=label)
+        _finish(ctx, inner)
     else:
-        _mate_to_first(ctx, inner[0], inner[1], _free_anchor_pairs(ctx), label)
-    return ctx, label
+        _mate_to_first(ctx, inner[0], inner[1], _free_anchor_pairs(ctx))
+    return ctx
 
 
 def _free_anchor_pairs(ctx: RoutingContext):
@@ -693,23 +677,23 @@ def _heavy6_case(cfg: TerminalConfig):
 
 
 def _h6_case_a(cfg: TerminalConfig):
-    label = "L3/a/pair-on-L"
     ctx = RoutingContext.fresh(cfg)
+    ctx.label = "L3/a/pair-on-L"
     on_l = _pairs_within(cfg, BOUNDARY)
     if not on_l:
-        raise CaseGap(f"{label}: no pair on the boundary")
+        raise CaseGap(f"{ctx.label}: no pair on the boundary")
     pi = on_l[0]
     a, b = cfg.pairs[pi]
     _link_on_l(ctx, pi)
     s_tid = _inner(ctx)[0]
-    gap = f"{label}: no path to the row corner"
+    gap = f"{ctx.label}: no path to the row corner"
     stage1 = _must_trails(ctx, [(ctx.positions[s_tid], (3, 1))], ctx.free - L_EDGES, gap)
     # on along the boundary to the linkage's end nearer the row corner
     full = stage1[0] + Path(unique_l_path((3, 1), max((a, b), key=L_ORDER.index)))
     ctx.escape_via(s_tid, full)
     if set(cfg.pairs[pi]) <= LAST_ROW and _both_col_stub_occupied(ctx):
         ctx.shift((2, 3), a if full.end == b else b)
-    return ctx, label
+    return ctx
 
 
 def _h6_case_b(cfg: TerminalConfig, pi: int):
@@ -717,18 +701,18 @@ def _h6_case_b(cfg: TerminalConfig, pi: int):
     sc = _s_count(cfg)
     other = 1 - pi
     if sc == 2:
-        label = "L3/b/S2"
-        _link_many(ctx, [pi], allowed=S_EDGES, label=label)
-        _clear_col_stub(ctx, ((3, 3), (3, 2), (3, 1)), label)
-        return ctx, label
+        ctx.label = "L3/b/S2"
+        _link_many(ctx, [pi], allowed=S_EDGES)
+        _clear_col_stub(ctx, ((3, 3), (3, 2), (3, 1)))
+        return ctx
     if set(cfg.pairs[other]) <= BOUNDARY:
-        label = "L3/b/other-pair-on-L"
+        ctx.label = "L3/b/other-pair-on-L"
         _link_on_l(ctx, other)
         singles = [t for t in _inner(ctx) if t[0] == "s"]
-        _finish(ctx, singles, label=label, link=[pi])
-        return ctx, label
+        _finish(ctx, singles, link=[pi])
+        return ctx
     if sc == 3:
-        label = "L3/b/S3"
+        ctx.label = "L3/b/S3"
         s2_tid = next(t for t in _inner(ctx) if t[:2] == ("p", other))
         if ctx.terminals_at((3, 1)):
             ctx.shift((3, 1), _first_free(ctx, ((3, 2), (3, 3), (2, 3), (1, 3))))
@@ -736,35 +720,34 @@ def _h6_case_b(cfg: TerminalConfig, pi: int):
         trails = _joint_trails(ctx, ends, allowed=QMB_EDGES | S_EDGES)
         if trails is None:
             ctx.notes.append("retry:unrestricted")
-            gap = f"{label}: no joint linkage and escape"
-            trails = _must_trails(ctx, ends, None, gap)
+            trails = _must_trails(ctx, ends, None, f"{ctx.label}: no joint linkage and escape")
         ctx.finish_link(pi, trails[0])
         ctx.escape_via(s2_tid, trails[1])
-        _clear_col_stub(ctx, ((3, 2), (3, 3), (3, 1)), label)
-        return ctx, label
+        _clear_col_stub(ctx, ((3, 2), (3, 3), (3, 1)))
+        return ctx
     # everything inside the square
     col_count = len(_terminals_in(cfg, COL_ONLY))
     pq = [t for t in _inner(ctx) if t[:2] != ("p", pi)]
     if col_count == 2:
-        label = "L3/b/S4-col2"
+        ctx.label = "L3/b/S4-col2"
         ctx.shift((2, 3), CORNER)
         anchors = ((3, 1), (3, 2))
     elif col_count == 1:
-        label = "L3/b/S4-col1"
+        ctx.label = "L3/b/S4-col1"
         for v in ((3, 1), (3, 2)):
             if ctx.terminals_at(v) and ctx.is_free_vertex(CORNER):
                 ctx.shift(v, CORNER)
         anchors = ((3, 1), (3, 2))
     else:
-        label = "L3/b/S4-col0"
+        ctx.label = "L3/b/S4-col0"
         if ctx.terminals_at((3, 1)):
             w = _first_free(ctx, ((3, 2), (3, 3)))
             if w is None:
-                raise CaseGap(f"{label}: no free row vertex")
+                raise CaseGap(f"{ctx.label}: no free row vertex")
             ctx.shift((3, 1), w)
         anchors = ((3, 1), (1, 3))
-    _mate_to_anchors(ctx, pq[0], pq[1], anchors, label, link=[pi])
-    return ctx, label
+    _mate_to_anchors(ctx, pq[0], pq[1], anchors, link=[pi])
+    return ctx
 
 
 def _h6_case_c(cfg: TerminalConfig, pi: int):
@@ -777,38 +760,32 @@ def _h6_case_c(cfg: TerminalConfig, pi: int):
     if _s_count(cfg) == 2:
         inner = _inner(ctx)
         if w_in_row:
-            label = "L3/c/S2-w-row"
+            ctx.label = "L3/c/S2-w-row"
             ctx.shift((2, 3), CORNER)
-            _mate_to_anchors(ctx, inner[0], inner[1], ((3, 1), (3, 2)), label)
+            _mate_to_anchors(ctx, inner[0], inner[1], ((3, 1), (3, 2)))
         else:
-            label = "L3/c/S2-w-col"
-            _mate_to_anchors(ctx, inner[0], inner[1], (a, b), label)
-        return ctx, label
+            ctx.label = "L3/c/S2-w-col"
+            _mate_to_anchors(ctx, inner[0], inner[1], (a, b))
+        return ctx
     s2, t2 = _split_pair(cfg, other)
     singles = _singleton_tids(ctx)
     if t2 in LAST_COL:
-        label = "L3/c/S3-t2-in-B"
+        ctx.label = "L3/c/S3-t2-in-B"
         _link_prescribed(ctx, _tid_at(ctx, s2), False)
-        _mate_to_anchors(ctx, singles[0], singles[1], ((3, 1), (3, 2)), label)
-        return ctx, label
-    label = "L3/c/S3-t2-in-row"
+        _mate_to_anchors(ctx, singles[0], singles[1], ((3, 1), (3, 2)))
+        return ctx
+    ctx.label = "L3/c/S3-t2-in-row"
     trails = _joint_trails(
         ctx, [(s2, t2)], allowed=col_edges(s2[1]) | row_edges(s2[0]) | {edge((3, 1), (3, 2))}
     )
     if trails is not None:
         ctx.finish_link(other, trails[0])
-        _mate_to_first(ctx, singles[0], singles[1], _row_anchor_pairs(ctx, (1, 3)), label)
-        return ctx, label
+        _mate_to_first(ctx, singles[0], singles[1], _row_anchor_pairs(ctx, (1, 3)))
+        return ctx
     # the prescribed lane is blocked: pack the linkage and matings jointly
     ctx.notes.append("retry:joint")
-    _finish(
-        ctx,
-        singles,
-        candidates=[(3, 1), (3, 2), (3, 3), (1, 3)],
-        label=label,
-        link=[other],
-    )
-    return ctx, label
+    _finish(ctx, singles, candidates=[(3, 1), (3, 2), (3, 3), (1, 3)], link=[other])
+    return ctx
 
 
 def _h6_case_d(cfg: TerminalConfig, pi: int):
@@ -819,32 +796,32 @@ def _h6_case_d(cfg: TerminalConfig, pi: int):
     if _s_count(cfg) == 2:
         inner = _inner(ctx)
         if not any(ctx.terminals_at(v) for v in LAST_COL - pair):
-            label = "L3/d/S2-all-B-free"
+            ctx.label = "L3/d/S2-all-B-free"
             anchor_options = ((CORNER, (1, 3)), (CORNER, (2, 3)))
-            _mate_to_first(ctx, inner[0], inner[1], anchor_options, label)
-            return ctx, label
+            _mate_to_first(ctx, inner[0], inner[1], anchor_options)
+            return ctx
         w = _first_free(ctx, sorted(ROW_ONLY)) if CORNER in pair else None
         if w is not None:
-            label = "L3/d/S2-corner-pair"
-            _mate_to_anchors(ctx, inner[0], inner[1], (w, CORNER), label)
-            return ctx, label
-        label = "L3/d/S2-colpair"
-        _finish(ctx, inner, label=label)
-        return ctx, label
-    label = "L3/d/S3"
+            ctx.label = "L3/d/S2-corner-pair"
+            _mate_to_anchors(ctx, inner[0], inner[1], (w, CORNER))
+            return ctx
+        ctx.label = "L3/d/S2-colpair"
+        _finish(ctx, inner)
+        return ctx
+    ctx.label = "L3/d/S3"
     s2, t2 = _split_pair(cfg, other)
     singles = _singleton_tids(ctx)
     if t2 in ROW_ONLY:
         allowed = col_edges(s2[1]) | {edge((3, 1), (3, 2))}
     else:
         allowed = col_edges(s2[1]) | row_edges(2) | col_edges(3) | row_edges(s2[0])
-    gap = f"{label}: no linkage for the second pair"
+    gap = f"{ctx.label}: no linkage for the second pair"
     ctx.finish_link(other, _must_trails(ctx, [(s2, t2)], allowed, gap)[0])
     z = (1, 3)
     if not ctx.is_free_vertex(z):
-        raise CaseGap(f"{label}: the column anchor is occupied")
-    _mate_to_first(ctx, singles[0], singles[1], _row_anchor_pairs(ctx, z), label)
-    return ctx, label
+        raise CaseGap(f"{ctx.label}: the column anchor is occupied")
+    _mate_to_first(ctx, singles[0], singles[1], _row_anchor_pairs(ctx, z))
+    return ctx
 
 
 def _h6_end_s2(cfg: TerminalConfig):
@@ -853,7 +830,7 @@ def _h6_end_s2(cfg: TerminalConfig):
     singles = [t for t in inner if t[0] == "s"]
     members = [t for t in inner if t[0] == "p"]
     if len(singles) == 2:
-        label = "L3/end/S2-two-singles"
+        ctx.label = "L3/end/S2-two-singles"
         # each pair joins the last row to the stub, so (2,3) has a partner
         # on the last row, which sorts after it
         pi = _pair_index(cfg, (2, 3))
@@ -863,17 +840,17 @@ def _h6_end_s2(cfg: TerminalConfig):
         else:
             walk = ((2, 3), (2, 2), (3, 2), (3, 1))
         ctx.finish_link(pi, Path(walk))
-        _mate_to_anchors(ctx, singles[0], singles[1], (t1, CORNER), label)
-        return ctx, label
+        _mate_to_anchors(ctx, singles[0], singles[1], (t1, CORNER))
+        return ctx
     if len(members) == 2:
         # no singleton inside the square: both pairs link off the corner
-        label = "L3/end/S2-two-members"
+        ctx.label = "L3/end/S2-two-members"
         corner_tids = ctx.terminals_at(CORNER)
         if corner_tids and corner_tids[0][0] == "p":
             ctx.shift(CORNER, (3, 2))
-        _link_many(ctx, [0, 1], allowed=_OFF_CORNER, label=label)
-        _clear_col_stub(ctx, [CORNER], label)
-        return ctx, label
+        _link_many(ctx, [0, 1], allowed=_OFF_CORNER)
+        _clear_col_stub(ctx, [CORNER])
+        return ctx
     # one pair member and one singleton inside the square
     member, single = members[0], singles[0]
     other = 1 - member[1]
@@ -881,21 +858,21 @@ def _h6_end_s2(cfg: TerminalConfig):
     t1 = ctx.positions[partner(member)]
     w = _first_free(ctx, sorted(BOUNDARY))
     if w in ROW_ONLY:
-        label = "L3/end/S2-w-row"
+        ctx.label = "L3/end/S2-w-row"
         _link_on_l(ctx, other)
-        _mate_to_anchors(ctx, member, single, (s2, w), label)
-        return ctx, label
+        _mate_to_anchors(ctx, member, single, (s2, w))
+        return ctx
     down = t1 in ROW_ONLY
-    label = "L3/end/S2-t1-row" if down else "L3/end/S2-B"
+    ctx.label = "L3/end/S2-t1-row" if down else "L3/end/S2-B"
     _link_prescribed(ctx, member, down)
     # the singleton escapes to the freed partner vertex outside the last
     # column, or else to the corner
     exit_v, region = (t1, QMB_EDGES) if down else (CORNER, None)
-    gap = f"{label}: no escape path to {exit_v}"
+    gap = f"{ctx.label}: no escape path to {exit_v}"
     ctx.escape_via(single, _must_trails(ctx, [(ctx.positions[single], exit_v)], region, gap)[0])
     if down:
-        _cascade_shift_through_corner(ctx, label)
-    return ctx, label
+        _cascade_shift_through_corner(ctx)
+    return ctx
 
 
 def _h6_end_s3(cfg: TerminalConfig):
@@ -910,28 +887,28 @@ def _h6_end_s3(cfg: TerminalConfig):
     free_rows = [v for v in sorted(LAST_ROW) if ctx.is_free_vertex(v)]
     m = members[0]
     if not col_res:
-        label, down = "L3/end/S3-col0", True
+        ctx.label, down = "L3/end/S3-col0", True
         # the row anchor is picked once the linkage has freed its partner
         anchors = _row_anchor_pairs(ctx, (1, 3))
     elif len(col_res) == 2:
-        label, down = "L3/end/S3-col2", False
+        ctx.label, down = "L3/end/S3-col2", False
         m = next(x for x in members if ctx.positions[partner(x)] in COL_ONLY)
         anchors = itertools.combinations(free_rows, 2)
     elif col_res[0] not in partner_at and ctx.is_free_vertex(CORNER):
-        label, down = "L3/end/S3-corner-free", True
+        ctx.label, down = "L3/end/S3-corner-free", True
         anchors = [(CORNER, ctx.positions[partner(m)])]
     else:
         # the linked member's partner sits on the stub or the corner; it
         # pairs with the first free last-row vertex
         t_col = col_res[0] in partner_at
-        label = "L3/end/S3-t-col" if t_col else "L3/end/S3-corner-taken"
+        ctx.label = "L3/end/S3-t-col" if t_col else "L3/end/S3-corner-taken"
         m = partner_at[col_res[0]] if t_col else partner_at.get(CORNER, m)
         down = False
         anchors = [(u, ctx.positions[partner(m)]) for u in free_rows[:1]]
     _link_prescribed(ctx, m, down)
     rest = _inner(ctx)
-    _mate_to_first(ctx, rest[0], rest[1], anchors, label)
-    return ctx, label
+    _mate_to_first(ctx, rest[0], rest[1], anchors)
+    return ctx
 
 
 # Regions of the diagonal splits: the inner columns with the last row, and
@@ -940,7 +917,7 @@ _COLS_AND_ROW = col_edges(1) | col_edges(2) | row_edges(3)
 _ROWS_AND_COL = row_edges(1) | row_edges(2) | col_edges(3)
 
 
-def _diagonal_split(ctx, pi, hub, region, label, link_to=None, mate_to=None):
+def _diagonal_split(ctx, pi, hub, region, link_to=None, mate_to=None):
     """Split the inner square along its diagonals: link pair ``pi`` from its
     inner member to ``hub`` and escape the member's diagonal mate to ``hub``
     as well, the two trails packed jointly in ``region``.  ``link_to`` or
@@ -949,7 +926,7 @@ def _diagonal_split(ctx, pi, hub, region, label, link_to=None, mate_to=None):
     r, c = _split_pair(ctx.cfg, pi)[0]
     mate = (3 - r, 3 - c)
     ends = [((r, c), hub), (mate, hub)]
-    link, escape = _must_trails(ctx, ends, region, f"{label}: diagonal split failed")
+    link, escape = _must_trails(ctx, ends, region, f"{ctx.label}: diagonal split failed")
     if link_to is not None:
         link = link + path_of(hub, link_to)
     if mate_to is not None:
@@ -964,39 +941,38 @@ def _h6_end_s4(cfg: TerminalConfig):
     l_res = _terminals_in(cfg, BOUNDARY)
     col_res = [v for v in l_res if v in COL_ONLY]
     if len(col_res) == 0 and CORNER not in l_res:
-        label = "L3/end/S4-rows"
+        ctx.label = "L3/end/S4-rows"
         pi = next(i for i, p in enumerate(cfg.pairs) if set(p) & set(l_res))
         t1 = _split_pair(cfg, pi)[1]
-        row1_v, row2_v = _diagonal_split(ctx, pi, t1, _COLS_AND_ROW, label)
+        row1_v, row2_v = _diagonal_split(ctx, pi, t1, _COLS_AND_ROW)
         ctx.escape_via(_tid_at(ctx, row1_v), Path(_row_walk(row1_v, 3)))
         ctx.escape_via(_tid_at(ctx, row2_v), Path(_row_walk(row2_v, 3) + (CORNER,)))
-        return ctx, label
+        return ctx
     if len(col_res) == 2:
-        label = "L3/end/S4-cols"
+        ctx.label = "L3/end/S4-cols"
         pi = _pair_index(cfg, (2, 3))
-        others = _diagonal_split(ctx, pi, (2, 3), _ROWS_AND_COL, label, mate_to=CORNER)
+        others = _diagonal_split(ctx, pi, (2, 3), _ROWS_AND_COL, mate_to=CORNER)
         escapers = [_tid_at(ctx, v) for v in others]
-        _finish(ctx, escapers, candidates=[(3, 1), (3, 2)], label=label)
-        return ctx, label
+        _finish(ctx, escapers, candidates=[(3, 1), (3, 2)])
+        return ctx
     if CORNER in l_res and len(col_res) == 0:
-        label = "L3/end/S4-corner"
+        ctx.label = "L3/end/S4-corner"
         pi = _pair_index(cfg, CORNER)
-        others = _diagonal_split(ctx, pi, (2, 3), _ROWS_AND_COL, label, link_to=CORNER)
+        others = _diagonal_split(ctx, pi, (2, 3), _ROWS_AND_COL, link_to=CORNER)
         candidates = [CORNER, (3, 1), (3, 2)]
     else:
-        label = "L3/end/S4-mixed"
+        ctx.label = "L3/end/S4-mixed"
         t1 = col_res[0]
         pi = _pair_index(cfg, t1)
-        others = _diagonal_split(ctx, pi, t1, _ROWS_AND_COL, label)
+        others = _diagonal_split(ctx, pi, t1, _ROWS_AND_COL)
         candidates = sorted(LAST_ROW)
     _finish(
         ctx,
         [_tid_at(ctx, v) for v in others],
         candidates=candidates,
         allowed=_COLS_AND_ROW | S_EDGES,
-        label=label,
     )
-    return ctx, label
+    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -1018,23 +994,23 @@ def _h78_case_a(cfg: TerminalConfig):
     in_s = _pairs_within(cfg, INNER_SQUARE)
     inner = _inner(ctx)
     if in_s:
-        label = "L2/a/pair-in-S"
-        _link_many(ctx, [in_s[0]], allowed=S_EDGES, label=label)
+        ctx.label = "L2/a/pair-in-S"
+        _link_many(ctx, [in_s[0]], allowed=S_EDGES)
         _link_on_l(ctx, next(i for i in range(len(cfg.pairs)) if i != in_s[0]))
-        return ctx, label
+        return ctx
     if all(t[0] == "p" for t in inner):
-        label = "L2/a/two-members"
+        ctx.label = "L2/a/two-members"
         p1, p2 = inner[0][1], inner[1][1]
-        _link_many(ctx, [p1, p2], label=label)
-        return ctx, label
-    label = "L2/a/member-and-singleton"
+        _link_many(ctx, [p1, p2])
+        return ctx
+    ctx.label = "L2/a/member-and-singleton"
     h_edges = L_EDGES | {edge((2, 2), (2, 3)), edge((2, 2), (3, 2))}
     l_pairs = _pairs_within(cfg, BOUNDARY)
     if len(l_pairs) < 2:
-        raise CaseGap(f"{label}: expected two boundary pairs")
-    _link_many(ctx, l_pairs[:2], allowed=h_edges, label=label)
-    _finish(ctx, inner, label=label)
-    return ctx, label
+        raise CaseGap(f"{ctx.label}: expected two boundary pairs")
+    _link_many(ctx, l_pairs[:2], allowed=h_edges)
+    _finish(ctx, inner)
+    return ctx
 
 
 def _h78_case_b(cfg: TerminalConfig):
@@ -1044,10 +1020,10 @@ def _h78_case_b(cfg: TerminalConfig):
         pj = _pair_index(cfg, third)
         if pj is None:
             return _h78_b2(cfg, in_s[0])
-        label = "L2/b/pair-plus-member"
         ctx = RoutingContext.fresh(cfg)
-        _link_many(ctx, [in_s[0], pj], label=label)
-        return ctx, label
+        ctx.label = "L2/b/pair-plus-member"
+        _link_many(ctx, [in_s[0], pj])
+        return ctx
     members = [
         v for v in _terminals_in(cfg, INNER_SQUARE)
         if any(v in p for p in cfg.pairs)
@@ -1058,12 +1034,12 @@ def _h78_case_b(cfg: TerminalConfig):
 
 
 def _h78_b2(cfg: TerminalConfig, pi: int):
-    label = "L2/b/pair-plus-singleton"
     ctx = RoutingContext.fresh(cfg)
+    ctx.label = "L2/b/pair-plus-singleton"
     s0 = [v for v in cfg.singletons if v in INNER_SQUARE][0]
     s0_tid = _tid_at(ctx, s0)
     reduced = [e for e in S_EDGES if s0 not in e]
-    _link_many(ctx, [pi], allowed=reduced, label=label)
+    _link_many(ctx, [pi], allowed=reduced)
     ctx.move(s0_tid, Path(_col_walk(s0, 3)))
     # the second linkage is the pair of a member the singleton lands on,
     # else the first pair on the boundary
@@ -1075,17 +1051,17 @@ def _h78_b2(cfg: TerminalConfig, pi: int):
     elif occupant[0][0] == "p":
         second = occupant[0][1]
     else:
-        raise CaseGap(f"{label}: landing vertex hosts an unlinked terminal")
+        raise CaseGap(f"{ctx.label}: landing vertex hosts an unlinked terminal")
     _link_on_l(ctx, second)
     ctx.finish_escape(s0_tid)
-    return ctx, label
+    return ctx
 
 
 def _h78_b3(cfg: TerminalConfig, escaping):
     """Frame on the inner 4-cycle: the two members closest to the center
     attach there; the third inner terminal escapes along the outer lane."""
-    label = "L2/b/three-members" if escaping is None else "L2/b/members-and-singleton"
     ctx = RoutingContext.fresh(cfg)
+    ctx.label = "L2/b/three-members" if escaping is None else "L2/b/members-and-singleton"
     inner = _terminals_in(cfg, INNER_SQUARE)
     if escaping is None:
         ranked = sorted(inner, key=lambda v: (abs(v[0] - 2) + abs(v[1] - 2), v))
@@ -1094,15 +1070,10 @@ def _h78_b3(cfg: TerminalConfig, escaping):
     else:
         attach_vs = sorted(v for v in inner if v != escaping)
         escaper_v = escaping
-    _link_through_frame(ctx, INNER_CYCLE_4, (2, 2), attach_vs, label)
+    _link_through_frame(ctx, INNER_CYCLE_4, (2, 2), attach_vs)
     esc_tid = _tid_at(ctx, escaper_v)
-    _finish(
-        ctx,
-        [esc_tid],
-        candidates=[(3, 1), (1, 3), (3, 2), (2, 3), (3, 3)],
-        label=label,
-    )
-    return ctx, label
+    _finish(ctx, [esc_tid], candidates=[(3, 1), (1, 3), (3, 2), (2, 3), (3, 3)])
+    return ctx
 
 
 def _h78_b4(cfg: TerminalConfig):
@@ -1122,8 +1093,8 @@ def _h78_b4(cfg: TerminalConfig):
 def _h78_b4_column(cfg: TerminalConfig):
     """Singleton on the middle column: frame on the six-cycle below the top
     row, escape the singleton at the top-right stub."""
-    label = "L2/b/members-and-singleton"
     ctx = RoutingContext.fresh(cfg)
+    ctx.label = "L2/b/members-and-singleton"
     s0 = [v for v in cfg.singletons if v in INNER_SQUARE][0]
     members = sorted(v for v in _terminals_in(cfg, INNER_SQUARE) if v != s0)
     p0_walk = _col_walk(s0, 1) + tuple(_row_walk((1, s0[1]), 3)[1:])
@@ -1131,14 +1102,14 @@ def _h78_b4_column(cfg: TerminalConfig):
     cyc = CYCLE_6_NO_ROW1
     cyc_edges = cycle_edges(cyc)
     allowed = (S_EDGES - set(p0.edges())) - cyc_edges
-    gap = f"{label}: no inner connector avoiding the cycle"
+    gap = f"{ctx.label}: no inner connector avoiding the cycle"
     p12 = _must_trails(ctx, [tuple(members)], allowed, gap)[0]
     y = next(v for v in p12.vertices if v in cyc)
     i_y = p12.vertices.index(y)
     # attach paths run member -> anchor along the two halves of the connector
     attach_a = Path(tuple(p12.vertices[: i_y + 1]))
     attach_b = Path(tuple(reversed(p12.vertices[i_y:])))
-    pis = _link_through_frame(ctx, cyc, y, members, label, attach=(attach_a, attach_b))
+    pis = _link_through_frame(ctx, cyc, y, members, attach=(attach_a, attach_b))
     # resolve the top-right stub for the singleton's escape
     z = (1, 3)
     s0_tid = _tid_at(ctx, s0)
@@ -1153,21 +1124,21 @@ def _h78_b4_column(cfg: TerminalConfig):
                 ctx.finish_link(third, path_of((1, 3), (2, 3)))
             else:
                 if not ctx.is_free_vertex((2, 3)):
-                    raise CaseGap(f"{label}: cannot clear the stub")
+                    raise CaseGap(f"{ctx.label}: cannot clear the stub")
                 ctx.shift(z, (2, 3))
         else:
-            raise CaseGap(f"{label}: unexpected occupant at the stub")
+            raise CaseGap(f"{ctx.label}: unexpected occupant at the stub")
     ctx.escape_via(s0_tid, p0)
-    return ctx, label
+    return ctx
 
 
 def _h78_case_c(cfg: TerminalConfig):
     in_s = _pairs_within(cfg, INNER_SQUARE)
     if len(in_s) >= 2:
         ctx = RoutingContext.fresh(cfg)
-        label = "L2/c/two-pairs"
-        _link_many(ctx, in_s[:2], label=label)
-        return ctx, label
+        ctx.label = "L2/c/two-pairs"
+        _link_many(ctx, in_s[:2])
+        return ctx
     if len(in_s) == 1:
         return _h78_c2(cfg, in_s[0])
     if _pair_index(cfg, (2, 2)) is not None:
@@ -1176,8 +1147,8 @@ def _h78_case_c(cfg: TerminalConfig):
 
 
 def _h78_c2(cfg: TerminalConfig, pi: int):
-    label = "L2/c/pair-plus-two"
     ctx = RoutingContext.fresh(cfg)
+    ctx.label = "L2/c/pair-plus-two"
     others = sorted(
         v for v in _terminals_in(cfg, INNER_SQUARE) if v not in set(cfg.pairs[pi])
     )
@@ -1192,19 +1163,19 @@ def _h78_c2(cfg: TerminalConfig, pi: int):
     first_tid = _tid_at(ctx, first)
     t2 = ctx.positions[partner(first_tid)]
     ends = [(first, t2), (second, t2)]
-    trails = _must_trails(ctx, ends, None, f"{label}: through-link failed")
+    trails = _must_trails(ctx, ends, None, f"{ctx.label}: through-link failed")
     ctx.finish_link(first_tid[1], trails[0])
     ctx.escape_via(_tid_at(ctx, second), trails[1])
-    return ctx, label
+    return ctx
 
 
 def _h78_c3_member(cfg: TerminalConfig):
-    label = "L2/c/no-pair-center-member"
     plan_cfg = cfg if _pair_index(cfg, (2, 1)) is not None else cfg.reflected()
     ctx = RoutingContext.fresh(plan_cfg)
-    _link_through_frame(ctx, INNER_CYCLE_4, (2, 2), ((2, 2), (2, 1)), label)
-    _h78_c3_outer_escapes(ctx, plan_cfg, label)
-    return ctx, label
+    ctx.label = "L2/c/no-pair-center-member"
+    _link_through_frame(ctx, INNER_CYCLE_4, (2, 2), ((2, 2), (2, 1)))
+    _h78_c3_outer_escapes(ctx)
+    return ctx
 
 
 # (origin, stub, lane, stub edges, lane region) for each outer escape
@@ -1220,7 +1191,7 @@ _OUTER_STUBS = (
 )
 
 
-def _h78_c3_outer_escapes(ctx: RoutingContext, cfg: TerminalConfig, label: str) -> None:
+def _h78_c3_outer_escapes(ctx: RoutingContext) -> None:
     """Escape the terminals at (1,2) and (1,1) toward the two boundary
     stubs.  If such a terminal's own mate sits on the stub or just past it,
     the escape becomes a linkage; any other unresolved stub occupant shifts
@@ -1231,12 +1202,12 @@ def _h78_c3_outer_escapes(ctx: RoutingContext, cfg: TerminalConfig, label: str) 
         if ctx.terminals_at(stub) and mate_pos != stub:
             if ctx.terminals_at(lane):
                 if mate_pos != lane:
-                    raise CaseGap(f"{label}: stub and lane both blocked at {stub}")
-                gap = f"{label}: conflict linkage to {lane} blocked"
+                    raise CaseGap(f"{ctx.label}: stub and lane both blocked at {stub}")
+                gap = f"{ctx.label}: conflict linkage to {lane} blocked"
                 ctx.finish_link(tid[1], _must_trails(ctx, [(origin, lane)], lane_region, gap)[0])
                 continue
             ctx.shift(stub, lane)
-        gap = f"{label}: lane to {stub} blocked"
+        gap = f"{ctx.label}: lane to {stub} blocked"
         trail = _must_trails(ctx, [(origin, stub)], stub_edges, gap)[0]
         if mate_pos == stub:
             ctx.finish_link(tid[1], trail)
@@ -1256,9 +1227,9 @@ def _h78_c3_singleton(cfg: TerminalConfig):
 
 
 def _h78_c3_singleton_frame(cfg: TerminalConfig):
-    label = "L2/c/no-pair-center-singleton"
     ctx = RoutingContext.fresh(cfg)
-    _link_through_frame(ctx, CYCLE_6_NO_COL1, (1, 2), ((1, 1), (1, 2)), label)
+    ctx.label = "L2/c/no-pair-center-singleton"
+    _link_through_frame(ctx, CYCLE_6_NO_COL1, (1, 2), ((1, 1), (1, 2)))
     # escapes: the (2,1) member exits at (3,1), the singleton at (2,3)
     m21_tid = _tid_at(ctx, (2, 1))
     t21 = ctx.positions.get(partner(m21_tid))
@@ -1268,14 +1239,14 @@ def _h78_c3_singleton_frame(cfg: TerminalConfig):
     else:
         ctx.escape_via(m21_tid, esc)
     if not ctx.is_free_vertex((2, 3)):
-        raise CaseGap(f"{label}: stub exit blocked for the singleton")
+        raise CaseGap(f"{ctx.label}: stub exit blocked for the singleton")
     ctx.escape_via(_tid_at(ctx, (2, 2)), path_of((2, 2), (2, 3)))
-    return ctx, label
+    return ctx
 
 
 def _h78_c3_singleton_direct(cfg: TerminalConfig):
-    label = "L2/c/no-pair-center-singleton-direct"
     ctx = RoutingContext.fresh(cfg)
+    ctx.label = "L2/c/no-pair-center-singleton-direct"
     ctx.finish_link(_pair_index(cfg, (1, 2)), path_of((1, 2), (2, 2), (3, 2)))
     ctx.finish_link(
         _pair_index(cfg, (2, 1)), path_of((2, 1), (3, 1), (3, 2), (3, 3), (2, 3))
@@ -1284,7 +1255,7 @@ def _h78_c3_singleton_direct(cfg: TerminalConfig):
     ctx.escape_via(m11_tid, path_of((1, 1), (1, 2), (1, 3)))
     s0_tid = _tid_at(ctx, (2, 2))
     ctx.escape_via(s0_tid, path_of((2, 2), (2, 3)))
-    return ctx, label
+    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -1296,16 +1267,16 @@ def _route(cfg: TerminalConfig, lemma: LemmaId, case_fn):
     """Run the case handler, exit every terminal it left on the boundary in
     place, carry the plan back if the handler solved the diagonal reflection,
     and validate the plan returned: an invalid plan is a case gap."""
-    ctx, label = case_fn(cfg)
-    _finish(ctx, label=label)
+    ctx = case_fn(cfg)
+    _finish(ctx)
     plan = ctx.plan()
     reflected = ctx.cfg != cfg
     if reflected:
         plan = reflected_plan(ctx.cfg, plan)
     verdict = validate_plan(full_grid(), cfg, plan, contract_for(lemma))
     if not verdict.ok:
-        raise CaseGap(f"{label}: plan invalid: {verdict.violations[0].message}")
-    return plan, CaseTrace(lemma, (label, *ctx.notes), symmetry_applied=reflected)
+        raise CaseGap(f"{ctx.label}: plan invalid: {verdict.violations[0].message}")
+    return plan, CaseTrace(lemma, (ctx.label, *ctx.notes), symmetry_applied=reflected)
 
 
 _CASES = {

@@ -80,7 +80,12 @@ class RoutingContext(Record):
     its own.  An unresolved terminal sits in ``positions`` at its trail's
     end; an escaped one exits at its trail's end; a linked pair's linkage
     is its two trails joined by a core.
-    ``free`` holds the edges no trail or core has consumed.
+    ``free`` holds the edges no trail or core has consumed.  ``label``
+    names the case the router's handler is building, and ``notes`` the
+    clips and retries it used on the way; together they become the plan's
+    ``CaseTrace``, and the router reads the label to name the case in its
+    case-gap messages.
+    ``linked``, ``escaped``, ``label`` and ``notes`` start empty.
 
     Only the mutation methods write this state, and each keeps those
     invariants as it goes: ``consume`` takes only free edges, all or none,
@@ -89,7 +94,9 @@ class RoutingContext(Record):
     the finished plan.  Two contexts are equal when all their state is.
     """
 
-    _fields = ("grid", "cfg", "free", "positions", "trails", "linked", "escaped", "notes")
+    _fields = (
+        "grid", "cfg", "free", "positions", "trails", "linked", "escaped", "label", "notes"
+    )
 
     def __init__(
         self,
@@ -98,18 +105,16 @@ class RoutingContext(Record):
         free: set[Edge],
         positions: dict[TermId, Vertex],
         trails: dict[TermId, Path],
-        linked: dict[int, Path] | None = None,
-        escaped: set[TermId] | None = None,
-        notes: list[str] | None = None,
     ):
         self.grid = grid
         self.cfg = cfg
         self.free = free
         self.positions = positions
         self.trails = trails
-        self.linked = {} if linked is None else linked
-        self.escaped = set() if escaped is None else escaped
-        self.notes = [] if notes is None else notes
+        self.linked: dict[int, Path] = {}
+        self.escaped: set[TermId] = set()
+        self.label = ""
+        self.notes: list[str] = []
 
     @staticmethod
     def fresh(cfg: TerminalConfig) -> "RoutingContext":

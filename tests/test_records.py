@@ -105,7 +105,7 @@ def _records():
         ),
         (
             RoutingContext,
-            (_G, _CFG, set(_G.edges), {("p", 0, 0): (1, 1)}, trails, {}, set(), []),
+            (_G, _CFG, set(_G.edges), {("p", 0, 0): (1, 1)}, trails),
             {
                 "grid": _G,
                 "cfg": _CFG,
@@ -113,7 +113,7 @@ def _records():
                 "positions": {("p", 0, 0): (1, 1)},
                 "trails": trails,
             },
-            ("grid", "cfg", "free", "positions", "trails", "linked", "escaped", "notes"),
+            ("grid", "cfg", "free", "positions", "trails", "linked", "escaped", "label", "notes"),
             False,
         ),
         (

@@ -11,7 +11,7 @@ from escape3x3.model import (
     reflected_plan,
     validate_plan,
 )
-from escape3x3 import router
+from escape3x3 import kernel, router
 from escape3x3.router import (
     CASE_LABELS,
     CaseGap,
@@ -216,6 +216,100 @@ def test_strict_sweep_kernel_calls_pinned(strict_sweep_kernel_calls):
     assert digest == "0307e6eb7bb93ecc3a32760cc42577403750cb1472cbbb0db4f2fbee1ed41627"
 
 
+# What strict routing of each case's first configuration in the strict sweep
+# gives when every kernel search fails: the message of the case gap it
+# raises, or "no gap" for the three cases that make no search.
+_GAP_PINS = {
+    "L2/a/member-and-singleton": "heavy78: L2/a/member-and-singleton: no linkage for pairs [1, 2]",
+    "L2/a/pair-in-S": "heavy78: L2/a/pair-in-S: no linkage for pairs [0]",
+    "L2/a/two-members": "heavy78: L2/a/two-members: no linkage for pairs [0, 1]",
+    "L2/b/members-and-singleton": (
+        "heavy78: L2/b/members-and-singleton: no inner connector avoiding the cycle"
+    ),
+    "L2/b/pair-plus-member": "heavy78: L2/b/pair-plus-member: no linkage for pairs [0, 1]",
+    "L2/b/pair-plus-singleton": "heavy78: L2/b/pair-plus-singleton: no linkage for pairs [0]",
+    "L2/b/three-members": "heavy78: L2/b/three-members: no exit assignment for [('p', 0, 0)]",
+    "L2/c/no-pair-center-member": (
+        "heavy78: L2/c/no-pair-center-member: conflict linkage to (2, 3) blocked"
+    ),
+    "L2/c/no-pair-center-singleton": "no gap",
+    "L2/c/no-pair-center-singleton-direct": "no gap",
+    "L2/c/pair-plus-two": "heavy78: L2/c/pair-plus-two: through-link failed",
+    "L2/c/two-pairs": "heavy78: L2/c/two-pairs: no linkage for pairs [0, 2]",
+    "L3/a/pair-on-L": "heavy6: L3/a/pair-on-L: no path to the row corner",
+    "L3/b/S2": "heavy6: L3/b/S2: no linkage for pairs [0]",
+    "L3/b/S3": "heavy6: L3/b/S3: no joint linkage and escape",
+    "L3/b/S4-col0": "heavy6: L3/b/S4-col0: cannot mate (2, 1), (2, 2) onto ((3, 1), (1, 3))",
+    "L3/b/S4-col1": "heavy6: L3/b/S4-col1: cannot mate (2, 1), (2, 2) onto ((3, 1), (3, 2))",
+    "L3/b/S4-col2": "heavy6: L3/b/S4-col2: cannot mate (2, 1), (2, 2) onto ((3, 1), (3, 2))",
+    "L3/b/other-pair-on-L": (
+        "heavy6: L3/b/other-pair-on-L: no exit assignment for [('s', 0), ('s', 1)]"
+    ),
+    "L3/c/S2-w-col": "heavy6: clip aa-31-32-fork cannot mate (1, 1), (1, 2)",
+    "L3/c/S2-w-row": "heavy6: clip aa-31-32-fork cannot mate (1, 1), (1, 2)",
+    "L3/c/S3-t2-in-B": "heavy6: clip aa-31-32-cross cannot mate (1, 2), (2, 1)",
+    "L3/c/S3-t2-in-row": "heavy6: L3/c/S3-t2-in-row: no exit assignment for [('s', 0), ('s', 1)]",
+    "L3/d/S2-all-B-free": "heavy6: clip ab-33-13-sweep cannot mate (1, 1), (1, 2)",
+    "L3/d/S2-colpair": "heavy6: L3/d/S2-colpair: no exit assignment for [('p', 0, 0), ('s', 0)]",
+    "L3/d/S2-corner-pair": "heavy6: clip aa-32-33-hook cannot mate (1, 1), (1, 2)",
+    "L3/d/S3": "heavy6: L3/d/S3: no linkage for the second pair",
+    "L3/end/S2-B": "heavy6: L3/end/S2-B: no escape path to (3, 3)",
+    "L3/end/S2-t1-row": "heavy6: L3/end/S2-t1-row: no escape path to (3, 1)",
+    "L3/end/S2-two-members": "heavy6: L3/end/S2-two-members: no linkage for pairs [0, 1]",
+    "L3/end/S2-two-singles": "heavy6: clip aa-32-33-sweep cannot mate (1, 1), (1, 2)",
+    "L3/end/S2-w-row": "heavy6: clip aa-31-32-fork cannot mate (1, 1), (1, 2)",
+    "L3/end/S3-col0": "heavy6: clip ab-31-13-ladder cannot mate (1, 2), (2, 1)",
+    "L3/end/S3-col2": "heavy6: L3/end/S3-col2: no anchor pair admits the mating",
+    "L3/end/S3-corner-free": "heavy6: L3/end/S3-corner-free: no anchor pair admits the mating",
+    "L3/end/S3-corner-taken": "heavy6: clip aa-32-33-hook cannot mate (1, 1), (2, 1)",
+    "L3/end/S3-t-col": "heavy6: L3/end/S3-t-col: no anchor pair admits the mating",
+    "L3/end/S4-cols": "heavy6: L3/end/S4-cols: diagonal split failed",
+    "L3/end/S4-corner": "heavy6: L3/end/S4-corner: diagonal split failed",
+    "L3/end/S4-mixed": "heavy6: L3/end/S4-mixed: diagonal split failed",
+    "L3/end/S4-rows": "heavy6: L3/end/S4-rows: diagonal split failed",
+    "L4/a/S2": "heavy5: L4/a/S2: no linkage for pairs [0]",
+    "L4/a/S2-shift-pair": "heavy5: L4/a/S2-shift-pair: no exit assignment for [('s', 1)]",
+    "L4/a/S3": "heavy5: L4/a/S3: no exit assignment for [('s', 1)]",
+    "L4/a/S4-corner-free": "heavy5: L4/a/S4-corner-free: no linkage for pairs [0]",
+    "L4/a/S4-corner-in-pair": "heavy5: L4/a/S4-corner-in-pair: no linkage for pairs [0]",
+    "L4/b/pair-on-L": "heavy5: L4/b/pair-on-L: no exit assignment for [('s', 0)]",
+    "L4/b/t1-in-col": "no gap",
+    "L4/b/t1-in-row": "heavy5: L4/b/t1-in-row: no linkage path",
+    "L4/c": "heavy5: L4/c: no exit assignment for [('s', 0), ('s', 1)]",
+    "L4/d/S2": "heavy5: clip aa-31-32-rails cannot mate (1, 1), (1, 2)",
+    "L4/d/S3": "heavy5: L4/d/S3: no exit assignment for [('s', 0), ('s', 1), ('s', 2)]",
+    "L4/e/S2-aa": "heavy5: clip aa-31-32-rails cannot mate (1, 1), (1, 2)",
+    "L4/e/S2-ab": "heavy5: clip ab-31-13-corner cannot mate (1, 1), (1, 2)",
+    "L4/e/S2-member": "heavy5: L4/e/S2-member: no joint linkage",
+    "L4/e/S3-pair-on-L": (
+        "heavy5: L4/e/S3-pair-on-L: no exit assignment for [('s', 0), ('s', 1), ('s', 2)]"
+    ),
+    "L4/e/S3-t1-in-B": "heavy5: clip aa-31-32-comb cannot mate (1, 2), (2, 1)",
+    "L4/e/S3-t1-in-row": "heavy5: L4/e/S3-t1-in-row: no anchor pair admits the mating",
+    "L4/e/S4-extension": (
+        "heavy5: L4/e/S4-extension: no exit assignment for [('s', 0), ('s', 1), ('s', 2)]"
+    ),
+}
+
+
+def test_case_gap_messages_are_pinned(strict_sweep, monkeypatch):
+    """Route the first configuration of each case label strictly with every
+    kernel search failing: each case raises its pinned case gap, whose
+    message names the case, or completes without a search."""
+    firsts = {}
+    for _, cfg, _, trace in strict_sweep:
+        firsts.setdefault(trace.case_labels[0], cfg)
+    monkeypatch.setattr(kernel, "solve_trails", lambda *args: None)
+    found = {}
+    for label, cfg in firsts.items():
+        try:
+            route(cfg, strict=True)
+            found[label] = "no gap"
+        except CaseGap as exc:
+            found[label] = str(exc)
+    assert found == _GAP_PINS
+
+
 def _drop_first_linkage(build):
     def corrupted(*args):
         plan = build(*args)
@@ -308,5 +402,5 @@ def test_frame_guards_raise_case_gap_and_consume_nothing(
     ctx = RoutingContext.fresh(make_config(pairs, singletons))
     free, positions = set(ctx.free), dict(ctx.positions)
     with pytest.raises(CaseGap, match=match):
-        router._link_through_frame(ctx, getattr(grid, cycle), anchor, members, "frame")
+        router._link_through_frame(ctx, getattr(grid, cycle), anchor, members)
     assert ctx.free == free and ctx.positions == positions and not ctx.linked

@@ -339,3 +339,18 @@ def test_frames_are_built_in_one_function():
         for where in builders(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     ]
     assert found == ["router._link_through_frame"], found
+
+
+def test_router_functions_take_no_label():
+    """A case handler names its case once, on its routing context
+    (``RoutingContext.label``), and the helpers read it there: no function
+    in ``router.py`` takes a ``label`` parameter."""
+    tree = ast.parse((SRC / "router.py").read_text(encoding="utf-8"))
+    found = [
+        f"{func.name}:{func.lineno}"
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in ast.walk(func.args)
+        if isinstance(arg, ast.arg) and arg.arg == "label"
+    ]
+    assert not found, found
