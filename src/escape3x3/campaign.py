@@ -47,7 +47,7 @@ class CampaignReport(Record):
     """A campaign's counts, filled in as it runs; two reports are equal
     when every field is, ``wall_time`` included."""
 
-    _fields = (
+    __slots__ = _fields = (
         "lemma",
         "total",
         "valid",

@@ -58,11 +58,13 @@ def edge(u: Vertex, v: Vertex) -> Edge:
 
 class Record:
     """Base of the package's records.  A record class lists its compared
-    fields, in order, in ``_fields``.  Two records are equal when they are
-    of the same class and their compared fields are equal as one tuple; a
-    record of another class gives ``NotImplemented``.  The repr names the
-    compared fields in order.  A record defines ``__eq__``, so it has no
-    hash: the mutable records stay unhashable, and ``Frozen`` adds one."""
+    fields, in order, in ``_fields``, and keeps them, with any state it owns
+    beyond them, in its ``__slots__``: no record has an instance dict.  Two
+    records are equal when they are of the same class and their compared
+    fields are equal as one tuple; a record of another class gives
+    ``NotImplemented``.  The repr names the compared fields in order.  A
+    record defines ``__eq__``, so it has no hash: the mutable records stay
+    unhashable, and ``Frozen`` adds one."""
 
     __slots__ = ()
 
@@ -73,6 +75,16 @@ class Record:
             get = attrgetter(*fields)
             # a single field still reads as a one-tuple, which hashes as the key
             cls._key_of = staticmethod(get if len(fields) > 1 else lambda r: (get(r),))
+        # each slot's own setter, in slot order: a frozen record's
+        # __setattr__ refuses, the slot's descriptor does not
+        slots = cls.__dict__.get("__slots__", ())
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in slots)
+
+    def _set_fields(self, *values):
+        """Set the class's slots, in order, to ``values``; slots past the
+        last value stay empty."""
+        for set_slot, value in zip(self._setters, values):
+            set_slot(self, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -88,11 +100,10 @@ class Record:
 class Frozen(Record):
     """Base of the package's immutable records: no attribute can be
     assigned or deleted, and a record hashes as the tuple of its compared
-    fields.  A record sets its fields once, in its constructor, straight
-    into its instance dict, one item at a time, so the dict keeps sharing
-    its keys with the class's other instances (``dict.update`` would give
-    each instance a table of its own, about 90 bytes more); ``Path``, which
-    has slots, uses its slot setters."""
+    fields.  A record's constructor sets its slots once, through
+    ``_set_fields``, which writes each through its slot's descriptor and so
+    bypasses the refusal below; ``Path`` keeps its two slot setters as
+    module names for the constructors on its hot paths."""
 
     __slots__ = ()
 
@@ -110,12 +121,10 @@ class GridGraph(Frozen):
     """A subgraph of the corner grid: its vertices and its edges.  Equal
     graphs hash alike: a graph keys the kernel's descriptor caches."""
 
-    _fields = ("vertices", "edges")
+    __slots__ = _fields = ("vertices", "edges")
 
     def __init__(self, vertices: frozenset[Vertex], edges: frozenset[Edge]):
-        fields = self.__dict__
-        fields["vertices"] = vertices
-        fields["edges"] = edges
+        self._set_fields(vertices, edges)
 
     def sorted_vertices(self) -> tuple[Vertex, ...]:
         return tuple(sorted(self.vertices))

@@ -236,6 +236,7 @@ class GraphDesc(Frozen):
     equality, hashing and repr."""
 
     _fields = ("vertices", "edges", "adj")
+    __slots__ = _fields + ("vindex", "ebit", "step", "reach", "paths", "masks")
 
     def __init__(
         self,
@@ -246,16 +247,7 @@ class GraphDesc(Frozen):
         ebit: dict[Edge, int],
         step: dict[tuple[int, int], Edge],
     ):
-        fields = self.__dict__
-        fields["vertices"] = vertices
-        fields["edges"] = edges
-        fields["adj"] = adj
-        fields["vindex"] = vindex
-        fields["ebit"] = ebit
-        fields["step"] = step
-        fields["reach"] = {}
-        fields["paths"] = {}
-        fields["masks"] = {}
+        self._set_fields(vertices, edges, adj, vindex, ebit, step, {}, {}, {})
 
     def path(self, t: tuple[int, ...]) -> Path:
         """The path along index trail ``t``, built on first use and kept in
@@ -345,6 +337,7 @@ class SinkDesc(Frozen):
     or repr."""
 
     _fields = ("grid", "adj", "sink", "virtual", "exit_edges")
+    __slots__ = _fields + ("reach",)
 
     def __init__(
         self,
@@ -354,13 +347,7 @@ class SinkDesc(Frozen):
         virtual: int,
         exit_edges: int,
     ):
-        fields = self.__dict__
-        fields["grid"] = grid
-        fields["adj"] = adj
-        fields["sink"] = sink
-        fields["virtual"] = virtual
-        fields["exit_edges"] = exit_edges
-        fields["reach"] = {}
+        self._set_fields(grid, adj, sink, virtual, exit_edges, {})
 
 
 @lru_cache(maxsize=None)

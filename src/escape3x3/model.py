@@ -50,8 +50,8 @@ class Path(Frozen):
     """A trail given by its vertex sequence.
 
     The constructor checks the walk once and keeps the canonical edges it
-    steps along, in walk order; ``edges()`` hands those back.  Slots, in
-    place of an instance dict, pay for the memory the kept edges take.
+    steps along, in walk order; ``edges()`` hands those back.  Its slots
+    are its vertices and those kept edges.
 
     ``_trusted`` builds a path from its vertices and edges with no walk
     check.  It is the only unchecked way in, and only callers that already
@@ -161,9 +161,8 @@ class Path(Frozen):
         return Path._trusted(self.vertices + other.vertices[1:], self._edges + other._edges)
 
 
-# the slot setters, which a frozen record's __setattr__ would refuse
-_set_vertices = Path.__dict__["vertices"].__set__
-_set_edges = Path.__dict__["_edges"].__set__
+# the slot setters, by name for the path constructors' hot paths
+_set_vertices, _set_edges = Path._setters
 
 
 def path_of(*vertices: Vertex) -> Path:
@@ -174,7 +173,7 @@ class EscapeContract(Frozen):
     """Obligations a plan must meet for one escape family.
     ``max_exits_in_restricted`` None means unbounded."""
 
-    _fields = (
+    __slots__ = _fields = (
         "min_linked_pairs",
         "exit_target",
         "max_exits_in_restricted",
@@ -188,11 +187,9 @@ class EscapeContract(Frozen):
         max_exits_in_restricted: int | None,
         restricted_zone: frozenset[Vertex] = COL_ONLY,
     ):
-        fields = self.__dict__
-        fields["min_linked_pairs"] = min_linked_pairs
-        fields["exit_target"] = exit_target
-        fields["max_exits_in_restricted"] = max_exits_in_restricted
-        fields["restricted_zone"] = restricted_zone
+        self._set_fields(
+            min_linked_pairs, exit_target, max_exits_in_restricted, restricted_zone
+        )
 
 
 # One frozen contract per family, shared by every caller.
@@ -221,22 +218,17 @@ class Code(str, enum.Enum):
 
 
 class Violation(Frozen):
-    _fields = ("code", "message", "subject")
+    __slots__ = _fields = ("code", "message", "subject")
 
     def __init__(self, code: Code, message: str, subject: object = None):
-        fields = self.__dict__
-        fields["code"] = code
-        fields["message"] = message
-        fields["subject"] = subject
+        self._set_fields(code, message, subject)
 
 
 class Verdict(Frozen):
-    _fields = ("ok", "violations")
+    __slots__ = _fields = ("ok", "violations")
 
     def __init__(self, ok: bool, violations: tuple[Violation, ...] = ()):
-        fields = self.__dict__
-        fields["ok"] = ok
-        fields["violations"] = violations
+        self._set_fields(ok, violations)
 
     @staticmethod
     def from_violations(violations) -> "Verdict":
@@ -254,16 +246,14 @@ class EscapePlan(Frozen):
     """``linkages`` holds (pair index, trail) sorted by index, ``escapes``
     (terminal, exit, trail)."""
 
-    _fields = ("linkages", "escapes")
+    __slots__ = _fields = ("linkages", "escapes")
 
     def __init__(
         self,
         linkages: tuple[tuple[int, Path], ...],
         escapes: tuple[tuple[Vertex, Vertex, Path], ...],
     ):
-        fields = self.__dict__
-        fields["linkages"] = linkages
-        fields["escapes"] = escapes
+        self._set_fields(linkages, escapes)
 
     @staticmethod
     def build(linkages: dict[int, Path], escapes) -> "EscapePlan":

@@ -95,7 +95,7 @@ class CaseTrace(Frozen):
     ``route`` returns only plans that passed ``validate_plan`` under the
     family's contract: its own, or the oracle's on the fallback witness."""
 
-    _fields = ("lemma", "case_labels", "used_fallback", "symmetry_applied")
+    __slots__ = _fields = ("lemma", "case_labels", "used_fallback", "symmetry_applied")
 
     def __init__(
         self,
@@ -104,11 +104,7 @@ class CaseTrace(Frozen):
         used_fallback: bool = False,
         symmetry_applied: bool = False,
     ):
-        fields = self.__dict__
-        fields["lemma"] = lemma
-        fields["case_labels"] = case_labels
-        fields["used_fallback"] = used_fallback
-        fields["symmetry_applied"] = symmetry_applied
+        self._set_fields(lemma, case_labels, used_fallback, symmetry_applied)
 
 
 # Registry of every case label a router can emit, per family; the campaign's
@@ -468,7 +464,7 @@ def _link_through_frame(
 def _tid_at(ctx: RoutingContext, v: Vertex):
     tids = ctx.terminals_at(v)
     if not tids:
-        raise CaseGap(f"no terminal at {v}")
+        raise CaseGap(f"{ctx.label}: no terminal at {v}")
     return tids[0]
 
 

@@ -14,7 +14,6 @@ unordered; configurations are canonicalized by lexicographic sorting.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import json
 from collections.abc import Iterator
@@ -45,14 +44,17 @@ class TerminalConfig(Frozen):
     """Pairs and singletons, as built; ``make_config`` canonicalizes and
     checks them.  Equality, order, hash and repr read the two fields only,
     never the cached ``terminals``; a configuration's repr reaches error
-    messages."""
+    messages.
+
+    ``terminals``, the pairs' vertices and then the singletons, is a slot
+    of its own: empty until its first read fills it (``__getattr__``), and
+    left out of pickles (``__getstate__``)."""
 
     _fields = ("pairs", "singletons")
+    __slots__ = _fields + ("terminals",)
 
     def __init__(self, pairs: tuple[Pair, ...], singletons: tuple[Vertex, ...]):
-        fields = self.__dict__
-        fields["pairs"] = pairs
-        fields["singletons"] = singletons
+        self._set_fields(pairs, singletons)
 
     def __lt__(self, other):
         if other.__class__ is not TerminalConfig:
@@ -64,14 +66,21 @@ class TerminalConfig(Frozen):
             return NotImplemented
         return (self.pairs, self.singletons) <= (other.pairs, other.singletons)
 
-    @functools.cached_property
-    def terminals(self) -> tuple[Vertex, ...]:
-        return tuple(v for p in self.pairs for v in p) + self.singletons
+    def __getattr__(self, name):
+        # reached only when a slot is empty: fill the ``terminals`` cache
+        if name != "terminals":
+            raise AttributeError(f"'TerminalConfig' object has no attribute {name!r}")
+        terminals = tuple(v for p in self.pairs for v in p) + self.singletons
+        _set_terminals(self, terminals)
+        return terminals
 
     def __getstate__(self):
         # the cached ``terminals`` stays out of the pickle, so pool tasks
         # carry the two fields only
         return {"pairs": self.pairs, "singletons": self.singletons}
+
+    def __setstate__(self, state):
+        self._set_fields(state["pairs"], state["singletons"])
 
     def terminal_count(self) -> int:
         return 2 * len(self.pairs) + len(self.singletons)
@@ -81,6 +90,10 @@ class TerminalConfig(Frozen):
             [(reflect_vertex(a), reflect_vertex(b)) for a, b in self.pairs],
             [reflect_vertex(s) for s in self.singletons],
         )
+
+
+# the cache's slot setter, the last of the class's three
+_set_terminals = TerminalConfig._setters[2]
 
 
 def make_config(pairs, singletons) -> TerminalConfig:

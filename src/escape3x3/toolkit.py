@@ -94,7 +94,7 @@ class RoutingContext(Record):
     the finished plan.  Two contexts are equal when all their state is.
     """
 
-    _fields = (
+    __slots__ = _fields = (
         "grid", "cfg", "free", "positions", "trails", "linked", "escaped", "label", "notes"
     )
 
@@ -207,15 +207,10 @@ class ClipSpec(Frozen):
     """A named boundary-anchored subgraph with the two-anchor mating
     property; ``kind`` is "AA" or "AB"."""
 
-    _fields = ("name", "u", "v", "kind", "edges")
+    __slots__ = _fields = ("name", "u", "v", "kind", "edges")
 
     def __init__(self, name: str, u: Vertex, v: Vertex, kind: str, edges: frozenset[Edge]):
-        fields = self.__dict__
-        fields["name"] = name
-        fields["u"] = u
-        fields["v"] = v
-        fields["kind"] = kind
-        fields["edges"] = edges
+        self._set_fields(name, u, v, kind, edges)
 
     def covered(self) -> tuple[Vertex, ...]:
         return tuple(sorted({w for e in self.edges for w in e}))
@@ -296,7 +291,7 @@ class FrameSpec(Frozen):
     is a closed walk whose first vertex is not repeated, and each
     attachment path ends at the anchor."""
 
-    _fields = ("cycle", "anchor", "attach")
+    __slots__ = _fields = ("cycle", "anchor", "attach")
 
     def __init__(self, cycle: tuple[Vertex, ...], anchor: Vertex, attach: tuple[Path, Path]):
         if anchor not in cycle:
@@ -308,10 +303,7 @@ class FrameSpec(Frozen):
                 raise ToolkitError("attachment paths may not use cycle edges")
         if set(attach[0].edges()) & set(attach[1].edges()):
             raise ToolkitError("attachment paths must be edge-disjoint")
-        fields = self.__dict__
-        fields["cycle"] = cycle
-        fields["anchor"] = anchor
-        fields["attach"] = attach
+        self._set_fields(cycle, anchor, attach)
 
 
 def _arc(cycle: tuple[Vertex, ...], frm: Vertex, to: Vertex, direction: int) -> Path:

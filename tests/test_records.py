@@ -221,6 +221,24 @@ def test_record_behaviour(cls, args, kwargs, compared, frozen):
         setattr(x, compared[-1], getattr(y, compared[-1]))
 
 
+def test_no_record_has_an_instance_dict():
+    """Each record keeps its fields, and the state it owns beyond them, in
+    slots of its class: its constructor fills every slot but
+    ``TerminalConfig``'s ``terminals`` cache, which stays empty until read."""
+    for cls, args, *_ in RECORDS:
+        x = cls(*args)
+        assert not hasattr(x, "__dict__"), cls.__name__
+        slots = cls.__dict__.get("__slots__", ())
+        assert set(cls._fields) <= set(slots), cls.__name__
+        empty = []
+        for name in slots:
+            try:
+                cls.__dict__[name].__get__(x)
+            except AttributeError:
+                empty.append(name)
+        assert empty == (["terminals"] if cls is TerminalConfig else []), cls.__name__
+
+
 def test_path_fields_and_order():
     p, q = Path(((1, 1), (1, 2))), Path(((1, 1), (2, 1)))
     assert p < q and p <= q and q > p and q >= p and not q < p
@@ -238,9 +256,11 @@ def test_path_fields_and_order():
 
 def test_terminal_config_order_ignores_its_cache():
     cfg, other = TerminalConfig(_CFG.pairs, _CFG.singletons), TerminalConfig((), ((1, 1),))
-    assert "terminals" not in vars(cfg)
+    cache = TerminalConfig.terminals  # the slot's descriptor: reading it fills nothing
+    with pytest.raises(AttributeError):
+        cache.__get__(cfg)
     assert cfg.terminals == ((1, 1), (2, 2), (1, 2), (3, 3))
-    assert "terminals" in vars(cfg)
+    assert cache.__get__(cfg) is cfg.terminals
     assert other < cfg and other <= cfg and cfg > other and cfg >= other
     assert cfg == _CFG and hash(cfg) == hash(_CFG) and repr(cfg) == repr(_CFG)
     assert sorted([cfg, other]) == [other, cfg]

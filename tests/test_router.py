@@ -404,3 +404,16 @@ def test_frame_guards_raise_case_gap_and_consume_nothing(
     with pytest.raises(CaseGap, match=match):
         router._link_through_frame(ctx, getattr(grid, cycle), anchor, members)
     assert ctx.free == free and ctx.positions == positions and not ctx.linked
+
+
+def test_missing_terminal_gap_names_its_case():
+    """``_tid_at`` at a vertex no terminal holds raises a case gap that
+    opens with the context's case label, like every other router gap."""
+    from escape3x3.toolkit import RoutingContext
+
+    ctx = RoutingContext.fresh(make_config([((1, 1), (2, 2))], [(1, 2), (2, 1), (1, 3)]))
+    ctx.label = "L4/a/S2"
+    with pytest.raises(CaseGap) as gap:
+        router._tid_at(ctx, (3, 3))
+    assert str(gap.value) == "L4/a/S2: no terminal at (3, 3)"
+    assert router._tid_at(ctx, (1, 2)) == ("s", 0)

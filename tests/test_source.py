@@ -1,11 +1,15 @@
 import ast
+import functools
+import importlib
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 from collections import Counter
 
-from escape3x3 import campaign
+import escape3x3
+from escape3x3 import campaign, grid
 
 SRC = pathlib.Path(__file__).parents[1] / "src" / "escape3x3"
 
@@ -51,6 +55,37 @@ def test_trusted_path_constructor_has_only_its_named_callers():
         "model.__add__",
     }
     assert setters == {"model._trusted", "model.__post_init__"}
+
+
+def test_no_code_relies_on_an_instance_dict():
+    """Records keep their state in slots and have no instance dict: no
+    package function reads ``self.__dict__``, and no record class, at any
+    depth below ``grid.Record``, holds a ``functools.cached_property``,
+    which caches into the instance dict."""
+    reads = [
+        f"{path.stem}.{func.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__dict__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ]
+    assert not reads, f"self.__dict__ read in: {reads}"
+    for module in pkgutil.iter_modules(escape3x3.__path__, "escape3x3."):
+        importlib.import_module(module.name)
+    cached, todo = [], [grid.Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            cached += [
+                f"{cls.__qualname__}.{name}"
+                for name, value in vars(cls).items()
+                if isinstance(value, functools.cached_property)
+            ]
+    assert not cached, f"cached_property on a record class: {cached}"
 
 
 def test_validators_share_no_helper():

@@ -91,7 +91,8 @@ def test_enumeration_is_pinned(n_pairs, n_singles, count):
         assert all(type(p) is tuple for p in cfg.pairs)
         assert all(type(v) is tuple for p in cfg.pairs for v in p)
         assert all(type(v) is tuple for v in cfg.singletons)
-        assert "terminals" not in cfg.__dict__
+        with pytest.raises(AttributeError):  # read through the slot, which fills nothing
+            TerminalConfig.terminals.__get__(cfg)
     expected = json.loads(ENUMERATION_DIGESTS.read_text(encoding="utf-8"))
     lines = "\n".join(config_to_ndjson_line(cfg) for cfg in configs)
     pickles = b"".join(pickle.dumps(cfg) for cfg in configs)
@@ -112,6 +113,8 @@ def test_round_trip_identity_over_heavy5():
         assert encode_config(cfg) == encode_config(unread)
         assert pickle.dumps(cfg) == pickle.dumps(unread)
         copy = pickle.loads(pickle.dumps(cfg))
+        with pytest.raises(AttributeError):  # the cache stays out of the pickle
+            TerminalConfig.terminals.__get__(copy)
         assert copy == cfg and copy.terminals == cfg.terminals
 
 
