@@ -44,8 +44,9 @@ def ProcessPoolExecutor(max_workers: int):  # noqa: N802 - stands in for the cla
 
 
 class CampaignReport(Record):
-    """A campaign's counts, filled in as it runs; two reports are equal
-    when every field is, ``wall_time`` included."""
+    """A campaign's counts, zero and empty until it fills them in as it
+    runs; two reports are equal when every field is, ``wall_time``
+    included."""
 
     __slots__ = _fields = (
         "lemma",
@@ -60,29 +61,17 @@ class CampaignReport(Record):
         "wall_time",
     )
 
-    def __init__(
-        self,
-        lemma: str,
-        total: int = 0,
-        valid: int = 0,
-        fallbacks: int = 0,
-        case_histogram: dict[str, int] | None = None,
-        failures: list | None = None,
-        oracle_disagreements: int = 0,
-        case_gaps: int = 0,
-        dead_labels: list[str] | None = None,
-        wall_time: float = 0.0,
-    ):
+    def __init__(self, lemma: str):
         self.lemma = lemma
-        self.total = total
-        self.valid = valid
-        self.fallbacks = fallbacks
-        self.case_histogram = {} if case_histogram is None else case_histogram
-        self.failures = [] if failures is None else failures
-        self.oracle_disagreements = oracle_disagreements
-        self.case_gaps = case_gaps
-        self.dead_labels = [] if dead_labels is None else dead_labels
-        self.wall_time = wall_time
+        self.total = 0
+        self.valid = 0
+        self.fallbacks = 0
+        self.case_histogram = {}
+        self.failures = []
+        self.oracle_disagreements = 0
+        self.case_gaps = 0
+        self.dead_labels = []
+        self.wall_time = 0.0
 
     def exit_status(self) -> int:
         if self.case_gaps:

@@ -42,16 +42,11 @@ def _canonical_pair(pair) -> Pair:
 
 class TerminalConfig(Frozen):
     """Pairs and singletons, as built; ``make_config`` canonicalizes and
-    checks them.  Equality, order, hash and repr read the two fields only,
-    never the cached ``terminals``; a configuration's repr reaches error
-    messages.
+    checks them.  Equality, order, hash and repr read the two fields; a
+    configuration's repr reaches error messages.  ``terminals`` is computed
+    from them on every read."""
 
-    ``terminals``, the pairs' vertices and then the singletons, is a slot
-    of its own: empty until its first read fills it (``__getattr__``), and
-    left out of pickles (``__getstate__``)."""
-
-    _fields = ("pairs", "singletons")
-    __slots__ = _fields + ("terminals",)
+    __slots__ = _fields = ("pairs", "singletons")
 
     def __init__(self, pairs: tuple[Pair, ...], singletons: tuple[Vertex, ...]):
         self._set_fields(pairs, singletons)
@@ -66,24 +61,19 @@ class TerminalConfig(Frozen):
             return NotImplemented
         return (self.pairs, self.singletons) <= (other.pairs, other.singletons)
 
-    def __getattr__(self, name):
-        # reached only when a slot is empty: fill the ``terminals`` cache
-        if name != "terminals":
-            raise AttributeError(f"'TerminalConfig' object has no attribute {name!r}")
-        terminals = tuple(v for p in self.pairs for v in p) + self.singletons
-        _set_terminals(self, terminals)
-        return terminals
+    @property
+    def terminals(self) -> tuple[Vertex, ...]:
+        """The pairs' vertices, pair by pair, then the singletons."""
+        return sum(self.pairs, ()) + self.singletons
 
     def __getstate__(self):
-        # the cached ``terminals`` stays out of the pickle, so pool tasks
-        # carry the two fields only
+        # pickle's default state for a slotted class is a (None, slots)
+        # tuple; the dict keeps the pinned pickle digests
         return {"pairs": self.pairs, "singletons": self.singletons}
 
     def __setstate__(self, state):
+        # the default restore assigns, which ``Frozen`` refuses
         self._set_fields(state["pairs"], state["singletons"])
-
-    def terminal_count(self) -> int:
-        return 2 * len(self.pairs) + len(self.singletons)
 
     def reflected(self) -> "TerminalConfig":
         return make_config(
@@ -92,17 +82,12 @@ class TerminalConfig(Frozen):
         )
 
 
-# the cache's slot setter, the last of the class's three
-_set_terminals = TerminalConfig._setters[2]
-
-
 def make_config(pairs, singletons) -> TerminalConfig:
     """Canonicalize and validate a configuration."""
     cpairs = tuple(sorted(_canonical_pair(p) for p in pairs))
     csingles = tuple(sorted(tuple(s) for s in singletons))
     cfg = TerminalConfig(pairs=cpairs, singletons=csingles)
-    # checked from the fields, so checking fills no cached ``terminals``
-    terms = [v for p in cpairs for v in p] + list(csingles)
+    terms = cfg.terminals
     for v in terms:
         if not is_vertex(v):
             raise MalformedConfigError(f"terminal {v} outside the corner grid")
@@ -110,7 +95,7 @@ def make_config(pairs, singletons) -> TerminalConfig:
         raise MalformedConfigError("duplicate terminal vertex")
     if len(cpairs) > 4:
         raise MalformedConfigError("more than 4 terminal pairs")
-    if cfg.terminal_count() > 8:
+    if len(terms) > 8:
         raise MalformedConfigError("more than 8 terminals")
     return cfg
 
@@ -128,9 +113,7 @@ def family_of(cfg: TerminalConfig) -> LemmaId | None:
 
 def _configs_with(n_pairs: int, n_singles: int) -> Iterator[TerminalConfig]:
     # _split_support yields canonical splits of distinct grid vertices, so
-    # make_config's sorting and checks are skipped; nothing here reads
-    # ``terminals``, so a configuration nobody routes (a pool task the
-    # parent only sends) carries no cached ``terminals``
+    # make_config's sorting and checks are skipped
     n = 2 * n_pairs + n_singles
     for support in itertools.combinations(ALL_VERTICES, n):
         for pairs, singles in _split_support(support, n_pairs):

@@ -245,7 +245,8 @@ def test_taken_verdict_is_checked_against_the_campaign_contract(monkeypatch):
 
 
 def test_exit_status_priorities():
-    report = CampaignReport(lemma="heavy5", total=1, valid=0)
+    report = CampaignReport(lemma="heavy5")
+    report.total, report.valid = 1, 0
     report.failures.append({"config": {}, "problems": ["x"]})
     assert report.exit_status() == EXIT_VALIDATION
     report.oracle_disagreements = 1

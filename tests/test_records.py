@@ -145,8 +145,8 @@ def _records():
         ),
         (
             CampaignReport,
-            ("heavy5", 3, 2, 0, {}, [], 0, 0, [], 0.0),
-            {"lemma": "heavy5", "total": 3, "valid": 2},
+            ("heavy5",),
+            {"lemma": "heavy5"},
             (
                 "lemma",
                 "total",
@@ -223,8 +223,7 @@ def test_record_behaviour(cls, args, kwargs, compared, frozen):
 
 def test_no_record_has_an_instance_dict():
     """Each record keeps its fields, and the state it owns beyond them, in
-    slots of its class: its constructor fills every slot but
-    ``TerminalConfig``'s ``terminals`` cache, which stays empty until read."""
+    slots of its class, and its constructor fills every slot."""
     for cls, args, *_ in RECORDS:
         x = cls(*args)
         assert not hasattr(x, "__dict__"), cls.__name__
@@ -236,7 +235,7 @@ def test_no_record_has_an_instance_dict():
                 cls.__dict__[name].__get__(x)
             except AttributeError:
                 empty.append(name)
-        assert empty == (["terminals"] if cls is TerminalConfig else []), cls.__name__
+        assert not empty, (cls.__name__, empty)
 
 
 def test_path_fields_and_order():
@@ -254,13 +253,9 @@ def test_path_fields_and_order():
     assert repr(p) == "Path(vertices=((1, 1), (1, 2)))"
 
 
-def test_terminal_config_order_ignores_its_cache():
+def test_terminal_config_order_and_terminals():
     cfg, other = TerminalConfig(_CFG.pairs, _CFG.singletons), TerminalConfig((), ((1, 1),))
-    cache = TerminalConfig.terminals  # the slot's descriptor: reading it fills nothing
-    with pytest.raises(AttributeError):
-        cache.__get__(cfg)
     assert cfg.terminals == ((1, 1), (2, 2), (1, 2), (3, 3))
-    assert cache.__get__(cfg) is cfg.terminals
     assert other < cfg and other <= cfg and cfg > other and cfg >= other
     assert cfg == _CFG and hash(cfg) == hash(_CFG) and repr(cfg) == repr(_CFG)
     assert sorted([cfg, other]) == [other, cfg]

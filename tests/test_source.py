@@ -88,10 +88,29 @@ def test_no_code_relies_on_an_instance_dict():
     assert not cached, f"cached_property on a record class: {cached}"
 
 
+def test_no_record_hooks_attribute_lookup():
+    """No record class, at any depth below ``grid.Record``, defines
+    ``__getattr__`` or ``__getattribute__``: Python 3.11 specializes no
+    attribute load on a class that does, so every field read would take
+    the slow path."""
+    for module in pkgutil.iter_modules(escape3x3.__path__, "escape3x3."):
+        importlib.import_module(module.name)
+    hooks, todo = [], [grid.Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            hooks += [
+                f"{cls.__qualname__}.{name}"
+                for name in ("__getattr__", "__getattribute__")
+                if name in vars(cls)
+            ]
+    assert not hooks, f"attribute lookup hooked on a record class: {hooks}"
+
+
 def test_validators_share_no_helper():
     """The two validators are written independently: neither reaches code
     the package defines, apart from building its violations and its verdict
-    and reading the configuration's cached ``terminals``.
+    and reading the configuration's ``terminals``.
 
     A call by bare name is resolved against the package's module-level
     functions, classes and names.  A method call or an attribute read on
@@ -389,3 +408,32 @@ def test_router_functions_take_no_label():
         if isinstance(arg, ast.arg) and arg.arg == "label"
     ]
     assert not found, found
+
+
+def test_router_searches_in_two_named_places():
+    """In ``router`` and ``toolkit``, only ``router._joint_trails`` and
+    ``toolkit._mating_paths`` name a kernel search, and only
+    ``router.route``, for the fallback, names the oracle; a module's top
+    level counts as a place of its own."""
+    kernel_searches = {"solve_trails", "escape_trails", "find_trail_system"}
+    oracle_searches = {"oracle_solve", "any_plan"}
+
+    def naming(node, where, names):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.partition('.')[0]}.{node.name}"
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in names:
+            yield where
+        for child in ast.iter_child_nodes(node):
+            yield from naming(child, where, names)
+
+    trees = {
+        stem: ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+        for stem in ("router", "toolkit")
+    }
+
+    def places(names):
+        return {where for stem, tree in trees.items() for where in naming(tree, stem, names)}
+
+    assert places(kernel_searches) == {"router._joint_trails", "toolkit._mating_paths"}
+    assert places(oracle_searches) == {"router.route"}

@@ -46,7 +46,7 @@ def test_enumeration_respects_invariants():
     for cfg in enumerate_configs(LemmaId.HEAVY6):
         terms = cfg.terminals
         assert len(set(terms)) == len(terms)
-        assert cfg.terminal_count() == 6
+        assert len(cfg.terminals) == 6
 
 
 def test_extended_six_terminal_family():
@@ -79,10 +79,9 @@ ENUMERATION_DIGESTS = pathlib.Path(__file__).parent / "fixtures" / "enumeration-
 )
 def test_enumeration_is_pinned(n_pairs, n_singles, count):
     """Each shape's direct enumeration is, config by config, what
-    ``make_config`` makes of it: all fields tuples, no cached ``terminals``
-    on any configuration, and the sha256 of its NDJSON lines joined by
-    newlines and the sha256 of its pickles, in order, as in
-    ``fixtures/enumeration-digests.json``."""
+    ``make_config`` makes of it: all fields tuples, and the sha256 of its
+    NDJSON lines joined by newlines and the sha256 of its pickles, in order,
+    as in ``fixtures/enumeration-digests.json``."""
     configs = list(terminals._configs_with(n_pairs, n_singles))
     assert len(configs) == count
     assert configs == [make_config(c.pairs, c.singletons) for c in configs]
@@ -91,8 +90,6 @@ def test_enumeration_is_pinned(n_pairs, n_singles, count):
         assert all(type(p) is tuple for p in cfg.pairs)
         assert all(type(v) is tuple for p in cfg.pairs for v in p)
         assert all(type(v) is tuple for v in cfg.singletons)
-        with pytest.raises(AttributeError):  # read through the slot, which fills nothing
-            TerminalConfig.terminals.__get__(cfg)
     expected = json.loads(ENUMERATION_DIGESTS.read_text(encoding="utf-8"))
     lines = "\n".join(config_to_ndjson_line(cfg) for cfg in configs)
     pickles = b"".join(pickle.dumps(cfg) for cfg in configs)
@@ -105,16 +102,14 @@ def test_enumeration_is_pinned(n_pairs, n_singles, count):
 def test_round_trip_identity_over_heavy5():
     for cfg in enumerate_configs(LemmaId.HEAVY5):
         unread = TerminalConfig(cfg.pairs, cfg.singletons)
-        assert len(cfg.terminals) == 5  # cached from here on
+        assert len(cfg.terminals) == 5
         assert decode_config(encode_config(cfg)) == cfg
-        # the cache changes no comparison, hash, repr, encoding or pickle
+        # reading ``terminals`` changes no comparison, hash, repr, encoding or pickle
         assert cfg == unread and cfg <= unread and unread <= cfg
         assert hash(cfg) == hash(unread) and repr(cfg) == repr(unread)
         assert encode_config(cfg) == encode_config(unread)
         assert pickle.dumps(cfg) == pickle.dumps(unread)
         copy = pickle.loads(pickle.dumps(cfg))
-        with pytest.raises(AttributeError):  # the cache stays out of the pickle
-            TerminalConfig.terminals.__get__(copy)
         assert copy == cfg and copy.terminals == cfg.terminals
 
 
@@ -194,7 +189,7 @@ def test_demote_pair():
     demoted = demote_pair_to_singletons(cfg, 0)
     assert demoted.pairs == ()
     assert set(demoted.singletons) == {(1, 1), (2, 2)}
-    assert demoted.terminal_count() == cfg.terminal_count()
+    assert len(demoted.terminals) == len(cfg.terminals)
     with pytest.raises(IndexError):
         demote_pair_to_singletons(cfg, 1)
 
