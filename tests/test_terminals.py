@@ -46,7 +46,7 @@ def test_enumeration_respects_invariants():
     for cfg in enumerate_configs(LemmaId.HEAVY6):
         terms = cfg.terminals
         assert len(set(terms)) == len(terms)
-        assert len(cfg.terminals) == 6
+        assert len(terms) == 6
 
 
 def test_extended_six_terminal_family():
