@@ -1,12 +1,15 @@
 import functools
 import hashlib
+import importlib
 import json
 import pathlib
+import pkgutil
 
 import pytest
 
+import escape3x3
 from escape3x3 import kernel
-from escape3x3.grid import full_grid, grid_without_corner
+from escape3x3.grid import Record, full_grid, grid_without_corner
 from escape3x3.router import route
 from escape3x3.terminals import LemmaId, enumerate_configs
 from escape3x3.toolkit import RoutingContext
@@ -109,3 +112,18 @@ def fixture_manifest():
 def load_fixture(name):
     with open(FIXTURES / f"{name}.json", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def record_classes():
+    """Every class below ``grid.Record``, at any depth and ``grid.Frozen``
+    included, with every package module imported first, in the order the
+    walk first reaches them."""
+    for module in pkgutil.iter_modules(escape3x3.__path__, "escape3x3."):
+        importlib.import_module(module.name)
+    found, todo = [], [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub not in found:
+                found.append(sub)
+                todo.append(sub)
+    return found

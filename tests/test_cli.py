@@ -21,6 +21,7 @@ from escape3x3.terminals import (
     TerminalConfig,
     decode_config,
 )
+from escape3x3.toolkit import ClipSpec
 
 
 TESTS = pathlib.Path(__file__).parent
@@ -189,6 +190,22 @@ def test_clips_verify(capsys):
     out = capsys.readouterr().out
     assert status == 0
     assert "FAIL" not in out
+
+
+def test_clips_verify_prints_each_violation_of_a_failing_clip(capsys, monkeypatch):
+    """A clip that fails ``verify_clip`` prints ``name: FAIL`` and then one
+    indented ``CODE: message`` line per violation, and the command exits
+    with the validation status."""
+    broken = ClipSpec("broken", (2, 2), (3, 1), "AA", frozenset({((2, 2), (3, 2))}))
+    monkeypatch.setattr(cli, "clip_catalog", lambda: {"broken": broken})
+    status = main(["clips", "--verify"])
+    assert status == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "broken: FAIL",
+        "    BAD_ENDPOINT: clip broken anchors off the boundary",
+        "    BAD_ENDPOINT: clip broken kind mismatch",
+        "    NOT_A_PATH: clip broken cannot mate (2, 2), (3, 2) to (2, 2), (3, 1)",
+    ]
 
 
 def test_verify_heavy5_strict_report(tmp_path, capsys):

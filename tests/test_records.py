@@ -7,12 +7,8 @@ compared fields as one tuple, ``repr`` names the same fields in order,
 ``Path`` and ``TerminalConfig`` order by them, and no field of a frozen
 record can be assigned."""
 
-import importlib
-import pkgutil
-
 import pytest
 
-import escape3x3
 from escape3x3 import grid, kernel
 from escape3x3.campaign import CampaignReport
 from escape3x3.grid import BOUNDARY, COL_ONLY, GridGraph, full_grid
@@ -20,6 +16,8 @@ from escape3x3.model import Code, EscapeContract, EscapePlan, Path, Verdict, Vio
 from escape3x3.router import CaseTrace
 from escape3x3.terminals import LemmaId, TerminalConfig
 from escape3x3.toolkit import ClipSpec, FrameSpec, RoutingContext
+
+from conftest import record_classes
 
 _G = full_grid()
 _DESC = kernel.desc_for.__wrapped__(_G)  # a descriptor with memos of its own
@@ -177,14 +175,7 @@ def test_every_record_class_takes_its_methods_from_the_base():
     ``grid.Record``, at any depth and ``grid.Frozen`` aside, are exactly
     the listed record classes, and none of them writes its own equality,
     hashing, repr or key."""
-    for module in pkgutil.iter_modules(escape3x3.__path__, "escape3x3."):
-        importlib.import_module(module.name)
-    found, todo = set(), [grid.Record]
-    while todo:
-        for sub in todo.pop().__subclasses__():
-            if sub not in found:
-                found.add(sub)
-                todo.append(sub)
+    found = set(record_classes())
     assert found - {grid.Frozen} == {cls for cls, *_ in RECORDS}
     own = [
         f"{cls.__qualname__}.{name}"

@@ -1,15 +1,14 @@
 import ast
 import functools
-import importlib
 import os
 import pathlib
-import pkgutil
 import subprocess
 import sys
 from collections import Counter
 
-import escape3x3
-from escape3x3 import campaign, grid
+from escape3x3 import campaign
+
+from conftest import record_classes
 
 SRC = pathlib.Path(__file__).parents[1] / "src" / "escape3x3"
 
@@ -74,17 +73,12 @@ def test_no_code_relies_on_an_instance_dict():
         and node.value.id == "self"
     ]
     assert not reads, f"self.__dict__ read in: {reads}"
-    for module in pkgutil.iter_modules(escape3x3.__path__, "escape3x3."):
-        importlib.import_module(module.name)
-    cached, todo = [], [grid.Record]
-    while todo:
-        for cls in todo.pop().__subclasses__():
-            todo.append(cls)
-            cached += [
-                f"{cls.__qualname__}.{name}"
-                for name, value in vars(cls).items()
-                if isinstance(value, functools.cached_property)
-            ]
+    cached = [
+        f"{cls.__qualname__}.{name}"
+        for cls in record_classes()
+        for name, value in vars(cls).items()
+        if isinstance(value, functools.cached_property)
+    ]
     assert not cached, f"cached_property on a record class: {cached}"
 
 
@@ -93,17 +87,12 @@ def test_no_record_hooks_attribute_lookup():
     ``__getattr__`` or ``__getattribute__``: Python 3.11 specializes no
     attribute load on a class that does, so every field read would take
     the slow path."""
-    for module in pkgutil.iter_modules(escape3x3.__path__, "escape3x3."):
-        importlib.import_module(module.name)
-    hooks, todo = [], [grid.Record]
-    while todo:
-        for cls in todo.pop().__subclasses__():
-            todo.append(cls)
-            hooks += [
-                f"{cls.__qualname__}.{name}"
-                for name in ("__getattr__", "__getattribute__")
-                if name in vars(cls)
-            ]
+    hooks = [
+        f"{cls.__qualname__}.{name}"
+        for cls in record_classes()
+        for name in ("__getattr__", "__getattribute__")
+        if name in vars(cls)
+    ]
     assert not hooks, f"attribute lookup hooked on a record class: {hooks}"
 
 
