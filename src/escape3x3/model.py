@@ -218,28 +218,36 @@ class Code(str, enum.Enum):
 
 
 class Violation(Frozen):
-    __slots__ = _fields = ("code", "message", "subject")
+    __slots__ = _fields = ("code", "message")
 
-    def __init__(self, code: Code, message: str, subject: object = None):
-        self._set_fields(code, message, subject)
+    def __init__(self, code: Code, message: str):
+        self._set_fields(code, message)
 
 
 class Verdict(Frozen):
-    __slots__ = _fields = ("ok", "violations")
+    """A validator's verdict: the violations it found, in clause order.
+    ``ok`` is worked out from them, so a verdict passes exactly when it
+    names no violation."""
 
-    def __init__(self, ok: bool, violations: tuple[Violation, ...] = ()):
-        self._set_fields(ok, violations)
+    __slots__ = _fields = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...] = ()):
+        self._set_fields(violations)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     @staticmethod
     def from_violations(violations) -> "Verdict":
         """The failing verdict naming these violations, or the shared
         ``VALID`` when there are none."""
         vs = tuple(violations)
-        return Verdict(ok=False, violations=vs) if vs else VALID
+        return Verdict(vs) if vs else VALID
 
 
 # The verdict for a plan, or a clip, that breaks nothing: one shared object.
-VALID = Verdict(True)
+VALID = Verdict()
 
 
 class EscapePlan(Frozen):
@@ -302,7 +310,7 @@ def validate_plan(
     misjoined: list[Violation] = []
     for i, path in sorted(linkmap.items()):
         if not 0 <= i < len(pairs):
-            misjoined.append(Violation(Code.BAD_ENDPOINT, f"linkage references pair {i}", i))
+            misjoined.append(Violation(Code.BAD_ENDPOINT, f"linkage references pair {i}"))
             continue
         a, b = pair = pairs[i]
         vs = path.vertices
@@ -311,7 +319,6 @@ def validate_plan(
                 Violation(
                     Code.BAD_ENDPOINT,
                     f"linkage {i} joins {vs[0]}-{vs[-1]}, pair is {sorted(pair)}",
-                    i,
                 )
             )
         linked.add(a)
@@ -329,14 +336,12 @@ def validate_plan(
             in_zone.append(x)
         walked += path._edges
         if x not in target:
-            misrouted.append(Violation(Code.BAD_ENDPOINT, f"exit {x} outside the boundary", x))
+            misrouted.append(Violation(Code.BAD_ENDPOINT, f"exit {x} outside the boundary"))
         vs = path.vertices
         if vs[0] != t or vs[-1] != x:
             misrouted.append(
                 Violation(
-                    Code.BAD_ENDPOINT,
-                    f"escape path runs {vs[0]}->{vs[-1]}, expected {t}->{x}",
-                    t,
+                    Code.BAD_ENDPOINT, f"escape path runs {vs[0]}->{vs[-1]}, expected {t}->{x}"
                 )
             )
 
@@ -345,15 +350,13 @@ def validate_plan(
         violations.append(
             Violation(
                 Code.LINK_COUNT,
-                f"{len(linkmap)} linked pairs, contract requires "
-                f">= {contract.min_linked_pairs}",
-                len(linkmap),
+                f"{len(linkmap)} linked pairs, contract requires >= {contract.min_linked_pairs}",
             )
         )
     if len(linkmap) != len(plan.linkages):
         listed = Counter(i for i, _ in plan.linkages)
         violations += [
-            Violation(Code.BAD_ENDPOINT, f"pair {i} linked {listed[i]} times", i)
+            Violation(Code.BAD_ENDPOINT, f"pair {i} linked {listed[i]} times")
             for i in sorted(listed)
             if listed[i] > 1
         ]
@@ -362,44 +365,34 @@ def validate_plan(
     if len(escaping) != len(plan.escapes):
         listed = Counter(t for t, _, _ in plan.escapes)
         dup = sorted(t for t, n in listed.items() if n > 1)
-        violations.append(
-            Violation(Code.UNRESOLVED_TERMINAL, f"terminal escapes twice: {dup}", dup)
-        )
+        violations.append(Violation(Code.UNRESOLVED_TERMINAL, f"terminal escapes twice: {dup}"))
     unlinked = set(cfg.terminals) - linked
     if escaping != unlinked:
         unresolved = sorted(unlinked - escaping)
         if unresolved:
             violations.append(
                 Violation(
-                    Code.UNRESOLVED_TERMINAL,
-                    f"terminals neither linked nor escaped: {unresolved}",
-                    unresolved,
+                    Code.UNRESOLVED_TERMINAL, f"terminals neither linked nor escaped: {unresolved}"
                 )
             )
         stray = sorted(escaping - unlinked)
         if stray:
             violations.append(
                 Violation(
-                    Code.UNRESOLVED_TERMINAL,
-                    f"escape entries for non-escaping vertices: {stray}",
-                    stray,
+                    Code.UNRESOLVED_TERMINAL, f"escape entries for non-escaping vertices: {stray}"
                 )
             )
 
     if len(exits) != len(plan.escapes):
         listed = Counter(x for _, x, _ in plan.escapes)
         collisions = sorted(x for x, n in listed.items() if n > 1)
-        violations.append(
-            Violation(Code.EXIT_COLLISION, f"exit used twice: {collisions}", collisions)
-        )
+        violations.append(Violation(Code.EXIT_COLLISION, f"exit used twice: {collisions}"))
     violations += misrouted
     bound = contract.max_exits_in_restricted
     if bound is not None and len(in_zone) > bound:
         violations.append(
             Violation(
-                Code.B_EXIT_BOUND,
-                f"{len(in_zone)} exits in {sorted(zone)}, allowed {bound}",
-                sorted(in_zone),
+                Code.B_EXIT_BOUND, f"{len(in_zone)} exits in {sorted(zone)}, allowed {bound}"
             )
         )
 
@@ -408,9 +401,9 @@ def validate_plan(
         used: set[Edge] = set()
         for e in walked:
             if e not in g.edges:
-                violations.append(Violation(Code.NOT_A_PATH, f"edge {e} is not in the graph", e))
+                violations.append(Violation(Code.NOT_A_PATH, f"edge {e} is not in the graph"))
             if e in used:
-                violations.append(Violation(Code.EDGE_REUSE, f"edge {e} used by two paths", e))
+                violations.append(Violation(Code.EDGE_REUSE, f"edge {e} used by two paths"))
             used.add(e)
 
     return Verdict.from_violations(violations)

@@ -244,9 +244,7 @@ def verify_clip(g: GridGraph, clip: ClipSpec) -> Verdict:
         if _mating_paths(g, clip, x, y) is None:
             violations.append(
                 Violation(
-                    Code.NOT_A_PATH,
-                    f"clip {clip.name} cannot mate {x}, {y} to {clip.u}, {clip.v}",
-                    (x, y),
+                    Code.NOT_A_PATH, f"clip {clip.name} cannot mate {x}, {y} to {clip.u}, {clip.v}"
                 )
             )
     return Verdict.from_violations(violations)

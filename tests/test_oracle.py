@@ -18,9 +18,11 @@ from escape3x3.grid import (
     grid_without_corner,
 )
 from escape3x3.model import (
+    Code,
     EscapeContract,
     Path,
     Verdict,
+    Violation,
     contract_for,
     plan_to_json,
     validate_plan,
@@ -99,7 +101,8 @@ def test_oracle_deterministic(grid):
 def test_oracle_raises_on_a_witness_that_fails_validation(grid, monkeypatch):
     """The oracle's check of its own witness is no ``assert``, so it holds
     under ``python -O`` too."""
-    monkeypatch.setattr(oracle, "validate_plan", lambda *args: Verdict(ok=False))
+    broken = Verdict((Violation(Code.LINK_COUNT, "stub"),))
+    monkeypatch.setattr(oracle, "validate_plan", lambda *args: broken)
     cfg = make_config([((1, 1), (1, 2))], [(3, 1), (3, 2), (1, 3)])
     with pytest.raises(InvalidWitness):
         oracle_solve(grid, cfg, contract_for(LemmaId.HEAVY5))

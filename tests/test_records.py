@@ -54,16 +54,16 @@ def _records():
         ),
         (
             Violation,
-            (Code.EDGE_REUSE, "edge used twice", ((1, 1), (1, 2))),
-            {"code": Code.EDGE_REUSE, "message": "edge used twice", "subject": ((1, 1), (1, 2))},
-            ("code", "message", "subject"),
+            (Code.EDGE_REUSE, "edge used twice"),
+            {"code": Code.EDGE_REUSE, "message": "edge used twice"},
+            ("code", "message"),
             True,
         ),
         (
             Verdict,
-            (False, (Violation(Code.LINK_COUNT, "none"),)),
-            {"ok": False, "violations": (Violation(Code.LINK_COUNT, "none"),)},
-            ("ok", "violations"),
+            ((Violation(Code.LINK_COUNT, "none"),),),
+            {"violations": (Violation(Code.LINK_COUNT, "none"),)},
+            ("violations",),
             True,
         ),
         (
@@ -254,8 +254,7 @@ def test_terminal_config_order_and_terminals():
 
 def test_record_defaults_are_fresh_per_instance():
     assert EscapeContract(1, BOUNDARY, None).restricted_zone == COL_ONLY
-    assert Violation(Code.LINK_COUNT, "m").subject is None
-    assert Verdict(True).violations == ()
+    assert Verdict().violations == () and Verdict().ok
     trace = CaseTrace(LemmaId.HEAVY6, ("L3/a/pair-on-L",))
     assert (trace.used_fallback, trace.symmetry_applied) == (False, False)
     a, b = CampaignReport("w2l"), CampaignReport("w2l")

@@ -96,6 +96,25 @@ def test_no_record_hooks_attribute_lookup():
     assert not hooks, f"attribute lookup hooked on a record class: {hooks}"
 
 
+def test_every_record_slot_is_read():
+    """Each slot a record class declares holds state the program reads:
+    somewhere in the package an attribute of that name is loaded.  A slot
+    that only constructors and tests touch is state no caller needs."""
+    loaded = {
+        node.attr
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{cls.__qualname__}.{name}"
+        for cls in record_classes()
+        for name in cls.__dict__.get("__slots__", ())
+        if name not in loaded
+    ]
+    assert not unread, f"record slots no package code reads: {unread}"
+
+
 def test_validators_share_no_helper():
     """The two validators are written independently: neither reaches code
     the package defines, apart from building its violations and its verdict
