@@ -59,9 +59,9 @@ class Path(Frozen):
 
     * ``kernel.GraphDesc.path``: the search stepped along graph edges, each
       once, and the descriptor maps each step to its canonical edge; both
-      kernel wrappers take their trails from it, and
-      ``RoutingContext.fresh`` takes each terminal's zero-length start
-      trail from it;
+      kernel wrappers take their trails from it, and the
+      ``RoutingContext`` constructor takes each terminal's zero-length
+      start trail from it;
     * ``reversed`` and ``reflected``: the mirror of a checked trail's edges;
     * ``__add__``: two trails that meet at the seam and share no edge.
 

@@ -51,7 +51,6 @@ from .grid import (
     col_edges,
     cycle_edges,
     edge,
-    full_grid,
     reflect_vertex,
     row_edges,
     unique_l_path,
@@ -68,6 +67,7 @@ from .oracle import oracle_solve
 from .terminals import LemmaId, TerminalConfig, family_of
 from .toolkit import (
     FrameSpec,
+    GRID,
     RoutingContext,
     ToolkitError,
     clip_catalog,
@@ -223,8 +223,8 @@ def _col_walk(v: Vertex, row: int) -> tuple[Vertex, ...]:
 
 def _inner(ctx: RoutingContext) -> list:
     """The unresolved terminals inside the square, in id order (the order
-    ``positions`` keeps)."""
-    return [tid for tid, v in ctx.positions.items() if v in INNER_SQUARE]
+    ``trails`` keeps)."""
+    return [tid for tid, trail in ctx.trails.items() if trail.end in INNER_SQUARE]
 
 
 def _first_free(ctx: RoutingContext, vertices) -> Vertex | None:
@@ -236,7 +236,7 @@ def _joint_trails(ctx: RoutingContext, endpoint_pairs, allowed=None) -> list[Pat
     """Edge-disjoint trails joining the endpoint pairs, in order, over the
     free edges (only those in ``allowed`` when given); None if none exist."""
     region = ctx.free if allowed is None else (set(allowed) & ctx.free)
-    return kernel.solve_trails(ctx.grid, region, endpoint_pairs)
+    return kernel.solve_trails(GRID, region, endpoint_pairs)
 
 
 def _must_trails(ctx: RoutingContext, endpoint_pairs, allowed, gap: str) -> list[Path]:
@@ -249,7 +249,7 @@ def _must_trails(ctx: RoutingContext, endpoint_pairs, allowed, gap: str) -> list
 
 
 def _pair_ends(ctx: RoutingContext, pair_idxs) -> list[tuple[Vertex, Vertex]]:
-    return [(ctx.positions[("p", i, 0)], ctx.positions[("p", i, 1)]) for i in pair_idxs]
+    return [(ctx.trails[("p", i, 0)].end, ctx.trails[("p", i, 1)].end) for i in pair_idxs]
 
 
 def _col_budget(ctx: RoutingContext, staying) -> int | None:
@@ -258,8 +258,8 @@ def _col_budget(ctx: RoutingContext, staying) -> int | None:
     bound = contract_for(family_of(ctx.cfg)).max_exits_in_restricted
     if bound is None:
         return None
-    used = sum(1 for tid in ctx.escaped if ctx.trails[tid].end in COL_ONLY)
-    return bound - used - sum(1 for tid in staying if ctx.positions[tid] in COL_ONLY)
+    used = sum(1 for trail in ctx.escaped.values() if trail.end in COL_ONLY)
+    return bound - used - sum(1 for tid in staying if ctx.trails[tid].end in COL_ONLY)
 
 
 def _finish(ctx: RoutingContext, escape_tids=(), candidates=None, allowed=None, link=()) -> None:
@@ -274,10 +274,10 @@ def _finish(ctx: RoutingContext, escape_tids=(), candidates=None, allowed=None, 
     """
     escape_tids = sorted(escape_tids)
     members = {("p", i, k) for i in link for k in (0, 1)}
-    rest = sorted(set(ctx.positions) - set(escape_tids) - members)
+    rest = sorted(set(ctx.trails) - set(escape_tids) - members)
     for tid in rest:
-        if ctx.positions[tid] not in BOUNDARY:
-            raise CaseGap(f"{ctx.label}: terminal {tid} stranded at {ctx.positions[tid]}")
+        if ctx.trails[tid].end not in BOUNDARY:
+            raise CaseGap(f"{ctx.label}: terminal {tid} stranded at {ctx.trails[tid].end}")
     if not escape_tids and not link:
         for tid in rest:
             ctx.finish_escape(tid)
@@ -287,12 +287,12 @@ def _finish(ctx: RoutingContext, escape_tids=(), candidates=None, allowed=None, 
     candidates = [v for v in candidates if ctx.is_free_vertex(v)]
     budget = _col_budget(ctx, rest)
     ends = _pair_ends(ctx, link)
-    positions = [ctx.positions[t] for t in escape_tids]
+    starts = [ctx.trails[t].end for t in escape_tids]
     for assignment in itertools.permutations(candidates, len(escape_tids)):
         if budget is not None:
             if sum(1 for x in assignment if x in COL_ONLY) > budget:
                 continue
-        trails = _joint_trails(ctx, ends + list(zip(positions, assignment)), allowed)
+        trails = _joint_trails(ctx, ends + list(zip(starts, assignment)), allowed)
         if trails is None:
             continue
         for i, trail in zip(link, trails):
@@ -318,7 +318,7 @@ def _mate_to_anchors(
     the linkages and both matings packed jointly in the free region, noted
     as ``clip:direct``.  A failed mating leaves the context untouched.
     """
-    x, y = ctx.positions[tid_x], ctx.positions[tid_y]
+    x, y = ctx.trails[tid_x].end, ctx.trails[tid_y].end
     ends = _pair_ends(ctx, link)
     catalog = clip_catalog()
     for name in sorted(catalog):
@@ -416,8 +416,8 @@ def _link_prescribed(ctx: RoutingContext, member, down: bool) -> None:
     """Link an inner member's pair along the prescribed L: straight down its
     column to the last row (``down``) or along its row to the last column,
     then along the boundary to the partner."""
-    s = ctx.positions[member]
-    t = ctx.positions[partner(member)]
+    s = ctx.trails[member].end
+    t = ctx.trails[partner(member)].end
     if down:
         walk = _col_walk(s, 3) + unique_l_path((3, s[1]), t)[1:]
     else:
@@ -445,7 +445,7 @@ def _link_through_frame(
         raise CaseGap(f"{ctx.label}: frame members {members} are not of two pairs")
     mates = []
     for tid in tids:
-        t_v = ctx.positions[partner(tid)]
+        t_v = ctx.trails[partner(tid)].end
         if t_v in cycle:
             mates.append(path_of(t_v))
         elif _ONTO_CYCLE.get(t_v) in cycle:
@@ -469,16 +469,16 @@ def _tid_at(ctx: RoutingContext, v: Vertex):
 
 
 def _singleton_tids(ctx: RoutingContext):
-    return sorted(t for t in ctx.positions if t[0] == "s")
+    return sorted(t for t in ctx.trails if t[0] == "s")
 
 
 # Edges of the grid minus its last column (the region escape matings toward
 # the last row are confined to in several cases).
 QMB_EDGES = frozenset(
-    e for e in full_grid().edges if e[0] not in LAST_COL and e[1] not in LAST_COL
+    e for e in GRID.edges if e[0] not in LAST_COL and e[1] not in LAST_COL
 )
 # Edges of the grid that avoid the corner (3,3).
-_OFF_CORNER = frozenset(e for e in full_grid().edges if CORNER not in e)
+_OFF_CORNER = frozenset(e for e in GRID.edges if CORNER not in e)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +501,7 @@ def _heavy5_case(cfg: TerminalConfig):
 
 
 def _h5_case_a(cfg: TerminalConfig):
-    ctx = RoutingContext.fresh(cfg)
+    ctx = RoutingContext(cfg)
     sc = _s_count(cfg)
     if sc == 2:
         if _both_col_stub_singles(ctx):
@@ -531,14 +531,14 @@ def _h5_case_a(cfg: TerminalConfig):
         exit_region = cycle_edges(CYCLE_8_NO_CORNER)
     else:
         ctx.label = "L4/a/S4-corner-in-pair"
-        link_region, exit_region = S_EDGES, full_grid().edges - S_EDGES
+        link_region, exit_region = S_EDGES, GRID.edges - S_EDGES
     _link_many(ctx, [0], allowed=link_region)
     _finish(ctx, _inner(ctx), candidates=[(3, 1), (3, 2), (1, 3)], allowed=exit_region)
     return ctx
 
 
 def _h5_case_b(cfg: TerminalConfig):
-    ctx = RoutingContext.fresh(cfg)
+    ctx = RoutingContext(cfg)
     pair = set(cfg.pairs[0])
     if pair <= BOUNDARY:
         ctx.label = "L4/b/pair-on-L"
@@ -555,14 +555,14 @@ def _h5_case_b(cfg: TerminalConfig):
     ctx.label = "L4/b/t1-in-row"
     _cascade_shift_through_corner(ctx)
     # link to the boundary member's current position (it may have shifted)
-    t1_now = ctx.positions[partner(_tid_at(ctx, s1))]
+    t1_now = ctx.trails[partner(_tid_at(ctx, s1))].end
     trails = _must_trails(ctx, [(s1, t1_now)], None, f"{ctx.label}: no linkage path")
     ctx.finish_link(0, trails[0])
     return ctx
 
 
 def _h5_case_c(cfg: TerminalConfig):
-    ctx = RoutingContext.fresh(cfg)
+    ctx = RoutingContext(cfg)
     ctx.label = "L4/c"
     _link_on_l(ctx, 0)
     _finish(ctx, _inner(ctx), candidates=[*cfg.pairs[0], (1, 3)])
@@ -570,13 +570,13 @@ def _h5_case_c(cfg: TerminalConfig):
 
 
 def _h5_case_d(cfg: TerminalConfig):
-    ctx = RoutingContext.fresh(cfg)
+    ctx = RoutingContext(cfg)
     _link_on_l(ctx, 0)
     if _s_count(cfg) == 2:
         ctx.label = "L4/d/S2"
-        row_single = [t for t in ctx.positions if ctx.positions[t] in ROW_ONLY]
+        row_single = [t.end for t in ctx.trails.values() if t.end in ROW_ONLY]
         if row_single:
-            ctx.shift(ctx.positions[row_single[0]], CORNER)
+            ctx.shift(row_single[0], CORNER)
         inner = _inner(ctx)
         _mate_to_anchors(ctx, inner[0], inner[1], ((3, 1), (3, 2)))
         return ctx
@@ -586,7 +586,7 @@ def _h5_case_d(cfg: TerminalConfig):
 
 
 def _h5_case_e(cfg: TerminalConfig):
-    ctx = RoutingContext.fresh(cfg)
+    ctx = RoutingContext(cfg)
     pair = set(cfg.pairs[0])
     sc = _s_count(cfg)
     if pair <= BOUNDARY:
@@ -617,7 +617,7 @@ def _h5_case_e(cfg: TerminalConfig):
         if _col_budget(ctx, [t for t in _singleton_tids(ctx) if t != s2]) > 0:
             cands += [v for v in sorted(COL_ONLY) if ctx.is_free_vertex(v)]
         for w in cands:
-            trails = _joint_trails(ctx, ends + [(ctx.positions[s2], w)])
+            trails = _joint_trails(ctx, ends + [(ctx.trails[s2].end, w)])
             if trails is not None:
                 ctx.finish_link(0, trails[0])
                 ctx.move(s2, trails[1])
@@ -641,7 +641,7 @@ def _free_anchor_pairs(ctx: RoutingContext):
     vertices, preferring the last row, then one last-column anchor."""
     row_avail = [v for v in sorted(LAST_ROW) if ctx.is_free_vertex(v)]
     out = list(itertools.combinations(row_avail, 2))
-    if _col_budget(ctx, ctx.positions) > 0:
+    if _col_budget(ctx, ctx.trails) > 0:
         col_avail = [v for v in sorted(COL_ONLY) if ctx.is_free_vertex(v)]
         out += [(r, c) for r in row_avail for c in col_avail]
     return out
@@ -673,7 +673,7 @@ def _heavy6_case(cfg: TerminalConfig):
 
 
 def _h6_case_a(cfg: TerminalConfig):
-    ctx = RoutingContext.fresh(cfg)
+    ctx = RoutingContext(cfg)
     ctx.label = "L3/a/pair-on-L"
     on_l = _pairs_within(cfg, BOUNDARY)
     if not on_l:
@@ -683,7 +683,7 @@ def _h6_case_a(cfg: TerminalConfig):
     _link_on_l(ctx, pi)
     s_tid = _inner(ctx)[0]
     gap = f"{ctx.label}: no path to the row corner"
-    stage1 = _must_trails(ctx, [(ctx.positions[s_tid], (3, 1))], ctx.free - L_EDGES, gap)
+    stage1 = _must_trails(ctx, [(ctx.trails[s_tid].end, (3, 1))], ctx.free - L_EDGES, gap)
     # on along the boundary to the linkage's end nearer the row corner
     full = stage1[0] + Path(unique_l_path((3, 1), max((a, b), key=L_ORDER.index)))
     ctx.escape_via(s_tid, full)
@@ -693,7 +693,7 @@ def _h6_case_a(cfg: TerminalConfig):
 
 
 def _h6_case_b(cfg: TerminalConfig, pi: int):
-    ctx = RoutingContext.fresh(cfg)
+    ctx = RoutingContext(cfg)
     sc = _s_count(cfg)
     other = 1 - pi
     if sc == 2:
@@ -712,7 +712,7 @@ def _h6_case_b(cfg: TerminalConfig, pi: int):
         s2_tid = next(t for t in _inner(ctx) if t[:2] == ("p", other))
         if ctx.terminals_at((3, 1)):
             ctx.shift((3, 1), _first_free(ctx, ((3, 2), (3, 3), (2, 3), (1, 3))))
-        ends = [cfg.pairs[pi], (ctx.positions[s2_tid], (3, 1))]
+        ends = [cfg.pairs[pi], (ctx.trails[s2_tid].end, (3, 1))]
         trails = _joint_trails(ctx, ends, allowed=QMB_EDGES | S_EDGES)
         if trails is None:
             ctx.notes.append("retry:unrestricted")
@@ -747,7 +747,7 @@ def _h6_case_b(cfg: TerminalConfig, pi: int):
 
 
 def _h6_case_c(cfg: TerminalConfig, pi: int):
-    ctx = RoutingContext.fresh(cfg)
+    ctx = RoutingContext(cfg)
     other = 1 - pi
     a, b = cfg.pairs[pi]
     # judged before the linkage frees the pair's ends
@@ -785,7 +785,7 @@ def _h6_case_c(cfg: TerminalConfig, pi: int):
 
 
 def _h6_case_d(cfg: TerminalConfig, pi: int):
-    ctx = RoutingContext.fresh(cfg)
+    ctx = RoutingContext(cfg)
     other = 1 - pi
     pair = set(cfg.pairs[pi])
     _link_on_l(ctx, pi)
@@ -821,7 +821,7 @@ def _h6_case_d(cfg: TerminalConfig, pi: int):
 
 
 def _h6_end_s2(cfg: TerminalConfig):
-    ctx = RoutingContext.fresh(cfg)
+    ctx = RoutingContext(cfg)
     inner = _inner(ctx)
     singles = [t for t in inner if t[0] == "s"]
     members = [t for t in inner if t[0] == "p"]
@@ -851,7 +851,7 @@ def _h6_end_s2(cfg: TerminalConfig):
     member, single = members[0], singles[0]
     other = 1 - member[1]
     s2 = [v for v in cfg.pairs[other] if v in ROW_ONLY][0]
-    t1 = ctx.positions[partner(member)]
+    t1 = ctx.trails[partner(member)].end
     w = _first_free(ctx, sorted(BOUNDARY))
     if w in ROW_ONLY:
         ctx.label = "L3/end/S2-w-row"
@@ -865,7 +865,7 @@ def _h6_end_s2(cfg: TerminalConfig):
     # column, or else to the corner
     exit_v, region = (t1, QMB_EDGES) if down else (CORNER, None)
     gap = f"{ctx.label}: no escape path to {exit_v}"
-    ctx.escape_via(single, _must_trails(ctx, [(ctx.positions[single], exit_v)], region, gap)[0])
+    ctx.escape_via(single, _must_trails(ctx, [(ctx.trails[single].end, exit_v)], region, gap)[0])
     if down:
         _cascade_shift_through_corner(ctx)
     return ctx
@@ -876,9 +876,9 @@ def _h6_end_s3(cfg: TerminalConfig):
     its prescribed L, then mate the other two inner terminals onto the first
     anchor pair that admits it.  The last-column residents and the corner
     decide the member, the direction of its linkage and the anchors."""
-    ctx = RoutingContext.fresh(cfg)
+    ctx = RoutingContext(cfg)
     members = [t for t in _inner(ctx) if t[0] == "p"]
-    partner_at = {ctx.positions[partner(m)]: m for m in members}
+    partner_at = {ctx.trails[partner(m)].end: m for m in members}
     col_res = _terminals_in(cfg, COL_ONLY)
     free_rows = [v for v in sorted(LAST_ROW) if ctx.is_free_vertex(v)]
     m = members[0]
@@ -888,11 +888,11 @@ def _h6_end_s3(cfg: TerminalConfig):
         anchors = _row_anchor_pairs(ctx, (1, 3))
     elif len(col_res) == 2:
         ctx.label, down = "L3/end/S3-col2", False
-        m = next(x for x in members if ctx.positions[partner(x)] in COL_ONLY)
+        m = next(x for x in members if ctx.trails[partner(x)].end in COL_ONLY)
         anchors = itertools.combinations(free_rows, 2)
     elif col_res[0] not in partner_at and ctx.is_free_vertex(CORNER):
         ctx.label, down = "L3/end/S3-corner-free", True
-        anchors = [(CORNER, ctx.positions[partner(m)])]
+        anchors = [(CORNER, ctx.trails[partner(m)].end)]
     else:
         # the linked member's partner sits on the stub or the corner; it
         # pairs with the first free last-row vertex
@@ -900,7 +900,7 @@ def _h6_end_s3(cfg: TerminalConfig):
         ctx.label = "L3/end/S3-t-col" if t_col else "L3/end/S3-corner-taken"
         m = partner_at[col_res[0]] if t_col else partner_at.get(CORNER, m)
         down = False
-        anchors = [(u, ctx.positions[partner(m)]) for u in free_rows[:1]]
+        anchors = [(u, ctx.trails[partner(m)].end) for u in free_rows[:1]]
     _link_prescribed(ctx, m, down)
     rest = _inner(ctx)
     _mate_to_first(ctx, rest[0], rest[1], anchors)
@@ -933,7 +933,7 @@ def _diagonal_split(ctx, pi, hub, region, link_to=None, mate_to=None):
 
 
 def _h6_end_s4(cfg: TerminalConfig):
-    ctx = RoutingContext.fresh(cfg)
+    ctx = RoutingContext(cfg)
     l_res = _terminals_in(cfg, BOUNDARY)
     col_res = [v for v in l_res if v in COL_ONLY]
     if len(col_res) == 0 and CORNER not in l_res:
@@ -986,7 +986,7 @@ def _heavy78_case(cfg: TerminalConfig):
 
 
 def _h78_case_a(cfg: TerminalConfig):
-    ctx = RoutingContext.fresh(cfg)
+    ctx = RoutingContext(cfg)
     in_s = _pairs_within(cfg, INNER_SQUARE)
     inner = _inner(ctx)
     if in_s:
@@ -1016,7 +1016,7 @@ def _h78_case_b(cfg: TerminalConfig):
         pj = _pair_index(cfg, third)
         if pj is None:
             return _h78_b2(cfg, in_s[0])
-        ctx = RoutingContext.fresh(cfg)
+        ctx = RoutingContext(cfg)
         ctx.label = "L2/b/pair-plus-member"
         _link_many(ctx, [in_s[0], pj])
         return ctx
@@ -1030,7 +1030,7 @@ def _h78_case_b(cfg: TerminalConfig):
 
 
 def _h78_b2(cfg: TerminalConfig, pi: int):
-    ctx = RoutingContext.fresh(cfg)
+    ctx = RoutingContext(cfg)
     ctx.label = "L2/b/pair-plus-singleton"
     s0 = [v for v in cfg.singletons if v in INNER_SQUARE][0]
     s0_tid = _tid_at(ctx, s0)
@@ -1056,7 +1056,7 @@ def _h78_b2(cfg: TerminalConfig, pi: int):
 def _h78_b3(cfg: TerminalConfig, escaping):
     """Frame on the inner 4-cycle: the two members closest to the center
     attach there; the third inner terminal escapes along the outer lane."""
-    ctx = RoutingContext.fresh(cfg)
+    ctx = RoutingContext(cfg)
     ctx.label = "L2/b/three-members" if escaping is None else "L2/b/members-and-singleton"
     inner = _terminals_in(cfg, INNER_SQUARE)
     if escaping is None:
@@ -1089,7 +1089,7 @@ def _h78_b4(cfg: TerminalConfig):
 def _h78_b4_column(cfg: TerminalConfig):
     """Singleton on the middle column: frame on the six-cycle below the top
     row, escape the singleton at the top-right stub."""
-    ctx = RoutingContext.fresh(cfg)
+    ctx = RoutingContext(cfg)
     ctx.label = "L2/b/members-and-singleton"
     s0 = [v for v in cfg.singletons if v in INNER_SQUARE][0]
     members = sorted(v for v in _terminals_in(cfg, INNER_SQUARE) if v != s0)
@@ -1131,7 +1131,7 @@ def _h78_b4_column(cfg: TerminalConfig):
 def _h78_case_c(cfg: TerminalConfig):
     in_s = _pairs_within(cfg, INNER_SQUARE)
     if len(in_s) >= 2:
-        ctx = RoutingContext.fresh(cfg)
+        ctx = RoutingContext(cfg)
         ctx.label = "L2/c/two-pairs"
         _link_many(ctx, in_s[:2])
         return ctx
@@ -1143,7 +1143,7 @@ def _h78_case_c(cfg: TerminalConfig):
 
 
 def _h78_c2(cfg: TerminalConfig, pi: int):
-    ctx = RoutingContext.fresh(cfg)
+    ctx = RoutingContext(cfg)
     ctx.label = "L2/c/pair-plus-two"
     others = sorted(
         v for v in _terminals_in(cfg, INNER_SQUARE) if v not in set(cfg.pairs[pi])
@@ -1157,7 +1157,7 @@ def _h78_c2(cfg: TerminalConfig, pi: int):
     # the pair member links through its partner's vertex, where the other escapes
     first, second = others if _tid_at(ctx, others[0])[0] == "p" else others[::-1]
     first_tid = _tid_at(ctx, first)
-    t2 = ctx.positions[partner(first_tid)]
+    t2 = ctx.trails[partner(first_tid)].end
     ends = [(first, t2), (second, t2)]
     trails = _must_trails(ctx, ends, None, f"{ctx.label}: through-link failed")
     ctx.finish_link(first_tid[1], trails[0])
@@ -1167,7 +1167,7 @@ def _h78_c2(cfg: TerminalConfig, pi: int):
 
 def _h78_c3_member(cfg: TerminalConfig):
     plan_cfg = cfg if _pair_index(cfg, (2, 1)) is not None else cfg.reflected()
-    ctx = RoutingContext.fresh(plan_cfg)
+    ctx = RoutingContext(plan_cfg)
     ctx.label = "L2/c/no-pair-center-member"
     _link_through_frame(ctx, INNER_CYCLE_4, (2, 2), ((2, 2), (2, 1)))
     _h78_c3_outer_escapes(ctx)
@@ -1194,7 +1194,8 @@ def _h78_c3_outer_escapes(ctx: RoutingContext) -> None:
     one stop along the boundary first."""
     for origin, stub, lane, stub_edges, lane_region in _OUTER_STUBS:
         tid = _tid_at(ctx, origin)
-        mate_pos = ctx.positions.get(partner(tid)) if tid[0] == "p" else None
+        mate = ctx.trails.get(partner(tid))  # None for a singleton or a resolved mate
+        mate_pos = None if mate is None else mate.end
         if ctx.terminals_at(stub) and mate_pos != stub:
             if ctx.terminals_at(lane):
                 if mate_pos != lane:
@@ -1223,14 +1224,14 @@ def _h78_c3_singleton(cfg: TerminalConfig):
 
 
 def _h78_c3_singleton_frame(cfg: TerminalConfig):
-    ctx = RoutingContext.fresh(cfg)
+    ctx = RoutingContext(cfg)
     ctx.label = "L2/c/no-pair-center-singleton"
     _link_through_frame(ctx, CYCLE_6_NO_COL1, (1, 2), ((1, 1), (1, 2)))
     # escapes: the (2,1) member exits at (3,1), the singleton at (2,3)
     m21_tid = _tid_at(ctx, (2, 1))
-    t21 = ctx.positions.get(partner(m21_tid))
+    t21 = ctx.trails.get(partner(m21_tid))
     esc = path_of((2, 1), (3, 1))
-    if t21 == (3, 1):
+    if t21 is not None and t21.end == (3, 1):
         ctx.finish_link(m21_tid[1], esc)
     else:
         ctx.escape_via(m21_tid, esc)
@@ -1241,7 +1242,7 @@ def _h78_c3_singleton_frame(cfg: TerminalConfig):
 
 
 def _h78_c3_singleton_direct(cfg: TerminalConfig):
-    ctx = RoutingContext.fresh(cfg)
+    ctx = RoutingContext(cfg)
     ctx.label = "L2/c/no-pair-center-singleton-direct"
     ctx.finish_link(_pair_index(cfg, (1, 2)), path_of((1, 2), (2, 2), (3, 2)))
     ctx.finish_link(
@@ -1269,7 +1270,7 @@ def _route(cfg: TerminalConfig, lemma: LemmaId, case_fn):
     reflected = ctx.cfg != cfg
     if reflected:
         plan = reflected_plan(ctx.cfg, plan)
-    verdict = validate_plan(full_grid(), cfg, plan, contract_for(lemma))
+    verdict = validate_plan(GRID, cfg, plan, contract_for(lemma))
     if not verdict.ok:
         raise CaseGap(f"{ctx.label}: plan invalid: {verdict.violations[0].message}")
     return plan, CaseTrace(lemma, (ctx.label, *ctx.notes), symmetry_applied=reflected)
@@ -1296,7 +1297,7 @@ def route(cfg: TerminalConfig, strict: bool = False) -> tuple[EscapePlan, CaseTr
     except (CaseGap, ToolkitError) as exc:
         if strict:
             raise CaseGap(f"{lemma.value}: {exc}") from exc
-        plan = oracle_solve(full_grid(), cfg, contract_for(lemma))
+        plan = oracle_solve(GRID, cfg, contract_for(lemma))
         if plan is None:
             raise RouterError(f"no plan exists for {cfg}") from exc
         # the oracle validated its witness under the same grid and contract

@@ -36,6 +36,8 @@ Pair = tuple[Vertex, Vertex]
 
 
 def _canonical_pair(pair) -> Pair:
+    if len(pair) != 2:
+        raise MalformedConfigError(f"{pair!r} is not a pair of two vertices")
     a, b = (tuple(pair[0]), tuple(pair[1]))
     return (a, b) if a <= b else (b, a)
 

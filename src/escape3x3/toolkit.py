@@ -1,8 +1,10 @@
 """Construction primitives for the constructive router.
 
-A RoutingContext tracks the free edges and one trail per terminal, grown
-by every shift, mating and escape; an unresolved terminal sits at its
-trail's end.  The primitives:
+A RoutingContext tracks the full grid's free edges and one trail per
+terminal, grown by every shift, mating and escape and held in one place:
+an unresolved terminal sits at its trail's end, an escaped one exits at
+its trail's end, and a linked pair's two trails join into its linkage.
+The primitives:
 
 * shifting a terminal along the boundary path, consuming its edges;
 * mating two terminals through a clip (a boundary-anchored subgraph in
@@ -52,6 +54,10 @@ TermId = tuple
 # singletons; ids sort deterministically.
 
 
+# Every routing context routes on the full grid.
+GRID = full_grid()
+
+
 def term_ids(cfg: TerminalConfig) -> dict[TermId, Vertex]:
     out: dict[TermId, Vertex] = {}
     for i, (a, b) in enumerate(cfg.pairs):
@@ -71,77 +77,55 @@ def partner(tid: TermId) -> TermId | None:
 class RoutingContext(Record):
     """Mutable bookkeeping for one routing job; single-owner.
 
-    Every terminal owns one trail, ``trails[tid]``, which starts at the
-    terminal and grows with each move (shift, mating, escape).  ``fresh``
-    gives each terminal the grid descriptor's zero-length trail at its
-    vertex (``kernel.GraphDesc.path``), one frozen ``Path`` per vertex that
-    every context shares, and a join with a trail that has no edges returns
-    the other trail, so a terminal that never moves costs no ``Path`` of
-    its own.  An unresolved terminal sits in ``positions`` at its trail's
-    end; an escaped one exits at its trail's end; a linked pair's linkage
-    is its two trails joined by a core.
-    ``free`` holds the edges no trail or core has consumed.  ``label``
-    names the case the router's handler is building, and ``notes`` the
-    clips and retries it used on the way; together they become the plan's
-    ``CaseTrace``, and the router reads the label to name the case in its
-    case-gap messages.
+    Every terminal owns one trail, which starts at the terminal and grows
+    with each move (shift, mating, escape), and the trail lives in exactly
+    one place.  An unresolved terminal's trail is ``trails[tid]``, in id
+    order, and the terminal sits at its end; an escaped terminal's trail
+    is ``escaped[tid]``, and it exits at its end; a linked pair's two
+    trails are joined by a core into ``linked[pair_index]``.  A new
+    context gives each terminal the full grid descriptor's zero-length
+    trail at its vertex (``kernel.GraphDesc.path``), one frozen ``Path``
+    per vertex that every context shares, and a join with a trail that has
+    no edges returns the other trail, so a terminal that never moves costs
+    no ``Path`` of its own.
+    ``free`` holds the edges of the full grid that no trail or core has
+    consumed.  ``label`` names the case the router's handler is building,
+    and ``notes`` the clips and retries it used on the way; together they
+    become the plan's ``CaseTrace``, and the router reads the label to name
+    the case in its case-gap messages.
     ``linked``, ``escaped``, ``label`` and ``notes`` start empty.
 
     Only the mutation methods write this state, and each keeps those
     invariants as it goes: ``consume`` takes only free edges, all or none,
-    ``Path`` joins refuse a shared edge, and ``move`` leaves the terminal at
-    its trail's end.  Nothing re-checks them afterwards; ``route`` validates
-    the finished plan.  Two contexts are equal when all their state is.
+    ``Path`` joins refuse a shared edge, and each resolution moves a trail
+    out of ``trails``.  Nothing re-checks them afterwards; ``route``
+    validates the finished plan.  Two contexts are equal when all their
+    state is.
     """
 
-    __slots__ = _fields = (
-        "grid", "cfg", "free", "positions", "trails", "linked", "escaped", "label", "notes"
-    )
+    __slots__ = _fields = ("cfg", "free", "trails", "linked", "escaped", "label", "notes")
 
-    def __init__(
-        self,
-        grid: GridGraph,
-        cfg: TerminalConfig,
-        free: set[Edge],
-        positions: dict[TermId, Vertex],
-        trails: dict[TermId, Path],
-    ):
-        self.grid = grid
+    def __init__(self, cfg: TerminalConfig):
+        desc = kernel.desc_for(GRID)
+        path, vindex = desc.path, desc.vindex
         self.cfg = cfg
-        self.free = free
-        self.positions = positions
-        self.trails = trails
+        self.free: set[Edge] = set(GRID.edges)
+        self.trails = {tid: path((vindex[v],)) for tid, v in term_ids(cfg).items()}
         self.linked: dict[int, Path] = {}
-        self.escaped: set[TermId] = set()
+        self.escaped: dict[TermId, Path] = {}
         self.label = ""
         self.notes: list[str] = []
-
-    @staticmethod
-    def fresh(cfg: TerminalConfig) -> "RoutingContext":
-        grid = full_grid()
-        ids = term_ids(cfg)
-        desc = kernel.desc_for(grid)
-        path, vindex = desc.path, desc.vindex
-        return RoutingContext(
-            grid=grid,
-            cfg=cfg,
-            free=set(grid.edges),
-            positions=dict(ids),
-            trails={tid: path((vindex[v],)) for tid, v in ids.items()},
-        )
 
     # -- queries ----------------------------------------------------------
 
     def terminals_at(self, v: Vertex) -> list[TermId]:
-        return sorted(tid for tid, pos in self.positions.items() if pos == v)
+        """The unresolved terminals at v, in id order."""
+        return [tid for tid, trail in self.trails.items() if trail.end == v]
 
     def is_free_vertex(self, v: Vertex) -> bool:
         """A boundary vertex hosting neither an unresolved terminal nor an exit."""
-        return (
-            v in BOUNDARY
-            and v not in self.positions.values()
-            and all(self.trails[tid].end != v for tid in self.escaped)
-        )
+        trails = (*self.trails.values(), *self.escaped.values())
+        return v in BOUNDARY and v not in [trail.end for trail in trails]
 
     # -- mutations --------------------------------------------------------
 
@@ -154,13 +138,12 @@ class RoutingContext(Record):
 
     def move(self, tid: TermId, path: Path) -> None:
         """Advance a terminal along a path, consuming its edges."""
-        if self.positions.get(tid) != path.start:
-            raise ToolkitError(
-                f"{tid} is at {self.positions.get(tid)}, path starts at {path.start}"
-            )
+        trail = self.trails.get(tid)
+        at = None if trail is None else trail.end
+        if at != path.start:
+            raise ToolkitError(f"{tid} is at {at}, path starts at {path.start}")
         self.consume(path.edges())
-        self.trails[tid] = self.trails[tid] + path
-        self.positions[tid] = path.end
+        self.trails[tid] = trail + path
 
     def shift(self, u: Vertex, v: Vertex) -> None:
         """Shift the terminal at u along the boundary path to v."""
@@ -173,8 +156,7 @@ class RoutingContext(Record):
 
     def finish_escape(self, tid: TermId) -> None:
         """Resolve a terminal as escaping at its current position."""
-        self.escaped.add(tid)
-        del self.positions[tid]
+        self.escaped[tid] = self.trails.pop(tid)
 
     def escape_via(self, tid: TermId, path: Path) -> None:
         self.move(tid, path)
@@ -182,22 +164,22 @@ class RoutingContext(Record):
 
     def finish_link(self, pair_index: int, core: Path) -> None:
         """Link a pair with a core path joining the two current positions."""
-        a, b = ("p", pair_index, 0), ("p", pair_index, 1)
-        if {core.start, core.end} != {self.positions[a], self.positions[b]}:
+        first, second = ("p", pair_index, 0), ("p", pair_index, 1)
+        a, b = self.trails[first], self.trails[second]
+        if {core.start, core.end} != {a.end, b.end}:
             raise ToolkitError(
                 f"core {core.start}->{core.end} does not join pair {pair_index} at "
-                f"{self.positions[a]}, {self.positions[b]}"
+                f"{a.end}, {b.end}"
             )
-        if core.start != self.positions[a]:
+        if core.start != a.end:
             core = core.reversed()
         self.consume(core.edges())
-        self.linked[pair_index] = self.trails[a] + core + self.trails[b].reversed()
-        del self.positions[a]
-        del self.positions[b]
+        self.linked[pair_index] = a + core + b.reversed()
+        del self.trails[first], self.trails[second]
 
     def plan(self):
-        escapes = [self.trails[tid] for tid in self.escaped]
-        return EscapePlan.build(dict(self.linked), [(t.start, t.end, t) for t in escapes])
+        escapes = [(t.start, t.end, t) for t in self.escaped.values()]
+        return EscapePlan.build(dict(self.linked), escapes)
 
 
 # -- clips ----------------------------------------------------------------
@@ -268,7 +250,7 @@ def mate_through_clip(ctx: RoutingContext, clip: ClipSpec, x: Vertex, y: Vertex)
     The caller offers only a clip whose edges are all free: the two moves
     consume separately, so on a clip that is not, the first may stand when
     the second raises."""
-    paths = _mating_paths(ctx.grid, clip, x, y)
+    paths = _mating_paths(GRID, clip, x, y)
     if paths is None:
         raise ToolkitError(f"clip {clip.name} cannot mate {x}, {y}")
     px, py = paths

@@ -40,7 +40,7 @@ def _strict_sweep_run():
     count = nodes = contexts = 0
     solve = kernel.solve_trails
     find = kernel.find_trail_system
-    fresh = RoutingContext.fresh
+    init = RoutingContext.__init__
     desc_for = functools.lru_cache(kernel.desc_for.__wrapped__)
 
     def recording(g, free_edges, endpoint_pairs):
@@ -57,16 +57,16 @@ def _strict_sweep_run():
         nodes += out[2]
         return out
 
-    def counting(cfg):
+    def counting(ctx, cfg):
         nonlocal contexts
         contexts += 1
-        return fresh(cfg)
+        init(ctx, cfg)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "solve_trails", recording)
         mp.setattr(kernel, "find_trail_system", counting_nodes)
         mp.setattr(kernel, "desc_for", desc_for)
-        mp.setattr(RoutingContext, "fresh", staticmethod(counting))
+        mp.setattr(RoutingContext, "__init__", counting)
         sweep = [
             (lemma, cfg, *route(cfg, strict=True))
             for lemma in (LemmaId.HEAVY78, LemmaId.HEAVY6, LemmaId.HEAVY5)
@@ -92,7 +92,7 @@ def strict_sweep_kernel_calls(_strict_sweep_run):
 
 @pytest.fixture(scope="session")
 def strict_sweep_contexts(_strict_sweep_run):
-    """How many times the strict sweep called ``RoutingContext.fresh``."""
+    """How many routing contexts the strict sweep built."""
     return _strict_sweep_run[4]
 
 

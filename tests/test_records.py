@@ -35,7 +35,6 @@ def _records():
         (2, 2),
         (Path(((1, 2), (2, 2))), Path(((2, 1), (2, 2)))),
     )
-    trails = {("p", 0, 0): Path(((1, 1),))}
     return [
         (
             GridGraph,
@@ -103,15 +102,9 @@ def _records():
         ),
         (
             RoutingContext,
-            (_G, _CFG, set(_G.edges), {("p", 0, 0): (1, 1)}, trails),
-            {
-                "grid": _G,
-                "cfg": _CFG,
-                "free": set(_G.edges),
-                "positions": {("p", 0, 0): (1, 1)},
-                "trails": trails,
-            },
-            ("grid", "cfg", "free", "positions", "trails", "linked", "escaped", "label", "notes"),
+            (_CFG,),
+            {"cfg": _CFG},
+            ("cfg", "free", "trails", "linked", "escaped", "label", "notes"),
             False,
         ),
         (
@@ -261,9 +254,11 @@ def test_record_defaults_are_fresh_per_instance():
     assert (a.total, a.valid, a.fallbacks, a.wall_time) == (0, 0, 0, 0.0)
     for f in ("case_histogram", "failures", "dead_labels"):
         assert getattr(a, f) == getattr(b, f) and getattr(a, f) is not getattr(b, f)
-    c, d = (RoutingContext.fresh(_CFG) for _ in range(2))
+    c, d = (RoutingContext(_CFG) for _ in range(2))
     for f in ("linked", "escaped", "notes"):
         assert not getattr(c, f) and getattr(c, f) is not getattr(d, f)
+    for f in ("free", "trails"):
+        assert getattr(c, f) == getattr(d, f) and getattr(c, f) is not getattr(d, f)
     one, two = (kernel.desc_for.__wrapped__(_G) for _ in range(2))
     assert one == two and one.reach is not two.reach
     assert one.paths is not two.paths and one.masks is not two.masks

@@ -399,11 +399,11 @@ def test_frame_guards_raise_case_gap_and_consume_nothing(
     from escape3x3.terminals import make_config
     from escape3x3.toolkit import RoutingContext
 
-    ctx = RoutingContext.fresh(make_config(pairs, singletons))
-    free, positions = set(ctx.free), dict(ctx.positions)
+    ctx = RoutingContext(make_config(pairs, singletons))
+    free, trails = set(ctx.free), dict(ctx.trails)
     with pytest.raises(CaseGap, match=match):
         router._link_through_frame(ctx, getattr(grid, cycle), anchor, members)
-    assert ctx.free == free and ctx.positions == positions and not ctx.linked
+    assert ctx.free == free and ctx.trails == trails and not ctx.linked
 
 
 def test_missing_terminal_gap_names_its_case():
@@ -411,7 +411,7 @@ def test_missing_terminal_gap_names_its_case():
     opens with the context's case label, like every other router gap."""
     from escape3x3.toolkit import RoutingContext
 
-    ctx = RoutingContext.fresh(make_config([((1, 1), (2, 2))], [(1, 2), (2, 1), (1, 3)]))
+    ctx = RoutingContext(make_config([((1, 1), (2, 2))], [(1, 2), (2, 1), (1, 3)]))
     ctx.label = "L4/a/S2"
     with pytest.raises(CaseGap) as gap:
         router._tid_at(ctx, (3, 3))

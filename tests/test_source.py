@@ -1,12 +1,19 @@
 import ast
 import functools
+import json
 import os
 import pathlib
 import subprocess
 import sys
 from collections import Counter
 
-from escape3x3 import campaign
+from escape3x3 import campaign, cli, kernel
+from escape3x3.grid import Frozen, Record, full_grid
+from escape3x3.model import contract_for, validate_plan, validate_plan_recheck
+from escape3x3.oracle import any_plan, oracle_solve
+from escape3x3.router import route
+from escape3x3.terminals import LemmaId, encode_config, enumerate_configs, family_of
+from escape3x3.toolkit import ClipSpec
 
 from conftest import record_classes
 
@@ -33,7 +40,8 @@ def test_trusted_path_constructor_has_only_its_named_callers():
     code sets a path's slots.  ``kernel.GraphDesc.path`` is the one place
     that builds a kernel trail: ``solve_trails`` and ``escape_trails``
     (once the sink's virtual vertices are stripped) take theirs from it, and
-    so does ``RoutingContext.fresh`` for each terminal's start trail."""
+    so does the ``RoutingContext`` constructor for each terminal's start
+    trail."""
     callers, setters = set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -96,22 +104,72 @@ def test_no_record_hooks_attribute_lookup():
     assert not hooks, f"attribute lookup hooked on a record class: {hooks}"
 
 
-def test_every_record_slot_is_read():
-    """Each slot a record class declares holds state the program reads:
-    somewhere in the package an attribute of that name is loaded.  A slot
-    that only constructors and tests touch is state no caller needs."""
-    loaded = {
-        node.attr
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
-    unread = [
-        f"{cls.__qualname__}.{name}"
-        for cls in record_classes()
-        for name in cls.__dict__.get("__slots__", ())
-        if name not in loaded
+def test_every_record_slot_is_read(monkeypatch, tmp_path):
+    """Each slot a record class declares holds state the program reads.
+    Every slot of every record class is wrapped in a counting property, and
+    a small exercise runs the package's paths on descriptor caches of its
+    own: strict routes of a sample of each routed family, a reflected route
+    among them, both validators on each plan, ``any_plan`` and
+    ``oracle_solve``, and the CLI's ``solve``, ``clips --verify`` on the
+    catalog and on a broken clip, and ``verify`` on a few configurations.
+    Package code must read every slot of every class, each class counted
+    apart; reads by the records' shared equality, hashing and repr do not
+    count, nor do the test's own.  A slot that only constructors,
+    comparisons and tests touch is state no caller needs."""
+    package = os.path.dirname(campaign.__file__) + os.sep
+    classes = record_classes()
+    generic = {Record.__eq__.__code__, Frozen.__hash__.__code__, Record.__repr__.__code__}
+    key_of = (getattr(cls, "_key_of", None) for cls in classes)
+    generic |= {key.__code__ for key in key_of if hasattr(key, "__code__")}
+    reads = Counter()
+
+    def counting(cls, name):
+        slot = vars(cls)[name]
+
+        def get(obj):
+            caller = sys._getframe(1).f_code
+            if caller.co_filename.startswith(package) and caller not in generic:
+                reads[cls, name] += 1
+            return slot.__get__(obj, cls)
+
+        return property(get, slot.__set__, slot.__delete__)
+
+    slots = [(cls, name) for cls in classes for name in vars(cls).get("__slots__", ())]
+    for cls, name in slots:
+        monkeypatch.setattr(cls, name, counting(cls, name))
+    monkeypatch.setattr(kernel, "desc_for", functools.lru_cache(kernel.desc_for.__wrapped__))
+    monkeypatch.setattr(kernel, "sink_desc", functools.lru_cache(kernel.sink_desc.__wrapped__))
+
+    grid = full_grid()
+    sample = [
+        cfg
+        for lemma in (LemmaId.HEAVY78, LemmaId.HEAVY6, LemmaId.HEAVY5)
+        for cfg in list(enumerate_configs(lemma))[::400]
     ]
+    reflected = False
+    for cfg in sample:
+        contract = contract_for(family_of(cfg))
+        plan, trace = route(cfg, strict=True)
+        assert validate_plan(grid, cfg, plan, contract).ok
+        assert validate_plan_recheck(grid, cfg, plan, contract).ok
+        reflected |= trace.symmetry_applied
+    assert reflected
+    cfg = sample[-1]
+    contract = contract_for(family_of(cfg))
+    assert any_plan(grid, cfg, contract) is not None
+    assert oracle_solve(grid, cfg, contract) is not None
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(encode_config(cfg)), encoding="utf-8")
+    assert cli.main(["solve", "--config", str(config), "--render", "ascii"]) == 0
+    assert cli.main(["clips", "--verify"]) == 0
+    broken = ClipSpec("broken", (2, 2), (3, 1), "AA", frozenset({((2, 2), (3, 2))}))
+    monkeypatch.setattr(cli, "clip_catalog", lambda: {"broken": broken})
+    assert cli.main(["clips", "--verify"]) == 2
+    monkeypatch.setattr(campaign, "enumerate_configs", lambda lemma: sample[-3:])
+    report = str(tmp_path / "report.json")
+    assert cli.main(["verify", "--lemma", "heavy5", "--strict", "--report", report]) == 0
+
+    unread = [f"{cls.__qualname__}.{name}" for cls, name in slots if not reads[cls, name]]
     assert not unread, f"record slots no package code reads: {unread}"
 
 
@@ -416,6 +474,73 @@ def test_router_functions_take_no_label():
         if isinstance(arg, ast.arg) and arg.arg == "label"
     ]
     assert not found, found
+
+
+# Methods of set, dict and list that change the container in place.
+_MUTATORS = frozenset(
+    {
+        "add", "append", "clear", "difference_update", "discard", "extend", "insert",
+        "intersection_update", "pop", "popitem", "remove", "setdefault",
+        "symmetric_difference_update", "update",
+    }
+)
+
+
+def _stored_attributes(target):
+    """The attributes an assignment or deletion target stores into, itself
+    or through an item of it."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _stored_attributes(element)
+    elif isinstance(target, (ast.Starred, ast.Subscript)):
+        yield from _stored_attributes(target.value)
+    elif isinstance(target, ast.Attribute):
+        yield target.attr
+
+
+def _attribute_writes(node, where):
+    """(place, attribute, how) for each write to an attribute below
+    ``node``: an assignment or deletion of the attribute or an item of it
+    (how is "assign"), or a call of a mutating method on it (how is the
+    method's name).  A place is the module, then each enclosing class and
+    function, dotted."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = f"{where}.{node.name}"
+    targets = []
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    for target in targets:
+        for attr in _stored_attributes(target):
+            yield where, attr, "assign"
+    func = getattr(node, "func", None)
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute):
+        if func.attr in _MUTATORS:
+            yield where, func.value.attr, func.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _attribute_writes(child, where)
+
+
+def test_routing_state_is_written_only_by_the_context():
+    """A routing context's ``free``, ``trails``, ``linked`` and ``escaped``
+    change only inside ``RoutingContext``'s own methods, which keep its
+    invariants: no other package code writes an attribute of those names.
+    ``router.py`` writes a context only to name its case
+    (``ctx.label = ...``) and to note a clip or a retry
+    (``ctx.notes.append``)."""
+    writes = [
+        write
+        for path in sorted(SRC.glob("*.py"))
+        for write in _attribute_writes(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    ]
+    state = {"free", "trails", "linked", "escaped"}
+    own = "toolkit.RoutingContext."
+    assert {attr for where, attr, _ in writes if where.startswith(own)} >= state
+    outside = [w for w in writes if w[1] in state and not w[0].startswith(own)]
+    assert not outside, f"routing state written outside the context: {outside}"
+    router = {(attr, how) for where, attr, how in writes if where.startswith("router.")}
+    assert router == {("label", "assign"), ("notes", "append")}, router
 
 
 def test_router_searches_in_two_named_places():

@@ -172,6 +172,16 @@ def test_decode_rejects_bad_pair_shape(pair):
 
 
 @pytest.mark.parametrize(
+    "pair", [((1, 1),), ((1, 1), (1, 2), (1, 3))], ids=["one-vertex", "three-vertices"]
+)
+def test_make_config_rejects_bad_pair_shape(pair):
+    """``make_config`` is public: a pair of other than two vertices is
+    malformed, neither cut to its first two vertices nor an ``IndexError``."""
+    with pytest.raises(MalformedConfigError, match=r"is not a pair of two vertices$"):
+        make_config([pair], [(2, 2)])
+
+
+@pytest.mark.parametrize(
     "text", ["not json", "[1", "[" * 100_000 + "]" * 100_000], ids=["word", "open-list", "deep"]
 )
 def test_decode_rejects_text_that_is_not_json(text):

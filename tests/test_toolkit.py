@@ -12,12 +12,13 @@ from escape3x3.toolkit import (
     clip_catalog,
     complete_frame,
     mate_through_clip,
+    term_ids,
     verify_clip,
 )
 
 
 def _ctx(pairs, singles):
-    return RoutingContext.fresh(make_config(pairs, singles))
+    return RoutingContext(make_config(pairs, singles))
 
 
 def test_shift_consumes_boundary_edges():
@@ -29,7 +30,7 @@ def test_shift_consumes_boundary_edges():
         edge((3, 3), (3, 2)),
         edge((3, 2), (3, 1)),
     }
-    assert ctx.positions[("s", 0)] == (3, 1)
+    assert ctx.trails[("s", 0)].end == (3, 1)
 
 
 def test_shift_identity_consumes_nothing():
@@ -42,24 +43,22 @@ def test_blocked_move_changes_nothing():
     # the third edge of the move is held by the terminal shifted from (2,3)
     ctx = _ctx([], [(2, 3), (3, 1)])
     ctx.shift((2, 3), (3, 3))
-    free, trails, positions = set(ctx.free), dict(ctx.trails), dict(ctx.positions)
+    free, trails = set(ctx.free), dict(ctx.trails)
     with pytest.raises(ToolkitError):
         ctx.move(("s", 1), path_of((3, 1), (3, 2), (3, 3), (2, 3)))
     assert ctx.free == free
     assert ctx.trails == trails
-    assert ctx.positions == positions
 
 
 def test_second_overlapping_shift_blocked():
     ctx = _ctx([], [(2, 3), (1, 3)])
     ctx.shift((2, 3), (3, 2))
-    free, trails, positions = set(ctx.free), dict(ctx.trails), dict(ctx.positions)
+    free, trails = set(ctx.free), dict(ctx.trails)
     # (1,3)-(2,3) is free, (2,3)-(3,3) is not: the shift takes neither
     with pytest.raises(ToolkitError, match="not free"):
         ctx.shift((1, 3), (3, 3))
     assert ctx.free == free
     assert ctx.trails == trails
-    assert ctx.positions == positions
 
 
 def test_shift_requires_boundary():
@@ -98,7 +97,7 @@ def test_clip_catalog_mating_consumes_only_used_edges():
     clip = cat["aa-31-32-rails"]
     ctx = _ctx([], [(1, 1), (2, 2), (3, 3)])
     mate_through_clip(ctx, clip, (1, 1), (2, 2))
-    assert {ctx.positions[("s", 0)], ctx.positions[("s", 1)]} == {(3, 1), (3, 2)}
+    assert {ctx.trails[("s", 0)].end, ctx.trails[("s", 1)].end} == {(3, 1), (3, 2)}
     # the mated terminals hold the clip anchors
     assert not ctx.is_free_vertex((3, 1)) and not ctx.is_free_vertex((3, 2))
     # the mating uses two disjoint branches; nothing else is consumed
@@ -112,7 +111,7 @@ def test_clip_mating_from_anchors_is_zero_length():
     ctx = _ctx([], [(3, 1), (3, 2), (1, 3)])
     mate_through_clip(ctx, clip, (3, 1), (3, 2))
     assert ctx.free == set(full_grid().edges)
-    assert sorted(ctx.positions.values()) == [(1, 3), (3, 1), (3, 2)]
+    assert sorted(t.end for t in ctx.trails.values()) == [(1, 3), (3, 1), (3, 2)]
 
 
 def test_clip_mating_twice_fails():
@@ -183,7 +182,7 @@ def test_frame_attach_must_end_at_the_anchor_and_be_edge_disjoint():
 
 def test_context_plan_assembly(grid):
     cfg = make_config([((1, 1), (2, 3))], [(3, 1), (3, 2), (1, 3)])
-    ctx = RoutingContext.fresh(cfg)
+    ctx = RoutingContext(cfg)
     ctx.move(("p", 0, 0), path_of((1, 1), (1, 2)))
     ctx.finish_link(0, path_of((1, 2), (2, 2), (2, 3)))
     for j in range(3):
@@ -213,9 +212,35 @@ def test_start_trails_are_the_descriptors_shared_paths(grid):
     first = _ctx([((1, 1), (2, 2))], [(3, 1), (3, 2), (1, 3)])
     second = _ctx([((1, 2), (2, 1))], [(2, 2), (3, 3), (1, 3)])
     for ctx in (first, second):
-        for tid, v in ctx.positions.items():
+        for tid, v in term_ids(ctx.cfg).items():
             trail = ctx.trails[tid]
             assert trail is desc.path((desc.vindex[v],))
             assert trail.vertices == (v,) and trail.edges() == []
     assert first.trails[("p", 0, 1)] is second.trails[("s", 1)]  # (2, 2)
     assert first.trails[("s", 0)] is second.trails[("s", 0)]  # (1, 3)
+
+
+def test_each_terminal_trail_lives_in_one_place():
+    """An unresolved terminal's trail is in ``trails``, an escaped one's in
+    ``escaped``, and a linked pair's two trails are in its linkage: after a
+    shift, a clip mating, the escapes and a link, every terminal id is in
+    exactly one of those places."""
+    ctx = _ctx([((1, 2), (1, 3))], [(1, 1), (2, 2), (2, 3)])
+    everyone = sorted(term_ids(ctx.cfg))
+
+    def places():
+        members = [("p", i, k) for i in ctx.linked for k in (0, 1)]
+        return sorted([*ctx.trails, *ctx.escaped, *members])
+
+    ctx.shift((2, 3), (3, 3))
+    assert places() == everyone
+    mate_through_clip(ctx, clip_catalog()["aa-31-32-rails"], (1, 1), (2, 2))
+    assert places() == everyone
+    for j in range(3):
+        ctx.finish_escape(("s", j))
+        assert places() == everyone
+    ctx.finish_link(0, path_of((1, 2), (1, 3)))
+    assert places() == everyone and not ctx.trails
+    assert ctx.escaped[("s", 0)].vertices == ((1, 1), (2, 1), (3, 1))
+    assert ctx.escaped[("s", 2)].vertices == ((2, 3), (3, 3))
+    assert ctx.linked[0].vertices == ((1, 2), (1, 3))
