@@ -67,8 +67,8 @@ class Path(Frozen):
 
     Every other caller, the router's fixed walks included, goes through the
     checked constructor, which checks and sets both slots in
-    ``__post_init__``.  Paths compare, order and hash by their vertices
-    alone.
+    ``__post_init__``.  Paths compare and hash by their vertices alone, and
+    have no order.
     """
 
     __slots__ = ("vertices", "_edges")
@@ -103,16 +103,6 @@ class Path(Frozen):
         _set_vertices(path, vertices)
         _set_edges(path, edges)
         return path
-
-    def __lt__(self, other):
-        if other.__class__ is not Path:
-            return NotImplemented
-        return self.vertices < other.vertices
-
-    def __le__(self, other):
-        if other.__class__ is not Path:
-            return NotImplemented
-        return self.vertices <= other.vertices
 
     @property
     def start(self) -> Vertex:
@@ -201,6 +191,8 @@ _CONTRACTS = {
 
 
 def contract_for(lemma: LemmaId) -> EscapeContract:
+    if not isinstance(lemma, LemmaId):
+        raise ValueError(f"expected a LemmaId, got {lemma!r}")
     contract = _CONTRACTS.get(lemma)
     if contract is None:
         raise ValueError(f"{lemma} has no escape contract")

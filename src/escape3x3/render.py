@@ -6,7 +6,7 @@ gets its own glyph; edge-disjointness means no cell is ever claimed twice.
 
 from __future__ import annotations
 
-from .grid import GRID_SIZE, Edge, edge
+from .grid import GRID_SIZE, Edge, edge, full_grid
 from .model import EscapePlan
 from .terminals import TerminalConfig
 
@@ -78,33 +78,26 @@ def render_dot(plan: EscapePlan, cfg: TerminalConfig | None = None) -> str:
     """DOT graph with one color per path; unused grid edges in gray."""
     terminals = set(cfg.terminals) if cfg else set()
     exits = {x for _, x, _ in plan.escapes}
+    grid = full_grid()
     lines = ["graph escape {", "  node [shape=circle, fontsize=10];"]
-    for r in range(1, GRID_SIZE + 1):
-        for c in range(1, GRID_SIZE + 1):
-            v = (r, c)
-            attrs = [f'pos="{c},{GRID_SIZE - r}!"']
-            if v in terminals:
-                attrs.append("style=filled")
-                attrs.append('fillcolor="black"')
-                attrs.append('fontcolor="white"')
-            if v in exits:
-                attrs.append('xlabel="exit"')
-            lines.append(f'  "{r},{c}" [{", ".join(attrs)}];')
+    for r, c in grid.sorted_vertices():
+        attrs = [f'pos="{c},{GRID_SIZE - r}!"']
+        if (r, c) in terminals:
+            attrs.append("style=filled")
+            attrs.append('fillcolor="black"')
+            attrs.append('fontcolor="white"')
+        if (r, c) in exits:
+            attrs.append('xlabel="exit"')
+        lines.append(f'  "{r},{c}" [{", ".join(attrs)}];')
     used: dict[Edge, str] = {}
     for k, (_, _, edges) in enumerate(_glyph_assignment(plan)):
         color = _DOT_COLORS[k % len(_DOT_COLORS)]
         for e in edges:
             used[e] = color
-    for r in range(1, GRID_SIZE + 1):
-        for c in range(1, GRID_SIZE + 1):
-            for w in ((r, c + 1), (r + 1, c)):
-                if w[0] > GRID_SIZE or w[1] > GRID_SIZE:
-                    continue
-                e = edge((r, c), w)
-                color = used.get(e, "gray80")
-                width = 3 if e in used else 1
-                lines.append(
-                    f'  "{r},{c}" -- "{w[0]},{w[1]}" [color={color}, penwidth={width}];'
-                )
+    for e in grid.sorted_edges():
+        (r, c), w = e
+        color = used.get(e, "gray80")
+        width = 3 if e in used else 1
+        lines.append(f'  "{r},{c}" -- "{w[0]},{w[1]}" [color={color}, penwidth={width}];')
     lines.append("}")
     return "\n".join(lines)

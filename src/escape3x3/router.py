@@ -66,7 +66,6 @@ from .model import (
 from .oracle import oracle_solve
 from .terminals import LemmaId, TerminalConfig, family_of
 from .toolkit import (
-    FrameSpec,
     GRID,
     RoutingContext,
     ToolkitError,
@@ -330,7 +329,7 @@ def _mate_to_anchors(
         cores = _joint_trails(ctx, ends, S_EDGES - clip.edges) if link else []
         if cores is None:
             continue
-        mate_through_clip(ctx, clip, x, y)
+        mate_through_clip(ctx, clip, tid_x, tid_y)
         for i, core in zip(link, cores):
             ctx.finish_link(i, core)
         return
@@ -454,9 +453,8 @@ def _link_through_frame(
             raise CaseGap(f"{ctx.label}: mate {t_v} off the cycle")
     if attach is None:
         attach = tuple(path_of(v) if v == anchor else path_of(v, anchor) for v in members)
-    frame = FrameSpec(cycle=cycle, anchor=anchor, attach=attach)
     pis = [t[1] for t in tids]
-    for pi, trail in zip(pis, complete_frame(ctx, frame, *mates)):
+    for pi, trail in zip(pis, complete_frame(ctx, cycle, anchor, attach, *mates)):
         ctx.finish_link(pi, trail)
     return pis
 

@@ -35,33 +35,34 @@ class LemmaId(enum.Enum):
 Pair = tuple[Vertex, Vertex]
 
 
+def _vertex(v) -> Vertex:
+    """A terminal given as a list or a tuple, as a tuple on the corner grid;
+    its shape is checked before a tuple is built from it."""
+    if not isinstance(v, (list, tuple)):
+        raise MalformedConfigError(f"terminal {v!r} is not a vertex")
+    t = tuple(v)
+    if not is_vertex(t):
+        raise MalformedConfigError(f"terminal {t} outside the corner grid")
+    return t
+
+
 def _canonical_pair(pair) -> Pair:
-    if len(pair) != 2:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise MalformedConfigError(f"{pair!r} is not a pair of two vertices")
-    a, b = (tuple(pair[0]), tuple(pair[1]))
+    a, b = (_vertex(pair[0]), _vertex(pair[1]))
     return (a, b) if a <= b else (b, a)
 
 
 class TerminalConfig(Frozen):
     """Pairs and singletons, as built; ``make_config`` canonicalizes and
-    checks them.  Equality, order, hash and repr read the two fields; a
-    configuration's repr reaches error messages.  ``terminals`` is computed
-    from them on every read."""
+    checks them.  Equality, hash and repr read the two fields, and
+    configurations have no order; a configuration's repr reaches error
+    messages.  ``terminals`` is computed from them on every read."""
 
     __slots__ = _fields = ("pairs", "singletons")
 
     def __init__(self, pairs: tuple[Pair, ...], singletons: tuple[Vertex, ...]):
         self._set_fields(pairs, singletons)
-
-    def __lt__(self, other):
-        if other.__class__ is not TerminalConfig:
-            return NotImplemented
-        return (self.pairs, self.singletons) < (other.pairs, other.singletons)
-
-    def __le__(self, other):
-        if other.__class__ is not TerminalConfig:
-            return NotImplemented
-        return (self.pairs, self.singletons) <= (other.pairs, other.singletons)
 
     @property
     def terminals(self) -> tuple[Vertex, ...]:
@@ -87,12 +88,9 @@ class TerminalConfig(Frozen):
 def make_config(pairs, singletons) -> TerminalConfig:
     """Canonicalize and validate a configuration."""
     cpairs = tuple(sorted(_canonical_pair(p) for p in pairs))
-    csingles = tuple(sorted(tuple(s) for s in singletons))
+    csingles = tuple(sorted(_vertex(s) for s in singletons))
     cfg = TerminalConfig(pairs=cpairs, singletons=csingles)
     terms = cfg.terminals
-    for v in terms:
-        if not is_vertex(v):
-            raise MalformedConfigError(f"terminal {v} outside the corner grid")
     if len(set(terms)) != len(terms):
         raise MalformedConfigError("duplicate terminal vertex")
     if len(cpairs) > 4:
@@ -153,6 +151,8 @@ def enumerate_configs(lemma: LemmaId, extended: bool = False) -> Iterator[Termin
     function does not enumerate, or ``extended`` on another family, raises
     ``ValueError`` at the call, before any configuration is made.
     """
+    if not isinstance(lemma, LemmaId):
+        raise ValueError(f"expected a LemmaId, got {lemma!r}")
     if lemma is LemmaId.HEAVY6:
         if extended:
             return itertools.chain(_configs_with(2, 2), _configs_with(1, 4))

@@ -7,11 +7,11 @@ its trail's end, and a linked pair's two trails join into its linkage.
 The primitives:
 
 * shifting a terminal along the boundary path, consuming its edges;
-* mating two terminals through a clip (a boundary-anchored subgraph in
-  which any two covered vertices can be routed edge-disjointly to the two
-  anchors);
-* completing a frame (a cycle plus two attachment paths to an anchor),
-  which links two pairs via opposite cycle arcs.
+* mating two terminals, named by their ids, from where they stand
+  through a clip (a boundary-anchored subgraph in which any two covered
+  vertices can be routed edge-disjointly to the two anchors);
+* completing a frame (a cycle, an anchor on it and two attachment paths
+  to the anchor), which links two pairs via opposite cycle arcs.
 
 Clips are the paper's named shortcut for a mating, and an anchored direct
 search in the free region is the general rule: the router tries the
@@ -36,7 +36,6 @@ from .grid import (
     GridGraph,
     Record,
     Vertex,
-    cycle_edges,
     edge,
     full_grid,
     unique_l_path,
@@ -244,46 +243,23 @@ def _mating_paths(
     return None
 
 
-def mate_through_clip(ctx: RoutingContext, clip: ClipSpec, x: Vertex, y: Vertex) -> None:
-    """Mate the terminals currently at x and y onto the clip anchors.
+def mate_through_clip(ctx: RoutingContext, clip: ClipSpec, tid_x: TermId, tid_y: TermId) -> None:
+    """Mate the unresolved terminals ``tid_x`` and ``tid_y``, from where
+    they stand, onto the clip anchors.
 
     The caller offers only a clip whose edges are all free: the two moves
     consume separately, so on a clip that is not, the first may stand when
     the second raises."""
+    x, y = ctx.trails[tid_x].end, ctx.trails[tid_y].end
     paths = _mating_paths(GRID, clip, x, y)
     if paths is None:
         raise ToolkitError(f"clip {clip.name} cannot mate {x}, {y}")
-    px, py = paths
-    tx = ctx.terminals_at(x)
-    ty = [t for t in ctx.terminals_at(y) if not tx or t != tx[0]]
-    if not tx or not ty:
-        raise ToolkitError(f"no unresolved terminals at {x} and {y}")
-    ctx.move(tx[0], px)
-    ctx.move(ty[0], py)
+    ctx.move(tid_x, paths[0])
+    ctx.move(tid_y, paths[1])
     ctx.notes.append(f"clip:{clip.name}")
 
 
 # -- frames ---------------------------------------------------------------
-
-
-class FrameSpec(Frozen):
-    """A cycle with an anchor and one attachment path per pair.  The cycle
-    is a closed walk whose first vertex is not repeated, and each
-    attachment path ends at the anchor."""
-
-    __slots__ = _fields = ("cycle", "anchor", "attach")
-
-    def __init__(self, cycle: tuple[Vertex, ...], anchor: Vertex, attach: tuple[Path, Path]):
-        if anchor not in cycle:
-            raise ToolkitError("anchor must lie on the cycle")
-        for p in attach:
-            if p.end != anchor:
-                raise ToolkitError("attachment paths must end at the anchor")
-            if set(p.edges()) & cycle_edges(cycle):
-                raise ToolkitError("attachment paths may not use cycle edges")
-        if set(attach[0].edges()) & set(attach[1].edges()):
-            raise ToolkitError("attachment paths must be edge-disjoint")
-        self._set_fields(cycle, anchor, attach)
 
 
 def _arc(cycle: tuple[Vertex, ...], frm: Vertex, to: Vertex, direction: int) -> Path:
@@ -299,24 +275,29 @@ def _arc(cycle: tuple[Vertex, ...], frm: Vertex, to: Vertex, direction: int) -> 
 
 
 def complete_frame(
-    ctx: RoutingContext, frame: FrameSpec, mate1: Path, mate2: Path
+    ctx: RoutingContext,
+    cycle: tuple[Vertex, ...],
+    anchor: Vertex,
+    attach: tuple[Path, Path],
+    mate1: Path,
+    mate2: Path,
 ) -> tuple[Path, Path]:
     """Assemble the two linkage trails a frame provides.
 
-    mate_i carries pair i's other member onto some cycle vertex.  The trail
-    for pair i is attach_i + (cycle arc from the anchor to mate_i's landing)
-    + reversed mate_i; the two arcs are chosen with opposite orientations so
-    they share no edge.  All edges must be free; consumption happens when
-    the caller records the two trails as linkages.
+    The frame is ``cycle``, a closed walk whose first vertex is not
+    repeated, with ``anchor`` on it; ``attach[i]`` carries one member of
+    pair i to the anchor, and mate_i carries the other member onto the
+    cycle.  The trail for pair i is attach_i + (cycle arc from the anchor
+    to mate_i's landing) + reversed mate_i; the two arcs are chosen with
+    opposite orientations so they share no edge.  All six pieces must be
+    edge-disjoint and free; consumption happens when the caller records the
+    two trails as linkages.
     """
     landings = (mate1.end, mate2.end)
-    for p, what in ((mate1, "mate1"), (mate2, "mate2")):
-        if p.end not in frame.cycle:
-            raise ToolkitError(f"{what} does not land on the cycle")
     for d1, d2 in ((1, -1), (-1, 1), (1, 1), (-1, -1)):
-        arc1 = _arc(frame.cycle, frame.anchor, landings[0], d1)
-        arc2 = _arc(frame.cycle, frame.anchor, landings[1], d2)
-        pieces = [frame.attach[0], frame.attach[1], arc1, arc2, mate1, mate2]
+        arc1 = _arc(cycle, anchor, landings[0], d1)
+        arc2 = _arc(cycle, anchor, landings[1], d2)
+        pieces = [attach[0], attach[1], arc1, arc2, mate1, mate2]
         all_edges: list[Edge] = []
         for piece in pieces:
             all_edges.extend(piece.edges())
@@ -324,8 +305,8 @@ def complete_frame(
             continue
         if not set(all_edges) <= ctx.free:
             continue
-        trail1 = frame.attach[0] + arc1 + mate1.reversed()
-        trail2 = frame.attach[1] + arc2 + mate2.reversed()
+        trail1 = attach[0] + arc1 + mate1.reversed()
+        trail2 = attach[1] + arc2 + mate2.reversed()
         return trail1, trail2
     raise ToolkitError("no arc orientation avoids edge reuse")
 

@@ -1,11 +1,10 @@
-"""The package's record classes: construction, equality, hashing, repr,
-ordering and immutability.
+"""The package's record classes: construction, equality, hashing, repr
+and immutability.
 
 One instance of each record class is built with its constructor, by
 position and by keyword alike.  Equality and hashing read the record's
-compared fields as one tuple, ``repr`` names the same fields in order,
-``Path`` and ``TerminalConfig`` order by them, and no field of a frozen
-record can be assigned."""
+compared fields as one tuple, ``repr`` names the same fields in order, no
+record has an order, and no field of a frozen record can be assigned."""
 
 import pytest
 
@@ -15,7 +14,7 @@ from escape3x3.grid import BOUNDARY, COL_ONLY, GridGraph, full_grid
 from escape3x3.model import Code, EscapeContract, EscapePlan, Path, Verdict, Violation
 from escape3x3.router import CaseTrace
 from escape3x3.terminals import LemmaId, TerminalConfig
-from escape3x3.toolkit import ClipSpec, FrameSpec, RoutingContext
+from escape3x3.toolkit import ClipSpec, RoutingContext
 
 from conftest import record_classes
 
@@ -30,11 +29,6 @@ def _records():
     frozen) for one instance of each record class; the two argument forms
     build equal records."""
     sink_args = (_DESC, _DESC.adj, 9, 1 << 12, 1 << 12)
-    frame_args = (
-        ((2, 2), (2, 3), (3, 3), (3, 2)),
-        (2, 2),
-        (Path(((1, 2), (2, 2))), Path(((2, 1), (2, 2)))),
-    )
     return [
         (
             GridGraph,
@@ -121,13 +115,6 @@ def _records():
             True,
         ),
         (
-            FrameSpec,
-            frame_args,
-            dict(zip(("cycle", "anchor", "attach"), frame_args)),
-            ("cycle", "anchor", "attach"),
-            True,
-        ),
-        (
             CaseTrace,
             (LemmaId.HEAVY5, ("L4/a",), False, True),
             {"lemma": LemmaId.HEAVY5, "case_labels": ("L4/a",), "symmetry_applied": True},
@@ -159,8 +146,8 @@ RECORDS = _records()
 
 
 def test_every_record_class_is_listed():
-    assert len(RECORDS) == 14
-    assert len({cls for cls, *_ in RECORDS}) == 14
+    assert len(RECORDS) == 13
+    assert len({cls for cls, *_ in RECORDS}) == 13
 
 
 def test_every_record_class_takes_its_methods_from_the_base():
@@ -224,11 +211,8 @@ def test_no_record_has_an_instance_dict():
 
 def test_path_fields_and_order():
     p, q = Path(((1, 1), (1, 2))), Path(((1, 1), (2, 1)))
-    assert p < q and p <= q and q > p and q >= p and not q < p
-    assert sorted([q, p]) == [p, q]
-    assert p.__lt__(p.vertices) is NotImplemented
-    with pytest.raises(TypeError):
-        p < p.vertices  # noqa: B015 - the comparison is what is checked
+    with pytest.raises(TypeError):  # paths have no order
+        p < q  # noqa: B015 - the comparison is what is checked
     assert not hasattr(p, "__dict__")
     with pytest.raises(AttributeError):
         p._edges = ()
@@ -240,9 +224,9 @@ def test_path_fields_and_order():
 def test_terminal_config_order_and_terminals():
     cfg, other = TerminalConfig(_CFG.pairs, _CFG.singletons), TerminalConfig((), ((1, 1),))
     assert cfg.terminals == ((1, 1), (2, 2), (1, 2), (3, 3))
-    assert other < cfg and other <= cfg and cfg > other and cfg >= other
     assert cfg == _CFG and hash(cfg) == hash(_CFG) and repr(cfg) == repr(_CFG)
-    assert sorted([cfg, other]) == [other, cfg]
+    with pytest.raises(TypeError):  # configurations have no order
+        other < cfg  # noqa: B015 - the comparison is what is checked
 
 
 def test_record_defaults_are_fresh_per_instance():

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from collections import Counter
 
+import pytest
+
 from escape3x3 import campaign, cli, kernel
 from escape3x3.grid import Frozen, Record, full_grid
 from escape3x3.model import contract_for, validate_plan, validate_plan_recheck
@@ -20,21 +22,30 @@ from conftest import record_classes
 SRC = pathlib.Path(__file__).parents[1] / "src" / "escape3x3"
 
 
-def test_package_has_no_assert():
+@pytest.fixture(scope="session")
+def trees():
+    """Each package module's stem to its parsed source, in file name order;
+    parsed once per session for every guard that reads the source."""
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+
+
+def test_package_has_no_assert(trees):
     """``python -O`` strips ``assert``, so no runtime check in the package
     may be one."""
-    files = sorted(SRC.glob("*.py"))
-    assert files
+    assert trees
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in files
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        f"{stem}.py:{node.lineno}"
+        for stem, tree in trees.items()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {found}"
 
 
-def test_trusted_path_constructor_has_only_its_named_callers():
+def test_trusted_path_constructor_has_only_its_named_callers(trees):
     """``Path._trusted`` builds a path without checking its walk; only the
     callers that already hold the path's edges may use it, and no other
     code sets a path's slots.  ``kernel.GraphDesc.path`` is the one place
@@ -43,18 +54,17 @@ def test_trusted_path_constructor_has_only_its_named_callers():
     so does the ``RoutingContext`` constructor for each terminal's start
     trail."""
     callers, setters = set(), set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for stem, tree in trees.items():
         for func in ast.walk(tree):
             if not isinstance(func, ast.FunctionDef):
                 continue
             for node in ast.walk(func):
                 if isinstance(node, ast.Attribute) and node.attr == "_trusted":
-                    callers.add(f"{path.stem}.{func.name}")
+                    callers.add(f"{stem}.{func.name}")
                 if isinstance(node, ast.Name) and node.id in ("_set_vertices", "_set_edges"):
-                    setters.add(f"{path.stem}.{func.name}")
+                    setters.add(f"{stem}.{func.name}")
                 if isinstance(node, ast.Attribute) and node.attr in ("__new__", "__setattr__"):
-                    setters.add(f"{path.stem}.{func.name}")
+                    setters.add(f"{stem}.{func.name}")
     assert callers == {
         "kernel.path",
         "model.reversed",
@@ -64,15 +74,15 @@ def test_trusted_path_constructor_has_only_its_named_callers():
     assert setters == {"model._trusted", "model.__post_init__"}
 
 
-def test_no_code_relies_on_an_instance_dict():
+def test_no_code_relies_on_an_instance_dict(trees):
     """Records keep their state in slots and have no instance dict: no
     package function reads ``self.__dict__``, and no record class, at any
     depth below ``grid.Record``, holds a ``functools.cached_property``,
     which caches into the instance dict."""
     reads = [
-        f"{path.stem}.{func.name}"
-        for path in sorted(SRC.glob("*.py"))
-        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        f"{stem}.{func.name}"
+        for stem, tree in trees.items()
+        for func in ast.walk(tree)
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(func)
         if isinstance(node, ast.Attribute)
@@ -173,7 +183,7 @@ def test_every_record_slot_is_read(monkeypatch, tmp_path):
     assert not unread, f"record slots no package code reads: {unread}"
 
 
-def test_validators_share_no_helper():
+def test_validators_share_no_helper(trees):
     """The two validators are written independently: neither reaches code
     the package defines, apart from building its violations and its verdict
     and reading the configuration's ``terminals``.
@@ -187,7 +197,6 @@ def test_validators_share_no_helper():
     dicts and lists.  Plain fields, such as a path's ``_edges``, are data
     and not checked.
     """
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
     module_level, methods, properties = set(), set(), set()
     for tree in trees.values():
         for node in tree.body:
@@ -252,7 +261,7 @@ def _absolute_imports(nodes):
             yield node.lineno, name
 
 
-def test_process_pool_is_imported_only_when_made():
+def test_process_pool_is_imported_only_when_made(trees):
     """Loading ``multiprocessing`` costs a fresh process tens of
     milliseconds that only a pooled campaign needs, so no package module
     imports it, or ``concurrent.futures``, at module level.  The campaign
@@ -260,27 +269,25 @@ def test_process_pool_is_imported_only_when_made():
     pool."""
     heavy = ("concurrent", "multiprocessing")
     found = [
-        f"{path.name}:{line} {name}"
-        for path in sorted(SRC.glob("*.py"))
-        for line, name in _absolute_imports(
-            _module_level(ast.parse(path.read_text(encoding="utf-8")))
-        )
+        f"{stem}.py:{line} {name}"
+        for stem, tree in trees.items()
+        for line, name in _absolute_imports(_module_level(tree))
         if name.split(".")[0] in heavy
     ]
     assert not found, f"module-level pool imports: {found}"
     assert "ProcessPoolExecutor" in vars(campaign)
 
 
-def test_package_does_not_import_dataclasses():
+def test_package_does_not_import_dataclasses(trees):
     """Importing ``dataclasses`` costs a fresh process milliseconds, and it
     loads ``inspect``, ``ast``, ``dis`` and ``tokenize``, which the package
     never uses; generating each class's methods costs more.  So no package
     module imports it, anywhere in its source: each record class writes
     out its own constructor, comparisons and repr."""
     found = [
-        f"{path.name}:{line}"
-        for path in sorted(SRC.glob("*.py"))
-        for line, name in _absolute_imports(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        f"{stem}.py:{line}"
+        for stem, tree in trees.items()
+        for line, name in _absolute_imports(ast.walk(tree))
         if name.split(".")[0] == "dataclasses"
     ]
     assert not found, f"dataclasses imports in the package: {found}"
@@ -309,21 +316,21 @@ def test_cli_import_loads_no_unused_stdlib_module():
     assert not loaded & unused, sorted(loaded & unused)
 
 
-def test_package_does_not_import_gc():
+def test_package_does_not_import_gc(trees):
     """The cyclic collector's settings are process-wide: a library must not
     change them for its callers, so no package module imports ``gc``,
     anywhere in its source.  Code that leaves no reference cycles needs no
     collector tuning."""
     found = [
-        f"{path.name}:{line}"
-        for path in sorted(SRC.glob("*.py"))
-        for line, name in _absolute_imports(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        f"{stem}.py:{line}"
+        for stem, tree in trees.items()
+        for line, name in _absolute_imports(ast.walk(tree))
         if name == "gc"
     ]
     assert not found, f"gc imports in the package: {found}"
 
 
-def test_package_reads_no_environment():
+def test_package_reads_no_environment(trees):
     """A run computes from its arguments alone: no package module reads the
     process environment, through ``os.environ`` or ``os.getenv`` (or their
     bytes forms), as an attribute or an import, anywhere in its source.
@@ -331,28 +338,28 @@ def test_package_reads_no_environment():
     set outside it."""
     knobs = {"environ", "environb", "getenv", "getenvb"}
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr in knobs:
-                found.append(f"{path.name}:{node.lineno} {node.attr}")
+                found.append(f"{stem}.py:{node.lineno} {node.attr}")
             elif isinstance(node, ast.ImportFrom) and node.module in ("os", "posix"):
                 found += [
-                    f"{path.name}:{node.lineno} {alias.name}"
+                    f"{stem}.py:{node.lineno} {alias.name}"
                     for alias in node.names
                     if alias.name in knobs
                 ]
     assert not found, f"environment reads in the package: {found}"
 
 
-def test_every_module_level_definition_is_named_elsewhere():
+def test_every_module_level_definition_is_named_elsewhere(trees):
     """Each module-level function and class in the package is on a campaign
     path or a CLI path, or it goes: some other statement of the package
     names it, as a bare name, an attribute or an import.  ``__init__``'s
     re-exports count; a use only in tests does not."""
     statements = [
-        (f"{path.stem}.{getattr(node, 'name', '')}", node)
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        (f"{stem}.{getattr(node, 'name', '')}", node)
+        for stem, tree in trees.items()
+        for node in tree.body
     ]
     named = []
     for _, stmt in statements:
@@ -396,14 +403,11 @@ def _package_imports(tree) -> set[str]:
     return {name.partition(".")[0] for name in found}
 
 
-def test_oracle_shares_no_routing_logic():
+def test_oracle_shares_no_routing_logic(trees):
     """The oracle is the router's independent check: neither ``oracle`` nor
     ``kernel``, nor any package module they import, imports ``router`` or
     ``toolkit``."""
-    imports = {
-        path.stem: _package_imports(ast.parse(path.read_text(encoding="utf-8")))
-        for path in SRC.glob("*.py")
-    }
+    imports = {stem: _package_imports(tree) for stem, tree in trees.items()}
     assert {"router", "toolkit"} <= set(imports)
     for root in ("oracle", "kernel"):
         reached, todo = set(), [root]
@@ -437,10 +441,10 @@ def test_readme_layout_lists_every_module():
     assert set(listed) == {path.name for path in SRC.glob("*.py")}
 
 
-def test_frames_are_built_in_one_function():
+def test_frames_are_built_in_one_function(trees):
     """Every frame the router links through is assembled by one helper,
     ``router._link_through_frame``: no other package code, a module's top
-    level included, constructs a ``FrameSpec``."""
+    level included, calls ``complete_frame``."""
 
     def builders(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -448,27 +452,22 @@ def test_frames_are_built_in_one_function():
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "FrameSpec":
+            if name == "complete_frame":
                 yield where
         for child in ast.iter_child_nodes(node):
             yield from builders(child, where)
 
-    found = [
-        where
-        for path in sorted(SRC.glob("*.py"))
-        for where in builders(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    ]
+    found = [where for stem, tree in trees.items() for where in builders(tree, stem)]
     assert found == ["router._link_through_frame"], found
 
 
-def test_router_functions_take_no_label():
+def test_router_functions_take_no_label(trees):
     """A case handler names its case once, on its routing context
     (``RoutingContext.label``), and the helpers read it there: no function
     in ``router.py`` takes a ``label`` parameter."""
-    tree = ast.parse((SRC / "router.py").read_text(encoding="utf-8"))
     found = [
         f"{func.name}:{func.lineno}"
-        for func in ast.walk(tree)
+        for func in ast.walk(trees["router"])
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
         for arg in ast.walk(func.args)
         if isinstance(arg, ast.arg) and arg.arg == "label"
@@ -522,18 +521,14 @@ def _attribute_writes(node, where):
         yield from _attribute_writes(child, where)
 
 
-def test_routing_state_is_written_only_by_the_context():
+def test_routing_state_is_written_only_by_the_context(trees):
     """A routing context's ``free``, ``trails``, ``linked`` and ``escaped``
     change only inside ``RoutingContext``'s own methods, which keep its
     invariants: no other package code writes an attribute of those names.
     ``router.py`` writes a context only to name its case
     (``ctx.label = ...``) and to note a clip or a retry
     (``ctx.notes.append``)."""
-    writes = [
-        write
-        for path in sorted(SRC.glob("*.py"))
-        for write in _attribute_writes(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    ]
+    writes = [write for stem, tree in trees.items() for write in _attribute_writes(tree, stem)]
     state = {"free", "trails", "linked", "escaped"}
     own = "toolkit.RoutingContext."
     assert {attr for where, attr, _ in writes if where.startswith(own)} >= state
@@ -543,7 +538,7 @@ def test_routing_state_is_written_only_by_the_context():
     assert router == {("label", "assign"), ("notes", "append")}, router
 
 
-def test_router_searches_in_two_named_places():
+def test_router_searches_in_two_named_places(trees):
     """In ``router`` and ``toolkit``, only ``router._joint_trails`` and
     ``toolkit._mating_paths`` name a kernel search, and only
     ``router.route``, for the fallback, names the oracle; a module's top
@@ -560,13 +555,10 @@ def test_router_searches_in_two_named_places():
         for child in ast.iter_child_nodes(node):
             yield from naming(child, where, names)
 
-    trees = {
-        stem: ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
-        for stem in ("router", "toolkit")
-    }
-
     def places(names):
-        return {where for stem, tree in trees.items() for where in naming(tree, stem, names)}
+        return {
+            where for stem in ("router", "toolkit") for where in naming(trees[stem], stem, names)
+        }
 
     assert places(kernel_searches) == {"router._joint_trails", "toolkit._mating_paths"}
     assert places(oracle_searches) == {"router.route"}

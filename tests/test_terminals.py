@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escape3x3 import terminals
+from escape3x3.model import contract_for
 from escape3x3.terminals import (
     LemmaId,
     MalformedConfigError,
@@ -105,7 +106,7 @@ def test_round_trip_identity_over_heavy5():
         assert len(cfg.terminals) == 5
         assert decode_config(encode_config(cfg)) == cfg
         # reading ``terminals`` changes no comparison, hash, repr, encoding or pickle
-        assert cfg == unread and cfg <= unread and unread <= cfg
+        assert cfg == unread and unread == cfg
         assert hash(cfg) == hash(unread) and repr(cfg) == repr(unread)
         assert encode_config(cfg) == encode_config(unread)
         assert pickle.dumps(cfg) == pickle.dumps(unread)
@@ -235,3 +236,15 @@ def test_reflect_involution_over_whole_family():
 @given(heavy6_configs())
 def test_reflect_preserves_family(cfg):
     assert family_of(cfg.reflected()) is family_of(cfg)
+
+
+def test_exported_callables_reject_malformed_input_with_package_errors():
+    """A vertex that is not a sequence is a malformed configuration, not a
+    bare ``TypeError``, and a lemma given by its name is refused as not a
+    ``LemmaId``, neither an ``AttributeError`` nor a missing contract."""
+    for pairs, singletons in (([((1, 1), 5)], []), ([], [5])):
+        with pytest.raises(MalformedConfigError, match=r"^terminal 5 is not a vertex$"):
+            make_config(pairs, singletons)
+    for call in (enumerate_configs, contract_for):
+        with pytest.raises(ValueError, match=r"^expected a LemmaId, got 'heavy5'$"):
+            call("heavy5")

@@ -2,11 +2,10 @@ import pytest
 
 from escape3x3 import kernel
 from escape3x3.grid import edge, full_grid
-from escape3x3.model import Path, path_of
+from escape3x3.model import Path, PathError, path_of
 from escape3x3.terminals import make_config
 from escape3x3.toolkit import (
     ClipSpec,
-    FrameSpec,
     RoutingContext,
     ToolkitError,
     clip_catalog,
@@ -96,7 +95,7 @@ def test_clip_catalog_mating_consumes_only_used_edges():
     cat = clip_catalog()
     clip = cat["aa-31-32-rails"]
     ctx = _ctx([], [(1, 1), (2, 2), (3, 3)])
-    mate_through_clip(ctx, clip, (1, 1), (2, 2))
+    mate_through_clip(ctx, clip, ("s", 0), ("s", 1))  # at (1,1) and (2,2)
     assert {ctx.trails[("s", 0)].end, ctx.trails[("s", 1)].end} == {(3, 1), (3, 2)}
     # the mated terminals hold the clip anchors
     assert not ctx.is_free_vertex((3, 1)) and not ctx.is_free_vertex((3, 2))
@@ -109,7 +108,7 @@ def test_clip_mating_from_anchors_is_zero_length():
     cat = clip_catalog()
     clip = cat["aa-31-32-rails"]
     ctx = _ctx([], [(3, 1), (3, 2), (1, 3)])
-    mate_through_clip(ctx, clip, (3, 1), (3, 2))
+    mate_through_clip(ctx, clip, ("s", 1), ("s", 2))  # at (3,1) and (3,2)
     assert ctx.free == set(full_grid().edges)
     assert sorted(t.end for t in ctx.trails.values()) == [(1, 3), (3, 1), (3, 2)]
 
@@ -118,21 +117,20 @@ def test_clip_mating_twice_fails():
     cat = clip_catalog()
     clip = cat["aa-31-32-cross"]
     ctx = _ctx([], [(1, 2), (2, 1), (1, 1), (2, 2)])
-    mate_through_clip(ctx, clip, (1, 2), (2, 1))
+    mate_through_clip(ctx, clip, ("s", 1), ("s", 2))  # at (1,2) and (2,1)
     # (2,2) and the terminal now at (3,1) are covered, but the first mating
     # took the clip edges their trails need
     with pytest.raises(ToolkitError, match="not free"):
-        mate_through_clip(ctx, clip, (2, 2), (3, 1))
+        mate_through_clip(ctx, clip, ("s", 3), ctx.terminals_at((3, 1))[0])
+
+
+_CYCLE, _ANCHOR = ((2, 2), (2, 3), (3, 3), (3, 2)), (2, 2)
 
 
 def test_frame_zero_landing():
     ctx = _ctx([((2, 2), (3, 3)), ((2, 1), (3, 2))], [])
-    frame = FrameSpec(
-        cycle=((2, 2), (2, 3), (3, 3), (3, 2)),
-        anchor=(2, 2),
-        attach=(path_of((2, 2)), path_of((2, 1), (2, 2))),
-    )
-    t1, t2 = complete_frame(ctx, frame, path_of((3, 3)), path_of((3, 2)))
+    attach = (path_of((2, 2)), path_of((2, 1), (2, 2)))
+    t1, t2 = complete_frame(ctx, _CYCLE, _ANCHOR, attach, path_of((3, 3)), path_of((3, 2)))
     assert t1.start == (2, 2) and t1.end == (3, 3)
     assert t2.start == (2, 1) and t2.end == (3, 2)
     assert not set(t1.edges()) & set(t2.edges())
@@ -141,43 +139,33 @@ def test_frame_zero_landing():
 def test_frame_landing_on_anchor_uses_no_cycle_edges():
     # first pair's mate already sits on the anchor: its trail takes no arc
     ctx = _ctx([((1, 2), (2, 2)), ((1, 1), (3, 3))], [])
-    frame = FrameSpec(
-        cycle=((2, 2), (2, 3), (3, 3), (3, 2)),
-        anchor=(2, 2),
-        attach=(path_of((1, 2), (2, 2)), path_of((1, 1), (2, 1), (2, 2))),
-    )
-    t1, t2 = complete_frame(ctx, frame, path_of((2, 2)), path_of((3, 3)))
+    attach = (path_of((1, 2), (2, 2)), path_of((1, 1), (2, 1), (2, 2)))
+    t1, t2 = complete_frame(ctx, _CYCLE, _ANCHOR, attach, path_of((2, 2)), path_of((3, 3)))
     cycle = {edge((2, 2), (2, 3)), edge((2, 3), (3, 3)), edge((3, 3), (3, 2)), edge((3, 2), (2, 2))}
     assert not set(t1.edges()) & cycle
     assert t1.start == (1, 2) and t1.end == (2, 2)
     assert t2.start == (1, 1) and t2.end == (3, 3)
 
 
-def test_frame_anchor_must_lie_on_cycle():
-    with pytest.raises(ToolkitError, match="anchor must lie on the cycle"):
-        FrameSpec(
-            cycle=((2, 2), (2, 3), (3, 3), (3, 2)),
-            anchor=(1, 1),
-            attach=(path_of((1, 1)), path_of((1, 2), (1, 1))),
-        )
-
-
 def test_frame_attach_may_not_use_cycle_edges():
-    with pytest.raises(ToolkitError, match="may not use cycle edges"):
-        FrameSpec(
-            cycle=((2, 2), (2, 3), (3, 3), (3, 2)),
-            anchor=(2, 2),
-            attach=(path_of((2, 3), (2, 2)), path_of((2, 2))),
-        )
+    # the first attachment takes (2,3)-(2,2), which every arc pair needs
+    ctx = _ctx([((2, 3), (3, 3)), ((2, 1), (3, 2))], [])
+    attach = (path_of((2, 3), (2, 2)), path_of((2, 1), (2, 2)))
+    free = set(ctx.free)
+    with pytest.raises(ToolkitError, match="no arc orientation avoids edge reuse"):
+        complete_frame(ctx, _CYCLE, _ANCHOR, attach, path_of((3, 3)), path_of((3, 2)))
+    assert ctx.free == free
 
 
 def test_frame_attach_must_end_at_the_anchor_and_be_edge_disjoint():
-    cycle, anchor = ((2, 2), (2, 3), (3, 3), (3, 2)), (2, 2)
-    with pytest.raises(ToolkitError, match="must end at the anchor"):
-        FrameSpec(cycle=cycle, anchor=anchor, attach=(path_of((1, 2)), path_of((2, 2))))
+    ctx = _ctx([((1, 2), (3, 3)), ((2, 1), (3, 2))], [])
+    mates = (path_of((3, 3)), path_of((3, 2)))
+    # an attachment off the anchor does not join its arc
+    with pytest.raises(PathError, match="cannot join"):
+        complete_frame(ctx, _CYCLE, _ANCHOR, (path_of((1, 2)), path_of((2, 2))), *mates)
     shared = path_of((1, 2), (2, 2))
-    with pytest.raises(ToolkitError, match="must be edge-disjoint"):
-        FrameSpec(cycle=cycle, anchor=anchor, attach=(shared, shared))
+    with pytest.raises(ToolkitError, match="no arc orientation avoids edge reuse"):
+        complete_frame(ctx, _CYCLE, _ANCHOR, (shared, shared), *mates)
 
 
 def test_context_plan_assembly(grid):
@@ -234,7 +222,7 @@ def test_each_terminal_trail_lives_in_one_place():
 
     ctx.shift((2, 3), (3, 3))
     assert places() == everyone
-    mate_through_clip(ctx, clip_catalog()["aa-31-32-rails"], (1, 1), (2, 2))
+    mate_through_clip(ctx, clip_catalog()["aa-31-32-rails"], ("s", 0), ("s", 1))
     assert places() == everyone
     for j in range(3):
         ctx.finish_escape(("s", j))

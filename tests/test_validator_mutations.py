@@ -6,6 +6,8 @@ still a valid Path, so only the one broken clause can catch it:
 * drop an escape (its terminal is left unresolved);
 * swap the exits of two escapes (each path ends off its stated exit);
 * move an escape's terminal one step along, or onto, its path;
+* move a linkage's start one step along its own trail (the moved member
+  still counts as linked, and no edge is used twice);
 * reroute one path, endpoints kept, through an edge another path uses;
 * for bounded contracts, reroute escapes onto the free last-column stub
   vertices so the stub carries one exit more than allowed.
@@ -160,3 +162,27 @@ def test_validators_reject_single_step_corruptions(grid, strict_sweep, lemma):
         assert built["stub"] == 0
     else:
         assert built["stub"] > 0, built
+
+
+def _start_moved(plan):
+    """For each linkage, the plan with that linkage's start moved one step
+    along its own trail; a one-edge linkage is left at its other member."""
+    links = dict(plan.linkages)
+    for i, p in plan.linkages:
+        yield EscapePlan.build({**links, i: Path(p.vertices[1:])}, plan.escapes)
+
+
+def test_validators_reject_a_moved_linkage_start(grid, strict_sweep):
+    """Every linkage of every strict plan, its start moved one step: the
+    linkage-endpoint clause alone can catch it, so each validator's verdict
+    names ``BAD_ENDPOINT`` and nothing else."""
+    contracts = {lemma: contract_for(lemma) for lemma, *_ in strict_sweep}
+    built = 0
+    for lemma, cfg, plan, _ in strict_sweep:
+        for bad in _start_moved(plan):
+            built += 1
+            for validate in (validate_plan, validate_plan_recheck):
+                verdict = validate(grid, cfg, bad, contracts[lemma])
+                codes = {v.code for v in verdict.violations}
+                assert codes == {Code.BAD_ENDPOINT}, (cfg, bad, validate.__name__)
+    assert built == 15_651
