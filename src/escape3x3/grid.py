@@ -102,7 +102,7 @@ class Frozen(Record):
     assigned or deleted, and a record hashes as the tuple of its compared
     fields.  A record's constructor sets its slots once, through
     ``_set_fields``, which writes each through its slot's descriptor and so
-    bypasses the refusal below; ``Path`` keeps its two slot setters as
+    bypasses the refusal below; ``Path`` keeps its four slot setters as
     module names for the constructors on its hot paths."""
 
     __slots__ = ()
@@ -133,10 +133,18 @@ class GridGraph(Frozen):
         return tuple(sorted(self.edges))
 
 
-@lru_cache(maxsize=None)
 def build_corner_grid(deleted: frozenset[Vertex] = frozenset()) -> GridGraph:
-    """The corner grid minus a set of deleted vertices and incident edges."""
-    deleted = frozenset(deleted)
+    """The corner grid minus a set of deleted vertices and incident edges;
+    one graph per vertex set, built on first use."""
+    try:
+        deleted = frozenset(deleted)
+    except TypeError:
+        raise GridError(f"deleted vertices {deleted!r} are not a set of vertices") from None
+    return _corner_grid(deleted)
+
+
+@lru_cache(maxsize=None)
+def _corner_grid(deleted: frozenset[Vertex]) -> GridGraph:
     for v in deleted:
         if not is_vertex(v):
             raise GridError(f"deleted vertex {v} outside the corner grid")

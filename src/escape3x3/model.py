@@ -51,7 +51,12 @@ class Path(Frozen):
 
     The constructor checks the walk once and keeps the canonical edges it
     steps along, in walk order; ``edges()`` hands those back.  Its slots
-    are its vertices and those kept edges.
+    are its vertices, its two ends and those kept edges: ``start`` is the
+    first vertex and ``end`` the last, set by every constructor, since
+    routing reads a path's ends far more often than it builds paths.  A
+    vertex is a tuple of two ints; its shape is checked only where the
+    corner grid's step table does not already vouch for it, on a
+    one-vertex path and on a step off the grid.
 
     ``_trusted`` builds a path from its vertices and edges with no walk
     check.  It is the only unchecked way in, and only callers that already
@@ -59,19 +64,18 @@ class Path(Frozen):
 
     * ``kernel.GraphDesc.path``: the search stepped along graph edges, each
       once, and the descriptor maps each step to its canonical edge; both
-      kernel wrappers take their trails from it, and the
-      ``RoutingContext`` constructor takes each terminal's zero-length
-      start trail from it;
+      kernel wrappers take their trails from it, and the routing
+      context's table of zero-length start trails is filled from it;
     * ``reversed`` and ``reflected``: the mirror of a checked trail's edges;
     * ``__add__``: two trails that meet at the seam and share no edge.
 
     Every other caller, the router's fixed walks included, goes through the
-    checked constructor, which checks and sets both slots in
+    checked constructor, which checks the walk and sets every slot in
     ``__post_init__``.  Paths compare and hash by their vertices alone, and
     have no order.
     """
 
-    __slots__ = ("vertices", "_edges")
+    __slots__ = ("vertices", "start", "end", "_edges")
     _fields = ("vertices",)
 
     def __init__(self, vertices: tuple[Vertex, ...]):
@@ -80,11 +84,15 @@ class Path(Frozen):
     def __post_init__(self, vertices):
         if not vertices:
             raise PathError("a path needs at least one vertex")
+        if len(vertices) == 1:
+            _check_vertex(vertices[0])
         edges: list[Edge] = []
         seen: set[Edge] = set()
         for a, b in zip(vertices, vertices[1:]):
             e = _STEP_EDGE.get((a, b))
             if e is None:  # a step off the corner grid, in a path built beyond it
+                _check_vertex(a)
+                _check_vertex(b)
                 if not adjacent(a, b):
                     raise PathError(f"{a} -> {b} is not a grid step")
                 e = (a, b) if a < b else (b, a)
@@ -93,6 +101,8 @@ class Path(Frozen):
             seen.add(e)
             edges.append(e)
         _set_vertices(self, vertices)
+        _set_start(self, vertices[0])
+        _set_end(self, vertices[-1])
         _set_edges(self, tuple(edges))
 
     @staticmethod
@@ -101,16 +111,10 @@ class Path(Frozen):
         order, taken as given (see the class docstring for who may)."""
         path = object.__new__(Path)
         _set_vertices(path, vertices)
+        _set_start(path, vertices[0])
+        _set_end(path, vertices[-1])
         _set_edges(path, edges)
         return path
-
-    @property
-    def start(self) -> Vertex:
-        return self.vertices[0]
-
-    @property
-    def end(self) -> Vertex:
-        return self.vertices[-1]
 
     def edges(self) -> list[Edge]:
         return list(self._edges)
@@ -152,7 +156,14 @@ class Path(Frozen):
 
 
 # the slot setters, by name for the path constructors' hot paths
-_set_vertices, _set_edges = Path._setters
+_set_vertices, _set_start, _set_end, _set_edges = Path._setters
+
+
+def _check_vertex(v) -> None:
+    """Refuse a path vertex that is not a tuple of two ints (on the corner
+    grid or beyond it)."""
+    if type(v) is not tuple or len(v) != 2 or not all(type(x) is int for x in v):
+        raise PathError(f"{v!r} is not a vertex")
 
 
 def path_of(*vertices: Vertex) -> Path:

@@ -27,6 +27,7 @@ L3/b/S3 and ``retry:joint`` in L3/c/S3-t2-in-row.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import kernel
@@ -67,6 +68,7 @@ from .oracle import oracle_solve
 from .terminals import LemmaId, TerminalConfig, family_of
 from .toolkit import (
     GRID,
+    ClipSpec,
     RoutingContext,
     ToolkitError,
     clip_catalog,
@@ -304,6 +306,21 @@ def _finish(ctx: RoutingContext, escape_tids=(), candidates=None, allowed=None, 
     raise CaseGap(f"{ctx.label}: no exit assignment for {escape_tids}")
 
 
+@functools.lru_cache(maxsize=None)
+def _clips_by_anchors() -> dict[frozenset, tuple[tuple[ClipSpec, frozenset[Vertex]], ...]]:
+    """The catalogued clips by their unordered anchor pair, each pair's in
+    name order, each with the vertices it covers; built from the catalog
+    once per process."""
+    index: dict[frozenset[Vertex], list] = {}
+    catalog = clip_catalog()
+    for name in sorted(catalog):
+        clip = catalog[name]
+        index.setdefault(frozenset((clip.u, clip.v)), []).append(
+            (clip, frozenset(clip.covered()))
+        )
+    return {anchors: tuple(clips) for anchors, clips in index.items()}
+
+
 def _mate_to_anchors(
     ctx: RoutingContext, tid_x, tid_y, anchors: tuple[Vertex, Vertex], link=()
 ) -> None:
@@ -311,20 +328,17 @@ def _mate_to_anchors(
     pairs as well.
 
     Clips are the paper's named shortcut: catalogued clips with these
-    anchors whose edges are free and which cover both current positions are
-    tried first, in name order, with the linkages confined to the inner
-    square off the clip.  An anchored direct search is the general rule:
-    the linkages and both matings packed jointly in the free region, noted
-    as ``clip:direct``.  A failed mating leaves the context untouched.
+    anchors (looked up in ``_clips_by_anchors``) which cover both current
+    positions and whose edges are free are tried first, in name order, with
+    the linkages confined to the inner square off the clip.  An anchored
+    direct search is the general rule: the linkages and both matings packed
+    jointly in the free region, noted as ``clip:direct``.  A failed mating
+    leaves the context untouched.
     """
     x, y = ctx.trails[tid_x].end, ctx.trails[tid_y].end
     ends = _pair_ends(ctx, link)
-    catalog = clip_catalog()
-    for name in sorted(catalog):
-        clip = catalog[name]
-        if {clip.u, clip.v} != set(anchors) or not clip.edges <= ctx.free:
-            continue
-        if not {x, y} <= set(clip.covered()):
+    for clip, covered in _clips_by_anchors().get(frozenset(anchors), ()):
+        if x not in covered or y not in covered or not clip.edges <= ctx.free:
             continue
         cores = _joint_trails(ctx, ends, S_EDGES - clip.edges) if link else []
         if cores is None:

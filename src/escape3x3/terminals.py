@@ -85,10 +85,19 @@ class TerminalConfig(Frozen):
         )
 
 
+def _members(given, what: str):
+    """An iterator over ``given``, the pairs or the singletons of a
+    configuration; one that cannot be iterated is malformed."""
+    try:
+        return iter(given)
+    except TypeError:
+        raise MalformedConfigError(f"{what} must be iterable, got {given!r}") from None
+
+
 def make_config(pairs, singletons) -> TerminalConfig:
     """Canonicalize and validate a configuration."""
-    cpairs = tuple(sorted(_canonical_pair(p) for p in pairs))
-    csingles = tuple(sorted(_vertex(s) for s in singletons))
+    cpairs = tuple(sorted(_canonical_pair(p) for p in _members(pairs, "pairs")))
+    csingles = tuple(sorted(_vertex(s) for s in _members(singletons, "singletons")))
     cfg = TerminalConfig(pairs=cpairs, singletons=csingles)
     terms = cfg.terminals
     if len(set(terms)) != len(terms):
@@ -168,6 +177,8 @@ def enumerate_configs(lemma: LemmaId, extended: bool = False) -> Iterator[Termin
 
 def demote_pair_to_singletons(cfg: TerminalConfig, pair_index: int) -> TerminalConfig:
     """Turn one pair's members into singletons; the vertex set is unchanged."""
+    if type(pair_index) is not int:
+        raise ValueError(f"pair_index must be an int, got {pair_index!r}")
     if not 0 <= pair_index < len(cfg.pairs):
         raise IndexError(f"pair index {pair_index} out of range")
     a, b = cfg.pairs[pair_index]

@@ -55,6 +55,10 @@ TermId = tuple
 
 # Every routing context routes on the full grid.
 GRID = full_grid()
+# Each vertex's zero-length trail, the full grid descriptor's shared path
+# for it: every context starts each terminal on the one at its vertex.
+_DESC = kernel.desc_for(GRID)
+_START_TRAILS = {v: _DESC.path((i,)) for v, i in _DESC.vindex.items()}
 
 
 def term_ids(cfg: TerminalConfig) -> dict[TermId, Vertex]:
@@ -84,9 +88,10 @@ class RoutingContext(Record):
     trails are joined by a core into ``linked[pair_index]``.  A new
     context gives each terminal the full grid descriptor's zero-length
     trail at its vertex (``kernel.GraphDesc.path``), one frozen ``Path``
-    per vertex that every context shares, and a join with a trail that has
-    no edges returns the other trail, so a terminal that never moves costs
-    no ``Path`` of its own.
+    per vertex that every context shares, looked up in a table filled once
+    when the module loads; a join with a trail that has no edges returns
+    the other trail, so a terminal that never moves costs no ``Path`` of
+    its own.
     ``free`` holds the edges of the full grid that no trail or core has
     consumed.  ``label`` names the case the router's handler is building,
     and ``notes`` the clips and retries it used on the way; together they
@@ -105,11 +110,9 @@ class RoutingContext(Record):
     __slots__ = _fields = ("cfg", "free", "trails", "linked", "escaped", "label", "notes")
 
     def __init__(self, cfg: TerminalConfig):
-        desc = kernel.desc_for(GRID)
-        path, vindex = desc.path, desc.vindex
         self.cfg = cfg
         self.free: set[Edge] = set(GRID.edges)
-        self.trails = {tid: path((vindex[v],)) for tid, v in term_ids(cfg).items()}
+        self.trails = {tid: _START_TRAILS[v] for tid, v in term_ids(cfg).items()}
         self.linked: dict[int, Path] = {}
         self.escaped: dict[TermId, Path] = {}
         self.label = ""
@@ -122,9 +125,18 @@ class RoutingContext(Record):
         return [tid for tid, trail in self.trails.items() if trail.end == v]
 
     def is_free_vertex(self, v: Vertex) -> bool:
-        """A boundary vertex hosting neither an unresolved terminal nor an exit."""
-        trails = (*self.trails.values(), *self.escaped.values())
-        return v in BOUNDARY and v not in [trail.end for trail in trails]
+        """A boundary vertex hosting neither an unresolved terminal nor an
+        exit: no trail in ``trails`` or ``escaped`` ends at it.  Each loop
+        stops at the first trail that does, and nothing is copied."""
+        if v not in BOUNDARY:
+            return False
+        for trail in self.trails.values():
+            if trail.end == v:
+                return False
+        for trail in self.escaped.values():
+            if trail.end == v:
+                return False
+        return True
 
     # -- mutations --------------------------------------------------------
 

@@ -1,8 +1,11 @@
 """Catalog gate: every packaged clip is machine-verified."""
 
+import itertools
+
 import pytest
 
-from escape3x3.grid import LAST_ROW, edge
+from escape3x3 import router
+from escape3x3.grid import BOUNDARY, LAST_ROW, edge
 from escape3x3.toolkit import ClipSpec, clip_catalog, verify_clip
 
 
@@ -44,6 +47,26 @@ def test_catalog_covers_all_anchor_pairs_used_by_the_router():
     }
     have = {frozenset({c.u, c.v}) for c in clip_catalog().values()}
     assert wanted <= have
+
+
+def test_clip_index_matches_a_filter_of_the_catalog():
+    """The router's clip index gives, for every unordered pair of distinct
+    boundary vertices, the clips a filter over the name-sorted catalog
+    gives, in the same order, each with its covered vertices as a
+    frozenset; it has no other key, and it is built once."""
+    index = router._clips_by_anchors()
+    assert router._clips_by_anchors() is index
+    catalog = clip_catalog()
+    anchor_pairs = [frozenset(p) for p in itertools.combinations(sorted(BOUNDARY), 2)]
+    assert set(index) <= set(anchor_pairs)
+    for anchors in anchor_pairs:
+        entries = index.get(anchors, ())
+        expected = [name for name in sorted(catalog) if {catalog[name].u, catalog[name].v} == anchors]
+        assert [clip.name for clip, _ in entries] == expected
+        for clip, covered in entries:
+            assert clip is catalog[clip.name]
+            assert type(covered) is frozenset and covered == set(clip.covered())
+    assert sum(map(len, index.values())) == len(catalog)
 
 
 def test_inner_path_sweep_is_a_clip(grid):

@@ -74,6 +74,42 @@ def test_join_with_a_zero_length_half_builds_nothing():
         trail + path_of((2, 2))
 
 
+def test_path_rejects_a_malformed_vertex():
+    """A vertex that is not a tuple of two ints is a ``PathError``, on a
+    one-vertex path and on a step off the corner grid's step table; a step
+    beyond the grid between well-formed vertices is still a path."""
+    for vertices in ((5,), ((1, 1, 1),), ((1, True),), (5, 6), ((0, 0), 5), ((0, 0), (0, 1.0))):
+        with pytest.raises(PathError, match="is not a vertex$"):
+            Path(vertices)
+    assert Path(((0, 0), (0, 1))).edges() == [((0, 0), (0, 1))]
+
+
+def test_path_ends_are_its_first_and_last_vertices(grid, strict_sweep):
+    """``start`` and ``end`` are set by every constructor: the checked one,
+    ``GraphDesc.path``, ``reversed``, ``reflected`` and ``__add__``.  Every
+    path of the strict sweep's plans is checked, with its reversal, its
+    reflection and the join of its first step with the rest."""
+
+    def check(p):
+        assert (p.start, p.end) == (p.vertices[0], p.vertices[-1]), p
+
+    for _, _, plan, _ in strict_sweep:
+        for p in plan.all_paths():
+            check(p)
+            check(p.reversed())
+            check(p.reflected())
+            if len(p.vertices) > 2:
+                head, tail = Path(p.vertices[:2]), Path(p.vertices[1:])
+                joined = head + tail
+                assert joined == p
+                check(joined)
+    desc = kernel.desc_for(grid)
+    trail = desc.path(tuple(desc.vindex[v] for v in ((1, 1), (1, 2), (2, 2))))
+    assert (trail.start, trail.end) == ((1, 1), (2, 2))
+    checked = path_of((3, 1), (2, 1), (2, 2))
+    assert (checked.start, checked.end) == ((3, 1), (2, 2))
+
+
 def test_zero_length_path():
     p = path_of((2, 3))
     assert len(p.vertices) == 1

@@ -562,3 +562,28 @@ def test_router_searches_in_two_named_places(trees):
 
     assert places(kernel_searches) == {"router._joint_trails", "toolkit._mating_paths"}
     assert places(oracle_searches) == {"router.route"}
+
+
+def test_router_reads_the_clip_catalog_only_to_build_its_index(trees):
+    """``router.py`` names ``clip_catalog`` only in ``_clips_by_anchors``,
+    which builds the clip index once per process (it is cached), so no
+    mating sorts or filters the whole catalog per call; a module's top level
+    counts as a place of its own."""
+
+    def naming(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name == "clip_catalog":
+            yield where
+        for child in ast.iter_child_nodes(node):
+            yield from naming(child, where)
+
+    assert set(naming(trees["router"], "<module>")) == {"_clips_by_anchors"}
+    (builder,) = [
+        node
+        for node in trees["router"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_clips_by_anchors"
+    ]
+    decorators = {ast.unparse(d).partition("(")[0] for d in builder.decorator_list}
+    assert decorators & {"functools.lru_cache", "functools.cache"}, decorators

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escape3x3 import terminals
+from escape3x3.grid import GridError, build_corner_grid, grid_without_corner
 from escape3x3.model import contract_for
 from escape3x3.terminals import (
     LemmaId,
@@ -248,3 +249,26 @@ def test_exported_callables_reject_malformed_input_with_package_errors():
     for call in (enumerate_configs, contract_for):
         with pytest.raises(ValueError, match=r"^expected a LemmaId, got 'heavy5'$"):
             call("heavy5")
+
+
+def test_exported_callables_reject_malformed_containers_with_package_errors():
+    """Pairs or singletons that cannot be iterated are a malformed
+    configuration; deleted vertices that cannot be iterated are a
+    ``GridError``, and a list of vertices counts as their set; a pair index
+    that is not an int, a bool included, is a ``ValueError`` that names
+    ``pair_index``.  None is a bare ``TypeError``.  An int index out of
+    range keeps its ``IndexError``."""
+    with pytest.raises(MalformedConfigError, match=r"^pairs must be iterable, got None$"):
+        make_config(None, [])
+    with pytest.raises(MalformedConfigError, match=r"^singletons must be iterable, got None$"):
+        make_config([], None)
+    for deleted in (5, None):
+        with pytest.raises(GridError, match=r"are not a set of vertices$"):
+            build_corner_grid(deleted)
+    assert build_corner_grid([(3, 3)]) is grid_without_corner()
+    cfg = make_config([((1, 1), (2, 2))], [])
+    for index in ("0", True, 0.0):
+        with pytest.raises(ValueError, match=r"^pair_index must be an int, got "):
+            demote_pair_to_singletons(cfg, index)
+    with pytest.raises(IndexError):
+        demote_pair_to_singletons(cfg, -1)
