@@ -61,10 +61,9 @@ def test_clip_index_matches_a_filter_of_the_catalog():
     assert set(index) <= set(anchor_pairs)
     for anchors in anchor_pairs:
         entries = index.get(anchors, ())
-        expected = [name for name in sorted(catalog) if {catalog[name].u, catalog[name].v} == anchors]
-        assert [clip.name for clip, _ in entries] == expected
+        old_filter = [c for c in map(catalog.get, sorted(catalog)) if {c.u, c.v} == anchors]
+        assert [clip for clip, _ in entries] == old_filter
         for clip, covered in entries:
-            assert clip is catalog[clip.name]
             assert type(covered) is frozenset and covered == set(clip.covered())
     assert sum(map(len, index.values())) == len(catalog)
 
