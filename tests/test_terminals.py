@@ -256,8 +256,8 @@ def test_exported_callables_reject_malformed_containers_with_package_errors():
     configuration; deleted vertices that cannot be iterated are a
     ``GridError``, and a list of vertices counts as their set; a pair index
     that is not an int, a bool included, is a ``ValueError`` that names
-    ``pair_index``.  None is a bare ``TypeError``.  An int index out of
-    range keeps its ``IndexError``."""
+    ``pair_index``.  No such call raises a bare ``TypeError``.  An int
+    index out of range keeps its ``IndexError``."""
     with pytest.raises(MalformedConfigError, match=r"^pairs must be iterable, got None$"):
         make_config(None, [])
     with pytest.raises(MalformedConfigError, match=r"^singletons must be iterable, got None$"):
