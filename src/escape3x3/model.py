@@ -53,10 +53,11 @@ class Path(Frozen):
     steps along, in walk order; ``edges()`` hands those back.  Its slots
     are its vertices, its two ends and those kept edges: ``start`` is the
     first vertex and ``end`` the last, set by every constructor, since
-    routing reads a path's ends far more often than it builds paths.  A
-    vertex is a tuple of two ints; its shape is checked only where the
-    corner grid's step table does not already vouch for it, on a
-    one-vertex path and on a step off the grid.
+    routing reads a path's ends far more often than it builds paths.  The
+    vertices come as a tuple, and a vertex is a tuple of two ints; its
+    shape is checked only where the corner grid's step table does not
+    already vouch for it, on a one-vertex path and on a step off the grid
+    (an unhashable vertex is such a step).
 
     ``_trusted`` builds a path from its vertices and edges with no walk
     check.  It is the only unchecked way in, and only callers that already
@@ -82,6 +83,8 @@ class Path(Frozen):
         self.__post_init__(vertices)
 
     def __post_init__(self, vertices):
+        if type(vertices) is not tuple:
+            raise PathError(f"{vertices!r} is not a tuple of vertices")
         if not vertices:
             raise PathError("a path needs at least one vertex")
         if len(vertices) == 1:
@@ -89,7 +92,10 @@ class Path(Frozen):
         edges: list[Edge] = []
         seen: set[Edge] = set()
         for a, b in zip(vertices, vertices[1:]):
-            e = _STEP_EDGE.get((a, b))
+            try:
+                e = _STEP_EDGE.get((a, b))
+            except TypeError:  # an unhashable vertex, refused just below
+                e = None
             if e is None:  # a step off the corner grid, in a path built beyond it
                 _check_vertex(a)
                 _check_vertex(b)
@@ -506,12 +512,18 @@ def validate_plan_recheck(
 
 def reflected_plan(cfg, plan: EscapePlan) -> EscapePlan:
     """Reflect a plan for ``cfg`` across the diagonal, re-keying pair indices
-    to the canonical ordering of the reflected configuration."""
+    to the canonical ordering of the reflected configuration.
+
+    Each pair's index in the reflected configuration is looked up in one
+    map from its pairs, built once per call; the image of a pair, put low
+    end first, is how the reflected configuration holds it."""
     target = cfg.reflected()
+    index = {pair: j for j, pair in enumerate(target.pairs)}
     linkages = {}
     for i, p in plan.linkages:
-        image = tuple(sorted(reflect_vertex(v) for v in cfg.pairs[i]))
-        linkages[target.pairs.index(image)] = p.reflected()
+        a, b = cfg.pairs[i]
+        a, b = reflect_vertex(a), reflect_vertex(b)
+        linkages[index[(a, b) if a < b else (b, a)]] = p.reflected()
     escapes = [
         (reflect_vertex(t), reflect_vertex(x), p.reflected()) for t, x, p in plan.escapes
     ]

@@ -18,7 +18,7 @@ import itertools
 import json
 from collections.abc import Iterator
 
-from .grid import ALL_VERTICES, Frozen, Vertex, is_vertex, reflect_vertex
+from .grid import ALL_VERTICES, Frozen, Vertex, is_vertex
 
 
 class MalformedConfigError(ValueError):
@@ -79,10 +79,20 @@ class TerminalConfig(Frozen):
         self._set_fields(state["pairs"], state["singletons"])
 
     def reflected(self) -> "TerminalConfig":
-        return make_config(
-            [(reflect_vertex(a), reflect_vertex(b)) for a, b in self.pairs],
-            [reflect_vertex(s) for s in self.singletons],
-        )
+        """The configuration mirrored across the diagonal, in canonical form.
+
+        It trusts this configuration to be valid, as ``make_config`` and the
+        enumeration build them, and checks nothing again: the corner grid is
+        symmetric about the diagonal, so the mirror of a valid configuration
+        is valid.  Each vertex has its coordinates swapped, each pair is put
+        low end first, and the pairs and the singletons are sorted, which is
+        what ``make_config`` would make of the mirrored vertices."""
+        pairs = []
+        for (r, c), (s, d) in self.pairs:
+            a, b = (c, r), (d, s)
+            pairs.append((a, b) if a < b else (b, a))
+        pairs.sort()
+        return TerminalConfig(tuple(pairs), tuple(sorted([(c, r) for r, c in self.singletons])))
 
 
 def _members(given, what: str):

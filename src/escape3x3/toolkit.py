@@ -274,7 +274,14 @@ def mate_through_clip(ctx: RoutingContext, clip: ClipSpec, tid_x: TermId, tid_y:
 # -- frames ---------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _arc(cycle: tuple[Vertex, ...], frm: Vertex, to: Vertex, direction: int) -> Path:
+    """The walk along ``cycle`` from ``frm`` to ``to``, stepping by
+    ``direction`` (1 or -1) through the cycle's vertex order.
+
+    Built once per process for each (cycle, from, to, direction): the
+    router's frames use a few dozen arcs over and over, and a ``Path`` is
+    frozen, so every frame shares the one checked walk."""
     n = len(cycle)
     i = cycle.index(frm)
     out = [frm]
@@ -304,18 +311,19 @@ def complete_frame(
     opposite orientations so they share no edge.  All six pieces must be
     edge-disjoint and free; consumption happens when the caller records the
     two trails as linkages.
+
+    The orientations are tried in a fixed order, and the first whose six
+    pieces pass wins.  The four fixed pieces' edges are gathered once; each
+    try adds its two arcs' edges and builds one set from them.
     """
     landings = (mate1.end, mate2.end)
+    fixed = attach[0]._edges + attach[1]._edges + mate1._edges + mate2._edges
     for d1, d2 in ((1, -1), (-1, 1), (1, 1), (-1, -1)):
         arc1 = _arc(cycle, anchor, landings[0], d1)
         arc2 = _arc(cycle, anchor, landings[1], d2)
-        pieces = [attach[0], attach[1], arc1, arc2, mate1, mate2]
-        all_edges: list[Edge] = []
-        for piece in pieces:
-            all_edges.extend(piece.edges())
-        if len(set(all_edges)) != len(all_edges):
-            continue
-        if not set(all_edges) <= ctx.free:
+        all_edges = fixed + arc1._edges + arc2._edges
+        distinct = set(all_edges)
+        if len(distinct) != len(all_edges) or not distinct <= ctx.free:
             continue
         trail1 = attach[0] + arc1 + mate1.reversed()
         trail2 = attach[1] + arc2 + mate2.reversed()

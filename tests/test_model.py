@@ -84,6 +84,18 @@ def test_path_rejects_a_malformed_vertex():
     assert Path(((0, 0), (0, 1))).edges() == [((0, 0), (0, 1))]
 
 
+def test_path_rejects_a_malformed_vertex_sequence():
+    """Vertices given as lists, which the step table cannot look up, and a
+    vertex sequence that is not a tuple are a ``PathError``, not a bare
+    ``TypeError``."""
+    for vertices in (([1, 1], [1, 2]), ((1, 1), [1, 2]), (([1], 1), (1, 2))):
+        with pytest.raises(PathError, match="is not a vertex$"):
+            Path(vertices)
+    for vertices in (5, None, [(1, 1), (1, 2)], "ab"):
+        with pytest.raises(PathError, match="is not a tuple of vertices$"):
+            Path(vertices)
+
+
 def test_path_ends_are_its_first_and_last_vertices(grid, strict_sweep):
     """``start`` and ``end`` are set by every constructor: the checked one,
     ``GraphDesc.path``, ``reversed``, ``reflected`` and ``__add__``.  Every
@@ -314,6 +326,15 @@ def test_reflected_plan_is_valid_for_reflected_config(grid):
         ROW_ONLY,
     )
     assert validate_plan(grid, rcfg, rplan, rcontract).ok
+
+
+def test_reflected_plan_reflects_back_to_the_plan(strict_sweep):
+    """Reflecting every strict plan across the diagonal and reflecting the
+    image back, each for its own configuration, gives the plan back: the
+    same linkages under the same pair indices, and the same escapes."""
+    for _, cfg, plan, _ in strict_sweep:
+        image = reflected_plan(cfg, plan)
+        assert reflected_plan(cfg.reflected(), image) == plan, cfg
 
 
 def _off_clause_corruptions(cfg, plan, contract):

@@ -564,6 +564,25 @@ def test_router_searches_in_two_named_places(trees):
     assert places(oracle_searches) == {"router.route"}
 
 
+def test_config_reflection_checks_nothing_again(trees):
+    """``TerminalConfig.reflected`` builds the canonical mirror of a
+    configuration directly: it names none of ``make_config``, ``_vertex``
+    and ``_canonical_pair``, so the validating path, which checks every
+    vertex of a configuration already checked, cannot come back."""
+    (config,) = [
+        node
+        for node in trees["terminals"].body
+        if isinstance(node, ast.ClassDef) and node.name == "TerminalConfig"
+    ]
+    (method,) = [
+        node for node in config.body if isinstance(node, ast.FunctionDef) and node.name == "reflected"
+    ]
+    named = {node.id for node in ast.walk(method) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(method) if isinstance(node, ast.Attribute)}
+    validating = named & {"make_config", "_vertex", "_canonical_pair"}
+    assert not validating, sorted(validating)
+
+
 def test_router_reads_the_clip_catalog_only_to_build_its_index(trees):
     """``router.py`` names ``clip_catalog`` only in ``_clips_by_anchors``,
     which builds the clip index once per process (it is cached), so no

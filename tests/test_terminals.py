@@ -233,6 +233,32 @@ def test_reflect_involution_over_whole_family():
         assert cfg.reflected().reflected() == cfg
 
 
+def test_reflection_is_what_make_config_makes_of_the_mirrored_vertices():
+    """On every configuration of the three routed families and of the
+    extended heavy6 enumeration (11,025 in all), ``reflected`` builds,
+    without checking anything again, the very pairs and singletons tuples
+    that ``make_config`` makes of the swapped vertices, and reflecting twice
+    gives the configuration back."""
+
+    def swap(v):
+        return (v[1], v[0])
+
+    configs = [
+        *enumerate_configs(LemmaId.HEAVY78),
+        *enumerate_configs(LemmaId.HEAVY6, extended=True),
+        *enumerate_configs(LemmaId.HEAVY5),
+    ]
+    assert len(configs) == 11_025
+    for cfg in configs:
+        mirror = cfg.reflected()
+        made = make_config(
+            [(swap(a), swap(b)) for a, b in cfg.pairs], [swap(s) for s in cfg.singletons]
+        )
+        assert (mirror.pairs, mirror.singletons) == (made.pairs, made.singletons), cfg
+        back = mirror.reflected()
+        assert (back.pairs, back.singletons) == (cfg.pairs, cfg.singletons), cfg
+
+
 @settings(max_examples=100, deadline=None)
 @given(heavy6_configs())
 def test_reflect_preserves_family(cfg):

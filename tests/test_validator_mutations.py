@@ -25,6 +25,7 @@ from escape3x3.model import (
     Code,
     EscapePlan,
     Path,
+    Violation,
     contract_for,
     validate_plan,
     validate_plan_recheck,
@@ -186,3 +187,28 @@ def test_validators_reject_a_moved_linkage_start(grid, strict_sweep):
                 codes = {v.code for v in verdict.violations}
                 assert codes == {Code.BAD_ENDPOINT}, (cfg, bad, validate.__name__)
     assert built == 15_651
+
+
+def test_validators_name_an_out_of_range_pair_index(grid, strict_sweep):
+    """A linkage filed under a pair index the configuration does not have,
+    one past the last or -1, is named by each validator as a
+    ``BAD_ENDPOINT`` for that index, and neither raises.  The linkage filed
+    anew is the last pair's, so -1, read as a Python index, would pick out
+    the very pair its trail joins: only the lower bound of each validator's
+    range check can catch it.  Every strict plan that links its last pair
+    is taken."""
+    contracts = {lemma: contract_for(lemma) for lemma, *_ in strict_sweep}
+    built = 0
+    for lemma, cfg, plan, _ in strict_sweep:
+        last = len(cfg.pairs) - 1
+        if plan.linkages[-1][0] != last:
+            continue
+        for key in (len(cfg.pairs), -1):
+            links = {(key if i == last else i): p for i, p in plan.linkages}
+            bad = EscapePlan.build(links, plan.escapes)
+            built += 1
+            primary = validate_plan(grid, cfg, bad, contracts[lemma]).violations
+            assert Violation(Code.BAD_ENDPOINT, f"linkage references pair {key}") in primary
+            recheck = validate_plan_recheck(grid, cfg, bad, contracts[lemma]).violations
+            assert Violation(Code.BAD_ENDPOINT, f"linkage {key}") in recheck
+    assert built == 10_776
