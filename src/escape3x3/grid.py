@@ -174,7 +174,11 @@ def unique_l_path(u: Vertex, v: Vertex) -> tuple[Vertex, ...]:
 
     Returns the vertex sequence; zero-length (a single vertex) when u == v.
     """
-    if u not in BOUNDARY or v not in BOUNDARY:
+    try:
+        on_boundary = u in BOUNDARY and v in BOUNDARY
+    except TypeError:  # an unhashable vertex
+        on_boundary = False
+    if not on_boundary:
         raise GridError(f"unique_l_path requires boundary vertices, got {u}, {v}")
     i, j = L_ORDER.index(u), L_ORDER.index(v)
     if i <= j:

@@ -28,19 +28,28 @@ Instead of a graph search per query, reachability is read from the table
 the caller hands in, which is the descriptor's own (``GraphDesc.reach``,
 ``SinkDesc.reach``): for each free-edge mask it holds one row giving, per
 vertex, a bitmask holding every vertex it reaches (with directed edges,
-possibly more).  A row is filled lazily, all vertices in one pass, the
-first time its mask is seen; nothing is built at import.  A call may name
-edges the table treats as always free: rows are looked up under the free
-mask with those edges added, and such rows can only over-estimate
-reachability, so pruning stays sound.  The tables are bounded: every grid
-graph is a subgraph of the 3x3 grid, with at most 12 edges, and a sink
-graph's rows are keyed with its exit edges always free, so its table has at
-most 2^(12 + number of R->S edges) rows.  A table lives as long as its
-cached descriptor.
+possibly more).  A call may name edges the table treats as always free:
+rows are looked up under the free mask with those edges added, and such
+rows can only over-estimate reachability, so pruning stays sound.  The
+tables are bounded: every grid graph is a subgraph of the 3x3 grid, with at
+most 12 edges, and a sink graph's rows are keyed with its exit edges always
+free, so its table has at most 2^(12 + number of R->S edges) rows.  A table
+lives as long as its cached descriptor, and nothing is built at import or
+in ``desc_for``.
 
-Rows are interned: ``fill_row`` stores a row equal to one it has made
-before as that same object (``_ROWS``), so masks whose rows agree share
-one row.  A step whose edge changes no reachability (an edge on a cycle of
+A grid search fills a missing row with ``fill_row``, all vertices in one
+pass, the first time its mask is seen.  A sink search cannot afford that:
+its tables are read by thousands of calls in each process, and a process
+pool's worker starts with empty ones.  So before the first search on a sink
+descriptor, ``escape_trails`` builds its table whole (``fill_table``): a
+row for every key, each derived from the grid row of the key's grid part,
+after completing the grid descriptor's table edge by edge.  The rows are
+the ones ``fill_row`` would make, over-estimates at R and S included, so
+every search visits the same nodes either way.
+
+Rows are interned: ``fill_row`` and ``fill_table`` store a row equal to
+one made before as that same object (``_ROWS``), so masks whose rows agree
+share one row.  A step whose edge changes no reachability (an edge on a cycle of
 free edges, or one the table treats as always free) leaves its child with
 its parent's row object, and the child then skips the later-pair cut.
 That is exact: the later pairs are the parent's, and the parent's row
@@ -130,6 +139,99 @@ def fill_row(adj, table: dict, m: int) -> tuple[int, ...]:
     return out
 
 
+def _fill_grid_table(desc: GraphDesc) -> None:
+    """Complete the grid descriptor's reach table: a row for every mask.
+
+    The row of mask m is the row of m without its highest edge, with that
+    edge's two components joined, so the masks are filled in increasing
+    order, each from a row already in the table.  On a graph of undirected
+    edges a row is exact, so each equals the row ``fill_row`` makes, and it
+    is interned the same way."""
+    table = desc.reach
+    n = len(desc.vertices)
+    vindex = desc.vindex
+    ends = [(vindex[a], vindex[b]) for a, b in desc.edges]
+    if 0 not in table:
+        row = tuple(1 << v for v in range(n))
+        table[0] = _ROWS.setdefault(row, row)
+    for m in range(1, 1 << len(ends)):
+        if m in table:
+            continue
+        top = m.bit_length() - 1
+        prev = table[m ^ (1 << top)]
+        u, v = ends[top]
+        if prev[u] >> v & 1:
+            table[m] = prev
+            continue
+        joined = prev[u] | prev[v]
+        row = tuple([joined if x & joined else x for x in prev])
+        table[m] = _ROWS.setdefault(row, row)
+
+
+def fill_table(sd: SinkDesc) -> None:
+    """Fill the sink descriptor's reach table whole: a row for every key a
+    search can ask for, that is, every grid mask with the exit edges and
+    any subset of the R->S edges, after completing the grid's table.
+
+    Each row is made as ``fill_row`` makes it, by a search from each vertex
+    in index order that has no row yet, storing what it reaches for every
+    vertex from there on, so R and S get over-estimates as there.  The grid
+    row of the key's grid part stands in for the search over grid edges.  A
+    virtual edge leads from an exit to R or S, or from R to S, always to a
+    higher index, so one pass over the virtual edges in index order reaches
+    all the search would.  Grids larger than the 3x3 grid are left to
+    ``fill_row``."""
+    grid = sd.grid
+    if len(grid.edges) > 12:
+        return
+    gtable = grid.reach
+    if len(gtable) < 1 << len(grid.edges):
+        _fill_grid_table(grid)
+    n, size, virtual = len(grid.vertices), len(sd.adj), sd.virtual
+    subsets = [sd.exit_edges]
+    for bit in (1 << i for i in range(virtual.bit_length())):
+        if virtual & bit & ~sd.exit_edges:
+            subsets += [s | bit for s in subsets]
+    # the vertices with virtual edges, and per subset, each one with the
+    # vertices its free virtual edges lead to, in index order
+    tails = [v for v in range(size) if any(bit & virtual for _, bit in sd.adj[v])]
+    starts = sum(1 << v for v in tails)
+    leads = [
+        [(v, sum({1 << w for w, bit in sd.adj[v] if bit & free})) for v in tails]
+        for free in subsets
+    ]
+
+    def derive(grow: tuple[int, ...], lead: list) -> tuple[int, ...]:
+        row = [0] * size
+        for src in range(size):
+            if row[src]:
+                continue
+            seen = grow[src] if src < n else 1 << src
+            if seen & starts:
+                for v, heads in lead:
+                    if seen >> v & 1:
+                        seen |= heads
+            # every vertex in seen is src or after it
+            rest = seen
+            while rest:
+                low = rest & -rest
+                row[low.bit_length() - 1] = seen
+                rest ^= low
+        out = tuple(row)
+        return _ROWS.setdefault(out, out)
+
+    # grid rows are interned, so equal ones are one object: each object's
+    # rows, one per subset, are derived once
+    derived: dict[int, list] = {}
+    table = sd.reach
+    for gm, grow in gtable.items():
+        rows = derived.get(id(grow))
+        if rows is None:
+            rows = derived[id(grow)] = [derive(grow, lead) for lead in leads]
+        for free, row in zip(subsets, rows):
+            table[gm | free] = row
+
+
 def find_trail_system(adj, pairs, mask, always_free, table):
     """Search for edge-disjoint trails joining every endpoint pair.
 
@@ -138,8 +240,8 @@ def find_trail_system(adj, pairs, mask, always_free, table):
          bit is ``1 << edge_id``; pairs: tuple of (a, b) vertex indices;
          mask: bitmask of free edges; always_free: bitmask of edges the
          reachability table treats as free (0 for grid calls); table: the
-         reach table of ``adj`` (a descriptor's ``reach``), filled here as
-         the search reads it.
+         reach table of ``adj`` (a descriptor's ``reach``), a missing row
+         filled here as the search reads it.
 
     Returns (status, trails, nodes): status FOUND or NONE, trails a tuple of
     vertex-index tuples when status == FOUND, and nodes the search nodes
@@ -230,10 +332,11 @@ class GraphDesc(Frozen):
     up.  ``adj`` lists each vertex's (neighbour index, edge bit) entries,
     where an edge's bit is ``1 << `` its index in ``edges``; ``step`` maps
     each (index, neighbour index) step, either way, to its edge.  It owns
-    three memos, each empty at construction and filled on first use:
-    ``reach``, the search's reachability table for ``adj``; ``paths``; and
-    ``masks``.  Only ``vertices``, ``edges`` and ``adj`` take part in
-    equality, hashing and repr."""
+    three memos, each empty at construction: ``reach``, the search's
+    reachability table for ``adj``, filled a row at a time as grid searches
+    miss and completed before the first search on a sink descriptor built
+    on it; ``paths`` and ``masks``, filled on first use.  Only ``vertices``,
+    ``edges`` and ``adj`` take part in equality, hashing and repr."""
 
     _fields = ("vertices", "edges", "adj")
     __slots__ = _fields + ("vindex", "ebit", "step", "reach", "paths", "masks")
@@ -333,8 +436,9 @@ class SinkDesc(Frozen):
 
     ``virtual`` is the mask of every virtual edge, ``exit_edges`` that of
     the exit->S and exit->R edges; ``reach``, the search's reachability
-    table for ``adj``, starts empty and takes no part in equality, hashing
-    or repr."""
+    table for ``adj``, is empty at construction, built whole by
+    ``escape_trails`` before its first search, and takes no part in
+    equality, hashing or repr."""
 
     _fields = ("grid", "adj", "sink", "virtual", "exit_edges")
     __slots__ = _fields + ("reach",)
@@ -400,6 +504,8 @@ def escape_trails(
     ``solve_trails``.
     """
     sd = sink_desc(g, tuple(exits), frozenset(restricted), limit)
+    if not sd.reach:
+        fill_table(sd)
     grid = sd.grid
     vindex = grid.vindex
     pairs_idx = tuple((vindex[a], vindex[b]) for a, b in linked_pairs) + tuple(

@@ -309,7 +309,24 @@ def validate_plan(
     zone once per escape) and the walked edges, and explain each entry whose
     ends are wrong.  The clauses then follow in
     order, each one set test that builds its violations only when it fails.
+    An argument of the wrong type is refused with a ``ValueError`` that
+    names it.
     """
+    if not (
+        isinstance(g, GridGraph)
+        and isinstance(cfg, TerminalConfig)
+        and isinstance(plan, EscapePlan)
+        and isinstance(contract, EscapeContract)
+    ):
+        kinds = (
+            ("g", g, GridGraph),
+            ("cfg", cfg, TerminalConfig),
+            ("plan", plan, EscapePlan),
+            ("contract", contract, EscapeContract),
+        )
+        for name, value, kind in kinds:
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
     pairs = cfg.pairs
     linkmap = dict(plan.linkages)  # a pair listed twice keeps its last trail
     walked: list[Edge] = []

@@ -25,6 +25,11 @@ class MalformedConfigError(ValueError):
     """Raised when a configuration violates the structural invariants."""
 
 
+class PairIndexError(IndexError, ValueError):
+    """Raised for a pair index out of range: an ``IndexError``, and a
+    ``ValueError`` naming the argument like the package's other refusals."""
+
+
 class LemmaId(enum.Enum):
     W2L = "w2l"
     HEAVY78 = "heavy78"
@@ -187,10 +192,12 @@ def enumerate_configs(lemma: LemmaId, extended: bool = False) -> Iterator[Termin
 
 def demote_pair_to_singletons(cfg: TerminalConfig, pair_index: int) -> TerminalConfig:
     """Turn one pair's members into singletons; the vertex set is unchanged."""
+    if not isinstance(cfg, TerminalConfig):
+        raise ValueError(f"cfg must be a TerminalConfig, got {cfg!r}")
     if type(pair_index) is not int:
         raise ValueError(f"pair_index must be an int, got {pair_index!r}")
     if not 0 <= pair_index < len(cfg.pairs):
-        raise IndexError(f"pair index {pair_index} out of range")
+        raise PairIndexError(f"pair_index {pair_index} out of range for {len(cfg.pairs)} pairs")
     a, b = cfg.pairs[pair_index]
     pairs = cfg.pairs[:pair_index] + cfg.pairs[pair_index + 1 :]
     return make_config(pairs, cfg.singletons + (a, b))

@@ -87,3 +87,15 @@ def test_clip_property_fails_off_graph():
     clip = clip_catalog()["aa-31-32-rails"]
     smaller = build_corner_grid(frozenset({(1, 1)}))
     assert not verify_clip(smaller, clip).ok
+
+
+@pytest.mark.parametrize("u, v", [((3, 1), (1, 1)), ((1, 1), (3, 2))], ids=["v-inner", "u-inner"])
+def test_clip_with_either_anchor_off_the_boundary_fails(grid, u, v):
+    """Each anchor is checked against the boundary on its own: a clip with
+    one anchor on it and the other inside fails, naming that, whichever
+    anchor is the inner one."""
+    walk = [(3, 1), (2, 1), (1, 1), (1, 2), (2, 2), (3, 2)]
+    edges = frozenset(edge(a, b) for a, b in zip(walk, walk[1:]))
+    clip = ClipSpec("half-anchored", u, v, "AB", edges)
+    messages = [violation.message for violation in verify_clip(grid, clip).violations]
+    assert "clip half-anchored anchors off the boundary" in messages

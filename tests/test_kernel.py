@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -227,6 +228,67 @@ def test_equal_rows_are_one_object():
     cut = kernel.fill_row(desc.adj, table, every ^ corner)
     assert cut != row and cut is not row
     assert table == {every: row, every ^ cycle_edge: row, every ^ corner: cut}
+
+
+def _sink_keys(sd):
+    """Every key a search of ``sd`` can ask for: each grid mask with every
+    exit edge and any subset of the R->S edges."""
+    rs_edges = sd.virtual ^ sd.exit_edges
+    bits = [1 << i for i in range(rs_edges.bit_length()) if rs_edges >> i & 1]
+    subsets = {sum(c) for r in range(len(bits) + 1) for c in itertools.combinations(bits, r)}
+    return {m | sd.exit_edges | s for m in range(1 << len(sd.grid.edges)) for s in subsets}
+
+
+def _searched_sink_table(exits, limit):
+    """The sink descriptor of the full grid for those exits, the oracle's
+    restricted zone and that limit, from a descriptor cache of its own,
+    after one ``escape_trails`` call on it."""
+    g = full_grid()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "desc_for", functools.lru_cache(kernel.desc_for.__wrapped__))
+        mp.setattr(kernel, "sink_desc", functools.lru_cache(kernel.sink_desc.__wrapped__))
+        kernel.escape_trails(g, g.edges, [((1, 1), (2, 2))], [(1, 2)], exits, COL_ONLY, limit)
+        return kernel.sink_desc(g, tuple(exits), COL_ONLY, limit)
+
+
+def _assert_sink_table_whole(sd):
+    """``sd``'s table holds every key, each row the one ``fill_row`` makes
+    on a fresh table, as the interned object."""
+    keys = _sink_keys(sd)
+    assert sd.reach.keys() == keys
+    fresh = {}
+    for m in keys:
+        row = kernel.fill_row(sd.adj, fresh, m)
+        assert sd.reach[m] == row and sd.reach[m] is kernel._ROWS[row]
+
+
+@pytest.mark.parametrize("lemma", [LemmaId.HEAVY78, LemmaId.HEAVY6])
+def test_sink_search_builds_its_tables_whole(lemma):
+    """Before its first search, ``escape_trails`` builds the sink
+    descriptor's reach table whole, rows over-estimated at R and S as
+    ``fill_row`` makes them, and completes the grid's table, exact: on the
+    oracle's two full-grid sink descriptors, heavy78's (no limit) and the
+    one heavy6 and heavy5 share (limit 1 on ``COL_ONLY``)."""
+    contract = contract_for(lemma)
+    exits = sorted(contract.exit_target & full_grid().vertices)
+    assert contract.restricted_zone == COL_ONLY
+    sd = _searched_sink_table(exits, contract.max_exits_in_restricted)
+    _assert_sink_table_whole(sd)
+    grid = sd.grid
+    assert grid.reach.keys() == set(range(1 << len(grid.edges)))
+    for m, row in grid.reach.items():
+        assert row == tuple(_bfs_reach(grid.adj, m, v) for v in range(len(grid.adj)))
+        assert row is kernel._ROWS[row]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    exits=st.sets(st.sampled_from(sorted(BOUNDARY)), min_size=1),
+    limit=st.sampled_from([None, 0, 1, 2]),
+)
+def test_sink_tables_are_whole_for_any_exits(exits, limit):
+    """The same for other exit subsets, with limits None, 0, 1 and 2."""
+    _assert_sink_table_whole(_searched_sink_table(sorted(exits), limit))
 
 
 def _naive_trail_system(adj, pairs, mask):

@@ -526,18 +526,45 @@ def _through_the_corner(pairs, trails):
     return trails
 
 
+def _drop_a_trail(pairs, trails):
+    """Every trail but the last."""
+    return trails[:-1]
+
+
+def _moved(pairs, trails, cut):
+    """The first trail with distinct ends, cut to ``vertices[cut]``."""
+    for j, (a, b) in enumerate(pairs):
+        if a != b:
+            return trails[:j] + [Path(trails[j].vertices[cut])] + trails[j + 1 :]
+    return trails
+
+
+def _move_start(pairs, trails):
+    """The first trail with distinct ends, started one step along itself."""
+    return _moved(pairs, trails, slice(1, None))
+
+
+def _move_end(pairs, trails):
+    """The first trail with distinct ends, ended one step short."""
+    return _moved(pairs, trails, slice(None, -1))
+
+
 @pytest.mark.parametrize(
     "mutate, graph",
     [
         (_share_an_edge, full_grid()),
         (_swap_ends, full_grid()),
         (_through_the_corner, grid_without_corner()),
+        (_drop_a_trail, full_grid()),
+        (_move_start, full_grid()),
+        (_move_end, full_grid()),
     ],
-    ids=["shared-edge", "wrong-end", "edge-off-graph"],
+    ids=["shared-edge", "wrong-end", "edge-off-graph", "missing-trail", "moved-start", "moved-end"],
 )
 def test_weak_linkage_sweep_rejects_a_bad_witness(monkeypatch, mutate, graph):
     """The w2l sweep checks every linkage the kernel returns: a witness with
-    a shared edge, a wrong end or an edge off the graph raises, not an
+    a shared edge, a wrong end, an edge off the graph, a trail missing, or
+    a trail that starts or ends one step off its pair's end raises, not an
     ``assert``, instead of counting its tuple as linked."""
     solve = kernel.solve_trails
     mutated = []

@@ -606,3 +606,29 @@ def test_router_reads_the_clip_catalog_only_to_build_its_index(trees):
     ]
     decorators = {ast.unparse(d).partition("(")[0] for d in builder.decorator_list}
     assert decorators & {"functools.lru_cache", "functools.cache"}, decorators
+
+
+def test_reach_tables_are_kept_by_the_kernel_alone(trees):
+    """Only ``kernel.py`` reads or writes a descriptor's ``reach`` table or
+    fills one (``fill_row``, ``fill_table``, ``_fill_grid_table``), so when
+    a table is built whole and when a row is filled on a miss is decided in
+    one module; a name given as a string, as to ``getattr``, counts too."""
+    names = {"reach", "fill_row", "fill_table", "_fill_grid_table"}
+    found = []
+    for stem, tree in trees.items():
+        if stem == "kernel":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Constant):
+                name = node.value
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in names:
+                found.append(f"{stem}.py:{getattr(node, 'lineno', '?')} {name}")
+    assert not found, found

@@ -298,3 +298,81 @@ def test_exported_callables_reject_malformed_containers_with_package_errors():
             demote_pair_to_singletons(cfg, index)
     with pytest.raises(IndexError):
         demote_pair_to_singletons(cfg, -1)
+
+
+_ATOMS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 5),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+)
+# non-sequences, wrong lengths, bools, floats, strings, None and
+# out-of-range ints, alone or nested, beside vertex-shaped tuples
+_MALFORMED = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(inner),
+        st.tuples(inner, inner),
+        st.tuples(inner, inner, inner),
+        st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    ),
+    max_leaves=8,
+)
+_CFG = make_config([((1, 1), (2, 2)), ((1, 2), (3, 3))], [(2, 1)])
+
+
+def _exported_calls(junk):
+    """(name, argument name, call) for each exported callable that takes
+    input, with ``junk`` in one argument and well-formed values in the
+    others."""
+    from escape3x3 import Path, contract_for, full_grid, unique_l_path, validate_plan
+    from escape3x3.model import EscapePlan
+
+    g, plan, contract = full_grid(), EscapePlan((), ()), contract_for(LemmaId.HEAVY6)
+    return [
+        ("make_config", "pairs", lambda: make_config(junk, [])),
+        ("make_config", "singletons", lambda: make_config([], junk)),
+        ("decode_config", "obj", lambda: decode_config(junk)),
+        ("decode_config", "obj", lambda: decode_config({"pairs": junk})),
+        ("decode_config", "obj", lambda: decode_config(json.dumps(junk))),
+        ("demote_pair_to_singletons", "cfg", lambda: demote_pair_to_singletons(junk, 0)),
+        ("demote_pair_to_singletons", "pair_index", lambda: demote_pair_to_singletons(_CFG, junk)),
+        ("enumerate_configs", "lemma", lambda: enumerate_configs(junk)),
+        ("enumerate_configs", "extended", lambda: enumerate_configs(LemmaId.HEAVY5, junk)),
+        ("contract_for", "lemma", lambda: contract_for(junk)),
+        ("Path", "vertices", lambda: Path(junk)),
+        ("build_corner_grid", "deleted", lambda: build_corner_grid(junk)),
+        ("unique_l_path", "u", lambda: unique_l_path(junk, (3, 1))),
+        ("unique_l_path", "v", lambda: unique_l_path((1, 3), junk)),
+        ("validate_plan", "g", lambda: validate_plan(junk, _CFG, plan, contract)),
+        ("validate_plan", "cfg", lambda: validate_plan(g, junk, plan, contract)),
+        ("validate_plan", "plan", lambda: validate_plan(g, _CFG, junk, contract)),
+        ("validate_plan", "contract", lambda: validate_plan(g, _CFG, plan, junk)),
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(junk=_MALFORMED)
+def test_exported_callables_return_or_refuse_any_malformed_shape(junk):
+    """Each exported callable that takes input, given a malformed shape in
+    any one argument, returns, raises one of the package's own errors
+    (``MalformedConfigError``, ``GridError``, ``PathError``), or raises a
+    ``ValueError`` whose message names the argument, by name or by value;
+    never a bare ``TypeError``, ``IndexError`` or ``AttributeError``.
+    (``decode_config`` gets the shape as its object, as its pairs and as
+    JSON text.)"""
+    from escape3x3.model import PathError
+
+    for name, arg, call in _exported_calls(junk):
+        try:
+            call()
+        except (MalformedConfigError, GridError, PathError):
+            pass
+        except ValueError as exc:
+            named = (arg, repr(junk), str(junk))
+            assert any(n in str(exc) for n in named), (name, arg, junk, exc)
+        except Exception as exc:
+            pytest.fail(f"{name}({arg}={junk!r}) raised {exc!r}")
