@@ -49,14 +49,14 @@ every search visits the same nodes either way.
 
 Rows are interned: ``fill_row`` and ``fill_table`` store a row equal to
 one made before as that same object (``_ROWS``), so masks whose rows agree
-share one row.  A step whose edge changes no reachability (an edge on a cycle of
-free edges, or one the table treats as always free) leaves its child with
-its parent's row object, and the child then skips the later-pair cut.
-That is exact: the later pairs are the parent's, and the parent's row
-passed them, in its own parent's loop, at the root, or in the check of
-the previous trail's last node, whose later pairs include these.  The
-child's own end test still runs: its vertex is not its parent's, and over
-a directed edge it need not reach what its parent reaches.  ``_ROWS``
+share one row.  A step whose edge changes no reachability (an edge on a
+cycle of free edges, or one the table treats as always free) leaves its
+child with its parent's row object, and the child then skips the
+later-pair cut.  That is exact: the later pairs are the parent's, and the
+parent's row passed them, in its own parent's loop, at the root, or in the
+check of the previous trail's last node, whose later pairs include these.
+The child's own end test still runs: its vertex is not its parent's, and
+over a directed edge it need not reach what its parent reaches.  ``_ROWS``
 holds one object per distinct row, so it never outgrows the tables.
 
 The search is a nested function that calls itself through its closure
