@@ -8,8 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escape3x3 import terminals
-from escape3x3.grid import GridError, build_corner_grid, grid_without_corner
-from escape3x3.model import contract_for
+from escape3x3.grid import (
+    GridError,
+    build_corner_grid,
+    full_grid,
+    grid_without_corner,
+    unique_l_path,
+)
+from escape3x3.model import EscapePlan, Path, PathError, contract_for, validate_plan
 from escape3x3.terminals import (
     LemmaId,
     MalformedConfigError,
@@ -328,9 +334,6 @@ def _exported_calls(junk):
     """(name, argument name, call) for each exported callable that takes
     input, with ``junk`` in one argument and well-formed values in the
     others."""
-    from escape3x3 import Path, contract_for, full_grid, unique_l_path, validate_plan
-    from escape3x3.model import EscapePlan
-
     g, plan, contract = full_grid(), EscapePlan((), ()), contract_for(LemmaId.HEAVY6)
     return [
         ("make_config", "pairs", lambda: make_config(junk, [])),
@@ -364,8 +367,6 @@ def test_exported_callables_return_or_refuse_any_malformed_shape(junk):
     never a bare ``TypeError``, ``IndexError`` or ``AttributeError``.
     (``decode_config`` gets the shape as its object, as its pairs and as
     JSON text.)"""
-    from escape3x3.model import PathError
-
     for name, arg, call in _exported_calls(junk):
         try:
             call()
