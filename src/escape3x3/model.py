@@ -54,10 +54,10 @@ class Path(Frozen):
     are its vertices, its two ends and those kept edges: ``start`` is the
     first vertex and ``end`` the last, set by every constructor, since
     routing reads a path's ends far more often than it builds paths.  The
-    vertices come as a tuple, and a vertex is a tuple of two ints; its
-    shape is checked only where the corner grid's step table does not
-    already vouch for it, on a one-vertex path and on a step off the grid
-    (an unhashable vertex is such a step).
+    vertices come as a tuple, and a vertex is a tuple of two ints, each
+    vertex's shape checked before any step is looked up: the corner grid's
+    step table cannot vouch for it, since a bool or a float equal to an
+    int finds that int's step.
 
     ``_trusted`` builds a path from its vertices and edges with no walk
     check.  It is the only unchecked way in, and only callers that already
@@ -87,18 +87,17 @@ class Path(Frozen):
             raise PathError(f"{vertices!r} is not a tuple of vertices")
         if not vertices:
             raise PathError("a path needs at least one vertex")
-        if len(vertices) == 1:
-            _check_vertex(vertices[0])
+        # every vertex, since the step table would take True or 1.0 for 1
+        for v in vertices:
+            if type(v) is not tuple or len(v) != 2:
+                raise PathError(f"{v!r} is not a vertex")
+            if type(v[0]) is not int or type(v[1]) is not int:
+                raise PathError(f"{v!r} is not a vertex")
         edges: list[Edge] = []
         seen: set[Edge] = set()
         for a, b in zip(vertices, vertices[1:]):
-            try:
-                e = _STEP_EDGE.get((a, b))
-            except TypeError:  # an unhashable vertex, refused just below
-                e = None
+            e = _STEP_EDGE.get((a, b))
             if e is None:  # a step off the corner grid, in a path built beyond it
-                _check_vertex(a)
-                _check_vertex(b)
                 if not adjacent(a, b):
                     raise PathError(f"{a} -> {b} is not a grid step")
                 e = (a, b) if a < b else (b, a)
@@ -163,13 +162,6 @@ class Path(Frozen):
 
 # the slot setters, by name for the path constructors' hot paths
 _set_vertices, _set_start, _set_end, _set_edges = Path._setters
-
-
-def _check_vertex(v) -> None:
-    """Refuse a path vertex that is not a tuple of two ints (on the corner
-    grid or beyond it)."""
-    if type(v) is not tuple or len(v) != 2 or not all(type(x) is int for x in v):
-        raise PathError(f"{v!r} is not a vertex")
 
 
 def path_of(*vertices: Vertex) -> Path:
@@ -310,7 +302,9 @@ def validate_plan(
     ends are wrong.  The clauses then follow in
     order, each one set test that builds its violations only when it fails.
     An argument of the wrong type is refused with a ``ValueError`` that
-    names it.
+    names it, and so is a plan whose linkages or escapes are not the
+    records it reads: what reading them raises is caught around the
+    passes and the clauses, so a well-formed plan pays nothing for it.
     """
     if not (
         isinstance(g, GridGraph)
@@ -327,112 +321,119 @@ def validate_plan(
         for name, value, kind in kinds:
             if not isinstance(value, kind):
                 raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
-    pairs = cfg.pairs
-    linkmap = dict(plan.linkages)  # a pair listed twice keeps its last trail
-    walked: list[Edge] = []
-    for _, path in plan.linkages:
-        walked += path._edges
-    linked: set[Vertex] = set()
-    misjoined: list[Violation] = []
-    for i, path in sorted(linkmap.items()):
-        if not 0 <= i < len(pairs):
-            misjoined.append(Violation(Code.BAD_ENDPOINT, f"linkage references pair {i}"))
-            continue
-        a, b = pair = pairs[i]
-        vs = path.vertices
-        if not (vs[0] == a and vs[-1] == b or vs[0] == b and vs[-1] == a):
-            misjoined.append(
-                Violation(
-                    Code.BAD_ENDPOINT,
-                    f"linkage {i} joins {vs[0]}-{vs[-1]}, pair is {sorted(pair)}",
+    try:
+        pairs = cfg.pairs
+        linkmap = dict(plan.linkages)  # a pair listed twice keeps its last trail
+        walked: list[Edge] = []
+        for _, path in plan.linkages:
+            walked += path._edges
+        linked: set[Vertex] = set()
+        misjoined: list[Violation] = []
+        for i, path in sorted(linkmap.items()):
+            if not 0 <= i < len(pairs):
+                misjoined.append(Violation(Code.BAD_ENDPOINT, f"linkage references pair {i}"))
+                continue
+            a, b = pair = pairs[i]
+            vs = path.vertices
+            if not (vs[0] == a and vs[-1] == b or vs[0] == b and vs[-1] == a):
+                misjoined.append(
+                    Violation(
+                        Code.BAD_ENDPOINT,
+                        f"linkage {i} joins {vs[0]}-{vs[-1]}, pair is {sorted(pair)}",
+                    )
                 )
-            )
-        linked.add(a)
-        linked.add(b)
-    target = contract.exit_target
-    zone = contract.restricted_zone
-    escaping: set[Vertex] = set()
-    exits: set[Vertex] = set()
-    in_zone: list[Vertex] = []  # a repeated exit counts once per escape
-    misrouted: list[Violation] = []
-    for t, x, path in plan.escapes:
-        escaping.add(t)
-        exits.add(x)
-        if x in zone:
-            in_zone.append(x)
-        walked += path._edges
-        if x not in target:
-            misrouted.append(Violation(Code.BAD_ENDPOINT, f"exit {x} outside the boundary"))
-        vs = path.vertices
-        if vs[0] != t or vs[-1] != x:
-            misrouted.append(
-                Violation(
-                    Code.BAD_ENDPOINT, f"escape path runs {vs[0]}->{vs[-1]}, expected {t}->{x}"
+            linked.add(a)
+            linked.add(b)
+        target = contract.exit_target
+        zone = contract.restricted_zone
+        escaping: set[Vertex] = set()
+        exits: set[Vertex] = set()
+        in_zone: list[Vertex] = []  # a repeated exit counts once per escape
+        misrouted: list[Violation] = []
+        for t, x, path in plan.escapes:
+            escaping.add(t)
+            exits.add(x)
+            if x in zone:
+                in_zone.append(x)
+            walked += path._edges
+            if x not in target:
+                misrouted.append(Violation(Code.BAD_ENDPOINT, f"exit {x} outside the boundary"))
+            vs = path.vertices
+            if vs[0] != t or vs[-1] != x:
+                misrouted.append(
+                    Violation(
+                        Code.BAD_ENDPOINT, f"escape path runs {vs[0]}->{vs[-1]}, expected {t}->{x}"
+                    )
                 )
-            )
 
-    violations: list[Violation] = []
-    if len(linkmap) < contract.min_linked_pairs:
-        violations.append(
-            Violation(
-                Code.LINK_COUNT,
-                f"{len(linkmap)} linked pairs, contract requires >= {contract.min_linked_pairs}",
-            )
-        )
-    if len(linkmap) != len(plan.linkages):
-        listed = Counter(i for i, _ in plan.linkages)
-        violations += [
-            Violation(Code.BAD_ENDPOINT, f"pair {i} linked {listed[i]} times")
-            for i in sorted(listed)
-            if listed[i] > 1
-        ]
-    violations += misjoined
-
-    if len(escaping) != len(plan.escapes):
-        listed = Counter(t for t, _, _ in plan.escapes)
-        dup = sorted(t for t, n in listed.items() if n > 1)
-        violations.append(Violation(Code.UNRESOLVED_TERMINAL, f"terminal escapes twice: {dup}"))
-    unlinked = set(cfg.terminals) - linked
-    if escaping != unlinked:
-        unresolved = sorted(unlinked - escaping)
-        if unresolved:
+        violations: list[Violation] = []
+        if len(linkmap) < contract.min_linked_pairs:
             violations.append(
                 Violation(
-                    Code.UNRESOLVED_TERMINAL, f"terminals neither linked nor escaped: {unresolved}"
+                    Code.LINK_COUNT,
+                    f"{len(linkmap)} linked pairs, "
+                    f"contract requires >= {contract.min_linked_pairs}",
                 )
             )
-        stray = sorted(escaping - unlinked)
-        if stray:
+        if len(linkmap) != len(plan.linkages):
+            listed = Counter(i for i, _ in plan.linkages)
+            violations += [
+                Violation(Code.BAD_ENDPOINT, f"pair {i} linked {listed[i]} times")
+                for i in sorted(listed)
+                if listed[i] > 1
+            ]
+        violations += misjoined
+
+        if len(escaping) != len(plan.escapes):
+            listed = Counter(t for t, _, _ in plan.escapes)
+            dup = sorted(t for t, n in listed.items() if n > 1)
+            violations.append(Violation(Code.UNRESOLVED_TERMINAL, f"terminal escapes twice: {dup}"))
+        unlinked = set(cfg.terminals) - linked
+        if escaping != unlinked:
+            unresolved = sorted(unlinked - escaping)
+            if unresolved:
+                violations.append(
+                    Violation(
+                        Code.UNRESOLVED_TERMINAL,
+                        f"terminals neither linked nor escaped: {unresolved}",
+                    )
+                )
+            stray = sorted(escaping - unlinked)
+            if stray:
+                violations.append(
+                    Violation(
+                        Code.UNRESOLVED_TERMINAL,
+                        f"escape entries for non-escaping vertices: {stray}",
+                    )
+                )
+
+        if len(exits) != len(plan.escapes):
+            listed = Counter(x for _, x, _ in plan.escapes)
+            collisions = sorted(x for x, n in listed.items() if n > 1)
+            violations.append(Violation(Code.EXIT_COLLISION, f"exit used twice: {collisions}"))
+        violations += misrouted
+        bound = contract.max_exits_in_restricted
+        if bound is not None and len(in_zone) > bound:
             violations.append(
                 Violation(
-                    Code.UNRESOLVED_TERMINAL, f"escape entries for non-escaping vertices: {stray}"
+                    Code.B_EXIT_BOUND, f"{len(in_zone)} exits in {sorted(zone)}, allowed {bound}"
                 )
             )
 
-    if len(exits) != len(plan.escapes):
-        listed = Counter(x for _, x, _ in plan.escapes)
-        collisions = sorted(x for x, n in listed.items() if n > 1)
-        violations.append(Violation(Code.EXIT_COLLISION, f"exit used twice: {collisions}"))
-    violations += misrouted
-    bound = contract.max_exits_in_restricted
-    if bound is not None and len(in_zone) > bound:
-        violations.append(
-            Violation(
-                Code.B_EXIT_BOUND, f"{len(in_zone)} exits in {sorted(zone)}, allowed {bound}"
-            )
-        )
+        distinct = set(walked)
+        if len(distinct) != len(walked) or not g.edges.issuperset(distinct):
+            used: set[Edge] = set()
+            for e in walked:
+                if e not in g.edges:
+                    violations.append(Violation(Code.NOT_A_PATH, f"edge {e} is not in the graph"))
+                if e in used:
+                    violations.append(Violation(Code.EDGE_REUSE, f"edge {e} used by two paths"))
+                used.add(e)
 
-    distinct = set(walked)
-    if len(distinct) != len(walked) or not g.edges.issuperset(distinct):
-        used: set[Edge] = set()
-        for e in walked:
-            if e not in g.edges:
-                violations.append(Violation(Code.NOT_A_PATH, f"edge {e} is not in the graph"))
-            if e in used:
-                violations.append(Violation(Code.EDGE_REUSE, f"edge {e} used by two paths"))
-            used.add(e)
-
-    return Verdict.from_violations(violations)
+        return Verdict.from_violations(violations)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        # the other arguments are checked above, so only the plan's contents
+        raise ValueError(f"plan holds malformed linkages or escapes: {exc!r}") from exc
 
 
 def validate_plan_recheck(
@@ -443,88 +444,95 @@ def validate_plan_recheck(
     One pass over every path derives its steps with a unit-step test,
     explaining each non-step; one over the linkages and one over the
     escapes list the terminals each entry resolves and the exits, count the
-    restricted exits, and explain each entry whose ends are wrong.  The clauses then follow in
-    order, each one test over those lists that builds its violations only
-    when it fails.  Only the overall verdict shape is meant to match the
-    primary validator, not its messages."""
-    pairs = cfg.pairs
-    bad: list[Violation] = []
-    steps: list[Edge] = []
-    for p in [p for _, p in plan.linkages] + [p for _, _, p in plan.escapes]:
-        vs = p.vertices
-        for a, b in zip(vs, vs[1:]):
-            if abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1:
-                steps.append((a, b) if a < b else (b, a))
-            else:
-                bad.append(Violation(Code.NOT_A_PATH, f"non-step {a}->{b}"))
-    linkmap = dict(plan.linkages)  # a pair listed twice keeps its last trail
-    ends: list[Vertex] = []
-    misjoined: list[Violation] = []
-    for i in sorted(linkmap):
-        vs = linkmap[i].vertices
-        if 0 <= i < len(pairs):
-            ends += pairs[i]
-            if {vs[0], vs[-1]} == set(pairs[i]):
-                continue
-        misjoined.append(Violation(Code.BAD_ENDPOINT, f"linkage {i}"))
-    exits: list[Vertex] = []
-    restricted = 0
-    misrouted: list[Violation] = []
-    for t, x, p in plan.escapes:
-        vs = p.vertices
-        ends.append(t)
-        exits.append(x)
-        restricted += x in contract.restricted_zone
-        if vs[0] != t or vs[-1] != x or x not in contract.exit_target:
-            misrouted.append(Violation(Code.BAD_ENDPOINT, f"escape {t}->{x}"))
+    restricted exits, and explain each entry whose ends are wrong.  The
+    clauses then follow in order, each one test over those lists that
+    builds its violations only when it fails.  Only the overall verdict
+    shape is meant to match the primary validator, not its messages.  The
+    graph, the configuration and the contract are read first; a plan
+    whose linkages or escapes cannot be read as such is refused with a
+    ``ValueError`` that names the plan."""
+    pairs, terminals, edges = cfg.pairs, set(cfg.terminals), g.edges
+    zone, target = contract.restricted_zone, contract.exit_target
+    min_linked, bound = contract.min_linked_pairs, contract.max_exits_in_restricted
+    try:
+        bad: list[Violation] = []
+        steps: list[Edge] = []
+        for p in [p for _, p in plan.linkages] + [p for _, _, p in plan.escapes]:
+            vs = p.vertices
+            for a, b in zip(vs, vs[1:]):
+                if abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1:
+                    steps.append((a, b) if a < b else (b, a))
+                else:
+                    bad.append(Violation(Code.NOT_A_PATH, f"non-step {a}->{b}"))
+        linkmap = dict(plan.linkages)  # a pair listed twice keeps its last trail
+        ends: list[Vertex] = []
+        misjoined: list[Violation] = []
+        for i in sorted(linkmap):
+            vs = linkmap[i].vertices
+            if 0 <= i < len(pairs):
+                ends += pairs[i]
+                if {vs[0], vs[-1]} == set(pairs[i]):
+                    continue
+            misjoined.append(Violation(Code.BAD_ENDPOINT, f"linkage {i}"))
+        exits: list[Vertex] = []
+        restricted = 0
+        misrouted: list[Violation] = []
+        for t, x, p in plan.escapes:
+            vs = p.vertices
+            ends.append(t)
+            exits.append(x)
+            restricted += x in zone
+            if vs[0] != t or vs[-1] != x or x not in target:
+                misrouted.append(Violation(Code.BAD_ENDPOINT, f"escape {t}->{x}"))
 
-    # Clause: global edge multiset must be a set, and a subset of g's edges.
-    walked = set(steps)
-    if len(walked) != len(steps) or not g.edges.issuperset(walked):
-        multiset = Counter(steps)
-        for e in sorted(e for e, n in multiset.items() if n > 1 or e not in g.edges):
-            if multiset[e] > 1:
-                bad.append(Violation(Code.EDGE_REUSE, f"{e} x{multiset[e]}"))
-            if e not in g.edges:
-                bad.append(Violation(Code.NOT_A_PATH, f"{e} absent"))
+        # Clause: global edge multiset must be a set, and a subset of g's edges.
+        walked = set(steps)
+        if len(walked) != len(steps) or not edges.issuperset(walked):
+            multiset = Counter(steps)
+            for e in sorted(e for e, n in multiset.items() if n > 1 or e not in edges):
+                if multiset[e] > 1:
+                    bad.append(Violation(Code.EDGE_REUSE, f"{e} x{multiset[e]}"))
+                if e not in edges:
+                    bad.append(Violation(Code.NOT_A_PATH, f"{e} absent"))
 
-    # Clause: linkage count and endpoints.
-    if len(linkmap) < contract.min_linked_pairs:
-        bad.append(Violation(Code.LINK_COUNT, "too few linkages"))
-    if len(linkmap) != len(plan.linkages):
-        listed = Counter(i for i, _ in plan.linkages)
-        bad += [
-            Violation(Code.BAD_ENDPOINT, f"linkage {i} listed x{listed[i]}")
-            for i in sorted(listed)
-            if listed[i] > 1
-        ]
-    bad += misjoined
+        # Clause: linkage count and endpoints.
+        if len(linkmap) < min_linked:
+            bad.append(Violation(Code.LINK_COUNT, "too few linkages"))
+        if len(linkmap) != len(plan.linkages):
+            listed = Counter(i for i, _ in plan.linkages)
+            bad += [
+                Violation(Code.BAD_ENDPOINT, f"linkage {i} listed x{listed[i]}")
+                for i in sorted(listed)
+                if listed[i] > 1
+            ]
+        bad += misjoined
 
-    # Clause: every terminal resolved exactly once.
-    terminals = set(cfg.terminals)
-    resolved = set(ends)
-    if len(resolved) != len(ends) or resolved != terminals:
-        counts = Counter(ends)
-        bad += [
-            Violation(Code.UNRESOLVED_TERMINAL, f"{t} resolved x{counts[t]}")
-            for t in cfg.terminals
-            if counts[t] != 1
-        ]
-        bad += [
-            Violation(Code.UNRESOLVED_TERMINAL, f"{t} is not a terminal")
-            for t in counts
-            if t not in terminals
-        ]
+        # Clause: every terminal resolved exactly once.
+        resolved = set(ends)
+        if len(resolved) != len(ends) or resolved != terminals:
+            counts = Counter(ends)
+            bad += [
+                Violation(Code.UNRESOLVED_TERMINAL, f"{t} resolved x{counts[t]}")
+                for t in cfg.terminals
+                if counts[t] != 1
+            ]
+            bad += [
+                Violation(Code.UNRESOLVED_TERMINAL, f"{t} is not a terminal")
+                for t in counts
+                if t not in terminals
+            ]
 
-    # Clause: exits.
-    if len(set(exits)) != len(exits):
-        bad.append(Violation(Code.EXIT_COLLISION, "exit collision"))
-    bad += misrouted
-    bound = contract.max_exits_in_restricted
-    if bound is not None and restricted > bound:
-        bad.append(Violation(Code.B_EXIT_BOUND, f"{restricted} restricted exits"))
+        # Clause: exits.
+        if len(set(exits)) != len(exits):
+            bad.append(Violation(Code.EXIT_COLLISION, "exit collision"))
+        bad += misrouted
+        if bound is not None and restricted > bound:
+            bad.append(Violation(Code.B_EXIT_BOUND, f"{restricted} restricted exits"))
 
-    return Verdict.from_violations(bad)
+        return Verdict.from_violations(bad)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        # the other arguments were read above, so only the plan's contents
+        raise ValueError(f"plan cannot be re-checked: {exc!r}") from exc
 
 
 def reflected_plan(cfg, plan: EscapePlan) -> EscapePlan:

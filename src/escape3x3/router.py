@@ -3,8 +3,10 @@
 Each router follows a fixed case tree keyed on where the terminals sit
 (inner square vs boundary, pair composition), assembling plans from the
 toolkit primitives: boundary shifts, clip matings, frames, and linkages
-restricted to stated subregions.  Every step the cases repeat is written
-once, as one helper: a search that must succeed (``_must_trails``), a
+restricted to stated subregions.  Every search goes through the
+toolkit's routing memo (``memo_trails``), which makes each distinct
+search once per process.  Every step the cases repeat is written once, as
+one helper: a search that must succeed (``_must_trails``), a
 linkage along the boundary (``_link_on_l``), clearing the last-column stub
 (``_clear_col_stub``), a mating onto anchors, a frame linking two pairs
 (``_link_through_frame``), a diagonal split.  A case handler names its case
@@ -30,7 +32,6 @@ from __future__ import annotations
 import functools
 import itertools
 
-from . import kernel
 from .grid import (
     BOUNDARY,
     COL_ONLY,
@@ -74,6 +75,7 @@ from .toolkit import (
     clip_catalog,
     complete_frame,
     mate_through_clip,
+    memo_trails,
     partner,
 )
 
@@ -237,7 +239,7 @@ def _joint_trails(ctx: RoutingContext, endpoint_pairs, allowed=None) -> list[Pat
     """Edge-disjoint trails joining the endpoint pairs, in order, over the
     free edges (only those in ``allowed`` when given); None if none exist."""
     region = ctx.free if allowed is None else (set(allowed) & ctx.free)
-    return kernel.solve_trails(GRID, region, endpoint_pairs)
+    return memo_trails(region, endpoint_pairs)
 
 
 def _must_trails(ctx: RoutingContext, endpoint_pairs, allowed, gap: str) -> list[Path]:

@@ -8,7 +8,7 @@ import pkgutil
 import pytest
 
 import escape3x3
-from escape3x3 import kernel
+from escape3x3 import kernel, router, toolkit
 from escape3x3.grid import Record, full_grid, grid_without_corner
 from escape3x3.router import route
 from escape3x3.terminals import LemmaId, enumerate_configs
@@ -27,33 +27,38 @@ def grid_star():
     return grid_without_corner()
 
 
-@pytest.fixture(scope="session")
-def _strict_sweep_run():
-    """Route every configuration of the three routed families strictly, once
-    per session, and digest every routing kernel call as it is made: its
-    free edges, endpoint pairs and returned trails.  Its node count is
-    summed apart, at the kernel search itself.  Also count the routing
-    contexts the sweep builds.  The sweep runs on grid descriptors of its
-    own, cached apart from the session's, so their memos hold what the
-    sweep alone put there."""
+def isolated_strict_sweep():
+    """Route every configuration of the three routed families strictly, on
+    grid descriptors and a routing memo of their own, so that what the
+    session routed before cannot show here.  Every request to the routing
+    memo (``toolkit.memo_trails``) is digested as it is made: its free
+    edges, endpoint pairs and returned trails.  The searches the memo makes
+    are counted apart, with their nodes, at the kernel search itself, and
+    so are the routing contexts built.  The descriptors' memos and the
+    routing memo hold what the sweep alone put there.
+
+    Returns (sweep, requests, request digest, searches, search nodes,
+    contexts, the full grid's descriptor, the routing memo)."""
     digest = hashlib.sha256()
-    count = nodes = contexts = 0
-    solve = kernel.solve_trails
+    requests = searches = nodes = contexts = 0
+    memo = toolkit.memo_trails
     find = kernel.find_trail_system
     init = RoutingContext.__init__
     desc_for = functools.lru_cache(kernel.desc_for.__wrapped__)
+    searched = {}
 
-    def recording(g, free_edges, endpoint_pairs):
-        nonlocal count
-        out = solve(g, free_edges, endpoint_pairs)
+    def recording(free_edges, endpoint_pairs):
+        nonlocal requests
+        out = memo(free_edges, endpoint_pairs)
         trails = None if out is None else [t.vertices for t in out]
         digest.update(json.dumps([sorted(free_edges), endpoint_pairs, trails]).encode())
-        count += 1
+        requests += 1
         return out
 
     def counting_nodes(*args):
-        nonlocal nodes
+        nonlocal searches, nodes
         out = find(*args)
+        searches += 1
         nodes += out[2]
         return out
 
@@ -63,7 +68,9 @@ def _strict_sweep_run():
         init(ctx, cfg)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel, "solve_trails", recording)
+        mp.setattr(toolkit, "_SEARCHES", searched)
+        mp.setattr(toolkit, "memo_trails", recording)
+        mp.setattr(router, "memo_trails", recording)
         mp.setattr(kernel, "find_trail_system", counting_nodes)
         mp.setattr(kernel, "desc_for", desc_for)
         mp.setattr(RoutingContext, "__init__", counting)
@@ -72,7 +79,22 @@ def _strict_sweep_run():
             for lemma in (LemmaId.HEAVY78, LemmaId.HEAVY6, LemmaId.HEAVY5)
             for cfg in enumerate_configs(lemma)
         ]
-    return sweep, count, nodes, digest.hexdigest(), contexts, desc_for(full_grid())
+    return (
+        sweep,
+        requests,
+        digest.hexdigest(),
+        searches,
+        nodes,
+        contexts,
+        desc_for(full_grid()),
+        searched,
+    )
+
+
+@pytest.fixture(scope="session")
+def _strict_sweep_run():
+    """The isolated strict sweep, routed once per session."""
+    return isolated_strict_sweep()
 
 
 @pytest.fixture(scope="session")
@@ -84,23 +106,37 @@ def strict_sweep(_strict_sweep_run):
 
 
 @pytest.fixture(scope="session")
-def strict_sweep_kernel_calls(_strict_sweep_run):
-    """(number, total nodes, sha256 hex digest) of the routing kernel calls
-    the strict sweep made, in order."""
-    return _strict_sweep_run[1:4]
+def strict_sweep_requests(_strict_sweep_run):
+    """(number, sha256 hex digest) of the requests the strict sweep made to
+    the routing memo, in order."""
+    return _strict_sweep_run[1:3]
+
+
+@pytest.fixture(scope="session")
+def strict_sweep_searches(_strict_sweep_run):
+    """(number, total nodes) of the kernel searches the routing memo made
+    for the strict sweep: one per distinct request."""
+    return _strict_sweep_run[3:5]
 
 
 @pytest.fixture(scope="session")
 def strict_sweep_contexts(_strict_sweep_run):
     """How many routing contexts the strict sweep built."""
-    return _strict_sweep_run[4]
+    return _strict_sweep_run[5]
 
 
 @pytest.fixture(scope="session")
 def strict_sweep_desc(_strict_sweep_run):
     """The full grid's descriptor as the strict sweep left it: built for
     the sweep, so its memos hold the sweep's work and nothing else."""
-    return _strict_sweep_run[5]
+    return _strict_sweep_run[6]
+
+
+@pytest.fixture(scope="session")
+def strict_sweep_memo(_strict_sweep_run):
+    """The routing memo as the strict sweep left it: its own, so it holds
+    the sweep's searches and nothing else."""
+    return _strict_sweep_run[7]
 
 
 @pytest.fixture(scope="session")

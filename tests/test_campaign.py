@@ -1,7 +1,7 @@
 import json
 import pathlib
 
-from escape3x3 import campaign, cli, kernel, model, oracle, router, terminals
+from escape3x3 import campaign, cli, kernel, model, oracle, router, terminals, toolkit
 from escape3x3.campaign import (
     EXIT_CASE_GAP,
     EXIT_OK,
@@ -96,13 +96,16 @@ def test_verify_one_depends_only_on_its_task(monkeypatch):
     """Running a task twice gives equal records and the same kernel
     searches, so a pool worker's record does not depend on what the worker
     ran before: routing and the oracle's existence search make 2 kernel
-    searches in 56 nodes on each run."""
+    searches in 56 nodes on each run.  Each run routes with an empty
+    routing memo (``toolkit._SEARCHES``), so both ask the kernel alike."""
     calls = []
     monkeypatch.setattr(kernel, "find_trail_system", _recording_search(calls))
     task = (LemmaId.HEAVY78.value, True, _THREE_CALL_CFG)
+    monkeypatch.setattr(toolkit, "_SEARCHES", {})
     first = campaign._verify_one(task)
     first_calls = calls[:]
     calls.clear()
+    monkeypatch.setattr(toolkit, "_SEARCHES", {})
     assert campaign._verify_one(task) == first
     assert calls == first_calls
     assert (len(calls), sum(nodes for _, _, nodes in calls)) == (2, 56)

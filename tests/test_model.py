@@ -84,6 +84,29 @@ def test_path_rejects_a_malformed_vertex():
     assert Path(((0, 0), (0, 1))).edges() == [((0, 0), (0, 1))]
 
 
+def test_path_rejects_a_coordinate_equal_to_an_int_on_the_grid():
+    """A bool, a float or an int subclass equal to a grid coordinate finds
+    that coordinate's step in the corner grid's step table, and is still a
+    ``PathError``, at either end of any step and on a path of one step or
+    more; the same vertices as ints are a path."""
+
+    class Coordinate(int):
+        pass
+
+    for bad in (True, 1.0, Coordinate(1)):
+        for vertices in (
+            ((bad, 1), (1, 2)),
+            ((1, 2), (bad, 1)),
+            ((1, 2), (1, 1), (2, bad)),
+            ((2, 2), (1, 2), (bad, 1), (2, 1)),
+        ):
+            with pytest.raises(PathError, match="is not a vertex$"):
+                Path(vertices)
+    assert Path(((1, 1), (1, 2))).vertices == ((1, 1), (1, 2))
+    with pytest.raises(PathError, match="is not a vertex$"):
+        Path(((1, 1), (1, 2), (1, 3, 0)))
+
+
 def test_path_rejects_a_malformed_vertex_sequence():
     """Vertices given as lists, which the step table cannot look up, and a
     vertex sequence that is not a tuple are a ``PathError``, not a bare

@@ -11,7 +11,7 @@ from escape3x3.model import (
     reflected_plan,
     validate_plan,
 )
-from escape3x3 import kernel, router
+from escape3x3 import kernel, router, toolkit
 from escape3x3.router import (
     CASE_LABELS,
     CaseGap,
@@ -26,7 +26,7 @@ from escape3x3.terminals import (
     make_config,
 )
 
-from conftest import load_fixture
+from conftest import isolated_strict_sweep, load_fixture
 
 
 def test_dispatch_by_count():
@@ -205,15 +205,32 @@ def test_strict_mode_raises_case_gap_only_via_router():
         assert not trace.used_fallback
 
 
-def test_strict_sweep_kernel_calls_pinned(strict_sweep_kernel_calls):
-    """The routing kernel calls of the strict sweep, in order, are pinned by
-    number and by a digest of their free edges, endpoint pairs and trails.
-    Their node total is pinned apart: a change to how the kernel runs its
-    search, not to what it searches, keeps all three."""
-    count, nodes, digest = strict_sweep_kernel_calls
+def test_strict_sweep_kernel_calls_pinned(strict_sweep_requests, strict_sweep_searches):
+    """The routing memo's requests in the strict sweep, in order, are pinned
+    by number and by a digest of their free edges, endpoint pairs and
+    trails.  The searches the memo makes, one per distinct request, are
+    pinned apart by number and node total: a change to how the kernel runs
+    its search, not to what the router asks, keeps the first two."""
+    count, digest = strict_sweep_requests
     assert count == 11896
-    assert nodes == 98287
     assert digest == "0307e6eb7bb93ecc3a32760cc42577403750cb1472cbbb0db4f2fbee1ed41627"
+    assert strict_sweep_searches == (1999, 20772)
+
+
+def test_sweep_pins_do_not_depend_on_what_routed_before():
+    """With the session's routing memo warm from routing a few
+    configurations, a new isolated strict sweep asks and searches exactly
+    what the pinned one does."""
+    for lemma in (LemmaId.HEAVY78, LemmaId.HEAVY6, LemmaId.HEAVY5):
+        for cfg in list(enumerate_configs(lemma))[:40]:
+            route(cfg, strict=True)
+    assert toolkit._SEARCHES
+    _, count, digest, searches, nodes, *_ = isolated_strict_sweep()
+    assert (count, digest) == (
+        11896,
+        "0307e6eb7bb93ecc3a32760cc42577403750cb1472cbbb0db4f2fbee1ed41627",
+    )
+    assert (searches, nodes) == (1999, 20772)
 
 
 # What strict routing of each case's first configuration in the strict sweep
@@ -295,10 +312,12 @@ _GAP_PINS = {
 def test_case_gap_messages_are_pinned(strict_sweep, monkeypatch):
     """Route the first configuration of each case label strictly with every
     kernel search failing: each case raises its pinned case gap, whose
-    message names the case, or completes without a search."""
+    message names the case, or completes without a search.  The routing
+    memo starts empty, so every request reaches the failing search."""
     firsts = {}
     for _, cfg, _, trace in strict_sweep:
         firsts.setdefault(trace.case_labels[0], cfg)
+    monkeypatch.setattr(toolkit, "_SEARCHES", {})
     monkeypatch.setattr(kernel, "solve_trails", lambda *args: None)
     found = {}
     for label, cfg in firsts.items():

@@ -539,8 +539,11 @@ def test_routing_state_is_written_only_by_the_context(trees):
 
 
 def test_router_searches_in_two_named_places(trees):
-    """In ``router`` and ``toolkit``, only ``router._joint_trails`` and
-    ``toolkit._mating_paths`` name a kernel search, and only
+    """In ``router`` and ``toolkit``, the router's searches go through the
+    routing memo: only ``router._joint_trails`` and
+    ``toolkit.mate_through_clip`` name ``memo_trails``, and only the memo
+    itself and ``toolkit.verify_clip``, whose clip check searches afresh,
+    name a kernel search.  Only the memo reads ``_SEARCHES``, and only
     ``router.route``, for the fallback, names the oracle; a module's top
     level counts as a place of its own."""
     kernel_searches = {"solve_trails", "escape_trails", "find_trail_system"}
@@ -560,8 +563,34 @@ def test_router_searches_in_two_named_places(trees):
             where for stem in ("router", "toolkit") for where in naming(trees[stem], stem, names)
         }
 
-    assert places(kernel_searches) == {"router._joint_trails", "toolkit._mating_paths"}
+    assert places(kernel_searches) == {"toolkit.memo_trails", "toolkit.verify_clip"}
+    assert places({"memo_trails"}) == {"router._joint_trails", "toolkit.mate_through_clip"}
+    assert places({"_SEARCHES"}) == {"toolkit", "toolkit.memo_trails"}
     assert places(oracle_searches) == {"router.route"}
+
+
+def test_oracle_and_campaign_never_name_the_routing_memo(trees):
+    """The oracle and the campaign search afresh: neither ``oracle.py`` nor
+    ``campaign.py`` names the routing memo (``memo_trails``, ``_SEARCHES``),
+    so the oracle's answers never depend on what the router asked before;
+    a name given as a string, as to ``getattr``, counts too."""
+    names = {"memo_trails", "_SEARCHES"}
+    found = []
+    for stem in ("oracle", "campaign"):
+        for node in ast.walk(trees[stem]):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Constant):
+                name = node.value
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in names:
+                found.append(f"{stem}.py:{getattr(node, 'lineno', '?')} {name}")
+    assert not found, found
 
 
 def test_config_reflection_checks_nothing_again(trees):

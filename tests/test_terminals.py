@@ -15,7 +15,14 @@ from escape3x3.grid import (
     grid_without_corner,
     unique_l_path,
 )
-from escape3x3.model import EscapePlan, Path, PathError, contract_for, validate_plan
+from escape3x3.model import (
+    EscapePlan,
+    Path,
+    PathError,
+    contract_for,
+    validate_plan,
+    validate_plan_recheck,
+)
 from escape3x3.terminals import (
     LemmaId,
     MalformedConfigError,
@@ -330,12 +337,41 @@ _MALFORMED = st.recursive(
 _CFG = make_config([((1, 1), (2, 2)), ((1, 2), (3, 3))], [(2, 1)])
 
 
+def _malformed_plans(junk):
+    """Plans built by hand with ``junk`` in one place of their linkages or
+    escapes and well-formed records elsewhere; the last also escapes from
+    (1, 3), not a terminal of ``_CFG``, beside a junk terminal."""
+    step, stay = Path(((2, 1), (3, 1))), Path(((1, 3),))
+    return [
+        EscapePlan(junk, ()),
+        EscapePlan((), junk),
+        EscapePlan((junk,), ()),
+        EscapePlan(((junk, step),), ()),
+        EscapePlan(((0, junk),), ()),
+        EscapePlan((), (junk,)),
+        EscapePlan((), ((junk, (3, 1), step),)),
+        EscapePlan((), (((2, 1), junk, step),)),
+        EscapePlan((), (((2, 1), (3, 1), junk),)),
+        EscapePlan((), ((junk, (3, 1), step), ((1, 3), (1, 3), stay))),
+    ]
+
+
 def _exported_calls(junk):
     """(name, argument name, call) for each exported callable that takes
     input, with ``junk`` in one argument and well-formed values in the
-    others."""
+    others, and for both validators (``validate_plan_recheck`` is not
+    exported) with ``junk`` inside the plan's contents."""
     g, plan, contract = full_grid(), EscapePlan((), ()), contract_for(LemmaId.HEAVY6)
+    plans = _malformed_plans(junk)
     return [
+        *[
+            (name, "plan", lambda check=check, p=p: check(g, _CFG, p, contract))
+            for name, check in (
+                ("validate_plan", validate_plan),
+                ("validate_plan_recheck", validate_plan_recheck),
+            )
+            for p in plans
+        ],
         ("make_config", "pairs", lambda: make_config(junk, [])),
         ("make_config", "singletons", lambda: make_config([], junk)),
         ("decode_config", "obj", lambda: decode_config(junk)),
@@ -366,7 +402,7 @@ def test_exported_callables_return_or_refuse_any_malformed_shape(junk):
     ``ValueError`` whose message names the argument, by name or by value;
     never a bare ``TypeError``, ``IndexError`` or ``AttributeError``.
     (``decode_config`` gets the shape as its object, as its pairs and as
-    JSON text.)"""
+    JSON text, and the validators get it inside a plan too.)"""
     for name, arg, call in _exported_calls(junk):
         try:
             call()

@@ -1,8 +1,11 @@
+import functools
+
 import pytest
 
-from escape3x3 import kernel
+from escape3x3 import kernel, toolkit
 from escape3x3.grid import edge, full_grid
 from escape3x3.model import Path, PathError, path_of
+from escape3x3.router import route
 from escape3x3.terminals import make_config
 from escape3x3.toolkit import (
     ClipSpec,
@@ -232,3 +235,40 @@ def test_each_terminal_trail_lives_in_one_place():
     assert ctx.escaped[("s", 0)].vertices == ((1, 1), (2, 1), (3, 1))
     assert ctx.escaped[("s", 2)].vertices == ((2, 3), (3, 3))
     assert ctx.linked[0].vertices == ((1, 2), (1, 3))
+
+
+def test_memo_answers_are_fresh_searches(strict_sweep_memo, strict_sweep_desc, monkeypatch):
+    """After the strict sweep, each answer in its routing memo is the one a
+    fresh kernel search on a fresh descriptor gives, trail by trail, edges
+    included; and each trail is the sweep descriptor's shared ``Path`` for
+    its index trail, as the kernel handed it out."""
+    desc = strict_sweep_desc
+    assert len(strict_sweep_memo) == 1999
+    monkeypatch.setattr(kernel, "desc_for", functools.lru_cache(kernel.desc_for.__wrapped__))
+    for (pairs, mask), trails in strict_sweep_memo.items():
+        region = {e for e in desc.edges if mask & desc.ebit[e]}
+        fresh = kernel.solve_trails(full_grid(), region, list(pairs))
+        if trails is None:
+            assert fresh is None, pairs
+            continue
+        assert [(t.vertices, t.edges()) for t in trails] == [
+            (t.vertices, t.edges()) for t in fresh
+        ]
+        for t in trails:
+            assert t is desc.paths[tuple(desc.vindex[v] for v in t.vertices)]
+
+
+def test_warm_memo_routes_as_the_cold_sweep(strict_sweep, strict_sweep_memo, monkeypatch):
+    """Every 7th configuration of the strict sweep, routed again with the
+    sweep's routing memo warm, gets the plan and trace the cold sweep gave,
+    and the memo answers every request: no kernel search is made."""
+
+    def no_search(*args):
+        raise AssertionError(f"kernel search made on a warm memo: {args[2]}")
+
+    monkeypatch.setattr(toolkit, "_SEARCHES", strict_sweep_memo)
+    monkeypatch.setattr(kernel, "solve_trails", no_search)
+    sample = strict_sweep[::7]
+    assert len(sample) == 1395
+    for _, cfg, plan, trace in sample:
+        assert route(cfg, strict=True) == (plan, trace)
