@@ -89,9 +89,7 @@ class Path(Frozen):
             raise PathError("a path needs at least one vertex")
         # every vertex, since the step table would take True or 1.0 for 1
         for v in vertices:
-            if type(v) is not tuple or len(v) != 2:
-                raise PathError(f"{v!r} is not a vertex")
-            if type(v[0]) is not int or type(v[1]) is not int:
+            if not (type(v) is tuple and len(v) == 2 and type(v[0]) is int and type(v[1]) is int):
                 raise PathError(f"{v!r} is not a vertex")
         edges: list[Edge] = []
         seen: set[Edge] = set()
