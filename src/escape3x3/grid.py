@@ -56,6 +56,12 @@ def edge(u: Vertex, v: Vertex) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+# Every edge of the corner grid, each in its canonical form.
+GRID_EDGES: frozenset[Edge] = frozenset(
+    edge((r, c), w) for r, c in ALL_VERTICES for w in ((r, c + 1), (r + 1, c)) if w in ALL_VERTICES
+)
+
+
 class Record:
     """Base of the package's records.  A record class lists its compared
     fields, in order, in ``_fields``, and keeps them, with any state it owns
@@ -118,12 +124,25 @@ class Frozen(Record):
 
 
 class GridGraph(Frozen):
-    """A subgraph of the corner grid: its vertices and its edges.  Equal
-    graphs hash alike: a graph keys the kernel's descriptor caches."""
+    """A subgraph of the corner grid: its vertices and its edges, each a
+    frozenset.  The constructor refuses, with ``GridError``, a vertex off
+    the corner grid and an edge that is not a corner-grid edge between two
+    of the graph's own vertices, so a graph has at most 9 vertices and 12
+    edges, and the kernel's tables at most 2^12 grid rows.  Equal graphs
+    hash alike: a graph keys the kernel's descriptor caches."""
 
     __slots__ = _fields = ("vertices", "edges")
 
     def __init__(self, vertices: frozenset[Vertex], edges: frozenset[Edge]):
+        if type(vertices) is not frozenset or type(edges) is not frozenset:
+            raise GridError(f"vertices {vertices!r} and edges {edges!r} are not two frozensets")
+        for v in vertices:
+            if not is_vertex(v):
+                raise GridError(f"vertex {v!r} outside the corner grid")
+        for e in edges:
+            # is_vertex as well: membership alone takes (True, 1) for (1, 1)
+            if not (e in GRID_EDGES and all(map(is_vertex, e)) and vertices.issuperset(e)):
+                raise GridError(f"{e!r} is not a corner-grid edge between two of {vertices!r}")
         self._set_fields(vertices, edges)
 
     def sorted_vertices(self) -> tuple[Vertex, ...]:
@@ -149,12 +168,8 @@ def _corner_grid(deleted: frozenset[Vertex]) -> GridGraph:
         if not is_vertex(v):
             raise GridError(f"deleted vertex {v} outside the corner grid")
     vertices = frozenset(ALL_VERTICES) - deleted
-    all_edges = set()
-    for r, c in vertices:
-        for w in ((r, c + 1), (r + 1, c)):
-            if w in vertices:
-                all_edges.add(edge((r, c), w))
-    return GridGraph(vertices=vertices, edges=frozenset(all_edges))
+    edges = frozenset(e for e in GRID_EDGES if e[0] in vertices and e[1] in vertices)
+    return GridGraph(vertices=vertices, edges=edges)
 
 
 def full_grid() -> GridGraph:

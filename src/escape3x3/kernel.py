@@ -30,34 +30,33 @@ the caller hands in, which is the descriptor's own (``GraphDesc.reach``,
 vertex, a bitmask holding every vertex it reaches (with directed edges,
 possibly more).  A call may name edges the table treats as always free:
 rows are looked up under the free mask with those edges added, and such
-rows can only over-estimate reachability, so pruning stays sound.  The
-tables are bounded: every grid graph is a subgraph of the 3x3 grid, with at
-most 12 edges, and a sink graph's rows are keyed with its exit edges always
-free, so its table has at most 2^(12 + number of R->S edges) rows.  A table
-lives as long as its cached descriptor, and nothing is built at import or
-in ``desc_for``.
+rows can only over-estimate reachability, so pruning stays sound.  Every
+grid graph is a subgraph of the corner grid (``GridGraph`` refuses any
+other), with at most 12 edges, so a grid table has at most 4,096 rows; a
+sink graph's rows are keyed with its exit edges always free, so its table
+has at most 2^(12 + number of R->S edges) rows.
 
-A grid search fills a missing row with ``fill_row``, all vertices in one
-pass, the first time its mask is seen.  A sink search cannot afford that:
-its tables are read by thousands of calls in each process, and a process
-pool's worker starts with empty ones.  So before the first search on a sink
-descriptor, ``escape_trails`` builds its table whole (``fill_table``): a
-row for every key, each derived from the grid row of the key's grid part,
-after completing the grid descriptor's table edge by edge.  The rows are
-the ones ``fill_row`` would make, over-estimates at R and S included, so
-every search visits the same nodes either way.
+The search only reads a table, and every table is built whole before the
+first search on its descriptor: ``solve_trails`` builds the grid
+descriptor's (``_fill_grid_table``, edge by edge: the row of mask m is the
+row of m without its highest edge, that edge's two components joined), and
+``escape_trails`` the sink descriptor's (``fill_table``), each sink row
+derived from the grid row of its key's grid part, after building the
+grid's table if no search has yet.  So a table's contents never depend on which searches ran
+before.  A table lives as long as its cached descriptor, and nothing is
+built at import or in ``desc_for``.
 
-Rows are interned: ``fill_row`` and ``fill_table`` store a row equal to
-one made before as that same object (``_ROWS``), so masks whose rows agree
-share one row.  A step whose edge changes no reachability (an edge on a
-cycle of free edges, or one the table treats as always free) leaves its
-child with its parent's row object, and the child then skips the
-later-pair cut.  That is exact: the later pairs are the parent's, and the
-parent's row passed them, in its own parent's loop, at the root, or in the
-check of the previous trail's last node, whose later pairs include these.
-The child's own end test still runs: its vertex is not its parent's, and
-over a directed edge it need not reach what its parent reaches.  ``_ROWS``
-holds one object per distinct row, so it never outgrows the tables.
+Rows are interned: both builds store a row equal to one made before as
+that same object (``_ROWS``), so masks whose rows agree share one row.  A
+step whose edge changes no reachability (an edge on a cycle of free edges,
+or one the table treats as always free) leaves its child with its parent's
+row object, and the child then skips the later-pair cut.  That is exact:
+the later pairs are the parent's, and the parent's row passed them, in its
+own parent's loop, at the root, or in the check of the previous trail's
+last node, whose later pairs include these.  The child's own end test
+still runs: its vertex is not its parent's, and over a directed edge it
+need not reach what its parent reaches.  ``_ROWS`` holds one object per
+distinct row, so it never outgrows the tables.
 
 The search is a nested function that calls itself through its closure
 cell, a reference cycle; the closure is cleared on every way out, so each
@@ -110,82 +109,47 @@ NONE = 0
 _ROWS: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
-def fill_row(adj, table: dict, m: int) -> tuple[int, ...]:
-    """Compute, store and return the row of ``table`` for free-edge mask
-    ``m``: for each vertex, a bitmask holding every vertex it reaches.
-
-    Each search's reached set is stored for all the vertices in it: exact
-    where every edge is undirected, and possibly more than a vertex reaches
-    when it is entered by a directed edge.  A row equal to one made before
-    is stored as that same object (``_ROWS``)."""
-    n = len(adj)
-    row = [0] * n
-    for src in range(n):
-        if row[src]:
-            continue
-        seen = 1 << src
-        stack = [src]
-        while stack:
-            u = stack.pop()
-            for w, bit in adj[u]:
-                if m & bit and not (seen >> w) & 1:
-                    seen |= 1 << w
-                    stack.append(w)
-        for v in range(src, n):
-            if (seen >> v) & 1:
-                row[v] = seen
-    out = tuple(row)
-    out = table[m] = _ROWS.setdefault(out, out)
-    return out
-
-
 def _fill_grid_table(desc: GraphDesc) -> None:
-    """Complete the grid descriptor's reach table: a row for every mask.
+    """Build the grid descriptor's empty reach table whole: a row for
+    every mask, each giving per vertex exactly the vertices it reaches.
 
     The row of mask m is the row of m without its highest edge, with that
     edge's two components joined, so the masks are filled in increasing
-    order, each from a row already in the table.  On a graph of undirected
-    edges a row is exact, so each equals the row ``fill_row`` makes, and it
-    is interned the same way."""
-    table = desc.reach
-    n = len(desc.vertices)
+    order, each from a row made before.  The table is written once, whole,
+    so it is never seen part-built."""
     vindex = desc.vindex
     ends = [(vindex[a], vindex[b]) for a, b in desc.edges]
-    if 0 not in table:
-        row = tuple(1 << v for v in range(n))
-        table[0] = _ROWS.setdefault(row, row)
+    row = tuple(1 << v for v in range(len(desc.vertices)))
+    rows = [_ROWS.setdefault(row, row)]
     for m in range(1, 1 << len(ends)):
-        if m in table:
-            continue
         top = m.bit_length() - 1
-        prev = table[m ^ (1 << top)]
+        prev = rows[m ^ (1 << top)]
         u, v = ends[top]
-        if prev[u] >> v & 1:
-            table[m] = prev
-            continue
-        joined = prev[u] | prev[v]
-        row = tuple([joined if x & joined else x for x in prev])
-        table[m] = _ROWS.setdefault(row, row)
+        if not prev[u] >> v & 1:
+            joined = prev[u] | prev[v]
+            row = tuple([joined if x & joined else x for x in prev])
+            prev = _ROWS.setdefault(row, row)
+        rows.append(prev)
+    desc.reach.update(enumerate(rows))
 
 
 def fill_table(sd: SinkDesc) -> None:
-    """Fill the sink descriptor's reach table whole: a row for every key a
-    search can ask for, that is, every grid mask with the exit edges and
-    any subset of the R->S edges, after completing the grid's table.
+    """Build the sink descriptor's empty reach table whole: a row for every
+    key a search can ask for, that is, every grid mask with the exit edges
+    and any subset of the R->S edges, after building the grid's table if it
+    is still empty.
 
-    Each row is made as ``fill_row`` makes it, by a search from each vertex
-    in index order that has no row yet, storing what it reaches for every
-    vertex from there on, so R and S get over-estimates as there.  The grid
-    row of the key's grid part stands in for the search over grid edges.  A
-    virtual edge leads from an exit to R or S, or from R to S, always to a
-    higher index, so one pass over the virtual edges in index order reaches
-    all the search would.  Grids larger than the 3x3 grid are left to
-    ``fill_row``."""
+    Each row is made by a search from each vertex in index order that has
+    no row yet, storing what it reaches for every vertex from there on, so
+    R and S may get over-estimates: a vertex reached through a directed
+    edge is given all its search reached.  The grid row of the key's grid
+    part stands in for the search over grid edges.  A virtual edge leads
+    from an exit to R or S, or from R to S, always to a higher index, so
+    one pass over the virtual edges in index order reaches all the search
+    would."""
     grid = sd.grid
-    if len(grid.edges) > 12:
-        return
     gtable = grid.reach
-    if len(gtable) < 1 << len(grid.edges):
+    if not gtable:
         _fill_grid_table(grid)
     n, size, virtual = len(grid.vertices), len(sd.adj), sd.virtual
     subsets = [sd.exit_edges]
@@ -223,13 +187,14 @@ def fill_table(sd: SinkDesc) -> None:
     # grid rows are interned, so equal ones are one object: each object's
     # rows, one per subset, are derived once
     derived: dict[int, list] = {}
-    table = sd.reach
+    table = {}
     for gm, grow in gtable.items():
         rows = derived.get(id(grow))
         if rows is None:
             rows = derived[id(grow)] = [derive(grow, lead) for lead in leads]
         for free, row in zip(subsets, rows):
             table[gm | free] = row
+    sd.reach.update(table)  # written once, whole, as the grid's
 
 
 def find_trail_system(adj, pairs, mask, always_free, table):
@@ -240,8 +205,8 @@ def find_trail_system(adj, pairs, mask, always_free, table):
          bit is ``1 << edge_id``; pairs: tuple of (a, b) vertex indices;
          mask: bitmask of free edges; always_free: bitmask of edges the
          reachability table treats as free (0 for grid calls); table: the
-         reach table of ``adj`` (a descriptor's ``reach``), a missing row
-         filled here as the search reads it.
+         reach table of ``adj`` (a descriptor's ``reach``), built whole,
+         which the search only reads.
 
     Returns (status, trails, nodes): status FOUND or NONE, trails a tuple of
     vertex-index tuples when status == FOUND, and nodes the search nodes
@@ -283,10 +248,7 @@ def find_trail_system(adj, pairs, mask, always_free, table):
             if m & bit:
                 nodes += 1  # the child, counted even if cut here
                 child = m ^ bit
-                try:
-                    crow = table[child | always_free]
-                except KeyError:
-                    crow = fill_row(adj, table, child | always_free)
+                crow = table[child | always_free]
                 # the child's cuts: it cannot reach its end (a child at its
                 # end passes, as a vertex reaches itself), or a later pair
                 # is cut apart; its parent's row, if it is the same object,
@@ -311,9 +273,7 @@ def find_trail_system(adj, pairs, mask, always_free, table):
 
     try:
         a = pairs[0][0]
-        row = table.get(mask | always_free)
-        if row is None:
-            row = fill_row(adj, table, mask | always_free)
+        row = table[mask | always_free]
         # the root's cuts: the first pair and every later one
         for s, c in pending[0]:
             if not row[s] & c:
@@ -333,10 +293,10 @@ class GraphDesc(Frozen):
     where an edge's bit is ``1 << `` its index in ``edges``; ``step`` maps
     each (index, neighbour index) step, either way, to its edge.  It owns
     three memos, each empty at construction: ``reach``, the search's
-    reachability table for ``adj``, filled a row at a time as grid searches
-    miss and completed before the first search on a sink descriptor built
-    on it; ``paths`` and ``masks``, filled on first use.  Only ``vertices``,
-    ``edges`` and ``adj`` take part in equality, hashing and repr."""
+    reachability table for ``adj``, built whole before the first search on
+    the descriptor or on a sink descriptor built on it; ``paths`` and
+    ``masks``, filled on first use.  Only ``vertices``, ``edges`` and
+    ``adj`` take part in equality, hashing and repr."""
 
     _fields = ("vertices", "edges", "adj")
     __slots__ = _fields + ("vindex", "ebit", "step", "reach", "paths", "masks")
@@ -409,9 +369,12 @@ def solve_trails(g: GridGraph, free_edges, endpoint_pairs) -> list[Path] | None:
     """Find edge-disjoint trails joining the endpoint pairs, in order, or
     None if there are none.  Deterministic: the lexicographically first
     trail system under sorted-vertex order.  Each trail is the descriptor's
-    shared ``Path`` for it (``GraphDesc.path``).
+    shared ``Path`` for it (``GraphDesc.path``).  The first call on a
+    graph builds its descriptor's reach table whole.
     """
     desc = desc_for(g)
+    if not desc.reach:
+        _fill_grid_table(desc)
     vindex = desc.vindex
     pairs_idx = tuple((vindex[a], vindex[b]) for a, b in endpoint_pairs)
     status, trails, _ = find_trail_system(

@@ -1,8 +1,8 @@
 """Paths, escape plans, per-family contracts, and plan validation.
 
-Paths are edge-simple trails: consecutive vertices are grid-adjacent, no
-edge is traversed twice, but vertices may repeat (assembled routes may cross
-at a vertex).  A zero-length path is a single vertex.
+Paths are edge-simple trails of the corner grid: each step is one of its
+edges, no edge is traversed twice, but vertices may repeat (assembled
+routes may cross at a vertex).  A zero-length path is a single vertex.
 
 Validation is implemented twice, in different styles and with no shared
 helper: the router accepts only plans ``validate_plan`` passes, and a
@@ -20,13 +20,12 @@ from collections import Counter
 from .grid import (
     BOUNDARY,
     COL_ONLY,
+    GRID_EDGES,
     Edge,
     Frozen,
     GridGraph,
     Vertex,
-    adjacent,
-    edge,
-    full_grid,
+    is_vertex,
     reflect_vertex,
 )
 from .terminals import LemmaId, TerminalConfig
@@ -38,16 +37,16 @@ class PathError(ValueError):
 
 # Each step of the corner grid, either way, to its one canonical edge tuple:
 # a Path keeps its edges, and a shared tuple costs it only a reference.
-_STEP_EDGE = {(a, b): edge(a, b) for e in full_grid().edges for a, b in (e, e[::-1])}
+_STEP_EDGE = {(a, b): e for e in GRID_EDGES for a, b in (e, e[::-1])}
 
-# Each edge a reflected path has stepped along, to its mirror image, filled
-# as paths are reflected: a plan keeps its reflected paths, and a shared
-# mirror costs each of them only a reference.
-_MIRROR: dict[Edge, Edge] = {}
+# Each edge of the corner grid to its mirror image, that edge's shared tuple
+# above: a plan keeps its reflected paths, and a shared mirror costs each
+# of them only a reference.
+_MIRROR = {(a, b): _STEP_EDGE[a[::-1], b[::-1]] for a, b in GRID_EDGES}
 
 
 class Path(Frozen):
-    """A trail given by its vertex sequence.
+    """A trail of the corner grid given by its vertex sequence.
 
     The constructor checks the walk once and keeps the canonical edges it
     steps along, in walk order; ``edges()`` hands those back.  Its slots
@@ -57,7 +56,9 @@ class Path(Frozen):
     vertices come as a tuple, and a vertex is a tuple of two ints, each
     vertex's shape checked before any step is looked up: the corner grid's
     step table cannot vouch for it, since a bool or a float equal to an
-    int finds that int's step.
+    int finds that int's step.  Every step must be in that table, so every
+    vertex is on the corner grid; a one-vertex path has no step, and its
+    vertex is checked on its own.
 
     ``_trusted`` builds a path from its vertices and edges with no walk
     check.  It is the only unchecked way in, and only callers that already
@@ -91,14 +92,15 @@ class Path(Frozen):
         for v in vertices:
             if not (type(v) is tuple and len(v) == 2 and type(v[0]) is int and type(v[1]) is int):
                 raise PathError(f"{v!r} is not a vertex")
+        # no step vouches for the vertex of a one-vertex path
+        if len(vertices) == 1 and not is_vertex(vertices[0]):
+            raise PathError(f"{vertices[0]!r} is not a vertex of the corner grid")
         edges: list[Edge] = []
         seen: set[Edge] = set()
         for a, b in zip(vertices, vertices[1:]):
             e = _STEP_EDGE.get((a, b))
-            if e is None:  # a step off the corner grid, in a path built beyond it
-                if not adjacent(a, b):
-                    raise PathError(f"{a} -> {b} is not a grid step")
-                e = (a, b) if a < b else (b, a)
+            if e is None:
+                raise PathError(f"{a} -> {b} is not a step of the corner grid")
             if e in seen:
                 raise PathError(f"edge {e} traversed twice")
             seen.add(e)
@@ -129,17 +131,9 @@ class Path(Frozen):
         return Path._trusted(self.vertices[::-1], self._edges[::-1])
 
     def reflected(self) -> "Path":
-        edges = []
-        for e in self._edges:
-            mirror = _MIRROR.get(e)
-            if mirror is None:
-                # the ends differ in one coordinate, the first end smaller
-                # there; swapping coordinates keeps it first, so the mirror
-                # is canonical as it stands
-                (a, b), (c, d) = e
-                mirror = _MIRROR[e] = ((b, a), (d, c))
-            edges.append(mirror)
-        return Path._trusted(tuple([(c, r) for r, c in self.vertices]), tuple(edges))
+        return Path._trusted(
+            tuple([(c, r) for r, c in self.vertices]), tuple(map(_MIRROR.__getitem__, self._edges))
+        )
 
     def __add__(self, other: "Path") -> "Path":
         """Join two trails end to start.  Each half is already a checked

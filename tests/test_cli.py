@@ -185,6 +185,40 @@ def test_fresh_process_does_not_load_the_pool(argv):
     assert done.stdout.split() == ["0"], done.stdout
 
 
+def _run_under_hash_seed(seed, argv):
+    """The stdout bytes of ``escape3x3`` run on ``argv`` in a fresh
+    interpreter under ``PYTHONHASHSEED=seed``."""
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(TESTS.parent / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "escape3x3.cli", *argv],
+        env=env, capture_output=True, timeout=120, check=True,
+    )
+    return done.stdout
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """Set and dict orders change with ``PYTHONHASHSEED``, and no output
+    does: the report of a strict heavy5 campaign, without its
+    ``wall_time`` line, and a ``solve --render dot`` of one fixture
+    configuration are the same bytes under hash seeds 1 and 2."""
+    config = str(TESTS / "fixtures" / "l2-b-pair-singleton.json")
+    outputs = []
+    for seed in (1, 2):
+        report = tmp_path / f"report-{seed}.json"
+        argv = ["verify", "--lemma", "heavy5", "--strict", "--report", str(report)]
+        _run_under_hash_seed(seed, argv)
+        lines = report.read_bytes().splitlines(keepends=True)
+        kept = [line for line in lines if b'"wall_time":' not in line]
+        assert len(kept) == len(lines) - 1
+        dot = _run_under_hash_seed(seed, ["solve", "--config", config, "--render", "dot"])
+        assert b"graph escape {" in dot
+        outputs.append((b"".join(kept), dot))
+    assert outputs[0] == outputs[1]
+
+
 def test_clips_verify(capsys):
     status = main(["clips", "--verify"])
     out = capsys.readouterr().out

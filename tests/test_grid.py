@@ -10,7 +10,9 @@ from escape3x3.grid import (
     INNER_SQUARE,
     LAST_COL,
     LAST_ROW,
+    GRID_EDGES,
     GridError,
+    GridGraph,
     build_corner_grid,
     cycle_edges,
     edge,
@@ -42,6 +44,35 @@ def test_center_deletion_counts():
 def test_deletion_outside_grid_rejected():
     with pytest.raises(GridError):
         build_corner_grid(frozenset({(0, 1)}))
+
+
+def test_grid_graph_refuses_input_off_the_corner_grid():
+    """A ``GridGraph`` is a subgraph of the corner grid: a vertex off it, an
+    edge that is not one of its edges, an edge with an end the graph lacks,
+    a coordinate that only equals an int, and sets that are not frozensets
+    are each a ``GridError``; any subgraph is accepted."""
+    row = [(1, c) for c in range(1, 34)]  # a 33-vertex row path
+    two = frozenset({(1, 1), (1, 2)})
+    for vertices, edges in (
+        (frozenset(row), frozenset(edge(a, b) for a, b in zip(row, row[1:]))),
+        (frozenset({(0, 1)}), frozenset()),
+        (frozenset({(1, 1.0)}), frozenset()),
+        (frozenset({(True, 1), (1, 2)}), frozenset()),
+        (two, frozenset({((1, 1), (2, 2))})),
+        (two, frozenset({((1, 2), (1, 1))})),
+        (two, frozenset({((1, 2), (1, 3))})),
+        (two, frozenset({((True, 1), (1, 2))})),
+        (two, frozenset({"ab"})),
+        (set(two), frozenset()),
+        (two, [((1, 1), (1, 2))]),
+    ):
+        with pytest.raises(GridError):
+            GridGraph(vertices, edges)
+    g = full_grid()
+    assert g.edges == GRID_EDGES
+    assert GridGraph(g.vertices, frozenset()).edges == frozenset()
+    sub = GridGraph(two, frozenset({((1, 1), (1, 2))}))
+    assert sub == GridGraph(vertices=two, edges=frozenset({edge((1, 2), (1, 1))}))
 
 
 def test_boundary_partition():

@@ -3,16 +3,16 @@
 import functools
 import gc
 import itertools
+import types
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from escape3x3 import kernel, toolkit
 from escape3x3.grid import (
     BOUNDARY,
     COL_ONLY,
-    GridGraph,
     build_corner_grid,
     edge,
     full_grid,
@@ -28,27 +28,11 @@ def test_backend_reported():
     assert kernel.BACKEND == "python"
 
 
-def _row_path_graph(n):
-    vertices = [(1, c) for c in range(1, n + 1)]
-    return GridGraph(
-        vertices=frozenset(vertices),
-        edges=frozenset(edge(a, b) for a, b in zip(vertices, vertices[1:])),
-    )
-
-
-def test_solves_a_33_vertex_path():
-    # vertex and edge masks are Python ints, so no width limit applies
-    g = _row_path_graph(33)
-    paths = kernel.solve_trails(g, g.edges, [((1, 1), (1, 33))])
-    assert paths is not None and len(paths[0].vertices) == 33
-
-
 _TRUSTED_GRAPHS = {
     "full": full_grid(),
     "no-33": grid_without_corner(),
     "no-22": build_corner_grid(frozenset({(2, 2)})),
     "no-12": build_corner_grid(frozenset({(1, 2)})),
-    "row-33": _row_path_graph(33),
 }
 
 
@@ -59,15 +43,13 @@ def test_trusted_trails_equal_checked_paths(name, data):
     """``solve_trails`` builds its trails unchecked from the descriptor's
     step table, and ``reversed``/``reflected`` mirror their edges: each
     equals the checked path through its vertices, on the four graphs the
-    oracle keys and on the 33-vertex row path."""
+    oracle keys."""
     g = _TRUSTED_GRAPHS[name]
     edges = sorted(g.edges)
     vertex = st.sampled_from(g.sorted_vertices())
     taken = data.draw(st.sets(st.sampled_from(edges)))
     pairs = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=3))
     trails = kernel.solve_trails(g, g.edges - taken, pairs)
-    if name == "row-33":
-        trails = (trails or []) + kernel.solve_trails(g, g.edges, [((1, 1), (1, 33))])
     for trail in trails or ():
         for path in (trail, trail.reversed(), trail.reflected()):
             assert_checked(path)
@@ -188,46 +170,39 @@ def _bfs_reach(adj, m, src):
     return sum(1 << v for v in seen)
 
 
+def _whole(desc):
+    """The grid descriptor's reach table, built whole first if it is still
+    empty, as ``solve_trails`` builds it before its first search."""
+    if not desc.reach:
+        kernel._fill_grid_table(desc)
+    return desc.reach
+
+
 @pytest.mark.parametrize("g", [full_grid(), grid_without_corner()], ids=["full", "no-corner"])
 def test_reach_table_matches_bfs(g):
     desc = kernel.desc_for(g)
-    table = desc.reach
-    for m in range(1 << len(desc.edges)):
-        if m not in table:
-            kernel.fill_row(desc.adj, table, m)
-        assert table[m] == tuple(_bfs_reach(desc.adj, m, v) for v in range(len(desc.adj)))
+    table = _whole(desc)
+    assert table.keys() == set(range(1 << len(desc.edges)))
+    for m, row in table.items():
+        assert row == tuple(_bfs_reach(desc.adj, m, v) for v in range(len(desc.adj)))
 
 
-def test_reach_table_filled_lazily(monkeypatch):
-    """A descriptor's own reach table is empty until a search reads it,
-    and a search fills only the rows it reads."""
-    # a descriptor cache of its own: other tests fill the shared
+def test_first_search_builds_the_grid_table_whole(monkeypatch):
+    """A descriptor's own reach table is empty until its first search,
+    which builds it whole, a row for every mask; later searches only read
+    it, so its rows stay the same objects."""
+    # a descriptor cache of its own: other tests build the shared
     # descriptor's table for this graph
     monkeypatch.setattr(kernel, "desc_for", functools.lru_cache(kernel.desc_for.__wrapped__))
     g = build_corner_grid(frozenset({(1, 1), (3, 3)}))
     desc = kernel.desc_for(g)
     table = desc.reach
     assert not table
-    paths = kernel.solve_trails(g, g.edges, [((1, 2), (3, 2))])
-    assert paths is not None
-    assert 0 < len(table) < 1 << len(desc.edges)
-
-
-def test_equal_rows_are_one_object():
-    """``fill_row`` interns its rows: masks whose rows are equal, in one
-    table or in two, get the same row object, and an unequal row is its
-    own."""
-    desc = kernel.desc_for(full_grid())
-    every = (1 << len(desc.edges)) - 1
-    cycle_edge = desc.ebit[edge((1, 1), (1, 2))]
-    corner = cycle_edge | desc.ebit[edge((1, 1), (2, 1))]
-    table, other = {}, {}
-    row = kernel.fill_row(desc.adj, table, every)
-    assert kernel.fill_row(desc.adj, table, every ^ cycle_edge) is row
-    assert kernel.fill_row(desc.adj, other, every) is row
-    cut = kernel.fill_row(desc.adj, table, every ^ corner)
-    assert cut != row and cut is not row
-    assert table == {every: row, every ^ cycle_edge: row, every ^ corner: cut}
+    assert kernel.solve_trails(g, g.edges, [((1, 2), (3, 2))]) is not None
+    assert table.keys() == set(range(1 << len(desc.edges)))
+    rows = dict(table)
+    assert kernel.solve_trails(g, g.edges, [((1, 2), (2, 3)), ((2, 1), (3, 2))]) is not None
+    assert desc.reach is table and all(table[m] is row for m, row in rows.items())
 
 
 def _sink_keys(sd):
@@ -251,14 +226,39 @@ def _searched_sink_table(exits, limit):
         return kernel.sink_desc(g, tuple(exits), COL_ONLY, limit)
 
 
+def _reference_row(adj, m):
+    """The reach row of free mask ``m``, made by the graph search the sink
+    tables' rows stand for: from each vertex in index order that has no
+    entry yet, a search over the edges free in ``m``, its reached set
+    stored for every vertex in it from there on.  A vertex entered by a
+    directed edge so gets all its search reached, the over-estimates at R
+    and S.  Nothing is interned."""
+    n = len(adj)
+    row = [0] * n
+    for src in range(n):
+        if row[src]:
+            continue
+        seen = 1 << src
+        stack = [src]
+        while stack:
+            u = stack.pop()
+            for w, bit in adj[u]:
+                if m & bit and not (seen >> w) & 1:
+                    seen |= 1 << w
+                    stack.append(w)
+        for v in range(src, n):
+            if (seen >> v) & 1:
+                row[v] = seen
+    return tuple(row)
+
+
 def _assert_sink_table_whole(sd):
-    """``sd``'s table holds every key, each row the one ``fill_row`` makes
-    on a fresh table, as the interned object."""
+    """``sd``'s table holds every key, each row the one ``_reference_row``
+    makes, as the interned object."""
     keys = _sink_keys(sd)
     assert sd.reach.keys() == keys
-    fresh = {}
     for m in keys:
-        row = kernel.fill_row(sd.adj, fresh, m)
+        row = _reference_row(sd.adj, m)
         assert sd.reach[m] == row and sd.reach[m] is kernel._ROWS[row]
 
 
@@ -266,7 +266,7 @@ def _assert_sink_table_whole(sd):
 def test_sink_search_builds_its_tables_whole(lemma):
     """Before its first search, ``escape_trails`` builds the sink
     descriptor's reach table whole, rows over-estimated at R and S as
-    ``fill_row`` makes them, and completes the grid's table, exact: on the
+    ``_reference_row`` makes them, and builds the grid's table, exact: on the
     oracle's two full-grid sink descriptors, heavy78's (no limit) and the
     one heavy6 and heavy5 share (limit 1 on ``COL_ONLY``)."""
     contract = contract_for(lemma)
@@ -286,9 +286,30 @@ def test_sink_search_builds_its_tables_whole(lemma):
     exits=st.sets(st.sampled_from(sorted(BOUNDARY)), min_size=1),
     limit=st.sampled_from([None, 0, 1, 2]),
 )
+# every exit restricted: no free virtual edge reaches S, which still
+# reaches itself
+@example(exits={(1, 3)}, limit=0)
+@example(exits={(1, 3), (2, 3)}, limit=1)
 def test_sink_tables_are_whole_for_any_exits(exits, limit):
     """The same for other exit subsets, with limits None, 0, 1 and 2."""
     _assert_sink_table_whole(_searched_sink_table(sorted(exits), limit))
+
+
+def test_equal_rows_are_one_object():
+    """Whole tables intern their rows: in the full grid's table and in a
+    sink table built on it, masks whose rows are equal get one row object,
+    ``_ROWS``' own, and an unequal row is its own."""
+    sd = _searched_sink_table(sorted(BOUNDARY), 1)
+    grid = sd.grid
+    for table in (grid.reach, sd.reach):
+        assert len({id(row) for row in table.values()}) == len(set(table.values()))
+        assert all(row is kernel._ROWS[row] for row in table.values())
+    every = (1 << len(grid.edges)) - 1
+    cycle_edge = grid.ebit[edge((1, 1), (1, 2))]
+    corner = cycle_edge | grid.ebit[edge((1, 1), (2, 1))]
+    row = grid.reach[every]
+    assert grid.reach[every ^ cycle_edge] is row
+    assert grid.reach[every ^ corner] != row
 
 
 def _naive_trail_system(adj, pairs, mask):
@@ -340,20 +361,24 @@ def _grid_call(free, pairs, desc=_FULL):
     of ``desc``, the full grid by default."""
     vindex = desc.vindex
     pairs_idx = tuple((vindex[a], vindex[b]) for a, b in pairs)
-    return desc.adj, pairs_idx, desc.edge_mask(free), 0, desc.reach
+    return desc.adj, pairs_idx, desc.edge_mask(free), 0, _whole(desc)
 
 
 def _sink_call(free, pairs, exits, limit):
     """(adj, pairs, mask, always_free, table) of a kernel call on the sink
     descriptor of the full grid for those exits and that limit."""
     sd = kernel.sink_desc(full_grid(), tuple(sorted(exits)), COL_ONLY, limit)
+    if not sd.reach:
+        kernel.fill_table(sd)
     vindex = _FULL.vindex
     pairs_idx = tuple((vindex[a], sd.sink if b == _SINK else vindex[b]) for a, b in pairs)
     return sd.adj, pairs_idx, _FULL.edge_mask(free) | sd.virtual, sd.exit_edges, sd.reach
 
 
 def _assert_pruned_matches_naive(adj, pairs_idx, mask, always_free, table):
-    status, trails, nodes = kernel.find_trail_system(adj, pairs_idx, mask, always_free, table)
+    # a read-only view: the search only reads its table
+    view = types.MappingProxyType(table)
+    status, trails, nodes = kernel.find_trail_system(adj, pairs_idx, mask, always_free, view)
     naive_status, naive_trails, naive_nodes = _naive_trail_system(adj, pairs_idx, mask)
     assert (status, trails) == (naive_status, naive_trails)
     assert nodes <= naive_nodes
@@ -377,19 +402,11 @@ def test_pruned_sink_search_finds_the_first_trail_system(free, pairs, exits, lim
     _assert_pruned_matches_naive(*_sink_call(free, pairs, exits, limit))
 
 
-class _Unshared(dict):
-    """A stand-in for ``kernel._ROWS`` that interns nothing: each row
-    ``fill_row`` makes stays an object of its own."""
-
-    def setdefault(self, row, default=None):
-        return default
-
-
 class _CopyingTable(dict):
-    """A reach table that hands out a new copy of its row on every lookup
-    in the search loop.  With ``_Unshared`` rows, no child's row is its
-    parent's object, not even after a step along an always-free edge,
-    which keeps the row's key: the later-pair cut never skips."""
+    """A reach table that hands out a new copy of its row on every lookup,
+    so no child's row is its parent's object, not even after a step along
+    an always-free edge, which keeps the row's key: the later-pair cut
+    never skips."""
 
     def __getitem__(self, m):
         return tuple(list(dict.__getitem__(self, m)))
@@ -397,10 +414,8 @@ class _CopyingTable(dict):
 
 def _unskipped(adj, pairs_idx, mask, always_free, table):
     """The search's result when no child shares its parent's row: it runs
-    on a ``_CopyingTable`` of its own in place of ``table``."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel, "_ROWS", _Unshared())
-        return kernel.find_trail_system(adj, pairs_idx, mask, always_free, _CopyingTable())
+    on a ``_CopyingTable`` copy of ``table``."""
+    return kernel.find_trail_system(adj, pairs_idx, mask, always_free, _CopyingTable(table))
 
 
 _NO_CORNER = kernel.desc_for(grid_without_corner())
@@ -514,20 +529,21 @@ def test_search_leaves_no_reference_cycle():
     def feasible():
         pairs = ((vindex[(1, 1)], vindex[(3, 3)]), (vindex[(1, 3)], vindex[(3, 1)]))
         mask = desc.edge_mask(desc.edges)
-        status, _, nodes = kernel.find_trail_system(desc.adj, pairs, mask, 0, desc.reach)
+        status, _, nodes = kernel.find_trail_system(desc.adj, pairs, mask, 0, _whole(desc))
         assert status == kernel.FOUND and nodes > 1
 
     def infeasible():
         # the surviving graph is a path: the search runs and finds nothing
         pairs = ((pvindex[(1, 3)], pvindex[(3, 1)]), (pvindex[(3, 1)], pvindex[(1, 3)]))
         mask = path_desc.edge_mask(path_desc.edges)
-        status, _, nodes = kernel.find_trail_system(path_desc.adj, pairs, mask, 0, path_desc.reach)
+        table = _whole(path_desc)
+        status, _, nodes = kernel.find_trail_system(path_desc.adj, pairs, mask, 0, table)
         assert status == kernel.NONE and nodes > 1
 
     def root_cut():
         # no edge is free, so the root's check cuts the only pair
         pairs = ((vindex[(1, 1)], vindex[(3, 3)]),)
-        found = kernel.find_trail_system(desc.adj, pairs, 0, 0, desc.reach)
+        found = kernel.find_trail_system(desc.adj, pairs, 0, 0, _whole(desc))
         assert found == (kernel.NONE, None, 1)
 
     def sink():

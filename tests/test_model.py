@@ -42,12 +42,25 @@ def test_path_keeps_canonical_edges_in_walk_order():
     p.edges().clear()  # each call hands out a fresh list
     assert len(p.edges()) == 3
     assert p == Path(p.vertices) and hash(p) == hash(Path(p.vertices))
-    # steps off the corner grid take the same checks
-    assert path_of((3, 4), (3, 3), (4, 3)).edges() == [((3, 3), (3, 4)), ((3, 3), (4, 3))]
-    with pytest.raises(PathError):
-        path_of((1, 4), (1, 5), (1, 4))
-    with pytest.raises(PathError):
-        path_of((4, 4), (5, 5))
+
+
+def test_path_refuses_a_vertex_off_the_corner_grid():
+    """A path lives on the corner grid: a step with an end off it is a
+    ``PathError`` even between adjacent vertices, and so is the vertex of
+    a one-vertex path off it."""
+    for vertices in (
+        ((3, 4), (3, 3), (4, 3)),
+        ((3, 3), (3, 4)),
+        ((0, 1), (1, 1)),
+        ((0, 0), (0, 1)),
+        ((1, 4), (1, 5), (1, 4)),
+    ):
+        with pytest.raises(PathError, match="is not a step of the corner grid$"):
+            Path(vertices)
+    for v in ((0, 0), (4, 3), (1, -1)):
+        with pytest.raises(PathError, match="is not a vertex of the corner grid$"):
+            Path((v,))
+    assert Path(((3, 3),)).edges() == []
 
 
 def test_joined_path_keeps_both_halves():
@@ -76,12 +89,10 @@ def test_join_with_a_zero_length_half_builds_nothing():
 
 def test_path_rejects_a_malformed_vertex():
     """A vertex that is not a tuple of two ints is a ``PathError``, on a
-    one-vertex path and on a step off the corner grid's step table; a step
-    beyond the grid between well-formed vertices is still a path."""
+    one-vertex path and on a step off the corner grid's step table."""
     for vertices in ((5,), ((1, 1, 1),), ((1, True),), (5, 6), ((0, 0), 5), ((0, 0), (0, 1.0))):
         with pytest.raises(PathError, match="is not a vertex$"):
             Path(vertices)
-    assert Path(((0, 0), (0, 1))).edges() == [((0, 0), (0, 1))]
 
 
 def test_path_rejects_a_coordinate_equal_to_an_int_on_the_grid():

@@ -639,10 +639,10 @@ def test_router_reads_the_clip_catalog_only_to_build_its_index(trees):
 
 def test_reach_tables_are_kept_by_the_kernel_alone(trees):
     """Only ``kernel.py`` reads or writes a descriptor's ``reach`` table or
-    fills one (``fill_row``, ``fill_table``, ``_fill_grid_table``), so when
-    a table is built whole and when a row is filled on a miss is decided in
-    one module; a name given as a string, as to ``getattr``, counts too."""
-    names = {"reach", "fill_row", "fill_table", "_fill_grid_table"}
+    builds one (``fill_table``, ``_fill_grid_table``), so when a table is
+    built is decided in one module; a name given as a string, as to
+    ``getattr``, counts too."""
+    names = {"reach", "fill_table", "_fill_grid_table"}
     found = []
     for stem, tree in trees.items():
         if stem == "kernel":
@@ -661,3 +661,56 @@ def test_reach_tables_are_kept_by_the_kernel_alone(trees):
             if name in names:
                 found.append(f"{stem}.py:{getattr(node, 'lineno', '?')} {name}")
     assert not found, found
+
+
+def _module_memos(stem, tree):
+    """``stem.name`` for each memo defined at the top level of a package
+    module: a name bound to an empty dict, and a function cached with
+    ``lru_cache`` or ``cache``, as a decorator or by a call."""
+
+    def caches(node):
+        return any(
+            isinstance(n, (ast.Name, ast.Attribute))
+            and (n.id if isinstance(n, ast.Name) else n.attr) in {"lru_cache", "cache"}
+            for n in ast.walk(node)
+        )
+
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(caches(d) for d in node.decorator_list):
+                yield f"{stem}.{node.name}"
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            value = node.value
+            empty = (isinstance(value, ast.Dict) and not value.keys) or (
+                isinstance(value, ast.Call)
+                and ast.unparse(value.func) == "dict"
+                and not value.args
+                and not value.keywords
+            )
+            if empty or caches(value):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            yield f"{stem}.{name.id}"
+
+
+def test_every_module_memo_is_in_the_readme_inventory(trees):
+    """README's table of per-process memos lists every module-level memo in
+    the package (an empty dict, or an ``lru_cache``d function), and every
+    module-level memo it lists exists; each descriptor memo it lists is a
+    slot of its descriptor class."""
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Per-process memos", 1)[1].split("\n## ", 1)[0]
+    listed = {
+        line.split("|")[1].strip().strip("`")
+        for line in section.splitlines()
+        if line.startswith("| `")
+    }
+    found = {memo for stem, tree in trees.items() for memo in _module_memos(stem, tree)}
+    assert found, "no module-level memo found: the guard reads nothing"
+    descriptors = {name for name in listed if name.partition(".")[0] in {"GraphDesc", "SinkDesc"}}
+    assert found == listed - descriptors, (found - listed, listed - descriptors - found)
+    for name in descriptors:
+        cls, _, slot = name.partition(".")
+        assert slot in getattr(kernel, cls).__slots__, name

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from escape3x3 import terminals
 from escape3x3.grid import (
     GridError,
+    GridGraph,
     build_corner_grid,
     full_grid,
     grid_without_corner,
@@ -384,6 +385,8 @@ def _exported_calls(junk):
         ("contract_for", "lemma", lambda: contract_for(junk)),
         ("Path", "vertices", lambda: Path(junk)),
         ("build_corner_grid", "deleted", lambda: build_corner_grid(junk)),
+        ("GridGraph", "vertices", lambda: GridGraph(junk, frozenset())),
+        ("GridGraph", "edges", lambda: GridGraph(frozenset(), junk)),
         ("unique_l_path", "u", lambda: unique_l_path(junk, (3, 1))),
         ("unique_l_path", "v", lambda: unique_l_path((1, 3), junk)),
         ("validate_plan", "g", lambda: validate_plan(junk, _CFG, plan, contract)),

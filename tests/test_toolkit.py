@@ -258,6 +258,23 @@ def test_memo_answers_are_fresh_searches(strict_sweep_memo, strict_sweep_desc, m
             assert t is desc.paths[tuple(desc.vindex[v] for v in t.vertices)]
 
 
+def test_each_memo_request_gets_a_list_of_its_own(monkeypatch):
+    """Two requests for one key get equal lists that are distinct objects,
+    and a caller that changes its list leaves the next answer unchanged:
+    the memo keeps its answer to itself."""
+    monkeypatch.setattr(toolkit, "_SEARCHES", {})
+    free = set(full_grid().edges)
+    pairs = [((1, 1), (3, 3)), ((1, 3), (3, 1))]
+    first = toolkit.memo_trails(free, pairs)
+    second = toolkit.memo_trails(free, pairs)
+    assert type(first) is list and type(second) is list
+    assert first == second and first is not second
+    answer = list(second)
+    first.reverse()
+    second[0] = path_of((2, 2))
+    assert toolkit.memo_trails(free, pairs) == answer
+
+
 def test_warm_memo_routes_as_the_cold_sweep(strict_sweep, strict_sweep_memo, monkeypatch):
     """Every 7th configuration of the strict sweep, routed again with the
     sweep's routing memo warm, gets the plan and trace the cold sweep gave,
