@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .campaign import (
@@ -188,8 +189,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command ``argv`` names and return its exit status; 1 when the
+    reader of stdout has gone before the command's output is all written."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        status = args.fn(args)
+        # the last output may still be buffered: a reader gone by now
+        # shows here, not in the interpreter's flush at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout to os.devnull, so that flush at exit writes nowhere and
+        # raises nothing (the Python docs' SIGPIPE idiom)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -128,8 +128,9 @@ class GridGraph(Frozen):
     frozenset.  The constructor refuses, with ``GridError``, a vertex off
     the corner grid and an edge that is not a corner-grid edge between two
     of the graph's own vertices, so a graph has at most 9 vertices and 12
-    edges, and the kernel's tables at most 2^12 grid rows.  Equal graphs
-    hash alike: a graph keys the kernel's descriptor caches."""
+    edges.  The kernel searches a graph on its one corner-grid descriptor,
+    with only the graph's edges free, so no kernel table or cache is kept
+    per graph."""
 
     __slots__ = _fields = ("vertices", "edges")
 

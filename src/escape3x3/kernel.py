@@ -30,21 +30,30 @@ the caller hands in, which is the descriptor's own (``GraphDesc.reach``,
 vertex, a bitmask holding every vertex it reaches (with directed edges,
 possibly more).  A call may name edges the table treats as always free:
 rows are looked up under the free mask with those edges added, and such
-rows can only over-estimate reachability, so pruning stays sound.  Every
-grid graph is a subgraph of the corner grid (``GridGraph`` refuses any
-other), with at most 12 edges, so a grid table has at most 4,096 rows; a
-sink graph's rows are keyed with its exit edges always free, so its table
-has at most 2^(12 + number of R->S edges) rows.
+rows can only over-estimate reachability, so pruning stays sound.
+
+The kernel describes one graph, the corner grid: one ``GraphDesc``, built
+at import, with one index space and one reach table of 4,096 rows.  Every
+graph the package searches is a subgraph of it (``GridGraph`` refuses any
+other), and a search of a subgraph is a search of the corner grid with
+only the subgraph's edges free.  That is the same search the subgraph's
+own descriptor would make: its vertices keep their order, each vertex's
+neighbours keep theirs, a vertex the subgraph lacks has no free edge and
+is never entered, and a row under a mask of the subgraph's edges gives
+each of its vertices exactly what it reaches in the subgraph.  So the
+trails and the node counts are the subgraph's own.  A sink graph extends
+the corner grid, and its rows are keyed with its exit edges always free,
+so its table has at most 2^(12 + number of R->S edges) rows.
 
 The search only reads a table, and every table is built whole before the
-first search on its descriptor: ``solve_trails`` builds the grid
-descriptor's (``_fill_grid_table``, edge by edge: the row of mask m is the
-row of m without its highest edge, that edge's two components joined), and
-``escape_trails`` the sink descriptor's (``fill_table``), each sink row
+first search on it: ``solve_trails`` builds the grid's
+(``_fill_grid_table``, edge by edge: the row of mask m is the row of m
+without its highest edge, that edge's two components joined), and
+``escape_trails`` a sink descriptor's (``fill_table``), each sink row
 derived from the grid row of its key's grid part, after building the
-grid's table if no search has yet.  So a table's contents never depend on which searches ran
-before.  A table lives as long as its cached descriptor, and nothing is
-built at import or in ``desc_for``.
+grid's table if no search has yet.  So a table's contents never depend on
+which searches ran before.  The descriptor is built at import, its table
+by the first search.
 
 Rows are interned: both builds store a row equal to one made before as
 that same object (``_ROWS``), so masks whose rows agree share one row.  A
@@ -63,28 +72,26 @@ cell, a reference cycle; the closure is cleared on every way out, so each
 search's state is freed by reference counting, not left to the cyclic
 garbage collector.
 
-``solve_trails`` translates vertices and edges to the indices and bitmasks
-of ``desc_for`` and runs the search.  ``escape_trails`` runs the same
-search on the sink graph of ``sink_desc``, where "escape to any free exit"
-is one trail into a sink vertex, and returns its trails without the
-virtual vertices.
+``solve_trails`` translates vertices and edges to the descriptor's indices
+and bitmasks and runs the search.  ``escape_trails`` runs the same search
+on the sink graph of ``sink_desc``, where "escape to any free exit" is one
+trail into a sink vertex, and returns its trails without the virtual
+vertices.  Both read the module's descriptor (``_DESC``) at every call.
 
-Both wrappers take their ``Path``s from the grid descriptor's memo
+Both wrappers take their ``Path``s from the descriptor's memo
 (``GraphDesc.path``), keyed by the index trail the search returns: the
 searches repeat a few hundred trails tens of thousands of times, so each
 distinct trail is built once, on first use.  A key is an edge-simple trail
-of the descriptor's graph, so the memo holds at most that many entries
-(2,069 for the full corner grid, 750 without its corner), and it lives as
-long as the cached descriptor.  A ``Path`` is frozen, so plans and callers
-can share one.
+of the corner grid, so the memo holds at most 2,069 entries.  A ``Path``
+is frozen, so plans and callers can share one.
 
 ``GraphDesc.edge_mask`` keeps the mask of each frozenset of edges it is
-given (``GraphDesc.masks``): the oracle passes the graph's own edge set on
-every call, and the router's clip catalog a fixed few.  Its keys are sets
-of the graph's edges, at most 2^12 on the 3x3 grid, in practice the
-graph's edge set and the clips that fit it.  A mutable set, such as the
-router's free edges, is never kept: it is folded edge by edge on every
-call.
+given (``GraphDesc.masks``): the oracle and the weak-2-linkage sweep pass
+their graph's own edge set on every call, and the router's clip catalog a
+fixed few.  Its keys are sets of corner-grid edges, at most 2^12, in
+practice the searched graphs' edge sets and the clips.  A mutable set,
+such as the router's free edges, is never kept: it is folded edge by edge
+on every call.
 """
 
 from __future__ import annotations
@@ -92,8 +99,8 @@ from __future__ import annotations
 import sys
 from functools import lru_cache
 
-from .grid import Edge, Frozen, GridGraph, Vertex
-from .model import Path
+from .grid import ALL_VERTICES, GRID_EDGES, Frozen, GridGraph, Vertex
+from .model import _STEP_EDGE, Path
 
 # The benchmark's tracer wraps _impl.find_trail_system, that is, this
 # module's own: both wrappers look find_trail_system up here at every call
@@ -110,8 +117,8 @@ _ROWS: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
 def _fill_grid_table(desc: GraphDesc) -> None:
-    """Build the grid descriptor's empty reach table whole: a row for
-    every mask, each giving per vertex exactly the vertices it reaches.
+    """Build the descriptor's empty reach table whole: a row for every
+    mask, each giving per vertex exactly the vertices it reaches.
 
     The row of mask m is the row of m without its highest edge, with that
     edge's two components joined, so the masks are filled in increasing
@@ -136,8 +143,8 @@ def _fill_grid_table(desc: GraphDesc) -> None:
 def fill_table(sd: SinkDesc) -> None:
     """Build the sink descriptor's empty reach table whole: a row for every
     key a search can ask for, that is, every grid mask with the exit edges
-    and any subset of the R->S edges, after building the grid's table if it
-    is still empty.
+    and any subset of the R->S edges, after building the module
+    descriptor's table if it is still empty.
 
     Each row is made by a search from each vertex in index order that has
     no row yet, storing what it reaches for every vertex from there on, so
@@ -147,7 +154,7 @@ def fill_table(sd: SinkDesc) -> None:
     from an exit to R or S, or from R to S, always to a higher index, so
     one pass over the virtual edges in index order reaches all the search
     would."""
-    grid = sd.grid
+    grid = _DESC
     gtable = grid.reach
     if not gtable:
         _fill_grid_table(grid)
@@ -287,41 +294,43 @@ def find_trail_system(adj, pairs, mask, always_free, table):
 
 
 class GraphDesc(Frozen):
-    """Index-level description of a grid graph for the kernel, with the
-    vertex -> index, edge -> bit and step -> edge tables the wrapper looks
-    up.  ``adj`` lists each vertex's (neighbour index, edge bit) entries,
-    where an edge's bit is ``1 << `` its index in ``edges``; ``step`` maps
-    each (index, neighbour index) step, either way, to its edge.  It owns
-    three memos, each empty at construction: ``reach``, the search's
-    reachability table for ``adj``, built whole before the first search on
-    the descriptor or on a sink descriptor built on it; ``paths`` and
-    ``masks``, filled on first use.  Only ``vertices``, ``edges`` and
-    ``adj`` take part in equality, hashing and repr."""
+    """Index-level description of the corner grid for the kernel, with the
+    vertex -> index and edge -> bit tables the wrappers look up.  Vertices
+    and edges are indexed in sorted order; ``adj`` lists each vertex's
+    (neighbour index, edge bit) entries by neighbour index, where an edge's
+    bit is ``1 << `` its index in ``edges``.  It owns three memos, each
+    empty at construction: ``reach``, the search's reachability table for
+    ``adj``, built whole before the first search on the descriptor or on a
+    sink descriptor; ``paths`` and ``masks``, filled on first use.  Only
+    ``vertices``, ``edges`` and ``adj`` take part in equality, hashing and
+    repr.  The module builds one, ``_DESC``, and every search runs on it."""
 
     _fields = ("vertices", "edges", "adj")
-    __slots__ = _fields + ("vindex", "ebit", "step", "reach", "paths", "masks")
+    __slots__ = _fields + ("vindex", "ebit", "reach", "paths", "masks")
 
-    def __init__(
-        self,
-        vertices: tuple[Vertex, ...],
-        edges: tuple[Edge, ...],
-        adj: tuple[tuple[tuple[int, int], ...], ...],
-        vindex: dict[Vertex, int],
-        ebit: dict[Edge, int],
-        step: dict[tuple[int, int], Edge],
-    ):
-        self._set_fields(vertices, edges, adj, vindex, ebit, step, {}, {}, {})
+    def __init__(self):
+        edges = tuple(sorted(GRID_EDGES))
+        vindex = {v: i for i, v in enumerate(ALL_VERTICES)}
+        ebit = {e: 1 << i for i, e in enumerate(edges)}
+        adj: list[list[tuple[int, int]]] = [[] for _ in ALL_VERTICES]
+        # in sorted edge order, a vertex's edges to lower neighbours come
+        # first, each by its neighbour, then those to higher ones: each
+        # list is in neighbour index order as it is built
+        for (a, b), bit in ebit.items():
+            adj[vindex[a]].append((vindex[b], bit))
+            adj[vindex[b]].append((vindex[a], bit))
+        self._set_fields(ALL_VERTICES, edges, tuple(map(tuple, adj)), vindex, ebit, {}, {}, {})
 
     def path(self, t: tuple[int, ...]) -> Path:
         """The path along index trail ``t``, built on first use and kept in
-        ``paths``.  The search steps only along graph edges, each once, so
-        it is built with the edges its steps name, unchecked
-        (``Path._trusted``)."""
+        ``paths``.  The search steps only along grid edges, each once, so
+        it is built with the corner grid's edge for each step
+        (``model._STEP_EDGE``), unchecked (``Path._trusted``)."""
         path = self.paths.get(t)
         if path is None:
+            vertices = tuple(map(self.vertices.__getitem__, t))
             path = self.paths[t] = Path._trusted(
-                tuple(map(self.vertices.__getitem__, t)),
-                tuple(map(self.step.__getitem__, zip(t, t[1:]))),
+                vertices, tuple(map(_STEP_EDGE.__getitem__, zip(vertices, vertices[1:])))
             )
         return path
 
@@ -342,37 +351,23 @@ class GraphDesc(Frozen):
         return mask
 
 
-@lru_cache(maxsize=None)
+_DESC = GraphDesc()
+
+
 def desc_for(g: GridGraph) -> GraphDesc:
-    vertices = g.sorted_vertices()
-    edges = g.sorted_edges()
-    vindex = {v: i for i, v in enumerate(vertices)}
-    adj: list[list[tuple[int, int]]] = [[] for _ in vertices]
-    step: dict[tuple[int, int], Edge] = {}
-    for eid, e in enumerate(edges):
-        i, j = vindex[e[0]], vindex[e[1]]
-        adj[i].append((j, 1 << eid))
-        adj[j].append((i, 1 << eid))
-        step[i, j] = step[j, i] = e
-    adj_t = tuple(tuple(sorted(entries)) for entries in adj)
-    return GraphDesc(
-        vertices=vertices,
-        edges=edges,
-        adj=adj_t,
-        vindex=vindex,
-        ebit={e: 1 << i for i, e in enumerate(edges)},
-        step=step,
-    )
+    """The descriptor a search of ``g``, a subgraph of the corner grid,
+    runs on: the module's one, whatever ``g`` is."""
+    return _DESC
 
 
-def solve_trails(g: GridGraph, free_edges, endpoint_pairs) -> list[Path] | None:
-    """Find edge-disjoint trails joining the endpoint pairs, in order, or
-    None if there are none.  Deterministic: the lexicographically first
-    trail system under sorted-vertex order.  Each trail is the descriptor's
-    shared ``Path`` for it (``GraphDesc.path``).  The first call on a
-    graph builds its descriptor's reach table whole.
+def solve_trails(free_edges, endpoint_pairs) -> list[Path] | None:
+    """Find edge-disjoint trails along ``free_edges`` joining the endpoint
+    pairs, in order, or None if there are none.  Deterministic: the
+    lexicographically first trail system under sorted-vertex order.  Each
+    trail is the descriptor's shared ``Path`` for it (``GraphDesc.path``).
+    The first search builds the descriptor's reach table whole.
     """
-    desc = desc_for(g)
+    desc = _DESC
     if not desc.reach:
         _fill_grid_table(desc)
     vindex = desc.vindex
@@ -386,7 +381,7 @@ def solve_trails(g: GridGraph, free_edges, endpoint_pairs) -> list[Path] | None:
 
 
 class SinkDesc(Frozen):
-    """A grid graph's descriptor extended by a sink S fed by the exits.
+    """The corner grid's descriptor extended by a sink S fed by the exits.
 
     Each unrestricted exit has one directed edge to S.  With a limit, each
     restricted exit has one directed edge to a vertex R, and R has ``limit``
@@ -395,7 +390,9 @@ class SinkDesc(Frozen):
     trail passes from one exit to another.  Trails into S from distinct
     terminals are edge-disjoint, so they end at distinct exits, at most
     ``limit`` of them restricted.  An exit lists its virtual edge first, so
-    a trail reaching it tries to end there before it walks on.
+    a trail reaching it tries to end there before it walks on.  The grid
+    vertices and edges keep their indices and bits, and the virtual ones
+    follow them.
 
     ``virtual`` is the mask of every virtual edge, ``exit_edges`` that of
     the exit->S and exit->R edges; ``reach``, the search's reachability
@@ -403,25 +400,24 @@ class SinkDesc(Frozen):
     ``escape_trails`` before its first search, and takes no part in
     equality, hashing or repr."""
 
-    _fields = ("grid", "adj", "sink", "virtual", "exit_edges")
+    _fields = ("adj", "sink", "virtual", "exit_edges")
     __slots__ = _fields + ("reach",)
 
     def __init__(
         self,
-        grid: GraphDesc,
         adj: tuple[tuple[tuple[int, int], ...], ...],
         sink: int,
         virtual: int,
         exit_edges: int,
     ):
-        self._set_fields(grid, adj, sink, virtual, exit_edges, {})
+        self._set_fields(adj, sink, virtual, exit_edges, {})
 
 
 @lru_cache(maxsize=None)
 def sink_desc(
-    g: GridGraph, exits: tuple[Vertex, ...], restricted: frozenset[Vertex], limit: int | None
+    exits: tuple[Vertex, ...], restricted: frozenset[Vertex], limit: int | None
 ) -> SinkDesc:
-    grid = desc_for(g)
+    grid = _DESC
     n = len(grid.vertices)
     held = [] if limit is None else [x for x in exits if x in restricted]
     r = n  # R, present only when some exit is restricted
@@ -437,7 +433,6 @@ def sink_desc(
         eid += 1
     adj_t = tuple(map(tuple, adj))
     return SinkDesc(
-        grid=grid,
         adj=adj_t,
         sink=sink,
         virtual=(1 << eid) - (1 << len(grid.edges)),
@@ -446,7 +441,6 @@ def sink_desc(
 
 
 def escape_trails(
-    g: GridGraph,
     free_edges,
     linked_pairs,
     escaping,
@@ -454,22 +448,22 @@ def escape_trails(
     restricted,
     limit: int | None,
 ) -> list[Path] | None:
-    """Edge-disjoint trails that join the linked pairs and take every
-    escaping terminal to its own exit, at most ``limit`` of them in
-    ``restricted`` (None: no bound), or None if there are none: one search
-    of the sink graph.  The linked pairs' trails come first, in order, then
-    one per escaping terminal, ending at its exit.
+    """Edge-disjoint trails along ``free_edges`` that join the linked pairs
+    and take every escaping terminal to its own exit, at most ``limit`` of
+    them in ``restricted`` (None: no bound), or None if there are none: one
+    search of the sink graph.  The linked pairs' trails come first, in
+    order, then one per escaping terminal, ending at its exit.
 
     A trail into the sink ends with the virtual vertices it entered last;
     they are stripped.  Nothing leaves the sink, and R leads only to the
-    sink, so what is left is a trail of the grid graph ending at the exit,
-    and its ``Path`` is the grid descriptor's shared one, as in
+    sink, so what is left is a trail of the corner grid ending at the exit,
+    and its ``Path`` is the descriptor's shared one, as in
     ``solve_trails``.
     """
-    sd = sink_desc(g, tuple(exits), frozenset(restricted), limit)
+    sd = sink_desc(tuple(exits), frozenset(restricted), limit)
     if not sd.reach:
         fill_table(sd)
-    grid = sd.grid
+    grid = _DESC
     vindex = grid.vindex
     pairs_idx = tuple((vindex[a], vindex[b]) for a, b in linked_pairs) + tuple(
         (vindex[t], sd.sink) for t in escaping

@@ -36,7 +36,8 @@ class PathError(ValueError):
 
 
 # Each step of the corner grid, either way, to its one canonical edge tuple:
-# a Path keeps its edges, and a shared tuple costs it only a reference.
+# a Path keeps its edges, and a shared tuple costs it only a reference.  The
+# checked constructor and the kernel's trails (``GraphDesc.path``) read it.
 _STEP_EDGE = {(a, b): e for e in GRID_EDGES for a, b in (e, e[::-1])}
 
 # Each edge of the corner grid to its mirror image, that edge's shared tuple
@@ -64,10 +65,11 @@ class Path(Frozen):
     check.  It is the only unchecked way in, and only callers that already
     hold the edges use it:
 
-    * ``kernel.GraphDesc.path``: the search stepped along graph edges, each
-      once, and the descriptor maps each step to its canonical edge; both
-      kernel wrappers take their trails from it, and the routing
-      context's table of zero-length start trails is filled from it;
+    * ``kernel.GraphDesc.path``: the search stepped along corner-grid
+      edges, each once, and each step's canonical edge is read from
+      ``_STEP_EDGE``; both kernel wrappers take their trails from it,
+      and the routing context's table of zero-length start trails is
+      filled from it;
     * ``reversed`` and ``reflected``: the mirror of a checked trail's edges;
     * ``__add__``: two trails that meet at the seam and share no edge.
 

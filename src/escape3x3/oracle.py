@@ -110,7 +110,6 @@ def _sink_search(g, contract, exits, linked_pairs, unlinked) -> list | None:
     bound (``kernel.escape_trails``), or None if no assignment of the
     ``unlinked`` terminals to the exits has trails."""
     return kernel.escape_trails(
-        g,
         g.edges,
         linked_pairs,
         unlinked,
@@ -130,7 +129,7 @@ def oracle_solve(
         sink_pending = bool(unlinked)
         for assignment in _exit_assignments(unlinked, exits, contract):
             escapes = list(zip(unlinked, assignment))
-            trails = kernel.solve_trails(g, g.edges, linked_pairs + escapes)
+            trails = kernel.solve_trails(g.edges, linked_pairs + escapes)
             if trails is None:
                 if sink_pending:
                     sink_pending = False
@@ -173,7 +172,7 @@ def check_weakly_2_linked(
     ordered = [(u, v) for u, v in itertools.product(g.sorted_vertices(), repeat=2) if u <= v]
     for first, second in itertools.combinations_with_replacement(ordered, 2):
         pairs = [first, second]
-        trails = kernel.solve_trails(g, g.edges, pairs)
+        trails = kernel.solve_trails(g.edges, pairs)
         if trails is None:
             return False, first + second
         _check_linkage(g, pairs, trails)

@@ -23,7 +23,7 @@ The paper reuses a few local constructions across many cases, and so does
 the router: a strict sweep of the 9,765 configurations asks 11,896 kernel
 searches, only 1,999 of them distinct.  So every routing search, the
 router's own and a clip mating's, goes through one memo, ``memo_trails``:
-keyed by the endpoint pairs and the full grid descriptor's mask of the
+keyed by the endpoint pairs and the kernel descriptor's mask of the
 region searched, it makes each distinct search once per process and
 answers a repeat with the trails found the first time.  A search is a pure
 function of its key, so the answers are exact.  The oracle, the
@@ -65,12 +65,12 @@ TermId = tuple
 
 # Every routing context routes on the full grid.
 GRID = full_grid()
-# Each vertex's zero-length trail, the full grid descriptor's shared path
+# Each vertex's zero-length trail, the kernel descriptor's shared path
 # for it: every context starts each terminal on the one at its vertex.
 _DESC = kernel.desc_for(GRID)
 _START_TRAILS = {v: _DESC.path((i,)) for v, i in _DESC.vindex.items()}
 # Every search the router has made in this process, keyed by its endpoint
-# pairs and the full grid descriptor's mask of the region searched: its
+# pairs and the kernel descriptor's mask of the region searched: its
 # trails as a tuple, or None (``memo_trails``).  Routing asks only what
 # the finite configuration space asks: 1,999 keys once every configuration
 # of the three routed families is routed.
@@ -78,16 +78,16 @@ _SEARCHES: dict[tuple, tuple[Path, ...] | None] = {}
 
 
 def memo_trails(free_edges, endpoint_pairs) -> list[Path] | None:
-    """``kernel.solve_trails`` on the full grid, each distinct search made
-    once per process: a request asked before is answered from ``_SEARCHES``,
-    in a list of its own.  The search is a pure function of its key, so
-    the answer is the one a fresh search would give, the same ``Path``
-    objects included."""
+    """``kernel.solve_trails``, each distinct search made once per
+    process: a request asked before is answered from ``_SEARCHES``, in a
+    list of its own.  The search is a pure function of its key, so the
+    answer is the one a fresh search would give, the same ``Path`` objects
+    included."""
     key = (tuple(endpoint_pairs), _DESC.edge_mask(free_edges))
     try:
         trails = _SEARCHES[key]
     except KeyError:
-        found = kernel.solve_trails(GRID, free_edges, endpoint_pairs)
+        found = kernel.solve_trails(free_edges, endpoint_pairs)
         trails = _SEARCHES[key] = None if found is None else tuple(found)
     return None if trails is None else list(trails)
 
@@ -117,7 +117,7 @@ class RoutingContext(Record):
     order, and the terminal sits at its end; an escaped terminal's trail
     is ``escaped[tid]``, and it exits at its end; a linked pair's two
     trails are joined by a core into ``linked[pair_index]``.  A new
-    context gives each terminal the full grid descriptor's zero-length
+    context gives each terminal the kernel descriptor's zero-length
     trail at its vertex (``kernel.GraphDesc.path``), one frozen ``Path``
     per vertex that every context shares, looked up in a table filled once
     when the module loads; a join with a trail that has no edges returns
@@ -264,9 +264,8 @@ def verify_clip(g: GridGraph, clip: ClipSpec) -> Verdict:
         violations.append(
             Violation(Code.BAD_ENDPOINT, f"clip {clip.name} kind mismatch")
         )
-    solve = functools.partial(kernel.solve_trails, g)
     for x, y in itertools.combinations(clip.covered(), 2):
-        if _mating_paths(clip, x, y, solve) is None:
+        if _mating_paths(clip, x, y, kernel.solve_trails) is None:
             violations.append(
                 Violation(
                     Code.NOT_A_PATH, f"clip {clip.name} cannot mate {x}, {y} to {clip.u}, {clip.v}"

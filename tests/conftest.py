@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import importlib
 import json
@@ -29,22 +28,22 @@ def grid_star():
 
 def isolated_strict_sweep():
     """Route every configuration of the three routed families strictly, on
-    grid descriptors and a routing memo of their own, so that what the
+    a kernel descriptor and a routing memo of their own, so that what the
     session routed before cannot show here.  Every request to the routing
     memo (``toolkit.memo_trails``) is digested as it is made: its free
     edges, endpoint pairs and returned trails.  The searches the memo makes
     are counted apart, with their nodes, at the kernel search itself, and
-    so are the routing contexts built.  The descriptors' memos and the
+    so are the routing contexts built.  The descriptor's memos and the
     routing memo hold what the sweep alone put there.
 
     Returns (sweep, requests, request digest, searches, search nodes,
-    contexts, the full grid's descriptor, the routing memo)."""
+    contexts, the kernel descriptor, the routing memo)."""
     digest = hashlib.sha256()
     requests = searches = nodes = contexts = 0
     memo = toolkit.memo_trails
     find = kernel.find_trail_system
     init = RoutingContext.__init__
-    desc_for = functools.lru_cache(kernel.desc_for.__wrapped__)
+    desc = kernel.GraphDesc()
     searched = {}
 
     def recording(free_edges, endpoint_pairs):
@@ -72,7 +71,7 @@ def isolated_strict_sweep():
         mp.setattr(toolkit, "memo_trails", recording)
         mp.setattr(router, "memo_trails", recording)
         mp.setattr(kernel, "find_trail_system", counting_nodes)
-        mp.setattr(kernel, "desc_for", desc_for)
+        mp.setattr(kernel, "_DESC", desc)
         mp.setattr(RoutingContext, "__init__", counting)
         sweep = [
             (lemma, cfg, *route(cfg, strict=True))
@@ -86,7 +85,7 @@ def isolated_strict_sweep():
         searches,
         nodes,
         contexts,
-        desc_for(full_grid()),
+        desc,
         searched,
     )
 
@@ -127,8 +126,8 @@ def strict_sweep_contexts(_strict_sweep_run):
 
 @pytest.fixture(scope="session")
 def strict_sweep_desc(_strict_sweep_run):
-    """The full grid's descriptor as the strict sweep left it: built for
-    the sweep, so its memos hold the sweep's work and nothing else."""
+    """The kernel descriptor as the strict sweep left it: built for the
+    sweep, so its memos hold the sweep's work and nothing else."""
     return _strict_sweep_run[6]
 
 

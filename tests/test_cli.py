@@ -219,6 +219,36 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--config", str(TESTS / "fixtures" / "l2-b-pair-singleton.json"), "--render", "dot"],
+        ["enumerate", "--lemma", "heavy78"],
+    ],
+    ids=["solve-dot", "enumerate"],
+)
+def test_closed_stdout_ends_quietly_with_status_1(argv):
+    """A command whose reader has gone, as under ``| head -1``, exits with
+    status 1 and writes nothing to stderr: no ``BrokenPipeError``
+    traceback.  The pipe's read end is closed before the child starts, so
+    its first write already fails."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(TESTS.parent / "src"), env.get("PYTHONPATH")])
+    )
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "escape3x3.cli", *argv],
+            env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert "Traceback" not in done.stderr
+    assert (done.returncode, done.stderr) == (1, "")
+
+
 def test_clips_verify(capsys):
     status = main(["clips", "--verify"])
     out = capsys.readouterr().out

@@ -40,7 +40,7 @@ _TRUSTED_GRAPHS = {
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_trusted_trails_equal_checked_paths(name, data):
-    """``solve_trails`` builds its trails unchecked from the descriptor's
+    """``solve_trails`` builds its trails unchecked from the corner grid's
     step table, and ``reversed``/``reflected`` mirror their edges: each
     equals the checked path through its vertices, on the four graphs the
     oracle keys."""
@@ -49,7 +49,7 @@ def test_trusted_trails_equal_checked_paths(name, data):
     vertex = st.sampled_from(g.sorted_vertices())
     taken = data.draw(st.sets(st.sampled_from(edges)))
     pairs = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=3))
-    trails = kernel.solve_trails(g, g.edges - taken, pairs)
+    trails = kernel.solve_trails(g.edges - taken, pairs)
     for trail in trails or ():
         for path in (trail, trail.reversed(), trail.reflected()):
             assert_checked(path)
@@ -58,8 +58,8 @@ def test_trusted_trails_equal_checked_paths(name, data):
 def test_repeated_trail_is_one_shared_path(grid):
     """Two searches that find the same trail hand out the same ``Path``."""
     pairs = [((1, 1), (3, 3)), ((1, 3), (3, 1))]
-    first = kernel.solve_trails(grid, grid.edges, pairs)
-    second = kernel.solve_trails(grid, grid.edges, pairs)
+    first = kernel.solve_trails(grid.edges, pairs)
+    second = kernel.solve_trails(grid.edges, pairs)
     assert first is not second
     assert all(a is b for a, b in zip(first, second, strict=True))
 
@@ -69,12 +69,12 @@ def test_escape_trail_shares_the_grid_path(grid):
     descriptor's path for it: the same object ``solve_trails`` returns for
     that trail, here the only one its own edges hold (no vertex repeats)."""
     trails = kernel.escape_trails(
-        grid, grid.edges, [((1, 1), (3, 3))], [(2, 2)], sorted(BOUNDARY), COL_ONLY, None
+        grid.edges, [((1, 1), (3, 3))], [(2, 2)], sorted(BOUNDARY), COL_ONLY, None
     )
     assert [t.end for t in trails] == [(3, 3), (3, 2)]
     for trail in trails:
         assert len(set(trail.vertices)) == len(trail.vertices)
-        (same,) = kernel.solve_trails(grid, frozenset(trail.edges()), [(trail.start, trail.end)])
+        (same,) = kernel.solve_trails(frozenset(trail.edges()), [(trail.start, trail.end)])
         assert same is trail
 
 
@@ -117,13 +117,13 @@ def test_memo_is_bounded_by_the_trail_count(strict_sweep_desc):
 
 def test_zero_length_pair(grid):
     for pairs in ([((1, 1), (1, 1))], [((1, 1), (1, 1)), ((3, 3), (3, 3))]):
-        paths = kernel.solve_trails(grid, grid.edges, pairs)
+        paths = kernel.solve_trails(grid.edges, pairs)
         assert paths is not None
         assert all(len(p.vertices) == 1 for p in paths)
 
 
 def test_no_pairs(grid):
-    assert kernel.solve_trails(grid, grid.edges, []) == []
+    assert kernel.solve_trails(grid.edges, []) == []
     desc = kernel.desc_for(grid)
     found = kernel.find_trail_system(desc.adj, (), desc.edge_mask(grid.edges), 0, desc.reach)
     assert found == (kernel.FOUND, (), 0)
@@ -132,14 +132,12 @@ def test_no_pairs(grid):
 def test_infeasible_returns_none():
     g = build_corner_grid(frozenset({(2, 2), (3, 3)}))
     # the surviving graph is a path; two edge-disjoint routes cannot exist
-    assert kernel.solve_trails(g, g.edges, [((1, 3), (3, 1)), ((3, 1), (1, 3))]) is None
+    assert kernel.solve_trails(g.edges, [((1, 3), (3, 1)), ((3, 1), (1, 3))]) is None
 
 
 def test_determinism(grid):
     pairs = [((1, 1), (3, 3)), ((1, 3), (3, 1))]
-    assert kernel.solve_trails(grid, grid.edges, pairs) == kernel.solve_trails(
-        grid, grid.edges, pairs
-    )
+    assert kernel.solve_trails(grid.edges, pairs) == kernel.solve_trails(grid.edges, pairs)
 
 
 def test_trails_are_edge_disjoint(grid):
@@ -148,7 +146,7 @@ def test_trails_are_edge_disjoint(grid):
         # corner to corner, both diagonals
         [((1, 1), (3, 3)), ((1, 3), (3, 1))],
     ):
-        paths = kernel.solve_trails(grid, grid.edges, pairs)
+        paths = kernel.solve_trails(grid.edges, pairs)
         assert paths is not None
         assert [(p.start, p.end) for p in paths] == pairs
         seen = set()
@@ -178,30 +176,50 @@ def _whole(desc):
     return desc.reach
 
 
+def _components(vertices, edges):
+    """Each vertex to the set of vertices it reaches along ``edges``,
+    found from the edges alone."""
+    comp = {v: {v} for v in vertices}
+    for a, b in edges:
+        if comp[a] is not comp[b]:
+            merged = comp[a] | comp[b]
+            for v in merged:
+                comp[v] = merged
+    return comp
+
+
 @pytest.mark.parametrize("g", [full_grid(), grid_without_corner()], ids=["full", "no-corner"])
 def test_reach_table_matches_bfs(g):
+    """The one table has a row for every mask of the corner grid, and the
+    row of each mask of ``g``'s edges gives each vertex of ``g`` exactly
+    the vertices it reaches in ``g`` along those edges."""
     desc = kernel.desc_for(g)
     table = _whole(desc)
     assert table.keys() == set(range(1 << len(desc.edges)))
-    for m, row in table.items():
-        assert row == tuple(_bfs_reach(desc.adj, m, v) for v in range(len(desc.adj)))
+    edges = sorted(g.edges)
+    for r in range(len(edges) + 1):
+        for free in itertools.combinations(edges, r):
+            row = table[desc.edge_mask(free)]
+            comp = _components(g.vertices, free)
+            for v in g.vertices:
+                bits = row[desc.vindex[v]]
+                assert {w for i, w in enumerate(desc.vertices) if bits >> i & 1} == comp[v]
 
 
 def test_first_search_builds_the_grid_table_whole(monkeypatch):
-    """A descriptor's own reach table is empty until its first search,
-    which builds it whole, a row for every mask; later searches only read
-    it, so its rows stay the same objects."""
-    # a descriptor cache of its own: other tests build the shared
-    # descriptor's table for this graph
-    monkeypatch.setattr(kernel, "desc_for", functools.lru_cache(kernel.desc_for.__wrapped__))
+    """The descriptor's reach table is empty until its first search, of
+    any subgraph, which builds it whole, a row for every mask of the corner
+    grid; later searches only read it, so its rows stay the same objects."""
+    # a descriptor of its own: other tests build the module descriptor's
+    desc = kernel.GraphDesc()
+    monkeypatch.setattr(kernel, "_DESC", desc)
     g = build_corner_grid(frozenset({(1, 1), (3, 3)}))
-    desc = kernel.desc_for(g)
     table = desc.reach
     assert not table
-    assert kernel.solve_trails(g, g.edges, [((1, 2), (3, 2))]) is not None
-    assert table.keys() == set(range(1 << len(desc.edges)))
+    assert kernel.solve_trails(g.edges, [((1, 2), (3, 2))]) is not None
+    assert table.keys() == set(range(1 << 12))
     rows = dict(table)
-    assert kernel.solve_trails(g, g.edges, [((1, 2), (2, 3)), ((2, 1), (3, 2))]) is not None
+    assert kernel.solve_trails(g.edges, [((1, 2), (2, 3)), ((2, 1), (3, 2))]) is not None
     assert desc.reach is table and all(table[m] is row for m, row in rows.items())
 
 
@@ -211,19 +229,20 @@ def _sink_keys(sd):
     rs_edges = sd.virtual ^ sd.exit_edges
     bits = [1 << i for i in range(rs_edges.bit_length()) if rs_edges >> i & 1]
     subsets = {sum(c) for r in range(len(bits) + 1) for c in itertools.combinations(bits, r)}
-    return {m | sd.exit_edges | s for m in range(1 << len(sd.grid.edges)) for s in subsets}
+    return {m | sd.exit_edges | s for m in range(1 << 12) for s in subsets}
 
 
 def _searched_sink_table(exits, limit):
-    """The sink descriptor of the full grid for those exits, the oracle's
-    restricted zone and that limit, from a descriptor cache of its own,
-    after one ``escape_trails`` call on it."""
+    """(the sink descriptor for those exits, the oracle's restricted zone
+    and that limit, the kernel descriptor), both built for this call, after
+    one ``escape_trails`` call on them."""
     g = full_grid()
+    desc = kernel.GraphDesc()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel, "desc_for", functools.lru_cache(kernel.desc_for.__wrapped__))
+        mp.setattr(kernel, "_DESC", desc)
         mp.setattr(kernel, "sink_desc", functools.lru_cache(kernel.sink_desc.__wrapped__))
-        kernel.escape_trails(g, g.edges, [((1, 1), (2, 2))], [(1, 2)], exits, COL_ONLY, limit)
-        return kernel.sink_desc(g, tuple(exits), COL_ONLY, limit)
+        kernel.escape_trails(g.edges, [((1, 1), (2, 2))], [(1, 2)], exits, COL_ONLY, limit)
+        return kernel.sink_desc(tuple(exits), COL_ONLY, limit), desc
 
 
 def _reference_row(adj, m):
@@ -272,9 +291,8 @@ def test_sink_search_builds_its_tables_whole(lemma):
     contract = contract_for(lemma)
     exits = sorted(contract.exit_target & full_grid().vertices)
     assert contract.restricted_zone == COL_ONLY
-    sd = _searched_sink_table(exits, contract.max_exits_in_restricted)
+    sd, grid = _searched_sink_table(exits, contract.max_exits_in_restricted)
     _assert_sink_table_whole(sd)
-    grid = sd.grid
     assert grid.reach.keys() == set(range(1 << len(grid.edges)))
     for m, row in grid.reach.items():
         assert row == tuple(_bfs_reach(grid.adj, m, v) for v in range(len(grid.adj)))
@@ -292,15 +310,14 @@ def test_sink_search_builds_its_tables_whole(lemma):
 @example(exits={(1, 3), (2, 3)}, limit=1)
 def test_sink_tables_are_whole_for_any_exits(exits, limit):
     """The same for other exit subsets, with limits None, 0, 1 and 2."""
-    _assert_sink_table_whole(_searched_sink_table(sorted(exits), limit))
+    _assert_sink_table_whole(_searched_sink_table(sorted(exits), limit)[0])
 
 
 def test_equal_rows_are_one_object():
     """Whole tables intern their rows: in the full grid's table and in a
     sink table built on it, masks whose rows are equal get one row object,
     ``_ROWS``' own, and an unequal row is its own."""
-    sd = _searched_sink_table(sorted(BOUNDARY), 1)
-    grid = sd.grid
+    sd, grid = _searched_sink_table(sorted(BOUNDARY), 1)
     for table in (grid.reach, sd.reach):
         assert len({id(row) for row in table.values()}) == len(set(table.values()))
         assert all(row is kernel._ROWS[row] for row in table.values())
@@ -356,18 +373,18 @@ _EXITS = st.sets(st.sampled_from(sorted(BOUNDARY)))
 _LIMITS = st.sampled_from([None, 1])
 
 
-def _grid_call(free, pairs, desc=_FULL):
-    """(adj, pairs, mask, always_free, table) of a kernel call on the graph
-    of ``desc``, the full grid by default."""
-    vindex = desc.vindex
+def _grid_call(free, pairs):
+    """(adj, pairs, mask, always_free, table) of a kernel call on the
+    corner grid with ``free`` free."""
+    vindex = _FULL.vindex
     pairs_idx = tuple((vindex[a], vindex[b]) for a, b in pairs)
-    return desc.adj, pairs_idx, desc.edge_mask(free), 0, _whole(desc)
+    return _FULL.adj, pairs_idx, _FULL.edge_mask(free), 0, _whole(_FULL)
 
 
 def _sink_call(free, pairs, exits, limit):
     """(adj, pairs, mask, always_free, table) of a kernel call on the sink
-    descriptor of the full grid for those exits and that limit."""
-    sd = kernel.sink_desc(full_grid(), tuple(sorted(exits)), COL_ONLY, limit)
+    descriptor for those exits and that limit."""
+    sd = kernel.sink_desc(tuple(sorted(exits)), COL_ONLY, limit)
     if not sd.reach:
         kernel.fill_table(sd)
     vindex = _FULL.vindex
@@ -418,7 +435,7 @@ def _unskipped(adj, pairs_idx, mask, always_free, table):
     return kernel.find_trail_system(adj, pairs_idx, mask, always_free, _CopyingTable(table))
 
 
-_NO_CORNER = kernel.desc_for(grid_without_corner())
+_NO_CORNER = grid_without_corner()
 _HEAVY6_EXITS = tuple(sorted(contract_for(LemmaId.HEAVY6).exit_target & full_grid().vertices))
 
 
@@ -430,19 +447,21 @@ def test_shared_row_skip_is_exact(name, data):
     search returns the same status, trails and node count as one in which
     no row is shared, on the full grid, the grid without its corner and
     the oracle's heavy6 sink graph, whose directed virtual edges keep the
-    child's end test needed.  (A skip that ignored which rows are shared
-    would skip in both runs; the pinned node counts of the strict and
-    refute sweeps catch that.)"""
-    desc = _NO_CORNER if name == "no-corner" else _FULL
-    vertex = st.sampled_from(desc.vertices)
-    free = data.draw(st.sets(st.sampled_from(desc.edges)))
+    child's end test needed.  The grid without its corner is searched as
+    the sweep searches it, on the corner grid with only its edges free.
+    (A skip that ignored which rows are shared would skip in both runs;
+    the pinned node counts of the strict and refute sweeps catch that.)"""
+    g = _NO_CORNER if name == "no-corner" else full_grid()
+    vertices = g.sorted_vertices()
+    vertex = st.sampled_from(vertices)
+    free = data.draw(st.sets(st.sampled_from(g.sorted_edges())))
     if name == "heavy6-sink":
-        ends = st.sampled_from(desc.vertices + (_SINK,))
+        ends = st.sampled_from(vertices + (_SINK,))
         pairs = data.draw(st.lists(st.tuples(vertex, ends), min_size=1, max_size=5))
         call = _sink_call(free, pairs, _HEAVY6_EXITS, 1)
     else:
         pairs = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=5))
-        call = _grid_call(free, pairs, desc)
+        call = _grid_call(free, pairs)
     assert kernel.find_trail_system(*call) == _unskipped(*call)
 
 
@@ -455,7 +474,7 @@ def _folded(desc, edges):
 @given(free=_FREE)
 def test_frozenset_mask_is_kept(free):
     """A frozenset's mask is the edge-by-edge mask, kept under that set."""
-    desc = kernel.desc_for.__wrapped__(full_grid())  # an empty memo of its own
+    desc = kernel.GraphDesc()  # an empty memo of its own
     free = frozenset(free)
     mask = desc.edge_mask(free)
     assert mask == _folded(desc, free)
@@ -465,36 +484,54 @@ def test_frozenset_mask_is_kept(free):
 
 def test_mutable_set_mask_is_not_kept():
     """A set can change between calls, as the router's free edges do: its
-    mask is folded afresh each time and never kept."""
+    mask is folded afresh each time and never kept.  Nor is any other
+    collection that is not a frozenset, a list or a tuple of edges."""
     free = set(_FULL.edges)
     before = dict(_FULL.masks)
     first = _FULL.edge_mask(free)
     gone = edge((1, 1), (1, 2))
     free.discard(gone)
     assert _FULL.edge_mask(free) == first ^ _FULL.ebit[gone]
+    for edges in (sorted(free), tuple(sorted(free))):
+        assert _FULL.edge_mask(edges) == first ^ _FULL.ebit[gone]
     assert _FULL.masks == before
+
+
+@pytest.mark.parametrize("limit", [None, 0, 1, 2, 3])
+def test_sink_gadget_has_no_more_r_edges_than_restricted_exits(limit):
+    """R has ``limit`` edges to S, but no more than there are restricted
+    exits: one restricted exit gets at most one, two at most two; with no
+    restricted exit or no limit there is no R at all."""
+    n = len(_FULL.vertices)
+    for exits in ([(1, 3)], [(1, 3), (2, 3)], [(1, 3), (2, 3), (3, 3)], [(3, 1), (3, 3)]):
+        sd = kernel.sink_desc(tuple(exits), COL_ONLY, limit)
+        held = 0 if limit is None else len(COL_ONLY.intersection(exits))
+        r_edges = bin(sd.virtual ^ sd.exit_edges).count("1")
+        assert r_edges == (min(limit, held) if held else 0), exits
+        assert sd.sink == (n + 1 if held else n)
 
 
 def test_mask_memo_holds_only_the_graphs_edge_sets(strict_sweep_desc, monkeypatch):
     """The strict sweep, on a descriptor of its own, leaves in the full
     grid's mask memo exactly the edge sets of the router's 19 clips, each
     under its edge-by-edge mask: the router's free edges are a mutable set,
-    never kept.  The refute sweep, on descriptors of its own, keeps one key,
-    the graph's own edge set; so a gate pass keeps 20."""
+    never kept.  The refute sweep, on a descriptor of its own, keeps one
+    key, the graph's own edge set."""
     clips = {clip.edges for clip in toolkit.clip_catalog().values()}
     assert len(clips) == 19
     masks = strict_sweep_desc.masks
     assert masks.keys() == clips
     for key, mask in masks.items():
         assert mask == _folded(strict_sweep_desc, key)
-    monkeypatch.setattr(kernel, "desc_for", functools.lru_cache(kernel.desc_for.__wrapped__))
+    desc = kernel.GraphDesc()
+    monkeypatch.setattr(kernel, "_DESC", desc)
     monkeypatch.setattr(kernel, "sink_desc", functools.lru_cache(kernel.sink_desc.__wrapped__))
     g = full_grid()
     contract = contract_for(LemmaId.HEAVY6)
     for cfg in enumerate_configs(LemmaId.HEAVY6, extended=True):
         if len(cfg.pairs) == 1:
             oracle_solve(g, cfg, contract)
-    assert kernel.desc_for(g).masks == {g.edges: _folded(kernel.desc_for(g), g.edges)}
+    assert desc.masks == {g.edges: _folded(desc, g.edges)}
 
 
 def garbage_left(runs):
@@ -523,8 +560,7 @@ def test_search_leaves_no_reference_cycle():
     that cycle is broken on every way out, the root cut included."""
     desc = kernel.desc_for(full_grid())
     vindex = desc.vindex
-    path_desc = kernel.desc_for(build_corner_grid(frozenset({(2, 2), (3, 3)})))
-    pvindex = path_desc.vindex
+    path_graph = build_corner_grid(frozenset({(2, 2), (3, 3)}))
 
     def feasible():
         pairs = ((vindex[(1, 1)], vindex[(3, 3)]), (vindex[(1, 3)], vindex[(3, 1)]))
@@ -534,10 +570,9 @@ def test_search_leaves_no_reference_cycle():
 
     def infeasible():
         # the surviving graph is a path: the search runs and finds nothing
-        pairs = ((pvindex[(1, 3)], pvindex[(3, 1)]), (pvindex[(3, 1)], pvindex[(1, 3)]))
-        mask = path_desc.edge_mask(path_desc.edges)
-        table = _whole(path_desc)
-        status, _, nodes = kernel.find_trail_system(path_desc.adj, pairs, mask, 0, table)
+        pairs = ((vindex[(1, 3)], vindex[(3, 1)]), (vindex[(3, 1)], vindex[(1, 3)]))
+        mask = desc.edge_mask(path_graph.edges)
+        status, _, nodes = kernel.find_trail_system(desc.adj, pairs, mask, 0, _whole(desc))
         assert status == kernel.NONE and nodes > 1
 
     def root_cut():
@@ -549,7 +584,7 @@ def test_search_leaves_no_reference_cycle():
     def sink():
         g = full_grid()
         trails = kernel.escape_trails(
-            g, g.edges, [((1, 1), (3, 3))], [(2, 2)], sorted(BOUNDARY), COL_ONLY, None
+            g.edges, [((1, 1), (3, 3))], [(2, 2)], sorted(BOUNDARY), COL_ONLY, None
         )
         assert trails is not None
 

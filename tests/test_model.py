@@ -337,7 +337,7 @@ def test_validators_agree_on_duplicated_exits(grid):
         for p in plan.all_paths():
             used.update(p.edges())
         free = set(grid.edges) - used
-        trails = kernel.solve_trails(grid, free, [(t1, x0)])
+        trails = kernel.solve_trails(free, [(t1, x0)])
         if trails is None:
             continue
         escapes = (plan.escapes[0], (t1, x0, trails[0])) + plan.escapes[2:]
@@ -444,7 +444,7 @@ def test_validators_reject_a_pair_linked_twice(grid, strict_sweep):
     for _, cfg, plan, _ in (strict_sweep[0], strict_sweep[3]):
         free = grid.edges - {e for p in plan.all_paths() for e in p.edges()}
         for i, _ in plan.linkages:
-            extras = [Path(min(free)), *(kernel.solve_trails(grid, free, [cfg.pairs[i]]) or ())]
+            extras = [Path(min(free)), *(kernel.solve_trails(free, [cfg.pairs[i]]) or ())]
             cases += [(cfg, plan, i, extra) for extra in extras]
     assert any({t.start, t.end} == set(cfg.pairs[i]) for cfg, _, i, t in cases)
     for (cfg, plan, i, extra), first in itertools.product(cases, (True, False)):

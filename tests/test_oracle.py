@@ -50,7 +50,7 @@ def test_double_deletion_not_weakly_2_linked():
     assert not ok
     assert witness is not None
     # the two corner-to-corner routes collapse to one: this tuple must fail
-    assert kernel.solve_trails(g, g.edges, [((1, 3), (3, 1)), ((3, 1), (1, 3))]) is None
+    assert kernel.solve_trails(g.edges, [((1, 3), (3, 1)), ((3, 1), (1, 3))]) is None
     # the first failing tuple in product order, pinned per deleted set
     first_failures = {
         ((2, 2), (3, 3)): ((1, 1), (1, 2), (1, 1), (1, 2)),
@@ -259,17 +259,15 @@ def test_sink_reach_rows_hold_every_exit_edge(grid, refute_sweep):
     exit edges free, so the table has at most one row per state of the grid
     edges and the R->S edge."""
     contract = contract_for(LemmaId.HEAVY6)
-    sd = kernel.sink_desc(
-        grid, tuple(sorted(contract.exit_target)), contract.restricted_zone, 1
-    )
+    sd = kernel.sink_desc(tuple(sorted(contract.exit_target)), contract.restricted_zone, 1)
     table = sd.reach
     assert table
     assert all(m & sd.exit_edges == sd.exit_edges for m in table)
-    assert len(table) <= 1 << (len(sd.grid.edges) + 1)
+    assert len(table) <= 1 << (len(grid.edges) + 1)
 
 
 def test_link_two_pairs_witness(grid):
-    paths = kernel.solve_trails(grid, grid.edges, [((1, 1), (3, 3)), ((1, 3), (3, 1))])
+    paths = kernel.solve_trails(grid.edges, [((1, 1), (3, 3)), ((1, 3), (3, 1))])
     assert paths is not None
     p1, p2 = paths
     assert not set(p1.edges()) & set(p2.edges())
@@ -279,7 +277,7 @@ def test_euler_cross_check_agrees_with_kernel():
     g = build_corner_grid(frozenset({(1, 1), (1, 2), (1, 3)}))  # 2x3 grid
     vertices = g.sorted_vertices()
     for u1, v1, u2, v2 in itertools.product(vertices[:4], repeat=4):
-        fast = kernel.solve_trails(g, g.edges, [(u1, v1), (u2, v2)])
+        fast = kernel.solve_trails(g.edges, [(u1, v1), (u2, v2)])
         slow = exists_trail_system_euler(g, [(u1, v1), (u2, v2)])
         assert (fast is not None) == slow
 
@@ -296,16 +294,17 @@ _VERTEX = st.sampled_from(_FULL.sorted_vertices())
 def test_euler_cross_check_agrees_with_kernel_on_free_edge_subsets(free, ends):
     """Reachability pruning under a partial free-edge mask: the kernel on the
     graph with only ``free`` as edges agrees with the subset enumerator, and
-    with the full grid searched under the same free edges."""
+    the same edges given as a mutable set, whose mask is folded afresh,
+    make the same search."""
     u1, v1, u2, v2 = ends
     pairs = [(u1, v1), (u2, v2)]
     g = GridGraph(vertices=_FULL.vertices, edges=frozenset(free))
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "find_trail_system", _recording_search(calls))
-        fast = kernel.solve_trails(g, g.edges, pairs)
+        fast = kernel.solve_trails(g.edges, pairs)
         assert (fast is not None) == exists_trail_system_euler(g, pairs)
-        assert kernel.solve_trails(_FULL, free, pairs) == fast
+        assert kernel.solve_trails(free, pairs) == fast
     # the same search, node for node
     assert calls[0] == calls[1]
 
@@ -330,11 +329,11 @@ def test_sink_search_agrees_with_every_exit_assignment(taken, linked, escaping, 
     free = _FULL.edges - taken
     exits = sorted(exits)
     brute = any(
-        kernel.solve_trails(_FULL, free, [*linked, *zip(escaping, combo)]) is not None
+        kernel.solve_trails(free, [*linked, *zip(escaping, combo)]) is not None
         for combo in itertools.permutations(exits, len(escaping))
         if limit is None or sum(x in COL_ONLY for x in combo) <= limit
     )
-    trails = kernel.escape_trails(_FULL, free, linked, escaping, exits, COL_ONLY, limit)
+    trails = kernel.escape_trails(free, linked, escaping, exits, COL_ONLY, limit)
     assert (trails is not None) == brute
     if trails is None:
         return
@@ -473,8 +472,8 @@ def test_any_plan_raises_on_swapped_escape_exits(grid, monkeypatch):
     search = kernel.escape_trails
     swapped = []
 
-    def swapping(g, free_edges, linked_pairs, escaping, *rest):
-        trails = search(g, free_edges, linked_pairs, escaping, *rest)
+    def swapping(free_edges, linked_pairs, escaping, *rest):
+        trails = search(free_edges, linked_pairs, escaping, *rest)
         if trails is None or len(escaping) < 2:
             return trails
         swapped.append(escaping)
@@ -496,7 +495,7 @@ def test_weak_linkage_witnesses_validate(grid):
     for u1, v1, u2, v2 in itertools.islice(
         itertools.product(grid.sorted_vertices(), repeat=4), 0, 500, 7
     ):
-        paths = kernel.solve_trails(grid, grid.edges, [(u1, v1), (u2, v2)])
+        paths = kernel.solve_trails(grid.edges, [(u1, v1), (u2, v2)])
         assert paths is not None
         assert not set(paths[0].edges()) & set(paths[1].edges())
         assert paths[0].start == u1 and paths[0].end == v1
@@ -569,8 +568,8 @@ def test_weak_linkage_sweep_rejects_a_bad_witness(monkeypatch, mutate, graph):
     solve = kernel.solve_trails
     mutated = []
 
-    def corrupting(g, free_edges, pairs):
-        trails = solve(g, free_edges, pairs)
+    def corrupting(free_edges, pairs):
+        trails = solve(free_edges, pairs)
         bad = trails if trails is None else mutate(pairs, trails)
         if bad != trails:
             mutated.append(pairs)
@@ -602,20 +601,35 @@ def test_trail_existence_is_invariant_under_the_key(data):
         [(b, a) for a, b in pairs],
         [(b, a) if flip else (a, b) for (a, b), flip in zip(pairs, flips)],
     ]
-    exists = kernel.solve_trails(g, g.edges, pairs) is not None
+    exists = kernel.solve_trails(g.edges, pairs) is not None
     for variant in variants:
-        assert (kernel.solve_trails(g, g.edges, variant) is not None) == exists
+        assert (kernel.solve_trails(g.edges, variant) is not None) == exists
+
+
+# Per graph, by its deleted vertices: the sweep's kernel searches and their
+# total nodes, each graph searched as a mask on the one corner-grid table.
+_SWEEP_PINS = {
+    "full": ((), 1035, 11732),
+    "no-12": (((1, 2),), 37, 211),
+    "no-22": (((2, 2),), 80, 482),
+    "no-33": (((3, 3),), 666, 6785),
+    "no-11-33": (((1, 1), (3, 3)), 111, 787),
+    "no-22-33": (((2, 2), (3, 3)), 29, 124),
+}
 
 
 @pytest.mark.parametrize(
-    "deleted", sorted(_KEYED_GRAPHS), ids=["full", "no-12", "no-22", "no-33"]
+    "deleted, searches, nodes", list(_SWEEP_PINS.values()), ids=list(_SWEEP_PINS)
 )
-def test_pair_key_classes_are_symmetry_orbits(deleted, kernel_calls):
+def test_pair_key_classes_are_symmetry_orbits(
+    deleted, searches, nodes, kernel_calls, search_calls
+):
     """The sweep searches one tuple per class of 4-tuples under the only
     symmetries it uses, a swap of the two pairs and a reversal of either:
     the classes are the multisets of unordered pairs.  On each graph its
     searches are exactly the first member of each class in ``product``
-    order, in that order, up to its counterexample if it finds one."""
+    order, in that order, up to its counterexample if it finds one, and
+    they make the pinned number of kernel searches in the pinned nodes."""
     g = build_corner_grid(frozenset(deleted))
     firsts = {}
     for u1, v1, u2, v2 in itertools.product(g.sorted_vertices(), repeat=4):
@@ -629,6 +643,7 @@ def test_pair_key_classes_are_symmetry_orbits(deleted, kernel_calls):
         assert len(searched) == len(expected)
     else:
         assert witness == searched[-1][0] + searched[-1][1]
+    assert (len(search_calls), sum(n for _, _, n in search_calls)) == (searches, nodes)
 
 
 @pytest.fixture
@@ -637,7 +652,7 @@ def kernel_calls(monkeypatch):
     calls = []
     solve = kernel.solve_trails
     monkeypatch.setattr(
-        kernel, "solve_trails", lambda *args: calls.append(args[2]) or solve(*args)
+        kernel, "solve_trails", lambda *args: calls.append(args[1]) or solve(*args)
     )
     return calls
 

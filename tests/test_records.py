@@ -19,7 +19,7 @@ from escape3x3.toolkit import ClipSpec, RoutingContext
 from conftest import record_classes
 
 _G = full_grid()
-_DESC = kernel.desc_for.__wrapped__(_G)  # a descriptor with memos of its own
+_DESC = kernel.GraphDesc()  # a descriptor with memos of its own
 _P = Path(((1, 1), (1, 2), (2, 2)))
 _CFG = TerminalConfig((((1, 1), (2, 2)),), ((1, 2), (3, 3)))
 
@@ -28,7 +28,7 @@ def _records():
     """(class, positional arguments, keyword arguments, compared fields,
     frozen) for one instance of each record class; the two argument forms
     build equal records."""
-    sink_args = (_DESC, _DESC.adj, 9, 1 << 12, 1 << 12)
+    sink_args = (_DESC.adj, 9, 1 << 12, 1 << 12)
     return [
         (
             GridGraph,
@@ -73,25 +73,12 @@ def _records():
             ("pairs", "singletons"),
             True,
         ),
-        (
-            kernel.GraphDesc,
-            (_DESC.vertices, _DESC.edges, _DESC.adj, _DESC.vindex, _DESC.ebit, _DESC.step),
-            {
-                "vertices": _DESC.vertices,
-                "edges": _DESC.edges,
-                "adj": _DESC.adj,
-                "vindex": _DESC.vindex,
-                "ebit": _DESC.ebit,
-                "step": _DESC.step,
-            },
-            ("vertices", "edges", "adj"),
-            True,
-        ),
+        (kernel.GraphDesc, (), {}, ("vertices", "edges", "adj"), True),
         (
             kernel.SinkDesc,
             sink_args,
-            dict(zip(("grid", "adj", "sink", "virtual", "exit_edges"), sink_args)),
-            ("grid", "adj", "sink", "virtual", "exit_edges"),
+            dict(zip(("adj", "sink", "virtual", "exit_edges"), sink_args)),
+            ("adj", "sink", "virtual", "exit_edges"),
             True,
         ),
         (
@@ -243,9 +230,9 @@ def test_record_defaults_are_fresh_per_instance():
         assert not getattr(c, f) and getattr(c, f) is not getattr(d, f)
     for f in ("free", "trails"):
         assert getattr(c, f) == getattr(d, f) and getattr(c, f) is not getattr(d, f)
-    one, two = (kernel.desc_for.__wrapped__(_G) for _ in range(2))
+    one, two = (kernel.GraphDesc() for _ in range(2))
     assert one == two and one.reach is not two.reach
     assert one.paths is not two.paths and one.masks is not two.masks
-    sink = kernel.SinkDesc(one, one.adj, 9, 0, 0)
-    assert sink.reach == {} and sink.reach is not kernel.SinkDesc(one, one.adj, 9, 0, 0).reach
+    sink = kernel.SinkDesc(one.adj, 9, 0, 0)
+    assert sink.reach == {} and sink.reach is not kernel.SinkDesc(one.adj, 9, 0, 0).reach
 

@@ -117,9 +117,10 @@ def test_no_record_hooks_attribute_lookup():
 def test_every_record_slot_is_read(monkeypatch, tmp_path):
     """Each slot a record class declares holds state the program reads.
     Every slot of every record class is wrapped in a counting property, and
-    a small exercise runs the package's paths on descriptor caches of its
-    own: strict routes of a sample of each routed family, a reflected route
-    among them, both validators on each plan, ``any_plan`` and
+    a small exercise runs the package's paths on a kernel descriptor and a
+    sink descriptor cache of its own: strict routes of a sample of each
+    routed family, a reflected route among them, both validators on each
+    plan, ``any_plan`` and
     ``oracle_solve``, and the CLI's ``solve``, ``clips --verify`` on the
     catalog and on a broken clip, and ``verify`` on a few configurations.
     Package code must read every slot of every class, each class counted
@@ -147,7 +148,7 @@ def test_every_record_slot_is_read(monkeypatch, tmp_path):
     slots = [(cls, name) for cls in classes for name in vars(cls).get("__slots__", ())]
     for cls, name in slots:
         monkeypatch.setattr(cls, name, counting(cls, name))
-    monkeypatch.setattr(kernel, "desc_for", functools.lru_cache(kernel.desc_for.__wrapped__))
+    monkeypatch.setattr(kernel, "_DESC", kernel.GraphDesc())
     monkeypatch.setattr(kernel, "sink_desc", functools.lru_cache(kernel.sink_desc.__wrapped__))
 
     grid = full_grid()
@@ -661,6 +662,94 @@ def test_reach_tables_are_kept_by_the_kernel_alone(trees):
             if name in names:
                 found.append(f"{stem}.py:{getattr(node, 'lineno', '?')} {name}")
     assert not found, found
+
+
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def test_one_graph_descriptor_and_no_cache_keyed_on_a_graph(trees):
+    """The kernel describes one graph: package code builds a ``GraphDesc``
+    in one place only, ``kernel._DESC`` at module level, and keys no cache
+    on a ``GridGraph``.  A graph is a parameter annotated ``GridGraph`` or
+    named ``g`` or ``graph``: no ``lru_cache``d or ``cache``d function takes
+    one, and no function indexes a mapping with it, or passes it first to
+    a mapping's ``get``, ``setdefault`` or ``pop``, alone or in a tuple."""
+    built = []
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "GraphDesc":
+                    built.append(f"{stem}.py:{node.lineno}")
+    kernel_tree = trees["kernel"]
+    assigned = [
+        f"kernel.py:{node.value.lineno}"
+        for node in kernel_tree.body
+        if isinstance(node, ast.Assign)
+        and [ast.unparse(t) for t in node.targets] == ["_DESC"]
+        and ast.unparse(node.value) == "GraphDesc()"
+    ]
+    assert len(assigned) == 1 and built == assigned, built
+
+    keyed, graphs = [], 0
+    for stem, tree in trees.items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+            params = {
+                a.arg
+                for a in args
+                if a.arg in ("g", "graph")
+                or (a.annotation is not None and "GridGraph" in ast.unparse(a.annotation))
+            }
+            if not params:
+                continue
+            graphs += 1
+            where = f"{stem}.{func.name}"
+            cached = {ast.unparse(d).partition("(")[0].rpartition(".")[2] for d in func.decorator_list}
+            if cached & {"lru_cache", "cache"}:
+                keyed.append(f"{where} is cached")
+            for node in ast.walk(func):
+                if isinstance(node, ast.Subscript) and _names(node.slice) & params:
+                    keyed.append(f"{where}:{node.lineno} indexes by a graph")
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("get", "setdefault", "pop")
+                    and node.args
+                    and _names(node.args[0]) & params
+                ):
+                    keyed.append(f"{where}:{node.lineno} looks up by a graph")
+    assert graphs >= 10, "no function takes a graph: the guard reads nothing"
+    assert not keyed, keyed
+
+
+def test_a_process_holds_one_graph_descriptor():
+    """A fresh process that runs the weak-2-linkage sweep on both its
+    graphs, a strict heavy5 campaign (routing and the oracle's sink
+    searches) and ``clips --verify`` holds one ``GraphDesc``, the kernel's,
+    and ``desc_for`` hands it out for any graph."""
+    probe = (
+        "import contextlib, gc, io\n"
+        "from escape3x3 import cli, kernel\n"
+        "from escape3x3.grid import full_grid, grid_without_corner\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['verify', '--lemma', 'w2l'], ['verify', '--lemma', 'heavy5', '--strict'],\n"
+        "                 ['clips', '--verify']):\n"
+        "        assert cli.main(argv) == 0\n"
+        "descs = [o for o in gc.get_objects() if type(o) is kernel.GraphDesc]\n"
+        "graphs = (full_grid(), grid_without_corner())\n"
+        "print(len(descs), descs[0] is kernel._DESC, all(kernel.desc_for(g) is descs[0] for g in graphs))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["1", "True", "True"], out
 
 
 def _module_memos(stem, tree):

@@ -1,5 +1,3 @@
-import functools
-
 import pytest
 
 from escape3x3 import kernel, toolkit
@@ -70,14 +68,14 @@ def test_shift_requires_boundary():
 
 
 def test_link_pairs_identity_case(grid):
-    paths = kernel.solve_trails(grid, grid.edges, [((1, 1), (1, 1)), ((3, 3), (3, 3))])
+    paths = kernel.solve_trails(grid.edges, [((1, 1), (1, 1)), ((3, 3), (3, 3))])
     assert paths is not None
     p1, p2 = paths
     assert len(p1.vertices) == 1 and len(p2.vertices) == 1
 
 
 def test_link_pairs_corner_to_corner(grid):
-    paths = kernel.solve_trails(grid, grid.edges, [((1, 1), (3, 3)), ((1, 3), (3, 1))])
+    paths = kernel.solve_trails(grid.edges, [((1, 1), (3, 3)), ((1, 3), (3, 1))])
     assert paths is not None
     p1, p2 = paths
     assert not set(p1.edges()) & set(p2.edges())
@@ -196,8 +194,8 @@ def test_free_vertex_accounting():
 
 
 def test_start_trails_are_the_descriptors_shared_paths(grid):
-    """Each terminal starts on the full grid descriptor's zero-length
-    trail at its vertex, the same object for every context: two
+    """Each terminal starts on the kernel descriptor's zero-length trail
+    at its vertex, the same object for every context: two
     configurations with a terminal on (2, 2) share its start trail."""
     desc = kernel.desc_for(grid)
     first = _ctx([((1, 1), (2, 2))], [(3, 1), (3, 2), (1, 3)])
@@ -244,10 +242,10 @@ def test_memo_answers_are_fresh_searches(strict_sweep_memo, strict_sweep_desc, m
     its index trail, as the kernel handed it out."""
     desc = strict_sweep_desc
     assert len(strict_sweep_memo) == 1999
-    monkeypatch.setattr(kernel, "desc_for", functools.lru_cache(kernel.desc_for.__wrapped__))
+    monkeypatch.setattr(kernel, "_DESC", kernel.GraphDesc())
     for (pairs, mask), trails in strict_sweep_memo.items():
         region = {e for e in desc.edges if mask & desc.ebit[e]}
-        fresh = kernel.solve_trails(full_grid(), region, list(pairs))
+        fresh = kernel.solve_trails(region, list(pairs))
         if trails is None:
             assert fresh is None, pairs
             continue
@@ -281,7 +279,7 @@ def test_warm_memo_routes_as_the_cold_sweep(strict_sweep, strict_sweep_memo, mon
     and the memo answers every request: no kernel search is made."""
 
     def no_search(*args):
-        raise AssertionError(f"kernel search made on a warm memo: {args[2]}")
+        raise AssertionError(f"kernel search made on a warm memo: {args[1]}")
 
     monkeypatch.setattr(toolkit, "_SEARCHES", strict_sweep_memo)
     monkeypatch.setattr(kernel, "solve_trails", no_search)
