@@ -46,26 +46,32 @@ the corner grid, and its rows are keyed with its exit edges always free,
 so its table has at most 2^(12 + number of R->S edges) rows.
 
 The search only reads a table, and every table is built whole before the
-first search on it: ``solve_trails`` builds the grid's
+first search on it: ``solve_trails`` builds the grid's at its first call
 (``_fill_grid_table``, edge by edge: the row of mask m is the row of m
-without its highest edge, that edge's two components joined), and
-``escape_trails`` a sink descriptor's (``fill_table``), each sink row
+without its highest edge, that edge's two components joined), and a sink
+descriptor's constructor builds its own (``fill_table``), each sink row
 derived from the grid row of its key's grid part, after building the
 grid's table if no search has yet.  So a table's contents never depend on
 which searches ran before.  The descriptor is built at import, its table
 by the first search.
 
 Rows are interned: both builds store a row equal to one made before as
-that same object (``_ROWS``), so masks whose rows agree share one row.  A
-step whose edge changes no reachability (an edge on a cycle of free edges,
-or one the table treats as always free) leaves its child with its parent's
-row object, and the child then skips the later-pair cut.  That is exact:
-the later pairs are the parent's, and the parent's row passed them, in its
-own parent's loop, at the root, or in the check of the previous trail's
-last node, whose later pairs include these.  The child's own end test
-still runs: its vertex is not its parent's, and over a directed edge it
-need not reach what its parent reaches.  ``_ROWS`` holds one object per
-distinct row, so it never outgrows the tables.
+that same object, in the grid descriptor's pool (``GraphDesc.rows``), so
+masks whose rows agree share one row.  A step whose edge changes no
+reachability (an edge on a cycle of free edges, or one the table treats
+as always free) leaves its child with its parent's row object, and the
+child then skips the later-pair cut.  That is exact: the later pairs are
+the parent's, and the parent's row passed them, in its own parent's loop,
+at the root, or in the check of the previous trail's last node, whose
+later pairs include these.  The child's own end test still runs: its
+vertex is not its parent's, and over a directed edge it need not reach
+what its parent reaches.  The pool holds one object per distinct row, so
+it never outgrows the tables.
+
+The module's descriptor (``_DESC``) is the only state the kernel keeps:
+its reach table, its row pool, its sink descriptors (``GraphDesc.sinks``,
+each with its own table), its trails and its masks.  So a fresh
+``GraphDesc()`` in its place is a fresh kernel.
 
 The search is a nested function that calls itself through its closure
 cell, a reference cycle; the closure is cleared on every way out, so each
@@ -97,7 +103,6 @@ on every call.
 from __future__ import annotations
 
 import sys
-from functools import lru_cache
 
 from .grid import ALL_VERTICES, GRID_EDGES, Frozen, GridGraph, Vertex
 from .model import _STEP_EDGE, Path
@@ -112,9 +117,6 @@ BACKEND = "python"  # stamped in every benchmark record
 FOUND = 1
 NONE = 0
 
-# each distinct row of every table, keyed by itself
-_ROWS: dict[tuple[int, ...], tuple[int, ...]] = {}
-
 
 def _fill_grid_table(desc: GraphDesc) -> None:
     """Build the descriptor's empty reach table whole: a row for every
@@ -123,11 +125,12 @@ def _fill_grid_table(desc: GraphDesc) -> None:
     The row of mask m is the row of m without its highest edge, with that
     edge's two components joined, so the masks are filled in increasing
     order, each from a row made before.  The table is written once, whole,
-    so it is never seen part-built."""
+    so it is never seen part-built.  Its rows are interned in the
+    descriptor's ``rows``."""
     vindex = desc.vindex
     ends = [(vindex[a], vindex[b]) for a, b in desc.edges]
     row = tuple(1 << v for v in range(len(desc.vertices)))
-    rows = [_ROWS.setdefault(row, row)]
+    rows = [desc.rows.setdefault(row, row)]
     for m in range(1, 1 << len(ends)):
         top = m.bit_length() - 1
         prev = rows[m ^ (1 << top)]
@@ -135,16 +138,17 @@ def _fill_grid_table(desc: GraphDesc) -> None:
         if not prev[u] >> v & 1:
             joined = prev[u] | prev[v]
             row = tuple([joined if x & joined else x for x in prev])
-            prev = _ROWS.setdefault(row, row)
+            prev = desc.rows.setdefault(row, row)
         rows.append(prev)
     desc.reach.update(enumerate(rows))
 
 
-def fill_table(sd: SinkDesc) -> None:
+def fill_table(sd: SinkDesc, grid: GraphDesc) -> None:
     """Build the sink descriptor's empty reach table whole: a row for every
     key a search can ask for, that is, every grid mask with the exit edges
-    and any subset of the R->S edges, after building the module
-    descriptor's table if it is still empty.
+    and any subset of the R->S edges, after building the table of
+    ``grid``, the descriptor ``sd`` extends, if it is still empty.  Its
+    rows are interned in ``grid``'s ``rows``.
 
     Each row is made by a search from each vertex in index order that has
     no row yet, storing what it reaches for every vertex from there on, so
@@ -154,7 +158,6 @@ def fill_table(sd: SinkDesc) -> None:
     from an exit to R or S, or from R to S, always to a higher index, so
     one pass over the virtual edges in index order reaches all the search
     would."""
-    grid = _DESC
     gtable = grid.reach
     if not gtable:
         _fill_grid_table(grid)
@@ -189,7 +192,7 @@ def fill_table(sd: SinkDesc) -> None:
                 row[low.bit_length() - 1] = seen
                 rest ^= low
         out = tuple(row)
-        return _ROWS.setdefault(out, out)
+        return grid.rows.setdefault(out, out)
 
     # grid rows are interned, so equal ones are one object: each object's
     # rows, one per subset, are derived once
@@ -298,15 +301,18 @@ class GraphDesc(Frozen):
     vertex -> index and edge -> bit tables the wrappers look up.  Vertices
     and edges are indexed in sorted order; ``adj`` lists each vertex's
     (neighbour index, edge bit) entries by neighbour index, where an edge's
-    bit is ``1 << `` its index in ``edges``.  It owns three memos, each
+    bit is ``1 << `` its index in ``edges``.  It owns five memos, each
     empty at construction: ``reach``, the search's reachability table for
     ``adj``, built whole before the first search on the descriptor or on a
-    sink descriptor; ``paths`` and ``masks``, filled on first use.  Only
-    ``vertices``, ``edges`` and ``adj`` take part in equality, hashing and
-    repr.  The module builds one, ``_DESC``, and every search runs on it."""
+    sink descriptor; ``rows``, the pool its table and its sink
+    descriptors' tables intern their rows in; ``sinks``, its sink
+    descriptors by exits, restricted zone and limit (``sink_desc``);
+    ``paths`` and ``masks``, filled on first use.  Only ``vertices``,
+    ``edges`` and ``adj`` take part in equality, hashing and repr.  The
+    module builds one, ``_DESC``, and every search runs on it."""
 
     _fields = ("vertices", "edges", "adj")
-    __slots__ = _fields + ("vindex", "ebit", "reach", "paths", "masks")
+    __slots__ = _fields + ("vindex", "ebit", "reach", "rows", "sinks", "paths", "masks")
 
     def __init__(self):
         edges = tuple(sorted(GRID_EDGES))
@@ -319,7 +325,9 @@ class GraphDesc(Frozen):
         for (a, b), bit in ebit.items():
             adj[vindex[a]].append((vindex[b], bit))
             adj[vindex[b]].append((vindex[a], bit))
-        self._set_fields(ALL_VERTICES, edges, tuple(map(tuple, adj)), vindex, ebit, {}, {}, {})
+        self._set_fields(
+            ALL_VERTICES, edges, tuple(map(tuple, adj)), vindex, ebit, {}, {}, {}, {}, {}
+        )
 
     def path(self, t: tuple[int, ...]) -> Path:
         """The path along index trail ``t``, built on first use and kept in
@@ -381,7 +389,7 @@ def solve_trails(free_edges, endpoint_pairs) -> list[Path] | None:
 
 
 class SinkDesc(Frozen):
-    """The corner grid's descriptor extended by a sink S fed by the exits.
+    """The descriptor ``grid`` extended by a sink S fed by the exits.
 
     Each unrestricted exit has one directed edge to S.  With a limit, each
     restricted exit has one directed edge to a vertex R, and R has ``limit``
@@ -396,48 +404,49 @@ class SinkDesc(Frozen):
 
     ``virtual`` is the mask of every virtual edge, ``exit_edges`` that of
     the exit->S and exit->R edges; ``reach``, the search's reachability
-    table for ``adj``, is empty at construction, built whole by
-    ``escape_trails`` before its first search, and takes no part in
-    equality, hashing or repr."""
+    table for ``adj``, is built whole by the constructor (``fill_table``),
+    derived from ``grid``'s table and interned in ``grid``'s ``rows``, and
+    takes no part in equality, hashing or repr."""
 
     _fields = ("adj", "sink", "virtual", "exit_edges")
     __slots__ = _fields + ("reach",)
 
     def __init__(
         self,
-        adj: tuple[tuple[tuple[int, int], ...], ...],
-        sink: int,
-        virtual: int,
-        exit_edges: int,
+        grid: GraphDesc,
+        exits: tuple[Vertex, ...],
+        restricted: frozenset[Vertex],
+        limit: int | None,
     ):
-        self._set_fields(adj, sink, virtual, exit_edges, {})
+        n = len(grid.vertices)
+        held = [] if limit is None else [x for x in exits if x in restricted]
+        r = n  # R, present only when some exit is restricted
+        sink = n + 1 if held else n
+        adj = [list(entries) for entries in grid.adj] + [[] for _ in range(sink + 1 - n)]
+        eid = len(grid.edges)
+        for x in exits:
+            adj[grid.vindex[x]].insert(0, (r if x in held else sink, 1 << eid))
+            eid += 1
+        exit_edges = (1 << eid) - (1 << len(grid.edges))
+        for _ in range(min(limit, len(held)) if held else 0):
+            adj[r].append((sink, 1 << eid))
+            eid += 1
+        virtual = (1 << eid) - (1 << len(grid.edges))
+        self._set_fields(tuple(map(tuple, adj)), sink, virtual, exit_edges, {})
+        fill_table(self, grid)
 
 
-@lru_cache(maxsize=None)
 def sink_desc(
     exits: tuple[Vertex, ...], restricted: frozenset[Vertex], limit: int | None
 ) -> SinkDesc:
+    """The module descriptor's sink descriptor for these exits, restricted
+    zone and limit, built on first use and kept in its ``sinks``."""
     grid = _DESC
-    n = len(grid.vertices)
-    held = [] if limit is None else [x for x in exits if x in restricted]
-    r = n  # R, present only when some exit is restricted
-    sink = n + 1 if held else n
-    adj = [list(entries) for entries in grid.adj] + [[] for _ in range(sink + 1 - n)]
-    eid = len(grid.edges)
-    for x in exits:
-        adj[grid.vindex[x]].insert(0, (r if x in held else sink, 1 << eid))
-        eid += 1
-    exit_edges = (1 << eid) - (1 << len(grid.edges))
-    for _ in range(min(limit, len(held)) if held else 0):
-        adj[r].append((sink, 1 << eid))
-        eid += 1
-    adj_t = tuple(map(tuple, adj))
-    return SinkDesc(
-        adj=adj_t,
-        sink=sink,
-        virtual=(1 << eid) - (1 << len(grid.edges)),
-        exit_edges=exit_edges,
-    )
+    key = (exits, restricted, limit)
+    sd = grid.sinks.get(key)
+    if sd is None:
+        sd = grid.sinks[key] = SinkDesc(grid, exits, restricted, limit)
+    return sd
 
 
 def escape_trails(
@@ -461,8 +470,6 @@ def escape_trails(
     ``solve_trails``.
     """
     sd = sink_desc(tuple(exits), frozenset(restricted), limit)
-    if not sd.reach:
-        fill_table(sd)
     grid = _DESC
     vindex = grid.vindex
     pairs_idx = tuple((vindex[a], vindex[b]) for a, b in linked_pairs) + tuple(

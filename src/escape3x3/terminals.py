@@ -213,7 +213,8 @@ def encode_config(cfg: TerminalConfig) -> dict:
 def decode_config(obj) -> TerminalConfig:
     """A configuration from its decoded JSON object, or from JSON text.
     Text that does not parse, or nests too deeply to parse, raises
-    ``MalformedConfigError`` like any other malformed configuration."""
+    ``MalformedConfigError`` like any other malformed configuration; the
+    pairs and singletons are checked by ``make_config``."""
     if isinstance(obj, str):
         try:
             obj = json.loads(obj)
@@ -224,27 +225,7 @@ def decode_config(obj) -> TerminalConfig:
     unknown = set(obj) - {"pairs", "singletons"}
     if unknown:
         raise MalformedConfigError(f"unknown config keys: {sorted(map(str, unknown))}")
-    try:
-        pairs = [_as_pair(p) for p in obj.get("pairs", [])]
-        singles = [_as_vertex(s) for s in obj.get("singletons", [])]
-    except TypeError as exc:
-        raise MalformedConfigError(f"bad config JSON: {exc}") from exc
-    return make_config(pairs, singles)
-
-
-def _as_pair(p) -> Pair:
-    if not isinstance(p, (list, tuple)) or len(p) != 2:
-        raise MalformedConfigError(f"{p!r} is not a pair of two vertices")
-    return (_as_vertex(p[0]), _as_vertex(p[1]))
-
-
-def _as_vertex(x) -> Vertex:
-    if not isinstance(x, (list, tuple)) or len(x) != 2:
-        raise MalformedConfigError(f"{x!r} is not a [row, col] vertex")
-    v = (x[0], x[1])
-    if not is_vertex(v):
-        raise MalformedConfigError(f"vertex {v} out of range")
-    return v
+    return make_config(obj.get("pairs", []), obj.get("singletons", []))
 
 
 def config_to_ndjson_line(cfg: TerminalConfig) -> str:

@@ -1,6 +1,5 @@
 """Kernel behavior."""
 
-import functools
 import gc
 import itertools
 import types
@@ -235,12 +234,12 @@ def _sink_keys(sd):
 def _searched_sink_table(exits, limit):
     """(the sink descriptor for those exits, the oracle's restricted zone
     and that limit, the kernel descriptor), both built for this call, after
-    one ``escape_trails`` call on them."""
+    one ``escape_trails`` call on them: a fresh kernel descriptor holds
+    sink descriptors of its own."""
     g = full_grid()
     desc = kernel.GraphDesc()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "_DESC", desc)
-        mp.setattr(kernel, "sink_desc", functools.lru_cache(kernel.sink_desc.__wrapped__))
         kernel.escape_trails(g.edges, [((1, 1), (2, 2))], [(1, 2)], exits, COL_ONLY, limit)
         return kernel.sink_desc(tuple(exits), COL_ONLY, limit), desc
 
@@ -271,14 +270,14 @@ def _reference_row(adj, m):
     return tuple(row)
 
 
-def _assert_sink_table_whole(sd):
+def _assert_sink_table_whole(sd, grid):
     """``sd``'s table holds every key, each row the one ``_reference_row``
-    makes, as the interned object."""
+    makes, as the object interned in ``grid``'s pool."""
     keys = _sink_keys(sd)
     assert sd.reach.keys() == keys
     for m in keys:
         row = _reference_row(sd.adj, m)
-        assert sd.reach[m] == row and sd.reach[m] is kernel._ROWS[row]
+        assert sd.reach[m] == row and sd.reach[m] is grid.rows[row]
 
 
 @pytest.mark.parametrize("lemma", [LemmaId.HEAVY78, LemmaId.HEAVY6])
@@ -292,11 +291,11 @@ def test_sink_search_builds_its_tables_whole(lemma):
     exits = sorted(contract.exit_target & full_grid().vertices)
     assert contract.restricted_zone == COL_ONLY
     sd, grid = _searched_sink_table(exits, contract.max_exits_in_restricted)
-    _assert_sink_table_whole(sd)
+    _assert_sink_table_whole(sd, grid)
     assert grid.reach.keys() == set(range(1 << len(grid.edges)))
     for m, row in grid.reach.items():
         assert row == tuple(_bfs_reach(grid.adj, m, v) for v in range(len(grid.adj)))
-        assert row is kernel._ROWS[row]
+        assert row is grid.rows[row]
 
 
 @settings(max_examples=12, deadline=None)
@@ -310,23 +309,56 @@ def test_sink_search_builds_its_tables_whole(lemma):
 @example(exits={(1, 3), (2, 3)}, limit=1)
 def test_sink_tables_are_whole_for_any_exits(exits, limit):
     """The same for other exit subsets, with limits None, 0, 1 and 2."""
-    _assert_sink_table_whole(_searched_sink_table(sorted(exits), limit)[0])
+    _assert_sink_table_whole(*_searched_sink_table(sorted(exits), limit))
 
 
 def test_equal_rows_are_one_object():
     """Whole tables intern their rows: in the full grid's table and in a
     sink table built on it, masks whose rows are equal get one row object,
-    ``_ROWS``' own, and an unequal row is its own."""
+    the pool's own (``GraphDesc.rows``), and an unequal row is its own."""
     sd, grid = _searched_sink_table(sorted(BOUNDARY), 1)
     for table in (grid.reach, sd.reach):
         assert len({id(row) for row in table.values()}) == len(set(table.values()))
-        assert all(row is kernel._ROWS[row] for row in table.values())
+        assert all(row is grid.rows[row] for row in table.values())
     every = (1 << len(grid.edges)) - 1
     cycle_edge = grid.ebit[edge((1, 1), (1, 2))]
     corner = cycle_edge | grid.ebit[edge((1, 1), (2, 1))]
     row = grid.reach[every]
     assert grid.reach[every ^ cycle_edge] is row
     assert grid.reach[every ^ corner] != row
+
+
+def test_a_fresh_descriptor_is_a_fresh_kernel(monkeypatch):
+    """The kernel keeps its state in its descriptor alone: after a sink
+    search on the session's descriptor, the same search on a fresh
+    ``GraphDesc`` swapped in gets a new sink descriptor, the fresh one's,
+    whose rows are all the fresh descriptor's own, and it finds the same
+    trails in the same nodes."""
+    g = full_grid()
+    key = (tuple(sorted(BOUNDARY)), COL_ONLY, 1)
+    find = kernel.find_trail_system
+
+    def search():
+        nodes = []
+
+        def counting(*args):
+            out = find(*args)
+            nodes.append(out[2])
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "find_trail_system", counting)
+            trails = kernel.escape_trails(g.edges, [((1, 1), (2, 2))], [(1, 2), (2, 1)], *key)
+        return kernel.sink_desc(*key), trails, nodes
+
+    first, trails, nodes = search()
+    assert trails is not None and nodes
+    fresh = kernel.GraphDesc()
+    monkeypatch.setattr(kernel, "_DESC", fresh)
+    sd, again, again_nodes = search()
+    assert sd is not first and fresh.sinks == {key: sd}
+    assert all(row is fresh.rows[row] for row in sd.reach.values())
+    assert (again, again_nodes) == (trails, nodes)
 
 
 def _naive_trail_system(adj, pairs, mask):
@@ -385,8 +417,6 @@ def _sink_call(free, pairs, exits, limit):
     """(adj, pairs, mask, always_free, table) of a kernel call on the sink
     descriptor for those exits and that limit."""
     sd = kernel.sink_desc(tuple(sorted(exits)), COL_ONLY, limit)
-    if not sd.reach:
-        kernel.fill_table(sd)
     vindex = _FULL.vindex
     pairs_idx = tuple((vindex[a], sd.sink if b == _SINK else vindex[b]) for a, b in pairs)
     return sd.adj, pairs_idx, _FULL.edge_mask(free) | sd.virtual, sd.exit_edges, sd.reach
@@ -525,7 +555,6 @@ def test_mask_memo_holds_only_the_graphs_edge_sets(strict_sweep_desc, monkeypatc
         assert mask == _folded(strict_sweep_desc, key)
     desc = kernel.GraphDesc()
     monkeypatch.setattr(kernel, "_DESC", desc)
-    monkeypatch.setattr(kernel, "sink_desc", functools.lru_cache(kernel.sink_desc.__wrapped__))
     g = full_grid()
     contract = contract_for(LemmaId.HEAVY6)
     for cfg in enumerate_configs(LemmaId.HEAVY6, extended=True):

@@ -28,7 +28,7 @@ def _records():
     """(class, positional arguments, keyword arguments, compared fields,
     frozen) for one instance of each record class; the two argument forms
     build equal records."""
-    sink_args = (_DESC.adj, 9, 1 << 12, 1 << 12)
+    sink_args = (_DESC, ((1, 3),), frozenset(), None)
     return [
         (
             GridGraph,
@@ -77,7 +77,7 @@ def _records():
         (
             kernel.SinkDesc,
             sink_args,
-            dict(zip(("adj", "sink", "virtual", "exit_edges"), sink_args)),
+            dict(zip(("grid", "exits", "restricted", "limit"), sink_args)),
             ("adj", "sink", "virtual", "exit_edges"),
             True,
         ),
@@ -233,6 +233,11 @@ def test_record_defaults_are_fresh_per_instance():
     one, two = (kernel.GraphDesc() for _ in range(2))
     assert one == two and one.reach is not two.reach
     assert one.paths is not two.paths and one.masks is not two.masks
-    sink = kernel.SinkDesc(one.adj, 9, 0, 0)
-    assert sink.reach == {} and sink.reach is not kernel.SinkDesc(one.adj, 9, 0, 0).reach
+    assert one.rows == one.sinks == {} and one.rows is not two.rows and one.sinks is not two.sinks
+    sink_args = (((1, 3),), frozenset(), None)
+    sink = kernel.SinkDesc(one, *sink_args)
+    assert sink.reach and sink.reach is not kernel.SinkDesc(one, *sink_args).reach
+    # a sink table is derived from its owner's table, in its owner's pool
+    assert one.reach and all(row is one.rows[row] for row in sink.reach.values())
+    assert two.reach == two.rows == {}
 

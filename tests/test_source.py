@@ -117,10 +117,10 @@ def test_no_record_hooks_attribute_lookup():
 def test_every_record_slot_is_read(monkeypatch, tmp_path):
     """Each slot a record class declares holds state the program reads.
     Every slot of every record class is wrapped in a counting property, and
-    a small exercise runs the package's paths on a kernel descriptor and a
-    sink descriptor cache of its own: strict routes of a sample of each
-    routed family, a reflected route among them, both validators on each
-    plan, ``any_plan`` and
+    a small exercise runs the package's paths on a kernel descriptor of
+    its own, and so on sink descriptors of its own: strict routes of a
+    sample of each routed family, a reflected route among them, both
+    validators on each plan, ``any_plan`` and
     ``oracle_solve``, and the CLI's ``solve``, ``clips --verify`` on the
     catalog and on a broken clip, and ``verify`` on a few configurations.
     Package code must read every slot of every class, each class counted
@@ -149,7 +149,6 @@ def test_every_record_slot_is_read(monkeypatch, tmp_path):
     for cls, name in slots:
         monkeypatch.setattr(cls, name, counting(cls, name))
     monkeypatch.setattr(kernel, "_DESC", kernel.GraphDesc())
-    monkeypatch.setattr(kernel, "sink_desc", functools.lru_cache(kernel.sink_desc.__wrapped__))
 
     grid = full_grid()
     sample = [
@@ -782,6 +781,39 @@ def _module_memos(stem, tree):
                     for name in ast.walk(target):
                         if isinstance(name, ast.Name):
                             yield f"{stem}.{name.id}"
+
+
+def test_kernel_state_is_its_descriptors(trees):
+    """``kernel.py`` binds no module-level memo, nor any other state but
+    its descriptor: each top-level assignment binds a constant, the
+    module itself (``_impl``) or ``_DESC``.  Package code builds a
+    ``SinkDesc`` only in ``sink_desc``, which keeps each in the
+    descriptor's ``sinks``.  So a fresh ``GraphDesc`` is a fresh kernel."""
+    tree = trees["kernel"]
+    assert not list(_module_memos("kernel", tree))
+    state = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and not isinstance(
+            node.value, ast.Constant
+        ):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            state += [ast.unparse(t) for t in targets if ast.unparse(t) not in {"_impl", "_DESC"}]
+    assert not state, state
+
+    def building(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        func = getattr(node, "func", None)
+        if isinstance(node, ast.Call) and "SinkDesc" in {
+            getattr(func, "id", None),
+            getattr(func, "attr", None),
+        }:
+            yield where
+        for child in ast.iter_child_nodes(node):
+            yield from building(child, where)
+
+    built = [f"{stem}.{where}" for stem, t in trees.items() for where in building(t, "<module>")]
+    assert built == ["kernel.sink_desc"], built
 
 
 def test_every_module_memo_is_in_the_readme_inventory(trees):
